@@ -1,9 +1,9 @@
 """Pure-Python elimination kernels.
 
 These are the hot loops of the toolkit: exact fraction-free row reduction
-over big integers and threshold-pivoted reduction over extended floats.
-webrank._speedups is a compiled twin with identical semantics; webrank.linalg
-picks whichever is available.
+over big integers and threshold-pivoted reduction of float matrices held in
+fixed point.  webrank._speedups is a compiled twin of the exact kernels with
+identical semantics; webrank.linalg picks whichever is available for those.
 
 All functions modify their row lists in place; callers pass copies.
 """
@@ -95,8 +95,71 @@ def det_int_rows(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
+def rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
+    """Numerical rank of a fixed-point matrix by complete pivoting on integers.
+
+    Entries are integers standing for multiples of one common unit (the
+    caller scales a float matrix by a power of two so that its largest entry
+    has precision + 64 bits).  A pivot is accepted while its magnitude
+    exceeds the threshold `first_pivot >> shift` (shift = precision // 2);
+    the marginal rule and the row-major first-maximum tie-break are those of
+    rank_float_rows.  Returns (rank, pivot magnitudes, largest discarded
+    magnitude or None, marginal flag), magnitudes in the caller's unit.
+
+    Error model.  Each update a - (f*b)//p is exact except for the floor,
+    which errs by less than one unit.  Under complete pivoting the pivot p is
+    the largest active entry, so |f/p| <= 1 and |b/p| <= 1: errors already in
+    a, f, b and p pass into the update with coefficients at most 1, the same
+    first-order propagation as in floating-point elimination.  One unit is
+    2^-(precision+64) of the largest entry, while the threshold sits at
+    2^-(precision/2) of it, so the accumulated truncation stays 64 guard bits
+    (less log2 of the step count) below any decision the threshold makes.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    limit = m if m < n else n
+    active = rows
+    pivot_mags: list[int] = []
+    threshold = None
+    max_discarded = None
+    while len(pivot_mags) < limit:
+        row_max = [max(map(abs, r)) for r in active]
+        best = max(row_max)
+        if best == 0:
+            break
+        if threshold is None:
+            threshold = best >> shift
+        if best <= threshold:
+            max_discarded = best
+            break
+        best_i = row_max.index(best)
+        pivot_row = active[best_i]
+        best_j = list(map(abs, pivot_row)).index(best)
+        if best_i:
+            active[0], active[best_i] = pivot_row, active[0]
+        if best_j:
+            for r in active:
+                r[0], r[best_j] = r[best_j], r[0]
+        pivot_mags.append(best)
+        p = pivot_row[0]
+        tail = pivot_row[1:]
+        active = [
+            [a - (f * b) // p for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
+            for r in active[1:]
+        ]
+    marginal = False
+    if threshold is not None:
+        if pivot_mags and min(pivot_mags) < gap * threshold:
+            marginal = True
+        if max_discarded is not None and max_discarded * gap > threshold:
+            marginal = True
+    return len(pivot_mags), pivot_mags, max_discarded, marginal
+
+
 def rank_float_rows(rows: list[list], tol_ratio, gap: int):
     """Numerical rank by Gaussian elimination with complete pivoting.
+
+    The mpf reference for rank_fixed_rows, kept as a test oracle.
 
     A pivot is accepted while its magnitude exceeds tol_ratio times the first
     (largest) pivot.  Returns (rank, pivot magnitudes, largest discarded

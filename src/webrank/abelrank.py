@@ -21,7 +21,7 @@ from .combin import binom, calibrated_max_rank, exact_support_dims
 from .expr import EvalError, evaluate
 from .jets import degree_multi_indices
 from .report import FALSE, INCONCLUSIVE, TRUE, VerificationReport, combine_verdicts
-from .scalars import DEFAULT_PRECISION, Mode
+from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
 from .tpoly import taylor
 from .web import (
     AssembledWeb,
@@ -30,8 +30,6 @@ from .web import (
     gradients_proportional,
     web_gradients,
 )
-
-ESCALATION_LIMIT = 512
 
 
 class EstimateInconclusive(Exception):

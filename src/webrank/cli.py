@@ -223,15 +223,7 @@ def _cmd_rank(args) -> int:
     m_cap = args.m_cap if args.m_cap else E.k0 + 5
     W = assemble(E, n)
     point = generic_point_for_web(W, GenericPointSampler(seed=args.seed), mode)
-    if point is None:
-        print(f"rank {name} n={n}: inconclusive (no generic point)")
-        return 2
-    estimate = rank_estimate(W, point, m_start, m_cap, mode)
     expected = calibrated_max_rank(n, E.k0)
-    if estimate.value is None:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = TRUE if estimate.value == expected else FALSE
     payload = {
         "config": asdict(
             _config(args, "rank", n=[n], m_start=m_start, m_cap=m_cap)
@@ -239,14 +231,34 @@ def _cmd_rank(args) -> int:
         "family": name,
         "n": n,
         "expected": expected,
-        "value": estimate.value,
-        "stabilized_at": estimate.stabilized_at,
-        "dims_trace": dict(sorted(estimate.dims.items())),
-        "method": estimate.method,
-        "point": [str(c) for c in point],
-        "note": estimate.note,
-        "verdict": verdict,
     }
+    if point is None:
+        payload.update(
+            value=None,
+            stabilized_at=None,
+            dims_trace={},
+            method=mode.label(),
+            point=None,
+            note="no generic point found",
+            verdict=INCONCLUSIVE,
+        )
+        line = f"rank {name} n={n}: inconclusive (no generic point)"
+        _emit(payload, args.format, [line])
+        return 2
+    estimate = rank_estimate(W, point, m_start, m_cap, mode)
+    if estimate.value is None:
+        verdict = INCONCLUSIVE
+    else:
+        verdict = TRUE if estimate.value == expected else FALSE
+    payload.update(
+        value=estimate.value,
+        stabilized_at=estimate.stabilized_at,
+        dims_trace=dict(sorted(estimate.dims.items())),
+        method=estimate.method,
+        point=[str(c) for c in point],
+        note=estimate.note,
+        verdict=verdict,
+    )
     lines = [
         f"rank {name} n={n}: value={estimate.value} expected={expected} "
         f"dims={dict(sorted(estimate.dims.items()))} [{estimate.method}] "

@@ -1,9 +1,9 @@
 """Exact and floating rank/determinant front ends over the elimination kernels.
 
-The compiled kernels (webrank._speedups, built by setup.py) are preferred;
-set WEBRANK_FORCE_PURE=1 to insist on the pure-Python twins.  Both expose the
-same three functions with identical semantics, so results never depend on the
-backend.
+For the exact kernels the compiled twins (webrank._speedups, built by
+setup.py) are preferred; set WEBRANK_FORCE_PURE=1 to insist on the
+pure-Python ones.  Both have identical semantics, so results never depend on
+the backend.  Float rank always runs the pure fixed-point kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ else:
         BACKEND = "pure"
 
 FLOAT_GAP = 16  # accepted and discarded pivots must clear the threshold by 2^4
+FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -76,6 +77,38 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
     return out
 
 
+def _fixed_point_rows(rows: Sequence[Sequence], precision: int):
+    """Float matrix as integers times one power of two: (int rows, exponent).
+
+    Entries are first rounded to `precision` bits, then all are scaled by
+    the same power of two so that the largest has precision + FIXED_GUARD_BITS
+    bits; smaller entries lose their bits below that unit (truncated toward
+    zero).  Scaling the whole matrix by one factor keeps every rank decision
+    made relative to the first pivot.
+    """
+    with mpmath.workprec(precision):
+        parts = [[mpmath.mpf(v)._mpf_ for v in row] for row in rows]
+    top = None
+    for row in parts:
+        for _, man, exp, bc in row:
+            if man:
+                if top is None or exp + bc > top:
+                    top = exp + bc
+            elif bc:
+                raise ValueError("float rank needs finite entries")
+    if top is None:
+        return [[0] * len(row) for row in parts], 0
+    unit = top - precision - FIXED_GUARD_BITS
+    return [
+        [
+            (-1 if sign else 1)
+            * (man << (exp - unit) if exp >= unit else man >> (unit - exp))
+            for sign, man, exp, _ in row
+        ]
+        for row in parts
+    ], unit
+
+
 def float_rank(
     rows: Sequence[Sequence], precision: int
 ) -> tuple[int, dict]:
@@ -84,21 +117,26 @@ def float_rank(
     The pivot threshold is 2^(-precision/2) times the largest pivot; the
     certificate records pivot magnitudes, the gap ratio used, and whether any
     decision was marginal (within 2^4 of the threshold on either side).
+    Elimination runs in fixed point on integers (see
+    _purekernels.rank_fixed_rows for the error model).
     """
+    fixed, unit = _fixed_point_rows(rows, precision)
+    rank, pivot_mags, max_discarded, marginal = _purekernels.rank_fixed_rows(
+        fixed, precision // 2, FLOAT_GAP
+    )
+
+    def magnitude(value: int) -> str:
+        return mpmath.nstr(mpmath.mpf((value, unit)), 8)
+
     with mpmath.workprec(precision):
-        copies = [[mpmath.mpf(v) for v in row] for row in rows]
-        tol_ratio = mpmath.mpf(2) ** (-(precision // 2))
-        rank, pivot_mags, max_discarded, marginal = _impl.rank_float_rows(
-            copies, tol_ratio, FLOAT_GAP
-        )
-    certificate = {
-        "pivot_magnitudes": [mpmath.nstr(p, 8) for p in pivot_mags],
-        "largest_discarded": None
-        if max_discarded is None
-        else mpmath.nstr(max_discarded, 8),
-        "tolerance_ratio": f"2^-{precision // 2}",
-        "gap": FLOAT_GAP,
-    }
+        certificate = {
+            "pivot_magnitudes": [magnitude(p) for p in pivot_mags],
+            "largest_discarded": None
+            if max_discarded is None
+            else magnitude(max_discarded),
+            "tolerance_ratio": f"2^-{precision // 2}",
+            "gap": FLOAT_GAP,
+        }
     return rank, {"marginal": marginal, "certificate": certificate}
 
 

@@ -25,12 +25,16 @@ from . import linalg
 from .combin import calibration_order, monomial_count
 from .expr import EvalError
 from .jets import JetMatrix, jet_matrix_from_gradients, square_block
-from .report import FALSE, INCONCLUSIVE, TRUE, VerificationReport, combine_verdicts
-from .scalars import DEFAULT_PRECISION, Mode
+from .report import (
+    CONFIRMATIONS_FOR_FALSE,
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    VerificationReport,
+    combine_verdicts,
+)
+from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
 from .web import AssembledWeb, BalancedSet, assemble, web_gradients
-
-ESCALATION_LIMIT = 512
-CONFIRMATIONS_FOR_FALSE = 4  # first failure plus three confirmations
 
 
 @dataclass(frozen=True)

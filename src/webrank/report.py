@@ -11,6 +11,8 @@ TRUE = "true"
 FALSE = "false"
 INCONCLUSIVE = "inconclusive"
 
+CONFIRMATIONS_FOR_FALSE = 4  # first failure plus three confirmations
+
 _EXIT_CODES = {TRUE: 0, FALSE: 1, INCONCLUSIVE: 2}
 
 

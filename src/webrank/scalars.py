@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath
 
 DEFAULT_PRECISION = 128
+ESCALATION_LIMIT = 512  # highest precision a marginal float rank escalates to
 
 
 @dataclass(frozen=True)

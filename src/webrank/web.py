@@ -30,7 +30,14 @@ from .expr import (
     to_text,
     vars_used,
 )
-from .report import FALSE, INCONCLUSIVE, TRUE, VerificationReport, combine_verdicts
+from .report import (
+    CONFIRMATIONS_FOR_FALSE,
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    VerificationReport,
+    combine_verdicts,
+)
 from .scalars import DEFAULT_PRECISION, EXACT, Mode, scalar_is_zero
 
 
@@ -243,7 +250,17 @@ def validate_balanced(
 
 
 def _web_condition(E, n_check, sampler, mode, checks) -> str:
+    """Pairwise non-proportional differentials at a sampled point of n_check-space.
+
+    "true" at the first point with no proportional pair.  Proportionality can
+    hold on a thin set only, so "false" needs CONFIRMATIONS_FOR_FALSE points
+    with proportional pairs; every such point is kept in the record under
+    "proportional_points", and "point" / "proportional_pairs" describe the
+    deciding point.
+    """
     W = assemble(E, n_check)
+    failing: list[dict] = []
+    record: dict = {"check": "web_condition", "n": n_check}
     for _ in range(sampler.max_retries):
         point = sampler.point(n_check)
         try:
@@ -259,25 +276,27 @@ def _web_condition(E, n_check, sampler, mode, checks) -> str:
                     failures.append(
                         [list(W.entries[i].label), list(W.entries[j].label)]
                     )
-        checks.append(
-            {
-                "check": "web_condition",
-                "n": n_check,
-                "point": [str(c) for c in point],
-                "proportional_pairs": failures,
-                "verdict": TRUE if not failures else FALSE,
-            }
-        )
-        return TRUE if not failures else FALSE
-    checks.append(
-        {
+        record["point"] = [str(c) for c in point]
+        record["proportional_pairs"] = failures
+        if not failures:
+            verdict = TRUE
+            break
+        failing.append({"point": record["point"], "proportional_pairs": failures})
+        if len(failing) >= CONFIRMATIONS_FOR_FALSE:
+            verdict = FALSE
+            break
+    else:
+        verdict = INCONCLUSIVE
+        record = {
             "check": "web_condition",
             "n": n_check,
-            "verdict": INCONCLUSIVE,
             "reason": f"no generic point found in {sampler.max_retries} attempts",
         }
-    )
-    return INCONCLUSIVE
+    if failing:
+        record["proportional_points"] = failing
+    record["verdict"] = verdict
+    checks.append(record)
+    return verdict
 
 
 def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:

@@ -87,6 +87,38 @@ def test_verify_family_quadrics(capsys):
     assert payload["expected"] == {"ordinary": True, "max_rank": True}
 
 
+def test_verify_family_moebius_seed_1_is_balanced(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify-family",
+        "--family",
+        "k0_3_moebius_sum",
+        "--seed",
+        "1",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdicts"]["balanced"] == "true"
+    assert payload["verdicts"]["overall"] == "true"
+
+
+def test_rank_json_without_generic_point(capsys, tmp_path):
+    # log(-x1^2-x2^2-1) is undefined at every real point
+    path = tmp_path / "nowhere.json"
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1"], ["log(-x1^2-x2^2-1)"]]}))
+    code, out, _ = run_cli(
+        capsys, "rank", "--input", str(path), "--n", "2", "--format", "json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["config"]["command"] == "rank"
+    assert payload["value"] is None
+    assert payload["verdict"] == "inconclusive"
+    assert payload["note"]
+
+
 def test_reports_are_byte_identical_for_same_seed(capsys):
     argv = [
         "verify-family",

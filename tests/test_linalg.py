@@ -143,6 +143,117 @@ def test_float_rank_flags_marginal_pivot():
     assert info["marginal"]
 
 
+def oracle_float_rank(rows, precision):
+    """Rank and marginal flag from the mpf kernel, the reference for float_rank."""
+    with mpmath.workprec(precision):
+        copies = [[mpmath.mpf(v) for v in row] for row in rows]
+        tol_ratio = mpmath.mpf(2) ** (-(precision // 2))
+        rank, _, _, marginal = _purekernels.rank_float_rows(
+            copies, tol_ratio, linalg.FLOAT_GAP
+        )
+    return rank, marginal
+
+
+precisions = st.sampled_from([32, 64, 128, 256])
+
+
+@st.composite
+def low_rank_products(draw):
+    """A (m x r) times B (r x n) with small random integers, either orientation."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=7))
+    r = draw(st.integers(min_value=0, max_value=min(m, n)))
+    small = st.integers(min_value=-9, max_value=9)
+    a = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=r, max_size=r))
+    product = [
+        [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)] for i in range(m)
+    ]
+    if draw(st.booleans()):
+        product = [list(col) for col in zip(*product)]
+    return product
+
+
+@st.composite
+def near_threshold_diagonals(draw, precision):
+    """Row-permuted diagonal: a unit entry and entries at 2^-(p/2 +- 2..6)."""
+    offsets = draw(
+        st.lists(st.sampled_from([-6, -5, -4, -3, -2, 2, 3, 4, 5, 6]), max_size=4)
+    )
+    exponents = [0] + [off - precision // 2 for off in offsets]
+    size = len(exponents)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    order = draw(st.permutations(range(size)))
+    with mpmath.workprec(precision):
+        diagonal = [sign * mpmath.ldexp(1, e) for sign, e in zip(signs, exponents)]
+        zero = mpmath.mpf(0)
+    return [[diagonal[i] if j == i else zero for j in range(size)] for i in order]
+
+
+def to_mpf_rows(rows, precision):
+    with mpmath.workprec(precision):
+        return [[mpmath.mpf(v) for v in row] for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(low_rank_products(), precisions)
+def test_fixed_point_rank_matches_mpf_oracle_on_low_rank_products(rows, precision):
+    floats = to_mpf_rows(rows, precision)
+    rank, info = linalg.float_rank(floats, precision)
+    assert (rank, info["marginal"]) == oracle_float_rank(floats, precision)
+
+
+@settings(max_examples=120, deadline=None)
+@given(precisions.flatmap(lambda p: st.tuples(near_threshold_diagonals(p), st.just(p))))
+def test_fixed_point_rank_matches_mpf_oracle_near_threshold(case):
+    rows, precision = case
+    rank, info = linalg.float_rank(rows, precision)
+    assert (rank, info["marginal"]) == oracle_float_rank(rows, precision)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    precisions,
+)
+def test_fixed_point_rank_matches_mpf_oracle_on_zero_matrices(m, n, precision):
+    rows = to_mpf_rows([[0] * n for _ in range(m)], precision)
+    rank, info = linalg.float_rank(rows, precision)
+    assert (rank, info["marginal"]) == oracle_float_rank(rows, precision) == (0, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        min_size=1,
+        max_size=8,
+    ),
+    precisions,
+)
+def test_fixed_point_rank_matches_mpf_oracle_on_single_rows(row, precision):
+    with mpmath.workprec(precision):
+        rows = [[mpmath.mpf(v.numerator) / v.denominator for v in row]]
+    rank, info = linalg.float_rank(rows, precision)
+    assert (rank, info["marginal"]) == oracle_float_rank(rows, precision)
+    assert rank == (1 if any(row) else 0)
+
+
+def test_float_rank_certificate_is_in_input_units():
+    with mpmath.workprec(128):
+        rows = [[mpmath.mpf(3) / 8, mpmath.mpf(0)], [mpmath.mpf(0), mpmath.mpf(-5)]]
+    rank, info = linalg.float_rank(rows, 128)
+    assert rank == 2
+    assert info["certificate"]["pivot_magnitudes"] == ["5.0", "0.375"]
+    assert info["certificate"]["largest_discarded"] is None
+
+
+def test_float_rank_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        linalg.float_rank([[mpmath.mpf(1), mpmath.inf]], 128)
+
+
 def test_exact_nullspace_known_kernel():
     # x + y + z = 0 has a 2-dimensional kernel
     rows = [[1, 1, 1]]

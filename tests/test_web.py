@@ -6,7 +6,7 @@ from webrank.catalog import get_family
 from webrank.combin import monomial_count
 from webrank.expr import parse, to_text
 from webrank.ordinary import GenericPointSampler
-from webrank.report import FALSE, TRUE
+from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE, TRUE
 from webrank.scalars import EXACT
 from webrank.web import (
     assemble,
@@ -98,6 +98,35 @@ def test_validate_balanced_detects_proportional_pair():
     assert report.verdict == FALSE
     web_checks = [c for c in report.checks if c["check"] == "web_condition"]
     assert web_checks and web_checks[0]["proportional_pairs"]
+
+
+def test_web_condition_false_needs_four_proportional_points():
+    E = balanced_set(
+        3,
+        [
+            [parse("x1", 1)],
+            [parse("x1+x2", 2), parse("2*x1+2*x2", 2)],
+            [parse("x1+x2+x3", 3)],
+        ],
+    )
+    report = validate_balanced(E, 3, GenericPointSampler(seed=0))
+    (record,) = [c for c in report.checks if c["check"] == "web_condition"]
+    assert record["verdict"] == FALSE
+    assert len(record["proportional_points"]) == CONFIRMATIONS_FOR_FALSE
+    assert len({tuple(p["point"]) for p in record["proportional_points"]}) == 4
+    assert all(p["proportional_pairs"] for p in record["proportional_points"])
+
+
+def test_web_condition_samples_past_a_thin_set_point():
+    # seed 1 first samples x1 = 1, where the Moebius ratio's gradients are
+    # proportional; the next sampled point certifies the web condition.
+    E, _ = get_family("k0_3_moebius_sum")
+    report = validate_balanced(E, 4, GenericPointSampler(seed=1))
+    assert report.verdict == TRUE
+    (record,) = [c for c in report.checks if c["check"] == "web_condition"]
+    assert record["verdict"] == TRUE
+    assert record["proportional_pairs"] == []
+    assert record["proportional_points"][0]["point"][0] == "1"
 
 
 def test_validate_balanced_detects_missing_variable():
