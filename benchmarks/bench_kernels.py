@@ -7,6 +7,9 @@ families in dimension 4) and times, on identical copies, the exact rank
 kernel with both backends (pure and, when built, compiled) and the float
 rank path (`linalg.float_rank`, the fixed-point integer kernel including
 conversion) next to the mpf kernel it replaced, kept as its test oracle.
+It also times building the exact system: powers of the integer-scaled
+offsets (`abelrank._expansion_rows`) against the rational rows it replaced,
+built on Fractions and then cleared of denominators (`linalg._integer_rows`).
 
 Run after `pip install -e . --no-build-isolation`:
 
@@ -21,10 +24,11 @@ import time
 import mpmath
 
 from webrank import _purekernels, linalg
-from webrank.abelrank import _expansion_rows, generic_point_for_web
+from webrank.abelrank import _expansion_rows, _relation_keys, generic_point_for_web
 from webrank.catalog import get_family
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
+from webrank.tpoly import taylor
 
 try:
     from webrank import _speedups
@@ -42,14 +46,44 @@ def _time(fn, repeat: int) -> float:
     return best
 
 
-def bench_exact(repeat: int):
+def _exact_system():
     from webrank.web import assemble
 
     E, _ = get_family("k0_4_WB_sum")
     W = assemble(E, 4)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-    rows = _expansion_rows(W, point, 6, EXACT)
-    ints, _ = linalg._integer_rows(rows)
+    return W, generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+
+
+def _fraction_rows(W, point, order: int):
+    """The exact system on Fractions: powers of the unscaled offsets."""
+    keys = _relation_keys(W.n, order)
+    rows = []
+    for entry in W.entries:
+        offset = taylor(entry.integral, point, order, EXACT).drop_constant()
+        for power in offset.powers(order):
+            rows.append([power.coefficient(key) for key in keys])
+    return rows
+
+
+def bench_build(repeat: int):
+    W, point = _exact_system()
+    order = 6
+    ints, _ = _expansion_rows(W, point, order, EXACT)
+    shape = f"{len(ints)}x{len(ints[0])}"
+    results = {
+        "fraction": _time(
+            lambda: linalg._integer_rows(_fraction_rows(W, point, order)), repeat
+        ),
+        "integer": _time(lambda: _expansion_rows(W, point, order, EXACT), repeat),
+    }
+    rank = linalg.exact_rank(ints)[0]
+    if linalg.exact_rank(_fraction_rows(W, point, order))[0] != rank:
+        raise AssertionError("integer and Fraction relation rows differ in rank")
+    return "exact system build (Taylor rows to int rows)", shape, rank, results
+
+
+def bench_exact(repeat: int):
+    ints, _ = _expansion_rows(*_exact_system(), 6, EXACT)
     shape = f"{len(ints)}x{len(ints[0])}"
 
     def run(impl):
@@ -70,7 +104,7 @@ def bench_float(repeat: int):
     W = assemble(E, 4)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
     with mpmath.workprec(mode.precision):
-        rows = _expansion_rows(W, point, 6, mode)
+        rows, _ = _expansion_rows(W, point, 6, mode)
         tol = mpmath.mpf(2) ** (-(mode.precision // 2))
     shape = f"{len(rows)}x{len(rows[0])}"
 
@@ -98,7 +132,7 @@ def main() -> None:
     print(f"active backend: {linalg.BACKEND}")
     if _speedups is None:
         print("compiled kernels not built; timing the pure backend only")
-    for bench in (bench_exact, bench_float):
+    for bench in (bench_build, bench_exact, bench_float):
         label, shape, rank, results = bench(args.repeat)
         print(f"\n{label}  [{shape}, rank {rank}]")
         for kernel, seconds in results.items():

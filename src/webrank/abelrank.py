@@ -7,6 +7,13 @@ on powers of (u_i - u_i(p)) with no constant term.  For each truncation order
 M the coefficients of an order-M relation jet form the kernel of a linear
 map, and the kernel dimension as a function of M stabilizes at the rank of
 the web (reported as an order-M certificate, never as a proof).
+
+In exact mode the system is held on Python ints: each entry's offset is
+scaled by the lcm of its coefficient denominators before its powers are
+taken, which scales whole rows and keeps every rank.  rank_estimate builds
+the rows once at order m_start + 1 and slices the order-m_start system out
+of them; higher orders are built afresh.  relation_jets undoes the scaling
+on its kernel vectors.  Float mode builds each order at each precision.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .expr import EvalError, evaluate
 from .jets import degree_multi_indices
 from .report import FALSE, INCONCLUSIVE, TRUE, VerificationReport, combine_verdicts
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
-from .tpoly import taylor
+from .tpoly import TruncatedPoly, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
@@ -73,34 +80,70 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     The row for (i, m) holds the Taylor coefficients of (u_i - u_i(p))^m on
     all multi-indices of degree 1..order; the kernel dimension of the
     relation map is (#unknowns - rank of these rows).
+
+    Returns (rows, scales).  In exact mode the offset u_i - u_i(p) is first
+    multiplied by the lcm L_i of its coefficient denominators, so the powers
+    are taken on Python ints and row (i, m) is L_i^m times the rational row;
+    row scaling keeps the rank, and a kernel vector of these rows becomes one
+    of the rational rows once component (i, m) is multiplied by L_i^m (see
+    relation_jets).  scales lists L_i per entry; in float mode every L_i is 1.
     """
     keys = _relation_keys(W.n, order)
     position = {key: idx for idx, key in enumerate(keys)}
-    zero = Fraction(0) if mode.is_exact else mpmath.mpf(0)
+    zero = 0 if mode.is_exact else mpmath.mpf(0)
     rows = []
+    scales = []
     for entry in W.entries:
         try:
             offset = taylor(entry.integral, point, order, mode).drop_constant()
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
+        scale = 1
+        if mode.is_exact:
+            (cleared,), (scale,) = linalg._integer_rows([list(offset.coeffs.values())])
+            offset = TruncatedPoly(
+                offset.n, offset.cap, dict(zip(offset.coeffs, cleared))
+            )
+        scales.append(scale)
         for power in offset.powers(order):
             row = [zero] * len(keys)
             for key, value in power.coeffs.items():
                 row[position[key]] = value
             rows.append(row)
-    return rows
+    return rows, scales
 
 
-def _kernel_dim(W: AssembledWeb, point, order: int, mode: Mode):
-    """Kernel dimension at one truncation order; returns (dim, mode used)."""
+def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
+    """The order-`order` system inside rows built at order `built` >= order.
+
+    Keys are ordered by degree, and a power truncated at `built` and then
+    restricted to degrees <= order equals the power truncated at `order`, so
+    keeping each entry's first `order` power rows and the first
+    len(_relation_keys(n, order)) columns gives the same matrix (in exact
+    mode up to the row scales, which cannot change the rank).
+    """
+    width = len(_relation_keys(W.n, order))
+    return [
+        rows[i * built + m][:width] for i in range(W.size) for m in range(order)
+    ]
+
+
+def _kernel_dim(W: AssembledWeb, point, order: int, mode: Mode, rows=None):
+    """Kernel dimension at one truncation order; returns (dim, mode used).
+
+    Exact mode uses `rows` when given (the order-`order` system, already
+    built) and builds it otherwise.
+    """
     unknowns = W.size * order
     if mode.is_exact:
-        rank, _ = linalg.exact_rank(_expansion_rows(W, point, order, mode))
+        if rows is None:
+            rows, _ = _expansion_rows(W, point, order, mode)
+        rank, _ = linalg.exact_rank(rows)
         return unknowns - rank, mode
     current = mode
     while True:
         with current.workprec():
-            rows = _expansion_rows(W, point, order, current)
+            rows, _ = _expansion_rows(W, point, order, current)
         rank, info = linalg.float_rank(rows, current.precision)
         if not info["marginal"]:
             return unknowns - rank, current
@@ -123,12 +166,20 @@ def rank_estimate(
     """
     if m_start < 1 or m_cap < m_start:
         raise ValueError(f"need 1 <= m_start <= m_cap, got {m_start}..{m_cap}")
+    # Stabilizing takes at least two orders: in exact mode build the rows
+    # once for the second and slice the first out of them.
+    prebuilt = {}
+    if mode.is_exact:
+        top = min(m_start + 1, m_cap)
+        prebuilt[top], _ = _expansion_rows(W, point, top, mode)
+        if top > m_start:
+            prebuilt[m_start] = _leading_rows(prebuilt[top], W, top, m_start)
     dims: dict[int, int] = {}
     previous = None
     method = mode.label()
     for order in range(m_start, m_cap + 1):
         try:
-            dim, used = _kernel_dim(W, point, order, mode)
+            dim, used = _kernel_dim(W, point, order, mode, prebuilt.pop(order, None))
         except EstimateInconclusive as err:
             return RankEstimate(
                 dims=dims,
@@ -156,9 +207,14 @@ def rank_estimate(
 def relation_jets(
     W: AssembledWeb, point, order: int
 ) -> list[RelationJet]:
-    """Basis of order-M relation jets at a point (exact scalars only)."""
+    """Basis of order-M relation jets at a point (exact scalars only).
+
+    The nullspace is taken on the integer rows of _expansion_rows and each
+    kernel vector is scaled back, component (i, m) times L_i^m, so the jets
+    are relations of the rational system.
+    """
     mode = Mode.exact()
-    rows_by_unknown = _expansion_rows(W, point, order, mode)
+    rows_by_unknown, scales = _expansion_rows(W, point, order, mode)
     keys = _relation_keys(W.n, order)
     unknowns = W.size * order
     equations = [
@@ -167,9 +223,13 @@ def relation_jets(
     basis = linalg.exact_nullspace(equations, unknowns)
     jets = []
     for vector in basis:
+        # undo the row scaling: unknown (i, m) multiplies L_i^m times row (i, m)
         coefficients = {
-            entry.label: tuple(vector[i * order : (i + 1) * order])
-            for i, entry in enumerate(W.entries)
+            entry.label: tuple(
+                value * scale**m
+                for m, value in enumerate(vector[i * order : (i + 1) * order], 1)
+            )
+            for i, (entry, scale) in enumerate(zip(W.entries, scales))
         }
         jets.append(
             RelationJet(

@@ -29,7 +29,7 @@ from .ordinary import (
     crosscheck_ordinary,
 )
 from .report import FALSE, INCONCLUSIVE, TRUE, combine_verdicts, jsonable
-from .scalars import DEFAULT_PRECISION
+from .scalars import DEFAULT_PRECISION, Mode
 from .web import BalancedSet, assemble, load_balanced_set, validate_balanced
 
 EX_USAGE = 64
@@ -80,6 +80,21 @@ def _load_set(args) -> tuple[BalancedSet, str, catalog.FamilySpec | None]:
         raise _InputError(f"no such file: {path}", EX_NOINPUT) from None
     except (json.JSONDecodeError, ParseError, ValueError) as err:
         raise _InputError(f"bad web definition {path}: {err}", EX_DATAERR) from None
+
+
+def _require_at_least(option: str, values, low: int) -> None:
+    """Reject out-of-range option values before any computation."""
+    for value in values or ():
+        if value < low:
+            raise _InputError(f"{option} must be >= {low}, got {value}", EX_USAGE)
+
+
+def _checked_mode(E: BalancedSet, precision: int) -> Mode:
+    """The family's scalar mode; a --precision it cannot use is a usage error."""
+    try:
+        return E.default_mode(precision)
+    except ValueError as err:
+        raise _InputError(f"--precision: {err}", EX_USAGE) from None
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -168,6 +183,7 @@ def _cmd_counts(args) -> int:
 
 def _cmd_validate(args) -> int:
     E, name, _ = _load_set(args)
+    _require_at_least("--n", args.n, 1)
     n_check = args.n[0] if args.n else E.k0
     report = validate_balanced(E, n_check, GenericPointSampler(seed=args.seed))
     report.config = asdict(_config(args, "validate", n=[n_check]))
@@ -182,6 +198,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_ordinary(args) -> int:
     E, name, _ = _load_set(args)
+    if args.direct:
+        _require_at_least("--n", args.n, 2)
+    _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
     criterion = check_finite_criterion(E, sampler, args.precision)
     directs = []
@@ -217,10 +236,13 @@ def _cmd_rank(args) -> int:
     E, name, _ = _load_set(args)
     if not args.n:
         raise _InputError("rank requires --n", EX_USAGE)
+    _require_at_least("--n", args.n, 2)
     n = args.n[0]
-    mode = E.default_mode(args.precision)
-    m_start = args.m_start if args.m_start else E.k0 + 1
-    m_cap = args.m_cap if args.m_cap else E.k0 + 5
+    mode = _checked_mode(E, args.precision)
+    m_start = args.m_start if args.m_start is not None else E.k0 + 1
+    _require_at_least("--m-start", [m_start], 1)
+    m_cap = args.m_cap if args.m_cap is not None else E.k0 + 5
+    _require_at_least("--m-cap", [m_cap], m_start)
     W = assemble(E, n)
     point = generic_point_for_web(W, GenericPointSampler(seed=args.seed), mode)
     expected = calibrated_max_rank(n, E.k0)
@@ -270,6 +292,9 @@ def _cmd_rank(args) -> int:
 
 def _cmd_verify_family(args) -> int:
     E, name, spec = _load_set(args)
+    if args.m_cap is not None:
+        _require_at_least("--m-cap", [args.m_cap], E.k0 + 1)
+    _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
     n_check = E.k0 + 1
     balanced = validate_balanced(E, n_check, sampler)
@@ -351,6 +376,8 @@ def _cmd_verify_family(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     E, name, _ = _load_set(args)
+    _require_at_least("--n", args.n, 2)
+    _checked_mode(E, args.precision)
     n_list = args.n if args.n else [E.k0, E.k0 + 1]
     report = crosscheck_ordinary(
         E, n_list, GenericPointSampler(seed=args.seed), args.precision

@@ -34,22 +34,25 @@ FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators; row scaling keeps rank."""
+    """Scale each row by the lcm of its denominators; row scaling keeps rank.
+
+    Returns fresh int rows (the kernels work in place) and the per-row lcm.
+    """
     cleared: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
-        denlcm = 1
-        for value in row:
-            if isinstance(value, Fraction):
-                denlcm = denlcm * value.denominator // math.gcd(
-                    denlcm, value.denominator
-                )
-        cleared.append(
-            [
-                int(value * denlcm) if isinstance(value, Fraction) else value * denlcm
-                for value in row
-            ]
-        )
+        denlcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
+        if denlcm == 1:
+            cleared.append([int(value) for value in row])
+        else:
+            cleared.append(
+                [
+                    value.numerator * (denlcm // value.denominator)
+                    if isinstance(value, Fraction)
+                    else value * denlcm
+                    for value in row
+                ]
+            )
         scales.append(denlcm)
     return cleared, scales
 

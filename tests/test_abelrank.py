@@ -1,7 +1,14 @@
 import math
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from webrank import linalg
 from webrank.abelrank import (
+    _expansion_rows,
+    _leading_rows,
+    _relation_keys,
     generic_point_for_web,
     rank_estimate,
     relation_jets,
@@ -9,12 +16,13 @@ from webrank.abelrank import (
     support_decomposition,
     verify_max_rank,
 )
-from webrank.catalog import get_family
+from webrank.catalog import family_names, get_family
 from webrank.combin import calibrated_max_rank, exact_support_dims, max_rank_bound
 from webrank.expr import parse
 from webrank.ordinary import GenericPointSampler
 from webrank.report import TRUE
 from webrank.scalars import EXACT
+from webrank.tpoly import taylor
 from webrank.web import assemble
 
 from helpers import reparametrize_entry, single_integral_web
@@ -156,6 +164,80 @@ def test_relation_jets_contain_the_linear_relation():
     labels = [entry.label for entry in W.entries]
     for jet in jets:
         assert set(jet.coefficients) == set(labels)
+
+
+def test_relation_jets_at_a_non_integer_point():
+    # the Moebius entries expand with denominators, so the integer rows carry
+    # scales the jets must undo
+    E, _ = get_family("k0_3_moebius_sum")
+    W = assemble(E, 2)
+    jets = relation_jets(W, (Fraction(3, 7), Fraction(-5, 11)), 4)
+    assert len(jets) == 3
+    for jet in jets:
+        assert relation_residual(W, jet).coeffs == {}
+
+
+# --------------------------------------------------------------------------
+# integer relation rows against the rational rows
+
+def fraction_rows(W, point, order):
+    """Reference: the relation rows on Fractions, powers of the plain offsets."""
+    keys = _relation_keys(W.n, order)
+    rows = []
+    for entry in W.entries:
+        offset = taylor(entry.integral, point, order, EXACT).drop_constant()
+        for power in offset.powers(order):
+            rows.append([Fraction(power.coefficient(key)) for key in keys])
+    return rows
+
+
+K0_3_FAMILIES = [name for name in family_names() if name.startswith("k0_3_")]
+
+
+@st.composite
+def sampled_relation_systems(draw):
+    """(web, generic point, order) for a k0=3 catalog family at n = 2 or 3."""
+    E, _ = get_family(draw(st.sampled_from(K0_3_FAMILIES)))
+    W = assemble(E, draw(st.sampled_from([2, 3])))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    point = generic_point_for_web(W, GenericPointSampler(seed=seed), EXACT)
+    assume(point is not None)
+    return W, point, draw(st.integers(min_value=3, max_value=5))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sampled_relation_systems())
+def test_integer_rows_are_scaled_fraction_rows(system):
+    W, point, order = system
+    rows, scales = _expansion_rows(W, point, order, EXACT)
+    reference = fraction_rows(W, point, order)
+    assert all(type(v) is int for row in rows for v in row)
+    for u, (row, ref) in enumerate(zip(rows, reference)):
+        factor = scales[u // order] ** (u % order + 1)
+        assert row == [v * factor for v in ref]
+    assert linalg.exact_rank(rows)[0] == linalg.exact_rank(reference)[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(sampled_relation_systems(), st.integers(min_value=1, max_value=2))
+def test_sliced_rows_equal_a_fresh_build(system, extra):
+    W, point, order = system
+    built = order + extra
+    rows, built_scales = _expansion_rows(W, point, built, EXACT)
+    fresh, fresh_scales = _expansion_rows(W, point, order, EXACT)
+    sliced = _leading_rows(rows, W, built, order)
+
+    def rational(rows, scales):
+        return [
+            [Fraction(v, scales[u // order] ** (u % order + 1)) for v in row]
+            for u, row in enumerate(rows)
+        ]
+
+    # denominators can grow with degree, so the lcm of a longer expansion may
+    # be larger: compare entries with each build's row scale undone
+    assert rational(sliced, built_scales) == rational(fresh, fresh_scales)
+    if built_scales == fresh_scales:
+        assert sliced == fresh
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from webrank.cli import main
 from webrank.web import save_balanced_set
 from webrank.catalog import get_family
@@ -200,6 +202,31 @@ def test_malformed_json_exit_code(capsys, tmp_path):
 def test_missing_input_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "validate")
     assert code == 64
+
+
+RANK_QUADRICS = ["rank", "--family", "k0_3_quadrics"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        RANK_QUADRICS + ["--n", "2", "--m-start", "5", "--m-cap", "3"],
+        RANK_QUADRICS + ["--n", "2", "--m-start", "0"],
+        RANK_QUADRICS + ["--n", "1"],
+        RANK_QUADRICS + ["--n", "0"],
+        ["validate", "--family", "k0_3_quadrics", "--n", "0"],
+        ["check-ordinary", "--family", "k0_3_quadrics", "--direct", "--n", "0"],
+        ["crosscheck", "--family", "k0_3_quadrics", "--n", "1"],
+        ["verify-family", "--family", "k0_3_quadrics", "--m-cap", "3"],
+        ["verify-family", "--family", "k0_4_exp", "--precision", "4"],
+        ["rank", "--family", "k0_4_exp", "--n", "2", "--precision", "4"],
+    ],
+)
+def test_out_of_range_options_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("webrank: ")
 
 
 def test_usage_error_exit_code():

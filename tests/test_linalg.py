@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrank import _purekernels, linalg
@@ -278,3 +279,49 @@ def test_integer_rows_clears_denominators():
     cleared, scales = linalg._integer_rows([[Fraction(1, 2), Fraction(1, 3)]])
     assert cleared == [[3, 2]]
     assert scales == [6]
+
+
+def reference_integer_rows(rows):
+    """The denominator clearing as first written: int(v * lcm) per entry."""
+    cleared, scales = [], []
+    for row in rows:
+        denlcm = 1
+        for value in row:
+            if isinstance(value, Fraction):
+                denlcm = denlcm * value.denominator // math.gcd(
+                    denlcm, value.denominator
+                )
+        cleared.append(
+            [
+                int(value * denlcm) if isinstance(value, Fraction) else value * denlcm
+                for value in row
+            ]
+        )
+        scales.append(denlcm)
+    return cleared, scales
+
+
+mixed_rows = st.lists(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-10**6, max_value=10**6),
+            st.fractions(min_value=-50, max_value=50, max_denominator=30),
+            st.just(Fraction(0)),
+        ),
+        max_size=8,
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_rows)
+@example([[0, 0, 0], [Fraction(0)] * 3])
+@example([[Fraction(6, 3), -4, Fraction(-7)], [3, -5]])
+@example([[Fraction(-1, 2), 3, Fraction(5, 6)], []])
+def test_integer_rows_match_reference_clearing(rows):
+    cleared, scales = linalg._integer_rows(rows)
+    assert (cleared, scales) == reference_integer_rows(rows)
+    for row, out in zip(rows, cleared):
+        assert out is not row
+        assert all(type(value) is int for value in out)
