@@ -3,13 +3,15 @@
 
 Builds the largest linear systems the verification pipeline actually
 produces (the relation-jet systems of the two built-in calibration-order-4
-families in dimension 4) and times, on identical copies, the exact rank
-kernel with both backends (pure and, when built, compiled) and the float
-rank path (`linalg.float_rank`, the fixed-point integer kernel including
-conversion) next to the mpf kernel it replaced, kept as its test oracle.
-It also times building the exact system: powers of the integer-scaled
-offsets (`abelrank._expansion_rows`) against the rational rows it replaced,
-built on Fractions and then cleared of denominators (`linalg._integer_rows`).
+families in dimension 4) and times, on identical copies, the pure exact
+rank kernel with the columns in degree order and in the support order the
+pipeline builds (plus the compiled backend, when built, on the latter), and
+the float rank path (`linalg.float_rank`, the fixed-point integer kernel
+including conversion) next to the mpf kernel it replaced, kept as its test
+oracle.  It also times building the exact system: powers of the
+integer-scaled offsets (`abelrank._expansion_rows`) against the rational
+rows it replaced, built on Fractions and then cleared of denominators
+(`linalg._integer_rows`).
 
 Run after `pip install -e . --no-build-isolation`:
 
@@ -26,6 +28,7 @@ import mpmath
 from webrank import _purekernels, linalg
 from webrank.abelrank import _expansion_rows, _relation_keys, generic_point_for_web
 from webrank.catalog import get_family
+from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
 from webrank.tpoly import taylor
@@ -83,17 +86,31 @@ def bench_build(repeat: int):
 
 
 def bench_exact(repeat: int):
-    ints, _ = _expansion_rows(*_exact_system(), 6, EXACT)
+    W, point = _exact_system()
+    order = 6
+    ints, _ = _expansion_rows(W, point, order, EXACT)
     shape = f"{len(ints)}x{len(ints[0])}"
+    column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
+    by_degree = [
+        column[key]
+        for h in range(1, order + 1)
+        for key in degree_multi_indices(W.n, h)
+    ]
+    degree_rows = [[row[j] for j in by_degree] for row in ints]
 
-    def run(impl):
-        return lambda: impl.rank_int_rows([row[:] for row in ints])
+    def run(impl, rows):
+        return lambda: impl.rank_int_rows([row[:] for row in rows])
 
-    results = {"pure": _time(run(_purekernels), repeat)}
+    results = {
+        "degree": _time(run(_purekernels, degree_rows), repeat),
+        "support": _time(run(_purekernels, ints), repeat),
+    }
     if _speedups is not None:
-        results["compiled"] = _time(run(_speedups), repeat)
+        results["compiled"] = _time(run(_speedups, ints), repeat)
     rank = _purekernels.rank_int_rows([row[:] for row in ints])[0]
-    return "exact rank (big-int, fraction-free)", shape, rank, results
+    if _purekernels.rank_int_rows([row[:] for row in degree_rows])[0] != rank:
+        raise AssertionError("degree and support column orders differ in rank")
+    return "exact rank (big-int, fraction-free; column order)", shape, rank, results
 
 
 def bench_float(repeat: int):
@@ -137,8 +154,8 @@ def main() -> None:
         print(f"\n{label}  [{shape}, rank {rank}]")
         for kernel, seconds in results.items():
             print(f"  {kernel:9s} {seconds * 1000:9.1f} ms")
-        if len(results) == 2:
-            base, fast = results.values()
+        if len(results) >= 2:
+            base, fast = list(results.values())[:2]
             print(f"  speedup   {base / fast:9.2f} x")
 
 

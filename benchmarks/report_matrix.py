@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Write the JSON reports of a fixed matrix of `webrank` jobs, one file each.
+
+    python3 benchmarks/report_matrix.py OUTDIR
+
+Runs 70 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
+importing `webrank` from the `src/` directory of the checkout this script
+sits in:
+
+* `verify-family` for all 14 catalog families at seeds 0, 1 and 7;
+* `verify-family --corroborate` for the 13 exp/log-free families at seeds 0
+  and 7, and for `k0_4_exp` at seed 0;
+* `rank --family k0_4_exp --n 3 --precision 32`, which escalates once.
+
+Each job's file holds `exit <code>` on its first line and the job's standard
+output after it.  Reports are byte-identical for identical argv and seed, so
+two checkouts give the same results exactly when
+
+    diff -r OUTDIR_A OUTDIR_B
+
+prints nothing.  To check another checkout, copy this script into its
+`benchmarks/` directory and run it from there.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from webrank import catalog, cli  # noqa: E402
+
+
+def jobs() -> list[list[str]]:
+    families = catalog.family_names()
+    exact = [name for name in families if name != "k0_4_exp"]
+    out = [
+        ["verify-family", "--family", name, "--seed", str(seed)]
+        for seed in (0, 1, 7)
+        for name in families
+    ]
+    out += [
+        ["verify-family", "--family", name, "--seed", str(seed), "--corroborate"]
+        for seed in (0, 7)
+        for name in exact
+    ]
+    out += [
+        ["verify-family", "--family", "k0_4_exp", "--seed", "0", "--corroborate"],
+        ["rank", "--family", "k0_4_exp", "--n", "3", "--precision", "32"],
+    ]
+    return out
+
+
+def file_name(argv: list[str]) -> str:
+    return "_".join(arg.lstrip("-") for arg in argv) + ".txt"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__, file=sys.stderr)
+        return 64
+    outdir = Path(args[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for job in jobs():
+        buffer = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main([*job, "--format", "json"])
+        elapsed = time.perf_counter() - start
+        name = file_name(job)
+        (outdir / name).write_text(f"exit {code}\n{buffer.getvalue()}")
+        print(f"{elapsed:7.2f} s  exit {code}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,17 @@ taken, which scales whole rows and keeps every rank.  rank_estimate builds
 the rows once at order m_start + 1 and slices the order-m_start system out
 of them; higher orders are built afresh.  relation_jets undoes the scaling
 on its kernel vectors.  Float mode builds each order at each precision.
+
+Columns are the multi-indices of degree 1..M, those with the most nonzero
+exponents first and by degree within one support size.  Row (i, m) is a
+power of entry i's offset, so its nonzeros lie on monomials in the
+variables of that entry (WebEntry.source): the rows of entries on few
+variables vanish on the leading, wide-support columns, the system is close
+to block-triangular in this order, and fraction-free elimination clears it
+top-down with far less fill-in than in degree order.  A permutation of the
+columns cannot change a rank; float mode shares the order, and its complete
+pivoting picks the same pivots in any column order except at exact ties of
+magnitude.
 """
 
 from __future__ import annotations
@@ -68,9 +79,12 @@ class RankEstimate:
 
 
 def _relation_keys(n: int, order: int) -> list[tuple[int, ...]]:
+    """Column keys of the relation system: multi-indices of degree 1..order,
+    largest support first, by degree within one support size."""
     keys: list[tuple[int, ...]] = []
     for h in range(1, order + 1):
         keys.extend(degree_multi_indices(n, h))
+    keys.sort(key=lambda key: -sum(1 for e in key if e))
     return keys
 
 
@@ -116,15 +130,19 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
 def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     """The order-`order` system inside rows built at order `built` >= order.
 
-    Keys are ordered by degree, and a power truncated at `built` and then
-    restricted to degrees <= order equals the power truncated at `order`, so
-    keeping each entry's first `order` power rows and the first
-    len(_relation_keys(n, order)) columns gives the same matrix (in exact
-    mode up to the row scales, which cannot change the rank).
+    A power truncated at `built` and then restricted to degrees <= order
+    equals the power truncated at `order`, and the keys of degree <= order
+    keep their relative order (the sort in _relation_keys is stable), so
+    keeping each entry's first `order` power rows and the columns of degree
+    <= order gives the same matrix (in exact mode up to the row scales, which
+    cannot change the rank).
     """
-    width = len(_relation_keys(W.n, order))
+    keys = _relation_keys(W.n, built)
+    kept = [j for j, key in enumerate(keys) if sum(key) <= order]
     return [
-        rows[i * built + m][:width] for i in range(W.size) for m in range(order)
+        [rows[i * built + m][j] for j in kept]
+        for i in range(W.size)
+        for m in range(order)
     ]
 
 

@@ -89,6 +89,12 @@ def _require_at_least(option: str, values, low: int) -> None:
             raise _InputError(f"{option} must be >= {low}, got {value}", EX_USAGE)
 
 
+def _single(option: str, values) -> None:
+    """Reject a repeated option that the command would only read once."""
+    if values and len(values) > 1:
+        raise _InputError(f"{option} given {len(values)} times, takes one", EX_USAGE)
+
+
 def _checked_mode(E: BalancedSet, precision: int) -> Mode:
     """The family's scalar mode; a --precision it cannot use is a usage error."""
     try:
@@ -183,6 +189,7 @@ def _cmd_counts(args) -> int:
 
 def _cmd_validate(args) -> int:
     E, name, _ = _load_set(args)
+    _single("--n", args.n)
     _require_at_least("--n", args.n, 1)
     n_check = args.n[0] if args.n else E.k0
     report = validate_balanced(E, n_check, GenericPointSampler(seed=args.seed))
@@ -198,8 +205,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_ordinary(args) -> int:
     E, name, _ = _load_set(args)
-    if args.direct:
-        _require_at_least("--n", args.n, 2)
+    if args.n and not args.direct:
+        raise _InputError("--n needs --direct", EX_USAGE)
+    _require_at_least("--n", args.n, 2)
     _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
     criterion = check_finite_criterion(E, sampler, args.precision)
@@ -236,6 +244,7 @@ def _cmd_rank(args) -> int:
     E, name, _ = _load_set(args)
     if not args.n:
         raise _InputError("rank requires --n", EX_USAGE)
+    _single("--n", args.n)
     _require_at_least("--n", args.n, 2)
     n = args.n[0]
     mode = _checked_mode(E, args.precision)
@@ -423,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("validate", help="check the balanced-set definition")
     _add_common(sub, with_precision=False)
-    sub.add_argument("--n", type=int, action="append", help="dimension to check")
+    sub.add_argument("--n", type=int, action="append", help="dimension to check (once)")
 
     sub = subs.add_parser(
         "check-ordinary", help="certify ordinariness via the finite criterion"
@@ -433,12 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--direct", action="store_true", help="also run the direct jet-rank check"
     )
     sub.add_argument(
-        "--n", type=int, action="append", help="dimension(s) for the direct check"
+        "--n",
+        type=int,
+        action="append",
+        help="dimension(s) for the direct check (needs --direct)",
     )
 
     sub = subs.add_parser("rank", help="estimate the abelian-relation dimension")
     _add_common(sub)
-    sub.add_argument("--n", type=int, action="append", help="dimension")
+    sub.add_argument("--n", type=int, action="append", help="dimension (once)")
     sub.add_argument("--m-start", dest="m_start", type=int)
     sub.add_argument("--m-cap", dest="m_cap", type=int)
 

@@ -19,6 +19,7 @@ from webrank.abelrank import (
 from webrank.catalog import family_names, get_family
 from webrank.combin import calibrated_max_rank, exact_support_dims, max_rank_bound
 from webrank.expr import parse
+from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.report import TRUE
 from webrank.scalars import EXACT
@@ -238,6 +239,40 @@ def test_sliced_rows_equal_a_fresh_build(system, extra):
     assert rational(sliced, built_scales) == rational(fresh, fresh_scales)
     if built_scales == fresh_scales:
         assert sliced == fresh
+
+
+# --------------------------------------------------------------------------
+# column order: largest support first
+
+def degree_ordered_keys(n, order):
+    return [key for h in range(1, order + 1) for key in degree_multi_indices(n, h)]
+
+
+def test_relation_keys_are_degree_keys_by_descending_support():
+    for n in range(1, 6):
+        for order in range(1, 7):
+            keys = _relation_keys(n, order)
+            assert sorted(keys) == sorted(degree_ordered_keys(n, order))
+            sizes = [sum(1 for e in key if e) for key in keys]
+            assert sizes == sorted(sizes, reverse=True)
+
+
+def test_lower_order_keys_keep_their_order():
+    for n in range(1, 6):
+        for order in range(1, 6):
+            kept = [key for key in _relation_keys(n, order + 1) if sum(key) <= order]
+            assert kept == _relation_keys(n, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sampled_relation_systems())
+def test_support_order_keeps_the_rank(system):
+    W, point, order = system
+    rows, _ = _expansion_rows(W, point, order, EXACT)
+    column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
+    by_degree = [column[key] for key in degree_ordered_keys(W.n, order)]
+    degree_rows = [[row[j] for j in by_degree] for row in rows]
+    assert linalg.exact_rank(degree_rows)[0] == linalg.exact_rank(rows)[0]
 
 
 # --------------------------------------------------------------------------

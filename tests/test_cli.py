@@ -220,6 +220,10 @@ RANK_QUADRICS = ["rank", "--family", "k0_3_quadrics"]
         ["verify-family", "--family", "k0_3_quadrics", "--m-cap", "3"],
         ["verify-family", "--family", "k0_4_exp", "--precision", "4"],
         ["rank", "--family", "k0_4_exp", "--n", "2", "--precision", "4"],
+        # options the command would otherwise ignore
+        RANK_QUADRICS + ["--n", "2", "--n", "3"],
+        ["validate", "--family", "k0_3_quadrics", "--n", "2", "--n", "3"],
+        ["check-ordinary", "--family", "k0_3_quadrics", "--n", "3"],
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv):
