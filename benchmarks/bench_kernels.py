@@ -11,7 +11,12 @@ including conversion) next to the mpf kernel it replaced, kept as its test
 oracle.  It also times building the exact system: powers of the
 integer-scaled offsets (`abelrank._expansion_rows`) against the rational
 rows it replaced, built on Fractions and then cleared of denominators
-(`linalg._integer_rows`).
+(`linalg._integer_rows`).  For the ordinariness check it times, on the
+assembled k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of
+orders 1..4 built and ranked as Fraction jet coefficients against the
+integer recurrence (`jets.integer_jet_rows`), and the proportionality screen
+of the 70 gradients as all-pairs 2x2 minors against grouping
+(`web.proportional_pairs`).
 
 Run after `pip install -e . --no-build-isolation`:
 
@@ -28,10 +33,20 @@ import mpmath
 from webrank import _purekernels, linalg
 from webrank.abelrank import _expansion_rows, _relation_keys, generic_point_for_web
 from webrank.catalog import get_family
-from webrank.jets import degree_multi_indices
+from webrank.jets import (
+    degree_multi_indices,
+    integer_jet_rows,
+    jet_matrix_from_gradients,
+)
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
 from webrank.tpoly import taylor
+from webrank.web import (
+    assemble,
+    gradients_proportional,
+    proportional_pairs,
+    web_gradients,
+)
 
 try:
     from webrank import _speedups
@@ -50,8 +65,6 @@ def _time(fn, repeat: int) -> float:
 
 
 def _exact_system():
-    from webrank.web import assemble
-
     E, _ = get_family("k0_4_WB_sum")
     W = assemble(E, 4)
     return W, generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
@@ -82,7 +95,8 @@ def bench_build(repeat: int):
     rank = linalg.exact_rank(ints)[0]
     if linalg.exact_rank(_fraction_rows(W, point, order))[0] != rank:
         raise AssertionError("integer and Fraction relation rows differ in rank")
-    return "exact system build (Taylor rows to int rows)", shape, rank, results
+    label = "exact system build (Taylor rows to int rows)"
+    return label, f"{shape}, rank {rank}", results
 
 
 def bench_exact(repeat: int):
@@ -110,12 +124,14 @@ def bench_exact(repeat: int):
     rank = _purekernels.rank_int_rows([row[:] for row in ints])[0]
     if _purekernels.rank_int_rows([row[:] for row in degree_rows])[0] != rank:
         raise AssertionError("degree and support column orders differ in rank")
-    return "exact rank (big-int, fraction-free; column order)", shape, rank, results
+    return (
+        "exact rank (big-int, fraction-free; column order)",
+        f"{shape}, rank {rank}",
+        results,
+    )
 
 
 def bench_float(repeat: int):
-    from webrank.web import assemble
-
     E, _ = get_family("k0_4_exp")
     mode = E.default_mode()
     W = assemble(E, 4)
@@ -138,7 +154,61 @@ def bench_float(repeat: int):
     rank = linalg.float_rank(rows, mode.precision)[0]
     if oracle() != rank:
         raise AssertionError("fixed-point and mpf kernels disagree on the rank")
-    return "float rank (128-bit, complete pivoting)", shape, rank, results
+    label = "float rank (128-bit, complete pivoting)"
+    return label, f"{shape}, rank {rank}", results
+
+
+def _jet_web():
+    E, _ = get_family("k0_4_WB_sum")
+    W = assemble(E, 5)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    return W, E.k0, web_gradients(W, point, EXACT)
+
+
+def bench_jets(repeat: int):
+    W, k0, gradients = _jet_web()
+    labels = [entry.label for entry in W.entries]
+
+    def fraction():
+        return [
+            linalg.exact_rank(
+                jet_matrix_from_gradients(W.n, h, gradients, labels, EXACT).entries
+            )[0]
+            for h in range(1, k0 + 1)
+        ]
+
+    def integer():
+        matrices, _ = integer_jet_rows(W.n, k0, gradients)
+        return [linalg.exact_rank(rows)[0] for rows in matrices]
+
+    results = {"fraction": _time(fraction, repeat), "integer": _time(integer, repeat)}
+    ranks = integer()
+    if fraction() != ranks:
+        raise AssertionError("integer and Fraction jet matrices differ in rank")
+    info = f"d={W.size}, n={W.n}, orders 1..{k0}, ranks {ranks}"
+    return "jet matrices build + exact rank", info, results
+
+
+def bench_proportional(repeat: int):
+    W, _, gradients = _jet_web()
+
+    def minors():
+        return [
+            (i, j)
+            for i in range(len(gradients))
+            for j in range(i + 1, len(gradients))
+            if gradients_proportional(gradients[i], gradients[j], EXACT)
+        ]
+
+    results = {
+        "minors": _time(minors, repeat),
+        "grouping": _time(lambda: proportional_pairs(gradients, EXACT), repeat),
+    }
+    pairs = proportional_pairs(gradients, EXACT)
+    if minors() != pairs:
+        raise AssertionError("grouping and minors find different proportional pairs")
+    info = f"{len(gradients)} gradients, n={W.n}, {len(pairs)} proportional pairs"
+    return "proportionality screen (exact)", info, results
 
 
 def main() -> None:
@@ -149,9 +219,10 @@ def main() -> None:
     print(f"active backend: {linalg.BACKEND}")
     if _speedups is None:
         print("compiled kernels not built; timing the pure backend only")
-    for bench in (bench_build, bench_exact, bench_float):
-        label, shape, rank, results = bench(args.repeat)
-        print(f"\n{label}  [{shape}, rank {rank}]")
+    benches = (bench_build, bench_exact, bench_float, bench_jets, bench_proportional)
+    for bench in benches:
+        label, info, results = bench(args.repeat)
+        print(f"\n{label}  [{info}]")
         for kernel, seconds in results.items():
             print(f"  {kernel:9s} {seconds * 1000:9.1f} ms")
         if len(results) >= 2:

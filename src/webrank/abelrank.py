@@ -29,7 +29,7 @@ magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -38,14 +38,21 @@ from . import linalg
 from .combin import binom, calibrated_max_rank, exact_support_dims
 from .expr import EvalError, evaluate
 from .jets import degree_multi_indices
-from .report import FALSE, INCONCLUSIVE, TRUE, VerificationReport, combine_verdicts
+from .report import (
+    CONFIRMATIONS_FOR_FALSE,
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    VerificationReport,
+    combine_verdicts,
+)
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
 from .tpoly import TruncatedPoly, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
     assemble,
-    gradients_proportional,
+    proportional_pairs,
     web_gradients,
 )
 
@@ -289,15 +296,66 @@ def generic_point_for_web(W: AssembledWeb, sampler, mode: Mode):
             continue
         if any(all(v == 0 for v in g) for g in gradients):
             continue
-        proportional = any(
-            gradients_proportional(gradients[i], gradients[j], mode)
-            for i in range(len(gradients))
-            for j in range(i + 1, len(gradients))
-        )
-        if proportional:
+        if proportional_pairs(gradients, mode):
             continue
         return point
     return None
+
+
+@dataclass
+class RankCheck:
+    """A rank estimate at sampled generic points against an expected value.
+
+    point and estimate belong to the deciding point (the last one estimated;
+    None when no generic point was found); mismatches records every point
+    whose stabilized value differed from the expected one.
+    """
+
+    verdict: str
+    point: tuple | None
+    estimate: RankEstimate | None
+    mismatches: list[dict]
+
+
+def check_rank(
+    W: AssembledWeb, sampler, m_start: int, m_cap: int, mode: Mode, expected: int
+) -> RankCheck:
+    """Compare the rank estimate of W at a sampled generic point with `expected`.
+
+    "true" at the first point whose estimate matches; "inconclusive" when an
+    estimate does not stabilize or sampling is exhausted.  The relation rows
+    are rational in the point, so their rank can drop, and the estimate rise,
+    on a thin set only: a mismatch is re-estimated at a fresh generic point,
+    and "false" needs CONFIRMATIONS_FOR_FALSE mismatching points, each kept
+    with its point, value and dims trace.
+    """
+    mismatches: list[dict] = []
+    point = estimate = None
+    while True:
+        candidate = generic_point_for_web(W, sampler, mode)
+        if candidate is None:
+            if estimate is not None:
+                estimate = replace(
+                    estimate,
+                    note=f"no generic point found after {len(mismatches)} "
+                    "mismatching points",
+                )
+            return RankCheck(INCONCLUSIVE, point, estimate, mismatches)
+        point = candidate
+        estimate = rank_estimate(W, point, m_start, m_cap, mode)
+        if estimate.value is None:
+            return RankCheck(INCONCLUSIVE, point, estimate, mismatches)
+        if estimate.value == expected:
+            return RankCheck(TRUE, point, estimate, mismatches)
+        mismatches.append(
+            {
+                "point": [str(c) for c in point],
+                "value": estimate.value,
+                "dims_trace": dict(sorted(estimate.dims.items())),
+            }
+        )
+        if len(mismatches) >= CONFIRMATIONS_FOR_FALSE:
+            return RankCheck(FALSE, point, estimate, mismatches)
 
 
 def support_decomposition(
@@ -345,6 +403,9 @@ def verify_max_rank(
     When every estimate matches, the assembled webs have maximal rank in
     every dimension (granted ordinariness, certified separately), and the
     empirical exact-support table is reported next to the counting table.
+    A mismatch in one dimension is "false" only once confirmed at
+    CONFIRMATIONS_FOR_FALSE points (see check_rank), listed under
+    "mismatch_points".
     With corroborate=True the check is repeated at n = k0 + 1 as an
     independent desk-scale corroboration.
     """
@@ -357,10 +418,10 @@ def verify_max_rank(
     verdicts = []
     estimates_low: dict[int, RankEstimate] = {}
     for n in n_values:
-        W = assemble(E, n)
         expected = calibrated_max_rank(n, k0)
-        point = generic_point_for_web(W, sampler, mode)
-        if point is None:
+        check = check_rank(assemble(E, n), sampler, m_start, cap, mode, expected)
+        estimate = check.estimate
+        if estimate is None:
             per_n.append(
                 {
                     "n": n,
@@ -371,27 +432,21 @@ def verify_max_rank(
             )
             verdicts.append(INCONCLUSIVE)
             continue
-        estimate = rank_estimate(W, point, m_start, cap, mode)
-        if estimate.value is None:
-            verdict = INCONCLUSIVE
-        elif estimate.value == expected:
-            verdict = TRUE
-        else:
-            verdict = FALSE
-        per_n.append(
-            {
-                "n": n,
-                "expected": expected,
-                "value": estimate.value,
-                "dims_trace": dict(sorted(estimate.dims.items())),
-                "stabilized_at": estimate.stabilized_at,
-                "method": estimate.method,
-                "point": [str(c) for c in point],
-                "note": estimate.note,
-                "verdict": verdict,
-            }
-        )
-        verdicts.append(verdict)
+        record = {
+            "n": n,
+            "expected": expected,
+            "value": estimate.value,
+            "dims_trace": dict(sorted(estimate.dims.items())),
+            "stabilized_at": estimate.stabilized_at,
+            "method": estimate.method,
+            "point": [str(c) for c in check.point],
+            "note": estimate.note,
+            "verdict": check.verdict,
+        }
+        if check.mismatches:
+            record["mismatch_points"] = check.mismatches
+        per_n.append(record)
+        verdicts.append(check.verdict)
         if n <= k0:
             estimates_low[n] = estimate
     empirical: dict[int, int] | None = None

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import catalog
-from .abelrank import rank_estimate, generic_point_for_web, verify_max_rank
+from .abelrank import check_rank, verify_max_rank
 from .combin import (
     calibrated_max_rank,
     exact_support_dims,
@@ -28,7 +28,7 @@ from .ordinary import (
     check_ordinary_at,
     crosscheck_ordinary,
 )
-from .report import FALSE, INCONCLUSIVE, TRUE, combine_verdicts, jsonable
+from .report import INCONCLUSIVE, TRUE, combine_verdicts, jsonable
 from .scalars import DEFAULT_PRECISION, Mode
 from .web import BalancedSet, assemble, load_balanced_set, validate_balanced
 
@@ -252,9 +252,9 @@ def _cmd_rank(args) -> int:
     _require_at_least("--m-start", [m_start], 1)
     m_cap = args.m_cap if args.m_cap is not None else E.k0 + 5
     _require_at_least("--m-cap", [m_cap], m_start)
-    W = assemble(E, n)
-    point = generic_point_for_web(W, GenericPointSampler(seed=args.seed), mode)
     expected = calibrated_max_rank(n, E.k0)
+    sampler = GenericPointSampler(seed=args.seed)
+    check = check_rank(assemble(E, n), sampler, m_start, m_cap, mode, expected)
     payload = {
         "config": asdict(
             _config(args, "rank", n=[n], m_start=m_start, m_cap=m_cap)
@@ -263,7 +263,8 @@ def _cmd_rank(args) -> int:
         "n": n,
         "expected": expected,
     }
-    if point is None:
+    estimate = check.estimate
+    if estimate is None:
         payload.update(
             value=None,
             stabilized_at=None,
@@ -276,20 +277,18 @@ def _cmd_rank(args) -> int:
         line = f"rank {name} n={n}: inconclusive (no generic point)"
         _emit(payload, args.format, [line])
         return 2
-    estimate = rank_estimate(W, point, m_start, m_cap, mode)
-    if estimate.value is None:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = TRUE if estimate.value == expected else FALSE
+    verdict = check.verdict
     payload.update(
         value=estimate.value,
         stabilized_at=estimate.stabilized_at,
         dims_trace=dict(sorted(estimate.dims.items())),
         method=estimate.method,
-        point=[str(c) for c in point],
+        point=[str(c) for c in check.point],
         note=estimate.note,
         verdict=verdict,
     )
+    if check.mismatches:
+        payload["mismatch_points"] = check.mismatches
     lines = [
         f"rank {name} n={n}: value={estimate.value} expected={expected} "
         f"dims={dict(sorted(estimate.dims.items()))} [{estimate.method}] "

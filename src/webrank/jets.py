@@ -7,15 +7,27 @@ exponent vector.  Rows of every jet matrix are sorted by these labels
 (k ascending, then a, then b), columns by the web's (k, a, b) entry labels;
 with that ordering the matrix is block-triangular with the square generating
 blocks on the diagonal.
+
+Exact rank checks run on an integer layer (integer_jet_rows).  Each
+gradient, one column of every jet matrix, is first multiplied by the lcm s_c
+of its denominators; the degree-h entry of column c is then s_c^h times the
+rational jet coefficient, so the integer matrix is the rational one times an
+invertible diagonal matrix on the right and has the same rank.  The degree-h
+rows are filled from the degree-(h-1) rows with one multiplication each,
+g^L = g^(L - e_j) * g_j with j the first nonzero position of L.
+jet_matrix and square_block keep the rational coefficients, which reports,
+CSV dumps and determinants print.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from . import linalg
 from .combin import monomial_count
 from .expr import EvalError
 from .scalars import Mode, scalar_to_str
@@ -96,6 +108,49 @@ def jet_coefficient(gradient: Sequence, L: Sequence[int]):
         factor = value**exponent
         out = factor if out is None else out * factor
     return 1 if out is None else out
+
+
+@lru_cache(maxsize=None)
+def _parent_rows(n: int, h: int) -> tuple[tuple[int, int], ...]:
+    """(row of L - e_j among the degree-(h-1) rows, j) for each degree-h row L.
+
+    j is the 0-based first nonzero position of L; degree 0 is the single row
+    of the zero multi-index.
+    """
+    if h == 1:
+        previous = {(0,) * n: 0}
+    else:
+        previous = {L: r for r, L in enumerate(degree_multi_indices(n, h - 1))}
+    out = []
+    for L in degree_multi_indices(n, h):
+        j = next(i for i, exponent in enumerate(L) if exponent)
+        parent = list(L)
+        parent[j] -= 1
+        out.append((previous[tuple(parent)], j))
+    return tuple(out)
+
+
+def integer_jet_rows(
+    n: int, top: int, gradients: Sequence[Sequence]
+) -> tuple[list[list[list[int]]], list[int]]:
+    """Integer jet matrices of degrees 1..top from exact gradients.
+
+    Returns (matrices, scales): scales[c] is the lcm of the denominators of
+    gradient c, and matrices[h-1][r][c] is scales[c]^h times
+    jet_coefficient(gradients[c], L) for the r-th degree-h multi-index L, so
+    each matrix has the rank of the rational jet matrix.
+    """
+    cleared, scales = linalg._integer_rows(gradients)
+    coordinates = [[g[j] for g in cleared] for j in range(n)]
+    previous = [[1] * len(cleared)]
+    matrices = []
+    for h in range(1, top + 1):
+        previous = [
+            list(map(operator.mul, previous[parent], coordinates[j]))
+            for parent, j in _parent_rows(n, h)
+        ]
+        matrices.append(previous)
+    return matrices, scales
 
 
 @dataclass

@@ -4,6 +4,11 @@ For the exact kernels the compiled twins (webrank._speedups, built by
 setup.py) are preferred; set WEBRANK_FORCE_PURE=1 to insist on the
 pure-Python ones.  Both have identical semantics, so results never depend on
 the backend.  Float rank always runs the pure fixed-point kernel.
+
+Exact rank clears each row of denominators (row scaling keeps the rank)
+unless every entry is already an int, as in the relation rows and the
+integer jet matrices; such rows are only copied, since the kernels work in
+place.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ else:
 
 FLOAT_GAP = 16  # accepted and discarded pivots must clear the threshold by 2^4
 FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
+_INT = {int}
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -61,6 +67,8 @@ def exact_rank(rows: Sequence[Sequence]) -> tuple[int, list[tuple[int, int]]]:
     """Exact rank of a matrix with Fraction or int entries."""
     if not rows:
         return 0, []
+    if all(set(map(type, row)) <= _INT for row in rows):
+        return _impl.rank_int_rows([list(row) for row in rows])
     cleared, _ = _integer_rows(rows)
     return _impl.rank_int_rows(cleared)
 

@@ -24,7 +24,12 @@ from fractions import Fraction
 from . import linalg
 from .combin import calibration_order, monomial_count
 from .expr import EvalError
-from .jets import JetMatrix, jet_matrix_from_gradients, square_block
+from .jets import (
+    JetMatrix,
+    integer_jet_rows,
+    jet_matrix_from_gradients,
+    square_block,
+)
 from .report import (
     CONFIRMATIONS_FOR_FALSE,
     FALSE,
@@ -47,15 +52,17 @@ class RankResult:
     marginal: bool = False
 
 
+def _exact_rank_result(rows) -> RankResult:
+    rank, pivots = linalg.exact_rank(rows)
+    return RankResult(
+        rank=rank, method="exact", certificate={"pivots": [list(p) for p in pivots]}
+    )
+
+
 def matrix_rank(M: JetMatrix) -> RankResult:
     """Rank of a jet matrix in its own scalar mode."""
     if M.mode.is_exact:
-        rank, pivots = linalg.exact_rank(M.entries)
-        return RankResult(
-            rank=rank,
-            method="exact",
-            certificate={"pivots": [list(p) for p in pivots]},
-        )
+        return _exact_rank_result(M.entries)
     rank, info = linalg.float_rank(M.entries, M.mode.precision)
     return RankResult(
         rank=rank,
@@ -181,15 +188,16 @@ def check_finite_criterion(
 # the direct check
 
 def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
-    """Rank of every jet matrix of order 1..k0 at one point, or None."""
-    labels = [entry.label for entry in W.entries]
+    """Rank of every jet matrix of order 1..k0 at one point, or None.
+
+    Exact mode ranks the column-scaled integer matrices of integer_jet_rows,
+    which have the ranks of the rational ones.
+    """
     if mode.is_exact:
-        gradients = web_gradients(W, point, mode)
-        out = {}
-        for h in range(1, k0 + 1):
-            matrix = jet_matrix_from_gradients(W.n, h, gradients, labels, mode)
-            out[h] = matrix_rank(matrix)
-        return out, mode
+        matrices, _ = integer_jet_rows(W.n, k0, web_gradients(W, point, mode))
+        ranks = {h: _exact_rank_result(rows) for h, rows in enumerate(matrices, 1)}
+        return ranks, mode
+    labels = [entry.label for entry in W.entries]
     current = mode
     while True:
         gradients = web_gradients(W, point, current)

@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .combin import binom, monomial_count
@@ -148,9 +149,20 @@ def assemble(E: BalancedSet, n: int) -> AssembledWeb:
 # ---------------------------------------------------------------------------
 # differential helpers shared with the jet and rank layers
 
+@lru_cache(maxsize=128)
+def _partials(e: Expr, n: int) -> tuple[Expr, ...]:
+    """The n partial derivatives of e, differentiated once per (e, n).
+
+    128 entries hold every entry of the largest assembled web of the catalog
+    (70, k0 = 4 in dimension 5) across its sampled points, while the
+    derivative trees kept stay a small part of the process's memory.
+    """
+    return tuple(diff(e, j) for j in range(1, n + 1))
+
+
 def gradient_at(e: Expr, n: int, point: Sequence, mode: Mode):
     """The n partial derivatives of e evaluated at point."""
-    return [evaluate(diff(e, j), point, mode) for j in range(1, n + 1)]
+    return [evaluate(partial, point, mode) for partial in _partials(e, n)]
 
 
 def gradients_proportional(g1, g2, mode: Mode) -> bool:
@@ -170,6 +182,42 @@ def gradients_proportional(g1, g2, mode: Mode) -> bool:
         for i in range(n)
         for j in range(i + 1, n)
     )
+
+
+def proportional_pairs(
+    gradients: Sequence[Sequence], mode: Mode
+) -> list[tuple[int, int]]:
+    """All index pairs (i, j), i < j, of proportional gradients, in order.
+
+    Float mode tests the 2x2 minors of every pair.  In exact mode two nonzero
+    gradients are proportional iff they agree after division by their first
+    nonzero component, so grouping by that key finds every pair in O(d*n);
+    a zero gradient is proportional to every other one.
+    """
+    if not mode.is_exact:
+        return [
+            (i, j)
+            for i in range(len(gradients))
+            for j in range(i + 1, len(gradients))
+            if gradients_proportional(gradients[i], gradients[j], mode)
+        ]
+    zeros = []
+    groups: dict[tuple, list[int]] = {}
+    for i, g in enumerate(gradients):
+        head = next((v for v in g if v != 0), None)
+        if head is None:
+            zeros.append(i)
+            continue
+        head = Fraction(head)
+        groups.setdefault(tuple(v / head for v in g), []).append(i)
+    pairs = {
+        pair
+        for members in groups.values()
+        for pair in itertools.combinations(members, 2)
+    }
+    for z in zeros:
+        pairs.update((min(z, i), max(z, i)) for i in range(len(gradients)) if i != z)
+    return sorted(pairs)
 
 
 def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
@@ -269,13 +317,10 @@ def _web_condition(E, n_check, sampler, mode, checks) -> str:
             continue
         if any(all(v == 0 for v in g) for g in gradients):
             continue
-        failures = []
-        for i in range(len(gradients)):
-            for j in range(i + 1, len(gradients)):
-                if gradients_proportional(gradients[i], gradients[j], mode):
-                    failures.append(
-                        [list(W.entries[i].label), list(W.entries[j].label)]
-                    )
+        failures = [
+            [list(W.entries[i].label), list(W.entries[j].label)]
+            for i, j in proportional_pairs(gradients, mode)
+        ]
         record["point"] = [str(c) for c in point]
         record["proportional_pairs"] = failures
         if not failures:

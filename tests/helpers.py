@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+from webrank import abelrank
 from webrank.expr import (
     Expr,
     has_transcendental,
@@ -89,3 +91,22 @@ def perturb_family(E: BalancedSet, seed: int) -> BalancedSet:
             )
         webs.append(GeneratingWeb(k=web.k, integrals=tuple(integrals)))
     return BalancedSet(k0=E.k0, webs=tuple(webs))
+
+
+def inflate_first_rank_estimate(monkeypatch) -> list:
+    """Make the first rank estimate read one too high, as at a thin-set point.
+
+    Returns the list of points estimated, filled as the estimates run.
+    """
+    original = abelrank.rank_estimate
+    points = []
+
+    def patched(*args):
+        estimate = original(*args)
+        points.append(args[1])
+        if len(points) == 1:
+            return replace(estimate, value=estimate.value + 1)
+        return estimate
+
+    monkeypatch.setattr(abelrank, "rank_estimate", patched)
+    return points

@@ -4,11 +4,12 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from webrank import linalg
+from webrank import abelrank, linalg
 from webrank.abelrank import (
     _expansion_rows,
     _leading_rows,
     _relation_keys,
+    check_rank,
     generic_point_for_web,
     rank_estimate,
     relation_jets,
@@ -21,12 +22,16 @@ from webrank.combin import calibrated_max_rank, exact_support_dims, max_rank_bou
 from webrank.expr import parse
 from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
-from webrank.report import TRUE
+from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT
 from webrank.tpoly import taylor
-from webrank.web import assemble
+from webrank.web import assemble, balanced_set_from_json
 
-from helpers import reparametrize_entry, single_integral_web
+from helpers import (
+    inflate_first_rank_estimate,
+    reparametrize_entry,
+    single_integral_web,
+)
 
 
 def quadrics():
@@ -312,3 +317,36 @@ def test_verify_max_rank_exposes_dims_trace():
     for check in report.checks:
         assert "dims_trace" in check
         assert check["stabilized_at"] is not None
+
+
+
+def test_one_mismatching_point_is_not_false(monkeypatch):
+    estimated = inflate_first_rank_estimate(monkeypatch)
+    report = verify_max_rank(quadrics(), GenericPointSampler(seed=0))
+    assert report.verdict == TRUE
+    first = report.checks[0]
+    assert first["n"] == 2 and first["verdict"] == TRUE and first["value"] == 3
+    (mismatch,) = first["mismatch_points"]
+    assert mismatch["value"] == 4
+    assert mismatch["point"] == [str(c) for c in estimated[0]]
+    assert mismatch["point"] != first["point"]
+    assert all("mismatch_points" not in check for check in report.checks[1:])
+
+
+def test_mismatches_then_no_generic_point_is_inconclusive(monkeypatch):
+    # the non-hexagonal x, y, x^2+y+xy mismatches everywhere; sampling then
+    # runs out after two points
+    E = balanced_set_from_json({"k0": 2, "webs": [["x1"], ["x1^2+x2+x1*x2"]]})
+    original = abelrank.generic_point_for_web
+    calls = []
+
+    def two_points(*args):
+        calls.append(None)
+        return original(*args) if len(calls) <= 2 else None
+
+    monkeypatch.setattr(abelrank, "generic_point_for_web", two_points)
+    check = check_rank(assemble(E, 2), GenericPointSampler(seed=0), 3, 7, EXACT, 1)
+    assert check.verdict == INCONCLUSIVE
+    assert [m["value"] for m in check.mismatches] == [0, 0]
+    assert check.mismatches[-1]["point"] == [str(c) for c in check.point]
+    assert check.estimate.note == "no generic point found after 2 mismatching points"

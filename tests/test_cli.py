@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from webrank.cli import main
+from webrank.report import CONFIRMATIONS_FOR_FALSE
 from webrank.web import save_balanced_set
 from webrank.catalog import get_family
+
+from helpers import inflate_first_rank_estimate
 
 
 def run_cli(capsys, *argv):
@@ -250,3 +253,65 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert "11" in result.stdout
+
+
+# --------------------------------------------------------------------------
+# negative controls of the maximal-rank check (k0 = 2 test fixtures)
+
+NON_HEXAGONAL = {"k0": 2, "webs": [["x1"], ["x1^2+x2+x1*x2"]]}
+HEXAGONAL = {"k0": 2, "webs": [["x1"], ["x1+x2+x1*x2"]]}
+
+
+def rank_json(capsys, tmp_path, web, seed):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(web))
+    code, out, _ = run_cli(
+        capsys, "rank", "--input", str(path), "--n", "2",
+        "--seed", str(seed), "--format", "json",
+    )
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_non_hexagonal_control_is_false(capsys, tmp_path, seed):
+    code, payload = rank_json(capsys, tmp_path, NON_HEXAGONAL, seed)
+    assert code == 1
+    assert payload["verdict"] == "false"
+    assert (payload["value"], payload["expected"]) == (0, 1)
+    points = payload["mismatch_points"]
+    assert len(points) == CONFIRMATIONS_FOR_FALSE
+    assert len({tuple(p["point"]) for p in points}) == len(points)
+    assert all(p["value"] == 0 and p["dims_trace"] for p in points)
+    assert points[-1]["point"] == payload["point"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_hexagonal_control_is_true(capsys, tmp_path, seed):
+    code, payload = rank_json(capsys, tmp_path, HEXAGONAL, seed)
+    assert code == 0
+    assert payload["verdict"] == "true"
+    assert (payload["value"], payload["expected"]) == (1, 1)
+    assert "mismatch_points" not in payload
+
+
+def test_rank_one_mismatching_point_is_not_false(capsys, tmp_path, monkeypatch):
+    inflate_first_rank_estimate(monkeypatch)
+    code, payload = rank_json(capsys, tmp_path, HEXAGONAL, 0)
+    assert code == 0
+    assert payload["verdict"] == "true"
+    (mismatch,) = payload["mismatch_points"]
+    assert mismatch["value"] == 2
+    assert payload["point"] != mismatch["point"]
+
+
+def test_verify_family_non_hexagonal_control(capsys, tmp_path):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(NON_HEXAGONAL))
+    code, out, _ = run_cli(
+        capsys, "verify-family", "--input", str(path), "--format", "json"
+    )
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["verdicts"]["max_rank"] == "false"
+    (record,) = payload["rank"]["per_n"]
+    assert len(record["mismatch_points"]) == CONFIRMATIONS_FOR_FALSE

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webrank.catalog import get_family
 from webrank.combin import monomial_count
 from webrank.expr import EvalError, evaluate, parse
 from webrank.jets import (
     degree_multi_indices,
+    integer_jet_rows,
     jet_coefficient,
     jet_matrix,
     positive_vectors,
@@ -15,7 +18,7 @@ from webrank.jets import (
     support,
 )
 from webrank.linalg import exact_det, exact_rank
-from webrank.ordinary import GenericPointSampler
+from webrank.ordinary import GenericPointSampler, _ranks_at_point, matrix_rank
 from webrank.scalars import EXACT
 from webrank.web import GeneratingWeb, assemble
 
@@ -207,3 +210,48 @@ def test_csv_export(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == 'multi_index,"2,1,1","2,1,2"'
     assert "1,-1" in text.replace('"', "")
+
+
+# --------------------------------------------------------------------------
+# integer jet rows against the Fraction jet coefficients
+
+@st.composite
+def exact_gradients(draw):
+    """(n, gradients) with rational entries, zeros and repeats included."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(
+        st.fractions(min_value=-6, max_value=6, max_denominator=16),
+        st.just(Fraction(0)),
+    )
+    gradients = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+    return n, gradients
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_gradients(), st.integers(min_value=1, max_value=4))
+def test_integer_jet_rows_are_column_scaled_jet_coefficients(system, top):
+    n, gradients = system
+    matrices, scales = integer_jet_rows(n, top, gradients)
+    assert len(matrices) == top
+    for h, rows in enumerate(matrices, start=1):
+        reference = [
+            [jet_coefficient(g, L) for g in gradients]
+            for L in degree_multi_indices(n, h)
+        ]
+        assert all(type(v) is int for row in rows for v in row)
+        assert rows == [
+            [v * scales[c] ** h for c, v in enumerate(row)] for row in reference
+        ]
+        assert exact_rank(rows)[0] == exact_rank(reference)[0]
+
+
+@pytest.mark.parametrize("family", ["k0_3_moebius_sum", "k0_4_WB_sum"])
+def test_exact_ranks_at_point_match_rational_jet_matrices(family):
+    E, _ = get_family(family)
+    W = assemble(E, 3)
+    point = GenericPointSampler(seed=5).point(3)
+    results, _ = _ranks_at_point(W, point, EXACT, E.k0)
+    for h in range(1, E.k0 + 1):
+        assert results[h].rank == matrix_rank(jet_matrix(W, h, point, EXACT)).rank

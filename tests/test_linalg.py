@@ -325,3 +325,28 @@ def test_integer_rows_match_reference_clearing(rows):
     for row, out in zip(rows, cleared):
         assert out is not row
         assert all(type(value) is int for value in out)
+
+
+int_matrices = st.lists(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-5, max_value=5),
+            st.integers(min_value=-10**30, max_value=10**30),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices, st.booleans())
+def test_exact_rank_int_fast_path_matches_fraction_path(rows, as_tuples):
+    if as_tuples:
+        rows = [tuple(row) for row in rows]
+    before = [list(row) for row in rows]
+    fractions = [[Fraction(v) for v in row] for row in rows]
+    assert linalg.exact_rank(rows) == linalg.exact_rank(fractions)
+    assert [list(row) for row in rows] == before

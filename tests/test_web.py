@@ -1,13 +1,17 @@
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from webrank.catalog import get_family
+from webrank.catalog import family_names, get_family
 from webrank.combin import monomial_count
-from webrank.expr import parse, to_text
+from webrank.expr import EvalError, diff, evaluate, parse, to_text
 from webrank.ordinary import GenericPointSampler
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE, TRUE
-from webrank.scalars import EXACT
+from webrank.scalars import EXACT, Mode
 from webrank.web import (
     assemble,
     balanced_set,
@@ -19,6 +23,7 @@ from webrank.web import (
     is_quasi_symmetric,
     load_balanced_set,
     multi_indices,
+    proportional_pairs,
     save_balanced_set,
     validate_balanced,
 )
@@ -253,3 +258,83 @@ def test_reassembly_after_ambient_permutation_same_foliations():
         assert found is not None
         matched.add(found)
     assert len(matched) == W.size
+
+
+# --------------------------------------------------------------------------
+# fast gradient paths against their oracles
+
+def all_pairs_scan(gradients, mode):
+    return [
+        (i, j)
+        for i in range(len(gradients))
+        for j in range(i + 1, len(gradients))
+        if gradients_proportional(gradients[i], gradients[j], mode)
+    ]
+
+
+nonzero_scalars = st.fractions(
+    min_value=-9, max_value=9, max_denominator=9
+).filter(lambda v: v != 0)
+
+
+@st.composite
+def gradient_lists(draw):
+    """Gradients with duplicated, negated, scaled and zero members, shuffled."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=8),
+        st.just(Fraction(0)),
+    )
+    vectors = st.lists(entry, min_size=n, max_size=n)
+    base = draw(st.lists(vectors, min_size=1, max_size=5))
+    gradients = list(base)
+    for g in base:
+        copies = draw(st.integers(min_value=0, max_value=3))
+        for _ in range(copies):
+            factor = draw(st.one_of(st.just(1), st.just(-1), nonzero_scalars))
+            gradients.append([factor * v for v in g])
+    gradients.extend([[Fraction(0)] * n] * draw(st.integers(min_value=0, max_value=2)))
+    return draw(st.permutations(gradients))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gradient_lists())
+def test_proportional_pairs_exact_matches_all_pairs_scan(gradients):
+    assert proportional_pairs(gradients, EXACT) == all_pairs_scan(gradients, EXACT)
+
+
+def test_proportional_pairs_float_finds_scaled_copy():
+    mode = Mode.floating(64)
+    with mode.workprec():
+        g = [mpmath.mpf(1) / 3, mpmath.mpf(2)]
+        gradients = [g, [mpmath.mpf(1), mpmath.mpf(5)], [-3 * v for v in g]]
+    assert proportional_pairs(gradients, mode) == [(0, 2)]
+
+
+def catalog_entries():
+    """(integral, n, mode) for every assembled entry of every family at n <= 3."""
+    out = []
+    for name in family_names():
+        E, _ = get_family(name)
+        mode = E.default_mode()
+        for n in (2, 3):
+            out.extend((entry.integral, n, mode) for entry in assemble(E, n).entries)
+    return out
+
+
+CATALOG_ENTRIES = catalog_entries()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CATALOG_ENTRIES), st.integers(min_value=0, max_value=10**6))
+def test_cached_gradient_matches_differentiating_at_the_point(item, seed):
+    e, n, mode = item
+    point = GenericPointSampler(seed=seed).point(n)
+    try:
+        oracle = [evaluate(diff(e, j), point, mode) for j in range(1, n + 1)]
+    except EvalError:
+        with pytest.raises(EvalError):
+            gradient_at(e, n, point, mode)
+        return
+    assert gradient_at(e, n, point, mode) == oracle
+    assert gradient_at(e, n, point, mode) == oracle  # second call: cached partials
