@@ -8,10 +8,13 @@ rank kernel with the columns in degree order and in the support order the
 pipeline builds (plus the compiled backend, when built, on the latter), and
 the float rank path (`linalg.float_rank`, the fixed-point integer kernel
 including conversion) next to the mpf kernel it replaced, kept as its test
-oracle.  It also times building the exact system: powers of the
-integer-scaled offsets (`abelrank._expansion_rows`) against the rational
-rows it replaced, built on Fractions and then cleared of denominators
-(`linalg._integer_rows`).  For the ordinariness check it times, on the
+oracle.  It also times building the exact relation systems of
+k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 at order 6
+(420x461): the integer Taylor kernel on packed monomial codes
+(`abelrank._expansion_rows`) against the build it replaced, Fraction
+`tpoly.taylor` offsets cleared by `linalg._integer_rows` with their powers
+taken by `TruncatedPoly.powers`, and checks that both give the same rows and
+scales.  For the ordinariness check it times, on the
 assembled k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of
 orders 1..4 built and ranked as Fraction jet coefficients against the
 integer recurrence (`jets.integer_jet_rows`), and the proportionality screen
@@ -26,6 +29,7 @@ Run after `pip install -e . --no-build-isolation`:
 from __future__ import annotations
 
 import argparse
+import functools
 import time
 
 import mpmath
@@ -40,7 +44,7 @@ from webrank.jets import (
 )
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
-from webrank.tpoly import taylor
+from webrank.tpoly import TruncatedPoly, taylor
 from webrank.web import (
     assemble,
     gradients_proportional,
@@ -70,33 +74,43 @@ def _exact_system():
     return W, generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
 
 
-def _fraction_rows(W, point, order: int):
-    """The exact system on Fractions: powers of the unscaled offsets."""
+def _reference_rows(W, point, order: int):
+    """The exact system as built before the integer Taylor kernel: Fraction
+    offsets cleared of denominators, powers taken on TruncatedPoly."""
     keys = _relation_keys(W.n, order)
+    position = {key: idx for idx, key in enumerate(keys)}
     rows = []
+    scales = []
     for entry in W.entries:
         offset = taylor(entry.integral, point, order, EXACT).drop_constant()
+        (cleared,), (scale,) = linalg._integer_rows([list(offset.coeffs.values())])
+        offset = TruncatedPoly(
+            offset.n, offset.cap, dict(zip(offset.coeffs, cleared))
+        )
+        scales.append(scale)
         for power in offset.powers(order):
-            rows.append([power.coefficient(key) for key in keys])
-    return rows
+            row = [0] * len(keys)
+            for key, value in power.coeffs.items():
+                row[position[key]] = value
+            rows.append(row)
+    return rows, scales
 
 
-def bench_build(repeat: int):
-    W, point = _exact_system()
+def bench_build(name: str, repeat: int):
+    E, _ = get_family(name)
+    W = assemble(E, 5)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     order = 6
-    ints, _ = _expansion_rows(W, point, order, EXACT)
-    shape = f"{len(ints)}x{len(ints[0])}"
+    rows, scales = _expansion_rows(W, point, order, EXACT)
+    if _reference_rows(W, point, order) != (rows, scales):
+        raise AssertionError(f"{name}: integer and Fraction builds differ")
     results = {
-        "fraction": _time(
-            lambda: linalg._integer_rows(_fraction_rows(W, point, order)), repeat
-        ),
+        "fraction": _time(lambda: _reference_rows(W, point, order), repeat),
         "integer": _time(lambda: _expansion_rows(W, point, order, EXACT), repeat),
     }
-    rank = linalg.exact_rank(ints)[0]
-    if linalg.exact_rank(_fraction_rows(W, point, order))[0] != rank:
-        raise AssertionError("integer and Fraction relation rows differ in rank")
-    label = "exact system build (Taylor rows to int rows)"
-    return label, f"{shape}, rank {rank}", results
+    label = f"exact system build, {name} (Taylor rows to int rows)"
+    info = f"{len(rows)}x{len(rows[0])}, n=5, order {order}, identical rows and scales"
+    return label, info, results
 
 
 def bench_exact(repeat: int):
@@ -219,7 +233,14 @@ def main() -> None:
     print(f"active backend: {linalg.BACKEND}")
     if _speedups is None:
         print("compiled kernels not built; timing the pure backend only")
-    benches = (bench_build, bench_exact, bench_float, bench_jets, bench_proportional)
+    benches = (
+        functools.partial(bench_build, "k0_4_pereira_pirio_affine"),
+        functools.partial(bench_build, "k0_4_WB_sum"),
+        bench_exact,
+        bench_float,
+        bench_jets,
+        bench_proportional,
+    )
     for bench in benches:
         label, info, results = bench(args.repeat)
         print(f"\n{label}  [{info}]")

@@ -8,12 +8,17 @@ M the coefficients of an order-M relation jet form the kernel of a linear
 map, and the kernel dimension as a function of M stabilizes at the rank of
 the web (reported as an order-M certificate, never as a proof).
 
-In exact mode the system is held on Python ints: each entry's offset is
-scaled by the lcm of its coefficient denominators before its powers are
-taken, which scales whole rows and keeps every rank.  rank_estimate builds
-the rows once at order m_start + 1 and slices the order-m_start system out
-of them; higher orders are built afresh.  relation_jets undoes the scaling
-on its kernel vectors.  Float mode builds each order at each precision.
+In exact mode the system is held on Python ints.  Each entry's offset
+u_i - u_i(p) is expanded by tpoly.integer_taylor on packed monomial codes
+as integer numerators over one denominator L_i in lowest terms, so L_i is
+the lcm of the offset's coefficient denominators; its powers are taken on
+those numerators, which makes row (i, m) L_i^m times the rational row and
+keeps every rank, and each power's terms go to their columns through a
+code-to-column map built once per (n, order).  rank_estimate builds the
+rows once at order m_start + 1 and slices the order-m_start system out of
+them; higher orders are built afresh.  relation_jets undoes the scaling on
+its kernel vectors.  Float mode expands on TruncatedPoly (tpoly.taylor) and
+builds each order at each precision.
 
 Columns are the multi-indices of degree 1..M, those with the most nonzero
 exponents first and by degree within one support size.  Row (i, m) is a
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -47,7 +53,7 @@ from .report import (
     combine_verdicts,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
-from .tpoly import TruncatedPoly, taylor
+from .tpoly import MonomialCodes, integer_offset, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
@@ -88,11 +94,20 @@ class RankEstimate:
 def _relation_keys(n: int, order: int) -> list[tuple[int, ...]]:
     """Column keys of the relation system: multi-indices of degree 1..order,
     largest support first, by degree within one support size."""
+    return list(_relation_columns(n, order)[0])
+
+
+@lru_cache(maxsize=64)
+def _relation_columns(n: int, order: int):
+    """(keys, codes, column): the column keys, the monomial packing truncated
+    at `order` and the map from a key's code to its column."""
     keys: list[tuple[int, ...]] = []
     for h in range(1, order + 1):
         keys.extend(degree_multi_indices(n, h))
     keys.sort(key=lambda key: -sum(1 for e in key if e))
-    return keys
+    codes = MonomialCodes(n, order)
+    column = {codes.encode(key): j for j, key in enumerate(keys)}
+    return tuple(keys), codes, column
 
 
 def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
@@ -102,34 +117,47 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     all multi-indices of degree 1..order; the kernel dimension of the
     relation map is (#unknowns - rank of these rows).
 
-    Returns (rows, scales).  In exact mode the offset u_i - u_i(p) is first
-    multiplied by the lcm L_i of its coefficient denominators, so the powers
-    are taken on Python ints and row (i, m) is L_i^m times the rational row;
-    row scaling keeps the rank, and a kernel vector of these rows becomes one
-    of the rational rows once component (i, m) is multiplied by L_i^m (see
-    relation_jets).  scales lists L_i per entry; in float mode every L_i is 1.
+    Returns (rows, scales).  In exact mode the offset u_i - u_i(p) comes from
+    tpoly.integer_offset as integer numerators over the lcm L_i of its
+    coefficient denominators, and its powers are taken on those numerators,
+    so row (i, m) is L_i^m times the rational row; row scaling keeps the
+    rank, and a kernel vector of these rows becomes one of the rational rows
+    once component (i, m) is multiplied by L_i^m (see relation_jets).
+    scales lists L_i per entry; in float mode every L_i is 1.
     """
+    if mode.is_exact:
+        return _integer_expansion_rows(W, point, order)
     keys = _relation_keys(W.n, order)
     position = {key: idx for idx, key in enumerate(keys)}
-    zero = 0 if mode.is_exact else mpmath.mpf(0)
+    zero = mpmath.mpf(0)
     rows = []
-    scales = []
     for entry in W.entries:
         try:
             offset = taylor(entry.integral, point, order, mode).drop_constant()
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
-        scale = 1
-        if mode.is_exact:
-            (cleared,), (scale,) = linalg._integer_rows([list(offset.coeffs.values())])
-            offset = TruncatedPoly(
-                offset.n, offset.cap, dict(zip(offset.coeffs, cleared))
-            )
-        scales.append(scale)
         for power in offset.powers(order):
             row = [zero] * len(keys)
             for key, value in power.coeffs.items():
                 row[position[key]] = value
+            rows.append(row)
+    return rows, [1] * W.size
+
+
+def _integer_expansion_rows(W: AssembledWeb, point, order: int):
+    _, codes, column = _relation_columns(W.n, order)
+    rows = []
+    scales = []
+    for entry in W.entries:
+        try:
+            offset, scale = integer_offset(entry.integral, point, codes)
+        except EvalError as err:
+            raise EvalError(f"entry {entry.label}: {err}") from None
+        scales.append(scale)
+        for power in codes.powers(offset, order):
+            row = [0] * len(column)
+            for code, value in power.items():
+                row[column[code]] = value
             rows.append(row)
     return rows, scales
 

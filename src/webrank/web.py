@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -88,11 +88,20 @@ def balanced_set(k0: int, webs_integrals: Sequence[Sequence[Expr]]) -> BalancedS
 
 @dataclass(frozen=True)
 class WebEntry:
-    """One assembled first integral with its (k, a, b) label and source indices."""
+    """One assembled first integral with its (k, a, b) label.
+
+    `integral` is derived: the generating integral `generator` pulled back
+    along the projection onto the coordinates `source` (its j-th variable
+    becomes x_source[j-1]).
+    """
 
     label: tuple[int, int, int]
-    integral: Expr
+    generator: Expr
     source: tuple[int, ...]
+    integral: Expr = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "integral", relabel(self.generator, self.source))
 
 
 @dataclass(frozen=True)
@@ -131,11 +140,7 @@ def assemble(E: BalancedSet, n: int) -> AssembledWeb:
         for a, index in enumerate(multi_indices(k, n), start=1):
             for b, integral in enumerate(web.integrals, start=1):
                 entries.append(
-                    WebEntry(
-                        label=(k, a, b),
-                        integral=relabel(integral, index),
-                        source=index,
-                    )
+                    WebEntry(label=(k, a, b), generator=integral, source=index)
                 )
     assembled = AssembledWeb(n=n, entries=tuple(entries))
     expected = monomial_count(n, E.k0)
@@ -153,9 +158,10 @@ def assemble(E: BalancedSet, n: int) -> AssembledWeb:
 def _partials(e: Expr, n: int) -> tuple[Expr, ...]:
     """The n partial derivatives of e, differentiated once per (e, n).
 
-    128 entries hold every entry of the largest assembled web of the catalog
-    (70, k0 = 4 in dimension 5) across its sampled points, while the
-    derivative trees kept stay a small part of the process's memory.
+    web_gradients differentiates generating integrals only, each at its own
+    arity, so 128 entries hold those of every catalog family at once (26
+    distinct ones), while the derivative trees kept stay a small part of the
+    process's memory.
     """
     return tuple(diff(e, j) for j in range(1, n + 1))
 
@@ -221,13 +227,29 @@ def proportional_pairs(
 
 
 def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
-    """Gradient of every entry at point; EvalError is tagged with the label."""
+    """Gradient of every entry at point; EvalError is tagged with the label.
+
+    An entry's partial in x_source[j-1] is its generating integral's j-th
+    partial pulled back along the projection, and its partial in any other
+    variable is zero, so only the generating integral is differentiated
+    (once per arity, see _partials) and evaluated at the point's `source`
+    coordinates.  The other positions hold the zero partial's value in the
+    run's mode.
+    """
+    zero = evaluate(rational(0), point, mode)
     out = []
     for entry in W.entries:
+        source = entry.source
         try:
-            out.append(gradient_at(entry.integral, W.n, point, mode))
+            values = gradient_at(
+                entry.generator, len(source), [point[s - 1] for s in source], mode
+            )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
+        gradient = [zero] * W.n
+        for s, value in zip(source, values):
+            gradient[s - 1] = value
+        out.append(gradient)
     return out
 
 

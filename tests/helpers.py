@@ -13,7 +13,6 @@ from webrank.expr import (
     int_power,
     product_of,
     rational,
-    relabel,
     sum_of,
     var,
 )
@@ -30,7 +29,7 @@ def reparametrize_entry(W: AssembledWeb, index: int) -> AssembledWeb:
     entries = list(W.entries)
     old = entries[index]
     entries[index] = WebEntry(
-        label=old.label, integral=cube_plus_self(old.integral), source=old.source
+        label=old.label, generator=cube_plus_self(old.generator), source=old.source
     )
     return AssembledWeb(n=W.n, entries=tuple(entries))
 
@@ -50,8 +49,8 @@ def permute_ambient(W: AssembledWeb, positions: list[int]) -> AssembledWeb:
     entries = tuple(
         WebEntry(
             label=e.label,
-            integral=relabel(e.integral, positions),
-            source=e.source,
+            generator=e.generator,
+            source=tuple(positions[s - 1] for s in e.source),
         )
         for e in W.entries
     )
@@ -61,7 +60,11 @@ def permute_ambient(W: AssembledWeb, positions: list[int]) -> AssembledWeb:
 def single_integral_web(n: int, integral: Expr) -> AssembledWeb:
     return AssembledWeb(
         n=n,
-        entries=(WebEntry(label=(1, 1, 1), integral=integral, source=(1,)),),
+        entries=(
+            WebEntry(
+                label=(1, 1, 1), generator=integral, source=tuple(range(1, n + 1))
+            ),
+        ),
     )
 
 

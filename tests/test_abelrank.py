@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from webrank.abelrank import (
 )
 from webrank.catalog import family_names, get_family
 from webrank.combin import calibrated_max_rank, exact_support_dims, max_rank_bound
-from webrank.expr import parse
+from webrank.expr import EvalError, parse
 from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
@@ -187,14 +188,31 @@ def test_relation_jets_at_a_non_integer_point():
 # integer relation rows against the rational rows
 
 def fraction_rows(W, point, order):
-    """Reference: the relation rows on Fractions, powers of the plain offsets."""
+    """Reference: the relation rows on Fractions, powers of the plain offsets,
+    and the lcm of each offset's coefficient denominators."""
     keys = _relation_keys(W.n, order)
     rows = []
+    lcms = []
     for entry in W.entries:
         offset = taylor(entry.integral, point, order, EXACT).drop_constant()
+        values = offset.coeffs.values()
+        lcms.append(math.lcm(*(Fraction(v).denominator for v in values)))
         for power in offset.powers(order):
             rows.append([Fraction(power.coefficient(key)) for key in keys])
-    return rows
+    return rows, lcms
+
+
+def assert_scaled_fraction_rows(W, point, order):
+    """Row (i, m) is L_i^m times the Fraction row, L_i the offset's lcm;
+    returns both systems."""
+    rows, scales = _expansion_rows(W, point, order, EXACT)
+    reference, lcms = fraction_rows(W, point, order)
+    assert scales == lcms
+    assert all(type(v) is int for row in rows for v in row)
+    for u, (row, ref) in enumerate(zip(rows, reference)):
+        factor = scales[u // order] ** (u % order + 1)
+        assert row == [v * factor for v in ref]
+    return rows, reference
 
 
 K0_3_FAMILIES = [name for name in family_names() if name.startswith("k0_3_")]
@@ -215,13 +233,25 @@ def sampled_relation_systems(draw):
 @given(sampled_relation_systems())
 def test_integer_rows_are_scaled_fraction_rows(system):
     W, point, order = system
-    rows, scales = _expansion_rows(W, point, order, EXACT)
-    reference = fraction_rows(W, point, order)
-    assert all(type(v) is int for row in rows for v in row)
-    for u, (row, ref) in enumerate(zip(rows, reference)):
-        factor = scales[u // order] ** (u % order + 1)
-        assert row == [v * factor for v in ref]
+    rows, reference = assert_scaled_fraction_rows(W, point, order)
     assert linalg.exact_rank(rows)[0] == linalg.exact_rank(reference)[0]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", ["k0_4_pereira_pirio_affine", "k0_4_WB_sum"])
+def test_integer_rows_of_rational_k0_4_systems(name, n):
+    # the largest exact systems of the pipeline, with rational entries on up
+    # to five variables
+    E, _ = get_family(name)
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    assert_scaled_fraction_rows(W, point, E.k0 + 2)
+
+
+def test_expansion_pole_names_the_entry():
+    W = assemble(get_family("k0_3_harmonic_sum")[0], 2)
+    with pytest.raises(EvalError, match=r"entry \(2, 1, 2\)"):
+        _expansion_rows(W, (Fraction(0), Fraction(1)), 3, EXACT)
 
 
 @settings(max_examples=50, deadline=None)

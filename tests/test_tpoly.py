@@ -1,12 +1,22 @@
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from webrank.expr import EvalError, diff, evaluate, parse
+from webrank.catalog import family_names, get_family
+from webrank.expr import (
+    EvalError,
+    diff,
+    evaluate,
+    has_transcendental,
+    parse,
+    to_text,
+)
+from webrank.jets import degree_multi_indices
 from webrank.scalars import EXACT, Mode
-from webrank.tpoly import TruncatedPoly, taylor
+from webrank.tpoly import MonomialCodes, TruncatedPoly, integer_taylor, taylor
 
 from helpers import cube_plus_self
 
@@ -72,6 +82,13 @@ def test_truncation_consistency(text, arity, point):
         full = taylor(tree, point, cap)
         shorter = taylor(tree, point, cap - 1)
         assert full.truncate(cap - 1).coeffs == shorter.coeffs
+
+
+def test_truncate_above_the_cap_raises():
+    poly = taylor(parse("x1^2", 1), (Fraction(1),), 2)
+    assert poly.truncate(2).coeffs == poly.coeffs
+    with pytest.raises(ValueError):
+        poly.truncate(4)
 
 
 def test_taylor_pole_raises():
@@ -147,3 +164,116 @@ def test_constant_poly():
     poly = TruncatedPoly.constant(2, 3, Fraction(5))
     assert poly.constant_term == 5
     assert poly.drop_constant().coeffs == {}
+
+
+# --------------------------------------------------------------------------
+# the integer kernel on packed monomial codes against the Fraction expansion
+
+
+def keys_up_to(n, cap):
+    return [(0,) * n] + [
+        key for h in range(1, cap + 1) for key in degree_multi_indices(n, h)
+    ]
+
+
+@pytest.mark.parametrize("n,cap", [(1, 3), (2, 4), (3, 4), (5, 2)])
+def test_code_sums_are_products_truncated_at_the_cap(n, cap):
+    codes = MonomialCodes(n, cap)
+    keys = keys_up_to(n, cap)
+    encoded = [codes.encode(key) for key in keys]
+    assert [codes.decode(code) for code in encoded] == keys
+    degrees = [sum(codes.decode(code)) for code in sorted(encoded)]
+    assert degrees == sorted(degrees)  # degree-major
+    for (a, ca), (b, cb) in itertools.product(zip(keys, encoded), repeat=2):
+        product = tuple(x + y for x, y in zip(a, b))
+        if sum(product) > cap:
+            assert ca + cb >= codes.limit
+        else:
+            assert ca + cb == codes.encode(product)
+
+
+def decoded(codes, terms, den):
+    return {codes.decode(code): Fraction(v, den) for code, v in terms.items()}
+
+
+def assert_integer_taylor_matches(tree, point, cap):
+    codes = MonomialCodes(len(point), cap)
+    terms, den = integer_taylor(tree, point, codes)
+    assert den > 0
+    assert math.gcd(den, *terms.values()) == 1
+    assert all(type(v) is int for v in terms.values())
+    assert decoded(codes, terms, den) == taylor(tree, point, cap).coeffs
+
+
+CATALOG_POINT = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-2, 3))
+
+
+def exact_catalog_integrals():
+    seen = {}
+    for name in family_names():
+        E, _ = get_family(name)
+        for web in E.webs:
+            for u in web.integrals:
+                if not has_transcendental(u):
+                    seen.setdefault((u, web.k), None)
+    return list(seen)
+
+
+def integral_id(value):
+    return str(value) if isinstance(value, int) else to_text(value)
+
+
+@pytest.mark.parametrize("integral,k", exact_catalog_integrals(), ids=integral_id)
+def test_integer_taylor_matches_taylor_on_the_catalog(integral, k):
+    point = CATALOG_POINT[:k]
+    reference = taylor(integral, point, 7)
+    for cap in range(1, 8):
+        codes = MonomialCodes(k, cap)
+        terms, den = integer_taylor(integral, point, codes)
+        assert math.gcd(den, *terms.values()) == 1
+        assert decoded(codes, terms, den) == reference.truncate(cap).coeffs
+
+
+def test_inverse_at_a_negative_constant_keeps_its_sign():
+    # a0 = -2: a0^(cap+1) is negative for cap 2 and 4
+    tree = parse("1/x1", 1)
+    codes = MonomialCodes(1, 2)
+    terms, den = integer_taylor(tree, (Fraction(-2),), codes)
+    assert decoded(codes, terms, den) == {
+        (0,): Fraction(-1, 2),
+        (1,): Fraction(-1, 4),
+        (2,): Fraction(-1, 8),
+    }
+    for cap in (2, 4):
+        assert_integer_taylor_matches(tree, (Fraction(-2),), cap)
+
+
+@pytest.mark.parametrize(
+    "text,arity,point",
+    [
+        ("x1^-2", 1, (Fraction(1, 2),)),
+        ("x1^-3", 1, (Fraction(-3, 5),)),
+        ("(x1+2*x2)^-3", 2, (Fraction(-1, 3), Fraction(2, 7))),
+        ("(x1-x2)^-1*x1^0", 2, (Fraction(5), Fraction(-4, 9))),
+        ("1/(1/x1 + x2/(x1 - 1/(x2+3)))", 2, (Fraction(-2), Fraction(1, 4))),
+        ("(x1/(x2-x3))/(x3/(x1+x2)) - 7/3", 3, (Fraction(1, 2), Fraction(-2), 3)),
+        ("-(x1*x2)^2/(1-x1)^3", 2, (Fraction(-3, 2), Fraction(5, 6))),
+    ],
+)
+def test_integer_taylor_negative_powers_and_nested_quotients(text, arity, point):
+    tree = parse(text, arity)
+    for cap in range(0, 6):
+        assert_integer_taylor_matches(tree, point, cap)
+
+
+def test_integer_taylor_pole_raises():
+    with pytest.raises(EvalError):
+        integer_taylor(parse("1/x1", 1), (0,), MonomialCodes(1, 3))
+    with pytest.raises(EvalError):
+        integer_taylor(parse("x2/(x1-x2)^2", 2), (1, 1), MonomialCodes(2, 3))
+
+
+@pytest.mark.parametrize("text", ["exp(x1)", "x1 + log(x2)", "1/exp(x1*x2)"])
+def test_integer_taylor_rejects_exp_and_log(text):
+    with pytest.raises(EvalError):
+        integer_taylor(parse(text, 2), (1, 2), MonomialCodes(2, 3))

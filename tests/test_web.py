@@ -13,6 +13,7 @@ from webrank.ordinary import GenericPointSampler
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.web import (
+    _partials,
     assemble,
     balanced_set,
     balanced_set_from_json,
@@ -26,6 +27,7 @@ from webrank.web import (
     proportional_pairs,
     save_balanced_set,
     validate_balanced,
+    web_gradients,
 )
 
 from helpers import permute_ambient
@@ -338,3 +340,42 @@ def test_cached_gradient_matches_differentiating_at_the_point(item, seed):
         return
     assert gradient_at(e, n, point, mode) == oracle
     assert gradient_at(e, n, point, mode) == oracle  # second call: cached partials
+
+
+# --------------------------------------------------------------------------
+# web gradients from the partials of the generating integrals
+
+FIVE_POINT = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-2, 3), 5)
+
+
+def catalog_webs():
+    """(assembled web, mode) for every family at n = 2..k0+1."""
+    out = []
+    for name in family_names():
+        E, _ = get_family(name)
+        out.extend((assemble(E, n), E.default_mode()) for n in range(2, E.k0 + 2))
+    return out
+
+
+def test_web_gradients_match_differentiating_the_assembled_entries():
+    for W, mode in catalog_webs():
+        point = FIVE_POINT[: W.n]
+        oracle = [
+            [evaluate(diff(entry.integral, j), point, mode) for j in range(1, W.n + 1)]
+            for entry in W.entries
+        ]
+        gradients = web_gradients(W, point, mode)
+        assert gradients == oracle
+        assert [list(map(type, g)) for g in gradients] == [
+            list(map(type, g)) for g in oracle
+        ]
+
+
+def test_partials_are_differentiated_once_per_generating_integral():
+    webs = catalog_webs()
+    generators = {(e.generator, len(e.source)) for W, _ in webs for e in W.entries}
+    _partials.cache_clear()
+    for _ in range(2):
+        for W, mode in webs:
+            web_gradients(W, FIVE_POINT[: W.n], mode)
+    assert _partials.cache_info().misses <= len(generators)
