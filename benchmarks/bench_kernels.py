@@ -5,10 +5,9 @@ Builds the largest linear systems the verification pipeline actually
 produces (the relation-jet systems of the two built-in calibration-order-4
 families in dimension 4) and times, on identical copies, the pure exact
 rank kernel with the columns in degree order and in the support order the
-pipeline builds (plus the compiled backend, when built, on the latter), and
-the float rank path (`linalg.float_rank`, the fixed-point integer kernel
-including conversion) next to the mpf kernel it replaced, kept as its test
-oracle.  It also times building the exact relation systems of
+pipeline builds, and the float rank path (`linalg.float_rank`, the
+fixed-point integer kernel including conversion) next to the mpf kernel it
+replaced, kept as its test oracle.  It also times building the exact relation systems of
 k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 at order 6
 (420x461): the integer Taylor kernel on packed monomial codes
 (`abelrank._expansion_rows`) against the build it replaced, Fraction
@@ -21,7 +20,7 @@ integer recurrence (`jets.integer_jet_rows`), and the proportionality screen
 of the 70 gradients as all-pairs 2x2 minors against grouping
 (`web.proportional_pairs`).
 
-Run after `pip install -e . --no-build-isolation`:
+Run after `pip install -e .`:
 
     python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -51,11 +50,6 @@ from webrank.web import (
     proportional_pairs,
     web_gradients,
 )
-
-try:
-    from webrank import _speedups
-except ImportError:
-    _speedups = None
 
 
 def _time(fn, repeat: int) -> float:
@@ -126,15 +120,13 @@ def bench_exact(repeat: int):
     ]
     degree_rows = [[row[j] for j in by_degree] for row in ints]
 
-    def run(impl, rows):
-        return lambda: impl.rank_int_rows([row[:] for row in rows])
+    def run(rows):
+        return lambda: _purekernels.rank_int_rows([row[:] for row in rows])
 
     results = {
-        "degree": _time(run(_purekernels, degree_rows), repeat),
-        "support": _time(run(_purekernels, ints), repeat),
+        "degree": _time(run(degree_rows), repeat),
+        "support": _time(run(ints), repeat),
     }
-    if _speedups is not None:
-        results["compiled"] = _time(run(_speedups, ints), repeat)
     rank = _purekernels.rank_int_rows([row[:] for row in ints])[0]
     if _purekernels.rank_int_rows([row[:] for row in degree_rows])[0] != rank:
         raise AssertionError("degree and support column orders differ in rank")
@@ -230,9 +222,6 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
     args = parser.parse_args()
 
-    print(f"active backend: {linalg.BACKEND}")
-    if _speedups is None:
-        print("compiled kernels not built; timing the pure backend only")
     benches = (
         functools.partial(bench_build, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_build, "k0_4_WB_sum"),

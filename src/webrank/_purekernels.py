@@ -2,8 +2,8 @@
 
 These are the hot loops of the toolkit: exact fraction-free row reduction
 over big integers and threshold-pivoted reduction of float matrices held in
-fixed point.  webrank._speedups is a compiled twin of the exact kernels with
-identical semantics; webrank.linalg picks whichever is available for those.
+fixed point, both called by webrank.linalg, plus the mpf float kernel that
+the tests keep as the fixed-point kernel's oracle.
 
 All functions modify their row lists in place; callers pass copies.
 """

@@ -41,7 +41,7 @@ from functools import lru_cache
 import mpmath
 
 from . import linalg
-from .combin import binom, calibrated_max_rank, exact_support_dims
+from .combin import calibrated_max_rank, exact_support_dims, support_dims
 from .expr import EvalError, evaluate
 from .jets import degree_multi_indices
 from .report import (
@@ -59,7 +59,7 @@ from .web import (
     BalancedSet,
     assemble,
     proportional_pairs,
-    web_gradients,
+    sampled_gradients,
 )
 
 
@@ -193,19 +193,19 @@ def _kernel_dim(W: AssembledWeb, point, order: int, mode: Mode, rows=None):
             rows, _ = _expansion_rows(W, point, order, mode)
         rank, _ = linalg.exact_rank(rows)
         return unknowns - rank, mode
-    current = mode
-    while True:
+
+    def build(current: Mode):
         with current.workprec():
-            rows, _ = _expansion_rows(W, point, order, current)
-        rank, info = linalg.float_rank(rows, current.precision)
-        if not info["marginal"]:
-            return unknowns - rank, current
-        if current.precision >= ESCALATION_LIMIT:
-            raise EstimateInconclusive(
-                f"marginal pivots persist at order {order} up to "
-                f"{ESCALATION_LIMIT}-bit precision"
-            )
-        current = current.escalate()
+            return [_expansion_rows(W, point, order, current)[0]]
+
+    outcome = linalg.escalating_float_ranks(build, mode)
+    if outcome is None:
+        raise EstimateInconclusive(
+            f"marginal pivots persist at order {order} up to "
+            f"{ESCALATION_LIMIT}-bit precision"
+        )
+    [(rank, _)], used = outcome
+    return unknowns - rank, used
 
 
 def rank_estimate(
@@ -314,19 +314,14 @@ def relation_residual(W: AssembledWeb, jet: RelationJet, mode: Mode = Mode.exact
 def generic_point_for_web(W: AssembledWeb, sampler, mode: Mode):
     """A sampled point where all entries evaluate and differentials are
     pairwise non-proportional; None when sampling is exhausted."""
-    for _ in range(sampler.max_retries):
-        point = sampler.point(W.n)
+    for point, gradients in sampled_gradients(W, sampler, mode):
         try:
             for entry in W.entries:
                 evaluate(entry.integral, point, mode)
-            gradients = web_gradients(W, point, mode)
         except EvalError:
             continue
-        if any(all(v == 0 for v in g) for g in gradients):
-            continue
-        if proportional_pairs(gradients, mode):
-            continue
-        return point
+        if not proportional_pairs(gradients, mode):
+            return point
     return None
 
 
@@ -397,15 +392,14 @@ def support_decomposition(
     """Empirical exact-support dimensions from sub-web rank estimates.
 
     For h = 2..min(n, k0) the rank r(h) of the assembled web in dimension h
-    is estimated at the first h coordinates of `point`; the table follows the
-    recursion delta(2) = r(2), delta(h) = r(h) - sum_j delta(j)*binom(h, j).
+    is estimated at the first h coordinates of `point`, and the table is
+    combin.support_dims of those ranks.
     Raises EstimateInconclusive if any estimate fails to stabilize.
     """
     if n < 2:
         raise ValueError(f"support decomposition needs n >= 2, got {n}")
     start = m_start if m_start is not None else E.k0 + 1
     estimates: dict[int, RankEstimate] = {}
-    delta: dict[int, int] = {}
     for h in range(2, min(n, E.k0) + 1):
         estimate = rank_estimate(assemble(E, h), point[:h], start, m_cap, mode)
         if estimate.value is None:
@@ -413,10 +407,7 @@ def support_decomposition(
                 f"rank estimate at h={h} did not stabilize: {estimate.note}"
             )
         estimates[h] = estimate
-        delta[h] = estimate.value - sum(
-            delta[j] * binom(h, j) for j in range(2, h)
-        )
-    return delta, estimates
+    return support_dims({h: e.value for h, e in estimates.items()}), estimates
 
 
 def verify_max_rank(
@@ -479,11 +470,7 @@ def verify_max_rank(
             estimates_low[n] = estimate
     empirical: dict[int, int] | None = None
     if all(n in estimates_low and estimates_low[n].value is not None for n in range(2, k0 + 1)):
-        empirical = {}
-        for h in range(2, k0 + 1):
-            empirical[h] = estimates_low[h].value - sum(
-                empirical[j] * binom(h, j) for j in range(2, h)
-            )
+        empirical = support_dims({h: e.value for h, e in estimates_low.items()})
     expected_table = exact_support_dims(k0, k0).N_values
     verdict = combine_verdicts(verdicts)
     return VerificationReport(

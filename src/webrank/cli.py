@@ -28,7 +28,7 @@ from .ordinary import (
     check_ordinary_at,
     crosscheck_ordinary,
 )
-from .report import INCONCLUSIVE, TRUE, combine_verdicts, jsonable
+from .report import INCONCLUSIVE, TRUE, combine_verdicts, exit_code, jsonable
 from .scalars import DEFAULT_PRECISION, Mode
 from .web import BalancedSet, assemble, load_balanced_set, validate_balanced
 
@@ -237,7 +237,7 @@ def _cmd_check_ordinary(args) -> int:
         )
     lines.append(f"verdict: {verdict}")
     _emit(payload, args.format, lines)
-    return {TRUE: 0, INCONCLUSIVE: 2}.get(verdict, 1)
+    return exit_code(verdict)
 
 
 def _cmd_rank(args) -> int:
@@ -276,7 +276,7 @@ def _cmd_rank(args) -> int:
         )
         line = f"rank {name} n={n}: inconclusive (no generic point)"
         _emit(payload, args.format, [line])
-        return 2
+        return exit_code(INCONCLUSIVE)
     verdict = check.verdict
     payload.update(
         value=estimate.value,
@@ -295,7 +295,7 @@ def _cmd_rank(args) -> int:
         f"-> {verdict}"
     ]
     _emit(payload, args.format, lines)
-    return {TRUE: 0, INCONCLUSIVE: 2}.get(verdict, 1)
+    return exit_code(verdict)
 
 
 def _cmd_verify_family(args) -> int:
@@ -379,7 +379,7 @@ def _cmd_verify_family(args) -> int:
     else:
         lines.append(f"  verdict: {verdicts['overall']}")
     _emit(payload, args.format, lines)
-    return {TRUE: 0, INCONCLUSIVE: 2}.get(verdicts["overall"], 1)
+    return exit_code(verdicts["overall"])
 
 
 def _cmd_crosscheck(args) -> int:

@@ -103,21 +103,28 @@ class CountingTable:
 def exact_support_dims(k0: int, n_max: int) -> CountingTable:
     """Table of N(h): relations of the dimension-h web using all h variables.
 
-    N(2) is the calibrated maximal rank in dimension 2 and
-    N(n) = calibrated_max_rank(n, k0) - sum_{h=2}^{n-1} N(h) * binom(n, h)
-    for larger n.  The values vanish for h > k0.
+    N_values is support_dims of the calibrated maximal ranks rho_values; the
+    values vanish for h > k0.
     """
     if k0 < 2:
         raise ValueError(f"exact_support_dims requires k0 >= 2, got k0={k0}")
     if n_max < 2:
         raise ValueError(f"exact_support_dims requires n_max >= 2, got n_max={n_max}")
     rho_values = {n: calibrated_max_rank(n, k0) for n in range(2, n_max + 1)}
-    N_values: dict[int, int] = {}
-    for n in range(2, n_max + 1):
-        N_values[n] = rho_values[n] - sum(
-            N_values[h] * binom(n, h) for h in range(2, n)
-        )
+    N_values = support_dims(rho_values)
     return CountingTable(k0=k0, rho_values=rho_values, N_values=N_values)
+
+
+def support_dims(ranks: dict[int, int]) -> dict[int, int]:
+    """Exact-support dimensions N(2..n_max) from ranks r(2..n_max).
+
+    Solves r(n) = sum_{h=2}^{n} N(h) * binom(n, h), the split of the
+    dimension-n relations by the variables they use, for N(2), N(3), ...
+    """
+    dims: dict[int, int] = {}
+    for n in range(2, len(ranks) + 2):
+        dims[n] = ranks[n] - sum(dims[h] * binom(n, h) for h in range(2, n))
+    return dims
 
 
 def verify_counting_identities(

@@ -1,9 +1,8 @@
 """Exact and floating rank/determinant front ends over the elimination kernels.
 
-For the exact kernels the compiled twins (webrank._speedups, built by
-setup.py) are preferred; set WEBRANK_FORCE_PURE=1 to insist on the
-pure-Python ones.  Both have identical semantics, so results never depend on
-the backend.  Float rank always runs the pure fixed-point kernel.
+The kernels are the pure-Python ones in webrank._purekernels: fraction-free
+big-int elimination for exact rank and determinant, and a fixed-point
+integer kernel for float rank.
 
 Exact rank clears each row of denominators (row scaling keeps the rank)
 unless every entry is already an int, as in the relation rows and the
@@ -14,26 +13,15 @@ place.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 
 from . import _purekernels
+from .scalars import ESCALATION_LIMIT, Mode
 
-if os.environ.get("WEBRANK_FORCE_PURE"):
-    _impl = _purekernels
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _purekernels
-        BACKEND = "pure"
-
+BACKEND = "pure"  # name of the elimination kernels, recorded by benchmarks
 FLOAT_GAP = 16  # accepted and discarded pivots must clear the threshold by 2^4
 FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
 _INT = {int}
@@ -68,9 +56,9 @@ def exact_rank(rows: Sequence[Sequence]) -> tuple[int, list[tuple[int, int]]]:
     if not rows:
         return 0, []
     if all(set(map(type, row)) <= _INT for row in rows):
-        return _impl.rank_int_rows([list(row) for row in rows])
+        return _purekernels.rank_int_rows([list(row) for row in rows])
     cleared, _ = _integer_rows(rows)
-    return _impl.rank_int_rows(cleared)
+    return _purekernels.rank_int_rows(cleared)
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
@@ -81,7 +69,7 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
     if size == 0:
         return Fraction(1)
     cleared, scales = _integer_rows(rows)
-    det = _impl.det_int_rows(cleared)
+    det = _purekernels.det_int_rows(cleared)
     out = Fraction(det)
     for scale in scales:
         out /= scale
@@ -149,6 +137,28 @@ def float_rank(
             "gap": FLOAT_GAP,
         }
     return rank, {"marginal": marginal, "certificate": certificate}
+
+
+def escalating_float_ranks(build, mode: Mode):
+    """Float ranks of the matrices build(mode) yields, escalating on marginals.
+
+    At the first matrix with a marginal pivot decision the precision is
+    doubled (Mode.escalate) and build is called again.  Returns
+    ([(rank, info), ...], mode used), or None when decisions are still
+    marginal at ESCALATION_LIMIT bits.
+    """
+    while True:
+        results = []
+        for rows in build(mode):
+            rank, info = float_rank(rows, mode.precision)
+            if info["marginal"]:
+                break
+            results.append((rank, info))
+        else:
+            return results, mode
+        if mode.precision >= ESCALATION_LIMIT:
+            return None
+        mode = mode.escalate()
 
 
 def exact_nullspace(rows: Sequence[Sequence], unknowns: int) -> list[list[Fraction]]:

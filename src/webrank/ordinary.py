@@ -38,7 +38,7 @@ from .report import (
     VerificationReport,
     combine_verdicts,
 )
-from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
+from .scalars import DEFAULT_PRECISION, Mode
 from .web import AssembledWeb, BalancedSet, assemble, web_gradients
 
 
@@ -52,17 +52,12 @@ class RankResult:
     marginal: bool = False
 
 
-def _exact_rank_result(rows) -> RankResult:
-    rank, pivots = linalg.exact_rank(rows)
-    return RankResult(
-        rank=rank, method="exact", certificate={"pivots": [list(p) for p in pivots]}
-    )
-
-
 def matrix_rank(M: JetMatrix) -> RankResult:
     """Rank of a jet matrix in its own scalar mode."""
     if M.mode.is_exact:
-        return _exact_rank_result(M.entries)
+        rank, pivots = linalg.exact_rank(M.entries)
+        certificate = {"pivots": [list(p) for p in pivots]}
+        return RankResult(rank=rank, method="exact", certificate=certificate)
     rank, info = linalg.float_rank(M.entries, M.mode.precision)
     return RankResult(
         rank=rank,
@@ -108,18 +103,6 @@ class GenericPointSampler:
         )
 
 
-def _escalating_float_rank(build_rows, mode: Mode):
-    """Rank with precision escalation on marginal pivots; None if it persists."""
-    current = mode
-    while True:
-        rank, info = linalg.float_rank(build_rows(current), current.precision)
-        if not info["marginal"]:
-            return rank, info, current
-        if current.precision >= ESCALATION_LIMIT:
-            return None
-        current = current.escalate()
-
-
 # ---------------------------------------------------------------------------
 # the finite criterion
 
@@ -149,12 +132,12 @@ def check_finite_criterion(
                     invertible = det != 0
                     witness = {"point": [str(c) for c in point], "det": str(det)}
                 else:
-                    outcome = _escalating_float_rank(
-                        lambda m: square_block(web, E.k0, point, m).entries, mode
+                    outcome = linalg.escalating_float_ranks(
+                        lambda m: [square_block(web, E.k0, point, m).entries], mode
                     )
                     if outcome is None:
                         continue  # persistently marginal: try a fresh point
-                    rank, info, used = outcome
+                    [(rank, info)], used = outcome
                     invertible = rank == size
                     witness = {
                         "point": [str(c) for c in point],
@@ -188,33 +171,28 @@ def check_finite_criterion(
 # the direct check
 
 def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
-    """Rank of every jet matrix of order 1..k0 at one point, or None.
+    """({h: rank}, mode used) for the jet matrices of order 1..k0 at one
+    point, or None when float pivots stay marginal.
 
     Exact mode ranks the column-scaled integer matrices of integer_jet_rows,
     which have the ranks of the rational ones.
     """
     if mode.is_exact:
         matrices, _ = integer_jet_rows(W.n, k0, web_gradients(W, point, mode))
-        ranks = {h: _exact_rank_result(rows) for h, rows in enumerate(matrices, 1)}
+        ranks = {h: linalg.exact_rank(rows)[0] for h, rows in enumerate(matrices, 1)}
         return ranks, mode
     labels = [entry.label for entry in W.entries]
-    current = mode
-    while True:
+
+    def build(current: Mode):
         gradients = web_gradients(W, point, current)
-        out = {}
-        marginal = False
         for h in range(1, k0 + 1):
-            matrix = jet_matrix_from_gradients(W.n, h, gradients, labels, current)
-            result = matrix_rank(matrix)
-            if result.marginal:
-                marginal = True
-                break
-            out[h] = result
-        if not marginal:
-            return out, current
-        if current.precision >= ESCALATION_LIMIT:
-            return None
-        current = current.escalate()
+            yield jet_matrix_from_gradients(W.n, h, gradients, labels, current).entries
+
+    outcome = linalg.escalating_float_ranks(build, mode)
+    if outcome is None:
+        return None
+    results, used = outcome
+    return {h: rank for h, (rank, _) in enumerate(results, 1)}, used
 
 
 def check_ordinary_at(
@@ -253,9 +231,8 @@ def check_ordinary_at(
             continue
         if outcome is None:
             continue
-        results, used_mode = outcome
+        ranks, used_mode = outcome
         valid_points += 1
-        ranks = {h: results[h].rank for h in results}
         point_records.append(
             {
                 "point": [str(c) for c in point],
@@ -263,8 +240,8 @@ def check_ordinary_at(
                 "mode": used_mode.label(),
             }
         )
-        for h, result in results.items():
-            best_rank[h] = max(best_rank[h], result.rank)
+        for h, rank in ranks.items():
+            best_rank[h] = max(best_rank[h], rank)
         if all(ranks[h] == expected[h] for h in expected):
             verdict = TRUE
             certifying = point_records[-1]

@@ -16,6 +16,11 @@ CONFIRMATIONS_FOR_FALSE = 4  # first failure plus three confirmations
 _EXIT_CODES = {TRUE: 0, FALSE: 1, INCONCLUSIVE: 2}
 
 
+def exit_code(verdict: str) -> int:
+    """Process exit code of a verdict: 0 true, 1 false, 2 inconclusive."""
+    return _EXIT_CODES[verdict]
+
+
 def combine_verdicts(verdicts) -> str:
     """false dominates, then inconclusive; true only if everything is true."""
     verdicts = list(verdicts)
@@ -37,7 +42,7 @@ class VerificationReport:
     config: dict | None = None
 
     def exit_code(self) -> int:
-        return _EXIT_CODES[self.verdict]
+        return exit_code(self.verdict)
 
     def to_jsonable(self) -> dict:
         out = {

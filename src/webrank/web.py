@@ -253,6 +253,20 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
     return out
 
 
+def sampled_gradients(W: AssembledWeb, sampler, mode: Mode):
+    """Yield (point, gradients) for each of sampler.max_retries sampled points
+    where every entry's gradient evaluates and none vanishes."""
+    for _ in range(sampler.max_retries):
+        point = sampler.point(W.n)
+        try:
+            gradients = web_gradients(W, point, mode)
+        except EvalError:
+            continue
+        if any(all(v == 0 for v in g) for g in gradients):
+            continue
+        yield point, gradients
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -331,14 +345,7 @@ def _web_condition(E, n_check, sampler, mode, checks) -> str:
     W = assemble(E, n_check)
     failing: list[dict] = []
     record: dict = {"check": "web_condition", "n": n_check}
-    for _ in range(sampler.max_retries):
-        point = sampler.point(n_check)
-        try:
-            gradients = web_gradients(W, point, mode)
-        except EvalError:
-            continue
-        if any(all(v == 0 for v in g) for g in gradients):
-            continue
+    for point, gradients in sampled_gradients(W, sampler, mode):
         failures = [
             [list(W.entries[i].label), list(W.entries[j].label)]
             for i, j in proportional_pairs(gradients, mode)

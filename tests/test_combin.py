@@ -10,6 +10,7 @@ from webrank.combin import (
     exact_support_dims,
     max_rank_bound,
     monomial_count,
+    support_dims,
     verify_counting_identities,
 )
 
@@ -117,6 +118,15 @@ def test_support_dims_resum_to_rank():
         == calibrated_max_rank(5, 4)
         == 155
     )
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=9))
+def test_support_dims_resum_to_any_rank_table(values):
+    ranks = dict(enumerate(values, 2))
+    dims = support_dims(ranks)
+    assert sorted(dims) == sorted(ranks)
+    for n, r in ranks.items():
+        assert sum(dims[h] * binom(n, h) for h in range(2, n + 1)) == r
 
 
 def test_verify_counting_identities():

@@ -252,6 +252,6 @@ def test_exact_ranks_at_point_match_rational_jet_matrices(family):
     E, _ = get_family(family)
     W = assemble(E, 3)
     point = GenericPointSampler(seed=5).point(3)
-    results, _ = _ranks_at_point(W, point, EXACT, E.k0)
+    ranks, _ = _ranks_at_point(W, point, EXACT, E.k0)
     for h in range(1, E.k0 + 1):
-        assert results[h].rank == matrix_rank(jet_matrix(W, h, point, EXACT)).rank
+        assert ranks[h] == matrix_rank(jet_matrix(W, h, point, EXACT)).rank

@@ -7,15 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrank import _purekernels, linalg
-
-try:
-    from webrank import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [("pure", _purekernels)] + (
-    [("compiled", _speedups)] if _speedups is not None else []
-)
+from webrank.scalars import Mode
 
 
 def naive_rank(rows):
@@ -38,20 +30,18 @@ def naive_rank(rows):
     return rank
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_rank_int_examples(name, impl):
-    assert impl.rank_int_rows([[1, -1], [1, 1]])[0] == 2
-    assert impl.rank_int_rows([[0, 0], [0, 0]])[0] == 0
-    assert impl.rank_int_rows([[1, 2], [2, 4], [3, 6]])[0] == 1
+def test_rank_int_examples():
+    assert _purekernels.rank_int_rows([[1, -1], [1, 1]])[0] == 2
+    assert _purekernels.rank_int_rows([[0, 0], [0, 0]])[0] == 0
+    assert _purekernels.rank_int_rows([[1, 2], [2, 4], [3, 6]])[0] == 1
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_det_int_examples(name, impl):
-    assert impl.det_int_rows([[1, -1], [1, 1]]) == 2
-    assert impl.det_int_rows([[2, 0], [0, 3]]) == 6
-    assert impl.det_int_rows([[1, 2], [2, 4]]) == 0
-    assert impl.det_int_rows([[0, 1], [1, 0]]) == -1
-    assert impl.det_int_rows([]) == 1
+def test_det_int_examples():
+    assert _purekernels.det_int_rows([[1, -1], [1, 1]]) == 2
+    assert _purekernels.det_int_rows([[2, 0], [0, 3]]) == 6
+    assert _purekernels.det_int_rows([[1, 2], [2, 4]]) == 0
+    assert _purekernels.det_int_rows([[0, 1], [1, 0]]) == -1
+    assert _purekernels.det_int_rows([]) == 1
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -73,17 +63,6 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @given(matrices)
 def test_exact_rank_matches_naive_oracle(rows):
     assert linalg.exact_rank(rows)[0] == naive_rank(rows)
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices)
-def test_backends_agree(rows):
-    cleared, _ = linalg._integer_rows(rows)
-    results = {
-        name: impl.rank_int_rows([row[:] for row in cleared])[0]
-        for name, impl in BACKENDS
-    }
-    assert len(set(results.values())) == 1
 
 
 square_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -142,6 +121,20 @@ def test_float_rank_flags_marginal_pivot():
         rows = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(0), tiny]]
     rank, info = linalg.float_rank(rows, 128)
     assert info["marginal"]
+
+
+def test_escalating_float_ranks_rebuilds_all_matrices_at_double_precision():
+    tiny = mpmath.mpf(2) ** -62  # marginal at 128 bits, clear at 256
+    built = []
+
+    def build(mode):
+        built.append(mode.precision)
+        return [[[1, 0], [0, 1]], [[1, 0], [0, tiny]]]
+
+    ranks, used = linalg.escalating_float_ranks(build, Mode.floating(128))
+    assert built == [128, 256]
+    assert used == Mode.floating(256)
+    assert [rank for rank, _ in ranks] == [2, 2]
 
 
 def oracle_float_rank(rows, precision):
