@@ -2,22 +2,24 @@
 """Benchmark the elimination kernels on the pipeline's largest systems.
 
 Builds the largest linear systems the verification pipeline actually
-produces (the relation-jet systems of the two built-in calibration-order-4
-families in dimension 4) and times, on identical copies, the pure exact
-rank kernel with the columns in degree order and in the support order the
-pipeline builds, and the float rank path (`linalg.float_rank`, the
-fixed-point integer kernel including conversion) next to the mpf kernel it
-replaced, kept as its test oracle.  It also times building the exact relation systems of
-k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 at order 6
-(420x461): the integer Taylor kernel on packed monomial codes
-(`abelrank._expansion_rows`) against the build it replaced, Fraction
-`tpoly.taylor` offsets cleared by `linalg._integer_rows` with their powers
-taken by `TruncatedPoly.powers`, and checks that both give the same rows and
-scales.  For the ordinariness check it times, on the
-assembled k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of
-orders 1..4 built and ranked as Fraction jet coefficients against the
-integer recurrence (`jets.integer_jet_rows`), and the proportionality screen
-of the 70 gradients as all-pairs 2x2 minors against grouping
+produces and times the sparse exact rank kernel with the columns in degree
+order and in the support order the pipeline builds, on the order-6
+relation-jet system of k0_4_WB_sum in dimension 4 (210x209) and on those of
+k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 (420x461, the
+systems `verify-family --corroborate` spends its time on).  It times the
+float rank path (`linalg.float_rank`, the fixed-point integer kernel
+including conversion) on the k0_4_exp system in dimension 4 next to the mpf
+kernel it replaced, kept as its test oracle.  It also times building the
+exact relation systems of k0_4_pereira_pirio_affine and k0_4_WB_sum in
+dimension 5 at order 6 (420x461): the integer Taylor kernel on packed
+monomial codes (`abelrank._expansion_rows`) against the build it replaced,
+Fraction `tpoly.taylor` offsets cleared by `linalg._integer_rows` with their
+powers taken by `TruncatedPoly.powers`, and checks that both give the same
+rows and scales.  For the ordinariness check it times, on the assembled
+k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of orders 1..4
+built and ranked as Fraction jet coefficients against the integer
+recurrence (`jets.integer_jet_rows`), and the proportionality screen of the
+70 gradients as all-pairs 2x2 minors against grouping
 (`web.proportional_pairs`).
 
 Run after `pip install -e .`:
@@ -62,12 +64,6 @@ def _time(fn, repeat: int) -> float:
     return best
 
 
-def _exact_system():
-    E, _ = get_family("k0_4_WB_sum")
-    W = assemble(E, 4)
-    return W, generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-
-
 def _reference_rows(W, point, order: int):
     """The exact system as built before the integer Taylor kernel: Fraction
     offsets cleared of denominators, powers taken on TruncatedPoly."""
@@ -107,8 +103,10 @@ def bench_build(name: str, repeat: int):
     return label, info, results
 
 
-def bench_exact(repeat: int):
-    W, point = _exact_system()
+def bench_exact(name: str, n: int, repeat: int):
+    E, _ = get_family(name)
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     order = 6
     ints, _ = _expansion_rows(W, point, order, EXACT)
     shape = f"{len(ints)}x{len(ints[0])}"
@@ -119,20 +117,16 @@ def bench_exact(repeat: int):
         for key in degree_multi_indices(W.n, h)
     ]
     degree_rows = [[row[j] for j in by_degree] for row in ints]
-
-    def run(rows):
-        return lambda: _purekernels.rank_int_rows([row[:] for row in rows])
-
     results = {
-        "degree": _time(run(degree_rows), repeat),
-        "support": _time(run(ints), repeat),
+        "degree": _time(lambda: _purekernels.rank_int_rows(degree_rows), repeat),
+        "support": _time(lambda: _purekernels.rank_int_rows(ints), repeat),
     }
-    rank = _purekernels.rank_int_rows([row[:] for row in ints])[0]
-    if _purekernels.rank_int_rows([row[:] for row in degree_rows])[0] != rank:
+    rank = _purekernels.rank_int_rows(ints)[0]
+    if _purekernels.rank_int_rows(degree_rows)[0] != rank:
         raise AssertionError("degree and support column orders differ in rank")
     return (
-        "exact rank (big-int, fraction-free; column order)",
-        f"{shape}, rank {rank}",
+        f"exact rank (big-int, sparse fraction-free; column order), {name}",
+        f"{shape}, n={n}, rank {rank}",
         results,
     )
 
@@ -225,7 +219,9 @@ def main() -> None:
     benches = (
         functools.partial(bench_build, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_build, "k0_4_WB_sum"),
-        bench_exact,
+        functools.partial(bench_exact, "k0_4_WB_sum", 4),
+        functools.partial(bench_exact, "k0_4_pereira_pirio_affine", 5),
+        functools.partial(bench_exact, "k0_4_WB_sum", 5),
         bench_float,
         bench_jets,
         bench_proportional,

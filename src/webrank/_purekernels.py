@@ -1,11 +1,13 @@
 """Pure-Python elimination kernels.
 
-These are the hot loops of the toolkit: exact fraction-free row reduction
-over big integers and threshold-pivoted reduction of float matrices held in
-fixed point, both called by webrank.linalg, plus the mpf float kernel that
-the tests keep as the fixed-point kernel's oracle.
+These are the hot loops of the toolkit: exact sparse fraction-free row
+reduction over big integers, the Bareiss determinant, and threshold-pivoted
+reduction of float matrices held in fixed point, all called by
+webrank.linalg, plus the mpf float kernel that the tests keep as the
+fixed-point kernel's oracle.
 
-All functions modify their row lists in place; callers pass copies.
+rank_int_rows builds its own sparse rows and leaves its input unchanged.
+The other kernels modify their row lists in place; callers pass copies.
 """
 
 from __future__ import annotations
@@ -14,56 +16,65 @@ import math
 
 
 def rank_int_rows(rows: list[list[int]]) -> tuple[int, list[tuple[int, int]]]:
-    """Exact rank of an integer matrix by fraction-free elimination.
+    """Exact rank of an integer matrix by sparse fraction-free elimination.
 
-    Cross-multiplication updates keep everything integral; every updated row
-    is divided by its content (gcd) to bound entry growth.  Pivots are chosen
-    with smallest absolute value to keep multipliers small.
+    Each row is held as a {column: value} dict of its nonzeros, built here,
+    so the input rows are left unchanged.  Columns are processed left to
+    right.  The rows whose leading column is the current one are reduced
+    against a pivot row by r = q*r - f*pivot, where q and f are the leading
+    entries of the pivot row and of r divided by their gcd (the sign put on
+    f, so q > 0): an update touches the pivot row's nonzeros and, when
+    q != 1, rescales r.  Each updated row is then divided by its content
+    (gcd) to bound entry growth.  The pivot row is the candidate with the
+    least len(row) * bit length of its leading entry (ties: least leading
+    entry), which keeps fill-in and multipliers small (Markowitz's rule).
 
-    Returns (rank, pivot positions).
+    Returns (rank, pivot positions) as [(0, c0), (1, c1), ...].  The pivot
+    columns c0 < c1 < ... are the columns not in the span of the columns
+    before them, so they depend only on the matrix, not on the choice of
+    pivot rows.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv_r = 0
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        sparse = {j: v for j, v in enumerate(row) if v}
+        if sparse:
+            by_lead.setdefault(next(iter(sparse)), []).append(sparse)
+    gcd = math.gcd
     pivots: list[tuple[int, int]] = []
-    for col in range(n):
-        best_r = -1
-        best_abs = 0
-        for i in range(piv_r, m):
-            v = rows[i][col]
-            if v != 0:
-                a = -v if v < 0 else v
-                if best_r < 0 or a < best_abs:
-                    best_r = i
-                    best_abs = a
-        if best_r < 0:
-            continue
-        if best_r != piv_r:
-            rows[piv_r], rows[best_r] = rows[best_r], rows[piv_r]
-        pivots.append((piv_r, col))
-        pivot_row = rows[piv_r]
-        p = pivot_row[col]
-        for i in range(piv_r + 1, m):
-            ri = rows[i]
-            f = ri[col]
-            if f == 0:
-                continue
-            for j in range(col + 1, n):
-                ri[j] = ri[j] * p - pivot_row[j] * f
-            ri[col] = 0
-            g = 0
-            for j in range(col + 1, n):
-                v = ri[j]
-                if v:
-                    g = math.gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                for j in range(col + 1, n):
-                    ri[j] //= g
-        piv_r += 1
-        if piv_r == m:
+    for col in range(len(rows[0]) if rows else 0):
+        if not by_lead:
             break
+        here = by_lead.pop(col, None)
+        if here is None:
+            continue
+        pivots.append((len(pivots), col))
+        pivot = min(
+            here, key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col]))
+        )
+        p = pivot[col]
+        tail = [(j, b) for j, b in pivot.items() if j != col]
+        for row in here:
+            if row is pivot:
+                continue
+            f = row.pop(col)
+            g = gcd(p, f)
+            q = p // g
+            f //= g
+            if q < 0:
+                q, f = -q, -f
+            if q != 1:
+                row = {j: v * q for j, v in row.items()}
+            for j, b in tail:
+                v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: v // content for j, v in row.items()}
+                by_lead.setdefault(min(row), []).append(row)
     return len(pivots), pivots
 
 

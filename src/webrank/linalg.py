@@ -1,13 +1,13 @@
 """Exact and floating rank/determinant front ends over the elimination kernels.
 
-The kernels are the pure-Python ones in webrank._purekernels: fraction-free
-big-int elimination for exact rank and determinant, and a fixed-point
-integer kernel for float rank.
+The kernels are the pure-Python ones in webrank._purekernels: sparse
+fraction-free big-int elimination for exact rank, Bareiss for the exact
+determinant, and a fixed-point integer kernel for float rank.
 
 Exact rank clears each row of denominators (row scaling keeps the rank)
 unless every entry is already an int, as in the relation rows and the
-integer jet matrices; such rows are only copied, since the kernels work in
-place.
+integer jet matrices; such rows go to the kernel as they are, since it
+builds its own sparse rows and leaves its input unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ _INT = {int}
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the lcm of its denominators; row scaling keeps rank.
 
-    Returns fresh int rows (the kernels work in place) and the per-row lcm.
+    Returns fresh int rows (the determinant kernel works in place) and the
+    per-row lcm.
     """
     cleared: list[list[int]] = []
     scales: list[int] = []
@@ -56,7 +57,7 @@ def exact_rank(rows: Sequence[Sequence]) -> tuple[int, list[tuple[int, int]]]:
     if not rows:
         return 0, []
     if all(set(map(type, row)) <= _INT for row in rows):
-        return _purekernels.rank_int_rows([list(row) for row in rows])
+        return _purekernels.rank_int_rows(rows)
     cleared, _ = _integer_rows(rows)
     return _purekernels.rank_int_rows(cleared)
 

@@ -248,6 +248,19 @@ def test_integer_rows_of_rational_k0_4_systems(name, n):
     assert_scaled_fraction_rows(W, point, E.k0 + 2)
 
 
+@pytest.mark.parametrize("name", ["k0_4_pereira_pirio_affine", "k0_4_WB_sum"])
+def test_order_6_relation_systems_at_n5_have_rank_420_less_maximal_rank(name):
+    # the largest systems `verify-family --corroborate` ranks: the kernel
+    # dimension 420 - 265 is the closed-form maximal rank 155
+    E, _ = get_family(name)
+    W = assemble(E, 5)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    rows, _ = _expansion_rows(W, point, E.k0 + 2, EXACT)
+    assert (len(rows), len(rows[0])) == (420, 461)
+    assert calibrated_max_rank(5, E.k0) == 155
+    assert linalg.exact_rank(rows)[0] == 420 - 155 == 265
+
+
 def test_expansion_pole_names_the_entry():
     W = assemble(get_family("k0_3_harmonic_sum")[0], 2)
     with pytest.raises(EvalError, match=r"entry \(2, 1, 2\)"):

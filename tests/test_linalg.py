@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -11,12 +12,16 @@ from webrank.scalars import Mode
 
 
 def naive_rank(rows):
-    """Oracle: plain Fraction row reduction, no pivot strategy tricks."""
+    """Oracle: plain Fraction row reduction, no pivot strategy tricks.
+
+    Returns (rank, pivot columns of the echelon form, left to right).
+    """
     work = [[Fraction(v) for v in row] for row in rows]
     m = len(work)
     n = len(work[0]) if m else 0
-    rank = 0
+    columns = []
     for col in range(n):
+        rank = len(columns)
         pivot = next((i for i in range(rank, m) if work[i][col] != 0), None)
         if pivot is None:
             continue
@@ -26,14 +31,19 @@ def naive_rank(rows):
             factor = work[i][col] / head
             if factor:
                 work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+        columns.append(col)
+    return len(columns), columns
 
 
 def test_rank_int_examples():
-    assert _purekernels.rank_int_rows([[1, -1], [1, 1]])[0] == 2
-    assert _purekernels.rank_int_rows([[0, 0], [0, 0]])[0] == 0
-    assert _purekernels.rank_int_rows([[1, 2], [2, 4], [3, 6]])[0] == 1
+    assert _purekernels.rank_int_rows([[1, -1], [1, 1]]) == (2, [(0, 0), (1, 1)])
+    assert _purekernels.rank_int_rows([[0, 0], [0, 0]]) == (0, [])
+    assert _purekernels.rank_int_rows([[1, 2], [2, 4], [3, 6]]) == (1, [(0, 0)])
+    assert _purekernels.rank_int_rows([[0, 2, 4], [0, 3, 6], [0, 0, 5]]) == (
+        2,
+        [(0, 1), (1, 2)],
+    )
+    assert _purekernels.rank_int_rows([]) == (0, [])
 
 
 def test_det_int_examples():
@@ -62,7 +72,54 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_exact_rank_matches_naive_oracle(rows):
-    assert linalg.exact_rank(rows)[0] == naive_rank(rows)
+    rank, columns = naive_rank(rows)
+    assert linalg.exact_rank(rows) == (rank, list(enumerate(columns)))
+
+
+@st.composite
+def sparse_low_rank_int_matrices(draw):
+    """A (m x r) times B (r x n) with sparse factors whose nonzero entries are
+    small or of 90 to 100 bits (products up to about 2^200), then zero rows,
+    duplicated and negated rows and zero columns inserted, rows shuffled."""
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=8))
+    r = draw(st.integers(min_value=0, max_value=min(m, n)))
+    entries = st.one_of(
+        st.just(0),
+        st.integers(min_value=-3, max_value=3),
+        st.builds(
+            operator.mul,
+            st.sampled_from([1, -1]),
+            st.integers(min_value=2**90, max_value=2**100),
+        ),
+    )
+    a = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    rows = [
+        [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)] for i in range(m)
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        source = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        sign = draw(st.sampled_from([1, -1]))
+        rows.append([sign * v for v in source])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        j = draw(st.integers(min_value=0, max_value=len(rows[0])))
+        for row in rows:
+            row.insert(j, 0)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_low_rank_int_matrices())
+@example([[6, 4], [9, 6]])
+@example([[2, 0, 3], [4, 1, 0], [0, 0, 0], [-2, 0, -3]])
+def test_rank_int_rows_matches_fraction_oracle_and_pivot_columns(rows):
+    before = [row[:] for row in rows]
+    rank, columns = naive_rank(rows)
+    assert _purekernels.rank_int_rows(rows) == (rank, list(enumerate(columns)))
+    assert rows == before
 
 
 square_matrices = st.integers(min_value=1, max_value=5).flatmap(
