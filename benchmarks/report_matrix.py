@@ -3,14 +3,23 @@
 
     python3 benchmarks/report_matrix.py OUTDIR
 
-Runs 70 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
+Runs 86 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
 importing `webrank` from the `src/` directory of the checkout this script
-sits in:
+sits in, with that checkout as the working directory:
 
 * `verify-family` for all 14 catalog families at seeds 0, 1 and 7;
 * `verify-family --corroborate` for the 13 exp/log-free families at seeds 0
   and 7, and for `k0_4_exp` at seed 0;
-* `rank --family k0_4_exp --n 3 --precision 32`, which escalates once.
+* `rank --family k0_4_exp --n 3 --precision 32`, which escalates once;
+* at seeds 0 and 3, eight jobs whose verdict is `false` or `inconclusive`:
+  `rank --n 2` and `verify-family` on the non-hexagonal web
+  `benchmarks/nonhexagonal_k0_2.json`, `check-ordinary --direct --n 4` and
+  `crosscheck --n 4` on `benchmarks/dependent_gradients_k0_4.json`,
+  `validate --n 3` on `benchmarks/proportional_pair_k0_3.json`,
+  `rank --family k0_3_quadrics --n 3 --m-cap 4` (no stabilization), and
+  `crosscheck` on `k0_3_quadrics` and on `k0_4_exp --n 3`.  The fixtures
+  are passed by their path relative to the checkout, which every report
+  echoes under `config.input`.
 
 Each job's file holds `exit <code>` on its first line and the job's standard
 output after it.  Reports are byte-identical for identical argv and seed, so
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,6 +44,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from webrank import catalog, cli  # noqa: E402
+
+NON_HEXAGONAL = "benchmarks/nonhexagonal_k0_2.json"
+DEPENDENT_GRADIENTS = "benchmarks/dependent_gradients_k0_4.json"
+PROPORTIONAL_PAIR = "benchmarks/proportional_pair_k0_3.json"
 
 
 def jobs() -> list[list[str]]:
@@ -53,11 +67,22 @@ def jobs() -> list[list[str]]:
         ["verify-family", "--family", "k0_4_exp", "--seed", "0", "--corroborate"],
         ["rank", "--family", "k0_4_exp", "--n", "3", "--precision", "32"],
     ]
+    negative = [
+        ["rank", "--input", NON_HEXAGONAL, "--n", "2"],
+        ["verify-family", "--input", NON_HEXAGONAL],
+        ["check-ordinary", "--input", DEPENDENT_GRADIENTS, "--direct", "--n", "4"],
+        ["crosscheck", "--input", DEPENDENT_GRADIENTS, "--n", "4"],
+        ["validate", "--input", PROPORTIONAL_PAIR, "--n", "3"],
+        ["rank", "--family", "k0_3_quadrics", "--n", "3", "--m-cap", "4"],
+        ["crosscheck", "--family", "k0_3_quadrics"],
+        ["crosscheck", "--family", "k0_4_exp", "--n", "3"],
+    ]
+    out += [[*job, "--seed", str(seed)] for seed in (0, 3) for job in negative]
     return out
 
 
 def file_name(argv: list[str]) -> str:
-    return "_".join(arg.lstrip("-") for arg in argv) + ".txt"
+    return "_".join(arg.lstrip("-").replace("/", "_") for arg in argv) + ".txt"
 
 
 def main(argv=None) -> int:
@@ -65,8 +90,9 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print(__doc__, file=sys.stderr)
         return 64
-    outdir = Path(args[0])
+    outdir = Path(args[0]).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(ROOT)
     for job in jobs():
         buffer = io.StringIO()
         start = time.perf_counter()

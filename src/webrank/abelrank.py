@@ -45,12 +45,10 @@ from .combin import calibrated_max_rank, exact_support_dims, support_dims
 from .expr import EvalError, evaluate
 from .jets import degree_multi_indices
 from .report import (
-    CONFIRMATIONS_FOR_FALSE,
-    FALSE,
     INCONCLUSIVE,
-    TRUE,
     VerificationReport,
     combine_verdicts,
+    confirm,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
 from .tpoly import MonomialCodes, integer_offset, taylor
@@ -345,40 +343,36 @@ def check_rank(
 ) -> RankCheck:
     """Compare the rank estimate of W at a sampled generic point with `expected`.
 
-    "true" at the first point whose estimate matches; "inconclusive" when an
-    estimate does not stabilize or sampling is exhausted.  The relation rows
-    are rational in the point, so their rank can drop, and the estimate rise,
-    on a thin set only: a mismatch is re-estimated at a fresh generic point,
-    and "false" needs CONFIRMATIONS_FOR_FALSE mismatching points, each kept
-    with its point, value and dims trace.
+    The verdict follows report.confirm over generic points, each found by
+    its own generic_point_for_web search.  The relation rows are rational in
+    the point, so their rank can drop, and the estimate rise, on a thin set
+    only.  Two departures: an estimate that does not stabilize stops the
+    check as "inconclusive", and when the search runs dry after mismatches
+    the last mismatch's note says so.
     """
-    mismatches: list[dict] = []
-    point = estimate = None
-    while True:
-        candidate = generic_point_for_web(W, sampler, mode)
-        if candidate is None:
-            if estimate is not None:
-                estimate = replace(
-                    estimate,
-                    note=f"no generic point found after {len(mismatches)} "
-                    "mismatching points",
-                )
-            return RankCheck(INCONCLUSIVE, point, estimate, mismatches)
-        point = candidate
-        estimate = rank_estimate(W, point, m_start, m_cap, mode)
-        if estimate.value is None:
-            return RankCheck(INCONCLUSIVE, point, estimate, mismatches)
-        if estimate.value == expected:
-            return RankCheck(TRUE, point, estimate, mismatches)
-        mismatches.append(
-            {
+    last = [None, None]  # point and estimate of the last point estimated
+
+    def outcomes():
+        while (point := generic_point_for_web(W, sampler, mode)) is not None:
+            estimate = rank_estimate(W, point, m_start, m_cap, mode)
+            last[:] = point, estimate
+            if estimate.value is None:
+                return  # not stabilized: stop as inconclusive
+            yield estimate.value == expected, {
                 "point": [str(c) for c in point],
                 "value": estimate.value,
                 "dims_trace": dict(sorted(estimate.dims.items())),
             }
+
+    verdict, mismatches, _ = confirm(outcomes())
+    point, estimate = last
+    if verdict == INCONCLUSIVE and mismatches and estimate.value is not None:
+        estimate = replace(
+            estimate,
+            note=f"no generic point found after {len(mismatches)} "
+            "mismatching points",
         )
-        if len(mismatches) >= CONFIRMATIONS_FOR_FALSE:
-            return RankCheck(FALSE, point, estimate, mismatches)
+    return RankCheck(verdict, point, estimate, mismatches)
 
 
 def support_decomposition(
@@ -422,9 +416,8 @@ def verify_max_rank(
     When every estimate matches, the assembled webs have maximal rank in
     every dimension (granted ordinariness, certified separately), and the
     empirical exact-support table is reported next to the counting table.
-    A mismatch in one dimension is "false" only once confirmed at
-    CONFIRMATIONS_FOR_FALSE points (see check_rank), listed under
-    "mismatch_points".
+    Each dimension's verdict is check_rank's (report.confirm over generic
+    points); its mismatching points are listed under "mismatch_points".
     With corroborate=True the check is repeated at n = k0 + 1 as an
     independent desk-scale corroboration.
     """

@@ -8,11 +8,9 @@ are ordinary:
 * the direct check: in a given dimension, every jet matrix of order <= k0 of
   the assembled web reaches the maximal rank min(size, monomial_count(n, h)).
 
-Verdicts are point certificates.  A "true" is witnessed at an explicit
-sampled point; a "false" is only reported after the failure repeats at four
-sampled points (rank can degenerate on thin sets, so one bad point proves
-nothing); "inconclusive" means sampling was exhausted and is never silently
-promoted.
+Verdicts are point certificates under report.confirm: a "true" is witnessed
+at an explicit sampled point, and a rank that degenerates on a thin set must
+repeat before it is "false".
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from . import linalg
 from .combin import calibration_order, monomial_count
@@ -31,12 +30,12 @@ from .jets import (
     square_block,
 )
 from .report import (
-    CONFIRMATIONS_FOR_FALSE,
     FALSE,
     INCONCLUSIVE,
     TRUE,
     VerificationReport,
     combine_verdicts,
+    confirm,
 )
 from .scalars import DEFAULT_PRECISION, Mode
 from .web import AssembledWeb, BalancedSet, assemble, web_gradients
@@ -71,15 +70,15 @@ def matrix_rank(M: JetMatrix) -> RankResult:
 class GenericPointSampler:
     """Seeded source of rational sample points.
 
-    Components are rationals in [low, high] with denominators up to
-    max_denominator; identical seeds give identical point sequences.
+    Components are rationals in [LOW, HIGH] with denominators up to
+    MAX_DENOMINATOR; identical seeds give identical point sequences.
     """
 
     seed: int
-    low: int = -3
-    high: int = 3
-    max_denominator: int = 64
-    max_retries: int = 32
+    LOW: ClassVar[int] = -3
+    HIGH: ClassVar[int] = 3
+    MAX_DENOMINATOR: ClassVar[int] = 64
+    MAX_RETRIES: ClassVar[int] = 32
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
@@ -87,20 +86,19 @@ class GenericPointSampler:
     def point(self, n: int) -> tuple[Fraction, ...]:
         coords = []
         for _ in range(n):
-            den = self._rng.randint(1, self.max_denominator)
-            num = self._rng.randint(self.low * den, self.high * den)
+            den = self._rng.randint(1, self.MAX_DENOMINATOR)
+            num = self._rng.randint(self.LOW * den, self.HIGH * den)
             coords.append(Fraction(num, den))
         return tuple(coords)
 
+    def points(self, n: int):
+        """The MAX_RETRIES points of one search in n-space, drawn lazily."""
+        for _ in range(self.MAX_RETRIES):
+            yield self.point(n)
+
     def spawn(self, salt: int) -> "GenericPointSampler":
         """Independent sampler with a seed derived deterministically from ours."""
-        return GenericPointSampler(
-            seed=self.seed * 1_000_003 + salt + 1,
-            low=self.low,
-            high=self.high,
-            max_denominator=self.max_denominator,
-            max_retries=self.max_retries,
-        )
+        return GenericPointSampler(seed=self.seed * 1_000_003 + salt + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,42 +118,14 @@ def check_finite_criterion(
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)
         size = monomial_count(k, E.k0 - k)
-        verdict = INCONCLUSIVE
+        verdict, singular, witness = confirm(
+            _block_outcomes(web, E.k0, size, sampler.points(k), mode)
+        )
         record: dict = {"k": k, "size": size}
-        singular_seen = 0
-        for _ in range(sampler.max_retries):
-            point = sampler.point(k)
-            try:
-                if mode.is_exact:
-                    block = square_block(web, E.k0, point, mode)
-                    det = linalg.exact_det(block.entries)
-                    invertible = det != 0
-                    witness = {"point": [str(c) for c in point], "det": str(det)}
-                else:
-                    outcome = linalg.escalating_float_ranks(
-                        lambda m: [square_block(web, E.k0, point, m).entries], mode
-                    )
-                    if outcome is None:
-                        continue  # persistently marginal: try a fresh point
-                    [(rank, info)], used = outcome
-                    invertible = rank == size
-                    witness = {
-                        "point": [str(c) for c in point],
-                        "rank": rank,
-                        "precision": used.precision,
-                        **info["certificate"],
-                    }
-            except EvalError:
-                continue
-            if invertible:
-                verdict = TRUE
-                record["witness"] = witness
-                break
-            singular_seen += 1
-            record.setdefault("singular_witnesses", []).append(witness)
-            if singular_seen >= CONFIRMATIONS_FOR_FALSE:
-                verdict = FALSE
-                break
+        if singular:
+            record["singular_witnesses"] = singular
+        if verdict == TRUE:
+            record["witness"] = witness
         record["verdict"] = verdict
         checks.append(record)
         verdicts.append(verdict)
@@ -165,6 +135,36 @@ def check_finite_criterion(
         checks=checks,
         witnesses={"seed": sampler.seed, "mode": mode.label()},
     )
+
+
+def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
+    """(invertible, witness) of the square generating block at each point.
+
+    Points where an entry fails to evaluate are skipped, and so are, in float
+    mode, points whose pivots stay marginal at every precision.
+    """
+    for point in points:
+        coords = [str(c) for c in point]
+        try:
+            if mode.is_exact:
+                det = linalg.exact_det(square_block(web, k0, point, mode).entries)
+                outcome = det != 0, {"point": coords, "det": str(det)}
+            else:
+                ranks = linalg.escalating_float_ranks(
+                    lambda m: [square_block(web, k0, point, m).entries], mode
+                )
+                if ranks is None:
+                    continue
+                [(rank, info)], used = ranks
+                outcome = rank == size, {
+                    "point": coords,
+                    "rank": rank,
+                    "precision": used.precision,
+                    **info["certificate"],
+                }
+        except EvalError:
+            continue
+        yield outcome
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +204,10 @@ def check_ordinary_at(
     """Direct ordinariness check of the assembled web in dimension n.
 
     Every jet matrix of order h <= k0 must reach rank
-    min(size, monomial_count(n, h)) at a sampled point.  A single point
-    certifying all orders yields "true"; a deficiency must survive four
-    sampled points to yield "false".
+    min(size, monomial_count(n, h)) at a sampled point; the verdict follows
+    report.confirm over the sampled points, except that a "false" with every
+    order at its rank at some point (never all at one point) is
+    "inconclusive": no single order is shown deficient.
     """
     if n < 2:
         raise ValueError(f"direct check needs n >= 2, got {n}")
@@ -218,52 +219,41 @@ def check_ordinary_at(
     mode = E.default_mode(precision)
     expected = {h: min(d, monomial_count(n, h)) for h in range(1, k0 + 1)}
 
-    point_records = []
-    best_rank = {h: -1 for h in range(1, k0 + 1)}
-    valid_points = 0
-    verdict = INCONCLUSIVE
-    certifying = None
-    for _ in range(sampler.max_retries):
-        point = sampler.point(n)
-        try:
-            outcome = _ranks_at_point(W, point, mode, k0)
-        except EvalError:
-            continue
-        if outcome is None:
-            continue
-        ranks, used_mode = outcome
-        valid_points += 1
-        point_records.append(
-            {
+    def outcomes():
+        for point in sampler.points(n):
+            try:
+                outcome = _ranks_at_point(W, point, mode, k0)
+            except EvalError:
+                continue
+            if outcome is None:
+                continue
+            ranks, used_mode = outcome
+            record = {
                 "point": [str(c) for c in point],
                 "ranks": ranks,
                 "mode": used_mode.label(),
             }
-        )
-        for h, rank in ranks.items():
-            best_rank[h] = max(best_rank[h], rank)
-        if all(ranks[h] == expected[h] for h in expected):
-            verdict = TRUE
-            certifying = point_records[-1]
-            break
-        if valid_points >= CONFIRMATIONS_FOR_FALSE:
-            deficient = [h for h in expected if best_rank[h] < expected[h]]
-            if deficient:
-                verdict = FALSE
-            break
-    def order_verdict(h: int) -> str:
-        if best_rank[h] == expected[h]:
-            return TRUE
-        if verdict == FALSE and 0 <= best_rank[h] < expected[h]:
-            return FALSE
-        return INCONCLUSIVE
+            yield ranks == expected, record
 
+    verdict, point_records, certifying = confirm(outcomes())
+    if verdict == TRUE:
+        point_records.append(certifying)
+    else:
+        certifying = None
+    best_rank = {
+        h: max((r["ranks"][h] for r in point_records), default=-1) for h in expected
+    }
+    if verdict == FALSE and best_rank == expected:
+        verdict = INCONCLUSIVE
+
+    # An order below its rank shares the overall verdict, "false" or
+    # "inconclusive"; a "true" has every order at its rank.
     checks = [
         {
             "h": h,
             "expected": expected[h],
             "best_rank": best_rank[h],
-            "verdict": order_verdict(h),
+            "verdict": TRUE if best_rank[h] == expected[h] else verdict,
         }
         for h in expected
     ]
@@ -285,21 +275,23 @@ def check_ordinary_at(
 # ---------------------------------------------------------------------------
 # crosscheck of the two routes
 
+CROSSCHECK_ROUNDS = 3
+
+
 def crosscheck_ordinary(
     E: BalancedSet,
     n_list: list[int],
     sampler: GenericPointSampler,
     precision: int = DEFAULT_PRECISION,
-    rounds: int = 3,
 ) -> VerificationReport:
     """Agreement of the finite criterion with the direct check at each n.
 
     Inconclusive samples trigger a retry with a fresh derived seed, at most
-    `rounds` times; the verdict is "true" exactly when both routes agree (in
+    CROSSCHECK_ROUNDS times; the verdict is "true" exactly when both routes agree (in
     either direction) for every requested dimension.
     """
     attempts = []
-    for round_index in range(rounds):
+    for round_index in range(CROSSCHECK_ROUNDS):
         sub = sampler.spawn(round_index)
         criterion = check_finite_criterion(E, sub, precision)
         directs = [(n, check_ordinary_at(E, n, sub, precision)) for n in n_list]
@@ -328,6 +320,6 @@ def crosscheck_ordinary(
         witnesses={
             "n_list": n_list,
             "seed": sampler.seed,
-            "reason": f"inconclusive after {rounds} rounds",
+            "reason": f"inconclusive after {CROSSCHECK_ROUNDS} rounds",
         },
     )

@@ -21,6 +21,29 @@ def exit_code(verdict: str) -> int:
     return _EXIT_CODES[verdict]
 
 
+def confirm(outcomes) -> tuple[str, list, object]:
+    """The three-valued verdict of a sampled check: (verdict, failing, deciding).
+
+    `outcomes` yields (passed, witness) pairs, one per sampled point, and is
+    consumed lazily.  "true" at the first passing pair: one point certifies.
+    A check can fail on a thin set only, so "false" needs
+    CONFIRMATIONS_FOR_FALSE failing pairs.  "inconclusive" when the pairs
+    run out first; it is reported, never promoted.  `failing` lists the
+    witnesses of the failing pairs and `deciding` is the witness of the pair
+    that decided (None when inconclusive).  No pair is pulled after the
+    deciding one: samplers are shared across checks, so one extra draw would
+    move every later point.
+    """
+    failing = []
+    for passed, witness in outcomes:
+        if passed:
+            return TRUE, failing, witness
+        failing.append(witness)
+        if len(failing) == CONFIRMATIONS_FOR_FALSE:
+            return FALSE, failing, witness
+    return INCONCLUSIVE, failing, None
+
+
 def combine_verdicts(verdicts) -> str:
     """false dominates, then inconclusive; true only if everything is true."""
     verdicts = list(verdicts)

@@ -32,12 +32,12 @@ from .expr import (
     vars_used,
 )
 from .report import (
-    CONFIRMATIONS_FOR_FALSE,
     FALSE,
     INCONCLUSIVE,
     TRUE,
     VerificationReport,
     combine_verdicts,
+    confirm,
 )
 from .scalars import DEFAULT_PRECISION, EXACT, Mode, scalar_is_zero
 
@@ -254,10 +254,9 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
 
 
 def sampled_gradients(W: AssembledWeb, sampler, mode: Mode):
-    """Yield (point, gradients) for each of sampler.max_retries sampled points
-    where every entry's gradient evaluates and none vanishes."""
-    for _ in range(sampler.max_retries):
-        point = sampler.point(W.n)
+    """Yield (point, gradients) for each point of sampler.points(W.n) where
+    every entry's gradient evaluates and none vanishes."""
+    for point in sampler.points(W.n):
         try:
             gradients = web_gradients(W, point, mode)
         except EvalError:
@@ -336,36 +335,29 @@ def validate_balanced(
 def _web_condition(E, n_check, sampler, mode, checks) -> str:
     """Pairwise non-proportional differentials at a sampled point of n_check-space.
 
-    "true" at the first point with no proportional pair.  Proportionality can
-    hold on a thin set only, so "false" needs CONFIRMATIONS_FOR_FALSE points
-    with proportional pairs; every such point is kept in the record under
-    "proportional_points", and "point" / "proportional_pairs" describe the
-    deciding point.
+    The verdict follows report.confirm over the sampled points.  Every point
+    with proportional pairs is kept in the record under "proportional_points",
+    and "point" / "proportional_pairs" describe the deciding point.
     """
     W = assemble(E, n_check)
-    failing: list[dict] = []
+
+    def outcomes():
+        for point, gradients in sampled_gradients(W, sampler, mode):
+            failures = [
+                [list(W.entries[i].label), list(W.entries[j].label)]
+                for i, j in proportional_pairs(gradients, mode)
+            ]
+            yield not failures, {
+                "point": [str(c) for c in point],
+                "proportional_pairs": failures,
+            }
+
+    verdict, failing, deciding = confirm(outcomes())
     record: dict = {"check": "web_condition", "n": n_check}
-    for point, gradients in sampled_gradients(W, sampler, mode):
-        failures = [
-            [list(W.entries[i].label), list(W.entries[j].label)]
-            for i, j in proportional_pairs(gradients, mode)
-        ]
-        record["point"] = [str(c) for c in point]
-        record["proportional_pairs"] = failures
-        if not failures:
-            verdict = TRUE
-            break
-        failing.append({"point": record["point"], "proportional_pairs": failures})
-        if len(failing) >= CONFIRMATIONS_FOR_FALSE:
-            verdict = FALSE
-            break
+    if deciding is None:
+        record["reason"] = f"no generic point found in {sampler.MAX_RETRIES} attempts"
     else:
-        verdict = INCONCLUSIVE
-        record = {
-            "check": "web_condition",
-            "n": n_check,
-            "reason": f"no generic point found in {sampler.max_retries} attempts",
-        }
+        record.update(deciding)
     if failing:
         record["proportional_points"] = failing
     record["verdict"] = verdict
@@ -407,31 +399,24 @@ def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:
 
 
 def _foliation_present(candidate, web, k, trials, sampler, mode) -> bool:
-    points = []
-    attempts = 0
-    while len(points) < trials and attempts < sampler.max_retries:
-        attempts += 1
-        point = sampler.point(k)
-        try:
-            gradient_at(candidate, k, point, mode)
-            for member in web.integrals:
-                gradient_at(member, k, point, mode)
-        except EvalError:
-            continue
-        points.append(point)
-    if not points:
+    """Is candidate's gradient proportional to one member's at `trials` points?"""
+    integrals = (candidate, *web.integrals)
+
+    def samples():
+        for point in sampler.points(k):
+            try:
+                gradients = [gradient_at(u, k, point, mode) for u in integrals]
+            except EvalError:
+                continue
+            yield gradients
+
+    gradients = list(itertools.islice(samples(), trials))
+    if not gradients:
         return False
-    for member in web.integrals:
-        if all(
-            gradients_proportional(
-                gradient_at(candidate, k, p, mode),
-                gradient_at(member, k, p, mode),
-                mode,
-            )
-            for p in points
-        ):
-            return True
-    return False
+    return any(
+        all(gradients_proportional(g[0], g[m], mode) for g in gradients)
+        for m in range(1, len(integrals))
+    )
 
 
 # ---------------------------------------------------------------------------

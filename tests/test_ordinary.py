@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from webrank import ordinary
 from webrank.catalog import get_family
 from webrank.expr import parse
 from webrank.jets import jet_matrix, square_block
@@ -12,7 +14,7 @@ from webrank.ordinary import (
     crosscheck_ordinary,
     matrix_rank,
 )
-from webrank.report import FALSE, TRUE
+from webrank.report import FALSE, INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.web import assemble, balanced_set
 
@@ -50,6 +52,25 @@ def test_sampler_respects_bounds():
         for coord in sampler.point(4):
             assert Fraction(-3) <= coord <= Fraction(3)
             assert coord.denominator <= 64
+
+
+def test_sampler_points_are_one_search_of_point_draws():
+    a = GenericPointSampler(seed=4)
+    b = GenericPointSampler(seed=4)
+    drawn = list(a.points(3))
+    assert len(drawn) == GenericPointSampler.MAX_RETRIES == 32
+    assert drawn == [b.point(3) for _ in range(32)]
+
+
+def test_sampler_points_are_drawn_lazily():
+    a = GenericPointSampler(seed=4)
+    b = GenericPointSampler(seed=4)
+    assert next(a.points(2)) == b.point(2)
+    assert a.point(2) == b.point(2)  # nothing drawn past the point pulled
+
+
+def test_sampler_is_set_by_its_seed_only():
+    assert [f.name for f in dataclasses.fields(GenericPointSampler)] == ["seed"]
 
 
 def test_sampler_spawn_is_deterministic_and_distinct():
@@ -133,6 +154,51 @@ def test_direct_check_dependent_gradients_false():
     deficient = [c for c in report.checks if c["verdict"] == FALSE]
     assert [c["h"] for c in deficient] == [4]
     assert deficient[0]["best_rank"] == 31  # four dependent blocks lose one each
+
+
+def scripted_ranks(monkeypatch, script):
+    """Make _ranks_at_point answer the rank dicts of `script` in turn."""
+    answers = iter(script)
+    calls = []
+
+    def fake(W, point, mode, k0):
+        calls.append(point)
+        return next(answers), mode
+
+    monkeypatch.setattr(ordinary, "_ranks_at_point", fake)
+    return calls
+
+
+def test_direct_check_never_all_orders_at_one_point_is_inconclusive(monkeypatch):
+    # k0_3_quadrics at n=3 expects ranks {1: 3, 2: 6, 3: 10}.  Every order
+    # reaches its rank at some point, never all three at one point: four
+    # failing points show no deficient order, so the answer is not "false".
+    script = [
+        {1: 3, 2: 5, 3: 10},
+        {1: 3, 2: 6, 3: 9},
+        {1: 2, 2: 6, 3: 10},
+        {1: 3, 2: 5, 3: 9},
+        {1: 3, 2: 6, 3: 10},
+    ]
+    calls = scripted_ranks(monkeypatch, script)
+    E, _ = get_family("k0_3_quadrics")
+    report = check_ordinary_at(E, 3, GenericPointSampler(seed=0))
+    assert report.verdict == INCONCLUSIVE
+    assert len(calls) == 4  # decided at the fourth failing point
+    assert [c["best_rank"] for c in report.checks] == [3, 6, 10]
+    assert [c["verdict"] for c in report.checks] == [TRUE, TRUE, TRUE]
+    assert len(report.witnesses["points"]) == 4
+    assert report.witnesses["certifying_point"] is None
+
+
+def test_direct_check_scripted_deficient_order_is_false(monkeypatch):
+    script = [{1: 3, 2: 6, 3: 9}, {1: 3, 2: 5, 3: 9}] * 3
+    calls = scripted_ranks(monkeypatch, script)
+    E, _ = get_family("k0_3_quadrics")
+    report = check_ordinary_at(E, 3, GenericPointSampler(seed=0))
+    assert report.verdict == FALSE
+    assert len(calls) == 4
+    assert [c["verdict"] for c in report.checks] == [TRUE, TRUE, FALSE]
 
 
 def test_direct_check_rejects_small_dimension():
