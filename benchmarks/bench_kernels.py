@@ -17,8 +17,10 @@ Fraction `tpoly.taylor` offsets cleared by `linalg._integer_rows` with their
 powers taken by `TruncatedPoly.powers`, and checks that both give the same
 rows and scales.  For the ordinariness check it times, on the assembled
 k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of orders 1..4
-built and ranked as Fraction jet coefficients against the integer
-recurrence (`jets.integer_jet_rows`), and the proportionality screen of the
+built as Fraction jet coefficients, one `jets.jet_coefficient` per entry,
+and ranked after clearing their rows, against the recurrence
+(`jets.jet_matrix_from_gradients`) on gradients cleared of their
+denominators, and the proportionality screen of the
 70 gradients as all-pairs 2x2 minors against grouping
 (`web.proportional_pairs`).
 
@@ -40,7 +42,7 @@ from webrank.abelrank import _expansion_rows, _relation_keys, generic_point_for_
 from webrank.catalog import get_family
 from webrank.jets import (
     degree_multi_indices,
-    integer_jet_rows,
+    jet_coefficient,
     jet_matrix_from_gradients,
 )
 from webrank.ordinary import GenericPointSampler
@@ -167,18 +169,20 @@ def _jet_web():
 
 def bench_jets(repeat: int):
     W, k0, gradients = _jet_web()
-    labels = [entry.label for entry in W.entries]
 
     def fraction():
-        return [
-            linalg.exact_rank(
-                jet_matrix_from_gradients(W.n, h, gradients, labels, EXACT).entries
-            )[0]
-            for h in range(1, k0 + 1)
-        ]
+        ranks = []
+        for h in range(1, k0 + 1):
+            rows = [
+                [jet_coefficient(g, L) for g in gradients]
+                for L in degree_multi_indices(W.n, h)
+            ]
+            ranks.append(linalg.exact_rank(linalg._integer_rows(rows)[0])[0])
+        return ranks
 
     def integer():
-        matrices, _ = integer_jet_rows(W.n, k0, gradients)
+        cleared, _ = linalg._integer_rows(gradients)
+        matrices = jet_matrix_from_gradients(W.n, k0, cleared)
         return [linalg.exact_rank(rows)[0] for rows in matrices]
 
     results = {"fraction": _time(fraction, repeat), "integer": _time(integer, repeat)}

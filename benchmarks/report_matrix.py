@@ -3,7 +3,7 @@
 
     python3 benchmarks/report_matrix.py OUTDIR
 
-Runs 86 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
+Runs 90 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
 importing `webrank` from the `src/` directory of the checkout this script
 sits in, with that checkout as the working directory:
 
@@ -11,15 +11,18 @@ sits in, with that checkout as the working directory:
 * `verify-family --corroborate` for the 13 exp/log-free families at seeds 0
   and 7, and for `k0_4_exp` at seed 0;
 * `rank --family k0_4_exp --n 3 --precision 32`, which escalates once;
-* at seeds 0 and 3, eight jobs whose verdict is `false` or `inconclusive`:
-  `rank --n 2` and `verify-family` on the non-hexagonal web
-  `benchmarks/nonhexagonal_k0_2.json`, `check-ordinary --direct --n 4` and
-  `crosscheck --n 4` on `benchmarks/dependent_gradients_k0_4.json`,
+* at seeds 0 and 3, ten jobs whose verdict is `false` or `inconclusive`
+  or that are refused: `rank --n 2` and `verify-family` on the
+  non-hexagonal web `benchmarks/nonhexagonal_k0_2.json`,
+  `check-ordinary --direct --n 4` and `crosscheck --n 4` on
+  `benchmarks/dependent_gradients_k0_4.json`, `check-ordinary --direct
+  --n 4` on its float twin `benchmarks/dependent_gradients_float_k0_4.json`,
   `validate --n 3` on `benchmarks/proportional_pair_k0_3.json`,
-  `rank --family k0_3_quadrics --n 3 --m-cap 4` (no stabilization), and
-  `crosscheck` on `k0_3_quadrics` and on `k0_4_exp --n 3`.  The fixtures
-  are passed by their path relative to the checkout, which every report
-  echoes under `config.input`.
+  `rank --family k0_3_quadrics --n 3` with `--m-cap 4` (a cap at the start
+  order, a usage error) and with `--m-start 1 --m-cap 2` (no
+  stabilization), and `crosscheck` on `k0_3_quadrics` and on
+  `k0_4_exp --n 3`.  The fixtures are passed by their path relative to the
+  checkout, which every report echoes under `config.input`.
 
 Each job's file holds `exit <code>` on its first line and the job's standard
 output after it.  Reports are byte-identical for identical argv and seed, so
@@ -47,6 +50,7 @@ from webrank import catalog, cli  # noqa: E402
 
 NON_HEXAGONAL = "benchmarks/nonhexagonal_k0_2.json"
 DEPENDENT_GRADIENTS = "benchmarks/dependent_gradients_k0_4.json"
+DEPENDENT_GRADIENTS_FLOAT = "benchmarks/dependent_gradients_float_k0_4.json"
 PROPORTIONAL_PAIR = "benchmarks/proportional_pair_k0_3.json"
 
 
@@ -72,8 +76,27 @@ def jobs() -> list[list[str]]:
         ["verify-family", "--input", NON_HEXAGONAL],
         ["check-ordinary", "--input", DEPENDENT_GRADIENTS, "--direct", "--n", "4"],
         ["crosscheck", "--input", DEPENDENT_GRADIENTS, "--n", "4"],
+        [
+            "check-ordinary",
+            "--input",
+            DEPENDENT_GRADIENTS_FLOAT,
+            "--direct",
+            "--n",
+            "4",
+        ],
         ["validate", "--input", PROPORTIONAL_PAIR, "--n", "3"],
         ["rank", "--family", "k0_3_quadrics", "--n", "3", "--m-cap", "4"],
+        [
+            "rank",
+            "--family",
+            "k0_3_quadrics",
+            "--n",
+            "3",
+            "--m-start",
+            "1",
+            "--m-cap",
+            "2",
+        ],
         ["crosscheck", "--family", "k0_3_quadrics"],
         ["crosscheck", "--family", "k0_4_exp", "--n", "3"],
     ]

@@ -8,7 +8,7 @@ abelian relations reach the maximal dimension, and exposes the whole
 pipeline through the `webrank` command line.
 """
 
-from .abelrank import RankEstimate, rank_estimate, support_decomposition, verify_max_rank
+from .abelrank import RankEstimate, rank_estimate, verify_max_rank
 from .catalog import FamilySpec, family_names, get_family
 from .combin import (
     binom,
@@ -20,14 +20,12 @@ from .combin import (
     verify_counting_identities,
 )
 from .expr import Expr, diff, evaluate, parse, to_text, vars_used
-from .jets import jet_matrix, square_block
+from .jets import jet_matrix_from_gradients, square_block
 from .ordinary import (
     GenericPointSampler,
-    RankResult,
     check_finite_criterion,
     check_ordinary_at,
     crosscheck_ordinary,
-    matrix_rank,
 )
 from .report import VerificationReport
 from .scalars import EXACT, Mode

@@ -8,17 +8,19 @@ M the coefficients of an order-M relation jet form the kernel of a linear
 map, and the kernel dimension as a function of M stabilizes at the rank of
 the web (reported as an order-M certificate, never as a proof).
 
-In exact mode the system is held on Python ints.  Each entry's offset
-u_i - u_i(p) is expanded by tpoly.integer_taylor on packed monomial codes
-as integer numerators over one denominator L_i in lowest terms, so L_i is
-the lcm of the offset's coefficient denominators; its powers are taken on
-those numerators, which makes row (i, m) L_i^m times the rational row and
-keeps every rank, and each power's terms go to their columns through a
-code-to-column map built once per (n, order).  rank_estimate builds the
-rows once at order m_start + 1 and slices the order-m_start system out of
-them; higher orders are built afresh.  relation_jets undoes the scaling on
-its kernel vectors.  Float mode expands on TruncatedPoly (tpoly.taylor) and
-builds each order at each precision.
+Both scalar modes build the system in one loop on packed monomial codes
+(tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is a series on the
+codes, its powers are taken by MonomialCodes.powers, and each power's terms
+go to their columns through a code-to-column map built once per
+(n, order).  In exact mode the offset comes from tpoly.integer_offset as
+integer numerators over one denominator L_i in lowest terms, so L_i is the
+lcm of the offset's coefficient denominators and row (i, m) is L_i^m times
+the rational row, which keeps every rank; relation_jets undoes the scaling
+on its kernel vectors.  In float mode the offset is the TruncatedPoly
+expansion (tpoly.taylor) re-keyed to codes, built at the precision it is
+ranked at (linalg.escalating_float_ranks).  rank_estimate builds the rows
+once at order m_start + 1 for each precision and slices the order-m_start
+system out of them; higher orders are built afresh.
 
 Columns are the multi-indices of degree 1..M, those with the most nonzero
 exponents first and by degree within one support size.  Row (i, m) is a
@@ -37,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from . import linalg
 from .combin import calibrated_max_rank, exact_support_dims, support_dims
@@ -123,32 +123,20 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     once component (i, m) is multiplied by L_i^m (see relation_jets).
     scales lists L_i per entry; in float mode every L_i is 1.
     """
-    if mode.is_exact:
-        return _integer_expansion_rows(W, point, order)
-    keys = _relation_keys(W.n, order)
-    position = {key: idx for idx, key in enumerate(keys)}
-    zero = mpmath.mpf(0)
-    rows = []
-    for entry in W.entries:
-        try:
-            offset = taylor(entry.integral, point, order, mode).drop_constant()
-        except EvalError as err:
-            raise EvalError(f"entry {entry.label}: {err}") from None
-        for power in offset.powers(order):
-            row = [zero] * len(keys)
-            for key, value in power.coeffs.items():
-                row[position[key]] = value
-            rows.append(row)
-    return rows, [1] * W.size
-
-
-def _integer_expansion_rows(W: AssembledWeb, point, order: int):
     _, codes, column = _relation_columns(W.n, order)
     rows = []
     scales = []
     for entry in W.entries:
         try:
-            offset, scale = integer_offset(entry.integral, point, codes)
+            if mode.is_exact:
+                offset, scale = integer_offset(entry.integral, point, codes)
+            else:
+                expansion = taylor(entry.integral, point, order, mode)
+                offset = {
+                    codes.encode(key): value
+                    for key, value in expansion.drop_constant().coeffs.items()
+                }
+                scale = 1
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
         scales.append(scale)
@@ -179,24 +167,19 @@ def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     ]
 
 
-def _kernel_dim(W: AssembledWeb, point, order: int, mode: Mode, rows=None):
+def _kernel_dim(W: AssembledWeb, order: int, mode: Mode, system):
     """Kernel dimension at one truncation order; returns (dim, mode used).
 
-    Exact mode uses `rows` when given (the order-`order` system, already
-    built) and builds it otherwise.
+    system(order, mode) returns the order-`order` relation rows built in
+    `mode`.
     """
     unknowns = W.size * order
     if mode.is_exact:
-        if rows is None:
-            rows, _ = _expansion_rows(W, point, order, mode)
-        rank, _ = linalg.exact_rank(rows)
+        rank, _ = linalg.exact_rank(system(order, mode))
         return unknowns - rank, mode
-
-    def build(current: Mode):
-        with current.workprec():
-            return [_expansion_rows(W, point, order, current)[0]]
-
-    outcome = linalg.escalating_float_ranks(build, mode)
+    outcome = linalg.escalating_float_ranks(
+        lambda current: [system(order, current)], mode
+    )
     if outcome is None:
         raise EstimateInconclusive(
             f"marginal pivots persist at order {order} up to "
@@ -214,23 +197,30 @@ def rank_estimate(
     The stabilized dimension is reported as the web's rank at this point; if
     the cap is reached without stabilization the estimate is inconclusive
     (value None) and the dims trace is still returned for audit.
+    Stabilizing takes two orders, so m_cap must exceed m_start.
     """
-    if m_start < 1 or m_cap < m_start:
-        raise ValueError(f"need 1 <= m_start <= m_cap, got {m_start}..{m_cap}")
-    # Stabilizing takes at least two orders: in exact mode build the rows
-    # once for the second and slice the first out of them.
-    prebuilt = {}
-    if mode.is_exact:
-        top = min(m_start + 1, m_cap)
-        prebuilt[top], _ = _expansion_rows(W, point, top, mode)
-        if top > m_start:
-            prebuilt[m_start] = _leading_rows(prebuilt[top], W, top, m_start)
+    if m_start < 1 or m_cap <= m_start:
+        raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")
+    # The rows of the second order, built once per precision: the first
+    # order is sliced out of them.
+    top = m_start + 1
+    tops = {}
+
+    def system(order: int, current: Mode):
+        if order == m_start:
+            if current not in tops:
+                tops[current], _ = _expansion_rows(W, point, top, current)
+            return _leading_rows(tops[current], W, top, m_start)
+        if order == top and current in tops:
+            return tops.pop(current)
+        return _expansion_rows(W, point, order, current)[0]
+
     dims: dict[int, int] = {}
     previous = None
     method = mode.label()
     for order in range(m_start, m_cap + 1):
         try:
-            dim, used = _kernel_dim(W, point, order, mode, prebuilt.pop(order, None))
+            dim, used = _kernel_dim(W, order, mode, system)
         except EstimateInconclusive as err:
             return RankEstimate(
                 dims=dims,
@@ -373,35 +363,6 @@ def check_rank(
             "mismatching points",
         )
     return RankCheck(verdict, point, estimate, mismatches)
-
-
-def support_decomposition(
-    E: BalancedSet,
-    n: int,
-    point,
-    m_cap: int,
-    mode: Mode,
-    m_start: int | None = None,
-) -> tuple[dict[int, int], dict[int, RankEstimate]]:
-    """Empirical exact-support dimensions from sub-web rank estimates.
-
-    For h = 2..min(n, k0) the rank r(h) of the assembled web in dimension h
-    is estimated at the first h coordinates of `point`, and the table is
-    combin.support_dims of those ranks.
-    Raises EstimateInconclusive if any estimate fails to stabilize.
-    """
-    if n < 2:
-        raise ValueError(f"support decomposition needs n >= 2, got {n}")
-    start = m_start if m_start is not None else E.k0 + 1
-    estimates: dict[int, RankEstimate] = {}
-    for h in range(2, min(n, E.k0) + 1):
-        estimate = rank_estimate(assemble(E, h), point[:h], start, m_cap, mode)
-        if estimate.value is None:
-            raise EstimateInconclusive(
-                f"rank estimate at h={h} did not stabilize: {estimate.note}"
-            )
-        estimates[h] = estimate
-    return support_dims({h: e.value for h, e in estimates.items()}), estimates
 
 
 def verify_max_rank(

@@ -251,7 +251,7 @@ def _cmd_rank(args) -> int:
     m_start = args.m_start if args.m_start is not None else E.k0 + 1
     _require_at_least("--m-start", [m_start], 1)
     m_cap = args.m_cap if args.m_cap is not None else E.k0 + 5
-    _require_at_least("--m-cap", [m_cap], m_start)
+    _require_at_least("--m-cap", [m_cap], m_start + 1)
     expected = calibrated_max_rank(n, E.k0)
     sampler = GenericPointSampler(seed=args.seed)
     check = check_rank(assemble(E, n), sampler, m_start, m_cap, mode, expected)
@@ -301,7 +301,7 @@ def _cmd_rank(args) -> int:
 def _cmd_verify_family(args) -> int:
     E, name, spec = _load_set(args)
     if args.m_cap is not None:
-        _require_at_least("--m-cap", [args.m_cap], E.k0 + 1)
+        _require_at_least("--m-cap", [args.m_cap], E.k0 + 2)
     _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
     n_check = E.k0 + 1

@@ -8,30 +8,29 @@ exponent vector.  Rows of every jet matrix are sorted by these labels
 with that ordering the matrix is block-triangular with the square generating
 blocks on the diagonal.
 
-Exact rank checks run on an integer layer (integer_jet_rows).  Each
-gradient, one column of every jet matrix, is first multiplied by the lcm s_c
-of its denominators; the degree-h entry of column c is then s_c^h times the
-rational jet coefficient, so the integer matrix is the rational one times an
-invertible diagonal matrix on the right and has the same rank.  The degree-h
-rows are filled from the degree-(h-1) rows with one multiplication each,
-g^L = g^(L - e_j) * g_j with j the first nonzero position of L.
-jet_matrix and square_block keep the rational coefficients, which reports,
-CSV dumps and determinants print.
+jet_matrix_from_gradients builds the jet matrices of degrees 1..top in
+both scalar modes, one column per gradient: the degree-h rows are filled
+from the degree-(h-1) rows with one multiplication each,
+g^L = g^(L - e_j) * g_j with j the first nonzero position of L.  Exact
+callers pass each gradient multiplied by the lcm s_c of its denominators
+(linalg._integer_rows), so the degree-h entry of column c is s_c^h times
+the rational jet coefficient: the integer matrix is the rational one times
+an invertible diagonal matrix on the right and has the same rank.  Float
+callers pass mpf gradients and build under the precision the matrices are
+ranked at (linalg.escalating_float_ranks).  square_block keeps the rational
+coefficients, whose determinant reports print.
 """
 
 from __future__ import annotations
 
-import csv
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from . import linalg
 from .combin import monomial_count
 from .expr import EvalError
-from .scalars import Mode, scalar_to_str
-from .web import AssembledWeb, GeneratingWeb, gradient_at, multi_indices, web_gradients
+from .scalars import Mode
+from .web import GeneratingWeb, gradient_at, multi_indices
 
 
 def degree(L: Sequence[int]) -> int:
@@ -130,19 +129,17 @@ def _parent_rows(n: int, h: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def integer_jet_rows(
+def jet_matrix_from_gradients(
     n: int, top: int, gradients: Sequence[Sequence]
-) -> tuple[list[list[list[int]]], list[int]]:
-    """Integer jet matrices of degrees 1..top from exact gradients.
+) -> list[list[list]]:
+    """Jet matrices of degrees 1..top, one column per gradient.
 
-    Returns (matrices, scales): scales[c] is the lcm of the denominators of
-    gradient c, and matrices[h-1][r][c] is scales[c]^h times
-    jet_coefficient(gradients[c], L) for the r-th degree-h multi-index L, so
-    each matrix has the rank of the rational jet matrix.
+    matrices[h-1][r][c] is jet_coefficient(gradients[c], L) for the r-th
+    degree-h multi-index L (degree_multi_indices order), computed in the
+    gradients' own scalars.
     """
-    cleared, scales = linalg._integer_rows(gradients)
-    coordinates = [[g[j] for g in cleared] for j in range(n)]
-    previous = [[1] * len(cleared)]
+    coordinates = [[g[j] for g in gradients] for j in range(n)]
+    previous = [[1] * len(gradients)]
     matrices = []
     for h in range(1, top + 1):
         previous = [
@@ -150,69 +147,17 @@ def integer_jet_rows(
             for parent, j in _parent_rows(n, h)
         ]
         matrices.append(previous)
-    return matrices, scales
-
-
-@dataclass
-class JetMatrix:
-    """Jet coefficients of a web at a point: rows are multi-indices, columns entries."""
-
-    rows: list[tuple[int, ...]]
-    col_labels: list[tuple[int, int, int]]
-    entries: list[list]
-    mode: Mode
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.col_labels))
-
-    def to_csv(self, handle) -> None:
-        """Exact entries as p/q strings, float entries in decimal."""
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["multi_index"] + [f"{k},{a},{b}" for (k, a, b) in self.col_labels]
-        )
-        for row_index, row in zip(self.rows, self.entries):
-            writer.writerow(
-                ["|".join(str(e) for e in row_index)]
-                + [scalar_to_str(value) for value in row]
-            )
-
-
-def jet_matrix_from_gradients(
-    n: int,
-    h: int,
-    gradients: Sequence[Sequence],
-    col_labels: Sequence[tuple[int, int, int]],
-    mode: Mode,
-) -> JetMatrix:
-    rows = list(degree_multi_indices(n, h))
-    entries = [
-        [jet_coefficient(gradient, L) for gradient in gradients] for L in rows
-    ]
-    return JetMatrix(
-        rows=rows, col_labels=list(col_labels), entries=entries, mode=mode
-    )
-
-
-def jet_matrix(W: AssembledWeb, h: int, point: Sequence, mode: Mode) -> JetMatrix:
-    """The degree-h jet matrix of W at point: monomial_count(n, h) x size."""
-    if h < 1:
-        raise ValueError(f"jet order must be >= 1, got {h}")
-    gradients = web_gradients(W, point, mode)
-    return jet_matrix_from_gradients(
-        W.n, h, gradients, [entry.label for entry in W.entries], mode
-    )
+    return matrices
 
 
 def square_block(
     T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode
-) -> JetMatrix:
-    """The square diagonal block contributed by one generating web.
+) -> list[list]:
+    """The square diagonal block contributed by one generating web, as rows.
 
     Rows are the degree-k0 multi-indices on k variables with every exponent
-    positive; columns are the web's integrals.  Both counts equal
-    monomial_count(k, k0-k), so the block is square.
+    positive (positive_vectors(k, k0)); columns are the web's integrals.
+    Both counts equal monomial_count(k, k0-k), so the block is square.
     """
     k = T_k.k
     rows = list(positive_vectors(k, k0))
@@ -230,12 +175,4 @@ def square_block(
             gradients.append(gradient_at(integral, k, point, mode))
         except EvalError as err:
             raise EvalError(f"integral (k={k}, b={b}): {err}") from None
-    entries = [
-        [jet_coefficient(gradient, L) for gradient in gradients] for L in rows
-    ]
-    return JetMatrix(
-        rows=rows,
-        col_labels=[(k, 1, b) for b in range(1, expected + 1)],
-        entries=entries,
-        mode=mode,
-    )
+    return [[jet_coefficient(gradient, L) for gradient in gradients] for L in rows]

@@ -4,10 +4,10 @@ The kernels are the pure-Python ones in webrank._purekernels: sparse
 fraction-free big-int elimination for exact rank, Bareiss for the exact
 determinant, and a fixed-point integer kernel for float rank.
 
-Exact rank clears each row of denominators (row scaling keeps the rank)
-unless every entry is already an int, as in the relation rows and the
-integer jet matrices; such rows go to the kernel as they are, since it
-builds its own sparse rows and leaves its input unchanged.
+Exact rank takes int rows, as the relation rows and the jet matrices of
+cleared gradients are built; a rational matrix is cleared first with
+_integer_rows, since row scaling keeps the rank.  Float matrices are built
+and ranked at one precision, set in escalating_float_ranks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .scalars import ESCALATION_LIMIT, Mode
 BACKEND = "pure"  # name of the elimination kernels, recorded by benchmarks
 FLOAT_GAP = 16  # accepted and discarded pivots must clear the threshold by 2^4
 FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
-_INT = {int}
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -52,14 +51,10 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]
     return cleared, scales
 
 
-def exact_rank(rows: Sequence[Sequence]) -> tuple[int, list[tuple[int, int]]]:
-    """Exact rank of a matrix with Fraction or int entries."""
-    if not rows:
-        return 0, []
-    if all(set(map(type, row)) <= _INT for row in rows):
-        return _purekernels.rank_int_rows(rows)
-    cleared, _ = _integer_rows(rows)
-    return _purekernels.rank_int_rows(cleared)
+def exact_rank(rows: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Exact rank of an int matrix and its pivot positions; the rows are
+    left unchanged."""
+    return _purekernels.rank_int_rows(rows)
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
@@ -143,20 +138,23 @@ def float_rank(
 def escalating_float_ranks(build, mode: Mode):
     """Float ranks of the matrices build(mode) yields, escalating on marginals.
 
-    At the first matrix with a marginal pivot decision the precision is
-    doubled (Mode.escalate) and build is called again.  Returns
+    build runs under mode.workprec(), so every product that fills a matrix
+    is rounded at the precision the matrix is ranked at.  At the first
+    matrix with a marginal pivot decision the precision is doubled
+    (Mode.escalate) and build is called again.  Returns
     ([(rank, info), ...], mode used), or None when decisions are still
     marginal at ESCALATION_LIMIT bits.
     """
     while True:
         results = []
-        for rows in build(mode):
-            rank, info = float_rank(rows, mode.precision)
-            if info["marginal"]:
-                break
-            results.append((rank, info))
-        else:
-            return results, mode
+        with mode.workprec():
+            for rows in build(mode):
+                rank, info = float_rank(rows, mode.precision)
+                if info["marginal"]:
+                    break
+                results.append((rank, info))
+            else:
+                return results, mode
         if mode.precision >= ESCALATION_LIMIT:
             return None
         mode = mode.escalate()

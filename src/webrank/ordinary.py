@@ -23,12 +23,7 @@ from typing import ClassVar
 from . import linalg
 from .combin import calibration_order, monomial_count
 from .expr import EvalError
-from .jets import (
-    JetMatrix,
-    integer_jet_rows,
-    jet_matrix_from_gradients,
-    square_block,
-)
+from .jets import jet_matrix_from_gradients, square_block
 from .report import (
     FALSE,
     INCONCLUSIVE,
@@ -39,31 +34,6 @@ from .report import (
 )
 from .scalars import DEFAULT_PRECISION, Mode
 from .web import AssembledWeb, BalancedSet, assemble, web_gradients
-
-
-@dataclass(frozen=True)
-class RankResult:
-    """Rank with its certificate: pivot positions (exact) or pivot gaps (float)."""
-
-    rank: int
-    method: str
-    certificate: dict
-    marginal: bool = False
-
-
-def matrix_rank(M: JetMatrix) -> RankResult:
-    """Rank of a jet matrix in its own scalar mode."""
-    if M.mode.is_exact:
-        rank, pivots = linalg.exact_rank(M.entries)
-        certificate = {"pivots": [list(p) for p in pivots]}
-        return RankResult(rank=rank, method="exact", certificate=certificate)
-    rank, info = linalg.float_rank(M.entries, M.mode.precision)
-    return RankResult(
-        rank=rank,
-        method=M.mode.label(),
-        certificate=info["certificate"],
-        marginal=info["marginal"],
-    )
 
 
 @dataclass
@@ -147,11 +117,11 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
         coords = [str(c) for c in point]
         try:
             if mode.is_exact:
-                det = linalg.exact_det(square_block(web, k0, point, mode).entries)
+                det = linalg.exact_det(square_block(web, k0, point, mode))
                 outcome = det != 0, {"point": coords, "det": str(det)}
             else:
                 ranks = linalg.escalating_float_ranks(
-                    lambda m: [square_block(web, k0, point, m).entries], mode
+                    lambda m: [square_block(web, k0, point, m)], mode
                 )
                 if ranks is None:
                     continue
@@ -174,21 +144,21 @@ def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     """({h: rank}, mode used) for the jet matrices of order 1..k0 at one
     point, or None when float pivots stay marginal.
 
-    Exact mode ranks the column-scaled integer matrices of integer_jet_rows,
-    which have the ranks of the rational ones.
+    Exact mode ranks the jet matrices of the gradients cleared of their
+    denominators, which are column-scaled and have the ranks of the
+    rational ones.
     """
     if mode.is_exact:
-        matrices, _ = integer_jet_rows(W.n, k0, web_gradients(W, point, mode))
+        cleared, _ = linalg._integer_rows(web_gradients(W, point, mode))
+        matrices = jet_matrix_from_gradients(W.n, k0, cleared)
         ranks = {h: linalg.exact_rank(rows)[0] for h, rows in enumerate(matrices, 1)}
         return ranks, mode
-    labels = [entry.label for entry in W.entries]
-
-    def build(current: Mode):
-        gradients = web_gradients(W, point, current)
-        for h in range(1, k0 + 1):
-            yield jet_matrix_from_gradients(W.n, h, gradients, labels, current).entries
-
-    outcome = linalg.escalating_float_ranks(build, mode)
+    outcome = linalg.escalating_float_ranks(
+        lambda current: jet_matrix_from_gradients(
+            W.n, k0, web_gradients(W, point, current)
+        ),
+        mode,
+    )
     if outcome is None:
         return None
     results, used = outcome

@@ -2,18 +2,21 @@
 
 A TruncatedPoly is a polynomial in n offset variables with all terms of total
 degree above the cap discarded.  Taylor expansion walks the expression tree
-once using this arithmetic; it never differentiates repeatedly.  It serves
-float mode, the relation-residual audit and the tests.
+once using this arithmetic; it never differentiates repeatedly.  It is the
+float expander, the relation-residual audit and the tests' oracle.
 
-Exact expansions also run on a second, integer kernel (integer_taylor).  A
-monomial x^e on n variables truncated at cap is packed into one int, its
-code deg*B^n + sum_j e_j*B^j with deg = |e| and B = cap + 1 (MonomialCodes),
-so codes order monomials by degree first.  The product of two monomials is
-the sum of their codes: multiplication only pairs terms whose degrees sum to
-at most cap, so every exponent stays below B and no digit overflows into the
-next, and a code of degree above the cap is exactly one >= (cap+1)*B^n.  A
-series is a dict {code: int numerator} over one positive denominator, kept
-in lowest terms (gcd of the denominator and all numerators 1) after every
+The relation rows of both modes take powers on packed monomial codes, and
+exact expansions run on an integer kernel over the same codes
+(integer_taylor).  A monomial x^e on n variables truncated at cap is packed
+into one int, its code deg*B^n + sum_j e_j*B^j with deg = |e| and
+B = cap + 1 (MonomialCodes), so codes order monomials by degree first.  The
+product of two monomials is the sum of their codes: multiplication only
+pairs terms whose degrees sum to at most cap, so every exponent stays below
+B and no digit overflows into the next, and a code of degree above the cap
+is exactly one >= (cap+1)*B^n.  A series is a dict {code: coefficient};
+float relation rows re-key a TruncatedPoly's mpf coefficients to codes.  An
+exact series holds int numerators over one positive denominator, kept in
+lowest terms (gcd of the denominator and all numerators 1) after every
 operation, so exact Taylor expansion needs no Fraction arithmetic.
 """
 
@@ -290,8 +293,8 @@ class MonomialCodes:
 
     The monomial x^e is the int |e|*B^n + sum_j e_j*B^j with B = cap + 1,
     e_j the exponent of x_(j+1); see the module docstring for why products
-    are sums of codes.  Numerator dicts {code: int} are series over this
-    packing.
+    are sums of codes.  Dicts {code: coefficient}, with int numerators or
+    mpf coefficients, are series over this packing.
     """
 
     __slots__ = ("n", "cap", "base", "limit", "units")
@@ -320,7 +323,7 @@ class MonomialCodes:
         return tuple(key)
 
     def mul(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        """Product of two numerator dicts, truncated at the cap."""
+        """Product of two series dicts, truncated at the cap."""
         limit = self.limit
         inner = sorted(b.items())
         out: dict[int, int] = {}

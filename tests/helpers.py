@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from webrank import abelrank
+from webrank import abelrank, linalg
 from webrank.expr import (
     Expr,
     has_transcendental,
@@ -16,7 +16,31 @@ from webrank.expr import (
     sum_of,
     var,
 )
-from webrank.web import AssembledWeb, BalancedSet, GeneratingWeb, WebEntry
+from webrank.jets import degree_multi_indices, jet_coefficient
+from webrank.scalars import EXACT
+from webrank.web import (
+    AssembledWeb,
+    BalancedSet,
+    GeneratingWeb,
+    WebEntry,
+    web_gradients,
+)
+
+
+def rational_jet_matrix(W: AssembledWeb, h: int, point) -> list[list[Fraction]]:
+    """Oracle: the degree-h jet matrix of W at point, one jet_coefficient per
+    entry; rows are degree_multi_indices(W.n, h), columns W's entries."""
+    gradients = web_gradients(W, point, EXACT)
+    return [
+        [jet_coefficient(g, L) for g in gradients]
+        for L in degree_multi_indices(W.n, h)
+    ]
+
+
+def rational_rank(rows) -> int:
+    """Exact rank of a rational matrix, its rows cleared of denominators."""
+    cleared, _ = linalg._integer_rows(rows)
+    return linalg.exact_rank(cleared)[0]
 
 
 def cube_plus_self(e: Expr) -> Expr:

@@ -15,11 +15,15 @@ from webrank.abelrank import (
     rank_estimate,
     relation_jets,
     relation_residual,
-    support_decomposition,
     verify_max_rank,
 )
 from webrank.catalog import family_names, get_family
-from webrank.combin import calibrated_max_rank, exact_support_dims, max_rank_bound
+from webrank.combin import (
+    calibrated_max_rank,
+    exact_support_dims,
+    max_rank_bound,
+    support_dims,
+)
 from webrank.expr import EvalError, parse
 from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
@@ -30,6 +34,7 @@ from webrank.web import assemble, balanced_set_from_json
 
 from helpers import (
     inflate_first_rank_estimate,
+    rational_rank,
     reparametrize_entry,
     single_integral_web,
 )
@@ -133,10 +138,17 @@ def test_rank_invariant_under_entry_reparametrization():
 
 
 def test_inconclusive_when_cap_too_small():
-    estimate = rank_estimate(parallel_web(), ORIGIN, 1, 1, EXACT)
+    estimate = rank_estimate(parallel_web(), ORIGIN, 1, 2, EXACT)
+    assert estimate.dims == {1: 2, 2: 3}
     assert estimate.value is None
     assert estimate.stabilized_at is None
-    assert "no stabilization" in estimate.note
+    assert estimate.note == "no stabilization up to order 2"
+
+
+@pytest.mark.parametrize("m_cap", [0, 1])
+def test_cap_must_exceed_the_start_order(m_cap):
+    with pytest.raises(ValueError):
+        rank_estimate(parallel_web(), ORIGIN, 1, m_cap, EXACT)
 
 
 def test_stabilized_value_never_exceeds_rank_bound():
@@ -234,7 +246,7 @@ def sampled_relation_systems(draw):
 def test_integer_rows_are_scaled_fraction_rows(system):
     W, point, order = system
     rows, reference = assert_scaled_fraction_rows(W, point, order)
-    assert linalg.exact_rank(rows)[0] == linalg.exact_rank(reference)[0]
+    assert linalg.exact_rank(rows)[0] == rational_rank(reference)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -327,21 +339,23 @@ def test_support_order_keeps_the_rank(system):
 # support decomposition and the full pipeline
 
 def test_support_decomposition_quadrics():
+    # the empirical table is combin.support_dims of the sub-web ranks
     E = quadrics()
-    sampler = GenericPointSampler(seed=0)
-    point = sampler.point(3)
-    delta, estimates = support_decomposition(E, 3, point, 8, EXACT)
+    point = GenericPointSampler(seed=0).point(3)
+    values = {
+        h: rank_estimate(assemble(E, h), point[:h], 4, 8, EXACT).value
+        for h in (2, 3)
+    }
+    assert values == {2: 3, 3: 11}
+    delta = support_dims(values)
     assert delta == {2: 3, 3: 2}
-    assert estimates[2].value == 3
-    assert estimates[3].value == 11
-    assert delta[2] == estimates[2].value  # base case of the recursion
+    assert delta[2] == values[2]  # base case of the recursion
 
 
 def test_support_decomposition_matches_counting_table():
-    E = quadrics()
-    point = GenericPointSampler(seed=0).point(3)
-    delta, _ = support_decomposition(E, 3, point, 8, EXACT)
-    assert delta == exact_support_dims(3, 3).N_values
+    report = verify_max_rank(quadrics(), GenericPointSampler(seed=0))
+    assert report.witnesses["N_table_empirical"] == exact_support_dims(3, 3).N_values
+    assert report.witnesses["N_table_match"] is True
 
 
 def test_verify_max_rank_quadrics_with_corroboration():

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from webrank.cli import main
-from webrank.report import CONFIRMATIONS_FOR_FALSE
+from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE
 from webrank.web import save_balanced_set
 from webrank.catalog import get_family
 
@@ -227,6 +228,9 @@ RANK_QUADRICS = ["rank", "--family", "k0_3_quadrics"]
         RANK_QUADRICS + ["--n", "2", "--n", "3"],
         ["validate", "--family", "k0_3_quadrics", "--n", "2", "--n", "3"],
         ["check-ordinary", "--family", "k0_3_quadrics", "--n", "3"],
+        # a rank estimate stabilizes on two orders
+        RANK_QUADRICS + ["--n", "3", "--m-start", "2", "--m-cap", "2"],
+        ["verify-family", "--family", "k0_3_quadrics", "--m-cap", "4"],
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv):
@@ -315,3 +319,35 @@ def test_verify_family_non_hexagonal_control(capsys, tmp_path):
     assert payload["verdicts"]["max_rank"] == "false"
     (record,) = payload["rank"]["per_n"]
     assert len(record["mismatch_points"]) == CONFIRMATIONS_FOR_FALSE
+
+
+FLOAT_DEPENDENT_GRADIENTS = (
+    Path(__file__).resolve().parent.parent
+    / "benchmarks"
+    / "dependent_gradients_float_k0_4.json"
+)
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_float_dependent_gradients_are_not_ordinary(capsys, seed):
+    # jet products rounded to 53 bits and ranked at 128 once certified this
+    # web: block k=3 read invertible and order 4 reached rank 35
+    code, out, _ = run_cli(
+        capsys,
+        "check-ordinary",
+        "--input",
+        str(FLOAT_DEPENDENT_GRADIENTS),
+        "--direct",
+        "--n",
+        "4",
+        "--seed",
+        seed,
+        "--format",
+        "json",
+    )
+    assert code == 1
+    ordinary = json.loads(out)["ordinary"]
+    blocks = {c["k"]: c["verdict"] for c in ordinary["condition_iv"]["checks"]}
+    assert blocks[3] == FALSE
+    (direct,) = ordinary["direct"]
+    assert {c["h"]: c["best_rank"] for c in direct["checks"]}[4] == 31

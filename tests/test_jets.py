@@ -9,20 +9,19 @@ from webrank.combin import monomial_count
 from webrank.expr import EvalError, evaluate, parse
 from webrank.jets import (
     degree_multi_indices,
-    integer_jet_rows,
     jet_coefficient,
-    jet_matrix,
+    jet_matrix_from_gradients,
     positive_vectors,
     quadruple,
     square_block,
     support,
 )
-from webrank.linalg import exact_det, exact_rank
-from webrank.ordinary import GenericPointSampler, _ranks_at_point, matrix_rank
+from webrank.linalg import _integer_rows, exact_det, exact_rank
+from webrank.ordinary import GenericPointSampler, _ranks_at_point
 from webrank.scalars import EXACT
 from webrank.web import GeneratingWeb, assemble
 
-from helpers import reparametrize_entry
+from helpers import rational_jet_matrix, rational_rank, reparametrize_entry
 
 
 def quadrics():
@@ -70,15 +69,14 @@ def test_jet_coefficient_values():
 def test_square_block_pair_web():
     E = quadrics()
     block = square_block(E.generating_web(2), 3, (Fraction(1), Fraction(2)), EXACT)
-    assert block.rows == [(2, 1), (1, 2)]
-    assert block.entries == [[1, -1], [1, 1]]
-    assert exact_det(block.entries) == 2
+    assert block == [[1, -1], [1, 1]]  # rows (2, 1) and (1, 2)
+    assert exact_det(block) == 2
 
 
 def test_square_block_point_web():
     E = quadrics()
     block = square_block(E.generating_web(1), 3, (Fraction(5),), EXACT)
-    assert block.entries == [[1]]
+    assert block == [[1]]
 
 
 def test_square_block_dependent_gradients_always_singular():
@@ -93,8 +91,8 @@ def test_square_block_dependent_gradients_always_singular():
     sampler = GenericPointSampler(seed=3)
     for _ in range(5):
         block = square_block(web, 4, sampler.point(3), EXACT)
-        assert exact_det(block.entries) == 0
-        assert exact_rank(block.entries)[0] == 2
+        assert exact_det(block) == 0
+        assert rational_rank(block) == 2
 
 
 def test_square_block_requires_right_cardinality():
@@ -106,19 +104,19 @@ def test_square_block_requires_right_cardinality():
 def test_jet_matrix_identity_columns_for_coordinates():
     W = assemble(quadrics(), 3)
     point = GenericPointSampler(seed=1).point(3)
-    matrix = jet_matrix(W, 1, point, EXACT)
-    assert matrix.shape == (3, 10)
+    matrix = rational_jet_matrix(W, 1, point)
+    assert (len(matrix), len(matrix[0])) == (3, 10)
     for i in range(3):
         for j in range(3):
-            assert matrix.entries[i][j] == (1 if i == j else 0)
+            assert matrix[i][j] == (1 if i == j else 0)
 
 
 def test_jet_matrix_parallel_web_row():
     E = quadrics()
     W = assemble(E, 2)  # the 4-web {x1, x2, x1+x2, x1-x2}
-    matrix = jet_matrix(W, 2, GenericPointSampler(seed=2).point(2), EXACT)
-    row_index = matrix.rows.index((1, 1))
-    assert matrix.entries[row_index] == [0, 0, 1, -1]
+    matrix = rational_jet_matrix(W, 2, GenericPointSampler(seed=2).point(2))
+    row_index = degree_multi_indices(2, 2).index((1, 1))
+    assert matrix[row_index] == [0, 0, 1, -1]
 
 
 def test_jet_matrix_zero_blocks():
@@ -126,8 +124,8 @@ def test_jet_matrix_zero_blocks():
     W = assemble(quadrics(), 3)
     point = GenericPointSampler(seed=4).point(3)
     for h in (2, 3):
-        matrix = jet_matrix(W, h, point, EXACT)
-        for L, row in zip(matrix.rows, matrix.entries):
+        matrix = rational_jet_matrix(W, h, point)
+        for L, row in zip(degree_multi_indices(3, h), matrix):
             row_support = set(support(L))
             for entry, web_entry in zip(row, W.entries):
                 col_support = set(web_entry.source)
@@ -139,8 +137,7 @@ def test_jet_matrix_rank_drops_never_below_block_structure():
     W = assemble(quadrics(), 3)
     point = GenericPointSampler(seed=6).point(3)
     for h, expected in [(1, 3), (2, 6), (3, 10)]:
-        matrix = jet_matrix(W, h, point, EXACT)
-        assert exact_rank(matrix.entries)[0] == expected
+        assert rational_rank(rational_jet_matrix(W, h, point)) == expected
 
 
 def test_column_scaling_under_reparametrization():
@@ -152,15 +149,15 @@ def test_column_scaling_under_reparametrization():
     u_value = evaluate(W.entries[index].integral, point)
     scale = 3 * u_value**2 + 1
     for h in (1, 2, 3):
-        original = jet_matrix(W, h, point, EXACT)
-        changed = jet_matrix(reparametrized, h, point, EXACT)
-        for row_o, row_c in zip(original.entries, changed.entries):
+        original = rational_jet_matrix(W, h, point)
+        changed = rational_jet_matrix(reparametrized, h, point)
+        for row_o, row_c in zip(original, changed):
             for col, (a, b) in enumerate(zip(row_o, row_c)):
                 if col == index:
                     assert b == a * scale**h
                 else:
                     assert b == a
-        assert exact_rank(original.entries)[0] == exact_rank(changed.entries)[0]
+        assert rational_rank(original) == rational_rank(changed)
 
 
 def test_square_block_is_diagonal_block_of_assembled_jets():
@@ -170,7 +167,8 @@ def test_square_block_is_diagonal_block_of_assembled_jets():
     for n in (3, 4):
         W = assemble(E, n)
         point = GenericPointSampler(seed=8).point(n)
-        top = jet_matrix(W, 3, point, EXACT)
+        top = rational_jet_matrix(W, 3, point)
+        top_rows = degree_multi_indices(n, 3)
         for a, source in enumerate(
             [e.source for e in W.entries if e.label[0] == 2 and e.label[2] == 1],
             start=1,
@@ -178,8 +176,8 @@ def test_square_block_is_diagonal_block_of_assembled_jets():
             sub_point = tuple(point[i - 1] for i in source)
             block = square_block(E.generating_web(2), 3, sub_point, EXACT)
             rows = [
-                top.rows.index(L)
-                for L in top.rows
+                top_rows.index(L)
+                for L in top_rows
                 if support(L) == source and quadruple(L, n)[0] == 3
             ]
             cols = [
@@ -188,32 +186,21 @@ def test_square_block_is_diagonal_block_of_assembled_jets():
                 if e.label[0] == 2 and e.source == source
             ]
             extracted = [
-                [top.entries[r][c] for c in cols] for r in rows
+                [top[r][c] for c in cols] for r in rows
             ]
-            assert extracted == block.entries
+            assert extracted == block
 
 
 def test_jet_matrix_reports_offending_entry():
     E, _ = get_family("k0_3_harmonic_sum")
     W = assemble(E, 2)
     with pytest.raises(EvalError) as err:
-        jet_matrix(W, 1, (Fraction(0), Fraction(1)), EXACT)
+        _ranks_at_point(W, (Fraction(0), Fraction(1)), EXACT, E.k0)
     assert "entry" in str(err.value)
 
 
-def test_csv_export(tmp_path):
-    E = quadrics()
-    block = square_block(E.generating_web(2), 3, (Fraction(1), Fraction(2)), EXACT)
-    path = tmp_path / "block.csv"
-    with open(path, "w", encoding="utf-8") as handle:
-        block.to_csv(handle)
-    text = path.read_text()
-    assert text.splitlines()[0] == 'multi_index,"2,1,1","2,1,2"'
-    assert "1,-1" in text.replace('"', "")
-
-
 # --------------------------------------------------------------------------
-# integer jet rows against the Fraction jet coefficients
+# the jet-matrix recurrence against the Fraction jet coefficients
 
 @st.composite
 def exact_gradients(draw):
@@ -233,18 +220,22 @@ def exact_gradients(draw):
 @given(exact_gradients(), st.integers(min_value=1, max_value=4))
 def test_integer_jet_rows_are_column_scaled_jet_coefficients(system, top):
     n, gradients = system
-    matrices, scales = integer_jet_rows(n, top, gradients)
+    cleared, scales = _integer_rows(gradients)
+    matrices = jet_matrix_from_gradients(n, top, cleared)
     assert len(matrices) == top
-    for h, rows in enumerate(matrices, start=1):
+    for h, (rows, rational) in enumerate(
+        zip(matrices, jet_matrix_from_gradients(n, top, gradients)), start=1
+    ):
         reference = [
             [jet_coefficient(g, L) for g in gradients]
             for L in degree_multi_indices(n, h)
         ]
+        assert rational == reference
         assert all(type(v) is int for row in rows for v in row)
         assert rows == [
             [v * scales[c] ** h for c, v in enumerate(row)] for row in reference
         ]
-        assert exact_rank(rows)[0] == exact_rank(reference)[0]
+        assert exact_rank(rows)[0] == rational_rank(reference)
 
 
 @pytest.mark.parametrize("family", ["k0_3_moebius_sum", "k0_4_WB_sum"])
@@ -254,4 +245,4 @@ def test_exact_ranks_at_point_match_rational_jet_matrices(family):
     point = GenericPointSampler(seed=5).point(3)
     ranks, _ = _ranks_at_point(W, point, EXACT, E.k0)
     for h in range(1, E.k0 + 1):
-        assert ranks[h] == matrix_rank(jet_matrix(W, h, point, EXACT)).rank
+        assert ranks[h] == rational_rank(rational_jet_matrix(W, h, point))

@@ -6,17 +6,15 @@ import pytest
 from webrank import ordinary
 from webrank.catalog import get_family
 from webrank.expr import parse
-from webrank.jets import jet_matrix, square_block
 from webrank.ordinary import (
     GenericPointSampler,
     check_finite_criterion,
     check_ordinary_at,
     crosscheck_ordinary,
-    matrix_rank,
 )
 from webrank.report import FALSE, INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
-from webrank.web import assemble, balanced_set
+from webrank.web import assemble, balanced_set, balanced_set_from_json
 
 from helpers import reparametrize_generating
 
@@ -80,26 +78,51 @@ def test_sampler_spawn_is_deterministic_and_distinct():
 
 
 # --------------------------------------------------------------------------
-# matrix_rank
+# float jet ranks against exact ones
 
-def test_matrix_rank_exact_certificate():
-    E, _ = get_family("k0_3_quadrics")
-    block = square_block(E.generating_web(2), 3, (Fraction(1), Fraction(2)), EXACT)
-    result = matrix_rank(block)
-    assert result.rank == 2
-    assert result.method == "exact"
-    assert result.certificate["pivots"]
+def rational_dependent_gradient_family():
+    """benchmarks/dependent_gradients_float_k0_4.json with x1 for exp(x1).
+
+    Its arity-3 integrals carry denominators no binary float holds, so a
+    jet product rounded below the working precision leaves a residue that
+    reads as a pivot.
+    """
+    return balanced_set_from_json(
+        {
+            "k0": 4,
+            "webs": [
+                ["x1"],
+                ["x1+x2", "x1-x2", "x1*x2"],
+                ["(x1+x2+x3)/3", "(x1+2*x2+3*x3)/7", "(2*x1+3*x2+4*x3)/11"],
+                ["x1+x2+x3+x4"],
+            ],
+        }
+    )
 
 
-def test_matrix_rank_float_matches_exact():
-    E, _ = get_family("k0_3_quadrics")
-    W = assemble(E, 3)
-    point = GenericPointSampler(seed=3).point(3)
-    for h in (1, 2, 3):
-        exact = matrix_rank(jet_matrix(W, h, point, EXACT))
-        floated = matrix_rank(jet_matrix(W, h, point, Mode.floating(128)))
-        assert floated.rank == exact.rank
-        assert not floated.marginal
+@pytest.mark.parametrize(
+    "E, n, point",
+    [
+        pytest.param(
+            get_family("k0_3_quadrics")[0],
+            3,
+            GenericPointSampler(seed=3).point(3),
+            id="quadrics",
+        ),
+        pytest.param(
+            rational_dependent_gradient_family(),
+            4,
+            (Fraction(20, 31), Fraction(-87, 34), Fraction(-5, 2), Fraction(-3)),
+            id="dependent_gradients",
+        ),
+    ],
+)
+def test_float_ranks_at_point_equal_exact_ranks(E, n, point):
+    W = assemble(E, n)
+    exact, _ = ordinary._ranks_at_point(W, point, EXACT, E.k0)
+    floated, used = ordinary._ranks_at_point(W, point, Mode.floating(128), E.k0)
+    assert floated == exact
+    assert used == Mode.floating(128)
 
 
 # --------------------------------------------------------------------------
