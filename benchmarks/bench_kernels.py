@@ -7,15 +7,16 @@ order and in the support order the pipeline builds, on the order-6
 relation-jet system of k0_4_WB_sum in dimension 4 (210x209) and on those of
 k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 (420x461, the
 systems `verify-family --corroborate` spends its time on).  It times the
-float rank path (`linalg.float_rank`, the fixed-point integer kernel
-including conversion) on the k0_4_exp system in dimension 4 next to the mpf
-kernel it replaced, kept as its test oracle.  It also times building the
-exact relation systems of k0_4_pereira_pirio_affine and k0_4_WB_sum in
-dimension 5 at order 6 (420x461): the integer Taylor kernel on packed
-monomial codes (`abelrank._expansion_rows`) against the build it replaced,
-Fraction `tpoly.taylor` offsets cleared by `linalg._integer_rows` with their
-powers taken by `TruncatedPoly.powers`, and checks that both give the same
-rows and scales.  For the ordinariness check it times, on the assembled
+float rank path (`linalg.float_rank`: conversion to sparse fixed-point
+integer rows and complete pivoting on their nonzeros) on the k0_4_exp
+system in dimension 4 next to the dense mpf kernel it replaced, kept as its
+test oracle, and checks that both give the same rank.  It also times
+building the exact relation systems of k0_4_pereira_pirio_affine and
+k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
+on packed monomial codes (`abelrank._expansion_rows`) against the build it
+replaced, Fraction `tpoly.taylor` offsets cleared by `linalg._integer_rows`
+with their powers taken by `TruncatedPoly.powers`, and checks that both give
+the same rows and scales.  For the ordinariness check it times, on the assembled
 k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of orders 1..4
 built as Fraction jet coefficients, one `jets.jet_coefficient` per entry,
 and ranked after clearing their rows, against the recurrence
@@ -156,7 +157,7 @@ def bench_float(repeat: int):
     rank = linalg.float_rank(rows, mode.precision)[0]
     if oracle() != rank:
         raise AssertionError("fixed-point and mpf kernels disagree on the rank")
-    label = "float rank (128-bit, complete pivoting)"
+    label = "float rank (128-bit, complete pivoting; sparse fixed point vs mpf)"
     return label, f"{shape}, rank {rank}", results
 
 

@@ -1,13 +1,14 @@
 """Pure-Python elimination kernels.
 
 These are the hot loops of the toolkit: exact sparse fraction-free row
-reduction over big integers, the Bareiss determinant, and threshold-pivoted
-reduction of float matrices held in fixed point, all called by
-webrank.linalg, plus the mpf float kernel that the tests keep as the
-fixed-point kernel's oracle.
+reduction over big integers, the Bareiss determinant, and sparse
+threshold-pivoted reduction of float matrices held in fixed point, all
+called by webrank.linalg, plus the mpf float kernel that the tests keep as
+the fixed-point kernel's oracle.
 
 rank_int_rows builds its own sparse rows and leaves its input unchanged.
-The other kernels modify their row lists in place; callers pass copies.
+rank_fixed_rows takes sparse {column: value} rows.  The other kernels modify
+their row lists in place; callers pass copies.
 """
 
 from __future__ import annotations
@@ -106,16 +107,25 @@ def det_int_rows(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
-    """Numerical rank of a fixed-point matrix by complete pivoting on integers.
+def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int):
+    """Numerical rank of a sparse fixed-point matrix by complete pivoting.
 
-    Entries are integers standing for multiples of one common unit (the
-    caller scales a float matrix by a power of two so that its largest entry
-    has precision + 64 bits).  A pivot is accepted while its magnitude
+    Each row is a {column: value} dict of its nonzeros, ncols the number of
+    columns.  Values are integers standing for multiples of one common unit
+    (the caller scales a float matrix by a power of two so that its largest
+    entry has precision + 64 bits).  A pivot is accepted while its magnitude
     exceeds the threshold `first_pivot >> shift` (shift = precision // 2);
-    the marginal rule and the row-major first-maximum tie-break are those of
-    rank_float_rows.  Returns (rank, pivot magnitudes, largest discarded
-    magnitude or None, marginal flag), magnitudes in the caller's unit.
+    the marginal rule is that of rank_float_rows.  Returns (rank, pivot
+    magnitudes, largest discarded magnitude or None, marginal flag),
+    magnitudes in the caller's unit.
+
+    Only nonzeros are stored and updated: a step updates the rows with a
+    nonzero in the pivot column, at the pivot row's nonzeros, and recomputes
+    the largest magnitude of those rows only.  The pivot is the largest
+    magnitude, ties broken as dense complete pivoting breaks them (first
+    maximum in row-major order, in the order left by its row and column
+    swaps): each row and column keeps its position in that order, and each
+    step makes the dense kernel's two swaps on the positions.
 
     Error model.  Each update a - (f*b)//p is exact except for the floor,
     which errs by less than one unit.  Under complete pivoting the pivot p is
@@ -125,17 +135,20 @@ def rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
     2^-(precision+64) of the largest entry, while the threshold sits at
     2^-(precision/2) of it, so the accumulated truncation stays 64 guard bits
     (less log2 of the step count) below any decision the threshold makes.
+    The rows are modified in place.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    limit = m if m < n else n
-    active = rows
+    limit = m if m < ncols else ncols
+    row_at = list(range(m))  # row index at each position
+    col_at = list(range(ncols))  # column at each position
+    col_pos = list(range(ncols))  # position of each column
+    row_max = [max(map(abs, r.values()), default=0) for r in rows]
     pivot_mags: list[int] = []
     threshold = None
     max_discarded = None
-    while len(pivot_mags) < limit:
-        row_max = [max(map(abs, r)) for r in active]
-        best = max(row_max)
+    for k in range(limit):
+        active = [row_max[i] for i in row_at[k:]]
+        best = max(active)
         if best == 0:
             break
         if threshold is None:
@@ -143,21 +156,32 @@ def rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
         if best <= threshold:
             max_discarded = best
             break
-        best_i = row_max.index(best)
-        pivot_row = active[best_i]
-        best_j = list(map(abs, pivot_row)).index(best)
-        if best_i:
-            active[0], active[best_i] = pivot_row, active[0]
-        if best_j:
-            for r in active:
-                r[0], r[best_j] = r[best_j], r[0]
+        pos = k + active.index(best)
+        pi = row_at[pos]
+        row_at[k], row_at[pos] = pi, row_at[k]
+        pivot_row = rows[pi]
+        pc = min(
+            (j for j, v in pivot_row.items() if abs(v) == best),
+            key=col_pos.__getitem__,
+        )
+        q, other = col_pos[pc], col_at[k]
+        col_at[k], col_at[q] = pc, other
+        col_pos[pc], col_pos[other] = k, q
         pivot_mags.append(best)
-        p = pivot_row[0]
-        tail = pivot_row[1:]
-        active = [
-            [a - (f * b) // p for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
-            for r in active[1:]
-        ]
+        p = pivot_row.pop(pc)
+        tail = list(pivot_row.items())
+        for i in row_at[k + 1 :]:
+            r = rows[i]
+            f = r.pop(pc, 0)
+            if not f:
+                continue
+            for j, b in tail:
+                v = r.get(j, 0) - (f * b) // p
+                if v:
+                    r[j] = v
+                else:
+                    r.pop(j, None)
+            row_max[i] = max(map(abs, r.values()), default=0)
     marginal = False
     if threshold is not None:
         if pivot_mags and min(pivot_mags) < gap * threshold:

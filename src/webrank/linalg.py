@@ -2,7 +2,8 @@
 
 The kernels are the pure-Python ones in webrank._purekernels: sparse
 fraction-free big-int elimination for exact rank, Bareiss for the exact
-determinant, and a fixed-point integer kernel for float rank.
+determinant, and sparse complete-pivoting elimination on fixed-point
+integers for float rank.
 
 Exact rank takes int rows, as the relation rows and the jet matrices of
 cleared gradients are built; a rational matrix is cleared first with
@@ -73,35 +74,54 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def _fixed_point_rows(rows: Sequence[Sequence], precision: int):
-    """Float matrix as integers times one power of two: (int rows, exponent).
+    """Float matrix as sparse integer rows times one power of two:
+    ([{column: int}, ...], exponent).
 
     Entries are first rounded to `precision` bits, then all are scaled by
     the same power of two so that the largest has precision + FIXED_GUARD_BITS
     bits; smaller entries lose their bits below that unit (truncated toward
     zero).  Scaling the whole matrix by one factor keeps every rank decision
-    made relative to the first pivot.
+    made relative to the first pivot.  Zero entries, and entries that
+    truncate to zero at the unit, are left out of the rows.  An mpf whose
+    mantissa already fits in `precision` bits is used as it is, which is
+    what rounding it would give; other entries are rounded by mpmath.mpf.
     """
-    with mpmath.workprec(precision):
-        parts = [[mpmath.mpf(v)._mpf_ for v in row] for row in rows]
+    mpf = mpmath.mpf
+    parts = []
     top = None
-    for row in parts:
-        for _, man, exp, bc in row:
-            if man:
+    with mpmath.workprec(precision):
+        for row in rows:
+            part = []
+            for j, v in enumerate(row):
+                if type(v) is mpf:
+                    t = v._mpf_
+                    if t[3] > precision:
+                        t = mpf(v)._mpf_
+                elif v:
+                    t = mpf(v)._mpf_
+                else:
+                    continue
+                sign, man, exp, bc = t
+                if not man:
+                    if bc:
+                        raise ValueError("float rank needs finite entries")
+                    continue
                 if top is None or exp + bc > top:
                     top = exp + bc
-            elif bc:
-                raise ValueError("float rank needs finite entries")
+                part.append((j, sign, man, exp))
+            parts.append(part)
     if top is None:
-        return [[0] * len(row) for row in parts], 0
+        return [{} for _ in parts], 0
     unit = top - precision - FIXED_GUARD_BITS
-    return [
-        [
-            (-1 if sign else 1)
-            * (man << (exp - unit) if exp >= unit else man >> (unit - exp))
-            for sign, man, exp, _ in row
-        ]
-        for row in parts
-    ], unit
+    fixed = []
+    for part in parts:
+        row = {}
+        for j, sign, man, exp in part:
+            v = man << (exp - unit) if exp >= unit else man >> (unit - exp)
+            if v:
+                row[j] = -v if sign else v
+        fixed.append(row)
+    return fixed, unit
 
 
 def float_rank(
@@ -112,12 +132,13 @@ def float_rank(
     The pivot threshold is 2^(-precision/2) times the largest pivot; the
     certificate records pivot magnitudes, the gap ratio used, and whether any
     decision was marginal (within 2^4 of the threshold on either side).
-    Elimination runs in fixed point on integers (see
-    _purekernels.rank_fixed_rows for the error model).
+    The dense rows are converted to sparse fixed-point rows and eliminated
+    on their nonzeros only (see _purekernels.rank_fixed_rows for the pivot
+    order and the error model).
     """
     fixed, unit = _fixed_point_rows(rows, precision)
     rank, pivot_mags, max_discarded, marginal = _purekernels.rank_fixed_rows(
-        fixed, precision // 2, FLOAT_GAP
+        fixed, len(rows[0]) if rows else 0, precision // 2, FLOAT_GAP
     )
 
     def magnitude(value: int) -> str:

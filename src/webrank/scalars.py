@@ -65,12 +65,18 @@ def to_scalar(value: Fraction | int, mode: Mode):
         return mpmath.mpf(frac.numerator) / frac.denominator
 
 
+def zero_tolerance(mode: Mode):
+    """2^(-precision/2): float magnitudes at or below it, relative to their
+    scale, count as zero."""
+    return mpmath.ldexp(1, -(mode.precision // 2))
+
+
 def scalar_is_zero(value, mode: Mode) -> bool:
     """Zero test: exact equality, or magnitude below 2^(-precision/2)."""
     if mode.is_exact:
         return value == 0
     with mode.workprec():
-        return abs(value) <= mpmath.mpf(2) ** (-(mode.precision // 2))
+        return abs(value) <= zero_tolerance(mode)
 
 
 def scalar_to_str(value) -> str:

@@ -39,7 +39,7 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import DEFAULT_PRECISION, EXACT, Mode, scalar_is_zero
+from .scalars import DEFAULT_PRECISION, EXACT, Mode, zero_tolerance
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,12 @@ def gradient_at(e: Expr, n: int, point: Sequence, mode: Mode):
 
 
 def gradients_proportional(g1, g2, mode: Mode) -> bool:
-    """True when all 2x2 minors of the two gradient vectors vanish."""
+    """True when all 2x2 minors of the two gradient vectors vanish.
+
+    In float mode a minor vanishes when it is at most 2^(-precision/2) times
+    the product of the two gradients' largest components, computed at the
+    mode's precision.
+    """
     n = len(g1)
     if mode.is_exact:
         return all(
@@ -180,11 +185,25 @@ def gradients_proportional(g1, g2, mode: Mode) -> bool:
             for i in range(n)
             for j in range(i + 1, n)
         )
-    scale = max(abs(v) for v in g1) * max(abs(v) for v in g2)
-    if scale == 0:
+    with mode.workprec():
+        tol = zero_tolerance(mode)
+        return _minors_vanish(g1, _largest(g1), g2, _largest(g2), tol)
+
+
+def _largest(g):
+    return max(map(abs, g))
+
+
+def _minors_vanish(g1, top1, g2, top2, tol) -> bool:
+    """Float minor test of gradients_proportional, given each gradient's
+    largest |component| and the tolerance; runs at the caller's precision."""
+    bound = top1 * top2
+    if not bound:
         return True
+    bound *= tol
+    n = len(g1)
     return all(
-        scalar_is_zero((g1[i] * g2[j] - g1[j] * g2[i]) / scale, mode)
+        abs(g1[i] * g2[j] - g1[j] * g2[i]) <= bound
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -195,18 +214,24 @@ def proportional_pairs(
 ) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, of proportional gradients, in order.
 
-    Float mode tests the 2x2 minors of every pair.  In exact mode two nonzero
-    gradients are proportional iff they agree after division by their first
-    nonzero component, so grouping by that key finds every pair in O(d*n);
-    a zero gradient is proportional to every other one.
+    Float mode tests the 2x2 minors of every pair, as gradients_proportional
+    does, with each gradient's largest component and the tolerance computed
+    once.  In exact mode two nonzero gradients are proportional iff they
+    agree after division by their first nonzero component, so grouping by
+    that key finds every pair in O(d*n); a zero gradient is proportional to
+    every other one.
     """
     if not mode.is_exact:
-        return [
-            (i, j)
-            for i in range(len(gradients))
-            for j in range(i + 1, len(gradients))
-            if gradients_proportional(gradients[i], gradients[j], mode)
-        ]
+        count = len(gradients)
+        with mode.workprec():
+            tol = zero_tolerance(mode)
+            tops = [_largest(g) for g in gradients]
+            return [
+                (i, j)
+                for i in range(count)
+                for j in range(i + 1, count)
+                if _minors_vanish(gradients[i], tops[i], gradients[j], tops[j], tol)
+            ]
     zeros = []
     groups: dict[tuple, list[int]] = {}
     for i, g in enumerate(gradients):

@@ -43,6 +43,56 @@ def rational_rank(rows) -> int:
     return linalg.exact_rank(cleared)[0]
 
 
+def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
+    """Oracle: fixed-point complete pivoting on dense int rows, as
+    _purekernels.rank_fixed_rows does on sparse ones.
+
+    Every step rescans every active entry for the largest magnitude (ties:
+    first in row-major order), swaps it to the top-left corner and updates
+    every entry by a - (f*b)//p.  Returns (rank, pivot magnitudes, largest
+    discarded magnitude or None, marginal flag).  The rows are modified.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    limit = m if m < n else n
+    active = rows
+    pivot_mags: list[int] = []
+    threshold = None
+    max_discarded = None
+    while len(pivot_mags) < limit:
+        row_max = [max(map(abs, r)) for r in active]
+        best = max(row_max)
+        if best == 0:
+            break
+        if threshold is None:
+            threshold = best >> shift
+        if best <= threshold:
+            max_discarded = best
+            break
+        best_i = row_max.index(best)
+        pivot_row = active[best_i]
+        best_j = list(map(abs, pivot_row)).index(best)
+        if best_i:
+            active[0], active[best_i] = pivot_row, active[0]
+        if best_j:
+            for r in active:
+                r[0], r[best_j] = r[best_j], r[0]
+        pivot_mags.append(best)
+        p = pivot_row[0]
+        tail = pivot_row[1:]
+        active = [
+            [a - (f * b) // p for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
+            for r in active[1:]
+        ]
+    marginal = False
+    if threshold is not None:
+        if pivot_mags and min(pivot_mags) < gap * threshold:
+            marginal = True
+        if max_discarded is not None and max_discarded * gap > threshold:
+            marginal = True
+    return len(pivot_mags), pivot_mags, max_discarded, marginal
+
+
 def cube_plus_self(e: Expr) -> Expr:
     """The reparametrization u -> u^3 + u (derivative 3u^2 + 1 never vanishes
     on rational points)."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_rank_fixed_rows
 from webrank import _purekernels, linalg
 from webrank.scalars import Mode
 
@@ -305,6 +306,105 @@ def test_float_rank_certificate_is_in_input_units():
 def test_float_rank_rejects_non_finite_entries():
     with pytest.raises(ValueError):
         linalg.float_rank([[mpmath.mpf(1), mpmath.inf]], 128)
+
+
+# --------------------------------------------------------------------------
+# sparse fixed-point kernel against the dense oracle
+
+TIE_HEAVY = [0, 0, 0, 1, -1, 2, -2, 2**40, -(2**40), 5 * 2**38]
+
+
+@st.composite
+def tie_heavy_int_matrices(draw):
+    """Dense int rows of any shape from a few repeated magnitudes, with some
+    rows and columns set to zero.  Returns (rows, number of columns)."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=10))
+    entry = st.sampled_from(TIE_HEAVY)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.integers(min_value=-(2**70), max_value=2**70))
+    rows = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=max(m - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return rows, n
+
+
+def sparse_rows(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_int_matrices(), st.sampled_from([2, 4, 16, 32, 64]))
+def test_sparse_fixed_rank_matches_dense_oracle(case, shift):
+    rows, n = case
+    expected = dense_rank_fixed_rows([row[:] for row in rows], shift, linalg.FLOAT_GAP)
+    got = _purekernels.rank_fixed_rows(sparse_rows(rows), n, shift, linalg.FLOAT_GAP)
+    assert got == expected
+
+
+def test_sparse_fixed_rank_breaks_ties_in_dense_swap_order():
+    # The first pivot, 3, swaps row 2 with row 0, so row 0 now follows row 1.
+    # Both then hold a 2 (rows 1 and 0 hold -2 and 2): the dense kernel takes
+    # row 1's, which leaves pivots 3, 2, 2; taking row 0's, first by original
+    # index, would leave 3, 2, 1.
+    rows = [[0, -1, 2], [2, 0, 0], [3, 3, -1]]
+    expected = dense_rank_fixed_rows([row[:] for row in rows], 8, 16)
+    assert expected == (3, [3, 2, 2], None, False)
+    assert _purekernels.rank_fixed_rows(sparse_rows(rows), 3, 8, 16) == expected
+
+
+@st.composite
+def mpf_matrices_with_underflow(draw, precision):
+    """mpf rows mixing unit-size entries, ties, zeros and entries near 2^-300,
+    below the fixed-point unit at up to 128 bits; 1/3 has twice the bits of
+    precision, so it is rounded first."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=7))
+    with mpmath.workprec(2 * precision):
+        values = [
+            mpmath.mpf(0),
+            mpmath.mpf(1),
+            mpmath.mpf(-2),
+            mpmath.ldexp(1, -300),
+            -mpmath.ldexp(3, -301),
+            mpmath.mpf(1) / 3,
+            mpmath.ldexp(5, 38),
+        ]
+    entry = st.sampled_from(values)
+    return draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    precisions.flatmap(
+        lambda p: st.tuples(mpf_matrices_with_underflow(p), st.just(p))
+    )
+)
+def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
+    rows, precision = case
+    fixed, unit = linalg._fixed_point_rows(rows, precision)
+    with mpmath.workprec(precision):
+        dense = [[int(mpmath.ldexp(mpmath.mpf(v), -unit)) for v in row] for row in rows]
+    assert fixed == sparse_rows(dense)
+    n = len(rows[0])
+    shift = precision // 2
+    assert _purekernels.rank_fixed_rows(
+        fixed, n, shift, linalg.FLOAT_GAP
+    ) == dense_rank_fixed_rows(dense, shift, linalg.FLOAT_GAP)
+
+
+def test_fixed_point_rows_drop_entries_below_the_unit():
+    with mpmath.workprec(128):
+        rows = [[mpmath.mpf(1), mpmath.ldexp(1, -300)], [mpmath.mpf(0), mpmath.mpf(-1)]]
+    assert linalg._fixed_point_rows(rows, 128) == ([{0: 2**191}, {1: -(2**191)}], -191)
 
 
 def test_exact_nullspace_known_kernel():

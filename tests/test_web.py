@@ -313,6 +313,29 @@ def test_proportional_pairs_float_finds_scaled_copy():
     assert proportional_pairs(gradients, mode) == [(0, 2)]
 
 
+def test_float_proportionality_is_decided_at_the_mode_precision():
+    # The minor is 2^-60 of the gradients' scale: above the 2^-64 threshold
+    # at 128 bits, but lost when the products are rounded to 53 bits.
+    mode = Mode.floating(128)
+    with mode.workprec():
+        g1 = [mpmath.mpf(1), mpmath.mpf(1)]
+        g2 = [mpmath.mpf(1), 1 + mpmath.ldexp(1, -60)]
+    assert not gradients_proportional(g1, g2, mode)
+    assert proportional_pairs([g1, g2], mode) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(gradient_lists(), st.sampled_from([32, 64, 128]))
+def test_proportional_pairs_float_matches_all_pairs_scan(gradients, precision):
+    mode = Mode.floating(precision)
+    with mode.workprec():
+        floats = [
+            [mpmath.mpf(v.numerator) / v.denominator for v in g] for g in gradients
+        ]
+    assert proportional_pairs(floats, mode) == all_pairs_scan(floats, mode)
+    assert proportional_pairs(floats, mode) == proportional_pairs(gradients, EXACT)
+
+
 def catalog_entries():
     """(integral, n, mode) for every assembled entry of every family at n <= 3."""
     out = []
