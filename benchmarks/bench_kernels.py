@@ -14,9 +14,9 @@ test oracle, and checks that both give the same rank.  It also times
 building the exact relation systems of k0_4_pereira_pirio_affine and
 k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
 on packed monomial codes (`abelrank._expansion_rows`) against the build it
-replaced, Fraction `tpoly.taylor` offsets cleared by `linalg._integer_rows`
-with their powers taken by `TruncatedPoly.powers`, and checks that both give
-the same rows and scales.  For the ordinariness check it times, on the assembled
+replaced, Fraction `tpoly.taylor` offsets on the same codes cleared by
+`linalg._integer_rows` before their powers are taken, and checks that both
+give the same rows and scales.  For the ordinariness check it times, on the assembled
 k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of orders 1..4
 built as Fraction jet coefficients, one `jets.jet_coefficient` per entry,
 and ranked after clearing their rows, against the recurrence
@@ -48,7 +48,7 @@ from webrank.jets import (
 )
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
-from webrank.tpoly import TruncatedPoly, taylor
+from webrank.tpoly import MonomialCodes, taylor
 from webrank.web import (
     assemble,
     gradients_proportional,
@@ -69,22 +69,21 @@ def _time(fn, repeat: int) -> float:
 
 def _reference_rows(W, point, order: int):
     """The exact system as built before the integer Taylor kernel: Fraction
-    offsets cleared of denominators, powers taken on TruncatedPoly."""
+    offsets cleared of denominators, then their powers."""
     keys = _relation_keys(W.n, order)
-    position = {key: idx for idx, key in enumerate(keys)}
+    codes = MonomialCodes(W.n, order)
+    position = {codes.encode(key): idx for idx, key in enumerate(keys)}
     rows = []
     scales = []
     for entry in W.entries:
-        offset = taylor(entry.integral, point, order, EXACT).drop_constant()
-        (cleared,), (scale,) = linalg._integer_rows([list(offset.coeffs.values())])
-        offset = TruncatedPoly(
-            offset.n, offset.cap, dict(zip(offset.coeffs, cleared))
-        )
+        expansion = taylor(entry.integral, point, codes, EXACT)
+        offset = {code: v for code, v in expansion.items() if code}
+        (cleared,), (scale,) = linalg._integer_rows([list(offset.values())])
         scales.append(scale)
-        for power in offset.powers(order):
+        for power in codes.powers(dict(zip(offset, cleared)), order):
             row = [0] * len(keys)
-            for key, value in power.coeffs.items():
-                row[position[key]] = value
+            for code, value in power.items():
+                row[position[code]] = value
             rows.append(row)
     return rows, scales
 

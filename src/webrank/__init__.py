@@ -29,7 +29,7 @@ from .ordinary import (
 )
 from .report import VerificationReport
 from .scalars import EXACT, Mode
-from .tpoly import TruncatedPoly, taylor
+from .tpoly import taylor
 from .web import (
     AssembledWeb,
     BalancedSet,

@@ -16,11 +16,11 @@ go to their columns through a code-to-column map built once per
 integer numerators over one denominator L_i in lowest terms, so L_i is the
 lcm of the offset's coefficient denominators and row (i, m) is L_i^m times
 the rational row, which keeps every rank; relation_jets undoes the scaling
-on its kernel vectors.  In float mode the offset is the TruncatedPoly
-expansion (tpoly.taylor) re-keyed to codes, built at the precision it is
-ranked at (linalg.escalating_float_ranks).  rank_estimate builds the rows
-once at order m_start + 1 for each precision and slices the order-m_start
-system out of them; higher orders are built afresh.
+on its kernel vectors.  In float mode the offset is the mpf expansion
+tpoly.taylor on the same codes without its constant term, built at the
+precision it is ranked at (linalg.escalating_float_ranks).  rank_estimate
+builds the rows once at order m_start + 1 for each precision and slices the
+order-m_start system out of them; higher orders are built afresh.
 
 Columns are the multi-indices of degree 1..M, those with the most nonzero
 exponents first and by degree within one support size.  Row (i, m) is a
@@ -131,11 +131,8 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
             if mode.is_exact:
                 offset, scale = integer_offset(entry.integral, point, codes)
             else:
-                expansion = taylor(entry.integral, point, order, mode)
-                offset = {
-                    codes.encode(key): value
-                    for key, value in expansion.drop_constant().coeffs.items()
-                }
+                expansion = taylor(entry.integral, point, codes, mode)
+                offset = {code: v for code, v in expansion.items() if code}
                 scale = 1
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
@@ -252,7 +249,10 @@ def relation_jets(
 
     The nullspace is taken on the integer rows of _expansion_rows and each
     kernel vector is scaled back, component (i, m) times L_i^m, so the jets
-    are relations of the rational system.
+    are relations of the rational system.  No CLI job calls it: with
+    relation_residual and linalg.exact_nullspace it stays as the
+    kernel-vector audit, the lower bound on the relation count that a
+    certificate-carrying report would record.
     """
     mode = Mode.exact()
     rows_by_unknown, scales = _expansion_rows(W, point, order, mode)
@@ -280,20 +280,25 @@ def relation_jets(
     return jets
 
 
-def relation_residual(W: AssembledWeb, jet: RelationJet, mode: Mode = Mode.exact()):
-    """Taylor coefficients of sum_i g_i(u_i) for a relation jet.
+def relation_residual(
+    W: AssembledWeb, jet: RelationJet, mode: Mode = Mode.exact()
+) -> dict:
+    """Taylor coefficients of sum_i g_i(u_i) for a relation jet, as a
+    series on MonomialCodes(W.n, jet.order) without its constant term.
 
-    Degrees 1..order must all vanish; used to audit kernel vectors.
+    Degrees 1..order must all vanish, so a kernel vector of the relation
+    rows gives {}.  Like relation_jets it stays as the kernel-vector audit
+    for certificate-carrying reports.
     """
-    total = None
+    codes = MonomialCodes(W.n, jet.order)
+    total: dict = {}
     for entry in W.entries:
-        offset = taylor(
-            entry.integral, jet.base_point, jet.order, mode
-        ).drop_constant()
+        expansion = taylor(entry.integral, jet.base_point, codes, mode)
+        offset = {code: v for code, v in expansion.items() if code}
         series = [Fraction(0), *jet.coefficients[entry.label]]
-        term = offset.compose_series(series)
-        total = term if total is None else total.add(term)
-    return total.drop_constant()
+        for code, v in codes.compose(offset, series).items():
+            total[code] = total.get(code, 0) + v
+    return {code: v for code, v in total.items() if code and v}
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,7 @@ def _cmd_verify_family(args) -> int:
     _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
     n_check = E.k0 + 1
-    balanced = validate_balanced(E, n_check, sampler)
+    balanced = validate_balanced(E, n_check, sampler, args.precision)
     criterion = check_finite_criterion(E, sampler, args.precision)
     direct_dims = sorted(set([2, 3, E.k0, E.k0 + 1]))
     directs = [

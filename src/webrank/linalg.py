@@ -184,7 +184,9 @@ def escalating_float_ranks(build, mode: Mode):
 def exact_nullspace(rows: Sequence[Sequence], unknowns: int) -> list[list[Fraction]]:
     """Basis of the solution space of (rows) * x = 0 over the rationals.
 
-    Not performance-critical: plain reduced row echelon over Fractions.
+    Not performance-critical: plain reduced row echelon over Fractions.  No
+    CLI job calls it; with abelrank.relation_jets and relation_residual it
+    stays as the kernel-vector audit for certificate-carrying reports.
     """
     reduced = [[Fraction(v) for v in row] for row in rows]
     m = len(reduced)

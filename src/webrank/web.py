@@ -295,18 +295,19 @@ def sampled_gradients(W: AssembledWeb, sampler, mode: Mode):
 # validation
 
 def validate_balanced(
-    E: BalancedSet, n_check: int, sampler
+    E: BalancedSet, n_check: int, sampler, precision: int = DEFAULT_PRECISION
 ) -> VerificationReport:
     """Check the balanced-set definition and the web condition at one dimension.
 
     (a) each generating web carries monomial_count(k, k0-k) integrals;
     (b) every integral explicitly uses all of its k variables;
     (c) at a sampled generic point of n_check-space, the differentials of all
-        assembled entries are pairwise non-proportional.
+        assembled entries are pairwise non-proportional (in float mode at
+        `precision` bits).
     """
     checks: list[dict] = []
     verdicts: list[str] = []
-    mode = E.default_mode()
+    mode = E.default_mode(precision)
 
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from webrank import abelrank, linalg
 from webrank.abelrank import (
+    RelationJet,
     _expansion_rows,
     _leading_rows,
     _relation_keys,
@@ -29,7 +30,7 @@ from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT
-from webrank.tpoly import taylor
+from webrank.tpoly import MonomialCodes, taylor
 from webrank.web import assemble, balanced_set_from_json
 
 from helpers import (
@@ -171,7 +172,18 @@ def test_relation_jets_basis_and_residuals():
     assert len(jets) == 3
     for jet in jets:
         residual = relation_residual(W, jet)
-        assert residual.coeffs == {}
+        assert residual == {}
+
+
+def test_relation_residual_sees_a_perturbed_jet():
+    W = parallel_web()
+    jet = relation_jets(W, ORIGIN, 3)[0]
+    coefficients = dict(jet.coefficients)
+    label = W.entries[0].label
+    first, *rest = coefficients[label]
+    coefficients[label] = (first + 1, *rest)
+    residual = relation_residual(W, RelationJet(jet.base_point, 3, coefficients))
+    assert residual and all(value != 0 for value in residual.values())
 
 
 def test_relation_jets_contain_the_linear_relation():
@@ -193,7 +205,7 @@ def test_relation_jets_at_a_non_integer_point():
     jets = relation_jets(W, (Fraction(3, 7), Fraction(-5, 11)), 4)
     assert len(jets) == 3
     for jet in jets:
-        assert relation_residual(W, jet).coeffs == {}
+        assert relation_residual(W, jet) == {}
 
 
 # --------------------------------------------------------------------------
@@ -203,14 +215,16 @@ def fraction_rows(W, point, order):
     """Reference: the relation rows on Fractions, powers of the plain offsets,
     and the lcm of each offset's coefficient denominators."""
     keys = _relation_keys(W.n, order)
+    codes = MonomialCodes(W.n, order)
     rows = []
     lcms = []
     for entry in W.entries:
-        offset = taylor(entry.integral, point, order, EXACT).drop_constant()
-        values = offset.coeffs.values()
-        lcms.append(math.lcm(*(Fraction(v).denominator for v in values)))
-        for power in offset.powers(order):
-            rows.append([Fraction(power.coefficient(key)) for key in keys])
+        expansion = taylor(entry.integral, point, codes, EXACT)
+        offset = {code: v for code, v in expansion.items() if code}
+        lcms.append(math.lcm(*(v.denominator for v in offset.values())))
+        for power in codes.powers(offset, order):
+            by_key = {codes.decode(code): v for code, v in power.items()}
+            rows.append([Fraction(by_key.get(key, 0)) for key in keys])
     return rows, lcms
 
 

@@ -351,3 +351,22 @@ def test_float_dependent_gradients_are_not_ordinary(capsys, seed):
     assert blocks[3] == FALSE
     (direct,) = ordinary["direct"]
     assert {c["h"]: c["best_rank"] for c in direct["checks"]}[4] == 31
+
+
+def test_verify_family_precision_reaches_every_stage(capsys):
+    # the balanced-set check ran at the default 128 bits whatever --precision said
+    code, out, _ = run_cli(
+        capsys,
+        "verify-family",
+        "--family",
+        "k0_4_exp",
+        "--precision",
+        "256",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["precision_bits"] == 256
+    assert payload["balanced_valid"]["witnesses"]["mode"] == "float256"
+    assert payload["ordinary"]["condition_iv"]["witnesses"]["mode"] == "float256"

@@ -16,39 +16,47 @@ from webrank.expr import (
 )
 from webrank.jets import degree_multi_indices
 from webrank.scalars import EXACT, Mode
-from webrank.tpoly import MonomialCodes, TruncatedPoly, integer_taylor, taylor
+from webrank.tpoly import MonomialCodes, integer_taylor, taylor
 
 from helpers import cube_plus_self
 
 
-def repeated_diff_coefficient(tree, orders, point):
+def repeated_diff_coefficient(tree, orders, point, mode=EXACT):
     """Independent Taylor oracle: iterated symbolic derivatives over factorials."""
     current = tree
     for j, times in enumerate(orders, start=1):
         for _ in range(times):
             current = diff(current, j)
-    value = evaluate(current, point)
+    value = evaluate(current, point, mode)
     scale = math.prod(math.factorial(t) for t in orders)
     return value / scale
 
 
+def expand(tree, point, cap, mode=EXACT):
+    """taylor on MonomialCodes(len(point), cap), keyed by exponent tuples."""
+    codes = MonomialCodes(len(point), cap)
+    return {
+        codes.decode(code): value
+        for code, value in taylor(tree, point, codes, mode).items()
+    }
+
+
 def test_product_at_origin():
-    poly = taylor(parse("x1*x2", 2), (0, 0), 2)
-    assert poly.coeffs == {(1, 1): Fraction(1)}
+    assert expand(parse("x1*x2", 2), (0, 0), 2) == {(1, 1): Fraction(1)}
 
 
 def test_exp_series():
-    poly = taylor(parse("exp(x1)", 1), (0,), 2, Mode.floating(128))
-    assert set(poly.coeffs) == {(0,), (1,), (2,)}
-    assert abs(poly.coeffs[(2,)] - mpmath.mpf(0.5)) < mpmath.mpf(2) ** -100
+    poly = expand(parse("exp(x1)", 1), (0,), 2, Mode.floating(128))
+    assert set(poly) == {(0,), (1,), (2,)}
+    assert abs(poly[(2,)] - mpmath.mpf(0.5)) < mpmath.mpf(2) ** -100
 
 
 def test_geometric_series_against_diff_oracle():
     tree = parse("1/(1-x1)", 1)
-    poly = taylor(tree, (0,), 3)
-    assert poly.coeffs == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
+    poly = expand(tree, (0,), 3)
+    assert poly == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
     for order in range(4):
-        assert poly.coeffs[(order,)] == repeated_diff_coefficient(
+        assert poly[(order,)] == repeated_diff_coefficient(
             tree, (order,), (Fraction(0),)
         )
 
@@ -64,8 +72,7 @@ def test_geometric_series_against_diff_oracle():
 )
 def test_taylor_against_diff_oracle(text, arity, point):
     tree = parse(text, arity)
-    poly = taylor(tree, point, 3)
-    for key, value in poly.coeffs.items():
+    for key, value in expand(tree, point, 3).items():
         assert value == repeated_diff_coefficient(tree, key, point)
 
 
@@ -77,77 +84,78 @@ def test_taylor_against_diff_oracle(text, arity, point):
     ],
 )
 def test_truncation_consistency(text, arity, point):
+    # cap M restricted to degree <= M-1 equals cap M-1
     tree = parse(text, arity)
     for cap in range(1, 5):
-        full = taylor(tree, point, cap)
-        shorter = taylor(tree, point, cap - 1)
-        assert full.truncate(cap - 1).coeffs == shorter.coeffs
-
-
-def test_truncate_above_the_cap_raises():
-    poly = taylor(parse("x1^2", 1), (Fraction(1),), 2)
-    assert poly.truncate(2).coeffs == poly.coeffs
-    with pytest.raises(ValueError):
-        poly.truncate(4)
+        full = expand(tree, point, cap)
+        shorter = expand(tree, point, cap - 1)
+        assert {k: v for k, v in full.items() if sum(k) <= cap - 1} == shorter
 
 
 def test_taylor_pole_raises():
     with pytest.raises(EvalError):
-        taylor(parse("1/x1", 1), (0,), 3)
+        taylor(parse("1/x1", 1), (0,), MonomialCodes(1, 3))
 
 
 def test_taylor_exact_rejects_exp():
     with pytest.raises(EvalError):
-        taylor(parse("exp(x1)", 1), (0,), 3, EXACT)
+        taylor(parse("exp(x1)", 1), (0,), MonomialCodes(1, 3), EXACT)
 
 
 def test_log_series():
-    poly = taylor(parse("log(x1)", 1), (1,), 3, Mode.floating(128))
+    poly = expand(parse("log(x1)", 1), (1,), 3, Mode.floating(128))
     # log(1+t) = t - t^2/2 + t^3/3
     with mpmath.workprec(128):
-        assert abs(poly.coeffs[(1,)] - 1) < mpmath.mpf(2) ** -100
-        assert abs(poly.coeffs[(2,)] + mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -100
-        assert abs(poly.coeffs[(3,)] - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -100
+        assert abs(poly[(1,)] - 1) < mpmath.mpf(2) ** -100
+        assert abs(poly[(2,)] + mpmath.mpf(1) / 2) < mpmath.mpf(2) ** -100
+        assert abs(poly[(3,)] - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -100
 
 
 def test_log_requires_positive_argument():
     with pytest.raises(EvalError):
-        taylor(parse("log(x1)", 1), (Fraction(-1),), 2, Mode.floating(128))
+        taylor(
+            parse("log(x1)", 1), (Fraction(-1),), MonomialCodes(1, 2), Mode.floating(128)
+        )
 
 
 def test_negative_power_matches_quotient():
-    left = taylor(parse("x1^-2", 1), (Fraction(1, 2),), 4)
-    right = taylor(parse("1/(x1*x1)", 1), (Fraction(1, 2),), 4)
-    assert left.coeffs == right.coeffs
+    left = expand(parse("x1^-2", 1), (Fraction(1, 2),), 4)
+    right = expand(parse("1/(x1*x1)", 1), (Fraction(1, 2),), 4)
+    assert left == right
 
 
 def test_mul_matches_expression_product():
     a = parse("x1+2*x2", 2)
     b = parse("x1^2-x2", 2)
     point = (Fraction(1), Fraction(2))
-    combined = taylor(parse("(x1+2*x2)*(x1^2-x2)", 2), point, 3)
-    assert taylor(a, point, 3).mul(taylor(b, point, 3)).coeffs == combined.coeffs
+    codes = MonomialCodes(2, 3)
+    combined = taylor(parse("(x1+2*x2)*(x1^2-x2)", 2), point, codes)
+    assert codes.mul(taylor(a, point, codes), taylor(b, point, codes)) == combined
 
 
 def test_powers_match_iterated_mul():
-    poly = taylor(parse("x1+x2^2", 2), (0, 0), 4).drop_constant()
-    powers = poly.powers(3)
-    assert powers[0].coeffs == poly.coeffs
-    assert powers[1].coeffs == poly.mul(poly).coeffs
-    assert powers[2].coeffs == poly.mul(poly).mul(poly).coeffs
+    codes = MonomialCodes(2, 4)
+    expansion = taylor(parse("x1+x2^2", 2), (0, 0), codes)
+    poly = {c: v for c, v in expansion.items() if c}
+    powers = codes.powers(poly, 3)
+    assert powers[0] == poly
+    assert powers[1] == codes.mul(poly, poly)
+    assert powers[2] == codes.mul(codes.mul(poly, poly), poly)
 
 
 def test_compose_series_requires_zero_constant():
-    poly = taylor(parse("1+x1", 1), (Fraction(1),), 2)
+    codes = MonomialCodes(1, 2)
+    poly = taylor(parse("1+x1", 1), (Fraction(1),), codes)
     with pytest.raises(ValueError):
-        poly.compose_series([Fraction(0), Fraction(1)])
+        codes.compose(poly, [Fraction(0), Fraction(1)])
 
 
 def test_compose_series_reparametrization():
     # g(t) = t^3 + t applied to the offset of u reproduces taylor(u^3 + u)
     u = parse("x1*x2", 2)
     point = (Fraction(2), Fraction(3))
-    offset = taylor(u, point, 3).drop_constant()
+    codes = MonomialCodes(2, 3)
+    offset = {c: v for c, v in taylor(u, point, codes).items() if c}
     value = evaluate(u, point)
     series = [
         value**3 + value,
@@ -155,15 +163,15 @@ def test_compose_series_reparametrization():
         3 * value,
         Fraction(1),
     ]
-    composed = offset.compose_series(series)
-    direct = taylor(cube_plus_self(u), point, 3)
-    assert composed.coeffs == direct.coeffs
+    composed = codes.compose(offset, series)
+    assert composed == taylor(cube_plus_self(u), point, codes)
 
 
 def test_constant_poly():
-    poly = TruncatedPoly.constant(2, 3, Fraction(5))
-    assert poly.constant_term == 5
-    assert poly.drop_constant().coeffs == {}
+    # a constant's series is its constant term alone; zero is the empty series
+    codes = MonomialCodes(2, 3)
+    assert taylor(parse("5", 2), (1, 2), codes) == {0: Fraction(5)}
+    assert taylor(parse("x1-x1", 2), (1, 2), codes) == {}
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +210,7 @@ def assert_integer_taylor_matches(tree, point, cap):
     assert den > 0
     assert math.gcd(den, *terms.values()) == 1
     assert all(type(v) is int for v in terms.values())
-    assert decoded(codes, terms, den) == taylor(tree, point, cap).coeffs
+    assert decoded(codes, terms, den) == expand(tree, point, cap)
 
 
 CATALOG_POINT = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-2, 3))
@@ -226,12 +234,57 @@ def integral_id(value):
 @pytest.mark.parametrize("integral,k", exact_catalog_integrals(), ids=integral_id)
 def test_integer_taylor_matches_taylor_on_the_catalog(integral, k):
     point = CATALOG_POINT[:k]
-    reference = taylor(integral, point, 7)
     for cap in range(1, 8):
         codes = MonomialCodes(k, cap)
         terms, den = integer_taylor(integral, point, codes)
         assert math.gcd(den, *terms.values()) == 1
-        assert decoded(codes, terms, den) == reference.truncate(cap).coeffs
+        reference = taylor(integral, point, codes)
+        assert {code: Fraction(v, den) for code, v in terms.items()} == reference
+
+
+@pytest.mark.parametrize("bits", [32, 64, 128, 256])
+@pytest.mark.parametrize("integral,k", exact_catalog_integrals(), ids=integral_id)
+def test_float_taylor_is_the_exact_expansion_rounded(integral, k, bits):
+    # normwise: cancellation in the cross-ratio expansions leaves single
+    # small coefficients with relative errors up to about 2^-(bits-13)
+    point = CATALOG_POINT[:k]
+    for cap in range(1, 8):
+        codes = MonomialCodes(k, cap)
+        exact = taylor(integral, point, codes)
+        approx = taylor(integral, point, codes, Mode.floating(bits))
+        assert set(approx) == set(exact)
+        assert all(isinstance(v, mpmath.mpf) for v in approx.values())
+        tolerance = Fraction(1, 2 ** (bits - 8)) * max(map(abs, exact.values()))
+        for code, value in exact.items():
+            assert abs(as_fraction(approx[code]) - value) <= tolerance
+
+
+def as_fraction(x):
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+FLOAT_TREES = [
+    ("exp(x1) + exp(x2)", (Fraction(3, 7), Fraction(-5, 11))),
+    ("exp(x1) + exp(x2) + exp(x3)", (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4))),
+    ("log(x1*x2 + 1)", (Fraction(2, 3), Fraction(1, 5))),
+    ("exp(x1)*log(x2) - x1/x2", (Fraction(-1, 2), Fraction(7, 3))),
+    ("1/(1 + exp(x1 - x2))", (Fraction(1, 4), Fraction(-2, 9))),
+    ("exp(log(x1)^2)^-2", (Fraction(5, 3),)),
+]
+
+
+@pytest.mark.parametrize("text,point", FLOAT_TREES, ids=[t for t, _ in FLOAT_TREES])
+def test_float_exp_and_log_trees_against_diff_oracle(text, point):
+    mode = Mode.floating(128)
+    tree = parse(text, len(point))
+    poly = expand(tree, point, 4, mode)
+    with mpmath.workprec(128):
+        for key in keys_up_to(len(point), 4):
+            value = poly.get(key, 0)
+            expected = repeated_diff_coefficient(tree, key, point, mode)
+            tolerance = mpmath.mpf(2) ** -110 * max(1, abs(expected))
+            assert abs(value - expected) <= tolerance
 
 
 def test_inverse_at_a_negative_constant_keeps_its_sign():
