@@ -2,15 +2,20 @@
 """Benchmark the elimination kernels on the pipeline's largest systems.
 
 Builds the largest linear systems the verification pipeline actually
-produces and times the sparse exact rank kernel with the columns in degree
-order and in the support order the pipeline builds, on the order-6
-relation-jet system of k0_4_WB_sum in dimension 4 (210x209) and on those of
-k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 (420x461, the
-systems `verify-family --corroborate` spends its time on).  It times the
-float rank path (`linalg.float_rank`: conversion to sparse fixed-point
-integer rows and complete pivoting on their nonzeros) on the k0_4_exp
-system in dimension 4 next to the dense mpf kernel it replaced, kept as its
-test oracle, and checks that both give the same rank.  It also times
+produces, as the sparse {column: value} rows it ranks, and times the sparse
+exact rank kernel (`_purekernels.rank_int_rows`, which removes each row's
+content once before eliminating) against the kernel it replaced, which took
+the content of every updated row, and the new kernel with the columns in
+degree order instead of the support order the pipeline builds; it checks
+that all three give the same rank and pivot columns.  The systems are the
+order-6 relation-jet system of k0_4_WB_sum in dimension 4 (210x209) and
+those of k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 (420x461,
+the systems `verify-family --corroborate` spends its time on; the
+Pereira-Pirio one is the largest cost of the `exact_corroborate` workload).
+It times the float rank path (`linalg.float_rank`: conversion to sparse
+fixed-point integer rows and complete pivoting on their nonzeros) on the
+k0_4_exp system in dimension 4 next to the dense mpf kernel it replaced,
+kept as its test oracle, and checks that both give the same rank.  It also times
 building the exact relation systems of k0_4_pereira_pirio_affine and
 k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
 on packed monomial codes (`abelrank._expansion_rows`) against the build it
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import time
 
 import mpmath
@@ -69,7 +75,7 @@ def _time(fn, repeat: int) -> float:
 
 def _reference_rows(W, point, order: int):
     """The exact system as built before the integer Taylor kernel: Fraction
-    offsets cleared of denominators, then their powers."""
+    offsets cleared of denominators, then their powers, as sparse rows."""
     keys = _relation_keys(W.n, order)
     codes = MonomialCodes(W.n, order)
     position = {codes.encode(key): idx for idx, key in enumerate(keys)}
@@ -81,11 +87,56 @@ def _reference_rows(W, point, order: int):
         (cleared,), (scale,) = linalg._integer_rows([list(offset.values())])
         scales.append(scale)
         for power in codes.powers(dict(zip(offset, cleared)), order):
-            row = [0] * len(keys)
-            for code, value in power.items():
-                row[position[code]] = value
-            rows.append(row)
+            rows.append({position[code]: value for code, value in power.items()})
     return rows, scales
+
+
+def _rank_content_per_update(rows, ncols: int):
+    """The sparse exact rank kernel as it was before rank_int_rows removed
+    each row's content once: every updated row is divided by its content,
+    and every column takes a pivot choice."""
+    by_lead = {}
+    for row in rows:
+        sparse = {j: v for j, v in row.items() if v}
+        if sparse:
+            by_lead.setdefault(min(sparse), []).append(sparse)
+    gcd = math.gcd
+    pivots = []
+    for col in range(ncols):
+        if not by_lead:
+            break
+        here = by_lead.pop(col, None)
+        if here is None:
+            continue
+        pivots.append((len(pivots), col))
+        pivot = min(
+            here, key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col]))
+        )
+        p = pivot[col]
+        tail = [(j, b) for j, b in pivot.items() if j != col]
+        for row in here:
+            if row is pivot:
+                continue
+            f = row.pop(col)
+            g = gcd(p, f)
+            q = p // g
+            f //= g
+            if q < 0:
+                q, f = -q, -f
+            if q != 1:
+                row = {j: v * q for j, v in row.items()}
+            for j, b in tail:
+                v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: v // content for j, v in row.items()}
+                by_lead.setdefault(min(row), []).append(row)
+    return len(pivots), pivots
 
 
 def bench_build(name: str, repeat: int):
@@ -101,7 +152,8 @@ def bench_build(name: str, repeat: int):
         "integer": _time(lambda: _expansion_rows(W, point, order, EXACT), repeat),
     }
     label = f"exact system build, {name} (Taylor rows to int rows)"
-    info = f"{len(rows)}x{len(rows[0])}, n=5, order {order}, identical rows and scales"
+    ncols = len(_relation_keys(W.n, order))
+    info = f"{len(rows)}x{ncols}, n=5, order {order}, identical rows and scales"
     return label, info, results
 
 
@@ -111,24 +163,29 @@ def bench_exact(name: str, n: int, repeat: int):
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     order = 6
     ints, _ = _expansion_rows(W, point, order, EXACT)
-    shape = f"{len(ints)}x{len(ints[0])}"
     column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
-    by_degree = [
-        column[key]
-        for h in range(1, order + 1)
-        for key in degree_multi_indices(W.n, h)
+    ncols = len(column)
+    degree_keys = [
+        key for h in range(1, order + 1) for key in degree_multi_indices(W.n, h)
     ]
-    degree_rows = [[row[j] for j in by_degree] for row in ints]
+    to_degree = {column[key]: j for j, key in enumerate(degree_keys)}
+    degree_rows = [{to_degree[j]: v for j, v in row.items()} for row in ints]
     results = {
-        "degree": _time(lambda: _purekernels.rank_int_rows(degree_rows), repeat),
-        "support": _time(lambda: _purekernels.rank_int_rows(ints), repeat),
+        "per-step": _time(lambda: _rank_content_per_update(ints, ncols), repeat),
+        "once": _time(lambda: _purekernels.rank_int_rows(ints, ncols), repeat),
+        "degree": _time(
+            lambda: _purekernels.rank_int_rows(degree_rows, ncols), repeat
+        ),
     }
-    rank = _purekernels.rank_int_rows(ints)[0]
-    if _purekernels.rank_int_rows(degree_rows)[0] != rank:
+    rank, pivots = _purekernels.rank_int_rows(ints, ncols)
+    if _rank_content_per_update(ints, ncols) != (rank, pivots):
+        raise AssertionError("content once and per update differ in pivots")
+    if _purekernels.rank_int_rows(degree_rows, ncols)[0] != rank:
         raise AssertionError("degree and support column orders differ in rank")
     return (
-        f"exact rank (big-int, sparse fraction-free; column order), {name}",
-        f"{shape}, n={n}, rank {rank}",
+        "exact rank (big-int, sparse fraction-free; row content per step "
+        f"or once; once in degree column order), {name}",
+        f"{len(ints)}x{ncols}, n={n}, rank {rank}",
         results,
     )
 
@@ -141,19 +198,24 @@ def bench_float(repeat: int):
     with mpmath.workprec(mode.precision):
         rows, _ = _expansion_rows(W, point, 6, mode)
         tol = mpmath.mpf(2) ** (-(mode.precision // 2))
-    shape = f"{len(rows)}x{len(rows[0])}"
+    ncols = len(_relation_keys(W.n, 6))
+    shape = f"{len(rows)}x{ncols}"
 
     def oracle():
         with mpmath.workprec(mode.precision):
             return _purekernels.rank_float_rows(
-                [row[:] for row in rows], tol, linalg.FLOAT_GAP
+                [[row.get(j, 0) for j in range(ncols)] for row in rows],
+                tol,
+                linalg.FLOAT_GAP,
             )[0]
 
     results = {
         "mpf": _time(oracle, repeat),
-        "fixed": _time(lambda: linalg.float_rank(rows, mode.precision), repeat),
+        "fixed": _time(
+            lambda: linalg.float_rank(rows, ncols, mode.precision), repeat
+        ),
     }
-    rank = linalg.float_rank(rows, mode.precision)[0]
+    rank = linalg.float_rank(rows, ncols, mode.precision)[0]
     if oracle() != rank:
         raise AssertionError("fixed-point and mpf kernels disagree on the rank")
     label = "float rank (128-bit, complete pivoting; sparse fixed point vs mpf)"
@@ -177,13 +239,14 @@ def bench_jets(repeat: int):
                 [jet_coefficient(g, L) for g in gradients]
                 for L in degree_multi_indices(W.n, h)
             ]
-            ranks.append(linalg.exact_rank(linalg._integer_rows(rows)[0])[0])
+            cleared, _ = linalg._integer_rows(rows)
+            ranks.append(linalg.exact_rank(*linalg.sparse_rows(cleared))[0])
         return ranks
 
     def integer():
         cleared, _ = linalg._integer_rows(gradients)
         matrices = jet_matrix_from_gradients(W.n, k0, cleared)
-        return [linalg.exact_rank(rows)[0] for rows in matrices]
+        return [linalg.exact_rank(*linalg.sparse_rows(rows))[0] for rows in matrices]
 
     results = {"fraction": _time(fraction, repeat), "integer": _time(integer, repeat)}
     ranks = integer()

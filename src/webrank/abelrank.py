@@ -10,17 +10,24 @@ the web (reported as an order-M certificate, never as a proof).
 
 Both scalar modes build the system in one loop on packed monomial codes
 (tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is a series on the
-codes, its powers are taken by MonomialCodes.powers, and each power's terms
-go to their columns through a code-to-column map built once per
-(n, order).  In exact mode the offset comes from tpoly.integer_offset as
-integer numerators over one denominator L_i in lowest terms, so L_i is the
-lcm of the offset's coefficient denominators and row (i, m) is L_i^m times
-the rational row, which keeps every rank; relation_jets undoes the scaling
-on its kernel vectors.  In float mode the offset is the mpf expansion
+codes, its powers are taken by MonomialCodes.powers, and each power becomes
+a sparse row, the {column: value} dict of its nonzeros, through a
+code-to-column map built once per (n, order); the rows go to the rank
+kernels in that format (linalg.exact_rank, linalg.float_rank).  In exact
+mode the offset comes from tpoly.integer_offset as integer numerators over
+one denominator L_i in lowest terms, so L_i is the lcm of the offset's
+coefficient denominators and row (i, m) is L_i^m times the rational row,
+which keeps every rank; relation_jets undoes the scaling on its kernel
+vectors.  In float mode the offset is the mpf expansion
 tpoly.taylor on the same codes without its constant term, built at the
 precision it is ranked at (linalg.escalating_float_ranks).  rank_estimate
 builds the rows once at order m_start + 1 for each precision and slices the
-order-m_start system out of them; higher orders are built afresh.
+order-m_start system out of them through a column remap cached per
+(n, built order, order); higher orders are built afresh.  An exact row
+(i, m) is the m-th power of an integer offset, so it carries at least the
+m-th power of that offset's content (the gcd of its numerators); the exact
+kernel divides each row by its content before eliminating, and like the
+L_i^m that scaling keeps the rank and the pivot columns.
 
 Columns are the multi-indices of degree 1..M, those with the most nonzero
 exponents first and by degree within one support size.  Row (i, m) is a
@@ -112,7 +119,9 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     """Rows of the transposed jet system: one row per unknown (entry, power).
 
     The row for (i, m) holds the Taylor coefficients of (u_i - u_i(p))^m on
-    all multi-indices of degree 1..order; the kernel dimension of the
+    the multi-indices of degree 1..order, as a {column: value} dict of its
+    nonzeros (columns as in _relation_keys; there are
+    len(_relation_keys(n, order)) of them); the kernel dimension of the
     relation map is (#unknowns - rank of these rows).
 
     Returns (rows, scales).  In exact mode the offset u_i - u_i(p) comes from
@@ -138,11 +147,17 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
             raise EvalError(f"entry {entry.label}: {err}") from None
         scales.append(scale)
         for power in codes.powers(offset, order):
-            row = [0] * len(column)
-            for code, value in power.items():
-                row[column[code]] = value
-            rows.append(row)
+            rows.append({column[code]: value for code, value in power.items()})
     return rows, scales
+
+
+@lru_cache(maxsize=64)
+def _leading_columns(n: int, built: int, order: int) -> dict[int, int]:
+    """Map from each column of degree <= order of the order-`built` system
+    to its column in the order-`order` system."""
+    keys = _relation_keys(n, built)
+    kept = [j for j, key in enumerate(keys) if sum(key) <= order]
+    return {j: k for k, j in enumerate(kept)}
 
 
 def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
@@ -155,10 +170,9 @@ def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     <= order gives the same matrix (in exact mode up to the row scales, which
     cannot change the rank).
     """
-    keys = _relation_keys(W.n, built)
-    kept = [j for j, key in enumerate(keys) if sum(key) <= order]
+    remap = _leading_columns(W.n, built, order)
     return [
-        [rows[i * built + m][j] for j in kept]
+        {remap[j]: v for j, v in rows[i * built + m].items() if j in remap}
         for i in range(W.size)
         for m in range(order)
     ]
@@ -171,11 +185,12 @@ def _kernel_dim(W: AssembledWeb, order: int, mode: Mode, system):
     `mode`.
     """
     unknowns = W.size * order
+    ncols = len(_relation_columns(W.n, order)[0])
     if mode.is_exact:
-        rank, _ = linalg.exact_rank(system(order, mode))
+        rank, _ = linalg.exact_rank(system(order, mode), ncols)
         return unknowns - rank, mode
     outcome = linalg.escalating_float_ranks(
-        lambda current: [system(order, current)], mode
+        lambda current: [(system(order, current), ncols)], mode
     )
     if outcome is None:
         raise EstimateInconclusive(
@@ -258,9 +273,10 @@ def relation_jets(
     rows_by_unknown, scales = _expansion_rows(W, point, order, mode)
     keys = _relation_keys(W.n, order)
     unknowns = W.size * order
-    equations = [
-        [rows_by_unknown[u][e] for u in range(unknowns)] for e in range(len(keys))
-    ]
+    equations = [[0] * unknowns for _ in keys]
+    for u, row in enumerate(rows_by_unknown):
+        for e, value in row.items():
+            equations[e][u] = value
     basis = linalg.exact_nullspace(equations, unknowns)
     jets = []
     for vector in basis:

@@ -5,10 +5,16 @@ fraction-free big-int elimination for exact rank, Bareiss for the exact
 determinant, and sparse complete-pivoting elimination on fixed-point
 integers for float rank.
 
+Both rank front ends take sparse rows, one {column: value} dict of
+nonzeros per row, plus the column count.  The relation rows
+(abelrank._expansion_rows) are built in that format; the dense jet matrices
+and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
 cleared gradients are built; a rational matrix is cleared first with
-_integer_rows, since row scaling keeps the rank.  Float matrices are built
-and ranked at one precision, set in escalating_float_ranks.
+_integer_rows, since row scaling keeps the rank (the exact kernel also
+divides each row by its content before it eliminates, for the same reason).
+Float matrices are built and ranked at one precision, set in
+escalating_float_ranks.
 """
 
 from __future__ import annotations
@@ -52,10 +58,19 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]
     return cleared, scales
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, int]]]:
-    """Exact rank of an int matrix and its pivot positions; the rows are
-    left unchanged."""
-    return _purekernels.rank_int_rows(rows)
+def sparse_rows(rows: Sequence[Sequence]) -> tuple[list[dict], int]:
+    """A dense matrix as the rank front ends take it: ([{column: value} of
+    each row's nonzeros, ...], number of columns)."""
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return sparse, len(rows[0]) if rows else 0
+
+
+def exact_rank(
+    rows: Sequence[dict[int, int]], ncols: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """Exact rank of a sparse int matrix and its pivot positions; the rows
+    are left unchanged."""
+    return _purekernels.rank_int_rows(rows, ncols)
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
@@ -73,8 +88,8 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
     return out
 
 
-def _fixed_point_rows(rows: Sequence[Sequence], precision: int):
-    """Float matrix as sparse integer rows times one power of two:
+def _fixed_point_rows(rows: Sequence[dict], precision: int):
+    """Sparse float matrix as sparse integer rows times one power of two:
     ([{column: int}, ...], exponent).
 
     Entries are first rounded to `precision` bits, then all are scaled by
@@ -92,7 +107,7 @@ def _fixed_point_rows(rows: Sequence[Sequence], precision: int):
     with mpmath.workprec(precision):
         for row in rows:
             part = []
-            for j, v in enumerate(row):
+            for j, v in row.items():
                 if type(v) is mpf:
                     t = v._mpf_
                     if t[3] > precision:
@@ -125,20 +140,20 @@ def _fixed_point_rows(rows: Sequence[Sequence], precision: int):
 
 
 def float_rank(
-    rows: Sequence[Sequence], precision: int
+    rows: Sequence[dict], ncols: int, precision: int
 ) -> tuple[int, dict]:
-    """Numerical rank at the given mantissa precision.
+    """Numerical rank of a sparse float matrix at the given mantissa precision.
 
     The pivot threshold is 2^(-precision/2) times the largest pivot; the
     certificate records pivot magnitudes, the gap ratio used, and whether any
     decision was marginal (within 2^4 of the threshold on either side).
-    The dense rows are converted to sparse fixed-point rows and eliminated
-    on their nonzeros only (see _purekernels.rank_fixed_rows for the pivot
+    The rows are converted to sparse fixed-point rows and eliminated on
+    their nonzeros only (see _purekernels.rank_fixed_rows for the pivot
     order and the error model).
     """
     fixed, unit = _fixed_point_rows(rows, precision)
     rank, pivot_mags, max_discarded, marginal = _purekernels.rank_fixed_rows(
-        fixed, len(rows[0]) if rows else 0, precision // 2, FLOAT_GAP
+        fixed, ncols, precision // 2, FLOAT_GAP
     )
 
     def magnitude(value: int) -> str:
@@ -159,6 +174,9 @@ def float_rank(
 def escalating_float_ranks(build, mode: Mode):
     """Float ranks of the matrices build(mode) yields, escalating on marginals.
 
+    Each matrix is a (sparse rows, number of columns) pair, as float_rank
+    takes it.
+
     build runs under mode.workprec(), so every product that fills a matrix
     is rounded at the precision the matrix is ranked at.  At the first
     matrix with a marginal pivot decision the precision is doubled
@@ -169,8 +187,8 @@ def escalating_float_ranks(build, mode: Mode):
     while True:
         results = []
         with mode.workprec():
-            for rows in build(mode):
-                rank, info = float_rank(rows, mode.precision)
+            for rows, ncols in build(mode):
+                rank, info = float_rank(rows, ncols, mode.precision)
                 if info["marginal"]:
                     break
                 results.append((rank, info))

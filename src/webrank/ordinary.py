@@ -121,7 +121,8 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
                 outcome = det != 0, {"point": coords, "det": str(det)}
             else:
                 ranks = linalg.escalating_float_ranks(
-                    lambda m: [square_block(web, k0, point, m)], mode
+                    lambda m: [linalg.sparse_rows(square_block(web, k0, point, m))],
+                    mode,
                 )
                 if ranks is None:
                     continue
@@ -151,11 +152,15 @@ def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     if mode.is_exact:
         cleared, _ = linalg._integer_rows(web_gradients(W, point, mode))
         matrices = jet_matrix_from_gradients(W.n, k0, cleared)
-        ranks = {h: linalg.exact_rank(rows)[0] for h, rows in enumerate(matrices, 1)}
+        ranks = {
+            h: linalg.exact_rank(*linalg.sparse_rows(rows))[0]
+            for h, rows in enumerate(matrices, 1)
+        }
         return ranks, mode
     outcome = linalg.escalating_float_ranks(
-        lambda current: jet_matrix_from_gradients(
-            W.n, k0, web_gradients(W, point, current)
+        lambda current: map(
+            linalg.sparse_rows,
+            jet_matrix_from_gradients(W.n, k0, web_gradients(W, point, current)),
         ),
         mode,
     )

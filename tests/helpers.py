@@ -40,7 +40,12 @@ def rational_jet_matrix(W: AssembledWeb, h: int, point) -> list[list[Fraction]]:
 def rational_rank(rows) -> int:
     """Exact rank of a rational matrix, its rows cleared of denominators."""
     cleared, _ = linalg._integer_rows(rows)
-    return linalg.exact_rank(cleared)[0]
+    return linalg.exact_rank(*linalg.sparse_rows(cleared))[0]
+
+
+def dense_rows(rows: list[dict], ncols: int) -> list[list]:
+    """Sparse {column: value} rows as dense lists of ncols entries."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):

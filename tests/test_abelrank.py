@@ -34,6 +34,7 @@ from webrank.tpoly import MonomialCodes, taylor
 from webrank.web import assemble, balanced_set_from_json
 
 from helpers import (
+    dense_rows,
     inflate_first_rank_estimate,
     rational_rank,
     reparametrize_entry,
@@ -234,8 +235,10 @@ def assert_scaled_fraction_rows(W, point, order):
     rows, scales = _expansion_rows(W, point, order, EXACT)
     reference, lcms = fraction_rows(W, point, order)
     assert scales == lcms
-    assert all(type(v) is int for row in rows for v in row)
-    for u, (row, ref) in enumerate(zip(rows, reference)):
+    ncols = len(_relation_keys(W.n, order))
+    assert all(0 <= j < ncols for row in rows for j in row)
+    assert all(type(v) is int for row in rows for v in row.values())
+    for u, (row, ref) in enumerate(zip(dense_rows(rows, ncols), reference)):
         factor = scales[u // order] ** (u % order + 1)
         assert row == [v * factor for v in ref]
     return rows, reference
@@ -260,7 +263,8 @@ def sampled_relation_systems(draw):
 def test_integer_rows_are_scaled_fraction_rows(system):
     W, point, order = system
     rows, reference = assert_scaled_fraction_rows(W, point, order)
-    assert linalg.exact_rank(rows)[0] == rational_rank(reference)
+    ncols = len(_relation_keys(W.n, order))
+    assert linalg.exact_rank(rows, ncols)[0] == rational_rank(reference)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -282,9 +286,11 @@ def test_order_6_relation_systems_at_n5_have_rank_420_less_maximal_rank(name):
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     rows, _ = _expansion_rows(W, point, E.k0 + 2, EXACT)
-    assert (len(rows), len(rows[0])) == (420, 461)
+    ncols = len(_relation_keys(5, E.k0 + 2))
+    assert (len(rows), ncols) == (420, 461)
+    assert all(0 <= j < ncols for row in rows for j in row)
     assert calibrated_max_rank(5, E.k0) == 155
-    assert linalg.exact_rank(rows)[0] == 420 - 155 == 265
+    assert linalg.exact_rank(rows, ncols)[0] == 420 - 155 == 265
 
 
 def test_expansion_pole_names_the_entry():
@@ -301,15 +307,17 @@ def test_sliced_rows_equal_a_fresh_build(system, extra):
     rows, built_scales = _expansion_rows(W, point, built, EXACT)
     fresh, fresh_scales = _expansion_rows(W, point, order, EXACT)
     sliced = _leading_rows(rows, W, built, order)
+    ncols = len(_relation_keys(W.n, order))
 
     def rational(rows, scales):
         return [
             [Fraction(v, scales[u // order] ** (u % order + 1)) for v in row]
-            for u, row in enumerate(rows)
+            for u, row in enumerate(dense_rows(rows, ncols))
         ]
 
     # denominators can grow with degree, so the lcm of a longer expansion may
     # be larger: compare entries with each build's row scale undone
+    assert all(0 <= j < ncols for row in sliced for j in row)
     assert rational(sliced, built_scales) == rational(fresh, fresh_scales)
     if built_scales == fresh_scales:
         assert sliced == fresh
@@ -345,8 +353,12 @@ def test_support_order_keeps_the_rank(system):
     rows, _ = _expansion_rows(W, point, order, EXACT)
     column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
     by_degree = [column[key] for key in degree_ordered_keys(W.n, order)]
-    degree_rows = [[row[j] for j in by_degree] for row in rows]
-    assert linalg.exact_rank(degree_rows)[0] == linalg.exact_rank(rows)[0]
+    dense = dense_rows(rows, len(column))
+    degree_rows = [[row[j] for j in by_degree] for row in dense]
+    assert (
+        linalg.exact_rank(*linalg.sparse_rows(degree_rows))[0]
+        == linalg.exact_rank(rows, len(column))[0]
+    )
 
 
 # --------------------------------------------------------------------------

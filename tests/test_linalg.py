@@ -36,15 +36,17 @@ def naive_rank(rows):
     return len(columns), columns
 
 
+def rank_int(rows):
+    """rank_int_rows of a dense int matrix."""
+    return _purekernels.rank_int_rows(*linalg.sparse_rows(rows))
+
+
 def test_rank_int_examples():
-    assert _purekernels.rank_int_rows([[1, -1], [1, 1]]) == (2, [(0, 0), (1, 1)])
-    assert _purekernels.rank_int_rows([[0, 0], [0, 0]]) == (0, [])
-    assert _purekernels.rank_int_rows([[1, 2], [2, 4], [3, 6]]) == (1, [(0, 0)])
-    assert _purekernels.rank_int_rows([[0, 2, 4], [0, 3, 6], [0, 0, 5]]) == (
-        2,
-        [(0, 1), (1, 2)],
-    )
-    assert _purekernels.rank_int_rows([]) == (0, [])
+    assert rank_int([[1, -1], [1, 1]]) == (2, [(0, 0), (1, 1)])
+    assert rank_int([[0, 0], [0, 0]]) == (0, [])
+    assert rank_int([[1, 2], [2, 4], [3, 6]]) == (1, [(0, 0)])
+    assert rank_int([[0, 2, 4], [0, 3, 6], [0, 0, 5]]) == (2, [(0, 1), (1, 2)])
+    assert rank_int([]) == (0, [])
 
 
 def test_det_int_examples():
@@ -76,7 +78,10 @@ def test_exact_rank_matches_naive_oracle(rows):
     # row scaling keeps the rank and the pivot columns
     rank, columns = naive_rank(rows)
     cleared, _ = linalg._integer_rows(rows)
-    assert linalg.exact_rank(cleared) == (rank, list(enumerate(columns)))
+    assert linalg.exact_rank(*linalg.sparse_rows(cleared)) == (
+        rank,
+        list(enumerate(columns)),
+    )
 
 
 @st.composite
@@ -121,8 +126,89 @@ def sparse_low_rank_int_matrices(draw):
 def test_rank_int_rows_matches_fraction_oracle_and_pivot_columns(rows):
     before = [row[:] for row in rows]
     rank, columns = naive_rank(rows)
-    assert _purekernels.rank_int_rows(rows) == (rank, list(enumerate(columns)))
+    sparse, ncols = linalg.sparse_rows(rows)
+    sparse_before = [dict(row) for row in sparse]
+    assert _purekernels.rank_int_rows(sparse, ncols) == (
+        rank,
+        list(enumerate(columns)),
+    )
     assert rows == before
+    assert sparse == sparse_before
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def row_contents(draw, count):
+    """count signed products of powers of small primes, up to about 2^560."""
+    return [
+        draw(st.sampled_from([1, -1]))
+        * math.prod(
+            p ** draw(st.integers(min_value=0, max_value=50)) for p in SMALL_PRIMES
+        )
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sparse_low_rank_int_matrices().flatmap(
+        lambda rows: st.tuples(st.just(rows), row_contents(len(rows)))
+    )
+)
+@example(([[6, 4], [9, 6]], [2**40 * 3**20, -(5**30)]))
+def test_rank_int_rows_ignores_large_row_contents(case):
+    # the kernel removes each row's content before it eliminates: rows with
+    # large contents, like the powers of one offset in the relation rows,
+    # give the rank and pivot columns of the unscaled rows and of the oracle
+    rows, contents = case
+    scaled = [[c * v for v in row] for c, row in zip(contents, rows)]
+    rank, columns = naive_rank(rows)
+    expected = (rank, list(enumerate(columns)))
+    assert naive_rank(scaled) == (rank, columns)
+    assert _purekernels.rank_int_rows(*linalg.sparse_rows(scaled)) == expected
+    assert _purekernels.rank_int_rows(*linalg.sparse_rows(rows)) == expected
+
+
+def shuffled_dicts(draw, rows):
+    """rows as {column: value} dicts in a drawn key order, some with
+    explicit zeros."""
+    out = []
+    for row in rows:
+        items = [(j, v) for j, v in enumerate(row) if v or draw(st.booleans())]
+        out.append(dict(draw(st.permutations(items))))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_low_rank_int_matrices(), st.data())
+def test_exact_rank_of_dicts_in_any_key_order_matches_dense(rows, data):
+    sparse = shuffled_dicts(data.draw, rows)
+    before = [dict(row) for row in sparse]
+    ncols = len(rows[0])
+    assert linalg.exact_rank(sparse, ncols) == linalg.exact_rank(
+        *linalg.sparse_rows(rows)
+    )
+    assert [list(row.items()) for row in sparse] == [
+        list(row.items()) for row in before
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_float_rank_of_dicts_in_any_key_order_matches_dense(data):
+    precision = data.draw(precisions)
+    rows = to_mpf_rows(data.draw(low_rank_products()), precision)
+    sparse = shuffled_dicts(data.draw, rows)
+    before = [dict(row) for row in sparse]
+    ncols = len(rows[0])
+    assert linalg.float_rank(sparse, ncols, precision) == linalg.float_rank(
+        *linalg.sparse_rows(rows), precision
+    )
+    assert [list(row.items()) for row in sparse] == [
+        list(row.items()) for row in before
+    ]
 
 
 square_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -159,18 +245,18 @@ def test_exact_det_matches_cofactor_expansion(rows):
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_float_rank_agrees_with_exact_on_rationals(rows):
-    exact = linalg.exact_rank(linalg._integer_rows(rows)[0])[0]
+    exact = linalg.exact_rank(*linalg.sparse_rows(linalg._integer_rows(rows)[0]))[0]
     with mpmath.workprec(128):
         floats = [
             [mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows
         ]
-    rank, info = linalg.float_rank(floats, 128)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(floats), 128)
     assert rank == exact
     assert not info["marginal"]
 
 
 def test_float_rank_zero_matrix():
-    rank, info = linalg.float_rank([[mpmath.mpf(0)] * 3] * 2, 128)
+    rank, info = linalg.float_rank(*linalg.sparse_rows([[mpmath.mpf(0)] * 3] * 2), 128)
     assert rank == 0
     assert not info["marginal"]
 
@@ -179,7 +265,7 @@ def test_float_rank_flags_marginal_pivot():
     with mpmath.workprec(128):
         tiny = mpmath.mpf(2) ** -62  # between the threshold 2^-64 and 16*threshold
         rows = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(0), tiny]]
-    rank, info = linalg.float_rank(rows, 128)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), 128)
     assert info["marginal"]
 
 
@@ -189,7 +275,7 @@ def test_escalating_float_ranks_rebuilds_all_matrices_at_double_precision():
 
     def build(mode):
         built.append(mode.precision)
-        return [[[1, 0], [0, 1]], [[1, 0], [0, tiny]]]
+        return map(linalg.sparse_rows, [[[1, 0], [0, 1]], [[1, 0], [0, tiny]]])
 
     ranks, used = linalg.escalating_float_ranks(build, Mode.floating(128))
     assert built == [128, 256]
@@ -253,7 +339,7 @@ def to_mpf_rows(rows, precision):
 @given(low_rank_products(), precisions)
 def test_fixed_point_rank_matches_mpf_oracle_on_low_rank_products(rows, precision):
     floats = to_mpf_rows(rows, precision)
-    rank, info = linalg.float_rank(floats, precision)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(floats), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(floats, precision)
 
 
@@ -261,7 +347,7 @@ def test_fixed_point_rank_matches_mpf_oracle_on_low_rank_products(rows, precisio
 @given(precisions.flatmap(lambda p: st.tuples(near_threshold_diagonals(p), st.just(p))))
 def test_fixed_point_rank_matches_mpf_oracle_near_threshold(case):
     rows, precision = case
-    rank, info = linalg.float_rank(rows, precision)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(rows, precision)
 
 
@@ -273,7 +359,7 @@ def test_fixed_point_rank_matches_mpf_oracle_near_threshold(case):
 )
 def test_fixed_point_rank_matches_mpf_oracle_on_zero_matrices(m, n, precision):
     rows = to_mpf_rows([[0] * n for _ in range(m)], precision)
-    rank, info = linalg.float_rank(rows, precision)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(rows, precision) == (0, False)
 
 
@@ -289,7 +375,7 @@ def test_fixed_point_rank_matches_mpf_oracle_on_zero_matrices(m, n, precision):
 def test_fixed_point_rank_matches_mpf_oracle_on_single_rows(row, precision):
     with mpmath.workprec(precision):
         rows = [[mpmath.mpf(v.numerator) / v.denominator for v in row]]
-    rank, info = linalg.float_rank(rows, precision)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(rows, precision)
     assert rank == (1 if any(row) else 0)
 
@@ -297,7 +383,7 @@ def test_fixed_point_rank_matches_mpf_oracle_on_single_rows(row, precision):
 def test_float_rank_certificate_is_in_input_units():
     with mpmath.workprec(128):
         rows = [[mpmath.mpf(3) / 8, mpmath.mpf(0)], [mpmath.mpf(0), mpmath.mpf(-5)]]
-    rank, info = linalg.float_rank(rows, 128)
+    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), 128)
     assert rank == 2
     assert info["certificate"]["pivot_magnitudes"] == ["5.0", "0.375"]
     assert info["certificate"]["largest_discarded"] is None
@@ -305,7 +391,7 @@ def test_float_rank_certificate_is_in_input_units():
 
 def test_float_rank_rejects_non_finite_entries():
     with pytest.raises(ValueError):
-        linalg.float_rank([[mpmath.mpf(1), mpmath.inf]], 128)
+        linalg.float_rank(*linalg.sparse_rows([[mpmath.mpf(1), mpmath.inf]]), 128)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +422,7 @@ def tie_heavy_int_matrices(draw):
 
 
 def sparse_rows(rows):
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return linalg.sparse_rows(rows)[0]
 
 
 @settings(max_examples=400, deadline=None)
@@ -390,7 +476,7 @@ def mpf_matrices_with_underflow(draw, precision):
 )
 def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
     rows, precision = case
-    fixed, unit = linalg._fixed_point_rows(rows, precision)
+    fixed, unit = linalg._fixed_point_rows(sparse_rows(rows), precision)
     with mpmath.workprec(precision):
         dense = [[int(mpmath.ldexp(mpmath.mpf(v), -unit)) for v in row] for row in rows]
     assert fixed == sparse_rows(dense)
@@ -404,7 +490,10 @@ def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
 def test_fixed_point_rows_drop_entries_below_the_unit():
     with mpmath.workprec(128):
         rows = [[mpmath.mpf(1), mpmath.ldexp(1, -300)], [mpmath.mpf(0), mpmath.mpf(-1)]]
-    assert linalg._fixed_point_rows(rows, 128) == ([{0: 2**191}, {1: -(2**191)}], -191)
+    assert linalg._fixed_point_rows(sparse_rows(rows), 128) == (
+        [{0: 2**191}, {1: -(2**191)}],
+        -191,
+    )
 
 
 def test_exact_nullspace_known_kernel():
@@ -421,7 +510,8 @@ def test_exact_nullspace_known_kernel():
 def test_exact_nullspace_dimension_and_membership(rows):
     n = len(rows[0])
     basis = linalg.exact_nullspace(rows, n)
-    assert len(basis) == n - linalg.exact_rank(linalg._integer_rows(rows)[0])[0]
+    cleared, _ = linalg._integer_rows(rows)
+    assert len(basis) == n - linalg.exact_rank(*linalg.sparse_rows(cleared))[0]
     for vector in basis:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vector)) == 0
@@ -500,5 +590,8 @@ def test_exact_rank_of_int_rows_matches_naive_oracle(rows, as_tuples):
         rows = [tuple(row) for row in rows]
     before = [list(row) for row in rows]
     rank, columns = naive_rank(rows)
-    assert linalg.exact_rank(rows) == (rank, list(enumerate(columns)))
+    sparse, ncols = linalg.sparse_rows(rows)
+    sparse_before = [dict(row) for row in sparse]
+    assert linalg.exact_rank(sparse, ncols) == (rank, list(enumerate(columns)))
     assert [list(row) for row in rows] == before
+    assert sparse == sparse_before
