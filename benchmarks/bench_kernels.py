@@ -6,16 +6,24 @@ produces, as the sparse {column: value} rows it ranks, and times the sparse
 exact rank kernel (`_purekernels.rank_int_rows`, which removes each row's
 content once before eliminating) against the kernel it replaced, which took
 the content of every updated row, and the new kernel with the columns in
-degree order instead of the support order the pipeline builds; it checks
-that all three give the same rank and pivot columns.  The systems are the
+degree order instead of the support order (within two degree blocks) the
+pipeline builds; it checks that all three give the same rank and pivot
+columns.  The systems are the
 order-6 relation-jet system of k0_4_WB_sum in dimension 4 (210x209) and
 those of k0_4_pereira_pirio_affine and k0_4_WB_sum in dimension 5 (420x461,
 the systems `verify-family --corroborate` spends its time on; the
 Pereira-Pirio one is the largest cost of the `exact_corroborate` workload).
+On those two n=5 systems it times the kernel dimensions of the pipeline's
+first two truncation orders, 5 and 6, from two eliminations (the order-5
+rows sliced out of the order-6 rows, then the order-6 rows) against one
+(`abelrank._first_two_dims`: the order-6 elimination, its pivots inside
+the degree <= 5 columns counting the order-5 rank), and checks that both
+give the same dims.
 It times the float rank path (`linalg.float_rank`: conversion to sparse
 fixed-point integer rows and complete pivoting on their nonzeros) on the
 k0_4_exp system in dimension 4 next to the dense mpf kernel it replaced,
-kept as its test oracle, and checks that both give the same rank.  It also times
+kept as its test oracle, and checks that both give the same rank and
+marginal flag.  It also times
 building the exact relation systems of k0_4_pereira_pirio_affine and
 k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
 on packed monomial codes (`abelrank._expansion_rows`) against the build it
@@ -45,7 +53,13 @@ import time
 import mpmath
 
 from webrank import _purekernels, linalg
-from webrank.abelrank import _expansion_rows, _relation_keys, generic_point_for_web
+from webrank.abelrank import (
+    _expansion_rows,
+    _first_two_dims,
+    _leading_rows,
+    _relation_keys,
+    generic_point_for_web,
+)
 from webrank.catalog import get_family
 from webrank.jets import (
     degree_multi_indices,
@@ -190,6 +204,40 @@ def bench_exact(name: str, n: int, repeat: int):
     )
 
 
+def bench_first_two_orders(name: str, repeat: int):
+    E, _ = get_family(name)
+    W = assemble(E, 5)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    m_start = E.k0 + 1
+    top = m_start + 1
+    rows, _ = _expansion_rows(W, point, top, EXACT)
+    systems = {
+        m_start: _leading_rows(rows, W, top, m_start),
+        top: rows,
+    }
+
+    def separate():
+        return {
+            order: W.size * order
+            - linalg.exact_rank(system, len(_relation_keys(W.n, order)))[0]
+            for order, system in systems.items()
+        }
+
+    results = {
+        "separate": _time(separate, repeat),
+        "merged": _time(lambda: _first_two_dims(W, rows, m_start), repeat),
+    }
+    dims = separate()
+    if _first_two_dims(W, rows, m_start) != dims:
+        raise AssertionError(f"{name}: one and two eliminations differ in dims")
+    return (
+        f"exact rank of orders {m_start} and {top} (two eliminations or one), "
+        f"{name}",
+        f"n=5, {len(systems[m_start])} and {len(rows)} rows, dims {dims}",
+        results,
+    )
+
+
 def bench_float(repeat: int):
     E, _ = get_family("k0_4_exp")
     mode = E.default_mode()
@@ -203,11 +251,12 @@ def bench_float(repeat: int):
 
     def oracle():
         with mpmath.workprec(mode.precision):
-            return _purekernels.rank_float_rows(
+            rank, _, _, marginal = _purekernels.rank_float_rows(
                 [[row.get(j, 0) for j in range(ncols)] for row in rows],
                 tol,
                 linalg.FLOAT_GAP,
-            )[0]
+            )
+        return rank, marginal
 
     results = {
         "mpf": _time(oracle, repeat),
@@ -215,9 +264,11 @@ def bench_float(repeat: int):
             lambda: linalg.float_rank(rows, ncols, mode.precision), repeat
         ),
     }
-    rank = linalg.float_rank(rows, ncols, mode.precision)[0]
-    if oracle() != rank:
-        raise AssertionError("fixed-point and mpf kernels disagree on the rank")
+    rank, info = linalg.float_rank(rows, ncols, mode.precision)
+    if oracle() != (rank, info["marginal"]):
+        raise AssertionError(
+            "fixed-point and mpf kernels disagree on the rank or the marginal flag"
+        )
     label = "float rank (128-bit, complete pivoting; sparse fixed point vs mpf)"
     return label, f"{shape}, rank {rank}", results
 
@@ -289,6 +340,8 @@ def main() -> None:
         functools.partial(bench_exact, "k0_4_WB_sum", 4),
         functools.partial(bench_exact, "k0_4_pereira_pirio_affine", 5),
         functools.partial(bench_exact, "k0_4_WB_sum", 5),
+        functools.partial(bench_first_two_orders, "k0_4_pereira_pirio_affine"),
+        functools.partial(bench_first_two_orders, "k0_4_WB_sum"),
         bench_float,
         bench_jets,
         bench_proportional,

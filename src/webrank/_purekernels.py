@@ -47,7 +47,9 @@ def rank_int_rows(
     Returns (rank, pivot positions) as [(0, c0), (1, c1), ...].  The pivot
     columns c0 < c1 < ... are the columns not in the span of the columns
     before them, so they depend only on the matrix, not on the choice of
-    pivot rows or on the row scales.
+    pivot rows or on the row scales, and the pivots among the first k
+    columns count the rank of those k columns (abelrank._first_two_dims
+    reads two truncation orders off one elimination this way).
     """
     gcd = math.gcd
     by_lead: dict[int, list[dict[int, int]]] = {}

@@ -20,25 +20,35 @@ coefficient denominators and row (i, m) is L_i^m times the rational row,
 which keeps every rank; relation_jets undoes the scaling on its kernel
 vectors.  In float mode the offset is the mpf expansion
 tpoly.taylor on the same codes without its constant term, built at the
-precision it is ranked at (linalg.escalating_float_ranks).  rank_estimate
-builds the rows once at order m_start + 1 for each precision and slices the
-order-m_start system out of them through a column remap cached per
-(n, built order, order); higher orders are built afresh.  An exact row
+precision it is ranked at (linalg.escalating_float_ranks).  An exact row
 (i, m) is the m-th power of an integer offset, so it carries at least the
 m-th power of that offset's content (the gcd of its numerators); the exact
 kernel divides each row by its content before eliminating, and like the
 L_i^m that scaling keeps the rank and the pivot columns.
 
-Columns are the multi-indices of degree 1..M, those with the most nonzero
-exponents first and by degree within one support size.  Row (i, m) is a
-power of entry i's offset, so its nonzeros lie on monomials in the
-variables of that entry (WebEntry.source): the rows of entries on few
-variables vanish on the leading, wide-support columns, the system is close
-to block-triangular in this order, and fraction-free elimination clears it
-top-down with far less fill-in than in degree order.  A permutation of the
-columns cannot change a rank; float mode shares the order, and its complete
-pivoting picks the same pivots in any column order except at exact ties of
-magnitude.
+Columns are the multi-indices of degree 1..M in two blocks, those of degree
+< M first and those of degree M last; within each block the keys with the
+most nonzero exponents come first, by degree within one support size.  Row
+(i, m) is a power of entry i's offset, so its nonzeros lie on monomials in
+the variables of that entry (WebEntry.source): the rows of entries on few
+variables vanish on the leading, wide-support columns of a block, the
+system is close to block-triangular in this order, and fraction-free
+elimination clears it top-down with far less fill-in than in degree order.
+
+The degree-M block last is what lets rank_estimate rank its first two
+orders, M = m_start and M + 1 = top, with one exact elimination of the
+order-top rows.  A row (i, top) is an offset to the power top, so it is
+zero on the degree < top prefix; the rows (i, m <= M) restricted to the
+prefix are the order-M system with its columns permuted; and the pivot
+columns of linalg.exact_rank are the columns not in the span of the columns
+before them, so the pivots inside the prefix count the rank of the order-M
+system.  Orders above top are built afresh.  Float mode ranks each order
+with its own complete-pivoting elimination: it builds the order-top rows
+once per precision and slices the order-M system out of them through a
+column remap by key, cached per (n, built order, order), so the slice is
+the matrix a fresh build gives.  A permutation of the columns cannot change
+a rank, and complete pivoting picks the same pivots in any column order
+except at exact ties of magnitude.
 """
 
 from __future__ import annotations
@@ -97,8 +107,9 @@ class RankEstimate:
 
 
 def _relation_keys(n: int, order: int) -> list[tuple[int, ...]]:
-    """Column keys of the relation system: multi-indices of degree 1..order,
-    largest support first, by degree within one support size."""
+    """Column keys of the relation system: multi-indices of degree < order,
+    then those of degree order, each block largest support first and by
+    degree within one support size."""
     return list(_relation_columns(n, order)[0])
 
 
@@ -109,7 +120,7 @@ def _relation_columns(n: int, order: int):
     keys: list[tuple[int, ...]] = []
     for h in range(1, order + 1):
         keys.extend(degree_multi_indices(n, h))
-    keys.sort(key=lambda key: -sum(1 for e in key if e))
+    keys.sort(key=lambda key: (sum(key) == order, -sum(1 for e in key if e)))
     codes = MonomialCodes(n, order)
     column = {codes.encode(key): j for j, key in enumerate(keys)}
     return tuple(keys), codes, column
@@ -154,21 +165,24 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
 @lru_cache(maxsize=64)
 def _leading_columns(n: int, built: int, order: int) -> dict[int, int]:
     """Map from each column of degree <= order of the order-`built` system
-    to its column in the order-`order` system."""
-    keys = _relation_keys(n, built)
-    kept = [j for j, key in enumerate(keys) if sum(key) <= order]
-    return {j: k for k, j in enumerate(kept)}
+    to the column of the same key in the order-`order` system."""
+    column = {key: k for k, key in enumerate(_relation_keys(n, order))}
+    return {
+        j: column[key]
+        for j, key in enumerate(_relation_keys(n, built))
+        if sum(key) <= order
+    }
 
 
 def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     """The order-`order` system inside rows built at order `built` >= order.
 
     A power truncated at `built` and then restricted to degrees <= order
-    equals the power truncated at `order`, and the keys of degree <= order
-    keep their relative order (the sort in _relation_keys is stable), so
-    keeping each entry's first `order` power rows and the columns of degree
-    <= order gives the same matrix (in exact mode up to the row scales, which
-    cannot change the rank).
+    equals the power truncated at `order`, so keeping each entry's first
+    `order` power rows and moving each column of degree <= order to its
+    key's column in the order-`order` system gives the matrix a fresh build
+    gives (in exact mode up to the row scales, which cannot change the
+    rank).
     """
     remap = _leading_columns(W.n, built, order)
     return [
@@ -176,6 +190,20 @@ def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
         for i in range(W.size)
         for m in range(order)
     ]
+
+
+def _first_two_dims(W: AssembledWeb, rows: list, m_start: int) -> dict[int, int]:
+    """Exact kernel dimensions at orders m_start and m_start + 1 from one
+    elimination of the order-(m_start + 1) rows.
+
+    The order-m_start rank is the number of pivot columns inside the prefix
+    of columns of degree <= m_start (see the module docstring).
+    """
+    top = m_start + 1
+    rank, pivots = linalg.exact_rank(rows, len(_relation_columns(W.n, top)[0]))
+    prefix = len(_relation_columns(W.n, m_start)[0])
+    low = sum(1 for _, col in pivots if col < prefix)
+    return {m_start: W.size * m_start - low, top: W.size * top - rank}
 
 
 def _kernel_dim(W: AssembledWeb, order: int, mode: Mode, system):
@@ -210,13 +238,22 @@ def rank_estimate(
     the cap is reached without stabilization the estimate is inconclusive
     (value None) and the dims trace is still returned for audit.
     Stabilizing takes two orders, so m_cap must exceed m_start.
+
+    In exact mode the dims at m_start and top = m_start + 1 both come from
+    one elimination of the order-top rows (_first_two_dims).  In float mode
+    each order has its own elimination; the order-top rows are built once
+    per precision and the order-m_start rows sliced out of them
+    (_leading_rows).  Higher orders are built afresh in both modes.
     """
     if m_start < 1 or m_cap <= m_start:
         raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")
-    # The rows of the second order, built once per precision: the first
-    # order is sliced out of them.
     top = m_start + 1
-    tops = {}
+    known = {}  # exact mode: (dim, mode used) at the first two orders
+    if mode.is_exact:
+        rows, _ = _expansion_rows(W, point, top, mode)
+        for order, dim in _first_two_dims(W, rows, m_start).items():
+            known[order] = dim, mode
+    tops = {}  # float mode: the order-top rows per precision
 
     def system(order: int, current: Mode):
         if order == m_start:
@@ -232,7 +269,7 @@ def rank_estimate(
     method = mode.label()
     for order in range(m_start, m_cap + 1):
         try:
-            dim, used = _kernel_dim(W, order, mode, system)
+            dim, used = known.get(order) or _kernel_dim(W, order, mode, system)
         except EstimateInconclusive as err:
             return RankEstimate(
                 dims=dims,

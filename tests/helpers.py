@@ -6,7 +6,9 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from webrank import abelrank, linalg
+import mpmath
+
+from webrank import _purekernels, abelrank, linalg
 from webrank.expr import (
     Expr,
     has_transcendental,
@@ -46,6 +48,18 @@ def rational_rank(rows) -> int:
 def dense_rows(rows: list[dict], ncols: int) -> list[list]:
     """Sparse {column: value} rows as dense lists of ncols entries."""
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def oracle_float_rank(rows, precision):
+    """Rank and marginal flag from the mpf kernel, the reference for float_rank;
+    rows are dense."""
+    with mpmath.workprec(precision):
+        copies = [[mpmath.mpf(v) for v in row] for row in rows]
+        tol_ratio = mpmath.mpf(2) ** (-(precision // 2))
+        rank, _, _, marginal = _purekernels.rank_float_rows(
+            copies, tol_ratio, linalg.FLOAT_GAP
+        )
+    return rank, marginal
 
 
 def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):

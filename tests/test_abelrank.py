@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from webrank import abelrank, linalg
 from webrank.abelrank import (
     RelationJet,
     _expansion_rows,
+    _leading_columns,
     _leading_rows,
     _relation_keys,
     check_rank,
@@ -29,13 +32,14 @@ from webrank.expr import EvalError, parse
 from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
-from webrank.scalars import EXACT
+from webrank.scalars import EXACT, Mode
 from webrank.tpoly import MonomialCodes, taylor
 from webrank.web import assemble, balanced_set_from_json
 
 from helpers import (
     dense_rows,
     inflate_first_rank_estimate,
+    oracle_float_rank,
     rational_rank,
     reparametrize_entry,
     single_integral_web,
@@ -324,7 +328,7 @@ def test_sliced_rows_equal_a_fresh_build(system, extra):
 
 
 # --------------------------------------------------------------------------
-# column order: largest support first
+# column order: degree < order first, each degree block largest support first
 
 def degree_ordered_keys(n, order):
     return [key for h in range(1, order + 1) for key in degree_multi_indices(n, h)]
@@ -335,15 +339,23 @@ def test_relation_keys_are_degree_keys_by_descending_support():
         for order in range(1, 7):
             keys = _relation_keys(n, order)
             assert sorted(keys) == sorted(degree_ordered_keys(n, order))
-            sizes = [sum(1 for e in key if e) for key in keys]
-            assert sizes == sorted(sizes, reverse=True)
+            top = [key for key in keys if sum(key) == order]
+            assert keys[len(keys) - len(top) :] == top
+            for block in (keys[: len(keys) - len(top)], top):
+                sizes = [sum(1 for e in key if e) for key in block]
+                assert sizes == sorted(sizes, reverse=True)
 
 
 def test_lower_order_keys_keep_their_order():
     for n in range(1, 6):
         for order in range(1, 6):
-            kept = [key for key in _relation_keys(n, order + 1) if sum(key) <= order]
-            assert kept == _relation_keys(n, order)
+            keys = _relation_keys(n, order)
+            for built in (order, order + 1, order + 2):
+                remap = _leading_columns(n, built, order)
+                built_keys = _relation_keys(n, built)
+                assert sorted(remap.values()) == list(range(len(keys)))
+                for j, k in remap.items():
+                    assert built_keys[j] == keys[k]
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,6 +371,101 @@ def test_support_order_keeps_the_rank(system):
         linalg.exact_rank(*linalg.sparse_rows(degree_rows))[0]
         == linalg.exact_rank(rows, len(column))[0]
     )
+
+
+# --------------------------------------------------------------------------
+# the first two orders from one exact elimination
+
+def separate_dims(W, point, orders):
+    """Oracle: the kernel dimension at each order from its own fresh build
+    and its own elimination."""
+    dims = {}
+    for order in orders:
+        rows, _ = _expansion_rows(W, point, order, EXACT)
+        rank, _ = linalg.exact_rank(rows, len(_relation_keys(W.n, order)))
+        dims[order] = W.size * order - rank
+    return dims
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_relation_systems(), st.integers(min_value=0, max_value=2))
+def test_one_elimination_gives_the_first_two_dims(system, lower):
+    W, point, order = system
+    m_start = order - lower
+    estimate = rank_estimate(W, point, m_start, m_start + 1, EXACT)
+    assert estimate.dims == separate_dims(W, point, (m_start, m_start + 1))
+
+
+EXACT_FAMILIES = [
+    name for name in family_names() if get_family(name)[0].default_mode().is_exact
+]
+
+
+@pytest.mark.parametrize("name", EXACT_FAMILIES)
+def test_one_elimination_gives_the_first_two_dims_per_family(name):
+    # at order 1 and at the pipeline's start order k0 + 1, at every n that
+    # verify-family ranks
+    E, _ = get_family(name)
+    for n in range(2, E.k0 + 2):
+        W = assemble(E, n)
+        point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+        for m_start in (1, E.k0 + 1):
+            estimate = rank_estimate(W, point, m_start, m_start + 1, EXACT)
+            assert estimate.dims == separate_dims(W, point, (m_start, m_start + 1))
+
+
+NON_HEXAGONAL = (
+    Path(__file__).resolve().parent.parent / "benchmarks" / "nonhexagonal_k0_2.json"
+)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_one_elimination_on_the_non_hexagonal_web(seed):
+    # the fixture of `rank --input benchmarks/nonhexagonal_k0_2.json --n 2`,
+    # with the dims of every order it ranks
+    E = balanced_set_from_json(json.loads(NON_HEXAGONAL.read_text()))
+    W = assemble(E, 2)
+    point = generic_point_for_web(W, GenericPointSampler(seed=seed), EXACT)
+    estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, EXACT)
+    assert estimate.value == 0
+    assert estimate.dims == separate_dims(W, point, estimate.dims)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_one_elimination_without_stabilization(seed):
+    # `rank --family k0_3_quadrics --n 3 --m-start 1 --m-cap 2`
+    W = assemble(quadrics(), 3)
+    check = check_rank(W, GenericPointSampler(seed=seed), 1, 2, EXACT, 11)
+    assert check.verdict == INCONCLUSIVE
+    estimate = check.estimate
+    assert estimate.value is None
+    assert estimate.note == "no stabilization up to order 2"
+    assert estimate.dims == separate_dims(W, check.point, (1, 2))
+
+
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
+    # the k0_4_exp systems verify-family ranks at its first two orders, in
+    # the relation column order (at 32 bits the n = 3 order-6 system is
+    # marginal); the order-5 rows it ranks are sliced out of the order-6 ones.
+    # The n = 4 systems (175x125 and 210x209) take the dense mpf oracle
+    # about 9 s per precision, so they are left out here;
+    # benchmarks/bench_kernels.py checks the 210x209 one at 128 bits
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, n)
+    mode = Mode.floating(precision)
+    top = E.k0 + 2
+    with mode.workprec():
+        point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+        top_rows, _ = _expansion_rows(W, point, top, mode)
+        fresh, _ = _expansion_rows(W, point, top - 1, mode)
+        assert _leading_rows(top_rows, W, top, top - 1) == fresh
+        for rows, order in ((fresh, top - 1), (top_rows, top)):
+            ncols = len(_relation_keys(n, order))
+            rank, info = linalg.float_rank(rows, ncols, precision)
+            expected = oracle_float_rank(dense_rows(rows, ncols), precision)
+            assert (rank, info["marginal"]) == expected
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rank_fixed_rows
+from helpers import dense_rank_fixed_rows, oracle_float_rank
 from webrank import _purekernels, linalg
 from webrank.scalars import Mode
 
@@ -281,17 +281,6 @@ def test_escalating_float_ranks_rebuilds_all_matrices_at_double_precision():
     assert built == [128, 256]
     assert used == Mode.floating(256)
     assert [rank for rank, _ in ranks] == [2, 2]
-
-
-def oracle_float_rank(rows, precision):
-    """Rank and marginal flag from the mpf kernel, the reference for float_rank."""
-    with mpmath.workprec(precision):
-        copies = [[mpmath.mpf(v) for v in row] for row in rows]
-        tol_ratio = mpmath.mpf(2) ** (-(precision // 2))
-        rank, _, _, marginal = _purekernels.rank_float_rows(
-            copies, tol_ratio, linalg.FLOAT_GAP
-        )
-    return rank, marginal
 
 
 precisions = st.sampled_from([32, 64, 128, 256])
