@@ -2,6 +2,7 @@
 """Write the JSON reports of a fixed matrix of `webrank` jobs, one file each.
 
     python3 benchmarks/report_matrix.py OUTDIR
+    python3 benchmarks/report_matrix.py --digests FILE
 
 Runs 90 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
 importing `webrank` from the `src/` directory of the checkout this script
@@ -32,21 +33,35 @@ two checkouts give the same results exactly when
 
 prints nothing.  To check another checkout, copy this script into its
 `benchmarks/` directory and run it from there.
+
+With `--digests FILE` it writes, instead of the reports, one SHA-256 per
+job over that same file text, together with the Python and mpmath versions
+the jobs ran under (float strings depend on mpmath's arithmetic).  The
+committed `benchmarks/report_matrix_digests.json` is checked by
+`tests/test_report_matrix.py`; a change that moves reports on purpose
+regenerates it with this command and names every changed job.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from webrank import catalog, cli  # noqa: E402
+
+DIGESTS = ROOT / "benchmarks" / "report_matrix_digests.json"
 
 NON_HEXAGONAL = "benchmarks/nonhexagonal_k0_2.json"
 DEPENDENT_GRADIENTS = "benchmarks/dependent_gradients_k0_4.json"
@@ -108,23 +123,49 @@ def file_name(argv: list[str]) -> str:
     return "_".join(arg.lstrip("-").replace("/", "_") for arg in argv) + ".txt"
 
 
+def report_text(job: list[str]) -> str:
+    """`exit <code>` and the job's standard output, as its file holds them;
+    fixture paths resolve against the working directory."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main([*job, "--format", "json"])
+    return f"exit {code}\n{buffer.getvalue()}"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def versions() -> dict[str, str]:
+    """The interpreter and mpmath versions the reports depend on."""
+    return {"python": platform.python_version(), "mpmath": mpmath.__version__}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
+    digests = args[:1] == ["--digests"]
+    if len(args) != 1 + digests:
         print(__doc__, file=sys.stderr)
         return 64
-    outdir = Path(args[0]).resolve()
-    outdir.mkdir(parents=True, exist_ok=True)
+    target = Path(args[-1]).resolve()
+    if not digests:
+        target.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)
+    recorded = {}
     for job in jobs():
-        buffer = io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main([*job, "--format", "json"])
+        text = report_text(job)
         elapsed = time.perf_counter() - start
         name = file_name(job)
-        (outdir / name).write_text(f"exit {code}\n{buffer.getvalue()}")
-        print(f"{elapsed:7.2f} s  exit {code}  {name}")
+        status = text.partition("\n")[0]
+        if digests:
+            recorded[name] = digest(text)
+        else:
+            (target / name).write_text(text)
+        print(f"{elapsed:7.2f} s  {status}  {name}")
+    if digests:
+        payload = {**versions(), "jobs": recorded}
+        target.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
 
 
