@@ -26,16 +26,17 @@ kept as its test oracle, and checks that both give the same rank and
 marginal flag.  It also times
 building the exact relation systems of k0_4_pereira_pirio_affine and
 k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
-on packed monomial codes (`abelrank._expansion_rows`) against the build it
-replaced, Fraction `tpoly.taylor` offsets on the same codes cleared by
-`linalg._integer_rows` before their powers are taken, and checks that both
-give the same rows and scales.  For the ordinariness check it times, on the assembled
-k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices of orders 1..4
-built as Fraction jet coefficients, one `jets.jet_coefficient` per entry,
-and ranked after clearing their rows, against the recurrence
-(`jets.jet_matrix_from_gradients`) on gradients cleared of their
-denominators, and the proportionality screen of the
-70 gradients as all-pairs 2x2 minors against grouping
+on packed monomial codes, each generating integral expanded at its projected
+point (`abelrank._expansion_rows`), against the build it replaced, Fraction
+`tpoly.taylor` offsets of the pulled-back entries at the full point cleared
+by `linalg._integer_rows` before their powers are taken, and checks that
+both give the same rows and scales.  For the ordinariness check it times, on
+the assembled k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices
+of orders 1..4 built as Fraction jet coefficients of the rational
+gradients, one `jets.jet_coefficient` per entry, and ranked after clearing
+their rows, against the recurrence (`jets.jet_matrix_from_gradients`) on
+the int gradients of `web.web_gradients`, and the proportionality screen of
+the 70 int gradients as all-pairs 2x2 minors against grouping
 (`web.proportional_pairs`).
 
 Run after `pip install -e .`:
@@ -49,6 +50,7 @@ import argparse
 import functools
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 
@@ -68,7 +70,7 @@ from webrank.jets import (
 )
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
-from webrank.tpoly import MonomialCodes, taylor
+from webrank.tpoly import MonomialCodes, series_gradient, taylor
 from webrank.web import (
     assemble,
     gradients_proportional,
@@ -277,17 +279,21 @@ def _jet_web():
     E, _ = get_family("k0_4_WB_sum")
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-    return W, E.k0, web_gradients(W, point, EXACT)
+    return W, E.k0, point, web_gradients(W, point, EXACT)
 
 
 def bench_jets(repeat: int):
-    W, k0, gradients = _jet_web()
+    W, k0, point, gradients = _jet_web()
+    rational = []
+    for entry in W.entries:
+        values, den = series_gradient(entry.integral, point, EXACT)
+        rational.append([Fraction(v, den) for v in values])
 
     def fraction():
         ranks = []
         for h in range(1, k0 + 1):
             rows = [
-                [jet_coefficient(g, L) for g in gradients]
+                [jet_coefficient(g, L) for g in rational]
                 for L in degree_multi_indices(W.n, h)
             ]
             cleared, _ = linalg._integer_rows(rows)
@@ -295,8 +301,7 @@ def bench_jets(repeat: int):
         return ranks
 
     def integer():
-        cleared, _ = linalg._integer_rows(gradients)
-        matrices = jet_matrix_from_gradients(W.n, k0, cleared)
+        matrices = jet_matrix_from_gradients(W.n, k0, gradients)
         return [linalg.exact_rank(*linalg.sparse_rows(rows))[0] for rows in matrices]
 
     results = {"fraction": _time(fraction, repeat), "integer": _time(integer, repeat)}
@@ -308,7 +313,7 @@ def bench_jets(repeat: int):
 
 
 def bench_proportional(repeat: int):
-    W, _, gradients = _jet_web()
+    W, _, _, gradients = _jet_web()
 
     def minors():
         return [

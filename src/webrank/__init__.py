@@ -19,7 +19,7 @@ from .combin import (
     monomial_count,
     verify_counting_identities,
 )
-from .expr import Expr, diff, evaluate, parse, to_text, vars_used
+from .expr import Expr, diff, evaluate, parse, to_text
 from .jets import jet_matrix_from_gradients, square_block
 from .ordinary import (
     GenericPointSampler,
@@ -29,7 +29,7 @@ from .ordinary import (
 )
 from .report import VerificationReport
 from .scalars import EXACT, Mode
-from .tpoly import taylor
+from .tpoly import taylor, vars_used
 from .web import (
     AssembledWeb,
     BalancedSet,

@@ -9,18 +9,20 @@ map, and the kernel dimension as a function of M stabilizes at the rank of
 the web (reported as an order-M certificate, never as a proof).
 
 Both scalar modes build the system in one loop on packed monomial codes
-(tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is a series on the
-codes, its powers are taken by MonomialCodes.powers, and each power becomes
-a sparse row, the {column: value} dict of its nonzeros, through a
-code-to-column map built once per (n, order); the rows go to the rank
-kernels in that format (linalg.exact_rank, linalg.float_rank).  In exact
+(tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is its generating
+integral's series at the projected point, on the codes of its k
+variables, its powers are taken by MonomialCodes.powers, and each power
+becomes a sparse row, the {column: value} dict of its nonzeros, through a
+k-variable code-to-column map built once per (n, order, source); the rows
+go to the rank kernels in that format (linalg.exact_rank,
+linalg.float_rank).  In exact
 mode the offset comes from tpoly.integer_offset as integer numerators over
 one denominator L_i in lowest terms, so L_i is the lcm of the offset's
 coefficient denominators and row (i, m) is L_i^m times the rational row,
 which keeps every rank; relation_jets undoes the scaling on its kernel
-vectors.  In float mode the offset is the mpf expansion
-tpoly.taylor on the same codes without its constant term, built at the
-precision it is ranked at (linalg.escalating_float_ranks).  An exact row
+vectors.  In float mode the offset is the mpf expansion tpoly.taylor
+without its constant term, built at the precision it is ranked at
+(linalg.escalating_float_ranks).  An exact row
 (i, m) is the m-th power of an integer offset, so it carries at least the
 m-th power of that offset's content (the gcd of its numerators); the exact
 kernel divides each row by its content before eliminating, and like the
@@ -59,7 +61,7 @@ from functools import lru_cache
 
 from . import linalg
 from .combin import calibrated_max_rank, exact_support_dims, support_dims
-from .expr import EvalError, evaluate
+from .expr import EvalError
 from .jets import degree_multi_indices
 from .report import (
     INCONCLUSIVE,
@@ -110,20 +112,32 @@ def _relation_keys(n: int, order: int) -> list[tuple[int, ...]]:
     """Column keys of the relation system: multi-indices of degree < order,
     then those of degree order, each block largest support first and by
     degree within one support size."""
-    return list(_relation_columns(n, order)[0])
+    return list(_relation_columns(n, order))
 
 
 @lru_cache(maxsize=64)
-def _relation_columns(n: int, order: int):
-    """(keys, codes, column): the column keys, the monomial packing truncated
-    at `order` and the map from a key's code to its column."""
+def _relation_columns(n: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """The column keys of _relation_keys, cached."""
     keys: list[tuple[int, ...]] = []
     for h in range(1, order + 1):
         keys.extend(degree_multi_indices(n, h))
     keys.sort(key=lambda key: (sum(key) == order, -sum(1 for e in key if e)))
-    codes = MonomialCodes(n, order)
-    column = {codes.encode(key): j for j, key in enumerate(keys)}
-    return tuple(keys), codes, column
+    return tuple(keys)
+
+
+@lru_cache(maxsize=512)
+def _source_columns(n: int, order: int, source: tuple[int, ...]):
+    """(codes, column) for an entry on the coordinates `source`: the packing
+    of the monomials of degree <= order in its len(source) variables, and
+    the map from each such code to the column of the key that puts its
+    exponents at the source positions."""
+    codes = MonomialCodes(len(source), order)
+    column = {}
+    for j, key in enumerate(_relation_columns(n, order)):
+        exponents = [key[s - 1] for s in source]
+        if sum(exponents) == sum(key):
+            column[codes.encode(exponents)] = j
+    return codes, column
 
 
 def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
@@ -143,15 +157,16 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     once component (i, m) is multiplied by L_i^m (see relation_jets).
     scales lists L_i per entry; in float mode every L_i is 1.
     """
-    _, codes, column = _relation_columns(W.n, order)
     rows = []
     scales = []
     for entry in W.entries:
+        codes, column = _source_columns(W.n, order, entry.source)
+        at = [point[s - 1] for s in entry.source]
         try:
             if mode.is_exact:
-                offset, scale = integer_offset(entry.integral, point, codes)
+                offset, scale = integer_offset(entry.generator, at, codes)
             else:
-                expansion = taylor(entry.integral, point, codes, mode)
+                expansion = taylor(entry.generator, at, codes, mode)
                 offset = {code: v for code, v in expansion.items() if code}
                 scale = 1
         except EvalError as err:
@@ -200,8 +215,8 @@ def _first_two_dims(W: AssembledWeb, rows: list, m_start: int) -> dict[int, int]
     of columns of degree <= m_start (see the module docstring).
     """
     top = m_start + 1
-    rank, pivots = linalg.exact_rank(rows, len(_relation_columns(W.n, top)[0]))
-    prefix = len(_relation_columns(W.n, m_start)[0])
+    rank, pivots = linalg.exact_rank(rows, len(_relation_columns(W.n, top)))
+    prefix = len(_relation_columns(W.n, m_start))
     low = sum(1 for _, col in pivots if col < prefix)
     return {m_start: W.size * m_start - low, top: W.size * top - rank}
 
@@ -213,7 +228,7 @@ def _kernel_dim(W: AssembledWeb, order: int, mode: Mode, system):
     `mode`.
     """
     unknowns = W.size * order
-    ncols = len(_relation_columns(W.n, order)[0])
+    ncols = len(_relation_columns(W.n, order))
     if mode.is_exact:
         rank, _ = linalg.exact_rank(system(order, mode), ncols)
         return unknowns - rank, mode
@@ -341,7 +356,8 @@ def relation_residual(
 
     Degrees 1..order must all vanish, so a kernel vector of the relation
     rows gives {}.  Like relation_jets it stays as the kernel-vector audit
-    for certificate-carrying reports.
+    for certificate-carrying reports, expanding each WebEntry.integral at
+    the full point, apart from the generator expansions of the rows.
     """
     codes = MonomialCodes(W.n, jet.order)
     total: dict = {}
@@ -358,14 +374,10 @@ def relation_residual(
 # the finite verification pipeline
 
 def generic_point_for_web(W: AssembledWeb, sampler, mode: Mode):
-    """A sampled point where all entries evaluate and differentials are
-    pairwise non-proportional; None when sampling is exhausted."""
+    """A sampled point where all entries are defined (sampled_gradients
+    skips the others) and differentials are pairwise non-proportional;
+    None when sampling is exhausted."""
     for point, gradients in sampled_gradients(W, sampler, mode):
-        try:
-            for entry in W.entries:
-                evaluate(entry.integral, point, mode)
-        except EvalError:
-            continue
         if not proportional_pairs(gradients, mode):
             return point
     return None

@@ -10,18 +10,23 @@ The text grammar (parse/to_text) is a stable interface: variables x1..xN,
 integer and decimal literals, + - * / ^ with the usual precedence
 (^ binds tighter than unary minus, which binds tighter than * and /),
 ^ right-associative with integer-literal exponents, exp(...) and log(...).
+
+The pipeline never differentiates or evaluates a tree here: values,
+gradients and relation rows all come from its Taylor expansion
+(webrank.tpoly).  Symbolic differentiation (diff) and direct evaluation
+(evaluate) stay as the independent oracles the tests hold that expansion
+to.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
 
-from .scalars import EXACT, Mode, scalar_is_zero
+from .scalars import EXACT, Mode, to_mpf
 
 
 class ExprError(Exception):
@@ -205,23 +210,28 @@ def log_of(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # structural queries
 
+def variables(e: Expr) -> set[int]:
+    """Indices of the variables syntactically present in the tree."""
+    if isinstance(e, Variable):
+        return {e.index}
+    if isinstance(e, RationalConst):
+        return set()
+    if isinstance(e, Sum):
+        return set().union(*map(variables, e.terms))
+    if isinstance(e, Product):
+        return set().union(*map(variables, e.factors))
+    if isinstance(e, Quotient):
+        return variables(e.numerator) | variables(e.denominator)
+    if isinstance(e, (Neg, Exp, Log)):
+        return variables(e.child)
+    if isinstance(e, IntPower):
+        return variables(e.base)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def max_var_index(e: Expr) -> int:
     """Largest variable index syntactically present (0 for constant trees)."""
-    if isinstance(e, Variable):
-        return e.index
-    if isinstance(e, RationalConst):
-        return 0
-    if isinstance(e, Sum):
-        return max(max_var_index(t) for t in e.terms)
-    if isinstance(e, Product):
-        return max(max_var_index(f) for f in e.factors)
-    if isinstance(e, Quotient):
-        return max(max_var_index(e.numerator), max_var_index(e.denominator))
-    if isinstance(e, (Neg, Exp, Log)):
-        return max_var_index(e.child)
-    if isinstance(e, IntPower):
-        return max_var_index(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    return max(variables(e), default=0)
 
 
 def has_transcendental(e: Expr) -> bool:
@@ -325,148 +335,56 @@ def evaluate(e: Expr, point: Sequence, mode: Mode = EXACT):
     Exact mode returns a Fraction and rejects exp/log nodes; float mode
     returns an mpf computed at the mode's precision.
     """
+    point = tuple(map(Fraction, point))
     if mode.is_exact:
-        return _eval_exact(e, point)
+        return _eval(e, point, Fraction)
     with mode.workprec():
-        converted = tuple(_to_mpf(v) for v in point)
-        return _eval_float(e, converted)
+        return _eval(e, tuple(map(to_mpf, point)), to_mpf)
 
 
-def _to_mpf(value):
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
-
-
-def _point_value(point: Sequence, index: int):
-    if index > len(point):
-        raise EvalError(f"point of length {len(point)} cannot feed variable x{index}")
-    return point[index - 1]
-
-
-def _eval_exact(e: Expr, point: Sequence) -> Fraction:
+def _eval(e: Expr, point: tuple, scalar):
+    """evaluate in the scalars `scalar` converts constants to: Fraction, or
+    mpf at the caller's precision (to_mpf)."""
     if isinstance(e, Variable):
-        return Fraction(_point_value(point, e.index))
+        if e.index > len(point):
+            raise EvalError(
+                f"point of length {len(point)} cannot feed variable x{e.index}"
+            )
+        return point[e.index - 1]
     if isinstance(e, RationalConst):
-        return e.value
+        return scalar(e.value)
     if isinstance(e, Sum):
-        return sum(_eval_exact(t, point) for t in e.terms)
+        out = scalar(0)
+        for t in e.terms:
+            out += _eval(t, point, scalar)
+        return out
     if isinstance(e, Product):
-        out = Fraction(1)
+        out = scalar(1)
         for f in e.factors:
-            out *= _eval_exact(f, point)
+            out *= _eval(f, point, scalar)
         return out
     if isinstance(e, Quotient):
-        den = _eval_exact(e.denominator, point)
+        den = _eval(e.denominator, point, scalar)
         if den == 0:
             raise EvalError("division by zero")
-        return _eval_exact(e.numerator, point) / den
+        return _eval(e.numerator, point, scalar) / den
     if isinstance(e, Neg):
-        return -_eval_exact(e.child, point)
+        return -_eval(e.child, point, scalar)
     if isinstance(e, IntPower):
-        base = _eval_exact(e.base, point)
+        base = _eval(e.base, point, scalar)
         if base == 0 and e.exponent < 0:
             raise EvalError("division by zero")
         return base**e.exponent
     if isinstance(e, (Exp, Log)):
-        raise EvalError("exact mode cannot evaluate exp/log nodes")
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _eval_float(e: Expr, point: tuple):
-    if isinstance(e, Variable):
-        return _point_value(point, e.index)
-    if isinstance(e, RationalConst):
-        return _to_mpf(e.value)
-    if isinstance(e, Sum):
-        out = mpmath.mpf(0)
-        for t in e.terms:
-            out += _eval_float(t, point)
-        return out
-    if isinstance(e, Product):
-        out = mpmath.mpf(1)
-        for f in e.factors:
-            out *= _eval_float(f, point)
-        return out
-    if isinstance(e, Quotient):
-        den = _eval_float(e.denominator, point)
-        if den == 0:
-            raise EvalError("division by zero")
-        return _eval_float(e.numerator, point) / den
-    if isinstance(e, Neg):
-        return -_eval_float(e.child, point)
-    if isinstance(e, IntPower):
-        base = _eval_float(e.base, point)
-        if base == 0 and e.exponent < 0:
-            raise EvalError("division by zero")
-        return base**e.exponent
-    if isinstance(e, Exp):
-        return mpmath.exp(_eval_float(e.child, point))
-    if isinstance(e, Log):
-        arg = _eval_float(e.child, point)
+        if scalar is Fraction:
+            raise EvalError("exact mode cannot evaluate exp/log nodes")
+        arg = _eval(e.child, point, scalar)
+        if isinstance(e, Exp):
+            return mpmath.exp(arg)
         if arg <= 0:
             raise EvalError("log of a non-positive value")
         return mpmath.log(arg)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# used-variable detection
-
-_ZERO_TEST_SEED = 0x7EB5
-_ZERO_TEST_POINTS = 8
-
-
-def _zero_test_points(n: int) -> list[tuple[Fraction, ...]]:
-    rng = random.Random(_ZERO_TEST_SEED)
-    points = []
-    for _ in range(_ZERO_TEST_POINTS):
-        coords = []
-        for _ in range(n):
-            den = rng.randint(1, 64)
-            num = rng.randint(-3 * den, 3 * den)
-            coords.append(Fraction(num, den))
-        points.append(tuple(coords))
-    return points
-
-
-def vars_used(e: Expr) -> set[int]:
-    """Indices j whose partial derivative is not identically zero.
-
-    A folded derivative that is not the literal zero constant is evaluated at
-    8 seeded rational sample points and declared zero only if every sample is
-    zero.  Sample points where the derivative has a pole are skipped (a
-    function with a pole is not identically zero, so such a variable counts
-    as used when no sample point evaluates).
-    """
-    top = max_var_index(e)
-    if top == 0:
-        return set()
-    points = _zero_test_points(top)
-    used: set[int] = set()
-    for j in range(1, top + 1):
-        derivative = diff(e, j)
-        if isinstance(derivative, RationalConst):
-            if derivative.value != 0:
-                used.add(j)
-            continue
-        mode = (
-            Mode.floating() if has_transcendental(derivative) else EXACT
-        )
-        evaluated_any = False
-        for point in points:
-            try:
-                value = evaluate(derivative, point, mode)
-            except EvalError:
-                continue
-            evaluated_any = True
-            if not scalar_is_zero(value, mode):
-                used.add(j)
-                break
-        else:
-            if not evaluated_any:
-                used.add(j)
-    return used
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,28 @@ blocks on the diagonal.
 jet_matrix_from_gradients builds the jet matrices of degrees 1..top in
 both scalar modes, one column per gradient: the degree-h rows are filled
 from the degree-(h-1) rows with one multiplication each,
-g^L = g^(L - e_j) * g_j with j the first nonzero position of L.  Exact
-callers pass each gradient multiplied by the lcm s_c of its denominators
-(linalg._integer_rows), so the degree-h entry of column c is s_c^h times
-the rational jet coefficient: the integer matrix is the rational one times
-an invertible diagonal matrix on the right and has the same rank.  Float
-callers pass mpf gradients and build under the precision the matrices are
-ranked at (linalg.escalating_float_ranks).  square_block keeps the rational
-coefficients, whose determinant reports print.
+g^L = g^(L - e_j) * g_j with j the first nonzero position of L.  An exact
+gradient is the int numerators of its order-1 series (web.web_gradients),
+the gradient times that series' denominator s_c, so the degree-h entry of
+column c is s_c^h times the rational jet coefficient: the integer matrix
+is the rational one times an invertible diagonal matrix on the right and
+has the same rank.  Float callers pass mpf gradients and build under the
+precision the matrices are ranked at (linalg.escalating_float_ranks).
+square_block divides by s_c: reports print its determinants as rationals.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .combin import monomial_count
 from .expr import EvalError
 from .scalars import Mode
-from .web import GeneratingWeb, gradient_at, multi_indices
+from .tpoly import series_gradient
+from .web import GeneratingWeb, multi_indices
 
 
 def degree(L: Sequence[int]) -> int:
@@ -172,7 +174,10 @@ def square_block(
     gradients = []
     for b, integral in enumerate(T_k.integrals, start=1):
         try:
-            gradients.append(gradient_at(integral, k, point, mode))
+            values, den = series_gradient(integral, point, mode)
         except EvalError as err:
             raise EvalError(f"integral (k={k}, b={b}): {err}") from None
+        if mode.is_exact:
+            values = [Fraction(v, den) for v in values]
+        gradients.append(values)
     return [[jet_coefficient(gradient, L) for gradient in gradients] for L in rows]

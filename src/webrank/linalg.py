@@ -10,7 +10,7 @@ nonzeros per row, plus the column count.  The relation rows
 (abelrank._expansion_rows) are built in that format; the dense jet matrices
 and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
-cleared gradients are built; a rational matrix is cleared first with
+int gradients are built; a rational matrix is cleared first with
 _integer_rows, since row scaling keeps the rank (the exact kernel also
 divides each row by its content before it eliminates, for the same reason).
 Float matrices are built and ranked at one precision, set in

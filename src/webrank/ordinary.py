@@ -110,7 +110,7 @@ def check_finite_criterion(
 def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
     """(invertible, witness) of the square generating block at each point.
 
-    Points where an entry fails to evaluate are skipped, and so are, in float
+    Points where an integral is undefined are skipped, and so are, in float
     mode, points whose pivots stay marginal at every precision.
     """
     for point in points:
@@ -145,13 +145,11 @@ def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     """({h: rank}, mode used) for the jet matrices of order 1..k0 at one
     point, or None when float pivots stay marginal.
 
-    Exact mode ranks the jet matrices of the gradients cleared of their
-    denominators, which are column-scaled and have the ranks of the
-    rational ones.
+    Exact mode ranks the jet matrices of web_gradients' int gradients,
+    which are column-scaled and have the ranks of the rational ones.
     """
     if mode.is_exact:
-        cleared, _ = linalg._integer_rows(web_gradients(W, point, mode))
-        matrices = jet_matrix_from_gradients(W.n, k0, cleared)
+        matrices = jet_matrix_from_gradients(W.n, k0, web_gradients(W, point, mode))
         ranks = {
             h: linalg.exact_rank(*linalg.sparse_rows(rows))[0]
             for h, rows in enumerate(matrices, 1)

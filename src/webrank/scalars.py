@@ -60,9 +60,13 @@ def to_scalar(value: Fraction | int, mode: Mode):
     """Convert an exact rational to the mode's scalar type."""
     if mode.is_exact:
         return value if isinstance(value, Fraction) else Fraction(value)
-    frac = Fraction(value)
     with mode.workprec():
-        return mpmath.mpf(frac.numerator) / frac.denominator
+        return to_mpf(Fraction(value))
+
+
+def to_mpf(value: Fraction | int):
+    """An int or Fraction as an mpf at mpmath's current precision."""
+    return mpmath.mpf(value.numerator) / value.denominator
 
 
 def zero_tolerance(mode: Mode):

@@ -1,4 +1,5 @@
-"""Truncated multivariate Taylor expansion on packed monomial codes.
+"""Truncated multivariate Taylor expansion on packed monomial codes, the one
+evaluator of first integrals.
 
 A monomial x^e on n offset variables truncated at cap is packed into one
 int, its code deg*B^n + sum_j e_j*B^j with deg = |e| and B = cap + 1
@@ -9,20 +10,25 @@ digit overflows into the next, and a code of degree above the cap is
 exactly one >= (cap+1)*B^n.  A series is a dict {code: coefficient} with
 zero coefficients left out.
 
-taylor walks an expression tree once in this arithmetic; it never
-differentiates repeatedly.  Its coefficients are the mode's scalars:
-Fractions in exact mode, mpf at the mode's precision in float mode.  It
-builds the float relation rows and the relation-residual audit, and exact
-mode is the tests' reference for integer_taylor, the expansion the exact
-relation rows use.  An integer_taylor series holds int numerators over one
-positive denominator, kept in lowest terms (gcd of the denominator and all
-numerators 1) after every operation, so it needs no Fraction arithmetic.
+taylor walks an expression tree once in this arithmetic, never
+differentiating symbolically (forward-mode Taylor arithmetic; Griewank and
+Walther, Evaluating Derivatives, 2008).  Its coefficients are Fractions in
+exact mode and mpf at the mode's precision in float mode.  An
+integer_taylor series holds int numerators over one positive denominator,
+kept in lowest terms after every operation, so it needs no Fraction
+arithmetic.  Expanding a generating integral at its projected point gives
+everything the certificates need there: the relation rows (to the
+truncation order), and the gradient and the domain check (series_gradient,
+the order-1 expansion, which raises wherever the integral is undefined).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath
@@ -39,8 +45,10 @@ from .expr import (
     RationalConst,
     Sum,
     Variable,
+    has_transcendental,
+    variables,
 )
-from .scalars import EXACT, Mode, to_scalar
+from .scalars import EXACT, Mode, scalar_is_zero, to_mpf
 
 
 class MonomialCodes:
@@ -129,11 +137,11 @@ def taylor(
     The expansion variables are the offsets (x_j - point[j-1]); coefficients
     are Fractions in exact mode and mpf in float mode.  Exact mode requires
     a tree free of exp/log; poles at the expansion point raise EvalError.
+    The point's coordinates are ints or Fractions.
     """
     if len(point) != codes.n:
         raise ValueError(f"point of length {len(point)} for {codes.n} variables")
-    point = tuple(to_scalar(Fraction(v), mode) for v in point)
-    one = to_scalar(1, mode)
+    scalar = Fraction if mode.is_exact else to_mpf  # under mode.workprec()
     cap = codes.cap
 
     def inverse(terms: dict) -> dict:
@@ -152,13 +160,13 @@ def taylor(
                 raise EvalError(
                     f"point of length {codes.n} cannot feed variable x{e.index}"
                 )
-            value = point[e.index - 1]
+            value = values[e.index - 1]
             terms = {0: value} if value != 0 else {}
             if cap >= 1:
                 terms[codes.units[e.index - 1]] = one
             return terms
         if isinstance(e, RationalConst):
-            value = to_scalar(e.value, mode)
+            value = scalar(e.value)
             return {0: value} if value != 0 else {}
         if isinstance(e, Sum):
             total: dict = {}
@@ -207,12 +215,10 @@ def taylor(
             return codes.compose(tail, series)
         raise TypeError(f"not an expression node: {e!r}")
 
-    if mode.is_exact:
+    with contextlib.nullcontext() if mode.is_exact else mode.workprec():
+        values = tuple(map(scalar, point))
+        one = scalar(1)
         return walk(e)
-    with mode.workprec():
-        return walk(e)
-
-
 
 
 def integer_taylor(
@@ -227,7 +233,7 @@ def integer_taylor(
     """
     if len(point) != codes.n:
         raise ValueError(f"point of length {len(point)} for {codes.n} variables")
-    return _int_taylor(e, tuple(Fraction(v) for v in point), codes)
+    return _int_taylor(e, point, codes)
 
 
 def integer_offset(
@@ -277,8 +283,8 @@ def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes):
             den = common
         return _lowest_terms({code: v for code, v in terms.items() if v}, den)
     if isinstance(e, Product):
-        terms, den = {0: 1}, 1
-        for factor in e.factors:
+        terms, den = _int_taylor(e.factors[0], point, codes)
+        for factor in e.factors[1:]:
             f_terms, f_den = _int_taylor(factor, point, codes)
             terms, den = _lowest_terms(codes.mul(terms, f_terms), den * f_den)
         return terms, den
@@ -334,3 +340,62 @@ def _int_inverse(terms: dict[int, int], den: int, codes: MonomialCodes):
     return _lowest_terms(
         {code: v * den for code, v in total.items() if v}, out_den
     )
+
+
+# ---------------------------------------------------------------------------
+# first-order data: gradients and used variables
+
+@lru_cache(maxsize=None)
+def _linear_codes(n: int) -> MonomialCodes:
+    return MonomialCodes(n, 1)
+
+
+def series_gradient(e: Expr, point: Sequence, mode: Mode = EXACT) -> tuple[list, int]:
+    """(values, den): the gradient of e at point is values / den, read off
+    the degree-1 terms of the order-1 Taylor series.
+
+    Exact mode: integer_offset's int numerators over the lcm den of the
+    partials' denominators, a positive multiple of the gradient.  Float
+    mode: taylor's mpf at the mode's precision, zeros included, and den 1.
+    The expansion computes e itself, so a pole of e or a log outside its
+    domain raises EvalError even where the partials are defined.
+    """
+    codes = _linear_codes(len(point))
+    if mode.is_exact:
+        terms, den = integer_offset(e, point, codes)
+        return [terms.get(unit, 0) for unit in codes.units], den
+    terms, zero = taylor(e, point, codes, mode), mpmath.mpf(0)
+    return [terms.get(unit, zero) for unit in codes.units], 1
+
+
+def _zero_test_points(n: int) -> list[tuple[Fraction, ...]]:
+    """vars_used's 8 seeded points, coordinates in [-3, 3] with
+    denominators up to 64."""
+    rng = random.Random(0x7EB5)
+
+    def coordinate():
+        den = rng.randint(1, 64)
+        return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+    return [tuple(coordinate() for _ in range(n)) for _ in range(8)]
+
+
+def vars_used(e: Expr) -> set[int]:
+    """Indices j whose partial derivative is not identically zero: nonzero
+    (above 2^-64, at 128 bits, for exp/log trees) at one of the
+    _zero_test_points where e expands; all variables of e if it expands at
+    none of them."""
+    present = variables(e)
+    mode = Mode.floating() if has_transcendental(e) else EXACT
+    used: set[int] = set()
+    expanded = False
+    for point in _zero_test_points(max(present, default=0)):
+        try:
+            values, _ = series_gradient(e, point, mode)
+        except EvalError:
+            continue
+        expanded = True
+        used.update(j for j, v in enumerate(values, 1) if not scalar_is_zero(v, mode))
+        if used == present:
+            break
+    return used if expanded else present

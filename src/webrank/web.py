@@ -5,23 +5,28 @@ the k-ary web carrying monomial_count(k, k0-k) first integrals.  Pulling every
 integral back along every coordinate projection of n-space and superposing
 yields the assembled web of E in dimension n, whose entry count is
 monomial_count(n, k0).
+
+An entry's gradient is its generating integral's, read off the order-1
+Taylor series at the projected point (tpoly.series_gradient), which also
+checks the domain.  Exact gradients are the series' int numerators, a
+positive multiple of the gradient that neither the proportionality screen
+nor the jet ranks can see.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .combin import binom, monomial_count
 from .expr import (
     EvalError,
     Expr,
-    diff,
-    evaluate,
     has_transcendental,
     max_var_index,
     parse,
@@ -29,7 +34,6 @@ from .expr import (
     relabel,
     substitute,
     to_text,
-    vars_used,
 )
 from .report import (
     FALSE,
@@ -39,7 +43,8 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import DEFAULT_PRECISION, EXACT, Mode, zero_tolerance
+from .scalars import DEFAULT_PRECISION, EXACT, Mode, to_scalar, zero_tolerance
+from .tpoly import series_gradient, vars_used
 
 
 @dataclass(frozen=True)
@@ -88,20 +93,20 @@ def balanced_set(k0: int, webs_integrals: Sequence[Sequence[Expr]]) -> BalancedS
 
 @dataclass(frozen=True)
 class WebEntry:
-    """One assembled first integral with its (k, a, b) label.
-
-    `integral` is derived: the generating integral `generator` pulled back
-    along the projection onto the coordinates `source` (its j-th variable
-    becomes x_source[j-1]).
-    """
+    """One assembled first integral with its (k, a, b) label: the generating
+    integral `generator` pulled back along the projection onto the
+    coordinates `source`."""
 
     label: tuple[int, int, int]
     generator: Expr
     source: tuple[int, ...]
-    integral: Expr = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "integral", relabel(self.generator, self.source))
+    @cached_property
+    def integral(self) -> Expr:
+        """The pullback as a tree (the generator's j-th variable becomes
+        x_source[j-1]), built on first use, by the tests and the relation
+        audit only: the pipeline expands the generator instead."""
+        return relabel(self.generator, self.source)
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,6 @@ class AssembledWeb:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def integrals(self) -> list[Expr]:
-        return [entry.integral for entry in self.entries]
 
 
 def multi_indices(k: int, n: int) -> list[tuple[int, ...]]:
@@ -153,23 +155,6 @@ def assemble(E: BalancedSet, n: int) -> AssembledWeb:
 
 # ---------------------------------------------------------------------------
 # differential helpers shared with the jet and rank layers
-
-@lru_cache(maxsize=128)
-def _partials(e: Expr, n: int) -> tuple[Expr, ...]:
-    """The n partial derivatives of e, differentiated once per (e, n).
-
-    web_gradients differentiates generating integrals only, each at its own
-    arity, so 128 entries hold those of every catalog family at once (26
-    distinct ones), while the derivative trees kept stay a small part of the
-    process's memory.
-    """
-    return tuple(diff(e, j) for j in range(1, n + 1))
-
-
-def gradient_at(e: Expr, n: int, point: Sequence, mode: Mode):
-    """The n partial derivatives of e evaluated at point."""
-    return [evaluate(partial, point, mode) for partial in _partials(e, n)]
-
 
 def gradients_proportional(g1, g2, mode: Mode) -> bool:
     """True when all 2x2 minors of the two gradient vectors vanish.
@@ -216,10 +201,10 @@ def proportional_pairs(
 
     Float mode tests the 2x2 minors of every pair, as gradients_proportional
     does, with each gradient's largest component and the tolerance computed
-    once.  In exact mode two nonzero gradients are proportional iff they
-    agree after division by their first nonzero component, so grouping by
-    that key finds every pair in O(d*n); a zero gradient is proportional to
-    every other one.
+    once.  In exact mode (int or rational components) two nonzero gradients
+    are proportional iff they have the same _direction, so grouping by it
+    finds every pair in O(d*n); a zero gradient is proportional to every
+    other one.
     """
     if not mode.is_exact:
         count = len(gradients)
@@ -235,12 +220,11 @@ def proportional_pairs(
     zeros = []
     groups: dict[tuple, list[int]] = {}
     for i, g in enumerate(gradients):
-        head = next((v for v in g if v != 0), None)
-        if head is None:
+        key = _direction(g)
+        if key is None:
             zeros.append(i)
-            continue
-        head = Fraction(head)
-        groups.setdefault(tuple(v / head for v in g), []).append(i)
+        else:
+            groups.setdefault(key, []).append(i)
     pairs = {
         pair
         for members in groups.values()
@@ -251,23 +235,33 @@ def proportional_pairs(
     return sorted(pairs)
 
 
+def _direction(g) -> tuple[int, ...] | None:
+    """The primitive int vector on the line of the int or rational vector g
+    with its first nonzero component positive; None when g is zero."""
+    den = math.lcm(*(v.denominator for v in g))
+    g = [v.numerator * (den // v.denominator) for v in g]
+    common = math.gcd(*g)
+    if common and next(v for v in g if v) < 0:
+        common = -common
+    return tuple(v // common for v in g) if common else None
+
+
 def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
     """Gradient of every entry at point; EvalError is tagged with the label.
 
     An entry's partial in x_source[j-1] is its generating integral's j-th
-    partial pulled back along the projection, and its partial in any other
-    variable is zero, so only the generating integral is differentiated
-    (once per arity, see _partials) and evaluated at the point's `source`
-    coordinates.  The other positions hold the zero partial's value in the
-    run's mode.
+    partial at the point's `source` coordinates (tpoly.series_gradient),
+    and its partial in any other variable is zero.  Exact gradients are the
+    series' int numerators, a positive multiple of the gradient; float
+    gradients are mpf, zeros included.
     """
-    zero = evaluate(rational(0), point, mode)
+    zero = 0 if mode.is_exact else to_scalar(0, mode)
     out = []
     for entry in W.entries:
         source = entry.source
         try:
-            values = gradient_at(
-                entry.generator, len(source), [point[s - 1] for s in source], mode
+            values, _ = series_gradient(
+                entry.generator, [point[s - 1] for s in source], mode
             )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
@@ -280,7 +274,7 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
 
 def sampled_gradients(W: AssembledWeb, sampler, mode: Mode):
     """Yield (point, gradients) for each point of sampler.points(W.n) where
-    every entry's gradient evaluates and none vanishes."""
+    every entry is defined and no gradient vanishes."""
     for point in sampler.points(W.n):
         try:
             gradients = web_gradients(W, point, mode)
@@ -397,7 +391,9 @@ def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:
     For every adjacent transposition, each permuted integral must define a
     foliation already present in the web, tested by gradient proportionality
     at `trials` sampled points.  Heuristic: a sampled "yes" is a
-    probably-yes.
+    probably-yes.  No CLI command reports it; it stays because
+    quasi-symmetry is one of the paper's acceptance checks, which the tests
+    run on every catalog family.
     """
     out: dict[int, bool] = {}
     mode = E.default_mode()
@@ -431,7 +427,7 @@ def _foliation_present(candidate, web, k, trials, sampler, mode) -> bool:
     def samples():
         for point in sampler.points(k):
             try:
-                gradients = [gradient_at(u, k, point, mode) for u in integrals]
+                gradients = [series_gradient(u, point, mode)[0] for u in integrals]
             except EvalError:
                 continue
             yield gradients

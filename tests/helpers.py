@@ -11,6 +11,8 @@ import mpmath
 from webrank import _purekernels, abelrank, linalg
 from webrank.expr import (
     Expr,
+    diff,
+    evaluate,
     has_transcendental,
     int_power,
     product_of,
@@ -25,14 +27,22 @@ from webrank.web import (
     BalancedSet,
     GeneratingWeb,
     WebEntry,
-    web_gradients,
 )
+
+
+def rational_gradients(W: AssembledWeb, point) -> list[list[Fraction]]:
+    """Oracle: each entry's gradient at point by symbolic differentiation of
+    its pulled-back tree, evaluated on Fractions."""
+    return [
+        [evaluate(diff(entry.integral, j), point, EXACT) for j in range(1, W.n + 1)]
+        for entry in W.entries
+    ]
 
 
 def rational_jet_matrix(W: AssembledWeb, h: int, point) -> list[list[Fraction]]:
     """Oracle: the degree-h jet matrix of W at point, one jet_coefficient per
     entry; rows are degree_multi_indices(W.n, h), columns W's entries."""
-    gradients = web_gradients(W, point, EXACT)
+    gradients = rational_gradients(W, point)
     return [
         [jet_coefficient(g, L) for g in gradients]
         for L in degree_multi_indices(W.n, h)

@@ -33,7 +33,7 @@ from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
-from webrank.tpoly import MonomialCodes, taylor
+from webrank.tpoly import MonomialCodes, integer_offset, taylor
 from webrank.web import assemble, balanced_set_from_json
 
 from helpers import (
@@ -325,6 +325,57 @@ def test_sliced_rows_equal_a_fresh_build(system, extra):
     assert rational(sliced, built_scales) == rational(fresh, fresh_scales)
     if built_scales == fresh_scales:
         assert sliced == fresh
+
+
+# --------------------------------------------------------------------------
+# rows from the generating integrals against the pulled-back trees
+
+def full_point_rows(W, point, order, mode):
+    """Reference: the relation rows from each pulled-back tree
+    WebEntry.integral, expanded at the full point on n-variable codes."""
+    column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
+    codes = MonomialCodes(W.n, order)
+    rows, scales = [], []
+    for entry in W.entries:
+        if mode.is_exact:
+            offset, scale = integer_offset(entry.integral, point, codes)
+        else:
+            expansion = taylor(entry.integral, point, codes, mode)
+            offset, scale = {c: v for c, v in expansion.items() if c}, 1
+        scales.append(scale)
+        for power in codes.powers(offset, order):
+            rows.append({column[codes.decode(c)]: v for c, v in power.items()})
+    return rows, scales
+
+
+def catalog_relation_systems():
+    """(family, n, modes) for every family at n = 2..k0+1; the exp/log-free
+    families in both modes."""
+    out = []
+    for name in family_names():
+        E, _ = get_family(name)
+        modes = [Mode.floating(128)]
+        if E.is_rational():
+            modes.insert(0, EXACT)
+        out.extend((name, n, modes) for n in range(2, E.k0 + 2))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,n,modes",
+    catalog_relation_systems(),
+    ids=lambda v: v if isinstance(v, (str, int)) else "",
+)
+def test_generator_rows_equal_pulled_back_rows(name, n, modes):
+    E, _ = get_family(name)
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=1), E.default_mode())
+    order = E.k0 + 2
+    for mode in modes:
+        rows, scales = _expansion_rows(W, point, order, mode)
+        reference, reference_scales = full_point_rows(W, point, order, mode)
+        assert scales == reference_scales
+        assert rows == reference  # ints, or mpf bit for bit
 
 
 # --------------------------------------------------------------------------

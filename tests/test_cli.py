@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -370,3 +371,51 @@ def test_verify_family_precision_reaches_every_stage(capsys):
     assert payload["config"]["precision_bits"] == 256
     assert payload["balanced_valid"]["witnesses"]["mode"] == "float256"
     assert payload["ordinary"]["condition_iv"]["witnesses"]["mode"] == "float256"
+
+
+LOG_DOMAIN = (
+    Path(__file__).resolve().parent.parent / "benchmarks" / "log_domain_k0_2.json"
+)
+
+
+def test_direct_check_skips_points_outside_the_log_domain(capsys):
+    # the partial 1/x2 of log(x2) is defined at x2 < 0 and the direct check
+    # once certified at (5/39, -27/46); the integral's own expansion rejects
+    # that point, so the certificate moves to the next sampled one
+    code, out, _ = run_cli(
+        capsys,
+        "check-ordinary",
+        "--input",
+        str(LOG_DOMAIN),
+        "--direct",
+        "--n",
+        "2",
+        "--seed",
+        "0",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    (direct,) = json.loads(out)["ordinary"]["direct"]
+    assert direct["verdict"] == "true"
+    witnesses = direct["witnesses"]
+    assert witnesses["certifying_point"]["point"] == ["20/9", "20/31"]
+    for record in witnesses["points"]:
+        assert all(Fraction(c) > 0 for c in record["point"])
+
+
+def test_rank_point_inside_the_log_domain_is_unchanged(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "rank",
+        "--input",
+        str(LOG_DOMAIN),
+        "--n",
+        "2",
+        "--seed",
+        "0",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    assert json.loads(out)["point"] == ["2/7", "5/39"]

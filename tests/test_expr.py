@@ -26,9 +26,9 @@ from webrank.expr import (
     sum_of,
     to_text,
     var,
-    vars_used,
 )
 from webrank.scalars import Mode, to_scalar
+from webrank.tpoly import vars_used
 
 
 def corpus() -> list[tuple[str, int]]:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -8,17 +10,27 @@ import pytest
 from webrank.catalog import family_names, get_family
 from webrank.expr import (
     EvalError,
+    RationalConst,
     diff,
     evaluate,
     has_transcendental,
+    max_var_index,
     parse,
     to_text,
 )
 from webrank.jets import degree_multi_indices
-from webrank.scalars import EXACT, Mode
-from webrank.tpoly import MonomialCodes, integer_taylor, taylor
+from webrank.scalars import EXACT, Mode, scalar_is_zero
+from webrank.tpoly import (
+    MonomialCodes,
+    _zero_test_points,
+    integer_taylor,
+    taylor,
+    vars_used,
+)
 
 from helpers import cube_plus_self
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def repeated_diff_coefficient(tree, orders, point, mode=EXACT):
@@ -330,3 +342,73 @@ def test_integer_taylor_pole_raises():
 def test_integer_taylor_rejects_exp_and_log(text):
     with pytest.raises(EvalError):
         integer_taylor(parse(text, 2), (1, 2), MonomialCodes(2, 3))
+
+
+# --------------------------------------------------------------------------
+# vars_used from the series against the symbolic partials
+
+
+def diff_vars_used(e):
+    """Reference: the partials by diff, each zero when it folds to the zero
+    constant or evaluates to zero at all of vars_used's sample points where
+    it is defined, and nonzero when it is defined at none."""
+    top = max_var_index(e)
+    used = set()
+    for j in range(1, top + 1):
+        partial = diff(e, j)
+        if isinstance(partial, RationalConst):
+            if partial.value:
+                used.add(j)
+            continue
+        mode = Mode.floating() if has_transcendental(partial) else EXACT
+        values = []
+        for point in _zero_test_points(top):
+            try:
+                values.append(evaluate(partial, point, mode))
+            except EvalError:
+                pass
+        if not values or not all(scalar_is_zero(v, mode) for v in values):
+            used.add(j)
+    return used
+
+
+def catalog_texts():
+    """(text, arity) of every catalog integral, once each."""
+    seen = {}
+    for name in family_names():
+        E, _ = get_family(name)
+        for web in E.webs:
+            for u in web.integrals:
+                seen.setdefault((to_text(u), web.k), None)
+    return list(seen)
+
+
+def fixture_integrals():
+    """(text, arity) of every integral in the benchmarks/ web definitions."""
+    out = []
+    for path in sorted(BENCHMARKS.glob("*.json")):
+        payload = json.loads(path.read_text())
+        if "webs" in payload:
+            for k, texts in enumerate(payload["webs"], start=1):
+                out.extend((text, k) for text in texts)
+    return out
+
+
+VARS_USED_CASES = [
+    *catalog_texts(),
+    *fixture_integrals(),
+    ("x1+x2-x2", 2),
+    ("x2", 2),
+    ("exp(x1)+x2", 2),
+    ("log(x1)*x2 + x3^2 - x3*x3", 3),
+    ("1/(x1-x2) + x2/(x1-x2)", 2),
+    ("exp(x1+log(x2))", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text,arity", VARS_USED_CASES, ids=[t for t, _ in VARS_USED_CASES]
+)
+def test_vars_used_matches_the_symbolic_partials(text, arity):
+    e = parse(text, arity)
+    assert vars_used(e) == diff_vars_used(e)

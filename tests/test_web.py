@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -8,18 +9,18 @@ from hypothesis import strategies as st
 
 from webrank.catalog import family_names, get_family
 from webrank.combin import monomial_count
-from webrank.expr import EvalError, diff, evaluate, parse, to_text
+from webrank.expr import EvalError, diff, evaluate, has_transcendental, parse, to_text
 from webrank.ordinary import GenericPointSampler
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE, TRUE
 from webrank.scalars import EXACT, Mode
+from webrank.tpoly import series_gradient
 from webrank.web import (
-    _partials,
+    _direction,
     assemble,
     balanced_set,
     balanced_set_from_json,
     balanced_set_to_json,
     cross_ratio_family,
-    gradient_at,
     gradients_proportional,
     is_quasi_symmetric,
     load_balanced_set,
@@ -248,8 +249,8 @@ def test_reassembly_after_ambient_permutation_same_foliations():
     permuted = permute_ambient(W, [2, 3, 1])
     sampler = GenericPointSampler(seed=5)
     point = sampler.point(3)
-    original = [gradient_at(e.integral, 3, point, EXACT) for e in W.entries]
-    images = [gradient_at(e.integral, 3, point, EXACT) for e in permuted.entries]
+    original = [series_gradient(e.integral, point, EXACT)[0] for e in W.entries]
+    images = [series_gradient(e.integral, point, EXACT)[0] for e in permuted.entries]
     matched = set()
     for image in images:
         found = None
@@ -336,37 +337,128 @@ def test_proportional_pairs_float_matches_all_pairs_scan(gradients, precision):
     assert proportional_pairs(floats, mode) == proportional_pairs(gradients, EXACT)
 
 
-def catalog_entries():
-    """(integral, n, mode) for every assembled entry of every family at n <= 3."""
-    out = []
+def fraction_normalized_pairs(gradients):
+    """Oracle: exact pairs by the Fraction key, each nonzero gradient divided
+    by its first nonzero component; a zero gradient pairs with every other."""
+    groups, zeros = {}, []
+    for i, g in enumerate(gradients):
+        head = next((Fraction(v) for v in g if v), None)
+        if head is None:
+            zeros.append(i)
+        else:
+            groups.setdefault(tuple(v / head for v in g), []).append(i)
+    pairs = {
+        (a, b) for members in groups.values() for a in members for b in members if a < b
+    }
+    for z in zeros:
+        pairs.update((min(z, i), max(z, i)) for i in range(len(gradients)) if i != z)
+    return sorted(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradient_lists(), st.data())
+def test_integer_direction_key_gives_the_fraction_key_pairs(gradients, data):
+    # web_gradients hands the screen int vectors, positive multiples of the
+    # rational gradients: clear each one with its own positive factor
+    cleared = []
+    for g in gradients:
+        factor = data.draw(st.integers(min_value=1, max_value=50))
+        lcm = math.lcm(*(v.denominator for v in g))
+        cleared.append([int(v * lcm) * factor for v in g])
+    expected = fraction_normalized_pairs(gradients)
+    assert proportional_pairs(cleared, EXACT) == expected
+    assert proportional_pairs(gradients, EXACT) == expected
+    for g, c in zip(gradients, cleared):
+        key = _direction(c)
+        assert key == _direction(g)
+        if key is None:
+            assert not any(g)
+        else:
+            assert math.gcd(*key) == 1
+            assert next(v for v in key if v) > 0
+            assert all(type(v) is int for v in key)
+
+
+def catalog_integrals():
+    """(generating integral, arity) for every catalog family, once each."""
+    seen = {}
     for name in family_names():
         E, _ = get_family(name)
-        mode = E.default_mode()
-        for n in (2, 3):
-            out.extend((entry.integral, n, mode) for entry in assemble(E, n).entries)
-    return out
+        for web in E.webs:
+            for u in web.integrals:
+                seen.setdefault((u, web.k), None)
+    return list(seen)
 
 
-CATALOG_ENTRIES = catalog_entries()
+CATALOG_INTEGRALS = catalog_integrals()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(CATALOG_ENTRIES), st.integers(min_value=0, max_value=10**6))
-def test_cached_gradient_matches_differentiating_at_the_point(item, seed):
-    e, n, mode = item
-    point = GenericPointSampler(seed=seed).point(n)
+def diff_oracle(e, point, mode):
+    """The partials by diff + evaluate, or None where e or a partial is
+    undefined."""
     try:
-        oracle = [evaluate(diff(e, j), point, mode) for j in range(1, n + 1)]
+        evaluate(e, point, mode)
+        return [evaluate(diff(e, j), point, mode) for j in range(1, len(point) + 1)]
     except EvalError:
-        with pytest.raises(EvalError):
-            gradient_at(e, n, point, mode)
-        return
-    assert gradient_at(e, n, point, mode) == oracle
-    assert gradient_at(e, n, point, mode) == oracle  # second call: cached partials
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CATALOG_INTEGRALS), st.integers(min_value=0, max_value=10**6))
+def test_series_gradient_matches_differentiating_at_the_point(item, seed):
+    e, k = item
+    point = GenericPointSampler(seed=seed).point(k)
+    modes = [Mode.floating(bits) for bits in (53, 128)]
+    if not has_transcendental(e):
+        modes.insert(0, EXACT)
+    for mode in modes:
+        oracle = diff_oracle(e, point, mode)
+        if oracle is None:
+            with pytest.raises(EvalError):
+                series_gradient(e, point, mode)
+            continue
+        values, den = series_gradient(e, point, mode)
+        if mode.is_exact:
+            assert all(type(v) is int for v in values)
+            assert den == math.lcm(*(v.denominator for v in oracle))
+            assert [Fraction(v, den) for v in values] == oracle
+            continue
+        assert den == 1
+        assert all(isinstance(v, mpmath.mpf) for v in values)
+        with mode.workprec():
+            scale = max(1, *map(abs, oracle))
+            tolerance = mpmath.ldexp(scale, 16 - mode.precision)
+            assert all(abs(v - o) <= tolerance for v, o in zip(values, oracle))
+
+
+@pytest.mark.parametrize(
+    "text,point",
+    [
+        ("1/x1 + x2", (Fraction(0), Fraction(1))),
+        ("x1/(x1 - x2)^2", (Fraction(2), Fraction(2))),
+        ("log(x1) + x2", (Fraction(-1, 3), Fraction(1))),
+        ("exp(x1)/(x2 - 1)", (Fraction(1, 2), Fraction(1))),
+    ],
+)
+def test_series_gradient_raises_where_the_integral_is_undefined(text, point):
+    e = parse(text, 2)
+    mode = Mode.floating(128) if "exp" in text or "log" in text else EXACT
+    with pytest.raises(EvalError):
+        series_gradient(e, point, mode)
+
+
+def test_log_gradient_defined_where_the_log_is_not():
+    # the partial 1/x1 is defined at x1 < 0, log(x1) is not: the series
+    # rejects the point, as the domain check must
+    e = parse("log(x1)", 1)
+    mode = Mode.floating(128)
+    assert [evaluate(diff(e, 1), (Fraction(-1, 3),), mode)] == [-3]
+    with pytest.raises(EvalError):
+        series_gradient(e, (Fraction(-1, 3),), mode)
 
 
 # --------------------------------------------------------------------------
-# web gradients from the partials of the generating integrals
+# web gradients from the generating integrals at the projected points
 
 FIVE_POINT = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-2, 3), 5)
 
@@ -388,17 +480,13 @@ def test_web_gradients_match_differentiating_the_assembled_entries():
             for entry in W.entries
         ]
         gradients = web_gradients(W, point, mode)
-        assert gradients == oracle
-        assert [list(map(type, g)) for g in gradients] == [
-            list(map(type, g)) for g in oracle
-        ]
-
-
-def test_partials_are_differentiated_once_per_generating_integral():
-    webs = catalog_webs()
-    generators = {(e.generator, len(e.source)) for W, _ in webs for e in W.entries}
-    _partials.cache_clear()
-    for _ in range(2):
-        for W, mode in webs:
-            web_gradients(W, FIVE_POINT[: W.n], mode)
-    assert _partials.cache_info().misses <= len(generators)
+        if mode.is_exact:
+            # each gradient times the lcm of its denominators, as ints
+            assert gradients == [
+                [v * math.lcm(*(w.denominator for w in g)) for v in g] for g in oracle
+            ]
+            assert all(type(v) is int for g in gradients for v in g)
+        else:
+            # exp-family partials come out of the series bit for bit
+            assert gradients == oracle
+            assert all(isinstance(v, mpmath.mpf) for g in gradients for v in g)
