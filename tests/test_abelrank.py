@@ -364,7 +364,7 @@ def catalog_relation_systems():
 @pytest.mark.parametrize(
     "name,n,modes",
     catalog_relation_systems(),
-    ids=lambda v: v if isinstance(v, (str, int)) else "",
+    ids=lambda v: "+".join(m.label() for m in v) if isinstance(v, list) else str(v),
 )
 def test_generator_rows_equal_pulled_back_rows(name, n, modes):
     E, _ = get_family(name)

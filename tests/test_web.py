@@ -436,7 +436,7 @@ def test_series_gradient_matches_differentiating_at_the_point(item, seed):
     [
         ("1/x1 + x2", (Fraction(0), Fraction(1))),
         ("x1/(x1 - x2)^2", (Fraction(2), Fraction(2))),
-        ("log(x1) + x2", (Fraction(-1, 3), Fraction(1))),
+        ("log(x1) + x2", (Fraction(-1, 3), Fraction(1))),  # its partials are defined
         ("exp(x1)/(x2 - 1)", (Fraction(1, 2), Fraction(1))),
     ],
 )
@@ -445,16 +445,6 @@ def test_series_gradient_raises_where_the_integral_is_undefined(text, point):
     mode = Mode.floating(128) if "exp" in text or "log" in text else EXACT
     with pytest.raises(EvalError):
         series_gradient(e, point, mode)
-
-
-def test_log_gradient_defined_where_the_log_is_not():
-    # the partial 1/x1 is defined at x1 < 0, log(x1) is not: the series
-    # rejects the point, as the domain check must
-    e = parse("log(x1)", 1)
-    mode = Mode.floating(128)
-    assert [evaluate(diff(e, 1), (Fraction(-1, 3),), mode)] == [-3]
-    with pytest.raises(EvalError):
-        series_gradient(e, (Fraction(-1, 3),), mode)
 
 
 # --------------------------------------------------------------------------
