@@ -9,11 +9,11 @@ map, and the kernel dimension as a function of M stabilizes at the rank of
 the web (reported as an order-M certificate, never as a proof).
 
 Both scalar modes build the system in one loop on packed monomial codes
-(tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is its generating
-integral's series at the projected point, on the codes of its k
-variables, its powers are taken by MonomialCodes.powers, and each power
-becomes a sparse row, the {column: value} dict of its nonzeros, through a
-k-variable code-to-column map built once per (n, order, source); the rows
+(tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is the series of
+its generating integral at the projected point, on the codes of that
+integral's k variables; its powers are taken by MonomialCodes.powers, and
+each power becomes a sparse row, the {column: value} dict of its nonzeros,
+through a code-to-column map built once per (n, order, source); the rows
 go to the rank kernels in that format (linalg.exact_rank,
 linalg.float_rank).  In exact
 mode the offset comes from tpoly.integer_offset as integer numerators over
@@ -356,8 +356,8 @@ def relation_residual(
 
     Degrees 1..order must all vanish, so a kernel vector of the relation
     rows gives {}.  Like relation_jets it stays as the kernel-vector audit
-    for certificate-carrying reports, expanding each WebEntry.integral at
-    the full point, apart from the generator expansions of the rows.
+    for certificate-carrying reports; it expands each WebEntry.integral at
+    the full point, independently of the generator expansions of the rows.
     """
     codes = MonomialCodes(W.n, jet.order)
     total: dict = {}

@@ -343,8 +343,8 @@ def evaluate(e: Expr, point: Sequence, mode: Mode = EXACT):
 
 
 def _eval(e: Expr, point: tuple, scalar):
-    """evaluate in the scalars `scalar` converts constants to: Fraction, or
-    mpf at the caller's precision (to_mpf)."""
+    """The value of e, its constants converted by `scalar`: Fraction, or
+    to_mpf at the caller's precision."""
     if isinstance(e, Variable):
         if e.index > len(point):
             raise EvalError(
