@@ -19,11 +19,15 @@ rows sliced out of the order-6 rows, then the order-6 rows) against one
 (`abelrank._first_two_dims`: the order-6 elimination, its pivots inside
 the degree <= 5 columns counting the order-5 rank), and checks that both
 give the same dims.
-It times the float rank path (`linalg.float_rank`: conversion to sparse
-fixed-point integer rows and complete pivoting on their nonzeros) on the
-k0_4_exp system in dimension 4 next to the dense mpf kernel it replaced,
-kept as its test oracle, and checks that both give the same rank and
-marginal flag.  It also times
+On the k0_4_exp system in dimension 4 at order 6 (210x209, 128 bits) it
+times building the float relation rows in fixed point
+(`abelrank._expansion_rows`: each offset held once as ints, its powers
+shifted back after every product) against the mpf build they replaced
+(mpf powers, then the conversion to fixed point), both up to the rows
+aligned to the matrix unit, and the float rank path (`linalg.float_rank`:
+alignment and complete pivoting on the nonzeros) against the dense mpf
+kernel it replaced; it checks that the fixed-point rows have the rank and
+marginal flag the mpf kernel gives on the mpf rows.  It also times
 building the exact relation systems of k0_4_pereira_pirio_affine and
 k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
 on packed monomial codes, each generating integral expanded at its projected
@@ -60,6 +64,7 @@ from webrank.abelrank import (
     _first_two_dims,
     _leading_rows,
     _relation_keys,
+    _source_columns,
     generic_point_for_web,
 )
 from webrank.catalog import get_family
@@ -240,39 +245,84 @@ def bench_first_two_orders(name: str, repeat: int):
     )
 
 
-def bench_float(repeat: int):
+def _float_system():
+    """The k0_4_exp relation system at n = 4, order 6 (210x209), at the
+    pipeline's 128 bits: (web, point, mode, number of columns)."""
     E, _ = get_family("k0_4_exp")
     mode = E.default_mode()
     W = assemble(E, 4)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    with mpmath.workprec(mode.precision):
+    return W, point, mode, len(_relation_keys(W.n, 6))
+
+
+def _mpf_rows(W, point, order: int, mode):
+    """The float system as built before the fixed-point powers: each
+    entry's mpf offset and its powers taken in mpf, as sparse rows."""
+    rows = []
+    with mode.workprec():
+        for entry in W.entries:
+            codes, column = _source_columns(W.n, order, entry.source)
+            at = [point[s - 1] for s in entry.source]
+            expansion = taylor(entry.generator, at, codes, mode)
+            offset = {code: v for code, v in expansion.items() if code}
+            for power in codes.powers(offset, order):
+                rows.append({column[code]: v for code, v in power.items()})
+    return rows
+
+
+def _mpf_oracle(rows, ncols: int, precision: int):
+    """Rank and marginal flag of the dense mpf kernel."""
+    with mpmath.workprec(precision):
+        rank, _, _, marginal = _purekernels.rank_float_rows(
+            [[row.get(j, 0) for j in range(ncols)] for row in rows],
+            mpmath.mpf(2) ** (-(precision // 2)),
+            linalg.FLOAT_GAP,
+        )
+    return rank, marginal
+
+
+def bench_float_build(repeat: int):
+    W, point, mode, ncols = _float_system()
+    precision = mode.precision
+
+    def mpf_build():
+        return linalg._fixed_point_rows(_mpf_rows(W, point, 6, mode), precision)
+
+    def fixed_build():
         rows, _ = _expansion_rows(W, point, 6, mode)
-        tol = mpmath.mpf(2) ** (-(mode.precision // 2))
-    ncols = len(_relation_keys(W.n, 6))
-    shape = f"{len(rows)}x{ncols}"
+        return linalg._fixed_point_rows(rows, precision)
 
-    def oracle():
-        with mpmath.workprec(mode.precision):
-            rank, _, _, marginal = _purekernels.rank_float_rows(
-                [[row.get(j, 0) for j in range(ncols)] for row in rows],
-                tol,
-                linalg.FLOAT_GAP,
-            )
-        return rank, marginal
+    results = {"mpf": _time(mpf_build, repeat), "fixed": _time(fixed_build, repeat)}
+    rows, _ = _expansion_rows(W, point, 6, mode)
+    rank, info = linalg.float_rank(rows, ncols, precision)
+    if _mpf_oracle(_mpf_rows(W, point, 6, mode), ncols, precision) != (
+        rank,
+        info["marginal"],
+    ):
+        raise AssertionError(
+            "fixed-point rows and the mpf oracle disagree on the rank or the "
+            "marginal flag"
+        )
+    label = "float relation rows (128-bit; mpf powers + conversion vs fixed point)"
+    return label, f"{len(rows)}x{ncols}, rank {rank}", results
 
+
+def bench_float(repeat: int):
+    W, point, mode, ncols = _float_system()
+    precision = mode.precision
+    mpf_rows = _mpf_rows(W, point, 6, mode)
+    rows, _ = _expansion_rows(W, point, 6, mode)
     results = {
-        "mpf": _time(oracle, repeat),
-        "fixed": _time(
-            lambda: linalg.float_rank(rows, ncols, mode.precision), repeat
-        ),
+        "mpf": _time(lambda: _mpf_oracle(mpf_rows, ncols, precision), repeat),
+        "fixed": _time(lambda: linalg.float_rank(rows, ncols, precision), repeat),
     }
-    rank, info = linalg.float_rank(rows, ncols, mode.precision)
-    if oracle() != (rank, info["marginal"]):
+    rank, info = linalg.float_rank(rows, ncols, precision)
+    if _mpf_oracle(mpf_rows, ncols, precision) != (rank, info["marginal"]):
         raise AssertionError(
             "fixed-point and mpf kernels disagree on the rank or the marginal flag"
         )
     label = "float rank (128-bit, complete pivoting; sparse fixed point vs mpf)"
-    return label, f"{shape}, rank {rank}", results
+    return label, f"{len(rows)}x{ncols}, rank {rank}", results
 
 
 def _jet_web():
@@ -347,6 +397,7 @@ def main() -> None:
         functools.partial(bench_exact, "k0_4_WB_sum", 5),
         functools.partial(bench_first_two_orders, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_first_two_orders, "k0_4_WB_sum"),
+        bench_float_build,
         bench_float,
         bench_jets,
         bench_proportional,

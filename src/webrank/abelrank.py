@@ -22,7 +22,12 @@ coefficient denominators and row (i, m) is L_i^m times the rational row,
 which keeps every rank; relation_jets undoes the scaling on its kernel
 vectors.  In float mode the offset is the mpf expansion tpoly.taylor
 without its constant term, built at the precision it is ranked at
-(linalg.escalating_float_ranks).  An exact row
+(linalg.escalating_float_ranks); mpmath stops there.  tpoly.fixed_powers
+holds the offset once as ints at a binary unit set by its largest degree-1
+coefficient and takes its powers on those ints, shifting each product back
+(truncated toward zero), so row (i, m) is a linalg.FixedRow, ints with the
+row's own power-of-two unit, and linalg.float_rank aligns the rows to one
+matrix unit before it eliminates.  An exact row
 (i, m) is the m-th power of an integer offset, so it carries at least the
 m-th power of that offset's content (the gcd of its numerators); the exact
 kernel divides each row by its content before eliminating, and like the
@@ -48,9 +53,9 @@ system.  Orders above top are built afresh.  Float mode ranks each order
 with its own complete-pivoting elimination: it builds the order-top rows
 once per precision and slices the order-M system out of them through a
 column remap by key, cached per (n, built order, order), so the slice is
-the matrix a fresh build gives.  A permutation of the columns cannot change
-a rank, and complete pivoting picks the same pivots in any column order
-except at exact ties of magnitude.
+the matrix a fresh build gives (the rows keep their units).  A permutation
+of the columns cannot change a rank, and complete pivoting picks the same
+pivots in any column order except at exact ties of magnitude.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .report import (
     confirm,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
-from .tpoly import MonomialCodes, integer_offset, taylor
+from .tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
@@ -155,7 +160,11 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     so row (i, m) is L_i^m times the rational row; row scaling keeps the
     rank, and a kernel vector of these rows becomes one of the rational rows
     once component (i, m) is multiplied by L_i^m (see relation_jets).
-    scales lists L_i per entry; in float mode every L_i is 1.
+    scales lists L_i per entry; in float mode every L_i is 1.  In float mode
+    the offset is the mpf series tpoly.taylor gives at the mode's precision
+    and its powers are taken in fixed point (tpoly.fixed_powers, which
+    states the error model), so each row is a linalg.FixedRow carrying the
+    unit of its power.
     """
     rows = []
     scales = []
@@ -167,13 +176,17 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
                 offset, scale = integer_offset(entry.generator, at, codes)
             else:
                 expansion = taylor(entry.generator, at, codes, mode)
-                offset = {code: v for code, v in expansion.items() if code}
                 scale = 1
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
         scales.append(scale)
-        for power in codes.powers(offset, order):
-            rows.append({column[code]: value for code, value in power.items()})
+        if mode.is_exact:
+            for power in codes.powers(offset, order):
+                rows.append({column[code]: value for code, value in power.items()})
+        else:
+            for power, unit in fixed_powers(expansion, codes, mode.precision):
+                row = {column[code]: value for code, value in power.items()}
+                rows.append(linalg.FixedRow(row, unit))
     return rows, scales
 
 
@@ -197,14 +210,19 @@ def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     `order` power rows and moving each column of degree <= order to its
     key's column in the order-`order` system gives the matrix a fresh build
     gives (in exact mode up to the row scales, which cannot change the
-    rank).
+    rank).  Float rows keep their units, which tpoly.fixed_powers sets from
+    the degree-1 terms alone, so there the slice equals a fresh build int
+    for int and unit for unit.
     """
     remap = _leading_columns(W.n, built, order)
-    return [
-        {remap[j]: v for j, v in rows[i * built + m].items() if j in remap}
-        for i in range(W.size)
-        for m in range(order)
-    ]
+    sliced = []
+    for i in range(W.size):
+        for row in rows[i * built : i * built + order]:
+            kept = {remap[j]: v for j, v in row.items() if j in remap}
+            if isinstance(row, linalg.FixedRow):
+                kept = linalg.FixedRow(kept, row.unit)
+            sliced.append(kept)
+    return sliced
 
 
 def _first_two_dims(W: AssembledWeb, rows: list, m_start: int) -> dict[int, int]:

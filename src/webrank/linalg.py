@@ -10,11 +10,14 @@ nonzeros per row, plus the column count.  The relation rows
 (abelrank._expansion_rows) are built in that format; the dense jet matrices
 and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
-int gradients are built; a rational matrix is cleared first with
-_integer_rows, since row scaling keeps the rank (the exact kernel also
-divides each row by its content before it eliminates, for the same reason).
-Float matrices are built and ranked at one precision, set in
-escalating_float_ranks.
+int gradients are built (the exact kernel divides each row by its content
+before it eliminates, since row scaling keeps the rank); exact_det clears
+a rational matrix of its denominators with _integer_rows first.  Float
+rank takes FixedRows, int rows that each carry their own power-of-two
+unit, as the float relation rows are built, or rows of mpf entries, which
+fixed_row holds exactly in that format first; _fixed_point_rows aligns
+either to one matrix unit for the kernel.  Float matrices are built and
+ranked at one precision, set in escalating_float_ranks.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 import mpmath
 
 from . import _purekernels
-from .scalars import ESCALATION_LIMIT, Mode
+from .scalars import ESCALATION_LIMIT, Mode, mpf_ints, shifted
 
 BACKEND = "pure"  # name of the elimination kernels, recorded by benchmarks
 FLOAT_GAP = 16  # accepted and discarded pivots must clear the threshold by 2^4
@@ -88,55 +91,85 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
     return out
 
 
+class FixedRow(dict):
+    """A sparse float row in fixed point: {column: int}, each int standing
+    for int * 2^unit.  Rows compare equal when their entries and units do."""
+
+    __slots__ = ("unit",)
+
+    def __init__(self, entries, unit: int):
+        super().__init__(entries)
+        self.unit = unit
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FixedRow)
+            and self.unit == other.unit
+            and dict.__eq__(self, other)
+        )
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __repr__(self):
+        return f"FixedRow({dict.__repr__(self)}, unit={self.unit})"
+
+
+def fixed_row(row: dict, precision: int) -> FixedRow:
+    """A sparse row of mpf (or int) entries held exactly in fixed point.
+
+    Each entry is first rounded to `precision` bits (an mpf whose mantissa
+    already fits is used as it is, which is what rounding it would give;
+    others are rounded by mpmath.mpf), then the row is held as ints over the
+    lowest binary exponent of its nonzero entries (scalars.mpf_ints), so the
+    FixedRow equals the rounded entries exactly, each as man * 2^exp.
+    """
+    mpf = mpmath.mpf
+    columns = []
+    values = []
+    with mpmath.workprec(precision):
+        for j, v in row.items():
+            if type(v) is not mpf:
+                if not v:
+                    continue
+                v = mpf(v)
+            elif v._mpf_[3] > precision:
+                v = mpf(v)
+            columns.append(j)
+            values.append(v)
+    ints, unit = mpf_ints(values)
+    return FixedRow({j: v for j, v in zip(columns, ints) if v}, unit)
+
+
 def _fixed_point_rows(rows: Sequence[dict], precision: int):
     """Sparse float matrix as sparse integer rows times one power of two:
     ([{column: int}, ...], exponent).
 
-    Entries are first rounded to `precision` bits, then all are scaled by
-    the same power of two so that the largest has precision + FIXED_GUARD_BITS
-    bits; smaller entries lose their bits below that unit (truncated toward
-    zero).  Scaling the whole matrix by one factor keeps every rank decision
-    made relative to the first pivot.  Zero entries, and entries that
-    truncate to zero at the unit, are left out of the rows.  An mpf whose
-    mantissa already fits in `precision` bits is used as it is, which is
-    what rounding it would give; other entries are rounded by mpmath.mpf.
+    Rows are FixedRows, each with its own unit (abelrank's relation rows),
+    or sparse rows of mpf (or int) entries, which fixed_row holds exactly
+    first.  Every row is then aligned to the matrix unit
+    2^(top - precision - FIXED_GUARD_BITS), top the binary exponent just
+    above the largest entry: the largest entry keeps precision +
+    FIXED_GUARD_BITS bits and smaller ones lose their bits below the unit
+    (truncated toward zero).  Scaling the whole matrix by one factor keeps
+    every rank decision made relative to the first pivot.  Zero entries,
+    and entries that truncate to zero at the unit, are left out of the
+    rows.  An mpf matrix thus gives, int for int, each entry rounded to
+    `precision` bits and truncated at the unit; the 64 guard bits keep that
+    truncation, like the kernel's own (see _purekernels.rank_fixed_rows),
+    far below the 2^-(precision/2) threshold.
     """
-    mpf = mpmath.mpf
-    parts = []
-    top = None
-    with mpmath.workprec(precision):
-        for row in rows:
-            part = []
-            for j, v in row.items():
-                if type(v) is mpf:
-                    t = v._mpf_
-                    if t[3] > precision:
-                        t = mpf(v)._mpf_
-                elif v:
-                    t = mpf(v)._mpf_
-                else:
-                    continue
-                sign, man, exp, bc = t
-                if not man:
-                    if bc:
-                        raise ValueError("float rank needs finite entries")
-                    continue
-                if top is None or exp + bc > top:
-                    top = exp + bc
-                part.append((j, sign, man, exp))
-            parts.append(part)
+    rows = [
+        row if type(row) is FixedRow else fixed_row(row, precision) for row in rows
+    ]
+    top = max(
+        (row.unit + max(map(abs, row.values())).bit_length() for row in rows if row),
+        default=None,
+    )
     if top is None:
-        return [{} for _ in parts], 0
+        return [{} for _ in rows], 0
     unit = top - precision - FIXED_GUARD_BITS
-    fixed = []
-    for part in parts:
-        row = {}
-        for j, sign, man, exp in part:
-            v = man << (exp - unit) if exp >= unit else man >> (unit - exp)
-            if v:
-                row[j] = -v if sign else v
-        fixed.append(row)
-    return fixed, unit
+    return [shifted(row, row.unit - unit) for row in rows], unit
 
 
 def float_rank(

@@ -2,7 +2,10 @@
 
 Two models: exact rationals (fractions.Fraction over Python big ints) and
 arbitrary-precision binary floats (mpmath, configurable mantissa).  Exact is
-the default wherever the inputs are free of exp/log.
+the default wherever the inputs are free of exp/log.  Float mode leaves mpf
+after the Taylor series: its relation rows, rank kernel and proportionality
+minors run on ints in fixed point, an int v standing for v * 2^unit
+(mpf_ints, shifted).
 """
 
 from __future__ import annotations
@@ -88,3 +91,31 @@ def scalar_to_str(value) -> str:
     if isinstance(value, (int, Fraction)):
         return str(value)
     return mpmath.nstr(value, 24)
+
+
+def mpf_ints(values) -> tuple[list[int], int]:
+    """Finite mpf values held exactly as ints over one power of two:
+    (ints, unit) with values[k] == ints[k] * 2^unit, unit the lowest binary
+    exponent among the nonzero values (0 when every value is zero)."""
+    parts = []
+    for value in values:
+        sign, man, exp, bc = value._mpf_
+        if not man and bc:
+            raise ValueError("fixed point needs finite values")
+        parts.append((-man if sign else man, exp))
+    unit = min((exp for man, exp in parts if man), default=0)
+    return [man << (exp - unit) if man else 0 for man, exp in parts], unit
+
+
+def shifted(values: dict, bits: int) -> dict:
+    """{key: int} times 2^bits; for bits < 0 each value is truncated toward
+    zero, and the values that become zero are left out."""
+    if bits >= 0:
+        return {key: v << bits for key, v in values.items()}
+    bits = -bits
+    out = {}
+    for key, v in values.items():
+        v = v >> bits if v > 0 else -(-v >> bits)
+        if v:
+            out[key] = v
+    return out

@@ -43,7 +43,14 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import DEFAULT_PRECISION, EXACT, Mode, to_scalar, zero_tolerance
+from .scalars import (
+    DEFAULT_PRECISION,
+    EXACT,
+    Mode,
+    mpf_ints,
+    to_scalar,
+    zero_tolerance,
+)
 from .tpoly import series_gradient, vars_used
 
 
@@ -199,24 +206,14 @@ def proportional_pairs(
 ) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, of proportional gradients, in order.
 
-    Float mode tests the 2x2 minors of every pair, as gradients_proportional
-    does, with each gradient's largest component and the tolerance computed
-    once.  In exact mode (int or rational components) two nonzero gradients
-    are proportional iff they have the same _direction, so grouping by it
-    finds every pair in O(d*n); a zero gradient is proportional to every
-    other one.
+    Float mode decides each pair as gradients_proportional does, on exact
+    integers (_float_proportional_pairs).  In exact mode (int or rational
+    components) two nonzero gradients are proportional iff they have the
+    same _direction, so grouping by it finds every pair in O(d*n); a zero
+    gradient is proportional to every other one.
     """
     if not mode.is_exact:
-        count = len(gradients)
-        with mode.workprec():
-            tol = zero_tolerance(mode)
-            tops = [_largest(g) for g in gradients]
-            return [
-                (i, j)
-                for i in range(count)
-                for j in range(i + 1, count)
-                if _minors_vanish(gradients[i], tops[i], gradients[j], tops[j], tol)
-            ]
+        return _float_proportional_pairs(gradients, mode)
     zeros = []
     groups: dict[tuple, list[int]] = {}
     for i, g in enumerate(gradients):
@@ -233,6 +230,65 @@ def proportional_pairs(
     for z in zeros:
         pairs.update((min(z, i), max(z, i)) for i in range(len(gradients)) if i != z)
     return sorted(pairs)
+
+
+def _float_proportional_pairs(gradients, mode: Mode) -> list[tuple[int, int]]:
+    """proportional_pairs of mpf gradients: the pairs the mpf minor test
+    (_minors_vanish at the mode's precision p) accepts, decided on ints.
+
+    Each gradient is held exactly as ints over its lowest binary exponent
+    (scalars.mpf_ints).  With T = top_i * top_j, the product of the two
+    gradients' largest |components|, the mpf test accepts a pair when every
+    minor d satisfies |round(d)| <= round(T) * 2^-(p//2), and the exact
+    test asks |d| <= b with b = T * 2^-(p//2).  Both sides scale by the
+    same power of two, so on the ints they are integer comparisons.
+
+    Proof that the pairs are identical.  Rounding to nearest at p bits, the
+    mpf minor rounds its two products, of magnitude at most T, by at most
+    2^-p * T each, and their difference by at most 2^-p * (2 + 2^(1-p)) * T,
+    so it differs from d by less than 2^(3-p) * T; round(T) differs from T
+    by at most 2^-p * T, and 2^-(p//2) is exact.  Hence, if
+    ||d| - b| > 2^(8-p) * T, both tests decide that minor the same way.
+    Every minor is decided exactly unless one lies within that band, and
+    then the pair is decided by the mpf test itself; so each pair gets the
+    mpf test's answer.  A zero gradient (T = 0) is proportional to every
+    other one in both tests.  Outside the band a pair costs int products
+    only, and the first minor above the bound ends it.
+    """
+    precision = mode.precision
+    ints = [mpf_ints(g)[0] for g in gradients]
+    tops = [max(map(abs, g), default=0) for g in ints]
+    n = len(ints[0]) if ints else 0
+    minors = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = []
+    for i, (gi, top_i) in enumerate(zip(ints, tops)):
+        for j in range(i + 1, len(ints)):
+            gj = ints[j]
+            both = top_i * tops[j]
+            if not both:
+                pairs.append((i, j))
+                continue
+            # minors scaled by 2^p against the bound T * 2^(p - p//2), with
+            # the band 2^8 * T around it
+            bound = both << (precision - precision // 2)
+            band = both << 8
+            low, high = bound - band, bound + band
+            vanish = True
+            for a, b in minors:
+                d = abs(gi[a] * gj[b] - gi[b] * gj[a]) << precision
+                if d < low:
+                    continue
+                vanish = False if d > high else None
+                break
+            if vanish is None:
+                with mode.workprec():
+                    g1, g2 = gradients[i], gradients[j]
+                    vanish = _minors_vanish(
+                        g1, _largest(g1), g2, _largest(g2), zero_tolerance(mode)
+                    )
+            if vanish:
+                pairs.append((i, j))
+    return pairs
 
 
 def _direction(g) -> tuple[int, ...] | None:

@@ -22,6 +22,7 @@ from webrank.expr import (
 )
 from webrank.jets import degree_multi_indices, jet_coefficient
 from webrank.scalars import EXACT
+from webrank.tpoly import taylor
 from webrank.web import (
     AssembledWeb,
     BalancedSet,
@@ -70,6 +71,69 @@ def oracle_float_rank(rows, precision):
             copies, tol_ratio, linalg.FLOAT_GAP
         )
     return rank, marginal
+
+
+def mpf_relation_rows(W: AssembledWeb, point, order: int, mode) -> list[dict]:
+    """Oracle: the float relation rows as they were built on mpf, before
+    the fixed-point powers: each entry's mpf offset and its powers taken in
+    mpf at the mode's precision, as sparse rows in the relation columns."""
+    rows = []
+    with mode.workprec():
+        for entry in W.entries:
+            codes, column = abelrank._source_columns(W.n, order, entry.source)
+            at = [point[s - 1] for s in entry.source]
+            expansion = taylor(entry.generator, at, codes, mode)
+            offset = {code: v for code, v in expansion.items() if code}
+            for power in codes.powers(offset, order):
+                rows.append({column[code]: v for code, v in power.items()})
+    return rows
+
+
+def mpf_fixed_point_rows(rows: list[dict], precision: int):
+    """Oracle: sparse mpf rows converted to fixed point in one pass, as
+    linalg._fixed_point_rows did before rows carried their own units.
+
+    Entries are rounded to `precision` bits, then all are scaled by the same
+    power of two so that the largest has precision + FIXED_GUARD_BITS bits;
+    smaller entries lose their bits below that unit (truncated toward
+    zero).  Returns ([{column: int}, ...], exponent).
+    """
+    mpf = mpmath.mpf
+    parts = []
+    top = None
+    with mpmath.workprec(precision):
+        for row in rows:
+            part = []
+            for j, v in row.items():
+                if type(v) is mpf:
+                    t = v._mpf_
+                    if t[3] > precision:
+                        t = mpf(v)._mpf_
+                elif v:
+                    t = mpf(v)._mpf_
+                else:
+                    continue
+                sign, man, exp, bc = t
+                if not man:
+                    if bc:
+                        raise ValueError("float rank needs finite entries")
+                    continue
+                if top is None or exp + bc > top:
+                    top = exp + bc
+                part.append((j, sign, man, exp))
+            parts.append(part)
+    if top is None:
+        return [{} for _ in parts], 0
+    unit = top - precision - linalg.FIXED_GUARD_BITS
+    fixed = []
+    for part in parts:
+        row = {}
+        for j, sign, man, exp in part:
+            v = man << (exp - unit) if exp >= unit else man >> (unit - exp)
+            if v:
+                row[j] = -v if sign else v
+        fixed.append(row)
+    return fixed, unit
 
 
 def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):

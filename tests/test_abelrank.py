@@ -33,12 +33,13 @@ from webrank.jets import degree_multi_indices
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
-from webrank.tpoly import MonomialCodes, integer_offset, taylor
+from webrank.tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
 from webrank.web import assemble, balanced_set_from_json
 
 from helpers import (
     dense_rows,
     inflate_first_rank_estimate,
+    mpf_relation_rows,
     oracle_float_rank,
     rational_rank,
     reparametrize_entry,
@@ -332,19 +333,22 @@ def test_sliced_rows_equal_a_fresh_build(system, extra):
 
 def full_point_rows(W, point, order, mode):
     """Reference: the relation rows from each pulled-back tree
-    WebEntry.integral, expanded at the full point on n-variable codes."""
+    WebEntry.integral, expanded at the full point on n-variable codes; in
+    float mode the expansion's offset goes through the fixed-point powers."""
     column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
     codes = MonomialCodes(W.n, order)
     rows, scales = [], []
     for entry in W.entries:
         if mode.is_exact:
             offset, scale = integer_offset(entry.integral, point, codes)
+            powers = [(power, None) for power in codes.powers(offset, order)]
         else:
             expansion = taylor(entry.integral, point, codes, mode)
-            offset, scale = {c: v for c, v in expansion.items() if c}, 1
+            powers, scale = fixed_powers(expansion, codes, mode.precision), 1
         scales.append(scale)
-        for power in codes.powers(offset, order):
-            rows.append({column[codes.decode(c)]: v for c, v in power.items()})
+        for power, unit in powers:
+            row = {column[codes.decode(c)]: v for c, v in power.items()}
+            rows.append(row if unit is None else linalg.FixedRow(row, unit))
     return rows, scales
 
 
@@ -375,7 +379,7 @@ def test_generator_rows_equal_pulled_back_rows(name, n, modes):
         rows, scales = _expansion_rows(W, point, order, mode)
         reference, reference_scales = full_point_rows(W, point, order, mode)
         assert scales == reference_scales
-        assert rows == reference  # ints, or mpf bit for bit
+        assert rows == reference  # ints, or fixed-point ints and units
 
 
 # --------------------------------------------------------------------------
@@ -499,24 +503,55 @@ def test_one_elimination_without_stabilization(seed):
 def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
     # the k0_4_exp systems verify-family ranks at its first two orders, in
     # the relation column order (at 32 bits the n = 3 order-6 system is
-    # marginal); the order-5 rows it ranks are sliced out of the order-6 ones.
-    # The n = 4 systems (175x125 and 210x209) take the dense mpf oracle
-    # about 9 s per precision, so they are left out here;
-    # benchmarks/bench_kernels.py checks the 210x209 one at 128 bits
+    # marginal): the fixed-point rows it ranks, the order-5 ones sliced out
+    # of the order-6 ones, against the mpf oracle on mpf systems built
+    # separately for each order.  The n = 4 systems (175x125 and 210x209)
+    # take the dense mpf oracle about 9 s per precision, so they are left
+    # out here; benchmarks/bench_kernels.py checks the 210x209 one at 128 bits
     E, _ = get_family("k0_4_exp")
     W = assemble(E, n)
     mode = Mode.floating(precision)
     top = E.k0 + 2
-    with mode.workprec():
-        point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-        top_rows, _ = _expansion_rows(W, point, top, mode)
-        fresh, _ = _expansion_rows(W, point, top - 1, mode)
-        assert _leading_rows(top_rows, W, top, top - 1) == fresh
-        for rows, order in ((fresh, top - 1), (top_rows, top)):
-            ncols = len(_relation_keys(n, order))
-            rank, info = linalg.float_rank(rows, ncols, precision)
-            expected = oracle_float_rank(dense_rows(rows, ncols), precision)
-            assert (rank, info["marginal"]) == expected
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    top_rows, _ = _expansion_rows(W, point, top, mode)
+    systems = {top - 1: _leading_rows(top_rows, W, top, top - 1), top: top_rows}
+    for order, rows in systems.items():
+        ncols = len(_relation_keys(n, order))
+        rank, info = linalg.float_rank(rows, ncols, precision)
+        oracle_rows = mpf_relation_rows(W, point, order, mode)
+        expected = oracle_float_rank(dense_rows(oracle_rows, ncols), precision)
+        assert (rank, info["marginal"]) == expected
+
+
+def assert_sliced_float_rows_equal_a_fresh_build(W, point, order, built, mode):
+    rows, _ = _expansion_rows(W, point, built, mode)
+    fresh, _ = _expansion_rows(W, point, order, mode)
+    assert all(type(row) is linalg.FixedRow for row in rows + fresh)
+    # FixedRow equality compares the units as well as the ints
+    assert _leading_rows(rows, W, built, order) == fresh
+
+
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sliced_float_rows_of_exp_systems_equal_a_fresh_build(n, precision):
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, n)
+    mode = Mode.floating(precision)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    top = E.k0 + 2
+    assert_sliced_float_rows_equal_a_fresh_build(W, point, top - 1, top, mode)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sampled_relation_systems(),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([32, 64, 128]),
+)
+def test_sliced_float_rows_equal_a_fresh_build(system, extra, precision):
+    W, point, order = system
+    mode = Mode.floating(precision)
+    assert_sliced_float_rows_equal_a_fresh_build(W, point, order, order + extra, mode)
 
 
 # --------------------------------------------------------------------------

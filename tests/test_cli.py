@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from webrank import cli
 from webrank.cli import main
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE
 from webrank.web import save_balanced_set
@@ -419,3 +420,31 @@ def test_rank_point_inside_the_log_domain_is_unchanged(capsys):
     )
     assert code == 0
     assert json.loads(out)["point"] == ["2/7", "5/39"]
+
+
+PARSER_SEQUENCE = [
+    ["validate", "--family", "k0_3_quadrics", "--n", "2", "--n", "3"],
+    ["validate", "--family", "k0_3_quadrics", "--n", "2", "--format", "json"],
+    ["verify-family", "--family", "k0_2_linear", "--seed", "3", "--corroborate"],
+    ["verify-family", "--family", "k0_2_linear", "--format", "json"],
+    ["counts", "--k0", "3", "--n", "4", "--format", "json"],
+    ["counts", "--k0", "3", "--n", "4"],
+    ["rank", "--family", "k0_3_quadrics", "--n", "2", "--precision", "64"],
+    ["rank", "--family", "k0_3_quadrics", "--n", "2"],
+]
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    # the parser main builds once per process against a fresh one per call:
+    # appended --n values, --corroborate and options with defaults must not
+    # carry over from one call to the next
+    reused = [run_cli(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert reused == fresh
+    checks = json.loads(reused[1][1])["report"]["checks"]
+    assert [check["n"] for check in checks if "n" in check] == [2]
+    config = json.loads(reused[3][1])["config"]
+    assert config["seed"] == 0 and config["corroborate"] is False
+    assert not reused[5][1].startswith("{")  # --format is text again

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rank_fixed_rows, oracle_float_rank
+from helpers import dense_rank_fixed_rows, mpf_fixed_point_rows, oracle_float_rank
 from webrank import _purekernels, linalg
 from webrank.scalars import Mode
 
@@ -483,6 +483,100 @@ def test_fixed_point_rows_drop_entries_below_the_unit():
         [{0: 2**191}, {1: -(2**191)}],
         -191,
     )
+
+
+@st.composite
+def wide_mpf_rows(draw, precision):
+    """Sparse rows of mpf entries with mantissas up to three times the
+    precision wide, exponents far enough apart that some entries truncate to
+    zero at the matrix unit, explicit zeros and plain ints."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=6))
+    wide = 3 * precision
+    entry = st.one_of(
+        st.tuples(
+            st.integers(min_value=-(2**wide), max_value=2**wide),
+            st.integers(min_value=-2 * wide, max_value=wide),
+        ),
+        st.just((0, 0)),
+        st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    rows = []
+    with mpmath.workprec(wide + 8):  # every (man, exp) held exactly
+        for _ in range(m):
+            row = {}
+            for j in range(n):
+                v = draw(entry)
+                if draw(st.booleans()):
+                    row[j] = v if isinstance(v, int) else mpmath.mpf(v)
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(precisions.flatmap(lambda p: st.tuples(wide_mpf_rows(p), st.just(p))))
+def test_converted_mpf_rows_align_as_the_one_pass_conversion(case):
+    # fixed_row then the aligner give the ints and unit of the one-pass
+    # conversion _fixed_point_rows made before rows carried their own units
+    rows, precision = case
+    assert linalg._fixed_point_rows(rows, precision) == mpf_fixed_point_rows(
+        rows, precision
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(precisions.flatmap(lambda p: st.tuples(wide_mpf_rows(p), st.just(p))))
+def test_fixed_row_holds_the_rounded_entries_exactly(case):
+    rows, precision = case
+    for row in rows:
+        fixed = linalg.fixed_row(row, precision)
+        with mpmath.workprec(precision):
+            rounded = {j: mpmath.mpf(v) for j, v in row.items() if v}
+        assert {j: v for j, v in rounded.items() if v} == {
+            j: mpmath.ldexp(v, fixed.unit) for j, v in fixed.items()
+        }
+        assert all(type(v) is int and v for v in fixed.values())
+
+
+@st.composite
+def fixed_row_matrices(draw):
+    """FixedRows with ints of up to 300 bits at units far apart."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        entries = draw(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=-(2**300), max_value=2**300).filter(bool),
+                max_size=6,
+            )
+        )
+        rows.append(linalg.FixedRow(entries, draw(st.integers(-600, 300))))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed_row_matrices(), precisions)
+def test_fixed_rows_are_aligned_to_the_matrix_unit(rows, precision):
+    fixed, unit = linalg._fixed_point_rows(rows, precision)
+    tops = [r.unit + max(map(abs, r.values())).bit_length() for r in rows if r]
+    if not tops:
+        assert (fixed, unit) == ([{} for _ in rows], 0)
+        return
+    assert unit == max(tops) - precision - linalg.FIXED_GUARD_BITS
+    for row, aligned in zip(rows, fixed):
+        expected = {}
+        for j, v in row.items():
+            exact = Fraction(v) * Fraction(2) ** (row.unit - unit)
+            truncated = math.trunc(exact)  # toward zero
+            if truncated:
+                expected[j] = truncated
+        assert aligned == expected
+
+
+def test_fixed_rows_compare_their_units():
+    assert linalg.FixedRow({0: 3}, -2) == linalg.FixedRow({0: 3}, -2)
+    assert linalg.FixedRow({0: 3}, -2) != linalg.FixedRow({0: 3}, -1)
+    assert linalg.FixedRow({0: 3}, 0) != {0: 3}
 
 
 def test_exact_nullspace_known_kernel():

@@ -23,6 +23,7 @@ from webrank.scalars import EXACT, Mode, scalar_is_zero
 from webrank.tpoly import (
     MonomialCodes,
     _zero_test_points,
+    fixed_powers,
     integer_taylor,
     taylor,
     vars_used,
@@ -297,6 +298,29 @@ def test_float_exp_and_log_trees_against_diff_oracle(text, point):
             expected = repeated_diff_coefficient(tree, key, point, mode)
             tolerance = mpmath.mpf(2) ** -110 * max(1, abs(expected))
             assert abs(value - expected) <= tolerance
+
+
+@pytest.mark.parametrize("bits", [32, 64, 128])
+@pytest.mark.parametrize("text,point", FLOAT_TREES, ids=[t for t, _ in FLOAT_TREES])
+def test_fixed_powers_are_the_exact_powers_of_the_mpf_offset(text, point, bits):
+    # each fixed-point power against the Fraction power of the same mpf
+    # offset: its error is far below the 2^-bits rounding of an mpf build
+    mode = Mode.floating(bits)
+    codes = MonomialCodes(len(point), 4)
+    expansion = taylor(parse(text, len(point)), point, codes, mode)
+    offset = {}
+    for code, v in expansion.items():
+        if code:
+            sign, man, exp, _ = v._mpf_
+            offset[code] = (-man if sign else man) * Fraction(2) ** exp
+    exact = codes.powers(offset, codes.cap)
+    fixed = fixed_powers(expansion, codes, bits)
+    for m, ((ints, unit), power) in enumerate(zip(fixed, exact), 1):
+        largest = max(map(abs, power.values()))
+        scale = Fraction(2) ** unit
+        error = max(abs(ints.get(c, 0) * scale - v) for c, v in power.items())
+        assert set(ints) <= set(power)
+        assert error <= largest * Fraction(2) ** -(bits + 32), m
 
 
 def test_inverse_at_a_negative_constant_keeps_its_sign():

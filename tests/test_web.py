@@ -14,6 +14,7 @@ from webrank.ordinary import GenericPointSampler
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import series_gradient
+from webrank import web as web_module
 from webrank.web import (
     _direction,
     assemble,
@@ -335,6 +336,85 @@ def test_proportional_pairs_float_matches_all_pairs_scan(gradients, precision):
         ]
     assert proportional_pairs(floats, mode) == all_pairs_scan(floats, mode)
     assert proportional_pairs(floats, mode) == proportional_pairs(gradients, EXACT)
+
+
+@st.composite
+def float_gradient_lists(draw, precision):
+    """mpf gradients at the precision: random ones, zero ones, scaled and
+    negated copies, and band pairs (v, w) whose minor (a, b) lies at the
+    bound 2^-(precision//2) up to rounding, inside the band where
+    proportional_pairs hands the pair to the mpf minor test."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    half = precision // 2
+    mantissa = st.integers(min_value=-(2**precision), max_value=2**precision)
+    gradients = []
+    with mpmath.workprec(precision):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            g = [
+                mpmath.ldexp(draw(mantissa), draw(st.integers(-precision - 8, 0)))
+                for _ in range(n)
+            ]
+            gradients.append(g)
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                factor = mpmath.ldexp(draw(mantissa), -precision // 2)
+                gradients.append([factor * v for v in g])
+            if draw(st.booleans()):
+                gradients.append([-v for v in g])
+        full = st.integers(min_value=2 ** (precision - 1), max_value=2**precision - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            a, b = draw(st.permutations(range(n)))[:2]
+            # v[a] = 1 is the largest component of v and of w, the minor
+            # (a, b) of (v, w) is w[b] - v[b], and the others are at most
+            # half of it; full mantissas make the scaled minors round, so
+            # the mpf test and the exact one disagree on some of these pairs
+            v = [mpmath.ldexp(draw(mantissa), -precision - 1) for _ in range(n)]
+            v[a] = mpmath.mpf(1)
+            v[b] = mpmath.ldexp(draw(full), -precision - 1)
+            k = draw(st.integers(min_value=-8, max_value=8))
+            w = list(v)
+            w[b] = v[b] + mpmath.ldexp(1 + mpmath.ldexp(k, 4 - precision), -half)
+            for g in (v, w):
+                scale = mpmath.ldexp(draw(full), -precision)
+                gradients.append([scale * x for x in g])
+        gradients.extend([[mpmath.mpf(0)] * n] * draw(st.integers(0, 2)))
+    return draw(st.permutations(gradients))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([16, 32, 64, 128]).flatmap(
+        lambda p: st.tuples(float_gradient_lists(p), st.just(p))
+    )
+)
+def test_float_proportional_pairs_on_ints_match_the_mpf_scan(case):
+    gradients, precision = case
+    mode = Mode.floating(precision)
+    assert proportional_pairs(gradients, mode) == all_pairs_scan(gradients, mode)
+
+
+def test_pairs_inside_the_band_are_decided_by_the_mpf_test(monkeypatch):
+    # v = (1, 0) and w_k = (1, 2^-32 (1 + k 2^-56)) at 64 bits: each minor
+    # of (v, w_k) is w_k[1], within 2^-56 of the bound 2^-32, so the int test
+    # hands those pairs to the mpf test, which accepts k <= 0
+    mode = Mode.floating(64)
+    with mode.workprec():
+        v = [mpmath.mpf(1), mpmath.mpf(0)]
+        ws = [
+            [mpmath.mpf(1), mpmath.ldexp(1 + mpmath.ldexp(k, -56), -32)]
+            for k in (-1, 0, 1)
+        ]
+    calls = []
+    original = web_module._minors_vanish
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(web_module, "_minors_vanish", counted)
+    pairs = proportional_pairs([v, *ws], mode)
+    assert len(calls) == 3
+    assert pairs == all_pairs_scan([v, *ws], mode)
+    assert pairs == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
 def fraction_normalized_pairs(gradients):
