@@ -34,7 +34,7 @@ on packed monomial codes, each generating integral expanded at its projected
 point (`abelrank._expansion_rows`), against the build it replaced, Fraction
 `tpoly.taylor` offsets of the pulled-back entries at the full point cleared
 by `linalg._integer_rows` before their powers are taken, and checks that
-both give the same rows and scales.  For the ordinariness check it times, on
+both give the same rows.  For the ordinariness check it times, on
 the assembled k0_4_WB_sum web in dimension 5 (70 entries), the jet matrices
 of orders 1..4 built as Fraction jet coefficients of the rational
 gradients, one `jets.jet_coefficient` per entry, and ranked after clearing
@@ -63,7 +63,7 @@ from webrank.abelrank import (
     _expansion_rows,
     _first_two_dims,
     _leading_rows,
-    _relation_keys,
+    _relation_columns,
     _source_columns,
     generic_point_for_web,
 )
@@ -97,19 +97,17 @@ def _time(fn, repeat: int) -> float:
 def _reference_rows(W, point, order: int):
     """The exact system as built before the integer Taylor kernel: Fraction
     offsets cleared of denominators, then their powers, as sparse rows."""
-    keys = _relation_keys(W.n, order)
+    keys = _relation_columns(W.n, order)
     codes = MonomialCodes(W.n, order)
     position = {codes.encode(key): idx for idx, key in enumerate(keys)}
     rows = []
-    scales = []
     for entry in W.entries:
         expansion = taylor(entry.integral, point, codes, EXACT)
         offset = {code: v for code, v in expansion.items() if code}
-        (cleared,), (scale,) = linalg._integer_rows([list(offset.values())])
-        scales.append(scale)
+        (cleared,), _ = linalg._integer_rows([list(offset.values())])
         for power in codes.powers(dict(zip(offset, cleared)), order):
             rows.append({position[code]: value for code, value in power.items()})
-    return rows, scales
+    return rows
 
 
 def _rank_content_per_update(rows, ncols: int):
@@ -165,16 +163,16 @@ def bench_build(name: str, repeat: int):
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     order = 6
-    rows, scales = _expansion_rows(W, point, order, EXACT)
-    if _reference_rows(W, point, order) != (rows, scales):
+    rows = _expansion_rows(W, point, order, EXACT)
+    if _reference_rows(W, point, order) != rows:
         raise AssertionError(f"{name}: integer and Fraction builds differ")
     results = {
         "fraction": _time(lambda: _reference_rows(W, point, order), repeat),
         "integer": _time(lambda: _expansion_rows(W, point, order, EXACT), repeat),
     }
     label = f"exact system build, {name} (Taylor rows to int rows)"
-    ncols = len(_relation_keys(W.n, order))
-    info = f"{len(rows)}x{ncols}, n=5, order {order}, identical rows and scales"
+    ncols = len(_relation_columns(W.n, order))
+    info = f"{len(rows)}x{ncols}, n=5, order {order}, identical rows"
     return label, info, results
 
 
@@ -183,8 +181,8 @@ def bench_exact(name: str, n: int, repeat: int):
     W = assemble(E, n)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     order = 6
-    ints, _ = _expansion_rows(W, point, order, EXACT)
-    column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
+    ints = _expansion_rows(W, point, order, EXACT)
+    column = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
     ncols = len(column)
     degree_keys = [
         key for h in range(1, order + 1) for key in degree_multi_indices(W.n, h)
@@ -217,7 +215,7 @@ def bench_first_two_orders(name: str, repeat: int):
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     m_start = E.k0 + 1
     top = m_start + 1
-    rows, _ = _expansion_rows(W, point, top, EXACT)
+    rows = _expansion_rows(W, point, top, EXACT)
     systems = {
         m_start: _leading_rows(rows, W, top, m_start),
         top: rows,
@@ -226,7 +224,7 @@ def bench_first_two_orders(name: str, repeat: int):
     def separate():
         return {
             order: W.size * order
-            - linalg.exact_rank(system, len(_relation_keys(W.n, order)))[0]
+            - linalg.exact_rank(system, len(_relation_columns(W.n, order)))[0]
             for order, system in systems.items()
         }
 
@@ -252,7 +250,7 @@ def _float_system():
     mode = E.default_mode()
     W = assemble(E, 4)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    return W, point, mode, len(_relation_keys(W.n, 6))
+    return W, point, mode, len(_relation_columns(W.n, 6))
 
 
 def _mpf_rows(W, point, order: int, mode):
@@ -289,11 +287,11 @@ def bench_float_build(repeat: int):
         return linalg._fixed_point_rows(_mpf_rows(W, point, 6, mode), precision)
 
     def fixed_build():
-        rows, _ = _expansion_rows(W, point, 6, mode)
+        rows = _expansion_rows(W, point, 6, mode)
         return linalg._fixed_point_rows(rows, precision)
 
     results = {"mpf": _time(mpf_build, repeat), "fixed": _time(fixed_build, repeat)}
-    rows, _ = _expansion_rows(W, point, 6, mode)
+    rows = _expansion_rows(W, point, 6, mode)
     rank, info = linalg.float_rank(rows, ncols, precision)
     if _mpf_oracle(_mpf_rows(W, point, 6, mode), ncols, precision) != (
         rank,
@@ -311,7 +309,7 @@ def bench_float(repeat: int):
     W, point, mode, ncols = _float_system()
     precision = mode.precision
     mpf_rows = _mpf_rows(W, point, 6, mode)
-    rows, _ = _expansion_rows(W, point, 6, mode)
+    rows = _expansion_rows(W, point, 6, mode)
     results = {
         "mpf": _time(lambda: _mpf_oracle(mpf_rows, ncols, precision), repeat),
         "fixed": _time(lambda: linalg.float_rank(rows, ncols, precision), repeat),

@@ -40,7 +40,6 @@ from .web import (
     is_quasi_symmetric,
     load_balanced_set,
     multi_indices,
-    save_balanced_set,
     validate_balanced,
 )
 

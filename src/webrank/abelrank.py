@@ -13,25 +13,23 @@ Both scalar modes build the system in one loop on packed monomial codes
 its generating integral at the projected point, on the codes of that
 integral's k variables; its powers are taken by MonomialCodes.powers, and
 each power becomes a sparse row, the {column: value} dict of its nonzeros,
-through a code-to-column map built once per (n, order, source); the rows
-go to the rank kernels in that format (linalg.exact_rank,
-linalg.float_rank).  In exact
-mode the offset comes from tpoly.integer_offset as integer numerators over
-one denominator L_i in lowest terms, so L_i is the lcm of the offset's
-coefficient denominators and row (i, m) is L_i^m times the rational row,
-which keeps every rank; relation_jets undoes the scaling on its kernel
-vectors.  In float mode the offset is the mpf expansion tpoly.taylor
-without its constant term, built at the precision it is ranked at
-(linalg.escalating_float_ranks); mpmath stops there.  tpoly.fixed_powers
-holds the offset once as ints at a binary unit set by its largest degree-1
+through a code-to-column map built once per (n, order, source); the rows go
+to the rank kernels in that format (linalg.exact_rank, linalg.float_rank).
+In exact mode the offset comes from tpoly.integer_offset as integer
+numerators over one denominator L_i in lowest terms, so L_i is the lcm of
+the offset's coefficient denominators and row (i, m) is L_i^m times the
+rational row, which keeps every rank.  In float mode the offset is the mpf
+expansion tpoly.taylor without its constant term, built at the precision it
+is ranked at (linalg.ranks); mpmath stops there.  tpoly.fixed_powers holds
+the offset once as ints at a binary unit set by its largest degree-1
 coefficient and takes its powers on those ints, shifting each product back
 (truncated toward zero), so row (i, m) is a linalg.FixedRow, ints with the
 row's own power-of-two unit, and linalg.float_rank aligns the rows to one
-matrix unit before it eliminates.  An exact row
-(i, m) is the m-th power of an integer offset, so it carries at least the
-m-th power of that offset's content (the gcd of its numerators); the exact
-kernel divides each row by its content before eliminating, and like the
-L_i^m that scaling keeps the rank and the pivot columns.
+matrix unit before it eliminates.  An exact row (i, m) is the m-th power of
+an integer offset, so it carries at least the m-th power of that offset's
+content (the gcd of its numerators); the exact kernel divides each row by
+its content before eliminating, and like the L_i^m that scaling keeps the
+rank and the pivot columns.
 
 Columns are the multi-indices of degree 1..M in two blocks, those of degree
 < M first and those of degree M last; within each block the keys with the
@@ -61,7 +59,6 @@ pivots in any column order except at exact ties of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -89,19 +86,6 @@ class EstimateInconclusive(Exception):
     """A kernel dimension could not be decided (marginal pivots persisted)."""
 
 
-@dataclass(frozen=True)
-class RelationJet:
-    """Order-M jet of one relation: per-entry coefficients of g_i.
-
-    coefficients[label][m-1] multiplies (u_i - u_i(p))^m; the induced map
-    x -> sum_i g_i(u_i(x)) has vanishing Taylor coefficients in degrees 1..M.
-    """
-
-    base_point: tuple
-    order: int
-    coefficients: dict[tuple[int, int, int], tuple]
-
-
 @dataclass
 class RankEstimate:
     """Kernel dimensions per truncation order and the stabilized value, if any."""
@@ -113,16 +97,11 @@ class RankEstimate:
     note: str | None = None
 
 
-def _relation_keys(n: int, order: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _relation_columns(n: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Column keys of the relation system: multi-indices of degree < order,
     then those of degree order, each block largest support first and by
     degree within one support size."""
-    return list(_relation_columns(n, order))
-
-
-@lru_cache(maxsize=64)
-def _relation_columns(n: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """The column keys of _relation_keys, cached."""
     keys: list[tuple[int, ...]] = []
     for h in range(1, order + 1):
         keys.extend(degree_multi_indices(n, h))
@@ -150,36 +129,30 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
 
     The row for (i, m) holds the Taylor coefficients of (u_i - u_i(p))^m on
     the multi-indices of degree 1..order, as a {column: value} dict of its
-    nonzeros (columns as in _relation_keys; there are
-    len(_relation_keys(n, order)) of them); the kernel dimension of the
+    nonzeros (columns as in _relation_columns; there are
+    len(_relation_columns(n, order)) of them); the kernel dimension of the
     relation map is (#unknowns - rank of these rows).
 
-    Returns (rows, scales).  In exact mode the offset u_i - u_i(p) comes from
-    tpoly.integer_offset as integer numerators over the lcm L_i of its
-    coefficient denominators, and its powers are taken on those numerators,
-    so row (i, m) is L_i^m times the rational row; row scaling keeps the
-    rank, and a kernel vector of these rows becomes one of the rational rows
-    once component (i, m) is multiplied by L_i^m (see relation_jets).
-    scales lists L_i per entry; in float mode every L_i is 1.  In float mode
-    the offset is the mpf series tpoly.taylor gives at the mode's precision
-    and its powers are taken in fixed point (tpoly.fixed_powers, which
-    states the error model), so each row is a linalg.FixedRow carrying the
-    unit of its power.
+    In exact mode the offset u_i - u_i(p) comes from tpoly.integer_offset as
+    integer numerators over the lcm L_i of its coefficient denominators, and
+    its powers are taken on those numerators, so row (i, m) is L_i^m times
+    the rational row; row scaling keeps the rank.  In float mode the offset
+    is the mpf series tpoly.taylor gives at the mode's precision and its
+    powers are taken in fixed point (tpoly.fixed_powers, which states the
+    error model), so each row is a linalg.FixedRow carrying the unit of its
+    power.
     """
     rows = []
-    scales = []
     for entry in W.entries:
         codes, column = _source_columns(W.n, order, entry.source)
         at = [point[s - 1] for s in entry.source]
         try:
             if mode.is_exact:
-                offset, scale = integer_offset(entry.generator, at, codes)
+                offset, _ = integer_offset(entry.generator, at, codes)
             else:
                 expansion = taylor(entry.generator, at, codes, mode)
-                scale = 1
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
-        scales.append(scale)
         if mode.is_exact:
             for power in codes.powers(offset, order):
                 rows.append({column[code]: value for code, value in power.items()})
@@ -187,17 +160,17 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
             for power, unit in fixed_powers(expansion, codes, mode.precision):
                 row = {column[code]: value for code, value in power.items()}
                 rows.append(linalg.FixedRow(row, unit))
-    return rows, scales
+    return rows
 
 
 @lru_cache(maxsize=64)
 def _leading_columns(n: int, built: int, order: int) -> dict[int, int]:
     """Map from each column of degree <= order of the order-`built` system
     to the column of the same key in the order-`order` system."""
-    column = {key: k for k, key in enumerate(_relation_keys(n, order))}
+    column = {key: k for k, key in enumerate(_relation_columns(n, order))}
     return {
         j: column[key]
-        for j, key in enumerate(_relation_keys(n, built))
+        for j, key in enumerate(_relation_columns(n, built))
         if sum(key) <= order
     }
 
@@ -245,21 +218,15 @@ def _kernel_dim(W: AssembledWeb, order: int, mode: Mode, system):
     system(order, mode) returns the order-`order` relation rows built in
     `mode`.
     """
-    unknowns = W.size * order
     ncols = len(_relation_columns(W.n, order))
-    if mode.is_exact:
-        rank, _ = linalg.exact_rank(system(order, mode), ncols)
-        return unknowns - rank, mode
-    outcome = linalg.escalating_float_ranks(
-        lambda current: [(system(order, current), ncols)], mode
-    )
+    outcome = linalg.ranks(lambda current: [(system(order, current), ncols)], mode)
     if outcome is None:
         raise EstimateInconclusive(
             f"marginal pivots persist at order {order} up to "
             f"{ESCALATION_LIMIT}-bit precision"
         )
     [(rank, _)], used = outcome
-    return unknowns - rank, used
+    return W.size * order - rank, used
 
 
 def rank_estimate(
@@ -283,7 +250,7 @@ def rank_estimate(
     top = m_start + 1
     known = {}  # exact mode: (dim, mode used) at the first two orders
     if mode.is_exact:
-        rows, _ = _expansion_rows(W, point, top, mode)
+        rows = _expansion_rows(W, point, top, mode)
         for order, dim in _first_two_dims(W, rows, m_start).items():
             known[order] = dim, mode
     tops = {}  # float mode: the order-top rows per precision
@@ -291,11 +258,11 @@ def rank_estimate(
     def system(order: int, current: Mode):
         if order == m_start:
             if current not in tops:
-                tops[current], _ = _expansion_rows(W, point, top, current)
+                tops[current] = _expansion_rows(W, point, top, current)
             return _leading_rows(tops[current], W, top, m_start)
         if order == top and current in tops:
             return tops.pop(current)
-        return _expansion_rows(W, point, order, current)[0]
+        return _expansion_rows(W, point, order, current)
 
     dims: dict[int, int] = {}
     previous = None
@@ -325,67 +292,6 @@ def rank_estimate(
         method=method,
         note=f"no stabilization up to order {m_cap}",
     )
-
-
-def relation_jets(
-    W: AssembledWeb, point, order: int
-) -> list[RelationJet]:
-    """Basis of order-M relation jets at a point (exact scalars only).
-
-    The nullspace is taken on the integer rows of _expansion_rows and each
-    kernel vector is scaled back, component (i, m) times L_i^m, so the jets
-    are relations of the rational system.  No CLI job calls it: with
-    relation_residual and linalg.exact_nullspace it stays as the
-    kernel-vector audit, the lower bound on the relation count that a
-    certificate-carrying report would record.
-    """
-    mode = Mode.exact()
-    rows_by_unknown, scales = _expansion_rows(W, point, order, mode)
-    keys = _relation_keys(W.n, order)
-    unknowns = W.size * order
-    equations = [[0] * unknowns for _ in keys]
-    for u, row in enumerate(rows_by_unknown):
-        for e, value in row.items():
-            equations[e][u] = value
-    basis = linalg.exact_nullspace(equations, unknowns)
-    jets = []
-    for vector in basis:
-        # undo the row scaling: unknown (i, m) multiplies L_i^m times row (i, m)
-        coefficients = {
-            entry.label: tuple(
-                value * scale**m
-                for m, value in enumerate(vector[i * order : (i + 1) * order], 1)
-            )
-            for i, (entry, scale) in enumerate(zip(W.entries, scales))
-        }
-        jets.append(
-            RelationJet(
-                base_point=tuple(point), order=order, coefficients=coefficients
-            )
-        )
-    return jets
-
-
-def relation_residual(
-    W: AssembledWeb, jet: RelationJet, mode: Mode = Mode.exact()
-) -> dict:
-    """Taylor coefficients of sum_i g_i(u_i) for a relation jet, as a
-    series on MonomialCodes(W.n, jet.order) without its constant term.
-
-    Degrees 1..order must all vanish, so a kernel vector of the relation
-    rows gives {}.  Like relation_jets it stays as the kernel-vector audit
-    for certificate-carrying reports; it expands each WebEntry.integral at
-    the full point, independently of the generator expansions of the rows.
-    """
-    codes = MonomialCodes(W.n, jet.order)
-    total: dict = {}
-    for entry in W.entries:
-        expansion = taylor(entry.integral, jet.base_point, codes, mode)
-        offset = {code: v for code, v in expansion.items() if code}
-        series = [Fraction(0), *jet.coefficients[entry.label]]
-        for code, v in codes.compose(offset, series).items():
-            total[code] = total.get(code, 0) + v
-    return {code: v for code, v in total.items() if code and v}
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
+    def error(self, message):
+        """Exit EX_USAGE on a malformed command line, not argparse's 2."""
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -407,8 +408,9 @@ def _add_common(sub, with_input=True, with_precision=True):
         "--format", choices=["text", "json"], default="text", help="output format"
     )
     if with_input:
-        sub.add_argument("--family", help="catalog family name")
-        sub.add_argument("--input", help="web-definition JSON file")
+        source = sub.add_mutually_exclusive_group()
+        source.add_argument("--family", help="catalog family name")
+        source.add_argument("--input", help="web-definition JSON file")
     if with_precision:
         sub.add_argument(
             "--precision",

@@ -88,17 +88,6 @@ class CountingTable:
     rho_values: dict[int, int]
     N_values: dict[int, int]
 
-    def validate(self) -> None:
-        """Raise AssertionError if a stored value violates a table invariant."""
-        for n, r in self.rho_values.items():
-            if r < 0:
-                raise AssertionError(f"negative calibrated rank at n={n}: {r}")
-        if 2 in self.N_values and self.N_values[2] != self.rho_values.get(2):
-            raise AssertionError("N(2) must equal the calibrated rank at n=2")
-        for h, value in self.N_values.items():
-            if h > self.k0 and value != 0:
-                raise AssertionError(f"N({h}) = {value} nonzero beyond k0={self.k0}")
-
 
 def exact_support_dims(k0: int, n_max: int) -> CountingTable:
     """Table of N(h): relations of the dimension-h web using all h variables.
@@ -139,6 +128,8 @@ def verify_counting_identities(
         for 2 <= n <= n_max, and N(h) == 0 for k0 < h <= n_max.
 
     Returns (True, None) or (False, description-of-first-counterexample).
+    No CLI command runs it: it is one of the paper's acceptance checks,
+    which the tests run.
     """
     if k0 < 2 or n_max < 2 or h_max < 2:
         raise ValueError("verify_counting_identities requires bounds >= 2")

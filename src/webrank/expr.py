@@ -34,6 +34,8 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
+    """A malformed expression string from outside input (the CLI exits 65)."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -107,12 +109,6 @@ _ZERO = rational(0)
 _ONE = rational(1)
 
 
-def var(index: int) -> Variable:
-    if index < 1:
-        raise ValueError(f"variable index must be >= 1, got {index}")
-    return Variable(index)
-
-
 def sum_of(terms: Iterable[Expr]) -> Expr:
     """Sum with flattening of nested sums and merging of constant terms."""
     flat: list[Expr] = []
@@ -135,10 +131,6 @@ def sum_of(terms: Iterable[Expr]) -> Expr:
     if len(flat) == 1:
         return flat[0]
     return Sum(tuple(flat))
-
-
-def sub(left: Expr, right: Expr) -> Expr:
-    return sum_of([left, neg(right)])
 
 
 def product_of(factors: Iterable[Expr]) -> Expr:
@@ -204,6 +196,7 @@ def exp_of(e: Expr) -> Expr:
 
 
 def log_of(e: Expr) -> Expr:
+    """A log node; no catalog family uses log, only input files do."""
     return Log(e)
 
 
@@ -277,7 +270,8 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 
 
 def relabel(e: Expr, positions: Sequence[int]) -> Expr:
-    """Send the j-th formal variable to Variable(positions[j-1])."""
+    """Send the j-th formal variable to Variable(positions[j-1]); for
+    WebEntry.integral and is_quasi_symmetric, which only the tests run."""
     return substitute(e, {j + 1: Variable(p) for j, p in enumerate(positions)})
 
 
@@ -285,7 +279,8 @@ def relabel(e: Expr, positions: Sequence[int]) -> Expr:
 # differentiation
 
 def diff(e: Expr, j: int) -> Expr:
-    """Symbolic partial derivative with respect to variable j, folded."""
+    """Symbolic partial derivative with respect to variable j, folded; the
+    tests' oracle for the series gradients (see the module docstring)."""
     if j < 1:
         raise ValueError(f"variable index must be >= 1, got {j}")
     if isinstance(e, Variable):
@@ -333,7 +328,8 @@ def evaluate(e: Expr, point: Sequence, mode: Mode = EXACT):
     """Value of e at point (point[j-1] feeds Variable(j)).
 
     Exact mode returns a Fraction and rejects exp/log nodes; float mode
-    returns an mpf computed at the mode's precision.
+    returns an mpf computed at the mode's precision.  The tests' oracle
+    for the series values (see the module docstring).
     """
     point = tuple(map(Fraction, point))
     if mode.is_exact:

@@ -17,7 +17,7 @@ the gradient times that series' denominator s_c, so the degree-h entry of
 column c is s_c^h times the rational jet coefficient: the integer matrix
 is the rational one times an invertible diagonal matrix on the right and
 has the same rank.  Float callers pass mpf gradients and build under the
-precision the matrices are ranked at (linalg.escalating_float_ranks).
+precision the matrices are ranked at (linalg.ranks).
 square_block divides by s_c: reports print its determinants as rationals.
 """
 
@@ -33,10 +33,6 @@ from .expr import EvalError
 from .scalars import Mode
 from .tpoly import series_gradient
 from .web import GeneratingWeb, multi_indices
-
-
-def degree(L: Sequence[int]) -> int:
-    return sum(L)
 
 
 def support(L: Sequence[int]) -> tuple[int, ...]:
@@ -81,10 +77,11 @@ def degree_multi_indices(n: int, h: int) -> tuple[tuple[int, ...], ...]:
 
 
 def quadruple(L: Sequence[int], n: int) -> tuple[int, int, int, int]:
-    """The (h, k, a, b) label of a multi-index (a and b are 1-based ranks)."""
+    """The (h, k, a, b) label of a multi-index (a and b are 1-based ranks);
+    the tests' check of the row order of degree_multi_indices."""
     if len(L) != n:
         raise ValueError(f"multi-index length {len(L)} does not match n={n}")
-    h = degree(L)
+    h = sum(L)
     supp = support(L)
     k = len(supp)
     if k == 0:

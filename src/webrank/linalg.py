@@ -16,8 +16,9 @@ a rational matrix of its denominators with _integer_rows first.  Float
 rank takes FixedRows, int rows that each carry their own power-of-two
 unit, as the float relation rows are built, or rows of mpf entries, which
 fixed_row holds exactly in that format first; _fixed_point_rows aligns
-either to one matrix unit for the kernel.  Float matrices are built and
-ranked at one precision, set in escalating_float_ranks.
+either to one matrix unit for the kernel.  ranks is the front end the
+pipeline ranks through in both modes; in float mode it sets the one
+precision a matrix is built and ranked at.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class FixedRow(dict):
         self.unit = unit
 
     def __eq__(self, other):
+        """Units count, so the tests' row comparisons see a wrong unit."""
         return (
             isinstance(other, FixedRow)
             and self.unit == other.unit
@@ -109,9 +111,11 @@ class FixedRow(dict):
         )
 
     def __ne__(self, other):
+        """Needed: dict's own != ignores the unit."""
         return not self == other
 
     def __repr__(self):
+        """Shows the unit in the tests' failure messages."""
         return f"FixedRow({dict.__repr__(self)}, unit={self.unit})"
 
 
@@ -204,19 +208,22 @@ def float_rank(
     return rank, {"marginal": marginal, "certificate": certificate}
 
 
-def escalating_float_ranks(build, mode: Mode):
-    """Float ranks of the matrices build(mode) yields, escalating on marginals.
+def ranks(build, mode: Mode):
+    """Ranks of the matrices build(mode) yields, in the mode's arithmetic.
 
-    Each matrix is a (sparse rows, number of columns) pair, as float_rank
-    takes it.
+    Each matrix is a (sparse rows, number of columns) pair, as exact_rank
+    and float_rank take it.  Returns ([(rank, info), ...], mode used), info
+    being exact_rank's pivot positions or float_rank's info dict, or None
+    when float decisions are still marginal at ESCALATION_LIMIT bits.
 
-    build runs under mode.workprec(), so every product that fills a matrix
-    is rounded at the precision the matrix is ranked at.  At the first
-    matrix with a marginal pivot decision the precision is doubled
-    (Mode.escalate) and build is called again.  Returns
-    ([(rank, info), ...], mode used), or None when decisions are still
-    marginal at ESCALATION_LIMIT bits.
+    In exact mode build runs once and each matrix goes to exact_rank.  In
+    float mode build runs under mode.workprec(), so every product that fills
+    a matrix is rounded at the precision the matrix is ranked at; at the
+    first matrix with a marginal pivot decision the precision is doubled
+    (Mode.escalate) and build is called again.
     """
+    if mode.is_exact:
+        return [exact_rank(rows, ncols) for rows, ncols in build(mode)], mode
     while True:
         results = []
         with mode.workprec():
@@ -230,40 +237,3 @@ def escalating_float_ranks(build, mode: Mode):
         if mode.precision >= ESCALATION_LIMIT:
             return None
         mode = mode.escalate()
-
-
-def exact_nullspace(rows: Sequence[Sequence], unknowns: int) -> list[list[Fraction]]:
-    """Basis of the solution space of (rows) * x = 0 over the rationals.
-
-    Not performance-critical: plain reduced row echelon over Fractions.  No
-    CLI job calls it; with abelrank.relation_jets and relation_residual it
-    stays as the kernel-vector audit for certificate-carrying reports.
-    """
-    reduced = [[Fraction(v) for v in row] for row in rows]
-    m = len(reduced)
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(r, m) if reduced[i][col] != 0), None)
-        if pivot is None:
-            continue
-        reduced[r], reduced[pivot] = reduced[pivot], reduced[r]
-        head = reduced[r][col]
-        reduced[r] = [v / head for v in reduced[r]]
-        for i in range(m):
-            if i != r and reduced[i][col] != 0:
-                factor = reduced[i][col]
-                reduced[i] = [
-                    a - factor * b for a, b in zip(reduced[i], reduced[r])
-                ]
-        pivot_cols.append(col)
-        r += 1
-    free_cols = [c for c in range(unknowns) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vector = [Fraction(0)] * unknowns
-        vector[free] = Fraction(1)
-        for row_idx, col in enumerate(pivot_cols):
-            vector[col] = -reduced[row_idx][free]
-        basis.append(vector)
-    return basis

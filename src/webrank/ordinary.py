@@ -120,7 +120,7 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
                 det = linalg.exact_det(square_block(web, k0, point, mode))
                 outcome = det != 0, {"point": coords, "det": str(det)}
             else:
-                ranks = linalg.escalating_float_ranks(
+                ranks = linalg.ranks(
                     lambda m: [linalg.sparse_rows(square_block(web, k0, point, m))],
                     mode,
                 )
@@ -148,14 +148,7 @@ def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     Exact mode ranks the jet matrices of web_gradients' int gradients,
     which are column-scaled and have the ranks of the rational ones.
     """
-    if mode.is_exact:
-        matrices = jet_matrix_from_gradients(W.n, k0, web_gradients(W, point, mode))
-        ranks = {
-            h: linalg.exact_rank(*linalg.sparse_rows(rows))[0]
-            for h, rows in enumerate(matrices, 1)
-        }
-        return ranks, mode
-    outcome = linalg.escalating_float_ranks(
+    outcome = linalg.ranks(
         lambda current: map(
             linalg.sparse_rows,
             jet_matrix_from_gradients(W.n, k0, web_gradients(W, point, current)),

@@ -87,7 +87,11 @@ def scalar_is_zero(value, mode: Mode) -> bool:
 
 
 def scalar_to_str(value) -> str:
-    """Serialize a scalar for reports: "p/q" for rationals, decimal for floats."""
+    """Serialize a scalar for reports: "p/q" for rationals, decimal for floats.
+
+    The CLI's reports hold their scalars as strings already; this keeps any
+    other scalar that reaches report.jsonable exact.
+    """
     if isinstance(value, (int, Fraction)):
         return str(value)
     return mpmath.nstr(value, 24)

@@ -81,6 +81,8 @@ class MonomialCodes:
         return code
 
     def decode(self, code: int) -> tuple[int, ...]:
+        """The exponents of a code; the pipeline only encodes, the tests
+        decode."""
         key = []
         for _ in range(self.n):
             code, exponent = divmod(code, self.base)
@@ -155,6 +157,8 @@ def taylor(
     cap = codes.cap
 
     def inverse(terms: dict) -> dict:
+        """1/terms; no catalog tree that taylor expands in float mode has a
+        quotient or negative power, but input files and test oracles do."""
         c0 = terms.get(0, 0)
         if c0 == 0:
             raise EvalError("expansion point is singular (zero constant term)")

@@ -33,7 +33,6 @@ from .expr import (
     rational,
     relabel,
     substitute,
-    to_text,
 )
 from .report import (
     FALSE,
@@ -111,8 +110,8 @@ class WebEntry:
     @cached_property
     def integral(self) -> Expr:
         """The pullback as a tree (the generator's j-th variable becomes
-        x_source[j-1]), built on first use, by the tests and the relation
-        audit only: the pipeline expands the generator instead."""
+        x_source[j-1]), built on first use, by the tests and benchmarks
+        only: the pipeline expands the generator instead."""
         return relabel(self.generator, self.source)
 
 
@@ -168,7 +167,8 @@ def gradients_proportional(g1, g2, mode: Mode) -> bool:
 
     In float mode a minor vanishes when it is at most 2^(-precision/2) times
     the product of the two gradients' largest components, computed at the
-    mode's precision.
+    mode's precision.  The oracle of proportional_pairs in the tests, and
+    the test of is_quasi_symmetric.
     """
     n = len(g1)
     if mode.is_exact:
@@ -183,12 +183,16 @@ def gradients_proportional(g1, g2, mode: Mode) -> bool:
 
 
 def _largest(g):
+    """max |g_j|, the scale _minors_vanish compares minors against."""
     return max(map(abs, g))
 
 
 def _minors_vanish(g1, top1, g2, top2, tol) -> bool:
     """Float minor test of gradients_proportional, given each gradient's
-    largest |component| and the tolerance; runs at the caller's precision."""
+    largest |component| and the tolerance; runs at the caller's precision.
+    _float_proportional_pairs falls back on it inside its rounding band,
+    which no CLI job has met.
+    """
     bound = top1 * top2
     if not bound:
         return True
@@ -539,14 +543,6 @@ def cross_ratio_family(f: Expr, marks: Sequence) -> BalancedSet:
 # ---------------------------------------------------------------------------
 # web-definition files
 
-def balanced_set_to_json(E: BalancedSet) -> dict:
-    """{"k0": ..., "webs": [[expression strings] per arity 1..k0]}."""
-    return {
-        "k0": E.k0,
-        "webs": [[to_text(u) for u in web.integrals] for web in E.webs],
-    }
-
-
 def balanced_set_from_json(obj: dict) -> BalancedSet:
     if not isinstance(obj, dict) or "k0" not in obj or "webs" not in obj:
         raise ValueError('web definition must be {"k0": int, "webs": [[...], ...]}')
@@ -565,9 +561,3 @@ def balanced_set_from_json(obj: dict) -> BalancedSet:
 def load_balanced_set(path: str) -> BalancedSet:
     with open(path, "r", encoding="utf-8") as handle:
         return balanced_set_from_json(json.load(handle))
-
-
-def save_balanced_set(E: BalancedSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(balanced_set_to_json(E), handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -11,6 +11,7 @@ import mpmath
 from webrank import _purekernels, abelrank, linalg
 from webrank.expr import (
     Expr,
+    Variable,
     diff,
     evaluate,
     has_transcendental,
@@ -18,7 +19,6 @@ from webrank.expr import (
     product_of,
     rational,
     sum_of,
-    var,
 )
 from webrank.jets import degree_multi_indices, jet_coefficient
 from webrank.scalars import EXACT
@@ -251,7 +251,9 @@ def perturb_family(E: BalancedSet, seed: int) -> BalancedSet:
     epsilon = rational(Fraction(rng.randint(1, 4), 16))
     i = rng.randint(1, k)
     j = rng.randint(1, k)
-    monomial = var(i) if rng.random() < 0.5 else product_of([var(i), var(j)])
+    monomial = (
+        Variable(i) if rng.random() < 0.5 else product_of([Variable(i), Variable(j)])
+    )
     webs = []
     for web in E.webs:
         integrals = list(web.integrals)

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from webrank import abelrank, linalg
 from webrank.abelrank import (
-    RelationJet,
     _expansion_rows,
     _leading_columns,
     _leading_rows,
-    _relation_keys,
+    _relation_columns,
+    _source_columns,
     check_rank,
     generic_point_for_web,
     rank_estimate,
-    relation_jets,
-    relation_residual,
     verify_max_rank,
 )
 from webrank.catalog import family_names, get_family
@@ -170,57 +168,12 @@ def test_stabilized_value_never_exceeds_rank_bound():
 
 
 # --------------------------------------------------------------------------
-# relation jets
-
-def test_relation_jets_basis_and_residuals():
-    W = parallel_web()
-    jets = relation_jets(W, ORIGIN, 3)
-    assert len(jets) == 3
-    for jet in jets:
-        residual = relation_residual(W, jet)
-        assert residual == {}
-
-
-def test_relation_residual_sees_a_perturbed_jet():
-    W = parallel_web()
-    jet = relation_jets(W, ORIGIN, 3)[0]
-    coefficients = dict(jet.coefficients)
-    label = W.entries[0].label
-    first, *rest = coefficients[label]
-    coefficients[label] = (first + 1, *rest)
-    residual = relation_residual(W, RelationJet(jet.base_point, 3, coefficients))
-    assert residual and all(value != 0 for value in residual.values())
-
-
-def test_relation_jets_contain_the_linear_relation():
-    # x1 + x2 - (x1+x2) = 0 must be in the span: some jet has nonzero linear
-    # coefficients on the first three entries
-    W = parallel_web()
-    jets = relation_jets(W, ORIGIN, 2)
-    assert len(jets) == 3
-    labels = [entry.label for entry in W.entries]
-    for jet in jets:
-        assert set(jet.coefficients) == set(labels)
-
-
-def test_relation_jets_at_a_non_integer_point():
-    # the Moebius entries expand with denominators, so the integer rows carry
-    # scales the jets must undo
-    E, _ = get_family("k0_3_moebius_sum")
-    W = assemble(E, 2)
-    jets = relation_jets(W, (Fraction(3, 7), Fraction(-5, 11)), 4)
-    assert len(jets) == 3
-    for jet in jets:
-        assert relation_residual(W, jet) == {}
-
-
-# --------------------------------------------------------------------------
 # integer relation rows against the rational rows
 
 def fraction_rows(W, point, order):
     """Reference: the relation rows on Fractions, powers of the plain offsets,
     and the lcm of each offset's coefficient denominators."""
-    keys = _relation_keys(W.n, order)
+    keys = _relation_columns(W.n, order)
     codes = MonomialCodes(W.n, order)
     rows = []
     lcms = []
@@ -234,13 +187,26 @@ def fraction_rows(W, point, order):
     return rows, lcms
 
 
+def offset_scales(W, point, order):
+    """L_i per entry: the denominator of the integer offset of each
+    generating integral at its projected point (tpoly.integer_offset), which
+    row (i, m) of the exact relation rows carries to the power m."""
+    scales = []
+    for entry in W.entries:
+        codes, _ = _source_columns(W.n, order, entry.source)
+        at = [point[s - 1] for s in entry.source]
+        scales.append(integer_offset(entry.generator, at, codes)[1])
+    return scales
+
+
 def assert_scaled_fraction_rows(W, point, order):
     """Row (i, m) is L_i^m times the Fraction row, L_i the offset's lcm;
     returns both systems."""
-    rows, scales = _expansion_rows(W, point, order, EXACT)
+    rows = _expansion_rows(W, point, order, EXACT)
+    scales = offset_scales(W, point, order)
     reference, lcms = fraction_rows(W, point, order)
     assert scales == lcms
-    ncols = len(_relation_keys(W.n, order))
+    ncols = len(_relation_columns(W.n, order))
     assert all(0 <= j < ncols for row in rows for j in row)
     assert all(type(v) is int for row in rows for v in row.values())
     for u, (row, ref) in enumerate(zip(dense_rows(rows, ncols), reference)):
@@ -268,7 +234,7 @@ def sampled_relation_systems(draw):
 def test_integer_rows_are_scaled_fraction_rows(system):
     W, point, order = system
     rows, reference = assert_scaled_fraction_rows(W, point, order)
-    ncols = len(_relation_keys(W.n, order))
+    ncols = len(_relation_columns(W.n, order))
     assert linalg.exact_rank(rows, ncols)[0] == rational_rank(reference)
 
 
@@ -290,8 +256,8 @@ def test_order_6_relation_systems_at_n5_have_rank_420_less_maximal_rank(name):
     E, _ = get_family(name)
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-    rows, _ = _expansion_rows(W, point, E.k0 + 2, EXACT)
-    ncols = len(_relation_keys(5, E.k0 + 2))
+    rows = _expansion_rows(W, point, E.k0 + 2, EXACT)
+    ncols = len(_relation_columns(5, E.k0 + 2))
     assert (len(rows), ncols) == (420, 461)
     assert all(0 <= j < ncols for row in rows for j in row)
     assert calibrated_max_rank(5, E.k0) == 155
@@ -309,10 +275,12 @@ def test_expansion_pole_names_the_entry():
 def test_sliced_rows_equal_a_fresh_build(system, extra):
     W, point, order = system
     built = order + extra
-    rows, built_scales = _expansion_rows(W, point, built, EXACT)
-    fresh, fresh_scales = _expansion_rows(W, point, order, EXACT)
+    rows = _expansion_rows(W, point, built, EXACT)
+    fresh = _expansion_rows(W, point, order, EXACT)
+    built_scales = offset_scales(W, point, built)
+    fresh_scales = offset_scales(W, point, order)
     sliced = _leading_rows(rows, W, built, order)
-    ncols = len(_relation_keys(W.n, order))
+    ncols = len(_relation_columns(W.n, order))
 
     def rational(rows, scales):
         return [
@@ -335,7 +303,7 @@ def full_point_rows(W, point, order, mode):
     """Reference: the relation rows from each pulled-back tree
     WebEntry.integral, expanded at the full point on n-variable codes; in
     float mode the expansion's offset goes through the fixed-point powers."""
-    column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
+    column = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
     codes = MonomialCodes(W.n, order)
     rows, scales = [], []
     for entry in W.entries:
@@ -376,9 +344,10 @@ def test_generator_rows_equal_pulled_back_rows(name, n, modes):
     point = generic_point_for_web(W, GenericPointSampler(seed=1), E.default_mode())
     order = E.k0 + 2
     for mode in modes:
-        rows, scales = _expansion_rows(W, point, order, mode)
+        rows = _expansion_rows(W, point, order, mode)
         reference, reference_scales = full_point_rows(W, point, order, mode)
-        assert scales == reference_scales
+        if mode.is_exact:
+            assert offset_scales(W, point, order) == reference_scales
         assert rows == reference  # ints, or fixed-point ints and units
 
 
@@ -392,7 +361,7 @@ def degree_ordered_keys(n, order):
 def test_relation_keys_are_degree_keys_by_descending_support():
     for n in range(1, 6):
         for order in range(1, 7):
-            keys = _relation_keys(n, order)
+            keys = list(_relation_columns(n, order))
             assert sorted(keys) == sorted(degree_ordered_keys(n, order))
             top = [key for key in keys if sum(key) == order]
             assert keys[len(keys) - len(top) :] == top
@@ -404,10 +373,10 @@ def test_relation_keys_are_degree_keys_by_descending_support():
 def test_lower_order_keys_keep_their_order():
     for n in range(1, 6):
         for order in range(1, 6):
-            keys = _relation_keys(n, order)
+            keys = _relation_columns(n, order)
             for built in (order, order + 1, order + 2):
                 remap = _leading_columns(n, built, order)
-                built_keys = _relation_keys(n, built)
+                built_keys = _relation_columns(n, built)
                 assert sorted(remap.values()) == list(range(len(keys)))
                 for j, k in remap.items():
                     assert built_keys[j] == keys[k]
@@ -417,8 +386,8 @@ def test_lower_order_keys_keep_their_order():
 @given(sampled_relation_systems())
 def test_support_order_keeps_the_rank(system):
     W, point, order = system
-    rows, _ = _expansion_rows(W, point, order, EXACT)
-    column = {key: j for j, key in enumerate(_relation_keys(W.n, order))}
+    rows = _expansion_rows(W, point, order, EXACT)
+    column = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
     by_degree = [column[key] for key in degree_ordered_keys(W.n, order)]
     dense = dense_rows(rows, len(column))
     degree_rows = [[row[j] for j in by_degree] for row in dense]
@@ -436,8 +405,8 @@ def separate_dims(W, point, orders):
     and its own elimination."""
     dims = {}
     for order in orders:
-        rows, _ = _expansion_rows(W, point, order, EXACT)
-        rank, _ = linalg.exact_rank(rows, len(_relation_keys(W.n, order)))
+        rows = _expansion_rows(W, point, order, EXACT)
+        rank, _ = linalg.exact_rank(rows, len(_relation_columns(W.n, order)))
         dims[order] = W.size * order - rank
     return dims
 
@@ -513,10 +482,10 @@ def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
     mode = Mode.floating(precision)
     top = E.k0 + 2
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    top_rows, _ = _expansion_rows(W, point, top, mode)
+    top_rows = _expansion_rows(W, point, top, mode)
     systems = {top - 1: _leading_rows(top_rows, W, top, top - 1), top: top_rows}
     for order, rows in systems.items():
-        ncols = len(_relation_keys(n, order))
+        ncols = len(_relation_columns(n, order))
         rank, info = linalg.float_rank(rows, ncols, precision)
         oracle_rows = mpf_relation_rows(W, point, order, mode)
         expected = oracle_float_rank(dense_rows(oracle_rows, ncols), precision)
@@ -524,8 +493,8 @@ def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
 
 
 def assert_sliced_float_rows_equal_a_fresh_build(W, point, order, built, mode):
-    rows, _ = _expansion_rows(W, point, built, mode)
-    fresh, _ = _expansion_rows(W, point, order, mode)
+    rows = _expansion_rows(W, point, built, mode)
+    fresh = _expansion_rows(W, point, order, mode)
     assert all(type(row) is linalg.FixedRow for row in rows + fresh)
     # FixedRow equality compares the units as well as the ints
     assert _leading_rows(rows, W, built, order) == fresh

@@ -1,0 +1,38 @@
+"""The names benchmarks/bench_kernels.py reaches in webrank exist.
+
+The script is run by hand, so a rename or deletion in src/ that it depends
+on would otherwise only show when someone next runs it.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # runs its imports, not main()
+    return module
+
+
+def test_script_imports(bench):
+    assert callable(bench.main)
+
+
+def test_module_attributes_it_reads_exist(bench):
+    # names read as linalg.X or _purekernels.X inside the benches, which the
+    # import alone does not resolve
+    for node in ast.walk(ast.parse(SCRIPT.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("linalg", "_purekernels")
+        ):
+            module = getattr(bench, node.value.id)
+            assert hasattr(module, node.attr), f"{node.value.id}.{node.attr}"

@@ -9,7 +9,6 @@ import pytest
 from webrank import cli
 from webrank.cli import main
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE
-from webrank.web import save_balanced_set
 from webrank.catalog import get_family
 
 from helpers import inflate_first_rank_estimate
@@ -180,9 +179,10 @@ def test_bad_family_file_exits_one(capsys, tmp_path):
 
 
 def test_file_input_roundtrip(capsys, tmp_path):
-    E, _ = get_family("k0_3_harmonic_inv")
+    _, spec = get_family("k0_3_harmonic_inv")
     path = tmp_path / "family.json"
-    save_balanced_set(E, str(path))
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"k0": spec.k0, "webs": spec.webs}, handle)
     code, out, _ = run_cli(capsys, "validate", "--input", str(path))
     assert code == 0
 
@@ -208,6 +208,19 @@ def test_malformed_json_exit_code(capsys, tmp_path):
 def test_missing_input_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "validate")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "check-ordinary", "rank", "verify-family", "crosscheck"]
+)
+def test_family_with_input_is_usage_error(capsys, tmp_path, command):
+    # one of the two sources would be dropped without a word
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1"], ["x1+x2"]]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--family", "k0_2_linear", "--input", str(path)])
+    assert exit_info.value.code == 64
+    assert "not allowed with argument --family" in capsys.readouterr().err
 
 
 RANK_QUADRICS = ["rank", "--family", "k0_3_quadrics"]

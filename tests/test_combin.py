@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from webrank.combin import (
-    CountingTable,
     binom,
     calibrated_max_rank,
     calibration_order,
@@ -135,14 +134,6 @@ def test_verify_counting_identities():
     for k0 in range(2, 7):
         ok, counterexample = verify_counting_identities(k0, 20, 12)
         assert ok, counterexample
-
-
-def test_counting_table_validate():
-    table = exact_support_dims(4, 8)
-    table.validate()
-    broken = CountingTable(k0=4, rho_values=dict(table.rho_values), N_values={5: 1})
-    with pytest.raises(AssertionError):
-        broken.validate()
 
 
 def test_large_inputs_stay_exact():

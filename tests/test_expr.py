@@ -25,7 +25,6 @@ from webrank.expr import (
     relabel,
     sum_of,
     to_text,
-    var,
 )
 from webrank.scalars import Mode, to_scalar
 from webrank.tpoly import vars_used
@@ -78,13 +77,13 @@ def test_parse_decimal_and_fraction_literals():
 
 def test_parse_precedence():
     # ^ binds tighter than unary minus, which binds tighter than *
-    assert parse("-x1^2", 1) == neg(int_power(var(1), 2))
-    assert parse("2*x1+1", 1) == sum_of([product_of([rational(2), var(1)]), rational(1)])
+    assert parse("-x1^2", 1) == neg(int_power(Variable(1), 2))
+    assert parse("2*x1+1", 1) == sum_of([product_of([rational(2), Variable(1)]), rational(1)])
     assert parse("x1/x2/x3", 3) == parse("(x1/x2)/x3", 3)
 
 
 def test_parse_exponent_tower_right_associative():
-    assert parse("x1^2^3", 1) == int_power(var(1), 8)
+    assert parse("x1^2^3", 1) == int_power(Variable(1), 8)
 
 
 def test_parse_errors_carry_positions():
@@ -120,7 +119,7 @@ def test_parse_print_roundtrip(text, arity):
 def test_constant_folding():
     assert parse("2+3", 1) == rational(5)
     assert parse("2*x1*0", 1) == rational(0)
-    assert parse("1*x1", 1) == var(1)
+    assert parse("1*x1", 1) == Variable(1)
     assert parse("2^-2", 1) == rational(Fraction(1, 4))
 
 
@@ -137,7 +136,7 @@ def test_diff_linear():
 
 
 def test_diff_square_sum():
-    assert diff(parse("x1^2+x2^2+x3^2", 3), 1) == product_of([rational(2), var(1)])
+    assert diff(parse("x1^2+x2^2+x3^2", 3), 1) == product_of([rational(2), Variable(1)])
 
 
 def test_diff_exp():
@@ -243,7 +242,7 @@ def test_has_transcendental():
 # randomized structural round-trip
 
 _leaves = st.one_of(
-    st.integers(min_value=1, max_value=3).map(var),
+    st.integers(min_value=1, max_value=3).map(Variable),
     st.fractions(min_value=-3, max_value=3, max_denominator=8).map(rational),
 )
 

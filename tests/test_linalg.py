@@ -269,7 +269,7 @@ def test_float_rank_flags_marginal_pivot():
     assert info["marginal"]
 
 
-def test_escalating_float_ranks_rebuilds_all_matrices_at_double_precision():
+def test_ranks_rebuilds_all_matrices_at_double_precision():
     tiny = mpmath.mpf(2) ** -62  # marginal at 128 bits, clear at 256
     built = []
 
@@ -277,10 +277,25 @@ def test_escalating_float_ranks_rebuilds_all_matrices_at_double_precision():
         built.append(mode.precision)
         return map(linalg.sparse_rows, [[[1, 0], [0, 1]], [[1, 0], [0, tiny]]])
 
-    ranks, used = linalg.escalating_float_ranks(build, Mode.floating(128))
+    ranks, used = linalg.ranks(build, Mode.floating(128))
     assert built == [128, 256]
     assert used == Mode.floating(256)
     assert [rank for rank, _ in ranks] == [2, 2]
+
+
+def test_ranks_in_exact_mode_build_once_and_rank_exactly():
+    # 1 against 2^62 is marginal at 128 bits, a plain pivot over Q
+    blocks = [[[2**62, 0], [0, 1]], [[2, 4], [1, 2]]]
+    built = []
+
+    def build(mode):
+        built.append(mode)
+        return map(linalg.sparse_rows, blocks)
+
+    ranks, used = linalg.ranks(build, Mode.exact())
+    assert built == [Mode.exact()] and used == Mode.exact()
+    assert ranks == [linalg.exact_rank(*linalg.sparse_rows(b)) for b in blocks]
+    assert [rank for rank, _ in ranks] == [2, 1]
 
 
 precisions = st.sampled_from([32, 64, 128, 256])
@@ -577,27 +592,6 @@ def test_fixed_rows_compare_their_units():
     assert linalg.FixedRow({0: 3}, -2) == linalg.FixedRow({0: 3}, -2)
     assert linalg.FixedRow({0: 3}, -2) != linalg.FixedRow({0: 3}, -1)
     assert linalg.FixedRow({0: 3}, 0) != {0: 3}
-
-
-def test_exact_nullspace_known_kernel():
-    # x + y + z = 0 has a 2-dimensional kernel
-    rows = [[1, 1, 1]]
-    basis = linalg.exact_nullspace(rows, 3)
-    assert len(basis) == 2
-    for vector in basis:
-        assert sum(vector) == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(matrices)
-def test_exact_nullspace_dimension_and_membership(rows):
-    n = len(rows[0])
-    basis = linalg.exact_nullspace(rows, n)
-    cleared, _ = linalg._integer_rows(rows)
-    assert len(basis) == n - linalg.exact_rank(*linalg.sparse_rows(cleared))[0]
-    for vector in basis:
-        for row in rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, vector)) == 0
 
 
 def test_integer_rows_clears_denominators():
