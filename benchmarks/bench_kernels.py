@@ -3,7 +3,7 @@
 
 Builds the largest linear systems the verification pipeline actually
 produces, as the sparse {column: value} rows it ranks, and times the sparse
-exact rank kernel (`_purekernels.rank_int_rows`, which removes each row's
+exact rank kernel (`linalg.exact_rank`, which removes each row's
 content once before eliminating) against the kernel it replaced, which took
 the content of every updated row, and the new kernel with the columns in
 degree order instead of the support order (within two degree blocks) the
@@ -58,7 +58,7 @@ from fractions import Fraction
 
 import mpmath
 
-from webrank import _purekernels, linalg
+from webrank import linalg
 from webrank.abelrank import (
     _expansion_rows,
     _first_two_dims,
@@ -191,15 +191,15 @@ def bench_exact(name: str, n: int, repeat: int):
     degree_rows = [{to_degree[j]: v for j, v in row.items()} for row in ints]
     results = {
         "per-step": _time(lambda: _rank_content_per_update(ints, ncols), repeat),
-        "once": _time(lambda: _purekernels.rank_int_rows(ints, ncols), repeat),
+        "once": _time(lambda: linalg.exact_rank(ints, ncols), repeat),
         "degree": _time(
-            lambda: _purekernels.rank_int_rows(degree_rows, ncols), repeat
+            lambda: linalg.exact_rank(degree_rows, ncols), repeat
         ),
     }
-    rank, pivots = _purekernels.rank_int_rows(ints, ncols)
+    rank, pivots = linalg.exact_rank(ints, ncols)
     if _rank_content_per_update(ints, ncols) != (rank, pivots):
         raise AssertionError("content once and per update differ in pivots")
-    if _purekernels.rank_int_rows(degree_rows, ncols)[0] != rank:
+    if linalg.exact_rank(degree_rows, ncols)[0] != rank:
         raise AssertionError("degree and support column orders differ in rank")
     return (
         "exact rank (big-int, sparse fraction-free; row content per step "
@@ -268,10 +268,30 @@ def _mpf_rows(W, point, order: int, mode):
     return rows
 
 
+def _mpf_fixed_rows(rows, precision: int):
+    """mpf rows held exactly as FixedRows, each entry rounded to the
+    precision, as the mpf build converted them before ranking."""
+    fixed = []
+    with mpmath.workprec(precision):
+        for row in rows:
+            parts = {}
+            for j, v in row.items():
+                sign, man, exp, _ = mpmath.mpf(v)._mpf_
+                if man:
+                    parts[j] = (-man if sign else man, exp)
+            unit = min((exp for _, exp in parts.values()), default=0)
+            fixed.append(
+                linalg.FixedRow(
+                    {j: man << (exp - unit) for j, (man, exp) in parts.items()}, unit
+                )
+            )
+    return fixed
+
+
 def _mpf_oracle(rows, ncols: int, precision: int):
     """Rank and marginal flag of the dense mpf kernel."""
     with mpmath.workprec(precision):
-        rank, _, _, marginal = _purekernels.rank_float_rows(
+        rank, _, _, marginal = linalg.rank_float_rows(
             [[row.get(j, 0) for j in range(ncols)] for row in rows],
             mpmath.mpf(2) ** (-(precision // 2)),
             linalg.FLOAT_GAP,
@@ -284,7 +304,8 @@ def bench_float_build(repeat: int):
     precision = mode.precision
 
     def mpf_build():
-        return linalg._fixed_point_rows(_mpf_rows(W, point, 6, mode), precision)
+        rows = _mpf_fixed_rows(_mpf_rows(W, point, 6, mode), precision)
+        return linalg._fixed_point_rows(rows, precision)
 
     def fixed_build():
         rows = _expansion_rows(W, point, 6, mode)
@@ -327,7 +348,7 @@ def _jet_web():
     E, _ = get_family("k0_4_WB_sum")
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-    return W, E.k0, point, web_gradients(W, point, EXACT)
+    return W, E.k0, point, web_gradients(W, point, EXACT)[0]
 
 
 def bench_jets(repeat: int):

@@ -252,8 +252,11 @@ def _cmd_rank(args) -> int:
     mode = _checked_mode(E, args.precision)
     m_start = args.m_start if args.m_start is not None else E.k0 + 1
     _require_at_least("--m-start", [m_start], 1)
-    m_cap = args.m_cap if args.m_cap is not None else E.k0 + 5
-    _require_at_least("--m-cap", [m_cap], m_start + 1)
+    if args.m_cap is not None:
+        m_cap, option = args.m_cap, "--m-cap"
+    else:
+        m_cap, option = E.k0 + 5, "--m-cap (default k0 + 5)"
+    _require_at_least(option, [m_cap], m_start + 1)
     expected = calibrated_max_rank(n, E.k0)
     sampler = GenericPointSampler(seed=args.seed)
     check = check_rank(assemble(E, n), sampler, m_start, m_cap, mode, expected)

@@ -8,17 +8,21 @@ exponent vector.  Rows of every jet matrix are sorted by these labels
 with that ordering the matrix is block-triangular with the square generating
 blocks on the diagonal.
 
-jet_matrix_from_gradients builds the jet matrices of degrees 1..top in
-both scalar modes, one column per gradient: the degree-h rows are filled
+jet_matrix_from_gradients builds the jet matrices of degrees 1..top, one
+column per gradient, on the int gradients of both modes
+(tpoly.series_gradient, web.web_gradients): the degree-h rows are filled
 from the degree-(h-1) rows with one multiplication each,
 g^L = g^(L - e_j) * g_j with j the first nonzero position of L.  An exact
-gradient is the int numerators of its order-1 series (web.web_gradients),
-the gradient times that series' denominator s_c, so the degree-h entry of
-column c is s_c^h times the rational jet coefficient: the integer matrix
-is the rational one times an invertible diagonal matrix on the right and
-has the same rank.  Float callers pass mpf gradients and build under the
-precision the matrices are ranked at (linalg.ranks).
-square_block divides by s_c: reports print its determinants as rationals.
+gradient is the int numerators of its order-1 series, the gradient times
+that series' denominator s_c, so the degree-h entry of column c is s_c^h
+times the rational jet coefficient: the integer matrix is the rational one
+times an invertible diagonal matrix on the right and has the same rank.
+Float gradients are ints at one unit u, so the degree-h entries are the
+exact products of the mpf gradients, ints at the unit h*u, and reach
+linalg.float_rank as FixedRows at that unit.  square_block is the
+full-support tail of one generating web's degree-k0 jet matrix; in exact
+mode it divides by s_c^k0, since reports print its determinants as
+rationals.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from typing import Sequence
 
 from .combin import monomial_count
 from .expr import EvalError
+from .linalg import sparse_rows
 from .scalars import Mode
-from .tpoly import series_gradient
+from .tpoly import common_unit, series_gradient
 from .web import GeneratingWeb, multi_indices
 
 
@@ -96,6 +101,9 @@ def jet_coefficient(gradient: Sequence, L: Sequence[int]):
     """Product over variables of gradient[j]^L[j]; empty product is 1.
 
     Zero exponents contribute the factor 1 regardless of the gradient entry.
+    The pipeline fills its jet matrices by jet_matrix_from_gradients' one
+    multiplication per entry; this definition stays as the tests' oracle of
+    those matrices, on Fractions and on mpf.
     """
     if len(gradient) != len(L):
         raise ValueError("gradient and multi-index lengths differ")
@@ -135,7 +143,7 @@ def jet_matrix_from_gradients(
 
     matrices[h-1][r][c] is jet_coefficient(gradients[c], L) for the r-th
     degree-h multi-index L (degree_multi_indices order), computed in the
-    gradients' own scalars.
+    gradients' own scalars: ints in the pipeline, so every entry is exact.
     """
     coordinates = [[g[j] for g in gradients] for j in range(n)]
     previous = [[1] * len(gradients)]
@@ -151,30 +159,37 @@ def jet_matrix_from_gradients(
 
 def square_block(
     T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode
-) -> list[list]:
+) -> list:
     """The square diagonal block contributed by one generating web, as rows.
 
     Rows are the degree-k0 multi-indices on k variables with every exponent
     positive (positive_vectors(k, k0)); columns are the web's integrals.
-    Both counts equal monomial_count(k, k0-k), so the block is square.
+    Both counts equal monomial_count(k, k0-k), so the block is square.  The
+    rows are the last ones of the degree-k0 jet matrix of the integrals'
+    gradients, whose full-support block comes last.  Exact mode returns
+    them as lists of Fractions, float mode as FixedRows holding the exact
+    products of the mpf gradients, as linalg.float_rank takes them.
     """
     k = T_k.k
-    rows = list(positive_vectors(k, k0))
     expected = monomial_count(k, k0 - k)
     if len(T_k.integrals) != expected:
         raise ValueError(
             f"generating web of arity {k} has {len(T_k.integrals)} integrals, "
             f"expected {expected}"
         )
-    if len(rows) != expected:
+    if len(positive_vectors(k, k0)) != expected:
         raise AssertionError("row enumeration disagrees with the cardinality count")
     gradients = []
     for b, integral in enumerate(T_k.integrals, start=1):
         try:
-            values, den = series_gradient(integral, point, mode)
+            gradients.append(series_gradient(integral, point, mode))
         except EvalError as err:
             raise EvalError(f"integral (k={k}, b={b}): {err}") from None
-        if mode.is_exact:
-            values = [Fraction(v, den) for v in values]
-        gradients.append(values)
-    return [[jet_coefficient(gradient, L) for gradient in gradients] for L in rows]
+    if mode.is_exact:
+        values = [g for g, _ in gradients]
+        rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]
+        scales = [den**k0 for _, den in gradients]
+        return [[Fraction(v, s) for v, s in zip(row, scales)] for row in rows]
+    values, unit = common_unit(gradients)
+    rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]
+    return sparse_rows(rows, k0 * unit)[0]

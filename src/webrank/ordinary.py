@@ -121,8 +121,7 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
                 outcome = det != 0, {"point": coords, "det": str(det)}
             else:
                 ranks = linalg.ranks(
-                    lambda m: [linalg.sparse_rows(square_block(web, k0, point, m))],
-                    mode,
+                    lambda m: [(square_block(web, k0, point, m), size)], mode
                 )
                 if ranks is None:
                     continue
@@ -141,20 +140,24 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
 # ---------------------------------------------------------------------------
 # the direct check
 
+def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode):
+    """The jet matrices of order 1..k0 at one point, as linalg.ranks takes
+    them, built on web_gradients' int gradients.
+
+    Exact mode ranks them as they are: they are column-scaled and have the
+    ranks of the rational ones.  Float mode ranks the degree-h matrix as
+    FixedRows at h times the gradients' unit.
+    """
+    gradients, unit = web_gradients(W, point, mode)
+    matrices = jet_matrix_from_gradients(W.n, k0, gradients)
+    for h, matrix in enumerate(matrices, 1):
+        yield linalg.sparse_rows(matrix, None if unit is None else h * unit)
+
+
 def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     """({h: rank}, mode used) for the jet matrices of order 1..k0 at one
-    point, or None when float pivots stay marginal.
-
-    Exact mode ranks the jet matrices of web_gradients' int gradients,
-    which are column-scaled and have the ranks of the rational ones.
-    """
-    outcome = linalg.ranks(
-        lambda current: map(
-            linalg.sparse_rows,
-            jet_matrix_from_gradients(W.n, k0, web_gradients(W, point, current)),
-        ),
-        mode,
-    )
+    point, or None when float pivots stay marginal."""
+    outcome = linalg.ranks(lambda current: _jet_systems(W, point, k0, current), mode)
     if outcome is None:
         return None
     results, used = outcome

@@ -3,9 +3,10 @@
 Two models: exact rationals (fractions.Fraction over Python big ints) and
 arbitrary-precision binary floats (mpmath, configurable mantissa).  Exact is
 the default wherever the inputs are free of exp/log.  Float mode leaves mpf
-after the Taylor series: its relation rows, rank kernel and proportionality
-minors run on ints in fixed point, an int v standing for v * 2^unit
-(mpf_ints, shifted).
+after the Taylor series (tpoly): its gradients, jet matrices, square
+blocks, relation rows, rank kernel and proportionality minors run on ints
+in fixed point, an int v standing for v * 2^unit (shifted moves such ints
+to another unit).
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ class Mode:
 EXACT = Mode.exact()
 
 
-def to_scalar(value: Fraction | int, mode: Mode):
-    """Convert an exact rational to the mode's scalar type."""
-    if mode.is_exact:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    with mode.workprec():
-        return to_mpf(Fraction(value))
-
-
 def to_mpf(value: Fraction | int):
     """An int or Fraction as an mpf at mpmath's current precision."""
     return mpmath.mpf(value.numerator) / value.denominator
@@ -74,16 +67,10 @@ def to_mpf(value: Fraction | int):
 
 def zero_tolerance(mode: Mode):
     """2^(-precision/2): float magnitudes at or below it, relative to their
-    scale, count as zero."""
+    scale, count as zero.  Only the mpf minor test uses it: the oracle
+    gradients_proportional, and proportional_pairs inside its rounding
+    band, which no CLI job has met."""
     return mpmath.ldexp(1, -(mode.precision // 2))
-
-
-def scalar_is_zero(value, mode: Mode) -> bool:
-    """Zero test: exact equality, or magnitude below 2^(-precision/2)."""
-    if mode.is_exact:
-        return value == 0
-    with mode.workprec():
-        return abs(value) <= zero_tolerance(mode)
 
 
 def scalar_to_str(value) -> str:
@@ -95,20 +82,6 @@ def scalar_to_str(value) -> str:
     if isinstance(value, (int, Fraction)):
         return str(value)
     return mpmath.nstr(value, 24)
-
-
-def mpf_ints(values) -> tuple[list[int], int]:
-    """Finite mpf values held exactly as ints over one power of two:
-    (ints, unit) with values[k] == ints[k] * 2^unit, unit the lowest binary
-    exponent among the nonzero values (0 when every value is zero)."""
-    parts = []
-    for value in values:
-        sign, man, exp, bc = value._mpf_
-        if not man and bc:
-            raise ValueError("fixed point needs finite values")
-        parts.append((-man if sign else man, exp))
-    unit = min((exp for man, exp in parts if man), default=0)
-    return [man << (exp - unit) if man else 0 for man, exp in parts], unit
 
 
 def shifted(values: dict, bits: int) -> dict:

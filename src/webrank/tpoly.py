@@ -16,12 +16,14 @@ Walther, Evaluating Derivatives, 2008).  Its coefficients are Fractions in
 exact mode and mpf at the mode's precision in float mode.  An
 integer_taylor series holds int numerators over one positive denominator,
 kept in lowest terms after every operation, so it needs no Fraction
-arithmetic.  In float mode mpmath ends with the series: fixed_powers takes
-the powers of an mpf offset on ints in fixed point.  Expanding a
-generating integral at its projected point gives everything the
-certificates need there: the relation rows (to the truncation order), and
-the gradient and the domain check (series_gradient, the order-1 expansion,
-which raises wherever the integral is undefined).
+arithmetic.  In float mode mpmath ends with the series: mpf_ints holds
+mpf coefficients exactly as ints over one power of two, fixed_powers takes
+the powers of an mpf offset on ints in fixed point, and series_gradient
+returns a float gradient as ints.  Expanding a generating integral at its
+projected point gives everything the certificates need there: the relation
+rows (to the truncation order), and the gradient and the domain check
+(series_gradient, the order-1 expansion, which raises wherever the
+integral is undefined).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .expr import (
     has_transcendental,
     variables,
 )
-from .scalars import EXACT, Mode, mpf_ints, scalar_is_zero, shifted, to_mpf
+from .scalars import EXACT, Mode, shifted, to_mpf
 
 
 class MonomialCodes:
@@ -235,6 +237,20 @@ def taylor(
         return walk(e)
 
 
+def mpf_ints(values) -> tuple[list[int], int]:
+    """Finite mpf values held exactly as ints over one power of two:
+    (ints, unit) with values[k] == ints[k] * 2^unit, unit the lowest binary
+    exponent among the nonzero values (0 when every value is zero)."""
+    parts = []
+    for value in values:
+        sign, man, exp, bc = value._mpf_
+        if not man and bc:
+            raise ValueError("fixed point needs finite values")
+        parts.append((-man if sign else man, exp))
+    unit = min((exp for man, exp in parts if man), default=0)
+    return [man << (exp - unit) if man else 0 for man, exp in parts], unit
+
+
 SERIES_GUARD_BITS = 96  # bits kept below the precision in fixed-point powers
 
 
@@ -412,22 +428,34 @@ def _linear_codes(n: int) -> MonomialCodes:
     return MonomialCodes(n, 1)
 
 
-def series_gradient(e: Expr, point: Sequence, mode: Mode = EXACT) -> tuple[list, int]:
-    """(values, den): the gradient of e at point is values / den, read off
-    the degree-1 terms of the order-1 Taylor series.
+def series_gradient(
+    e: Expr, point: Sequence, mode: Mode = EXACT
+) -> tuple[list[int], int]:
+    """The gradient of e at point as ints, read off the degree-1 terms of
+    the order-1 Taylor series: (values, den) in exact mode, (values, unit)
+    in float mode.
 
-    Exact mode: integer_offset's int numerators over the lcm den of the
-    partials' denominators, a positive multiple of the gradient.  Float
-    mode: taylor's mpf at the mode's precision, zeros included, and den 1.
-    The expansion computes e itself, so a pole of e or a log outside its
-    domain raises EvalError even where the partials are defined.
+    Exact mode: integer_offset's numerators over the lcm den of the
+    partials' denominators, so values / den is the gradient.  Float mode:
+    taylor's mpf coefficients at the mode's precision held exactly as ints
+    over one power of two (mpf_ints), so values * 2^unit is the gradient
+    as mpmath computes it.  The expansion computes e itself, so a pole of e
+    or a log outside its domain raises EvalError even where the partials
+    are defined.
     """
     codes = _linear_codes(len(point))
     if mode.is_exact:
         terms, den = integer_offset(e, point, codes)
         return [terms.get(unit, 0) for unit in codes.units], den
     terms, zero = taylor(e, point, codes, mode), mpmath.mpf(0)
-    return [terms.get(unit, zero) for unit in codes.units], 1
+    return mpf_ints([terms.get(unit, zero) for unit in codes.units])
+
+
+def common_unit(gradients: Sequence[tuple[list[int], int]]):
+    """Float gradients (values, unit) from series_gradient held exactly at
+    one unit, the lowest of theirs: (ints, unit)."""
+    unit = min((u for _, u in gradients), default=0)
+    return [[v << (u - unit) for v in g] for g, u in gradients], unit
 
 
 def _zero_test_points(n: int) -> list[tuple[Fraction, ...]]:
@@ -453,11 +481,19 @@ def vars_used(e: Expr) -> set[int]:
     expanded = False
     for point in _zero_test_points(max(present, default=0)):
         try:
-            values, _ = series_gradient(e, point, mode)
+            values, scale = series_gradient(e, point, mode)
         except EvalError:
             continue
         expanded = True
-        used.update(j for j, v in enumerate(values, 1) if not scalar_is_zero(v, mode))
+        if mode.is_exact:
+            used.update(j for j, v in enumerate(values, 1) if v)
+        else:
+            # |v| * 2^scale > 2^-(p//2), as |v| * 2^shift > 1 on ints
+            shift = scale + mode.precision // 2
+            one = 1 << max(-shift, 0)
+            used.update(
+                j for j, v in enumerate(values, 1) if abs(v) << max(shift, 0) > one
+            )
         if used == present:
             break
     return used if expanded else present

@@ -8,9 +8,11 @@ monomial_count(n, k0).
 
 An entry's gradient is its generating integral's, read off the order-1
 Taylor series at the projected point (tpoly.series_gradient), which also
-checks the domain.  Exact gradients are the series' int numerators, a
-positive multiple of the gradient that neither the proportionality screen
-nor the jet ranks can see.
+checks the domain.  Gradients are ints in both modes.  Exact gradients are
+the series' numerators, a positive multiple of the gradient that neither
+the proportionality screen nor the jet ranks can see; float gradients are
+the series' mpf values held exactly at one power-of-two unit for the whole
+web, so the jet matrices built from them are exact products.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
+
+import mpmath
 
 from .combin import binom, monomial_count
 from .expr import (
@@ -42,15 +46,8 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import (
-    DEFAULT_PRECISION,
-    EXACT,
-    Mode,
-    mpf_ints,
-    to_scalar,
-    zero_tolerance,
-)
-from .tpoly import series_gradient, vars_used
+from .scalars import DEFAULT_PRECISION, EXACT, Mode, zero_tolerance
+from .tpoly import common_unit, series_gradient, vars_used
 
 
 @dataclass(frozen=True)
@@ -167,8 +164,8 @@ def gradients_proportional(g1, g2, mode: Mode) -> bool:
 
     In float mode a minor vanishes when it is at most 2^(-precision/2) times
     the product of the two gradients' largest components, computed at the
-    mode's precision.  The oracle of proportional_pairs in the tests, and
-    the test of is_quasi_symmetric.
+    mode's precision on mpf gradients.  No CLI job calls it; it stays as
+    the oracle of proportional_pairs in the tests.
     """
     n = len(g1)
     if mode.is_exact:
@@ -210,11 +207,13 @@ def proportional_pairs(
 ) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, of proportional gradients, in order.
 
-    Float mode decides each pair as gradients_proportional does, on exact
-    integers (_float_proportional_pairs).  In exact mode (int or rational
-    components) two nonzero gradients are proportional iff they have the
-    same _direction, so grouping by it finds every pair in O(d*n); a zero
-    gradient is proportional to every other one.
+    The gradients are int vectors (web_gradients, series_gradient); exact
+    mode also takes rationals.  Float mode decides each pair as
+    gradients_proportional does on the mpf values the ints stand for, on
+    exact integers (_float_proportional_pairs).  In exact mode two nonzero
+    gradients are proportional iff they have the same _direction, so
+    grouping by it finds every pair in O(d*n); a zero gradient is
+    proportional to every other one.
     """
     if not mode.is_exact:
         return _float_proportional_pairs(gradients, mode)
@@ -237,15 +236,19 @@ def proportional_pairs(
 
 
 def _float_proportional_pairs(gradients, mode: Mode) -> list[tuple[int, int]]:
-    """proportional_pairs of mpf gradients: the pairs the mpf minor test
-    (_minors_vanish at the mode's precision p) accepts, decided on ints.
+    """proportional_pairs of float gradients given as ints, each standing
+    for the int times a power of two of its own, so for mpf values with at
+    most p bits of mantissa, p the mode's precision: the pairs the mpf
+    minor test (_minors_vanish at precision p) accepts on those values,
+    decided on ints.
 
-    Each gradient is held exactly as ints over its lowest binary exponent
-    (scalars.mpf_ints).  With T = top_i * top_j, the product of the two
-    gradients' largest |components|, the mpf test accepts a pair when every
-    minor d satisfies |round(d)| <= round(T) * 2^-(p//2), and the exact
-    test asks |d| <= b with b = T * 2^-(p//2).  Both sides scale by the
-    same power of two, so on the ints they are integer comparisons.
+    A power of two on either gradient scales its minors and the bound alike,
+    in the ints and in the rounded mpf arithmetic, so neither test sees the
+    units.  With T = top_i * top_j, the product of the two gradients'
+    largest |components|, the mpf test accepts a pair when every minor d
+    satisfies |round(d)| <= round(T) * 2^-(p//2), and the exact test asks
+    |d| <= b with b = T * 2^-(p//2).  On the ints both are integer
+    comparisons.
 
     Proof that the pairs are identical.  Rounding to nearest at p bits, the
     mpf minor rounds its two products, of magnitude at most T, by at most
@@ -254,20 +257,20 @@ def _float_proportional_pairs(gradients, mode: Mode) -> list[tuple[int, int]]:
     by at most 2^-p * T, and 2^-(p//2) is exact.  Hence, if
     ||d| - b| > 2^(8-p) * T, both tests decide that minor the same way.
     Every minor is decided exactly unless one lies within that band, and
-    then the pair is decided by the mpf test itself; so each pair gets the
+    then the pair is decided by the mpf test itself, on the ints as mpf
+    (exact, as each has at most p significant bits); so each pair gets the
     mpf test's answer.  A zero gradient (T = 0) is proportional to every
     other one in both tests.  Outside the band a pair costs int products
     only, and the first minor above the bound ends it.
     """
     precision = mode.precision
-    ints = [mpf_ints(g)[0] for g in gradients]
-    tops = [max(map(abs, g), default=0) for g in ints]
-    n = len(ints[0]) if ints else 0
+    tops = [max(map(abs, g), default=0) for g in gradients]
+    n = len(gradients[0]) if gradients else 0
     minors = [(a, b) for a in range(n) for b in range(a + 1, n)]
     pairs = []
-    for i, (gi, top_i) in enumerate(zip(ints, tops)):
-        for j in range(i + 1, len(ints)):
-            gj = ints[j]
+    for i, (gi, top_i) in enumerate(zip(gradients, tops)):
+        for j in range(i + 1, len(gradients)):
+            gj = gradients[j]
             both = top_i * tops[j]
             if not both:
                 pairs.append((i, j))
@@ -286,7 +289,8 @@ def _float_proportional_pairs(gradients, mode: Mode) -> list[tuple[int, int]]:
                 break
             if vanish is None:
                 with mode.workprec():
-                    g1, g2 = gradients[i], gradients[j]
+                    g1 = list(map(mpmath.mpf, gi))
+                    g2 = list(map(mpmath.mpf, gj))
                     vanish = _minors_vanish(
                         g1, _largest(g1), g2, _largest(g2), zero_tolerance(mode)
                     )
@@ -307,40 +311,44 @@ def _direction(g) -> tuple[int, ...] | None:
 
 
 def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
-    """Gradient of every entry at point; EvalError is tagged with the label.
+    """(gradients, unit): the gradient of every entry at point, as int
+    vectors; EvalError is tagged with the entry's label.
 
     An entry's partial in x_source[j-1] is its generating integral's j-th
     partial at the point's `source` coordinates (tpoly.series_gradient),
     and its partial in any other variable is zero.  Exact gradients are the
-    series' int numerators, a positive multiple of the gradient; float
-    gradients are mpf, zeros included.
+    series' int numerators, each a positive multiple of the gradient, and
+    unit is None.  Float gradients are the series' mpf values held exactly
+    at one unit for all entries: gradient * 2^unit is the mpf gradient.
     """
-    zero = 0 if mode.is_exact else to_scalar(0, mode)
     out = []
     for entry in W.entries:
         source = entry.source
         try:
-            values, _ = series_gradient(
+            values, scale = series_gradient(
                 entry.generator, [point[s - 1] for s in source], mode
             )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
-        gradient = [zero] * W.n
+        gradient = [0] * W.n
         for s, value in zip(source, values):
             gradient[s - 1] = value
-        out.append(gradient)
-    return out
+        out.append((gradient, scale))
+    if mode.is_exact:
+        return [gradient for gradient, _ in out], None
+    return common_unit(out)
 
 
 def sampled_gradients(W: AssembledWeb, sampler, mode: Mode):
     """Yield (point, gradients) for each point of sampler.points(W.n) where
-    every entry is defined and no gradient vanishes."""
+    every entry is defined and no gradient vanishes; the gradients are
+    web_gradients' int vectors."""
     for point in sampler.points(W.n):
         try:
-            gradients = web_gradients(W, point, mode)
+            gradients, _ = web_gradients(W, point, mode)
         except EvalError:
             continue
-        if any(all(v == 0 for v in g) for g in gradients):
+        if any(not any(g) for g in gradients):
             continue
         yield point, gradients
 
@@ -490,13 +498,13 @@ def _foliation_present(candidate, web, k, trials, sampler, mode) -> bool:
                 gradients = [series_gradient(u, point, mode)[0] for u in integrals]
             except EvalError:
                 continue
-            yield gradients
+            yield set(proportional_pairs(gradients, mode))
 
-    gradients = list(itertools.islice(samples(), trials))
-    if not gradients:
+    pair_sets = list(itertools.islice(samples(), trials))
+    if not pair_sets:
         return False
     return any(
-        all(gradients_proportional(g[0], g[m], mode) for g in gradients)
+        all((0, m) in pairs for pairs in pair_sets)
         for m in range(1, len(integrals))
     )
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 
-from webrank import _purekernels, abelrank, linalg
+from webrank import abelrank, linalg
 from webrank.expr import (
     Expr,
     Variable,
@@ -67,10 +67,36 @@ def oracle_float_rank(rows, precision):
     with mpmath.workprec(precision):
         copies = [[mpmath.mpf(v) for v in row] for row in rows]
         tol_ratio = mpmath.mpf(2) ** (-(precision // 2))
-        rank, _, _, marginal = _purekernels.rank_float_rows(
+        rank, _, _, marginal = linalg.rank_float_rows(
             copies, tol_ratio, linalg.FLOAT_GAP
         )
     return rank, marginal
+
+
+def fixed_row(row: dict, precision: int) -> linalg.FixedRow:
+    """A sparse row of mpf (or int) entries as float_rank takes it: each
+    entry rounded to `precision` bits, then held exactly as ints over the
+    lowest binary exponent of the row's nonzero entries."""
+    parts = {}
+    with mpmath.workprec(precision):
+        for j, v in row.items():
+            sign, man, exp, bc = mpmath.mpf(v)._mpf_
+            if not man:
+                if bc:
+                    raise ValueError("fixed point needs finite values")
+                continue
+            parts[j] = (-man if sign else man, exp)
+    unit = min((exp for _, exp in parts.values()), default=0)
+    return linalg.FixedRow(
+        {j: man << (exp - unit) for j, (man, exp) in parts.items()}, unit
+    )
+
+
+def fixed_rows(rows, precision: int) -> tuple[list[linalg.FixedRow], int]:
+    """A dense matrix of mpf (or int) entries as float_rank takes it:
+    (FixedRows by fixed_row, number of columns)."""
+    sparse, ncols = linalg.sparse_rows(rows)
+    return [fixed_row(row, precision) for row in sparse], ncols
 
 
 def mpf_relation_rows(W: AssembledWeb, point, order: int, mode) -> list[dict]:
@@ -138,7 +164,7 @@ def mpf_fixed_point_rows(rows: list[dict], precision: int):
 
 def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
     """Oracle: fixed-point complete pivoting on dense int rows, as
-    _purekernels.rank_fixed_rows does on sparse ones.
+    linalg.rank_fixed_rows does on sparse ones.
 
     Every step rescans every active entry for the largest magnitude (ties:
     first in row-major order), swaps it to the top-left corner and updates

@@ -26,13 +26,13 @@ def test_script_imports(bench):
 
 
 def test_module_attributes_it_reads_exist(bench):
-    # names read as linalg.X or _purekernels.X inside the benches, which the
-    # import alone does not resolve
+    # names read as linalg.X inside the benches, which the import alone does
+    # not resolve
     for node in ast.walk(ast.parse(SCRIPT.read_text())):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in ("linalg", "_purekernels")
+            and node.value.id == "linalg"
         ):
             module = getattr(bench, node.value.id)
             assert hasattr(module, node.attr), f"{node.value.id}.{node.attr}"

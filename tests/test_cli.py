@@ -255,6 +255,16 @@ def test_out_of_range_options_are_usage_errors(capsys, argv):
     assert err.startswith("webrank: ")
 
 
+def test_default_m_cap_below_the_start_order_names_the_default(capsys):
+    # k0_2_linear: the default --m-cap is k0 + 5 = 7, not above --m-start 10
+    code, out, err = run_cli(
+        capsys, "rank", "--family", "k0_2_linear", "--n", "2", "--m-start", "10"
+    )
+    assert code == 64
+    assert out == ""
+    assert err.strip() == "webrank: --m-cap (default k0 + 5) must be >= 11, got 7"
+
+
 def test_usage_error_exit_code():
     result = subprocess.run(
         [sys.executable, "-m", "webrank.cli", "counts", "--k0", "4"],

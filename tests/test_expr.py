@@ -26,7 +26,7 @@ from webrank.expr import (
     sum_of,
     to_text,
 )
-from webrank.scalars import Mode, to_scalar
+from webrank.scalars import Mode
 from webrank.tpoly import vars_used
 
 
@@ -171,7 +171,7 @@ def test_diff_matches_finite_differences(text, arity):
             )
         except EvalError:
             continue
-        numeric = (up - down) / (2 * to_scalar(step, mode))
+        numeric = (up - down) / (2 * mpmath.ldexp(1, -20))  # 2 * step, exactly
         scale = max(abs(symbolic), mpmath.mpf(1))
         assert abs(symbolic - numeric) / scale < 1e-6
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from webrank.catalog import get_family
 from webrank.combin import monomial_count
-from webrank.expr import EvalError, evaluate, parse
+from webrank.expr import EvalError, diff, evaluate, parse
 from webrank.jets import (
     degree_multi_indices,
     jet_coefficient,
@@ -16,12 +17,19 @@ from webrank.jets import (
     square_block,
     support,
 )
-from webrank.linalg import _integer_rows, exact_det, exact_rank, sparse_rows
-from webrank.ordinary import GenericPointSampler, _ranks_at_point
-from webrank.scalars import EXACT
-from webrank.web import GeneratingWeb, assemble
+from webrank.linalg import _integer_rows, exact_det, exact_rank, float_rank, sparse_rows
+from webrank.ordinary import GenericPointSampler, _jet_systems, _ranks_at_point
+from webrank.scalars import EXACT, Mode
+from webrank.web import GeneratingWeb, assemble, load_balanced_set
 
-from helpers import rational_jet_matrix, rational_rank, reparametrize_entry
+from helpers import (
+    oracle_float_rank,
+    rational_jet_matrix,
+    rational_rank,
+    reparametrize_entry,
+)
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def quadrics():
@@ -246,3 +254,91 @@ def test_exact_ranks_at_point_match_rational_jet_matrices(family):
     ranks, _ = _ranks_at_point(W, point, EXACT, E.k0)
     for h in range(1, E.k0 + 1):
         assert ranks[h] == rational_rank(rational_jet_matrix(W, h, point))
+
+
+# --------------------------------------------------------------------------
+# float jet matrices and square blocks on ints against mpf jet coefficients
+
+FLOAT_SETS = {
+    "k0_4_exp": lambda: get_family("k0_4_exp")[0],
+    "dependent_gradients_float": lambda: load_balanced_set(
+        BENCHMARKS / "dependent_gradients_float_k0_4.json"
+    ),
+}
+
+
+def mpf_gradients(integrals, point, mode):
+    """Oracle: the partials by diff + evaluate at the mode's precision, or
+    None where one is undefined."""
+    try:
+        return [
+            [evaluate(diff(u, j), point, mode) for j in range(1, len(point) + 1)]
+            for u in integrals
+        ]
+    except EvalError:
+        return None
+
+
+def mpf_jet_matrix(gradients, rows, mode):
+    with mode.workprec():
+        return [[jet_coefficient(g, L) for g in gradients] for L in rows]
+
+
+def assert_ranked_as_the_oracle(rank, info, matrix, precision, where):
+    """Same rank and marginal flag as the mpf kernel, and the first pivot,
+    the largest entry under complete pivoting, at the matrix's scale."""
+    assert (rank, info["marginal"]) == oracle_float_rank(matrix, precision), where
+    largest = max(abs(v) for row in matrix for v in row)
+    first = info["certificate"]["pivot_magnitudes"][:1]
+    assert [float(v) for v in first] == pytest.approx(
+        [float(largest)] if largest else [], rel=1e-6
+    ), where
+
+
+def defined_points(integrals, n, mode, count, seed=0):
+    """The first `count` sampled points of n-space with every integral
+    defined there, and the oracle gradients at each."""
+    out = []
+    for point in GenericPointSampler(seed=seed).points(n):
+        gradients = mpf_gradients(integrals, point, mode)
+        if gradients is not None:
+            out.append((point, gradients))
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize("name", sorted(FLOAT_SETS))
+def test_float_jet_matrices_on_ints_rank_as_mpf_jet_coefficients(name, precision):
+    # the direct check's matrices, degree-h rows of the int gradients as
+    # FixedRows, against the mpf kernel on the jet_coefficient matrix of
+    # the mpf partials at the same precision
+    E = FLOAT_SETS[name]()
+    mode = Mode.floating(precision)
+    for n in range(2, 6):
+        W = assemble(E, n)
+        integrals = [entry.integral for entry in W.entries]
+        for point, oracle in defined_points(integrals, n, mode, 2):
+            systems = _jet_systems(W, point, E.k0, mode)
+            for h, (rows, ncols) in enumerate(systems, 1):
+                rank, info = float_rank(rows, ncols, precision)
+                expected = mpf_jet_matrix(oracle, degree_multi_indices(n, h), mode)
+                assert_ranked_as_the_oracle(
+                    rank, info, expected, precision, (n, point, h)
+                )
+
+
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize("name", sorted(FLOAT_SETS))
+def test_float_square_blocks_on_ints_rank_as_mpf_jet_coefficients(name, precision):
+    # the finite criterion's blocks, taken from the degree-k0 jet matrix on
+    # ints, against the mpf kernel on the block's jet coefficients
+    E = FLOAT_SETS[name]()
+    mode = Mode.floating(precision)
+    for web in E.webs:
+        for point, oracle in defined_points(web.integrals, web.k, mode, 4):
+            block = square_block(web, E.k0, point, mode)
+            rank, info = float_rank(block, len(web.integrals), precision)
+            expected = mpf_jet_matrix(oracle, positive_vectors(web.k, E.k0), mode)
+            assert_ranked_as_the_oracle(rank, info, expected, precision, (web.k, point))

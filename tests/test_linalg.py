@@ -3,12 +3,17 @@ import operator
 from fractions import Fraction
 
 import mpmath
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rank_fixed_rows, mpf_fixed_point_rows, oracle_float_rank
-from webrank import _purekernels, linalg
+from helpers import (
+    dense_rank_fixed_rows,
+    fixed_row,
+    fixed_rows,
+    mpf_fixed_point_rows,
+    oracle_float_rank,
+)
+from webrank import linalg
 from webrank.scalars import Mode
 
 
@@ -38,7 +43,7 @@ def naive_rank(rows):
 
 def rank_int(rows):
     """rank_int_rows of a dense int matrix."""
-    return _purekernels.rank_int_rows(*linalg.sparse_rows(rows))
+    return linalg.exact_rank(*linalg.sparse_rows(rows))
 
 
 def test_rank_int_examples():
@@ -50,11 +55,11 @@ def test_rank_int_examples():
 
 
 def test_det_int_examples():
-    assert _purekernels.det_int_rows([[1, -1], [1, 1]]) == 2
-    assert _purekernels.det_int_rows([[2, 0], [0, 3]]) == 6
-    assert _purekernels.det_int_rows([[1, 2], [2, 4]]) == 0
-    assert _purekernels.det_int_rows([[0, 1], [1, 0]]) == -1
-    assert _purekernels.det_int_rows([]) == 1
+    assert linalg.det_int_rows([[1, -1], [1, 1]]) == 2
+    assert linalg.det_int_rows([[2, 0], [0, 3]]) == 6
+    assert linalg.det_int_rows([[1, 2], [2, 4]]) == 0
+    assert linalg.det_int_rows([[0, 1], [1, 0]]) == -1
+    assert linalg.det_int_rows([]) == 1
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -128,7 +133,7 @@ def test_rank_int_rows_matches_fraction_oracle_and_pivot_columns(rows):
     rank, columns = naive_rank(rows)
     sparse, ncols = linalg.sparse_rows(rows)
     sparse_before = [dict(row) for row in sparse]
-    assert _purekernels.rank_int_rows(sparse, ncols) == (
+    assert linalg.exact_rank(sparse, ncols) == (
         rank,
         list(enumerate(columns)),
     )
@@ -167,8 +172,8 @@ def test_rank_int_rows_ignores_large_row_contents(case):
     rank, columns = naive_rank(rows)
     expected = (rank, list(enumerate(columns)))
     assert naive_rank(scaled) == (rank, columns)
-    assert _purekernels.rank_int_rows(*linalg.sparse_rows(scaled)) == expected
-    assert _purekernels.rank_int_rows(*linalg.sparse_rows(rows)) == expected
+    assert linalg.exact_rank(*linalg.sparse_rows(scaled)) == expected
+    assert linalg.exact_rank(*linalg.sparse_rows(rows)) == expected
 
 
 def shuffled_dicts(draw, rows):
@@ -200,11 +205,11 @@ def test_exact_rank_of_dicts_in_any_key_order_matches_dense(rows, data):
 def test_float_rank_of_dicts_in_any_key_order_matches_dense(data):
     precision = data.draw(precisions)
     rows = to_mpf_rows(data.draw(low_rank_products()), precision)
-    sparse = shuffled_dicts(data.draw, rows)
+    sparse = [fixed_row(row, precision) for row in shuffled_dicts(data.draw, rows)]
     before = [dict(row) for row in sparse]
     ncols = len(rows[0])
     assert linalg.float_rank(sparse, ncols, precision) == linalg.float_rank(
-        *linalg.sparse_rows(rows), precision
+        *fixed_rows(rows, precision), precision
     )
     assert [list(row.items()) for row in sparse] == [
         list(row.items()) for row in before
@@ -250,13 +255,13 @@ def test_float_rank_agrees_with_exact_on_rationals(rows):
         floats = [
             [mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows
         ]
-    rank, info = linalg.float_rank(*linalg.sparse_rows(floats), 128)
+    rank, info = linalg.float_rank(*fixed_rows(floats, 128), 128)
     assert rank == exact
     assert not info["marginal"]
 
 
 def test_float_rank_zero_matrix():
-    rank, info = linalg.float_rank(*linalg.sparse_rows([[mpmath.mpf(0)] * 3] * 2), 128)
+    rank, info = linalg.float_rank(*fixed_rows([[mpmath.mpf(0)] * 3] * 2, 128), 128)
     assert rank == 0
     assert not info["marginal"]
 
@@ -265,17 +270,18 @@ def test_float_rank_flags_marginal_pivot():
     with mpmath.workprec(128):
         tiny = mpmath.mpf(2) ** -62  # between the threshold 2^-64 and 16*threshold
         rows = [[mpmath.mpf(1), mpmath.mpf(0)], [mpmath.mpf(0), tiny]]
-    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), 128)
+    rank, info = linalg.float_rank(*fixed_rows(rows, 128), 128)
     assert info["marginal"]
 
 
 def test_ranks_rebuilds_all_matrices_at_double_precision():
-    tiny = mpmath.mpf(2) ** -62  # marginal at 128 bits, clear at 256
+    # the identity, then diag(1, 2^-62): marginal at 128 bits, clear at 256
+    blocks = [([[1, 0], [0, 1]], 0), ([[2**62, 0], [0, 1]], -62)]
     built = []
 
     def build(mode):
         built.append(mode.precision)
-        return map(linalg.sparse_rows, [[[1, 0], [0, 1]], [[1, 0], [0, tiny]]])
+        return [linalg.sparse_rows(rows, unit) for rows, unit in blocks]
 
     ranks, used = linalg.ranks(build, Mode.floating(128))
     assert built == [128, 256]
@@ -343,7 +349,7 @@ def to_mpf_rows(rows, precision):
 @given(low_rank_products(), precisions)
 def test_fixed_point_rank_matches_mpf_oracle_on_low_rank_products(rows, precision):
     floats = to_mpf_rows(rows, precision)
-    rank, info = linalg.float_rank(*linalg.sparse_rows(floats), precision)
+    rank, info = linalg.float_rank(*fixed_rows(floats, precision), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(floats, precision)
 
 
@@ -351,7 +357,7 @@ def test_fixed_point_rank_matches_mpf_oracle_on_low_rank_products(rows, precisio
 @given(precisions.flatmap(lambda p: st.tuples(near_threshold_diagonals(p), st.just(p))))
 def test_fixed_point_rank_matches_mpf_oracle_near_threshold(case):
     rows, precision = case
-    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), precision)
+    rank, info = linalg.float_rank(*fixed_rows(rows, precision), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(rows, precision)
 
 
@@ -363,7 +369,7 @@ def test_fixed_point_rank_matches_mpf_oracle_near_threshold(case):
 )
 def test_fixed_point_rank_matches_mpf_oracle_on_zero_matrices(m, n, precision):
     rows = to_mpf_rows([[0] * n for _ in range(m)], precision)
-    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), precision)
+    rank, info = linalg.float_rank(*fixed_rows(rows, precision), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(rows, precision) == (0, False)
 
 
@@ -379,7 +385,7 @@ def test_fixed_point_rank_matches_mpf_oracle_on_zero_matrices(m, n, precision):
 def test_fixed_point_rank_matches_mpf_oracle_on_single_rows(row, precision):
     with mpmath.workprec(precision):
         rows = [[mpmath.mpf(v.numerator) / v.denominator for v in row]]
-    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), precision)
+    rank, info = linalg.float_rank(*fixed_rows(rows, precision), precision)
     assert (rank, info["marginal"]) == oracle_float_rank(rows, precision)
     assert rank == (1 if any(row) else 0)
 
@@ -387,15 +393,10 @@ def test_fixed_point_rank_matches_mpf_oracle_on_single_rows(row, precision):
 def test_float_rank_certificate_is_in_input_units():
     with mpmath.workprec(128):
         rows = [[mpmath.mpf(3) / 8, mpmath.mpf(0)], [mpmath.mpf(0), mpmath.mpf(-5)]]
-    rank, info = linalg.float_rank(*linalg.sparse_rows(rows), 128)
+    rank, info = linalg.float_rank(*fixed_rows(rows, 128), 128)
     assert rank == 2
     assert info["certificate"]["pivot_magnitudes"] == ["5.0", "0.375"]
     assert info["certificate"]["largest_discarded"] is None
-
-
-def test_float_rank_rejects_non_finite_entries():
-    with pytest.raises(ValueError):
-        linalg.float_rank(*linalg.sparse_rows([[mpmath.mpf(1), mpmath.inf]]), 128)
 
 
 # --------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def sparse_rows(rows):
 def test_sparse_fixed_rank_matches_dense_oracle(case, shift):
     rows, n = case
     expected = dense_rank_fixed_rows([row[:] for row in rows], shift, linalg.FLOAT_GAP)
-    got = _purekernels.rank_fixed_rows(sparse_rows(rows), n, shift, linalg.FLOAT_GAP)
+    got = linalg.rank_fixed_rows(sparse_rows(rows), n, shift, linalg.FLOAT_GAP)
     assert got == expected
 
 
@@ -446,7 +447,7 @@ def test_sparse_fixed_rank_breaks_ties_in_dense_swap_order():
     rows = [[0, -1, 2], [2, 0, 0], [3, 3, -1]]
     expected = dense_rank_fixed_rows([row[:] for row in rows], 8, 16)
     assert expected == (3, [3, 2, 2], None, False)
-    assert _purekernels.rank_fixed_rows(sparse_rows(rows), 3, 8, 16) == expected
+    assert linalg.rank_fixed_rows(sparse_rows(rows), 3, 8, 16) == expected
 
 
 @st.composite
@@ -480,13 +481,13 @@ def mpf_matrices_with_underflow(draw, precision):
 )
 def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
     rows, precision = case
-    fixed, unit = linalg._fixed_point_rows(sparse_rows(rows), precision)
+    fixed, unit = linalg._fixed_point_rows(fixed_rows(rows, precision)[0], precision)
     with mpmath.workprec(precision):
         dense = [[int(mpmath.ldexp(mpmath.mpf(v), -unit)) for v in row] for row in rows]
     assert fixed == sparse_rows(dense)
     n = len(rows[0])
     shift = precision // 2
-    assert _purekernels.rank_fixed_rows(
+    assert linalg.rank_fixed_rows(
         fixed, n, shift, linalg.FLOAT_GAP
     ) == dense_rank_fixed_rows(dense, shift, linalg.FLOAT_GAP)
 
@@ -494,7 +495,7 @@ def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
 def test_fixed_point_rows_drop_entries_below_the_unit():
     with mpmath.workprec(128):
         rows = [[mpmath.mpf(1), mpmath.ldexp(1, -300)], [mpmath.mpf(0), mpmath.mpf(-1)]]
-    assert linalg._fixed_point_rows(sparse_rows(rows), 128) == (
+    assert linalg._fixed_point_rows(fixed_rows(rows, 128)[0], 128) == (
         [{0: 2**191}, {1: -(2**191)}],
         -191,
     )
@@ -531,10 +532,12 @@ def wide_mpf_rows(draw, precision):
 @settings(max_examples=200, deadline=None)
 @given(precisions.flatmap(lambda p: st.tuples(wide_mpf_rows(p), st.just(p))))
 def test_converted_mpf_rows_align_as_the_one_pass_conversion(case):
-    # fixed_row then the aligner give the ints and unit of the one-pass
-    # conversion _fixed_point_rows made before rows carried their own units
+    # the tests' fixed_row then the aligner give the ints and unit of the
+    # one-pass conversion _fixed_point_rows made before rows carried their
+    # own units
     rows, precision = case
-    assert linalg._fixed_point_rows(rows, precision) == mpf_fixed_point_rows(
+    fixed = [fixed_row(row, precision) for row in rows]
+    assert linalg._fixed_point_rows(fixed, precision) == mpf_fixed_point_rows(
         rows, precision
     )
 
@@ -544,7 +547,7 @@ def test_converted_mpf_rows_align_as_the_one_pass_conversion(case):
 def test_fixed_row_holds_the_rounded_entries_exactly(case):
     rows, precision = case
     for row in rows:
-        fixed = linalg.fixed_row(row, precision)
+        fixed = fixed_row(row, precision)
         with mpmath.workprec(precision):
             rounded = {j: mpmath.mpf(v) for j, v in row.items() if v}
         assert {j: v for j, v in rounded.items() if v} == {

@@ -19,12 +19,13 @@ from webrank.expr import (
     to_text,
 )
 from webrank.jets import degree_multi_indices
-from webrank.scalars import EXACT, Mode, scalar_is_zero
+from webrank.scalars import EXACT, Mode
 from webrank.tpoly import (
     MonomialCodes,
     _zero_test_points,
     fixed_powers,
     integer_taylor,
+    mpf_ints,
     taylor,
     vars_used,
 )
@@ -323,6 +324,22 @@ def test_fixed_powers_are_the_exact_powers_of_the_mpf_offset(text, point, bits):
         assert error <= largest * Fraction(2) ** -(bits + 32), m
 
 
+def test_mpf_ints_hold_the_values_exactly_over_their_lowest_exponent():
+    with mpmath.workprec(64):
+        values = [mpmath.mpf(3) / 8, mpmath.mpf(0), -mpmath.ldexp(5, 40)]
+    ints, unit = mpf_ints(values)
+    assert (ints, unit) == ([3, 0, -(5 << 43)], -3)
+    assert mpf_ints([mpmath.mpf(0)]) == ([0], 0)
+
+
+def test_mpf_ints_reject_non_finite_values():
+    # float mode's one conversion from mpf, so nothing non-finite reaches
+    # the gradients, the relation rows or float_rank
+    for value in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError):
+            mpf_ints([mpmath.mpf(1), value])
+
+
 def test_inverse_at_a_negative_constant_keeps_its_sign():
     # a0 = -2: a0^(cap+1) is negative for cap 2 and 4
     tree = parse("1/x1", 1)
@@ -391,7 +408,13 @@ def diff_vars_used(e):
                 values.append(evaluate(partial, point, mode))
             except EvalError:
                 pass
-        if not values or not all(scalar_is_zero(v, mode) for v in values):
+        if mode.is_exact:
+            nonzero = any(values)
+        else:
+            with mode.workprec():
+                tolerance = mpmath.ldexp(1, -(mode.precision // 2))
+                nonzero = any(abs(v) > tolerance for v in values)
+        if not values or nonzero:
             used.add(j)
     return used
 

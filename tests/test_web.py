@@ -307,35 +307,31 @@ def test_proportional_pairs_exact_matches_all_pairs_scan(gradients):
     assert proportional_pairs(gradients, EXACT) == all_pairs_scan(gradients, EXACT)
 
 
-def test_proportional_pairs_float_finds_scaled_copy():
-    mode = Mode.floating(64)
-    with mode.workprec():
-        g = [mpmath.mpf(1) / 3, mpmath.mpf(2)]
-        gradients = [g, [mpmath.mpf(1), mpmath.mpf(5)], [-3 * v for v in g]]
-    assert proportional_pairs(gradients, mode) == [(0, 2)]
+def ints_at_one_unit(gradients):
+    """mpf gradients as ints over the lowest binary exponent of their
+    nonzero components, as web_gradients hands them to the screen:
+    (ints, unit), each int times 2^unit equal to its mpf."""
+    parts = [
+        [(-man if sign else man, exp) for sign, man, exp, _ in (v._mpf_ for v in g)]
+        for g in gradients
+    ]
+    unit = min((exp for g in parts for man, exp in g if man), default=0)
+    return [[man << (exp - unit) if man else 0 for man, exp in g] for g in parts], unit
 
 
 def test_float_proportionality_is_decided_at_the_mode_precision():
     # The minor is 2^-60 of the gradients' scale: above the 2^-64 threshold
-    # at 128 bits, but lost when the products are rounded to 53 bits.
+    # at 128 bits, below the 2^-26 threshold at 53 bits.  As ints at the
+    # unit 2^-60 the gradients are (2^60, 2^60) and (2^60, 2^60 + 1).
     mode = Mode.floating(128)
     with mode.workprec():
         g1 = [mpmath.mpf(1), mpmath.mpf(1)]
         g2 = [mpmath.mpf(1), 1 + mpmath.ldexp(1, -60)]
+    ints, unit = ints_at_one_unit([g1, g2])
+    assert (ints, unit) == ([[2**60, 2**60], [2**60, 2**60 + 1]], -60)
     assert not gradients_proportional(g1, g2, mode)
-    assert proportional_pairs([g1, g2], mode) == []
-
-
-@settings(max_examples=100, deadline=None)
-@given(gradient_lists(), st.sampled_from([32, 64, 128]))
-def test_proportional_pairs_float_matches_all_pairs_scan(gradients, precision):
-    mode = Mode.floating(precision)
-    with mode.workprec():
-        floats = [
-            [mpmath.mpf(v.numerator) / v.denominator for v in g] for g in gradients
-        ]
-    assert proportional_pairs(floats, mode) == all_pairs_scan(floats, mode)
-    assert proportional_pairs(floats, mode) == proportional_pairs(gradients, EXACT)
+    assert proportional_pairs(ints, mode) == []
+    assert proportional_pairs(ints, Mode.floating(53)) == [(0, 1)]
 
 
 @st.composite
@@ -384,25 +380,32 @@ def float_gradient_lists(draw, precision):
 @given(
     st.sampled_from([16, 32, 64, 128]).flatmap(
         lambda p: st.tuples(float_gradient_lists(p), st.just(p))
-    )
+    ),
+    st.booleans(),
 )
-def test_float_proportional_pairs_on_ints_match_the_mpf_scan(case):
+def test_float_proportional_pairs_on_ints_match_the_mpf_scan(case, one_unit):
+    # the int screen, on the gradients at one unit or each at its own,
+    # against the mpf minor test on the mpf gradients
     gradients, precision = case
     mode = Mode.floating(precision)
-    assert proportional_pairs(gradients, mode) == all_pairs_scan(gradients, mode)
+    if one_unit:
+        ints, _ = ints_at_one_unit(gradients)
+    else:
+        ints = [ints_at_one_unit([g])[0][0] for g in gradients]
+    assert proportional_pairs(ints, mode) == all_pairs_scan(gradients, mode)
 
 
 def test_pairs_inside_the_band_are_decided_by_the_mpf_test(monkeypatch):
-    # v = (1, 0) and w_k = (1, 2^-32 (1 + k 2^-56)) at 64 bits: each minor
-    # of (v, w_k) is w_k[1], within 2^-56 of the bound 2^-32, so the int test
-    # hands those pairs to the mpf test, which accepts k <= 0
+    # v = (1, 0) and w_k = (1, 2^-32 (1 + k 2^-56)) at 64 bits, as ints at
+    # the unit 2^-88: each minor of (v, w_k) is w_k[1], within 2^-56 of the
+    # bound 2^-32, so the int test hands those pairs to the mpf test, which
+    # accepts k <= 0
     mode = Mode.floating(64)
+    v = [1 << 88, 0]
+    ws = [[1 << 88, (1 << 56) + k] for k in (-1, 0, 1)]
     with mode.workprec():
-        v = [mpmath.mpf(1), mpmath.mpf(0)]
-        ws = [
-            [mpmath.mpf(1), mpmath.ldexp(1 + mpmath.ldexp(k, -56), -32)]
-            for k in (-1, 0, 1)
-        ]
+        floats = [[mpmath.ldexp(x, -88) for x in g] for g in (v, *ws)]
+    assert ints_at_one_unit(floats) == ([v, *ws], -88)
     calls = []
     original = web_module._minors_vanish
 
@@ -413,7 +416,7 @@ def test_pairs_inside_the_band_are_decided_by_the_mpf_test(monkeypatch):
     monkeypatch.setattr(web_module, "_minors_vanish", counted)
     pairs = proportional_pairs([v, *ws], mode)
     assert len(calls) == 3
-    assert pairs == all_pairs_scan([v, *ws], mode)
+    assert pairs == all_pairs_scan(floats, mode)
     assert pairs == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
@@ -497,18 +500,17 @@ def test_series_gradient_matches_differentiating_at_the_point(item, seed):
             with pytest.raises(EvalError):
                 series_gradient(e, point, mode)
             continue
-        values, den = series_gradient(e, point, mode)
+        values, scale = series_gradient(e, point, mode)
+        assert all(type(v) is int for v in values)
         if mode.is_exact:
-            assert all(type(v) is int for v in values)
-            assert den == math.lcm(*(v.denominator for v in oracle))
-            assert [Fraction(v, den) for v in values] == oracle
+            assert scale == math.lcm(*(v.denominator for v in oracle))
+            assert [Fraction(v, scale) for v in values] == oracle
             continue
-        assert den == 1
-        assert all(isinstance(v, mpmath.mpf) for v in values)
         with mode.workprec():
-            scale = max(1, *map(abs, oracle))
-            tolerance = mpmath.ldexp(scale, 16 - mode.precision)
-            assert all(abs(v - o) <= tolerance for v, o in zip(values, oracle))
+            floats = [mpmath.ldexp(v, scale) for v in values]
+            largest = max(1, *map(abs, oracle))
+            tolerance = mpmath.ldexp(largest, 16 - mode.precision)
+            assert all(abs(v - o) <= tolerance for v, o in zip(floats, oracle))
 
 
 @pytest.mark.parametrize(
@@ -549,14 +551,17 @@ def test_web_gradients_match_differentiating_the_assembled_entries():
             [evaluate(diff(entry.integral, j), point, mode) for j in range(1, W.n + 1)]
             for entry in W.entries
         ]
-        gradients = web_gradients(W, point, mode)
+        gradients, unit = web_gradients(W, point, mode)
+        assert all(type(v) is int for g in gradients for v in g)
         if mode.is_exact:
-            # each gradient times the lcm of its denominators, as ints
+            # each gradient times the lcm of its denominators, unit None
+            assert unit is None
             assert gradients == [
                 [v * math.lcm(*(w.denominator for w in g)) for v in g] for g in oracle
             ]
-            assert all(type(v) is int for g in gradients for v in g)
         else:
-            # exp-family partials come out of the series bit for bit
-            assert gradients == oracle
-            assert all(isinstance(v, mpmath.mpf) for g in gradients for v in g)
+            # exp-family partials come out of the series bit for bit, as
+            # ints times 2^unit
+            with mode.workprec():
+                floats = [[mpmath.ldexp(v, unit) for v in g] for g in gradients]
+            assert floats == oracle
