@@ -24,10 +24,13 @@ times building the float relation rows in fixed point
 (`abelrank._expansion_rows`: each offset held once as ints, its powers
 shifted back after every product) against the mpf build they replaced
 (mpf powers, then the conversion to fixed point), both up to the rows
-aligned to the matrix unit, and the float rank path (`linalg.float_rank`:
-alignment and complete pivoting on the nonzeros) against the dense mpf
-kernel it replaced; it checks that the fixed-point rows have the rank and
-marginal flag the mpf kernel gives on the mpf rows.  It also times
+aligned to the matrix unit.  On the k0_4_exp relation systems in
+dimensions 3 and 4 at orders 5 and 6 (75x55, 90x83, 175x125 and 210x209),
+each at 32, 64 and 128 bits, it times the fixed-point complete-pivoting
+kernel (`linalg.rank_fixed_rows`: one reciprocal per updated row, running
+row maxima) against the kernel it replaced, which divided at every entry
+update and rescanned every updated row; it checks that both give the rank
+and marginal flag of the dense mpf kernel on the mpf rows.  It also times
 building the exact relation systems of k0_4_pereira_pirio_affine and
 k0_4_WB_sum in dimension 5 at order 6 (420x461): the integer Taylor kernel
 on packed monomial codes, each generating integral expanded at its projected
@@ -74,7 +77,7 @@ from webrank.jets import (
     jet_matrix_from_gradients,
 )
 from webrank.ordinary import GenericPointSampler
-from webrank.scalars import EXACT
+from webrank.scalars import EXACT, Mode
 from webrank.tpoly import MonomialCodes, series_gradient, taylor
 from webrank.web import (
     assemble,
@@ -326,22 +329,106 @@ def bench_float_build(repeat: int):
     return label, f"{len(rows)}x{ncols}, rank {rank}", results
 
 
-def bench_float(repeat: int):
-    W, point, mode, ncols = _float_system()
-    precision = mode.precision
-    mpf_rows = _mpf_rows(W, point, 6, mode)
-    rows = _expansion_rows(W, point, 6, mode)
-    results = {
-        "mpf": _time(lambda: _mpf_oracle(mpf_rows, ncols, precision), repeat),
-        "fixed": _time(lambda: linalg.float_rank(rows, ncols, precision), repeat),
-    }
-    rank, info = linalg.float_rank(rows, ncols, precision)
-    if _mpf_oracle(mpf_rows, ncols, precision) != (rank, info["marginal"]):
-        raise AssertionError(
-            "fixed-point and mpf kernels disagree on the rank or the marginal flag"
+def _rank_floor_division(rows, ncols: int, shift: int, gap: int):
+    """The fixed-point complete-pivoting kernel as it was before
+    linalg.rank_fixed_rows took one reciprocal per updated row and kept
+    running row maxima: every entry update divides, a - (f*b)//p, and every
+    updated row is rescanned for its largest magnitude."""
+    m = len(rows)
+    limit = m if m < ncols else ncols
+    row_at = list(range(m))
+    col_at = list(range(ncols))
+    col_pos = list(range(ncols))
+    row_max = [max(map(abs, r.values()), default=0) for r in rows]
+    pivot_mags = []
+    threshold = None
+    max_discarded = None
+    for k in range(limit):
+        active = [row_max[i] for i in row_at[k:]]
+        best = max(active)
+        if best == 0:
+            break
+        if threshold is None:
+            threshold = best >> shift
+        if best <= threshold:
+            max_discarded = best
+            break
+        pos = k + active.index(best)
+        pi = row_at[pos]
+        row_at[k], row_at[pos] = pi, row_at[k]
+        pivot_row = rows[pi]
+        pc = min(
+            (j for j, v in pivot_row.items() if abs(v) == best),
+            key=col_pos.__getitem__,
         )
-    label = "float rank (128-bit, complete pivoting; sparse fixed point vs mpf)"
-    return label, f"{len(rows)}x{ncols}, rank {rank}", results
+        q, other = col_pos[pc], col_at[k]
+        col_at[k], col_at[q] = pc, other
+        col_pos[pc], col_pos[other] = k, q
+        pivot_mags.append(best)
+        p = pivot_row.pop(pc)
+        tail = list(pivot_row.items())
+        for i in row_at[k + 1 :]:
+            r = rows[i]
+            f = r.pop(pc, 0)
+            if not f:
+                continue
+            for j, b in tail:
+                v = r.get(j, 0) - (f * b) // p
+                if v:
+                    r[j] = v
+                else:
+                    r.pop(j, None)
+            row_max[i] = max(map(abs, r.values()), default=0)
+    marginal = False
+    if threshold is not None:
+        if pivot_mags and min(pivot_mags) < gap * threshold:
+            marginal = True
+        if max_discarded is not None and max_discarded * gap > threshold:
+            marginal = True
+    return len(pivot_mags), pivot_mags, max_discarded, marginal
+
+
+def bench_float(n: int, precision: int, repeat: int):
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, n)
+    mode = Mode.floating(precision)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    kernels = {
+        "floor div": _rank_floor_division,
+        "reciprocal": linalg.rank_fixed_rows,
+    }
+    results = dict.fromkeys(kernels, 0.0)
+    shapes = []
+    for order in (E.k0 + 1, E.k0 + 2):
+        ncols = len(_relation_columns(n, order))
+        fixed, _ = linalg._fixed_point_rows(
+            _expansion_rows(W, point, order, mode), precision
+        )
+        outcomes = set()
+        for name, kernel in kernels.items():
+
+            def run(kernel=kernel):
+                rows = [dict(row) for row in fixed]
+                return kernel(rows, ncols, precision // 2, linalg.FLOAT_GAP)
+
+            results[name] += _time(run, repeat)
+            rank, _, _, marginal = run()
+            outcomes.add((rank, marginal))
+        expected = _mpf_oracle(_mpf_rows(W, point, order, mode), ncols, precision)
+        if outcomes != {expected}:
+            raise AssertionError(
+                f"n={n}, order {order}, {precision} bits: kernels give "
+                f"{sorted(outcomes)}, the mpf oracle {expected}"
+            )
+        rank, marginal = expected
+        shapes.append(
+            f"{len(fixed)}x{ncols} rank {rank}" + (" marginal" if marginal else "")
+        )
+    label = (
+        f"float rank ({precision}-bit, k0_4_exp n={n}, orders {E.k0 + 1} and "
+        f"{E.k0 + 2}; floor division vs one reciprocal per row)"
+    )
+    return label, ", ".join(shapes), results
 
 
 def _jet_web():
@@ -417,7 +504,11 @@ def main() -> None:
         functools.partial(bench_first_two_orders, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_first_two_orders, "k0_4_WB_sum"),
         bench_float_build,
-        bench_float,
+        *(
+            functools.partial(bench_float, n, precision)
+            for n in (3, 4)
+            for precision in (32, 64, 128)
+        ),
         bench_jets,
         bench_proportional,
     )
@@ -425,10 +516,10 @@ def main() -> None:
         label, info, results = bench(args.repeat)
         print(f"\n{label}  [{info}]")
         for kernel, seconds in results.items():
-            print(f"  {kernel:9s} {seconds * 1000:9.1f} ms")
+            print(f"  {kernel:10s} {seconds * 1000:9.1f} ms")
         if len(results) >= 2:
             base, fast = list(results.values())[:2]
-            print(f"  speedup   {base / fast:9.2f} x")
+            print(f"  speedup    {base / fast:9.2f} x")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,13 @@
 
 exact_rank is sparse fraction-free big-int elimination, exact_det the
 Bareiss determinant, and float_rank sparse complete-pivoting elimination on
-fixed-point integers; rank_float_rows, the mpf elimination float_rank
-replaced, stays as the tests' oracle.
+fixed-point integers (rank_fixed_rows: one reciprocal of the pivot per
+updated row, so an entry update is a multiplication and a shift, and each
+row's largest magnitude kept as the rows change); rank_float_rows, the mpf
+elimination float_rank replaced, stays as the tests' oracle.  float_rank
+returns its pivot magnitudes as ints with their unit, and float_certificate
+formats them for the one report that prints them, the float square blocks
+(ordinary._block_outcomes).
 
 Both rank functions take sparse rows, one {column: value} dict of nonzeros
 per row, plus the column count.  The relation rows
@@ -252,6 +257,20 @@ def _fixed_point_rows(rows: Sequence[FixedRow], precision: int):
     return [shifted(row, row.unit - unit) for row in rows], unit
 
 
+def _row_max(row: dict[int, int]) -> tuple[int, int | None]:
+    """(largest magnitude, a column holding it) of a sparse int row; (0,
+    None) for an empty row."""
+    if not row:
+        return 0, None
+    values = row.values()
+    hi = max(values)
+    lo = min(values)
+    top = hi if hi >= -lo else lo
+    for j, v in row.items():
+        if v == top:
+            return abs(top), j
+
+
 def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int):
     """Numerical rank of a sparse fixed-point matrix by complete pivoting.
 
@@ -265,20 +284,29 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
     magnitudes in the caller's unit.
 
     Only nonzeros are stored and updated: a step updates the rows with a
-    nonzero in the pivot column, at the pivot row's nonzeros, and recomputes
-    the largest magnitude of those rows only.  The pivot is the largest
-    magnitude, ties broken as dense complete pivoting breaks them (first
-    maximum in row-major order, in the order left by its row and column
-    swaps): each row and column keeps its position in that order, and each
-    step makes the dense kernel's two swaps on the positions.
+    nonzero in the pivot column, at the pivot row's nonzeros.  The pivot is
+    the largest magnitude, ties broken as dense complete pivoting breaks them
+    (first maximum in row-major order, in the order left by its row and
+    column swaps): each row and column keeps its position in that order, and
+    each step makes the dense kernel's two swaps on the positions.  Each row
+    keeps its largest magnitude and a column holding it.  An update that
+    leaves that column alone (it is neither the pivot column nor among the
+    pivot row's nonzeros) takes the larger of the old maximum and the updated
+    entries; only a row whose maximum was touched is rescanned.  Either way
+    the value is the one a full rescan gives, so the pivots are the same.
 
-    Error model.  Each update a - (f*b)//p is exact except for the floor,
-    which errs by less than one unit.  Under complete pivoting the pivot p is
+    Error model.  With s the bit length of the pivot magnitude, an updated
+    row takes one reciprocal c = floor(f * 2^s / p) and each entry becomes
+    a - floor(c*b / 2^s) (Granlund and Montgomery's division by an
+    invariant integer through multiplication).  c errs from f * 2^s / p by
+    less than 1, which |b| < 2^s turns into less than one unit, and the
+    floor adds less than one more: each update errs from the exact
+    a - f*b/p by less than 2 units.  Under complete pivoting the pivot p is
     the largest active entry, so |f/p| <= 1 and |b/p| <= 1: errors already in
     a, f, b and p pass into the update with coefficients at most 1, the same
     first-order propagation as in floating-point elimination.  One unit is
     2^-(precision+64) of the largest entry, while the threshold sits at
-    2^-(precision/2) of it, so the accumulated truncation stays 64 guard bits
+    2^-(precision/2) of it, so the accumulated truncation stays 63 guard bits
     (less log2 of the step count) below any decision the threshold makes.
     The rows are modified in place.
     """
@@ -287,7 +315,12 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
     row_at = list(range(m))  # row index at each position
     col_at = list(range(ncols))  # column at each position
     col_pos = list(range(ncols))  # position of each column
-    row_max = [max(map(abs, r.values()), default=0) for r in rows]
+    row_max: list[int] = []  # largest magnitude of each row
+    max_col: list[int | None] = []  # a column holding it
+    for r in rows:
+        mag, at = _row_max(r)
+        row_max.append(mag)
+        max_col.append(at)
     pivot_mags: list[int] = []
     threshold = None
     max_discarded = None
@@ -314,19 +347,42 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
         col_pos[pc], col_pos[other] = k, q
         pivot_mags.append(best)
         p = pivot_row.pop(pc)
+        s = best.bit_length()
         tail = list(pivot_row.items())
         for i in row_at[k + 1 :]:
             r = rows[i]
             f = r.pop(pc, 0)
             if not f:
                 continue
+            c = (f << s) // p
+            at = max_col[i]
+            if at == pc or at in pivot_row:
+                for j, b in tail:
+                    v = r.get(j, 0) - ((c * b) >> s)
+                    if v:
+                        r[j] = v
+                    else:
+                        r.pop(j, None)
+                row_max[i], max_col[i] = _row_max(r)
+                continue
+            # the maximum at `at` stays: compare the updated entries with it
+            hi = row_max[i]
+            lo = -hi
+            hi_at = lo_at = at
             for j, b in tail:
-                v = r.get(j, 0) - (f * b) // p
+                v = r.get(j, 0) - ((c * b) >> s)
                 if v:
                     r[j] = v
+                    if v > hi:
+                        hi, hi_at = v, j
+                    elif v < lo:
+                        lo, lo_at = v, j
                 else:
                     r.pop(j, None)
-            row_max[i] = max(map(abs, r.values()), default=0)
+            if hi >= -lo:
+                row_max[i], max_col[i] = hi, hi_at
+            else:
+                row_max[i], max_col[i] = -lo, lo_at
     marginal = False
     if threshold is not None:
         if pivot_mags and min(pivot_mags) < gap * threshold:
@@ -341,30 +397,45 @@ def float_rank(
 ) -> tuple[int, dict]:
     """Numerical rank of a matrix of FixedRows at the given mantissa precision.
 
-    The pivot threshold is 2^(-precision/2) times the largest pivot; the
-    certificate records pivot magnitudes, the gap ratio used, and whether any
-    decision was marginal (within 2^4 of the threshold on either side).
-    The rows are aligned to one unit and eliminated on their nonzeros only
-    (see rank_fixed_rows for the pivot order and the error model).
+    The pivot threshold is 2^(-precision/2) times the largest pivot, and the
+    result is marginal when a decision falls within 2^4 of the threshold on
+    either side.  The rows are aligned to one unit and eliminated on their
+    nonzeros only (see rank_fixed_rows for the pivot order and the error
+    model).  Returns (rank, info): info["marginal"] is the marginal flag,
+    and the pivot magnitudes and the largest discarded one (or None) stay
+    ints in info["unit"], with info["precision"]; float_certificate formats
+    them for the one report that prints them.
     """
     fixed, unit = _fixed_point_rows(rows, precision)
     rank, pivot_mags, max_discarded, marginal = rank_fixed_rows(
         fixed, ncols, precision // 2, FLOAT_GAP
     )
+    return rank, {
+        "marginal": marginal,
+        "pivot_magnitudes": pivot_mags,
+        "largest_discarded": max_discarded,
+        "unit": unit,
+        "precision": precision,
+    }
+
+
+def float_certificate(info: dict) -> dict:
+    """The printed certificate of a float_rank result: each pivot magnitude
+    and the largest discarded one (or None) as an 8-digit string of its value
+    rounded to the precision, the threshold ratio and the gap."""
+    unit = info["unit"]
 
     def magnitude(value: int) -> str:
         return mpmath.nstr(mpmath.mpf((value, unit)), 8)
 
-    with mpmath.workprec(precision):
-        certificate = {
-            "pivot_magnitudes": [magnitude(p) for p in pivot_mags],
-            "largest_discarded": None
-            if max_discarded is None
-            else magnitude(max_discarded),
-            "tolerance_ratio": f"2^-{precision // 2}",
+    discarded = info["largest_discarded"]
+    with mpmath.workprec(info["precision"]):
+        return {
+            "pivot_magnitudes": [magnitude(p) for p in info["pivot_magnitudes"]],
+            "largest_discarded": None if discarded is None else magnitude(discarded),
+            "tolerance_ratio": f"2^-{info['precision'] // 2}",
             "gap": FLOAT_GAP,
         }
-    return rank, {"marginal": marginal, "certificate": certificate}
 
 
 def ranks(build, mode: Mode):

@@ -130,7 +130,7 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
                     "point": coords,
                     "rank": rank,
                     "precision": used.precision,
-                    **info["certificate"],
+                    **linalg.float_certificate(info),
                 }
         except EvalError:
             continue

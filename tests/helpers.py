@@ -168,8 +168,10 @@ def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
 
     Every step rescans every active entry for the largest magnitude (ties:
     first in row-major order), swaps it to the top-left corner and updates
-    every entry by a - (f*b)//p.  Returns (rank, pivot magnitudes, largest
-    discarded magnitude or None, marginal flag).  The rows are modified.
+    every entry of a row with pivot-column entry f by a - (c*b >> s), where
+    s is the bit length of the pivot magnitude and c = (f << s) // p, the
+    kernel's arithmetic.  Returns (rank, pivot magnitudes, largest discarded
+    magnitude or None, marginal flag).  The rows are modified.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -198,9 +200,12 @@ def dense_rank_fixed_rows(rows: list[list[int]], shift: int, gap: int):
                 r[0], r[best_j] = r[best_j], r[0]
         pivot_mags.append(best)
         p = pivot_row[0]
+        s = best.bit_length()
         tail = pivot_row[1:]
         active = [
-            [a - (f * b) // p for a, b in zip(r[1:], tail)] if (f := r[0]) else r[1:]
+            [a - ((c * b) >> s) for a, b in zip(r[1:], tail)]
+            if (c := (r[0] << s) // p)
+            else r[1:]
             for r in active[1:]
         ]
     marginal = False

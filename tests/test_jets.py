@@ -17,7 +17,14 @@ from webrank.jets import (
     square_block,
     support,
 )
-from webrank.linalg import _integer_rows, exact_det, exact_rank, float_rank, sparse_rows
+from webrank.linalg import (
+    _integer_rows,
+    exact_det,
+    exact_rank,
+    float_certificate,
+    float_rank,
+    sparse_rows,
+)
 from webrank.ordinary import GenericPointSampler, _jet_systems, _ranks_at_point
 from webrank.scalars import EXACT, Mode
 from webrank.web import GeneratingWeb, assemble, load_balanced_set
@@ -289,7 +296,7 @@ def assert_ranked_as_the_oracle(rank, info, matrix, precision, where):
     the largest entry under complete pivoting, at the matrix's scale."""
     assert (rank, info["marginal"]) == oracle_float_rank(matrix, precision), where
     largest = max(abs(v) for row in matrix for v in row)
-    first = info["certificate"]["pivot_magnitudes"][:1]
+    first = float_certificate(info)["pivot_magnitudes"][:1]
     assert [float(v) for v in first] == pytest.approx(
         [float(largest)] if largest else [], rel=1e-6
     ), where

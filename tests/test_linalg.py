@@ -395,8 +395,42 @@ def test_float_rank_certificate_is_in_input_units():
         rows = [[mpmath.mpf(3) / 8, mpmath.mpf(0)], [mpmath.mpf(0), mpmath.mpf(-5)]]
     rank, info = linalg.float_rank(*fixed_rows(rows, 128), 128)
     assert rank == 2
-    assert info["certificate"]["pivot_magnitudes"] == ["5.0", "0.375"]
-    assert info["certificate"]["largest_discarded"] is None
+    certificate = linalg.float_certificate(info)
+    assert certificate["pivot_magnitudes"] == ["5.0", "0.375"]
+    assert certificate["largest_discarded"] is None
+
+
+def test_float_certificate_formats_the_raw_info_as_before():
+    # The strings float_rank printed when it formatted every certificate
+    # itself; its info now keeps the magnitudes as ints in info["unit"].
+    with mpmath.workprec(128):
+        one_small = [
+            [mpmath.mpf(1), mpmath.mpf(0)],
+            [mpmath.mpf(0), mpmath.ldexp(3, -70)],
+        ]
+    with mpmath.workprec(64):
+        thirds = [
+            [mpmath.mpf(1) / 3, mpmath.mpf(-2) / 7, mpmath.mpf(5)],
+            [mpmath.mpf(10) / 9, mpmath.mpf(4) / 11, mpmath.mpf(0)],
+            [mpmath.ldexp(1, -40), mpmath.mpf(0), mpmath.mpf(0)],
+        ]
+    cases = [
+        (one_small, 128, 1, ["1.0"], "2.5410988e-21", "2^-64"),
+        (thirds, 64, 2, ["5.0", "1.1111111"], "2.9765281e-13", "2^-32"),
+        (one_small, 32, 1, ["1.0"], "2.5410988e-21", "2^-16"),
+    ]
+    for rows, precision, rank, pivots, discarded, ratio in cases:
+        got, info = linalg.float_rank(*fixed_rows(rows, precision), precision)
+        assert got == rank and not info["marginal"]
+        assert info["precision"] == precision
+        assert all(type(v) is int for v in info["pivot_magnitudes"])
+        assert type(info["largest_discarded"]) is int
+        assert linalg.float_certificate(info) == {
+            "pivot_magnitudes": pivots,
+            "largest_discarded": discarded,
+            "tolerance_ratio": ratio,
+            "gap": linalg.FLOAT_GAP,
+        }
 
 
 # --------------------------------------------------------------------------
@@ -439,15 +473,93 @@ def test_sparse_fixed_rank_matches_dense_oracle(case, shift):
     assert got == expected
 
 
+@st.composite
+def wide_int_matrices(draw):
+    """Dense int rows of any shape at a fixed-point matrix's width: entries
+    of up to 96-200 bits, a few of them sharing magnitudes (ties within and
+    across rows), many zeros, so that a row's largest entry often sits
+    outside the pivot row's nonzeros.  Returns (rows, number of columns)."""
+    m = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=9))
+    width = draw(st.integers(min_value=96, max_value=200))
+    wide = st.integers(min_value=-(2**width), max_value=2**width)
+    shared = draw(st.lists(wide, min_size=1, max_size=3))
+    entry = st.one_of(
+        st.just(0),
+        st.sampled_from(shared).flatmap(lambda v: st.sampled_from([v, -v])),
+        st.tuples(wide, st.integers(min_value=0, max_value=64)).map(
+            lambda t: t[0] >> t[1]
+        ),
+    )
+    rows = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_int_matrices(), st.sampled_from([16, 32, 64]))
+# row 1's largest entry, 2^150 in column 2, is outside the pivot row's
+# nonzeros: its maximum is kept, not rescanned
+@example(([[2**160, 2**100, 0], [2**140, 3**60, 2**150]], 3), 64)
+# row 1's largest entry, in column 1, is updated: the row is rescanned
+@example(([[2**160, 2**100, 0], [2**140, 2**151, 2**150]], 3), 64)
+def test_sparse_fixed_rank_matches_dense_oracle_on_wide_entries(case, shift):
+    rows, n = case
+    expected = dense_rank_fixed_rows([row[:] for row in rows], shift, linalg.FLOAT_GAP)
+    got = linalg.rank_fixed_rows(sparse_rows(rows), n, shift, linalg.FLOAT_GAP)
+    assert got == expected
+
+
 def test_sparse_fixed_rank_breaks_ties_in_dense_swap_order():
-    # The first pivot, 3, swaps row 2 with row 0, so row 0 now follows row 1.
-    # Both then hold a 2 (rows 1 and 0 hold -2 and 2): the dense kernel takes
-    # row 1's, which leaves pivots 3, 2, 2; taking row 0's, first by original
-    # index, would leave 3, 2, 1.
-    rows = [[0, -1, 2], [2, 0, 0], [3, 3, -1]]
+    # The first pivot, 4 (a power of two, so that the reciprocal update is
+    # exact here), swaps row 2 with row 0, so row 0 now follows row 1.  Both
+    # then hold a 2 (rows 1 and 0 hold -2 and 2): the dense kernel takes row
+    # 1's, which leaves pivots 4, 2, 2; taking row 0's, first by original
+    # index, would leave 4, 2, 1.
+    rows = [[0, -1, 2], [2, 0, 0], [4, 4, -2]]
     expected = dense_rank_fixed_rows([row[:] for row in rows], 8, 16)
-    assert expected == (3, [3, 2, 2], None, False)
+    assert expected == (3, [4, 2, 2], None, False)
     assert linalg.rank_fixed_rows(sparse_rows(rows), 3, 8, 16) == expected
+
+
+@st.composite
+def one_update(draw):
+    """(p, b, f, a): a pivot p of up to 400 bits, either sign, the pivot
+    row's entry b and the updated row's entries f (pivot column) and a, with
+    |f|, |b|, |a| <= |p| and the exact update a - f*b/p inside (4 - |p|,
+    |p| - 4)."""
+    size = draw(st.integers(min_value=5, max_value=2**400))
+    p = draw(st.sampled_from([size, -size]))
+    f = draw(st.integers(min_value=-size, max_value=size))
+    b = draw(st.integers(min_value=-size, max_value=size))
+    cancelled = Fraction(f * b, p)
+    low = max(-size, math.floor(cancelled) - size + 5)
+    high = min(size, math.ceil(cancelled) + size - 5)
+    a = draw(st.integers(min_value=low, max_value=high))
+    return p, b, f, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_update(), st.booleans())
+@example((-5, 5, -5, 5), False)
+@example((-5, 5, -5, 5), True)
+@example((2**400, -(2**400), 2**400 - 1, 5 - 2**400), True)
+def test_one_reciprocal_update_errs_by_less_than_two_units(case, rescan):
+    # [[p, b, e], [f, a, |p|]]: p is the first pivot (ties go to row 0).  Row
+    # 1's largest magnitude, |p|, sits in column 2, which the update leaves
+    # alone when e = 0 (the row keeps its maximum, unless a tie recorded it
+    # in column 0 or 1) and changes when e = 1 (the row is rescanned).  The
+    # update leaves a' in row 1, and column 2 (|p| - f/p, within 2 units)
+    # beats |a'| < |p| - 2 for the second pivot, so a' stays with its sign.
+    p, b, f, a = case
+    pivot_row = {0: p, 1: b, 2: 1} if rescan else {0: p, 1: b}
+    rows = [pivot_row, {0: f, 1: a, 2: abs(p)}]
+    rank, pivots, _, _ = linalg.rank_fixed_rows(rows, 3, 1000, linalg.FLOAT_GAP)
+    assert rank == 2 and pivots[0] == abs(p)
+    assert 2 not in rows[1]
+    exact = a - Fraction(f * b, p)
+    assert abs(rows[1].get(1, 0) - exact) < 2
 
 
 @st.composite
