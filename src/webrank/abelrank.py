@@ -321,6 +321,23 @@ class RankCheck:
     estimate: RankEstimate | None
     mismatches: list[dict]
 
+    def record(self) -> dict:
+        """The report keys of a check that found a generic point (rank
+        --format json and each verify_max_rank dimension print them)."""
+        estimate = self.estimate
+        record = {
+            "value": estimate.value,
+            "dims_trace": dict(sorted(estimate.dims.items())),
+            "stabilized_at": estimate.stabilized_at,
+            "method": estimate.method,
+            "point": [str(c) for c in self.point],
+            "note": estimate.note,
+            "verdict": self.verdict,
+        }
+        if self.mismatches:
+            record["mismatch_points"] = self.mismatches
+        return record
+
 
 def check_rank(
     W: AssembledWeb, sampler, m_start: int, m_cap: int, mode: Mode, expected: int
@@ -399,20 +416,7 @@ def verify_max_rank(
             )
             verdicts.append(INCONCLUSIVE)
             continue
-        record = {
-            "n": n,
-            "expected": expected,
-            "value": estimate.value,
-            "dims_trace": dict(sorted(estimate.dims.items())),
-            "stabilized_at": estimate.stabilized_at,
-            "method": estimate.method,
-            "point": [str(c) for c in check.point],
-            "note": estimate.note,
-            "verdict": check.verdict,
-        }
-        if check.mismatches:
-            record["mismatch_points"] = check.mismatches
-        per_n.append(record)
+        per_n.append({"n": n, "expected": expected, **check.record()})
         verdicts.append(check.verdict)
         if n <= k0:
             estimates_low[n] = estimate

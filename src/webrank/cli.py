@@ -80,6 +80,8 @@ def _load_set(args) -> tuple[BalancedSet, str, catalog.FamilySpec | None]:
         return load_balanced_set(path), path, None
     except FileNotFoundError:
         raise _InputError(f"no such file: {path}", EX_NOINPUT) from None
+    except OSError as err:
+        raise _InputError(f"cannot read {path}: {err.strerror}", EX_NOINPUT) from None
     except (json.JSONDecodeError, ParseError, ValueError) as err:
         raise _InputError(f"bad web definition {path}: {err}", EX_DATAERR) from None
 
@@ -283,17 +285,7 @@ def _cmd_rank(args) -> int:
         _emit(payload, args.format, [line])
         return exit_code(INCONCLUSIVE)
     verdict = check.verdict
-    payload.update(
-        value=estimate.value,
-        stabilized_at=estimate.stabilized_at,
-        dims_trace=dict(sorted(estimate.dims.items())),
-        method=estimate.method,
-        point=[str(c) for c in check.point],
-        note=estimate.note,
-        verdict=verdict,
-    )
-    if check.mismatches:
-        payload["mismatch_points"] = check.mismatches
+    payload.update(check.record())
     lines = [
         f"rank {name} n={n}: value={estimate.value} expected={expected} "
         f"dims={dict(sorted(estimate.dims.items()))} [{estimate.method}] "

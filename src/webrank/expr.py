@@ -582,6 +582,10 @@ class _Parser:
             upper = self.exponent()
             if upper < 0:
                 raise ParseError("exponent tower is not an integer", caret.pos)
+            if abs(value) > 1 and upper >= _MAX_EXPONENT.bit_length():
+                # |value|^upper >= 2^upper exceeds the bound: refuse it
+                # before computing it
+                raise ParseError(f"exponent exceeds {_MAX_EXPONENT}", token.pos)
             value = value**upper
         if abs(value) > _MAX_EXPONENT:
             raise ParseError(f"exponent exceeds {_MAX_EXPONENT}", token.pos)

@@ -21,14 +21,14 @@ Float gradients are ints at one unit u, so the degree-h entries are the
 exact products of the mpf gradients, ints at the unit h*u, and reach
 linalg.float_rank as FixedRows at that unit.  square_block is the
 full-support tail of one generating web's degree-k0 jet matrix; in exact
-mode it divides by s_c^k0, since reports print its determinants as
-rationals.
+mode it stays ints and comes with its column scales s_c^k0, by which the
+report divides its determinant (ordinary._block_outcomes), since reports
+print the determinants of the rational blocks.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -157,9 +157,7 @@ def jet_matrix_from_gradients(
     return matrices
 
 
-def square_block(
-    T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode
-) -> list:
+def square_block(T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode):
     """The square diagonal block contributed by one generating web, as rows.
 
     Rows are the degree-k0 multi-indices on k variables with every exponent
@@ -167,8 +165,12 @@ def square_block(
     Both counts equal monomial_count(k, k0-k), so the block is square.  The
     rows are the last ones of the degree-k0 jet matrix of the integrals'
     gradients, whose full-support block comes last.  Exact mode returns
-    them as lists of Fractions, float mode as FixedRows holding the exact
-    products of the mpf gradients, as linalg.float_rank takes them.
+    (int rows, column scales): column c of the rational block is column c
+    of the int rows divided by scales[c], the k0-th power of its gradient's
+    denominator, so the rational block's determinant is that of the int
+    rows over the product of the scales.  Float mode returns FixedRows
+    holding the exact products of the mpf gradients, as linalg.float_rank
+    takes them.
     """
     k = T_k.k
     expected = monomial_count(k, k0 - k)
@@ -188,8 +190,7 @@ def square_block(
     if mode.is_exact:
         values = [g for g, _ in gradients]
         rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]
-        scales = [den**k0 for _, den in gradients]
-        return [[Fraction(v, s) for v, s in zip(row, scales)] for row in rows]
+        return rows, [den**k0 for _, den in gradients]
     values, unit = common_unit(gradients)
     rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]
     return sparse_rows(rows, k0 * unit)[0]

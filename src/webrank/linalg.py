@@ -1,13 +1,14 @@
 """Exact and floating rank and determinant, and the elimination kernels.
 
 exact_rank is sparse fraction-free big-int elimination, exact_det the
-Bareiss determinant, and float_rank sparse complete-pivoting elimination on
-fixed-point integers (rank_fixed_rows: one reciprocal of the pivot per
-updated row, so an entry update is a multiplication and a shift, and each
-row's largest magnitude kept as the rows change); rank_float_rows, the mpf
-elimination float_rank replaced, stays as the tests' oracle.  float_rank
-returns its pivot magnitudes as ints with their unit, and float_certificate
-formats them for the one report that prints them, the float square blocks
+fraction-free Bareiss determinant of a square int matrix, and float_rank
+sparse complete-pivoting elimination on fixed-point integers
+(rank_fixed_rows: one reciprocal of the pivot per updated row, so an entry
+update is a multiplication and a shift, and each row's largest magnitude
+kept as the rows change); rank_float_rows, the mpf elimination float_rank
+replaced, stays as the tests' oracle.  float_rank returns its pivot
+magnitudes as ints with their unit, and float_certificate formats them for
+the one report that prints them, the float square blocks
 (ordinary._block_outcomes).
 
 Both rank functions take sparse rows, one {column: value} dict of nonzeros
@@ -16,8 +17,9 @@ per row, plus the column count.  The relation rows
 and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
 int gradients are built (the kernel divides each row by its content before
-it eliminates, since row scaling keeps the rank); exact_det clears a
-rational matrix of its denominators with _integer_rows first.  Float rank
+it eliminates, since row scaling keeps the rank).  exact_det takes the int
+rows of an exact square block as jets.square_block builds them, and its
+caller divides the determinant by the block's column scales.  Float rank
 takes FixedRows, int rows that each carry their own power-of-two unit, as
 the float relation rows, jet matrices and square blocks are built;
 _fixed_point_rows aligns them to one matrix unit for the kernel.  ranks is
@@ -28,7 +30,6 @@ passes the one precision a matrix is built and ranked at, and escalates it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath
@@ -40,31 +41,6 @@ from .scalars import ESCALATION_LIMIT, Mode, shifted
 BACKEND = "pure"
 FLOAT_GAP = 16  # accepted and discarded pivots must clear the threshold by 2^4
 FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
-
-
-def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators; row scaling keeps rank.
-
-    Returns fresh int rows (the determinant kernel works in place) and the
-    per-row lcm.
-    """
-    cleared: list[list[int]] = []
-    scales: list[int] = []
-    for row in rows:
-        denlcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
-        if denlcm == 1:
-            cleared.append([int(value) for value in row])
-        else:
-            cleared.append(
-                [
-                    value.numerator * (denlcm // value.denominator)
-                    if isinstance(value, Fraction)
-                    else value * denlcm
-                    for value in row
-                ]
-            )
-        scales.append(denlcm)
-    return cleared, scales
 
 
 def sparse_rows(rows: Sequence[Sequence], unit: int | None = None):
@@ -163,11 +139,15 @@ def exact_rank(
     return len(pivots), pivots
 
 
-def det_int_rows(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (single-step Bareiss)."""
+def exact_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (single-step Bareiss on
+    a copy of the rows, so the input is left unchanged)."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant requires a square matrix")
     if n == 0:
         return 1
+    rows = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -189,21 +169,6 @@ def det_int_rows(rows: list[list[int]]) -> int:
             ri[k] = 0
         prev = pivot
     return sign * rows[n - 1][n - 1]
-
-
-def exact_det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix with Fraction or int entries."""
-    size = len(rows)
-    if any(len(row) != size for row in rows):
-        raise ValueError("determinant requires a square matrix")
-    if size == 0:
-        return Fraction(1)
-    cleared, scales = _integer_rows(rows)
-    det = det_int_rows(cleared)
-    out = Fraction(det)
-    for scale in scales:
-        out /= scale
-    return out
 
 
 class FixedRow(dict):

@@ -15,6 +15,7 @@ repeat before it is "false".
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,7 +118,8 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
         coords = [str(c) for c in point]
         try:
             if mode.is_exact:
-                det = linalg.exact_det(square_block(web, k0, point, mode))
+                rows, scales = square_block(web, k0, point, mode)
+                det = Fraction(linalg.exact_det(rows), math.prod(scales))
                 outcome = det != 0, {"point": coords, "det": str(det)}
             else:
                 ranks = linalg.ranks(

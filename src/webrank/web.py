@@ -562,6 +562,8 @@ def balanced_set_from_json(obj: dict) -> BalancedSet:
         raise ValueError(f"webs must list integral strings for each arity 1..{k0}")
     webs = []
     for k, raw in enumerate(raw_webs, start=1):
+        if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
+            raise ValueError(f"webs[{k - 1}] must be a list of integral strings")
         webs.append([parse(text, k) for text in raw])
     return balanced_set(k0, webs)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -50,9 +51,47 @@ def rational_jet_matrix(W: AssembledWeb, h: int, point) -> list[list[Fraction]]:
     ]
 
 
+def integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Scale each row by the lcm of its denominators; row scaling keeps rank.
+
+    Returns fresh int rows and the per-row lcm.
+    """
+    cleared: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        denlcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
+        if denlcm == 1:
+            cleared.append([int(value) for value in row])
+        else:
+            cleared.append(
+                [
+                    value.numerator * (denlcm // value.denominator)
+                    if isinstance(value, Fraction)
+                    else value * denlcm
+                    for value in row
+                ]
+            )
+        scales.append(denlcm)
+    return cleared, scales
+
+
+def cofactor_det(rows) -> Fraction:
+    """Oracle: the determinant of a square matrix by cofactor expansion
+    along the first row, on Fractions."""
+    n = len(rows)
+    if n == 1:
+        return Fraction(rows[0][0])
+    total = Fraction(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * Fraction(rows[0][j]) * cofactor_det(minor)
+    return total
+
+
 def rational_rank(rows) -> int:
     """Exact rank of a rational matrix, its rows cleared of denominators."""
-    cleared, _ = linalg._integer_rows(rows)
+    cleared, _ = integer_rows(rows)
     return linalg.exact_rank(*linalg.sparse_rows(cleared))[0]
 
 

@@ -476,7 +476,7 @@ def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
     # of the order-6 ones, against the mpf oracle on mpf systems built
     # separately for each order.  The n = 4 systems (175x125 and 210x209)
     # take the dense mpf oracle about 9 s per precision, so they are left
-    # out here; benchmarks/bench_kernels.py checks the 210x209 one at 128 bits
+    # out here; benchmarks/bench_kernels.py checks both at 32, 64 and 128 bits
     E, _ = get_family("k0_4_exp")
     W = assemble(E, n)
     mode = Mode.floating(precision)

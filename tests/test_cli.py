@@ -205,6 +205,28 @@ def test_malformed_json_exit_code(capsys, tmp_path):
     assert code == 65
 
 
+@pytest.mark.parametrize(
+    "webs",
+    [
+        [[1], ["x1+x2"]],  # an integral that is not a string
+        [None, ["x1+x2"]],  # an arity that is not a list
+        ["x1", ["x1+x2"]],  # a bare string for an arity
+    ],
+)
+def test_malformed_webs_exit_code(capsys, tmp_path, webs):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"k0": 2, "webs": webs}))
+    code, _, err = run_cli(capsys, "validate", "--input", str(path))
+    assert code == 65
+    assert "list of integral strings" in err
+
+
+def test_unreadable_input_exit_code(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "validate", "--input", str(tmp_path))
+    assert code == 66
+    assert "cannot read" in err
+
+
 def test_missing_input_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "validate")
     assert code == 64

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath
@@ -84,6 +85,28 @@ def test_parse_precedence():
 
 def test_parse_exponent_tower_right_associative():
     assert parse("x1^2^3", 1) == int_power(Variable(1), 8)
+
+
+def test_parse_refuses_a_tower_beyond_the_bound_before_computing_it():
+    # 999999^999999 has about 6 million digits; it is refused unevaluated
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds"):
+        parse("x1^999999^999999", 1)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ParseError, match="exceeds"):
+        parse("x1^2^20", 1)
+    with pytest.raises(ParseError, match="exceeds"):
+        parse("x1^-2^21", 1)
+    assert parse("x1^2^19", 1) == int_power(Variable(1), 2**19)
+
+
+def test_parse_towers_on_zero_and_one_stay_legal():
+    x1 = Variable(1)
+    assert parse("x1^0^5", 1) == int_power(x1, 0)
+    assert parse("x1^1^999999", 1) == x1
+    assert parse("x1^-1^999999", 1) == int_power(x1, -1)
+    assert parse("x1^-1^999998", 1) == x1
+    assert parse("x1^0^0", 1) == x1
 
 
 def test_parse_errors_carry_positions():

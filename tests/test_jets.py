@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webrank.catalog import get_family
+from webrank.catalog import family_names, get_family
 from webrank.combin import monomial_count
 from webrank.expr import EvalError, diff, evaluate, parse
 from webrank.jets import (
@@ -18,7 +19,6 @@ from webrank.jets import (
     support,
 )
 from webrank.linalg import (
-    _integer_rows,
     exact_det,
     exact_rank,
     float_certificate,
@@ -30,6 +30,8 @@ from webrank.scalars import EXACT, Mode
 from webrank.web import GeneratingWeb, assemble, load_balanced_set
 
 from helpers import (
+    cofactor_det,
+    integer_rows,
     oracle_float_rank,
     rational_jet_matrix,
     rational_rank,
@@ -81,17 +83,25 @@ def test_jet_coefficient_values():
     assert jet_coefficient((0, 3), (0, 2)) == 9  # zero entries with zero exponent
 
 
+def rational_block(web, k0, point):
+    """The exact square block as square_block defines it: its int rows with
+    column c divided by the column scale scales[c]."""
+    rows, scales = square_block(web, k0, point, EXACT)
+    assert all(type(v) is int for row in rows for v in row)
+    return [[Fraction(v, s) for v, s in zip(row, scales)] for row in rows]
+
+
 def test_square_block_pair_web():
     E = quadrics()
-    block = square_block(E.generating_web(2), 3, (Fraction(1), Fraction(2)), EXACT)
+    block = rational_block(E.generating_web(2), 3, (Fraction(1), Fraction(2)))
     assert block == [[1, -1], [1, 1]]  # rows (2, 1) and (1, 2)
-    assert exact_det(block) == 2
+    rows, _ = square_block(E.generating_web(2), 3, (Fraction(1), Fraction(2)), EXACT)
+    assert exact_det(rows) == 2
 
 
 def test_square_block_point_web():
     E = quadrics()
-    block = square_block(E.generating_web(1), 3, (Fraction(5),), EXACT)
-    assert block == [[1]]
+    assert rational_block(E.generating_web(1), 3, (Fraction(5),)) == [[1]]
 
 
 def test_square_block_dependent_gradients_always_singular():
@@ -105,15 +115,46 @@ def test_square_block_dependent_gradients_always_singular():
     )
     sampler = GenericPointSampler(seed=3)
     for _ in range(5):
-        block = square_block(web, 4, sampler.point(3), EXACT)
-        assert exact_det(block) == 0
-        assert rational_rank(block) == 2
+        point = sampler.point(3)
+        rows, _ = square_block(web, 4, point, EXACT)
+        assert exact_det(rows) == 0
+        assert rational_rank(rational_block(web, 4, point)) == 2
 
 
 def test_square_block_requires_right_cardinality():
     web = GeneratingWeb(k=2, integrals=(parse("x1+x2", 2),))
     with pytest.raises(ValueError):
         square_block(web, 3, (Fraction(1), Fraction(1)), EXACT)
+
+
+EXACT_SETS = {
+    **{
+        name: lambda name=name: get_family(name)[0]
+        for name in family_names()
+        if get_family(name)[0].default_mode().is_exact
+    },
+    "dependent_gradients": lambda: load_balanced_set(
+        BENCHMARKS / "dependent_gradients_k0_4.json"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SETS))
+def test_exact_block_det_is_the_cofactor_det_of_the_jet_coefficients(name):
+    # the determinant the finite criterion prints, int rows over the column
+    # scales, against the cofactor expansion of the Fraction jet_coefficient
+    # block of the symbolic partials, at three defined points per arity
+    E = EXACT_SETS[name]()
+    for web in E.webs:
+        rows = positive_vectors(web.k, E.k0)
+        for seed in range(3):
+            point, gradients = defined_points(web.integrals, web.k, EXACT, 1, seed)[0]
+            block, scales = square_block(web, E.k0, point, EXACT)
+            det = Fraction(exact_det(block), math.prod(scales))
+            reference = [[jet_coefficient(g, L) for g in gradients] for L in rows]
+            assert det == cofactor_det(reference), (web.k, point)
+            if name == "dependent_gradients" and web.k == 3:
+                assert det == 0
 
 
 def test_jet_matrix_identity_columns_for_coordinates():
@@ -189,7 +230,7 @@ def test_square_block_is_diagonal_block_of_assembled_jets():
             start=1,
         ):
             sub_point = tuple(point[i - 1] for i in source)
-            block = square_block(E.generating_web(2), 3, sub_point, EXACT)
+            block = rational_block(E.generating_web(2), 3, sub_point)
             rows = [
                 top_rows.index(L)
                 for L in top_rows
@@ -235,7 +276,7 @@ def exact_gradients(draw):
 @given(exact_gradients(), st.integers(min_value=1, max_value=4))
 def test_integer_jet_rows_are_column_scaled_jet_coefficients(system, top):
     n, gradients = system
-    cleared, scales = _integer_rows(gradients)
+    cleared, scales = integer_rows(gradients)
     matrices = jet_matrix_from_gradients(n, top, cleared)
     assert len(matrices) == top
     for h, (rows, rational) in enumerate(

@@ -3,13 +3,16 @@ import operator
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cofactor_det,
     dense_rank_fixed_rows,
     fixed_row,
     fixed_rows,
+    integer_rows,
     mpf_fixed_point_rows,
     oracle_float_rank,
 )
@@ -55,11 +58,20 @@ def test_rank_int_examples():
 
 
 def test_det_int_examples():
-    assert linalg.det_int_rows([[1, -1], [1, 1]]) == 2
-    assert linalg.det_int_rows([[2, 0], [0, 3]]) == 6
-    assert linalg.det_int_rows([[1, 2], [2, 4]]) == 0
-    assert linalg.det_int_rows([[0, 1], [1, 0]]) == -1
-    assert linalg.det_int_rows([]) == 1
+    assert linalg.exact_det([[1, -1], [1, 1]]) == 2
+    assert linalg.exact_det([[2, 0], [0, 3]]) == 6
+    assert linalg.exact_det([[1, 2], [2, 4]]) == 0
+    assert linalg.exact_det([[0, 1], [1, 0]]) == -1
+    assert linalg.exact_det([]) == 1
+
+
+def test_exact_det_leaves_its_rows_and_rejects_non_square():
+    rows = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+    before = [list(row) for row in rows]
+    assert linalg.exact_det(rows) == -32
+    assert rows == before
+    with pytest.raises(ValueError):
+        linalg.exact_det([[1, 2], [3]])
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -82,7 +94,7 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 def test_exact_rank_matches_naive_oracle(rows):
     # row scaling keeps the rank and the pivot columns
     rank, columns = naive_rank(rows)
-    cleared, _ = linalg._integer_rows(rows)
+    cleared, _ = integer_rows(rows)
     assert linalg.exact_rank(*linalg.sparse_rows(cleared)) == (
         rank,
         list(enumerate(columns)),
@@ -219,7 +231,10 @@ def test_float_rank_of_dicts_in_any_key_order_matches_dense(data):
 square_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
         st.lists(
-            st.fractions(min_value=-4, max_value=4, max_denominator=5),
+            st.one_of(
+                st.integers(min_value=-4, max_value=4),
+                st.integers(min_value=-(10**30), max_value=10**30),
+            ),
             min_size=n,
             max_size=n,
         ),
@@ -229,28 +244,16 @@ square_matrices = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
-def naive_det(rows):
-    n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * Fraction(rows[0][j]) * naive_det(minor)
-    return total
-
-
 @settings(max_examples=40, deadline=None)
 @given(square_matrices)
 def test_exact_det_matches_cofactor_expansion(rows):
-    assert linalg.exact_det(rows) == naive_det(rows)
+    assert linalg.exact_det(rows) == cofactor_det(rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_float_rank_agrees_with_exact_on_rationals(rows):
-    exact = linalg.exact_rank(*linalg.sparse_rows(linalg._integer_rows(rows)[0]))[0]
+    exact = linalg.exact_rank(*linalg.sparse_rows(integer_rows(rows)[0]))[0]
     with mpmath.workprec(128):
         floats = [
             [mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows
@@ -710,7 +713,7 @@ def test_fixed_rows_compare_their_units():
 
 
 def test_integer_rows_clears_denominators():
-    cleared, scales = linalg._integer_rows([[Fraction(1, 2), Fraction(1, 3)]])
+    cleared, scales = integer_rows([[Fraction(1, 2), Fraction(1, 3)]])
     assert cleared == [[3, 2]]
     assert scales == [6]
 
@@ -754,7 +757,7 @@ mixed_rows = st.lists(
 @example([[Fraction(6, 3), -4, Fraction(-7)], [3, -5]])
 @example([[Fraction(-1, 2), 3, Fraction(5, 6)], []])
 def test_integer_rows_match_reference_clearing(rows):
-    cleared, scales = linalg._integer_rows(rows)
+    cleared, scales = integer_rows(rows)
     assert (cleared, scales) == reference_integer_rows(rows)
     for row, out in zip(rows, cleared):
         assert out is not row
