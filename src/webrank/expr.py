@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
-
 from .scalars import EXACT, Mode, to_mpf
 
 
@@ -244,6 +242,25 @@ def has_transcendental(e: Expr) -> bool:
     return False
 
 
+def largest_power(e: Expr) -> int:
+    """The largest product of |exponents| along a chain of nested powers,
+    1 for a tree without powers: (x1^3)^4 gives 12.  The Taylor series of
+    e raises values to powers of that order, so this bounds its cost."""
+    if isinstance(e, (Variable, RationalConst)):
+        return 1
+    if isinstance(e, Sum):
+        return max(map(largest_power, e.terms))
+    if isinstance(e, Product):
+        return max(map(largest_power, e.factors))
+    if isinstance(e, Quotient):
+        return max(largest_power(e.numerator), largest_power(e.denominator))
+    if isinstance(e, (Neg, Exp, Log)):
+        return largest_power(e.child)
+    if isinstance(e, IntPower):
+        return abs(e.exponent) * largest_power(e.base)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
     """Replace each Variable(j) with mapping[j]; unmapped variables stay."""
     if isinstance(e, Variable):
@@ -374,6 +391,8 @@ def _eval(e: Expr, point: tuple, scalar):
     if isinstance(e, (Exp, Log)):
         if scalar is Fraction:
             raise EvalError("exact mode cannot evaluate exp/log nodes")
+        import mpmath
+
         arg = _eval(e.child, point, scalar)
         if isinstance(e, Exp):
             return mpmath.exp(arg)
@@ -454,7 +473,10 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+# The parser's own bound: it refuses an exponent tower before computing a
+# value beyond it.  Web definitions are held to MAX_POWER (largest_power).
 _MAX_EXPONENT = 1_000_000
+MAX_POWER = 1000
 
 
 class _Token:

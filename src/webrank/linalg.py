@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import mpmath
-
 from .scalars import ESCALATION_LIMIT, Mode, shifted
 
 # Not read by the package: perfbench/run.py records it on every run, so the
@@ -388,6 +386,8 @@ def float_certificate(info: dict) -> dict:
     """The printed certificate of a float_rank result: each pivot magnitude
     and the largest discarded one (or None) as an 8-digit string of its value
     rounded to the precision, the threshold ratio and the gap."""
+    import mpmath
+
     unit = info["unit"]
 
     def magnitude(value: int) -> str:

@@ -2,7 +2,9 @@
 
 Two models: exact rationals (fractions.Fraction over Python big ints) and
 arbitrary-precision binary floats (mpmath, configurable mantissa).  Exact is
-the default wherever the inputs are free of exp/log.  Float mode leaves mpf
+the default wherever the inputs are free of exp/log.  Only float mode loads
+mpmath: the package imports it inside the functions of the float path, so
+an exact run never does.  Float mode leaves mpf
 after the Taylor series (tpoly): its gradients, jet matrices, square
 blocks, relation rows, rank kernel and proportionality minors run on ints
 in fixed point, an int v standing for v * 2^unit (shifted moves such ints
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 DEFAULT_PRECISION = 128
 ESCALATION_LIMIT = 512  # highest precision a marginal float rank escalates to
@@ -48,6 +48,8 @@ class Mode:
         """mpmath context manager for this mode's precision (float mode only)."""
         if self.is_exact:
             raise ValueError("workprec is only meaningful in float mode")
+        import mpmath
+
         return mpmath.workprec(self.precision)
 
     def escalate(self) -> "Mode":
@@ -62,6 +64,8 @@ EXACT = Mode.exact()
 
 def to_mpf(value: Fraction | int):
     """An int or Fraction as an mpf at mpmath's current precision."""
+    import mpmath
+
     return mpmath.mpf(value.numerator) / value.denominator
 
 
@@ -70,6 +74,8 @@ def zero_tolerance(mode: Mode):
     scale, count as zero.  Only the mpf minor test uses it: the oracle
     gradients_proportional, and proportional_pairs inside its rounding
     band, which no CLI job has met."""
+    import mpmath
+
     return mpmath.ldexp(1, -(mode.precision // 2))
 
 
@@ -81,6 +87,8 @@ def scalar_to_str(value) -> str:
     """
     if isinstance(value, (int, Fraction)):
         return str(value)
+    import mpmath
+
     return mpmath.nstr(value, 24)
 
 

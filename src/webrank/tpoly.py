@@ -35,8 +35,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import mpmath
-
 from .expr import (
     EvalError,
     Exp,
@@ -213,6 +211,8 @@ def taylor(
         if isinstance(e, (Exp, Log)):
             if mode.is_exact:
                 raise EvalError("exact mode cannot expand exp/log nodes")
+            import mpmath
+
             child = walk(e.child)
             c0 = child.get(0, 0)
             if isinstance(e, Exp):
@@ -447,6 +447,8 @@ def series_gradient(
     if mode.is_exact:
         terms, den = integer_offset(e, point, codes)
         return [terms.get(unit, 0) for unit in codes.units], den
+    import mpmath
+
     terms, zero = taylor(e, point, codes, mode), mpmath.mpf(0)
     return mpf_ints([terms.get(unit, zero) for unit in codes.units])
 

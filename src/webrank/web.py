@@ -25,13 +25,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import mpmath
-
 from .combin import binom, monomial_count
 from .expr import (
     EvalError,
     Expr,
+    MAX_POWER,
     has_transcendental,
+    largest_power,
     max_var_index,
     parse,
     rational,
@@ -263,6 +263,8 @@ def _float_proportional_pairs(gradients, mode: Mode) -> list[tuple[int, int]]:
     other one in both tests.  Outside the band a pair costs int products
     only, and the first minor above the bound ends it.
     """
+    import mpmath
+
     precision = mode.precision
     tops = [max(map(abs, g), default=0) for g in gradients]
     n = len(gradients[0]) if gradients else 0
@@ -564,7 +566,13 @@ def balanced_set_from_json(obj: dict) -> BalancedSet:
     for k, raw in enumerate(raw_webs, start=1):
         if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
             raise ValueError(f"webs[{k - 1}] must be a list of integral strings")
-        webs.append([parse(text, k) for text in raw])
+        integrals = [parse(text, k) for text in raw]
+        for text, e in zip(raw, integrals):
+            if largest_power(e) > MAX_POWER:
+                raise ValueError(
+                    f"webs[{k - 1}]: {text!r} raises to a power above {MAX_POWER}"
+                )
+        webs.append(integrals)
     return balanced_set(k0, webs)
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +189,20 @@ def test_file_input_roundtrip(capsys, tmp_path):
     assert code == 0
 
 
+def test_costly_power_is_refused_quickly(capsys, tmp_path):
+    # x1^1000000 would expand for minutes; the file is refused before that
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1^1000000"], ["x1+x2"]]}))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "validate", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 65
+    assert "above 1000" in err
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1^1000"], ["x1+x2"]]}))
+    code, _, _ = run_cli(capsys, "validate", "--input", str(path))
+    assert code == 0
+
+
 def test_unknown_family_exit_code(capsys):
     code, _, err = run_cli(capsys, "validate", "--family", "nope")
     assert code == 66
@@ -304,6 +320,46 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert "11" in result.stdout
+
+
+# Runs the CLI in a fresh interpreter and prints whether mpmath was loaded.
+MPMATH_PROBE = """
+import sys
+from webrank import cli
+code = cli.main(sys.argv[1:])
+print(code, "mpmath" in sys.modules)
+"""
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def mpmath_probe(*argv):
+    result = subprocess.run(
+        [sys.executable, "-c", MPMATH_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    code, loaded = result.stdout.split()[-2:]
+    return int(code), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-family", "--family", "k0_3_quadrics", "--format", "json"],
+        ["counts", "--k0", "3", "--n", "4"],
+        ["catalog"],
+    ],
+)
+def test_exact_jobs_never_load_mpmath(argv):
+    assert mpmath_probe(*argv) == (0, False)
+
+
+def test_float_jobs_load_mpmath():
+    argv = ["rank", "--family", "k0_4_exp", "--n", "2", "--format", "json"]
+    assert mpmath_probe(*argv) == (0, True)
 
 
 # --------------------------------------------------------------------------

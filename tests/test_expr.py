@@ -18,6 +18,7 @@ from webrank.expr import (
     evaluate,
     has_transcendental,
     int_power,
+    largest_power,
     max_var_index,
     neg,
     parse,
@@ -259,6 +260,13 @@ def test_relabel():
 def test_has_transcendental():
     assert has_transcendental(parse("exp(x1)", 1))
     assert not has_transcendental(parse("x1^3/(x1+1)", 1))
+
+
+def test_largest_power_multiplies_nested_exponents():
+    assert largest_power(parse("x1+2", 1)) == 1
+    assert largest_power(parse("x1^3/(x2+1)^-5", 2)) == 5
+    assert largest_power(parse("exp((x1^3)^4)*x1^7", 1)) == 12
+    assert largest_power(parse("log(x1)^-1", 1)) == 1
 
 
 # --------------------------------------------------------------------------
