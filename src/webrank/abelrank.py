@@ -58,7 +58,6 @@ pivots in any column order except at exact ties of magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import linalg
@@ -86,15 +85,22 @@ class EstimateInconclusive(Exception):
     """A kernel dimension could not be decided (marginal pivots persisted)."""
 
 
-@dataclass
 class RankEstimate:
     """Kernel dimensions per truncation order and the stabilized value, if any."""
 
-    dims: dict[int, int]
-    stabilized_at: int | None
-    value: int | None
-    method: str
-    note: str | None = None
+    def __init__(
+        self,
+        dims: dict[int, int],
+        stabilized_at: int | None,
+        value: int | None,
+        method: str,
+        note: str | None = None,
+    ) -> None:
+        self.dims = dims
+        self.stabilized_at = stabilized_at
+        self.value = value
+        self.method = method
+        self.note = note
 
 
 @lru_cache(maxsize=64)
@@ -307,7 +313,6 @@ def generic_point_for_web(W: AssembledWeb, sampler, mode: Mode):
     return None
 
 
-@dataclass
 class RankCheck:
     """A rank estimate at sampled generic points against an expected value.
 
@@ -316,10 +321,17 @@ class RankCheck:
     whose stabilized value differed from the expected one.
     """
 
-    verdict: str
-    point: tuple | None
-    estimate: RankEstimate | None
-    mismatches: list[dict]
+    def __init__(
+        self,
+        verdict: str,
+        point: tuple | None,
+        estimate: RankEstimate | None,
+        mismatches: list[dict],
+    ) -> None:
+        self.verdict = verdict
+        self.point = point
+        self.estimate = estimate
+        self.mismatches = mismatches
 
     def record(self) -> dict:
         """The report keys of a check that found a generic point (rank
@@ -368,8 +380,11 @@ def check_rank(
     verdict, mismatches, _ = confirm(outcomes())
     point, estimate = last
     if verdict == INCONCLUSIVE and mismatches and estimate.value is not None:
-        estimate = replace(
-            estimate,
+        estimate = RankEstimate(
+            estimate.dims,
+            estimate.stabilized_at,
+            estimate.value,
+            estimate.method,
             note=f"no generic point found after {len(mismatches)} "
             "mismatching points",
         )

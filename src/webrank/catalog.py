@@ -8,22 +8,23 @@ separate named variants; the unsuffixed names alias their first variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import parse, to_text
+from .frozen import Frozen
 from .web import BalancedSet, balanced_set, cross_ratio_family
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Catalog entry: expressions per arity plus the expected outcomes."""
+class FamilySpec(Frozen):
+    """Catalog entry: expressions per arity (webs, a tuple of string tuples)
+    plus the expected outcomes (bools) and a provenance note."""
 
-    name: str
-    k0: int
-    webs: tuple[tuple[str, ...], ...]
-    expected_ordinary: bool
-    expected_max_rank: bool
-    provenance: str
+    __slots__ = (
+        "name",
+        "k0",
+        "webs",
+        "expected_ordinary",
+        "expected_max_rank",
+        "provenance",
+    )
 
 
 def _crossratio_webs() -> tuple[tuple[str, ...], ...]:

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from . import catalog
 from .abelrank import check_rank, verify_max_rank
@@ -36,21 +35,6 @@ from .web import BalancedSet, assemble, load_balanced_set, validate_balanced
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
-
-
-@dataclass
-class RunConfig:
-    """Everything needed to reproduce a run; echoed into every report."""
-
-    command: str
-    input: str | None
-    seed: int
-    precision_bits: int
-    format: str
-    n: list[int] | None = None
-    m_start: int | None = None
-    m_cap: int | None = None
-    corroborate: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,15 +99,26 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _config(args, command: str, **extra) -> RunConfig:
-    return RunConfig(
-        command=command,
-        input=getattr(args, "family", None) or getattr(args, "input", None),
-        seed=args.seed,
-        precision_bits=getattr(args, "precision", DEFAULT_PRECISION),
-        format=args.format,
-        **extra,
-    )
+def _config(
+    args,
+    command: str,
+    n: list[int] | None = None,
+    m_start: int | None = None,
+    m_cap: int | None = None,
+    corroborate: bool = False,
+) -> dict:
+    """Everything needed to reproduce a run; echoed into every report."""
+    return {
+        "command": command,
+        "input": getattr(args, "family", None) or getattr(args, "input", None),
+        "seed": args.seed,
+        "precision_bits": getattr(args, "precision", DEFAULT_PRECISION),
+        "format": args.format,
+        "n": n,
+        "m_start": m_start,
+        "m_cap": m_cap,
+        "corroborate": corroborate,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +169,7 @@ def _cmd_counts(args) -> int:
             }
         )
     payload = {
-        "config": asdict(_config(args, "counts", n=[n_max])),
+        "config": _config(args, "counts", n=[n_max]),
         "k0": k0,
         "per_n": rows,
         "N_table": {h: table.N_values[h] for h in range(2, k0 + 1)},
@@ -197,7 +192,7 @@ def _cmd_validate(args) -> int:
     _require_at_least("--n", args.n, 1)
     n_check = args.n[0] if args.n else E.k0
     report = validate_balanced(E, n_check, GenericPointSampler(seed=args.seed))
-    report.config = asdict(_config(args, "validate", n=[n_check]))
+    report.config = _config(args, "validate", n=[n_check])
     payload = {"family": name, "report": report}
     lines = [f"validate {name}: {report.verdict}"]
     for check in report.checks:
@@ -223,7 +218,7 @@ def _cmd_check_ordinary(args) -> int:
         [criterion.verdict] + [d.verdict for d in directs]
     )
     payload = {
-        "config": asdict(_config(args, "check-ordinary", n=args.n)),
+        "config": _config(args, "check-ordinary", n=args.n),
         "family": name,
         "ordinary": {
             "condition_iv": criterion,
@@ -263,9 +258,7 @@ def _cmd_rank(args) -> int:
     sampler = GenericPointSampler(seed=args.seed)
     check = check_rank(assemble(E, n), sampler, m_start, m_cap, mode, expected)
     payload = {
-        "config": asdict(
-            _config(args, "rank", n=[n], m_start=m_start, m_cap=m_cap)
-        ),
+        "config": _config(args, "rank", n=[n], m_start=m_start, m_cap=m_cap),
         "family": name,
         "n": n,
         "expected": expected,
@@ -325,14 +318,12 @@ def _cmd_verify_family(args) -> int:
     }
     verdicts["overall"] = combine_verdicts(verdicts.values())
     payload = {
-        "config": asdict(
-            _config(
-                args,
-                "verify-family",
-                n=direct_dims,
-                m_cap=args.m_cap,
-                corroborate=args.corroborate,
-            )
+        "config": _config(
+            args,
+            "verify-family",
+            n=direct_dims,
+            m_cap=args.m_cap,
+            corroborate=args.corroborate,
         ),
         "family": name,
         "balanced_valid": balanced,
@@ -387,7 +378,7 @@ def _cmd_crosscheck(args) -> int:
     report = crosscheck_ordinary(
         E, n_list, GenericPointSampler(seed=args.seed), args.precision
     )
-    report.config = asdict(_config(args, "crosscheck", n=n_list))
+    report.config = _config(args, "crosscheck", n=n_list)
     payload = {"family": name, "report": report}
     lines = [f"crosscheck {name} at n={n_list}: {report.verdict}"]
     _emit(payload, args.format, lines)

@@ -9,7 +9,8 @@ integer arithmetic; nothing here ever rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 
 def binom(p: int, q: int) -> int:
@@ -76,17 +77,14 @@ def calibrated_max_rank(n: int, k0: int) -> int:
     return max_rank_bound(n, monomial_count(n, k0))
 
 
-@dataclass(frozen=True)
-class CountingTable:
+class CountingTable(Frozen):
     """Exact counts for one calibration order k0.
 
     rho_values maps n to the calibrated maximal rank; N_values maps h to the
     dimension of the subspace of relations involving exactly h variables.
     """
 
-    k0: int
-    rho_values: dict[int, int]
-    N_values: dict[int, int]
+    __slots__ = ("k0", "rho_values", "N_values")
 
 
 def exact_support_dims(k0: int, n_max: int) -> CountingTable:

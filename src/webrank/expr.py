@@ -20,10 +20,10 @@ to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
+from .frozen import Frozen
 from .scalars import EXACT, Mode, to_mpf
 
 
@@ -43,57 +43,48 @@ class EvalError(ExprError):
     """A pole, a log of a non-positive value, or a scalar-model mismatch."""
 
 
-class Expr:
-    """Base class for expression nodes; concrete nodes are frozen dataclasses."""
+class Expr(Frozen):
+    """Base class for expression nodes.  Each concrete node is an immutable
+    record (frozen.Frozen) whose fields are its __slots__, so two trees are
+    equal, and hash alike, when their node classes and fields match."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Variable(Expr):
-    index: int  # 1-based
+    __slots__ = ("index",)  # 1-based int
 
 
-@dataclass(frozen=True, slots=True)
 class RationalConst(Expr):
-    value: Fraction
+    __slots__ = ("value",)  # Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)  # tuple of nodes
 
 
-@dataclass(frozen=True, slots=True)
 class Product(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)  # tuple of nodes
 
 
-@dataclass(frozen=True, slots=True)
 class Quotient(Expr):
-    numerator: Expr
-    denominator: Expr
+    __slots__ = ("numerator", "denominator")
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    child: Expr
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class IntPower(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")  # exponent: int
 
 
-@dataclass(frozen=True, slots=True)
 class Exp(Expr):
-    child: Expr
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True)
 class Log(Expr):
-    child: Expr
+    __slots__ = ("child",)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +466,14 @@ def to_text(e: Expr) -> str:
 
 # The parser's own bound: it refuses an exponent tower before computing a
 # value beyond it.  Web definitions are held to MAX_POWER (largest_power).
+# The parser folds a constant raised to a power, so largest_power never
+# sees it: the parser itself refuses, before computing it, a constant power
+# whose exponent exceeds MAX_POWER or whose value would exceed
+# MAX_CONSTANT_BITS bits (a 64-bit constant to the power MAX_POWER), the
+# size bound that holds nested constant powers too.  0 and +-1 stay legal.
 _MAX_EXPONENT = 1_000_000
 MAX_POWER = 1000
+MAX_CONSTANT_BITS = 64 * MAX_POWER
 
 
 class _Token:
@@ -577,6 +574,17 @@ class _Parser:
         if self.peek().kind == "^":
             op = self.advance()
             exponent = self.exponent()
+            if isinstance(base, RationalConst) and abs(base.value) not in (0, 1):
+                value = base.value
+                if abs(exponent) > MAX_POWER:
+                    raise ParseError(
+                        f"constant raised to a power above {MAX_POWER}", op.pos
+                    )
+                bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+                if abs(exponent) * bits > MAX_CONSTANT_BITS:
+                    raise ParseError(
+                        f"constant power above {MAX_CONSTANT_BITS} bits", op.pos
+                    )
             try:
                 return int_power(base, exponent)
             except ZeroDivisionError:

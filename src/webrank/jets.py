@@ -29,8 +29,8 @@ print the determinants of the rational blocks.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .combin import monomial_count
 from .expr import EvalError

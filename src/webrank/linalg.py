@@ -30,7 +30,7 @@ passes the one precision a matrix is built and ranked at, and escalates it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .scalars import ESCALATION_LIMIT, Mode, shifted
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 from . import linalg
 from .combin import calibration_order, monomial_count
@@ -37,7 +35,6 @@ from .scalars import DEFAULT_PRECISION, Mode
 from .web import AssembledWeb, BalancedSet, assemble, web_gradients
 
 
-@dataclass
 class GenericPointSampler:
     """Seeded source of rational sample points.
 
@@ -45,14 +42,14 @@ class GenericPointSampler:
     MAX_DENOMINATOR; identical seeds give identical point sequences.
     """
 
-    seed: int
-    LOW: ClassVar[int] = -3
-    HIGH: ClassVar[int] = 3
-    MAX_DENOMINATOR: ClassVar[int] = 64
-    MAX_RETRIES: ClassVar[int] = 32
+    LOW = -3
+    HIGH = 3
+    MAX_DENOMINATOR = 64
+    MAX_RETRIES = 32
 
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._rng = random.Random(seed)
 
     def point(self, n: int) -> tuple[Fraction, ...]:
         coords = []

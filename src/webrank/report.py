@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import scalar_to_str
@@ -54,15 +53,22 @@ def combine_verdicts(verdicts) -> str:
     return TRUE
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one check: a verdict, per-item records, and shared witnesses."""
 
-    name: str
-    verdict: str
-    checks: list[dict] = field(default_factory=list)
-    witnesses: dict = field(default_factory=dict)
-    config: dict | None = None
+    def __init__(
+        self,
+        name: str,
+        verdict: str,
+        checks: list[dict] | None = None,
+        witnesses: dict | None = None,
+        config: dict | None = None,
+    ) -> None:
+        self.name = name
+        self.verdict = verdict
+        self.checks = [] if checks is None else checks
+        self.witnesses = {} if witnesses is None else witnesses
+        self.config = config
 
     def exit_code(self) -> int:
         return exit_code(self.verdict)

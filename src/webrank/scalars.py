@@ -13,23 +13,23 @@ to another unit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .frozen import Frozen
 
 DEFAULT_PRECISION = 128
 ESCALATION_LIMIT = 512  # highest precision a marginal float rank escalates to
 
 
-@dataclass(frozen=True)
-class Mode:
-    """Scalar model selector: kind is "exact" or "float" (with mantissa bits)."""
+class Mode(Frozen):
+    """Scalar model selector: kind is "exact" (precision 0) or "float"
+    (precision: mantissa bits)."""
 
-    kind: str
-    precision: int = 0
+    __slots__ = ("kind", "precision")
 
     @staticmethod
     def exact() -> "Mode":
-        return Mode("exact")
+        return Mode("exact", 0)
 
     @staticmethod
     def floating(precision: int = DEFAULT_PRECISION) -> "Mode":

@@ -31,9 +31,9 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .expr import (
     EvalError,

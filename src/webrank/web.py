@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .combin import binom, monomial_count
 from .expr import (
@@ -46,24 +45,22 @@ from .report import (
     combine_verdicts,
     confirm,
 )
+from .frozen import Frozen
 from .scalars import DEFAULT_PRECISION, EXACT, Mode, zero_tolerance
 from .tpoly import common_unit, series_gradient, vars_used
 
 
-@dataclass(frozen=True)
-class GeneratingWeb:
+class GeneratingWeb(Frozen):
     """A web on k-space given by an ordered tuple of first integrals."""
 
-    k: int
-    integrals: tuple[Expr, ...]
+    __slots__ = ("k", "integrals")
 
 
-@dataclass(frozen=True)
-class BalancedSet:
-    """Candidate balanced set: one generating web per arity 1..k0."""
+class BalancedSet(Frozen):
+    """Candidate balanced set: one generating web per arity 1..k0 (webs,
+    a tuple of GeneratingWeb)."""
 
-    k0: int
-    webs: tuple[GeneratingWeb, ...]
+    __slots__ = ("k0", "webs")
 
     def generating_web(self, k: int) -> GeneratingWeb:
         if not 1 <= k <= self.k0:
@@ -94,15 +91,13 @@ def balanced_set(k0: int, webs_integrals: Sequence[Sequence[Expr]]) -> BalancedS
     return BalancedSet(k0=k0, webs=webs)
 
 
-@dataclass(frozen=True)
-class WebEntry:
+class WebEntry(Frozen):
     """One assembled first integral with its (k, a, b) label: the generating
     integral `generator` pulled back along the projection onto the
-    coordinates `source`."""
+    coordinates `source` (a tuple of 1-based indices).  The instance
+    __dict__ holds the cached `integral`."""
 
-    label: tuple[int, int, int]
-    generator: Expr
-    source: tuple[int, ...]
+    __slots__ = ("label", "generator", "source", "__dict__")
 
     @cached_property
     def integral(self) -> Expr:
@@ -112,12 +107,11 @@ class WebEntry:
         return relabel(self.generator, self.source)
 
 
-@dataclass(frozen=True)
-class AssembledWeb:
-    """The superposed pullback web in dimension n, entries in (k, a, b) order."""
+class AssembledWeb(Frozen):
+    """The superposed pullback web in dimension n, entries (a tuple of
+    WebEntry) in (k, a, b) order."""
 
-    n: int
-    entries: tuple[WebEntry, ...]
+    __slots__ = ("n", "entries")
 
     @property
     def size(self) -> int:
@@ -144,9 +138,7 @@ def assemble(E: BalancedSet, n: int) -> AssembledWeb:
         web = E.generating_web(k)
         for a, index in enumerate(multi_indices(k, n), start=1):
             for b, integral in enumerate(web.integrals, start=1):
-                entries.append(
-                    WebEntry(label=(k, a, b), generator=integral, source=index)
-                )
+                entries.append(WebEntry((k, a, b), integral, index))
     assembled = AssembledWeb(n=n, entries=tuple(entries))
     expected = monomial_count(n, E.k0)
     if assembled.size != expected:

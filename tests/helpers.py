@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -347,7 +346,13 @@ def inflate_first_rank_estimate(monkeypatch) -> list:
         estimate = original(*args)
         points.append(args[1])
         if len(points) == 1:
-            return replace(estimate, value=estimate.value + 1)
+            return abelrank.RankEstimate(
+                estimate.dims,
+                estimate.stabilized_at,
+                estimate.value + 1,
+                estimate.method,
+                estimate.note,
+            )
         return estimate
 
     monkeypatch.setattr(abelrank, "rank_estimate", patched)

@@ -203,6 +203,24 @@ def test_costly_power_is_refused_quickly(capsys, tmp_path):
     assert code == 0
 
 
+def test_costly_constant_power_is_refused_quickly(capsys, tmp_path):
+    # the parser folds a constant power, so it is refused before it is computed
+    path = tmp_path / "web.json"
+    for integral, refusal in [
+        ("x1*999999^1000000", "above 1000"),
+        ("x1*(999999^1000)^1000", "above 64000 bits"),
+    ]:
+        path.write_text(json.dumps({"k0": 2, "webs": [[integral], ["x1+x2"]]}))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "validate", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 65
+        assert refusal in err
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1*3^1000"], ["x1+x2"]]}))
+    code, _, _ = run_cli(capsys, "validate", "--input", str(path))
+    assert code == 0
+
+
 def test_unknown_family_exit_code(capsys):
     code, _, err = run_cli(capsys, "validate", "--family", "nope")
     assert code == 66
@@ -322,12 +340,13 @@ def test_module_invocation_smoke():
     assert "11" in result.stdout
 
 
-# Runs the CLI in a fresh interpreter and prints whether mpmath was loaded.
+# Runs the CLI in a fresh interpreter and prints whether mpmath and
+# dataclasses were loaded.
 MPMATH_PROBE = """
 import sys
 from webrank import cli
 code = cli.main(sys.argv[1:])
-print(code, "mpmath" in sys.modules)
+print(code, "mpmath" in sys.modules, "dataclasses" in sys.modules)
 """
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -341,8 +360,9 @@ def mpmath_probe(*argv):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    code, loaded = result.stdout.split()[-2:]
-    return int(code), loaded == "True"
+    code, mpmath_loaded, dataclasses_loaded = result.stdout.split()[-3:]
+    assert dataclasses_loaded == "False"
+    return int(code), mpmath_loaded == "True"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from webrank.catalog import family_names, get_family
 from webrank.expr import (
     EvalError,
+    Exp,
+    Log,
+    Neg,
     ParseError,
     Product,
     Quotient,
@@ -28,7 +31,7 @@ from webrank.expr import (
     sum_of,
     to_text,
 )
-from webrank.scalars import Mode
+from webrank.scalars import EXACT, Mode
 from webrank.tpoly import vars_used
 
 
@@ -101,6 +104,22 @@ def test_parse_refuses_a_tower_beyond_the_bound_before_computing_it():
     assert parse("x1^2^19", 1) == int_power(Variable(1), 2**19)
 
 
+def test_parse_refuses_a_costly_constant_power_before_computing_it():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="above 1000"):
+        parse("x1*999999^1000000", 1)
+    with pytest.raises(ParseError, match="above 1000"):
+        parse("x1*3^-1001", 1)
+    with pytest.raises(ParseError, match="bits"):
+        parse("x1*(999999^1000)^1000", 1)
+    with pytest.raises(ParseError, match="bits"):
+        parse("x1*((2^1000+1)^64)", 1)
+    assert time.perf_counter() - start < 0.5
+    assert parse("x1*3^1000", 1) == product_of([rational(3**1000), Variable(1)])
+    assert parse("(-1)^999999", 1) == rational(-1)
+    assert parse("0^999999", 1) == rational(0)
+
+
 def test_parse_towers_on_zero_and_one_stay_legal():
     x1 = Variable(1)
     assert parse("x1^0^5", 1) == int_power(x1, 0)
@@ -108,6 +127,40 @@ def test_parse_towers_on_zero_and_one_stay_legal():
     assert parse("x1^-1^999999", 1) == int_power(x1, -1)
     assert parse("x1^-1^999998", 1) == x1
     assert parse("x1^0^0", 1) == x1
+
+
+def test_nodes_are_immutable_values():
+    text = "exp(x1)/(x2-1)^3 + log(x1*x2)"
+    first, second = parse(text, 2), parse(text, 2)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    x = Variable(1)
+    assert Neg(x) != Exp(x)
+    assert Exp(x) != Log(x)
+    assert Variable(1) != Variable(2)
+    assert x != 1
+    with pytest.raises(AttributeError):
+        x.index = 2
+    with pytest.raises(AttributeError):
+        first.terms = ()
+    with pytest.raises(AttributeError):
+        del x.index
+    assert x.index == 1
+    assert repr(Neg(x)) == "Neg(child=Variable(index=1))"
+
+
+def test_modes_are_values():
+    tops = {Mode.floating(64): "a", EXACT: "b"}
+    assert tops[Mode.floating(64)] == "a"
+    assert tops[Mode.exact()] == "b"
+    assert Mode.floating(64) == Mode("float", 64)
+    assert hash(Mode.floating(64)) == hash(("float", 64))
+    assert Mode.floating(64) != Mode.floating(128)
+    assert list(tops) == [Mode.floating(64), EXACT]
+    with pytest.raises(AttributeError):
+        EXACT.precision = 128
 
 
 def test_parse_errors_carry_positions():

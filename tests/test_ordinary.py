@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -68,7 +68,7 @@ def test_sampler_points_are_drawn_lazily():
 
 
 def test_sampler_is_set_by_its_seed_only():
-    assert [f.name for f in dataclasses.fields(GenericPointSampler)] == ["seed"]
+    assert list(inspect.signature(GenericPointSampler).parameters) == ["seed"]
 
 
 def test_sampler_spawn_is_deterministic_and_distinct():
