@@ -17,6 +17,10 @@ times the current code on it, layer by layer:
   It checks each rank and marginal flag against the dense mpf kernel on
   rows built in mpf, a check the tests leave out at this size (the mpf
   kernel takes seconds per system);
+* the order-8 relation system of the naive k0=5 WB extension
+  (`benchmarks/k0_5_wb_extension.json`) in dimension 5 (1008x1286, the
+  largest exact system any job here eliminates, and the one whose entries
+  grow the most): its elimination (one `linalg.exact_rank` call);
 * the jet matrices of orders 1..4 of the assembled k0_4_WB_sum web in
   dimension 5 (70 entries), built on its int gradients
   (`jets.jet_matrix_from_gradients`) and ranked, and the proportionality
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import time
+from pathlib import Path
 
 import mpmath
 
@@ -54,7 +59,9 @@ from webrank.jets import jet_matrix_from_gradients
 from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import taylor
-from webrank.web import assemble, proportional_pairs, web_gradients
+from webrank.web import assemble, load_balanced_set, proportional_pairs, web_gradients
+
+K0_5_WB_EXTENSION = Path(__file__).resolve().parent / "k0_5_wb_extension.json"
 
 
 def _time(fn, repeat: int) -> float:
@@ -82,6 +89,19 @@ def bench_exact(name: str, repeat: int):
     ncols = len(_relation_columns(W.n, top))
     label = f"exact relation system, {name} (int rows, one elimination)"
     return label, f"{len(rows)}x{ncols}, n=5, order {top}, dims {dims}", results
+
+
+def bench_k0_5(repeat: int):
+    E = load_balanced_set(str(K0_5_WB_EXTENSION))
+    W = assemble(E, 5)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    order = E.k0 + 3
+    rows = _expansion_rows(W, point, order, EXACT)
+    ncols = len(_relation_columns(W.n, order))
+    results = {"rank": _time(lambda: linalg.exact_rank(rows, ncols), repeat)}
+    dim = W.size * order - linalg.exact_rank(rows, ncols)[0]
+    label = "exact relation system, k0=5 WB extension (int rows, one elimination)"
+    return label, f"{len(rows)}x{ncols}, n=5, order {order}, dim {dim}", results
 
 
 def _mpf_rows(W, point, order: int, mode):
@@ -180,6 +200,7 @@ def main() -> None:
     benches = (
         functools.partial(bench_exact, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_exact, "k0_4_WB_sum"),
+        bench_k0_5,
         *(functools.partial(bench_float, precision) for precision in (32, 64, 128)),
         bench_jets,
     )

@@ -28,8 +28,9 @@ row's own power-of-two unit, and linalg.float_rank aligns the rows to one
 matrix unit before it eliminates.  An exact row (i, m) is the m-th power of
 an integer offset, so it carries at least the m-th power of that offset's
 content (the gcd of its numerators); the exact kernel divides each row by
-its content before eliminating, and like the L_i^m that scaling keeps the
-rank and the pivot columns.
+its content before eliminating, and a row once more when it becomes a
+pivot, and like the L_i^m that scaling keeps the rank and the pivot
+columns.
 
 Columns are the multi-indices of degree 1..M in two blocks, those of degree
 < M first and those of degree M last; within each block the keys with the

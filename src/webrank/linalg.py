@@ -17,9 +17,10 @@ per row, plus the column count.  The relation rows
 and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
 int gradients are built (the kernel divides each row by its content before
-it eliminates, since row scaling keeps the rank).  exact_det takes the int
-rows of an exact square block as jets.square_block builds them, and its
-caller divides the determinant by the block's column scales.  Float rank
+it eliminates, and a row once more when it becomes a pivot, since row
+scaling keeps the rank).  exact_det takes the int rows of an exact square
+block as jets.square_block builds them, and its caller divides the
+determinant by the block's column scales.  Float rank
 takes FixedRows, int rows that each carry their own power-of-two unit, as
 the float relation rows, jet matrices and square blocks are built;
 _fixed_point_rows aligns them to one matrix unit for the kernel.  ranks is
@@ -68,15 +69,28 @@ def exact_rank(
     the current one are reduced against a pivot row by r = q*r - f*pivot,
     where q and f are the leading entries of the pivot row and of r divided
     by their gcd (the sign put on f, so q > 0): an update touches the pivot
-    row's nonzeros and, when q != 1, rescales r.  Only a rescaled row is
-    divided by its content again, which bounds the entry growth the rescale
-    causes; an update with q = 1 only subtracts a multiple of the pivot row,
-    and the row keeps whatever content that leaves (on the relation systems
-    about four updates in five have q = 1).  The pivot row is the
+    row's nonzeros and, when q != 1, rescales r.  The pivot row is the
     candidate with the least len(row) * bit length of its leading entry
     (ties: least leading entry), which keeps fill-in and multipliers small
     (Markowitz's rule); a column with a single candidate takes it without a
     choice or an update.
+
+    After the first pass a row's content is taken once more, when the row
+    becomes the pivot of a column with other rows to reduce: its leading
+    entry and its tail are divided by it, the tail into a list of its own.
+    So every pivot is primitive when its entries multiply into other rows,
+    which bounds the entry growth.  A row that is not yet a pivot carries only the
+    product of its own rescale factors q and whatever content the
+    subtractions leave, and a row that reduces to zero never pays for a
+    gcd.  On one round of perfbench's exact_corroborate workload this makes
+    1,085 gcd passes over 18,118 entries, where dividing every rescaled row
+    by its content made 3,502 over 156,932; q = 1 on 81% of the updates
+    (76% when every rescaled row was divided), and on 75% of those of the
+    first Pereira-Pirio n=5 system (69%).  Entries grow larger: the
+    largest reaches 340 bits on that system (327 before), and 2,062 bits
+    (434 before) on the largest exact system any job here ranks, the
+    order-8 system of benchmarks/k0_5_wb_extension.json, whose elimination
+    nonetheless gains the most time.
 
     Returns (rank, pivot positions) as [(0, c0), (1, c1), ...].  The pivot
     columns c0 < c1 < ... are the columns not in the span of the columns
@@ -109,8 +123,9 @@ def exact_rank(
         pivot = min(
             here, key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col]))
         )
-        p = pivot[col]
-        tail = [(j, b) for j, b in pivot.items() if j != col]
+        content = gcd(*pivot.values())
+        p = pivot[col] // content
+        tail = [(j, b // content) for j, b in pivot.items() if j != col]
         for row in here:
             if row is pivot:
                 continue
@@ -129,10 +144,6 @@ def exact_rank(
                 else:
                     del row[j]
             if row:
-                if q != 1:
-                    content = gcd(*row.values())
-                    if content > 1:
-                        row = {j: v // content for j, v in row.items()}
                 by_lead.setdefault(min(row), []).append(row)
     return len(pivots), pivots
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from webrank.web import load_balanced_set
+
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
 
@@ -36,3 +38,8 @@ def test_module_attributes_it_reads_exist(bench):
         ):
             module = getattr(bench, node.value.id)
             assert hasattr(module, node.attr), f"{node.value.id}.{node.attr}"
+
+
+def test_fixture_it_reads_loads(bench):
+    # the k0=5 bench builds its system from a committed web definition
+    assert load_balanced_set(str(bench.K0_5_WB_EXTENSION)).k0 == 5

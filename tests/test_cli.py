@@ -526,6 +526,33 @@ def test_direct_check_skips_points_outside_the_log_domain(capsys):
         assert all(Fraction(c) > 0 for c in record["point"])
 
 
+K0_5_WB_EXTENSION = (
+    Path(__file__).resolve().parent.parent / "benchmarks" / "k0_5_wb_extension.json"
+)
+
+
+def test_k0_5_wb_extension_rank_is_pinned(capsys):
+    # the naive k0=5 extension of the WB webs is below the maximum (379 at
+    # n=5); its exact systems (882x791 and 1008x1286 at each point) are the
+    # largest any job here eliminates, and their entries grow the most
+    code, out, _ = run_cli(
+        capsys,
+        "rank",
+        "--input",
+        str(K0_5_WB_EXTENSION),
+        "--n",
+        "5",
+        "--seed",
+        "0",
+        "--format",
+        "json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["dims_trace"] == {"6": 329, "7": 324, "8": 324}
+    assert payload["verdict"] == FALSE
+
+
 def test_rank_point_inside_the_log_domain_is_unchanged(capsys):
     code, out, _ = run_cli(
         capsys,

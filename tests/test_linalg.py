@@ -188,6 +188,51 @@ def test_rank_int_rows_ignores_large_row_contents(case):
     assert linalg.exact_rank(*linalg.sparse_rows(rows)) == expected
 
 
+prime_products = st.builds(
+    lambda sign, a, b, c: sign * 2**a * 3**b * 5**c,
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@st.composite
+def prime_product_matrices(draw):
+    """Sparse int matrices of up to 20 columns and about 20 rows whose
+    nonzeros are signed products of powers of 2, 3 and 5, plus a few rows
+    that are combinations of two drawn rows with such coefficients: the
+    factors the rows share survive the rescales, so rows carry content into
+    the columns where they become pivots, and the combinations reduce to
+    zero."""
+    m = draw(st.integers(min_value=1, max_value=18))
+    n = draw(st.integers(min_value=1, max_value=20))
+    entries = st.one_of(st.just(0), st.just(0), prime_products)
+    rows = draw(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a, b = (rows[draw(st.integers(min_value=0, max_value=m - 1))] for _ in "ab")
+        x, y = draw(prime_products), draw(prime_products)
+        rows.append([x * u + y * v for u, v in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_product_matrices())
+@example([[2, -1, 0], [1, 2, 0], [-1, 0, 2]])  # pivot content 5, from q = 1
+@example([[-2, -1, 0], [6, 0, -1], [3, -1, 0]])  # 5, in a rescaled row
+@example([[-1, 4, 1], [2, 1, 1], [-2, 0, 1], [-2, -1, 0]])  # 7; one row ends at zero
+def test_exact_rank_with_content_in_its_pivots_matches_naive_oracle(rows):
+    # the kernel divides a row by its content when the row becomes a pivot,
+    # not after each rescale: same rank and pivot columns, input dicts kept
+    rank, columns = naive_rank(rows)
+    sparse, ncols = linalg.sparse_rows(rows)
+    before = [dict(row) for row in sparse]
+    assert linalg.exact_rank(sparse, ncols) == (rank, list(enumerate(columns)))
+    assert sparse == before
+
+
 def shuffled_dicts(draw, rows):
     """rows as {column: value} dicts in a drawn key order, some with
     explicit zeros."""
