@@ -8,8 +8,9 @@ times the current code on it, layer by layer:
   in dimension 5 at order 6 (420x461, the systems `verify-family
   --corroborate` spends its time on): the row build on the integer Taylor
   kernel (`abelrank._expansion_rows`), then the one elimination that gives
-  the kernel dimensions at orders 5 and 6 (`abelrank._first_two_dims`, one
-  `linalg.exact_rank` call);
+  the kernel dimensions at orders 5 and 6 (`abelrank._first_two_dims`: the
+  transposition to one row per monomial and one `linalg.exact_rank` call
+  with the monomial rows of degree <= 5 leading);
 * the k0_4_exp relation systems in dimension 4 at orders 5 and 6 (175x125
   and 210x209) at 32, 64 and 128 bits: the fixed-point row build of the
   order-6 system, then the float ranks of both orders, the order-5 rows
@@ -17,10 +18,14 @@ times the current code on it, layer by layer:
   It checks each rank and marginal flag against the dense mpf kernel on
   rows built in mpf, a check the tests leave out at this size (the mpf
   kernel takes seconds per system);
-* the order-8 relation system of the naive k0=5 WB extension
-  (`benchmarks/k0_5_wb_extension.json`) in dimension 5 (1008x1286, the
-  largest exact system any job here eliminates, and the one whose entries
-  grow the most): its elimination (one `linalg.exact_rank` call);
+* the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
+  dimension 5, the fixture with the largest merged system: the one
+  elimination that gives its kernel dimensions at orders 6 and 7
+  (`abelrank._first_two_dims` on the order-7 rows, 882x791), and the
+  elimination of its order-8 system (1008x1286, the largest exact
+  system any job here eliminates, and the one whose entries grow the most;
+  one `linalg.exact_rank` call on the row layout, as the pipeline ranks
+  orders above the first two);
 * the jet matrices of orders 1..4 of the assembled k0_4_WB_sum web in
   dimension 5 (70 entries), built on its int gradients
   (`jets.jet_matrix_from_gradients`) and ranked, and the proportionality
@@ -83,24 +88,46 @@ def bench_exact(name: str, repeat: int):
     rows = _expansion_rows(W, point, top, EXACT)
     results = {
         "rows": _time(lambda: _expansion_rows(W, point, top, EXACT), repeat),
-        "rank": _time(lambda: _first_two_dims(W, rows, m_start), repeat),
+        "rank": _time(lambda: _first_two_dims(W, list(rows), m_start), repeat),
     }
-    dims = _first_two_dims(W, rows, m_start)
-    ncols = len(_relation_columns(W.n, top))
     label = f"exact relation system, {name} (int rows, one elimination)"
-    return label, f"{len(rows)}x{ncols}, n=5, order {top}, dims {dims}", results
+    return label, _first_two_info(W, rows, m_start), results
+
+
+def _first_two_info(W, rows, m_start: int) -> str:
+    """Shape and dims of the merged first-two-orders system of `rows` (the
+    row layout; _first_two_dims empties the copy it is given)."""
+    ncols = len(_relation_columns(W.n, m_start + 1))
+    dims = _first_two_dims(W, list(rows), m_start)
+    return f"{len(rows)}x{ncols}, n={W.n}, order {m_start + 1}, dims {dims}"
+
+
+def _k0_5_web():
+    E = load_balanced_set(str(K0_5_WB_EXTENSION))
+    W = assemble(E, 5)
+    return E, W, generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+
+
+def bench_k0_5_first_two(repeat: int):
+    E, W, point = _k0_5_web()
+    m_start = E.k0 + 1
+    rows = _expansion_rows(W, point, m_start + 1, EXACT)
+    results = {"rank": _time(lambda: _first_two_dims(W, list(rows), m_start), repeat)}
+    label = (
+        "exact relation system, k0=5 WB extension, orders 6 and 7 "
+        "(int rows, one elimination)"
+    )
+    return label, _first_two_info(W, rows, m_start), results
 
 
 def bench_k0_5(repeat: int):
-    E = load_balanced_set(str(K0_5_WB_EXTENSION))
-    W = assemble(E, 5)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    E, W, point = _k0_5_web()
     order = E.k0 + 3
     rows = _expansion_rows(W, point, order, EXACT)
     ncols = len(_relation_columns(W.n, order))
     results = {"rank": _time(lambda: linalg.exact_rank(rows, ncols), repeat)}
     dim = W.size * order - linalg.exact_rank(rows, ncols)[0]
-    label = "exact relation system, k0=5 WB extension (int rows, one elimination)"
+    label = "exact relation system, k0=5 WB extension, order 8 (int rows)"
     return label, f"{len(rows)}x{ncols}, n=5, order {order}, dim {dim}", results
 
 
@@ -200,6 +227,7 @@ def main() -> None:
     benches = (
         functools.partial(bench_exact, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_exact, "k0_4_WB_sum"),
+        bench_k0_5_first_two,
         bench_k0_5,
         *(functools.partial(bench_float, precision) for precision in (32, 64, 128)),
         bench_jets,

@@ -40,15 +40,29 @@ the variables of that entry (WebEntry.source): the rows of entries on few
 variables vanish on the leading, wide-support columns of a block, the
 system is close to block-triangular in this order, and fraction-free
 elimination clears it top-down with far less fill-in than in degree order.
+Orders above the first two are eliminated in this row layout: transposed,
+the order-8 system of benchmarks/k0_5_wb_extension.json at n=5 takes
+longer (0.42-0.44 s against 0.28 s, best of 5 in each of two processes).
 
-The degree-M block last is what lets rank_estimate rank its first two
-orders, M = m_start and M + 1 = top, with one exact elimination of the
-order-top rows.  A row (i, top) is an offset to the power top, so it is
-zero on the degree < top prefix; the rows (i, m <= M) restricted to the
-prefix are the order-M system with its columns permuted; and the pivot
-columns of linalg.exact_rank are the columns not in the span of the columns
-before them, so the pivots inside the prefix count the rank of the order-M
-system.  Orders above top are built afresh.  Float mode ranks each order
+rank_estimate ranks its first two orders, M = m_start and top = M + 1,
+with one exact elimination of the transposed order-top system
+(_monomial_rows): one row per monomial, a dict over the unknowns (i, m),
+numbered in entry order with the powers descending within an entry.
+rank(A) = rank(A^T), so the order-top dim is size * top less its rank.
+With the degree-top block last, the first rows are the monomials of
+degree <= M.  Such a row is zero on every unknown (i, top), as a power
+top of an offset has no term of lower degree, and restricted to the other
+unknowns it is a row of the transposed order-M system (a power truncated
+at top and restricted to degrees <= M is the power truncated at M, the
+scales L_i^m alike), so these rows have exactly the order-M rank.
+linalg.exact_rank takes them as its leading rows: at a column where one of
+them leads it pivots on one of them, so they are only ever reduced by
+pivots of their own kind, and the pivots they take count their rank, which
+gives the order-M dim.  A row of the transposed system is one monomial
+over the unknowns that reach it, and on one perfbench round the merged
+systems need about half the row updates they need in the row layout
+(exact_corroborate 6,926 against 14,103, catalog_exact 8,999 against
+20,302).  Orders above top are built afresh.  Float mode ranks each order
 with its own complete-pivoting elimination: it builds the order-top rows
 once per precision and slices the order-M system out of them through a
 column remap by key, cached per (n, built order, order), so the slice is
@@ -205,17 +219,39 @@ def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     return sliced
 
 
-def _first_two_dims(W: AssembledWeb, rows: list, m_start: int) -> dict[int, int]:
-    """Exact kernel dimensions at orders m_start and m_start + 1 from one
-    elimination of the order-(m_start + 1) rows.
+def _monomial_rows(rows: list, top: int, ncols: int) -> list[dict[int, int]]:
+    """The transpose of an order-`top` relation system: one row per column
+    (monomial), a {column: value} dict over the unknowns (i, m), which are
+    numbered in entry order with the powers descending within an entry, so
+    (i, m) is column i * top + top - m.
 
-    The order-m_start rank is the number of pivot columns inside the prefix
-    of columns of degree <= m_start (see the module docstring).
+    `rows` is emptied as it is read, so the row layout is released while
+    the transpose is built and never lives beside it.
+    """
+    monomials: list[dict[int, int]] = [{} for _ in range(ncols)]
+    while rows:
+        row = rows.pop()
+        i, below = divmod(len(rows), top)  # unknown (i, below + 1)
+        unknown = i * top + top - 1 - below
+        for j, v in row.items():
+            monomials[j][unknown] = v
+    return monomials
+
+
+def _first_two_dims(W: AssembledWeb, rows: list, m_start: int) -> dict[int, int]:
+    """Exact kernel dimensions at orders m_start and top = m_start + 1 from
+    one elimination of the transposed order-top system (see the module
+    docstring); `rows`, the order-top rows, is emptied (_monomial_rows).
+
+    The monomial rows of degree <= m_start lead (linalg.exact_rank's
+    leading rows): they are the transposed order-m_start system, so the
+    pivots they take count its rank.
     """
     top = m_start + 1
-    rank, pivots = linalg.exact_rank(rows, len(_relation_columns(W.n, top)))
+    ncols = len(_relation_columns(W.n, top))
+    monomials = _monomial_rows(rows, top, ncols)
     prefix = len(_relation_columns(W.n, m_start))
-    low = sum(1 for _, col in pivots if col < prefix)
+    rank, _, low = linalg.exact_rank(monomials, W.size * top, leading=prefix)
     return {m_start: W.size * m_start - low, top: W.size * top - rank}
 
 
@@ -257,7 +293,7 @@ def rank_estimate(
     top = m_start + 1
     known = {}  # exact mode: (dim, mode used) at the first two orders
     if mode.is_exact:
-        rows = _expansion_rows(W, point, top, mode)
+        rows = _expansion_rows(W, point, top, mode)  # emptied by the call
         for order, dim in _first_two_dims(W, rows, m_start).items():
             known[order] = dim, mode
     tops = {}  # float mode: the order-top rows per precision

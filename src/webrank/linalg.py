@@ -18,14 +18,17 @@ and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
 int gradients are built (the kernel divides each row by its content before
 it eliminates, and a row once more when it becomes a pivot, since row
-scaling keeps the rank).  exact_det takes the int rows of an exact square
-block as jets.square_block builds them, and its caller divides the
-determinant by the block's column scales.  Float rank
-takes FixedRows, int rows that each carry their own power-of-two unit, as
-the float relation rows, jet matrices and square blocks are built;
-_fixed_point_rows aligns them to one matrix unit for the kernel.  ranks is
-the front end the pipeline ranks through in both modes; in float mode it
-passes the one precision a matrix is built and ranked at, and escalates it.
+scaling keeps the rank); with leading=k it prefers its first k rows as
+pivots and counts the pivots they take, from which
+abelrank._first_two_dims reads the lower of its two orders.  exact_det
+takes the int rows of an exact square block as jets.square_block builds
+them, and its caller divides the determinant by the block's column
+scales.  Float rank takes FixedRows, int rows that each carry their own
+power-of-two unit, as the float relation rows, jet matrices and square
+blocks are built; _fixed_point_rows aligns them to one matrix unit for the
+kernel.  ranks is the front end the pipeline ranks through in both modes;
+in float mode it passes the one precision a matrix is built and ranked at,
+and escalates it.
 """
 
 from __future__ import annotations
@@ -53,17 +56,17 @@ def sparse_rows(rows: Sequence[Sequence], unit: int | None = None):
 
 
 def exact_rank(
-    rows: Sequence[dict[int, int]], ncols: int
-) -> tuple[int, list[tuple[int, int]]]:
+    rows: Sequence[dict[int, int]], ncols: int, leading: int | None = None
+) -> tuple:
     """Exact rank of a sparse integer matrix by fraction-free elimination.
 
     Each row is a {column: value} dict of its nonzeros, in any key order,
     and ncols the number of columns.  The kernel first divides every row by
     its content (the gcd of its entries) into dicts of its own, so the input
     rows are left unchanged.  Row scaling keeps the rank and the pivot
-    columns, and the relation rows gain most from it: row (i, m) is the
-    m-th power of one integer offset and carries at least the m-th power of
-    that offset's content.
+    columns, and the untransposed relation rows gain most from it: row
+    (i, m) is the m-th power of one integer offset and carries at least the
+    m-th power of that offset's content.
 
     Columns are processed left to right.  The rows whose leading column is
     the current one are reduced against a pivot row by r = q*r - f*pivot,
@@ -75,33 +78,42 @@ def exact_rank(
     (Markowitz's rule); a column with a single candidate takes it without a
     choice or an update.
 
+    With leading=k, the first k rows (and what they reduce to) are the
+    preferred candidates: at a column where one of them leads, the pivot is
+    chosen among them by the same rule, and another row only where none of
+    them leads.  So those rows are only ever reduced by pivots taken from
+    their own kind, and the pivots they take count their rank.
+    abelrank._first_two_dims ranks the transposed order-(M + 1) relation
+    system this way, with the monomial rows of degree <= M leading, and
+    reads the order-M rank off their pivots.  On the 8 such systems of one
+    round of perfbench's exact_corroborate workload this makes 6,926 row
+    updates (14,103 on the untransposed systems), rescales 58,583 entries
+    (136,484), subtracts 102,704 pivot entries (131,844) and scans 147,547
+    entries for new leading columns (524,048); on the 58 of catalog_exact,
+    8,999 updates (20,302).  Fewer updates have q = 1 (66% against 81%)
+    and entries grow larger (789 bits at most against 340), but the work
+    that remains is less.
+
     After the first pass a row's content is taken once more, when the row
     becomes the pivot of a column with other rows to reduce: its leading
     entry and its tail are divided by it, the tail into a list of its own.
     So every pivot is primitive when its entries multiply into other rows,
-    which bounds the entry growth.  A row that is not yet a pivot carries only the
-    product of its own rescale factors q and whatever content the
+    which bounds the entry growth.  A row that is not yet a pivot carries
+    only the product of its own rescale factors q and whatever content the
     subtractions leave, and a row that reduces to zero never pays for a
-    gcd.  On one round of perfbench's exact_corroborate workload this makes
-    1,085 gcd passes over 18,118 entries, where dividing every rescaled row
-    by its content made 3,502 over 156,932; q = 1 on 81% of the updates
-    (76% when every rescaled row was divided), and on 75% of those of the
-    first Pereira-Pirio n=5 system (69%).  Entries grow larger: the
-    largest reaches 340 bits on that system (327 before), and 2,062 bits
-    (434 before) on the largest exact system any job here ranks, the
-    order-8 system of benchmarks/k0_5_wb_extension.json, whose elimination
-    nonetheless gains the most time.
+    gcd: 735 passes over 16,284 entries on the 8 merged exact_corroborate
+    systems above (925 over 16,761 untransposed).
 
-    Returns (rank, pivot positions) as [(0, c0), (1, c1), ...].  The pivot
-    columns c0 < c1 < ... are the columns not in the span of the columns
-    before them, so they depend only on the matrix, not on the choice of
-    pivot rows or on the row scales, and the pivots among the first k
-    columns count the rank of those k columns (abelrank._first_two_dims
-    reads two truncation orders off one elimination this way).
+    Returns (rank, pivot positions) as [(0, c0), (1, c1), ...], and with
+    leading given (rank, pivot positions, number of pivots taken by the
+    leading rows).  The pivot columns c0 < c1 < ... are the columns not in
+    the span of the columns before them, so they depend only on the matrix,
+    not on the choice of pivot rows or on the row scales.
     """
     gcd = math.gcd
-    by_lead: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
+    first: dict[int, list[dict[int, int]]] = {}  # leading rows by lead column
+    rest: dict[int, list[dict[int, int]]] = {}  # the other rows
+    for at, row in enumerate(rows):
         content = gcd(*row.values())
         if not content:
             continue
@@ -109,43 +121,57 @@ def exact_rank(
             own = {j: v for j, v in row.items() if v}
         else:
             own = {j: v // content for j, v in row.items() if v}
+        by_lead = first if leading is not None and at < leading else rest
         by_lead.setdefault(min(own), []).append(own)
     pivots: list[tuple[int, int]] = []
+    taken = 0
     for col in range(ncols):
-        if not by_lead:
+        if not rest and not first:
             break
-        here = by_lead.pop(col, None)
-        if here is None:
-            continue
+        ours = first.pop(col, None)
+        others = rest.pop(col, None)
+        if ours is None:
+            if others is None:
+                continue
+            candidates = others
+        else:
+            taken += 1
+            candidates = ours
         pivots.append((len(pivots), col))
-        if len(here) == 1:
+        if len(ours or ()) + len(others or ()) == 1:
             continue
         pivot = min(
-            here, key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col]))
+            candidates,
+            key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col])),
         )
         content = gcd(*pivot.values())
         p = pivot[col] // content
         tail = [(j, b // content) for j, b in pivot.items() if j != col]
-        for row in here:
-            if row is pivot:
+        for here, by_lead in ((ours, first), (others, rest)):
+            if here is None:
                 continue
-            f = row.pop(col)
-            g = gcd(p, f)
-            q = p // g
-            f //= g
-            if q < 0:
-                q, f = -q, -f
-            if q != 1:
-                row = {j: v * q for j, v in row.items()}
-            for j, b in tail:
-                v = row.get(j, 0) - f * b
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            if row:
-                by_lead.setdefault(min(row), []).append(row)
-    return len(pivots), pivots
+            for row in here:
+                if row is pivot:
+                    continue
+                f = row.pop(col)
+                g = gcd(p, f)
+                q = p // g
+                f //= g
+                if q < 0:
+                    q, f = -q, -f
+                if q != 1:
+                    row = {j: v * q for j, v in row.items()}
+                for j, b in tail:
+                    v = row.get(j, 0) - f * b
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+    if leading is None:
+        return len(pivots), pivots
+    return len(pivots), pivots, taken
 
 
 def exact_det(rows: Sequence[Sequence[int]]) -> int:

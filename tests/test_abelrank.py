@@ -455,6 +455,21 @@ def test_one_elimination_on_the_non_hexagonal_web(seed):
     assert estimate.dims == separate_dims(W, point, estimate.dims)
 
 
+K0_5_WB_EXTENSION = NON_HEXAGONAL.parent / "k0_5_wb_extension.json"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_elimination_on_the_k0_5_wb_extension(n):
+    # the fixture with the largest merged system at n=5, here at order 1
+    # and at the pipeline's start order k0 + 1
+    E = balanced_set_from_json(json.loads(K0_5_WB_EXTENSION.read_text()))
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    for m_start in (1, E.k0 + 1):
+        estimate = rank_estimate(W, point, m_start, m_start + 1, EXACT)
+        assert estimate.dims == separate_dims(W, point, (m_start, m_start + 1))
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_one_elimination_without_stabilization(seed):
     # `rank --family k0_3_quadrics --n 3 --m-start 1 --m-cap 2`

@@ -43,3 +43,10 @@ def test_module_attributes_it_reads_exist(bench):
 def test_fixture_it_reads_loads(bench):
     # the k0=5 bench builds its system from a committed web definition
     assert load_balanced_set(str(bench.K0_5_WB_EXTENSION)).k0 == 5
+
+
+def test_k0_5_first_two_orders_bench_runs(bench):
+    # the merged orders-6/7 system of the fixture at n=5, timed once
+    label, info, results = bench.bench_k0_5_first_two(1)
+    assert info == "882x791, n=5, order 7, dims {6: 329, 7: 324}"
+    assert set(results) == {"rank"}

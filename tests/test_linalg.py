@@ -233,6 +233,28 @@ def test_exact_rank_with_content_in_its_pivots_matches_naive_oracle(rows):
     assert sparse == before
 
 
+@settings(max_examples=100, deadline=None)
+@given(prime_product_matrices())
+# at column 0 the later row [1, 0, 0] has the best Markowitz key; were it
+# the pivot, the first two rows would reduce to multiples of [0, 1, 1] and
+# take one pivot for their rank 2
+@example([[3, 1, 1], [3, -1, -1], [1, 0, 0]])
+def test_exact_rank_counts_the_pivots_of_its_leading_rows(rows):
+    # the first k rows pivot before any other row at their column, so the
+    # pivots they take count their own rank, for every split k
+    rank, columns = naive_rank(rows)
+    sparse, ncols = linalg.sparse_rows(rows)
+    before = [dict(row) for row in sparse]
+    for k in range(len(rows) + 1):
+        leading_rank = naive_rank(rows[:k])[0] if k else 0
+        assert linalg.exact_rank(sparse, ncols, leading=k) == (
+            rank,
+            list(enumerate(columns)),
+            leading_rank,
+        )
+    assert sparse == before
+
+
 def shuffled_dicts(draw, rows):
     """rows as {column: value} dicts in a drawn key order, some with
     explicit zeros."""
