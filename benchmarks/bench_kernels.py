@@ -7,10 +7,11 @@ times the current code on it, layer by layer:
 * the exact relation systems of k0_4_pereira_pirio_affine and k0_4_WB_sum
   in dimension 5 at order 6 (420x461, the systems `verify-family
   --corroborate` spends its time on): the row build on the integer Taylor
-  kernel (`abelrank._expansion_rows`), then the one elimination that gives
-  the kernel dimensions at orders 5 and 6 (`abelrank._first_two_dims`: the
-  transposition to one row per monomial and one `linalg.exact_rank` call
-  with the monomial rows of degree <= 5 leading);
+  kernel (`abelrank._expansion_rows`), then the elimination that gives the
+  kernel dimensions at orders 5 and 6 as `abelrank._exact_dims` makes it:
+  the transposition to one row per monomial (`abelrank._monomial_rows`)
+  and two `linalg.exact_extend` calls on one echelon, the monomial rows of
+  degree <= 5 first and those of degree 6 after them;
 * the k0_4_exp relation systems in dimension 4 at orders 5 and 6 (175x125
   and 210x209) at 32, 64 and 128 bits: the fixed-point row build of the
   order-6 system, then the float ranks of both orders, the order-5 rows
@@ -19,13 +20,12 @@ times the current code on it, layer by layer:
   rows built in mpf, a check the tests leave out at this size (the mpf
   kernel takes seconds per system);
 * the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
-  dimension 5, the fixture with the largest merged system: the one
-  elimination that gives its kernel dimensions at orders 6 and 7
-  (`abelrank._first_two_dims` on the order-7 rows, 882x791), and the
-  elimination of its order-8 system (1008x1286, the largest exact
-  system any job here eliminates, and the one whose entries grow the most;
-  one `linalg.exact_rank` call on the row layout, as the pipeline ranks
-  orders above the first two);
+  dimension 5, the fixture with the largest exact systems: its rank
+  estimate grown through orders 6, 7 and 8, the orders `rank --n 5` ranks
+  at each point (`abelrank.rank_estimate` with m_start 6 and m_cap 8: the
+  order-7 rows, 882x791, give orders 6 and 7, then the degree-8 monomial
+  rows of a fresh order-8 build, 1008x1286, extend the same echelon; row
+  builds included);
 * the jet matrices of orders 1..4 of the assembled k0_4_WB_sum web in
   dimension 5 (70 entries), built on its int gradients
   (`jets.jet_matrix_from_gradients`) and ranked, and the proportionality
@@ -53,11 +53,12 @@ import mpmath
 from webrank import linalg
 from webrank.abelrank import (
     _expansion_rows,
-    _first_two_dims,
     _leading_rows,
+    _monomial_rows,
     _relation_columns,
     _source_columns,
     generic_point_for_web,
+    rank_estimate,
 )
 from webrank.catalog import get_family
 from webrank.jets import jet_matrix_from_gradients
@@ -79,56 +80,54 @@ def _time(fn, repeat: int) -> float:
     return best
 
 
+def _two_batch_dims(W, rows, m_start: int, m_cap: int) -> dict[int, int]:
+    """The dims at orders m_start and m_start + 1 from the order-(m_start +
+    1) rows (left unchanged), through the transposition and the two
+    exact_extend calls abelrank._exact_dims makes on them."""
+    top = m_start + 1
+    ncols = len(_relation_columns(W.n, top))
+    monomials = _monomial_rows(list(rows), top, m_cap, ncols)
+    below = len(_relation_columns(W.n, m_start))
+    echelon = {}
+    linalg.exact_extend(echelon, monomials[:below], W.size * m_cap)
+    low = W.size * m_start - len(echelon)
+    linalg.exact_extend(echelon, monomials[below:], W.size * m_cap)
+    return {m_start: low, top: W.size * top - len(echelon)}
+
+
 def bench_exact(name: str, repeat: int):
     E, _ = get_family(name)
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-    m_start = E.k0 + 1
+    m_start, m_cap = E.k0 + 1, E.k0 + 5  # verify-family's orders
     top = m_start + 1
     rows = _expansion_rows(W, point, top, EXACT)
     results = {
         "rows": _time(lambda: _expansion_rows(W, point, top, EXACT), repeat),
-        "rank": _time(lambda: _first_two_dims(W, list(rows), m_start), repeat),
+        "rank": _time(lambda: _two_batch_dims(W, rows, m_start, m_cap), repeat),
     }
-    label = f"exact relation system, {name} (int rows, one elimination)"
-    return label, _first_two_info(W, rows, m_start), results
+    ncols = len(_relation_columns(W.n, top))
+    dims = _two_batch_dims(W, rows, m_start, m_cap)
+    info = f"{len(rows)}x{ncols}, n={W.n}, order {top}, dims {dims}"
+    label = f"exact relation system, {name} (int rows, two batches of one echelon)"
+    return label, info, results
 
 
-def _first_two_info(W, rows, m_start: int) -> str:
-    """Shape and dims of the merged first-two-orders system of `rows` (the
-    row layout; _first_two_dims empties the copy it is given)."""
-    ncols = len(_relation_columns(W.n, m_start + 1))
-    dims = _first_two_dims(W, list(rows), m_start)
-    return f"{len(rows)}x{ncols}, n={W.n}, order {m_start + 1}, dims {dims}"
-
-
-def _k0_5_web():
+def bench_k0_5_growth(repeat: int):
     E = load_balanced_set(str(K0_5_WB_EXTENSION))
     W = assemble(E, 5)
-    return E, W, generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    m_start, m_cap = E.k0 + 1, E.k0 + 3
 
+    def grow():
+        return rank_estimate(W, point, m_start, m_cap, EXACT).dims
 
-def bench_k0_5_first_two(repeat: int):
-    E, W, point = _k0_5_web()
-    m_start = E.k0 + 1
-    rows = _expansion_rows(W, point, m_start + 1, EXACT)
-    results = {"rank": _time(lambda: _first_two_dims(W, list(rows), m_start), repeat)}
+    results = {"grow": _time(grow, repeat)}
     label = (
-        "exact relation system, k0=5 WB extension, orders 6 and 7 "
-        "(int rows, one elimination)"
+        "exact rank estimate, k0=5 WB extension, orders 6, 7 and 8 "
+        "(one growing echelon, row builds included)"
     )
-    return label, _first_two_info(W, rows, m_start), results
-
-
-def bench_k0_5(repeat: int):
-    E, W, point = _k0_5_web()
-    order = E.k0 + 3
-    rows = _expansion_rows(W, point, order, EXACT)
-    ncols = len(_relation_columns(W.n, order))
-    results = {"rank": _time(lambda: linalg.exact_rank(rows, ncols), repeat)}
-    dim = W.size * order - linalg.exact_rank(rows, ncols)[0]
-    label = "exact relation system, k0=5 WB extension, order 8 (int rows)"
-    return label, f"{len(rows)}x{ncols}, n=5, order {order}, dim {dim}", results
+    return label, f"n={W.n}, dims {grow()}", results
 
 
 def _mpf_rows(W, point, order: int, mode):
@@ -227,8 +226,7 @@ def main() -> None:
     benches = (
         functools.partial(bench_exact, "k0_4_pereira_pirio_affine"),
         functools.partial(bench_exact, "k0_4_WB_sum"),
-        bench_k0_5_first_two,
-        bench_k0_5,
+        bench_k0_5_growth,
         *(functools.partial(bench_float, precision) for precision in (32, 64, 128)),
         bench_jets,
     )

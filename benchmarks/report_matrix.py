@@ -13,15 +13,15 @@ sits in, with that checkout as the working directory:
   and 7, and for `k0_4_exp` at seed 0;
 * `rank --family k0_4_exp --n 3 --precision 32`, which escalates once;
 * at seeds 0 and 3, ten jobs whose verdict is `false` or `inconclusive`
-  or that are refused: `rank --n 2` and `verify-family` on the
+  or that are refused: `rank --n 2`, `rank --n 2 --m-start 2 --m-cap 3`
+  (no stabilization: dims 1, then 0) and `verify-family` on the
   non-hexagonal web `benchmarks/nonhexagonal_k0_2.json`,
   `check-ordinary --direct --n 4` and `crosscheck --n 4` on
   `benchmarks/dependent_gradients_k0_4.json`, `check-ordinary --direct
   --n 4` on its float twin `benchmarks/dependent_gradients_float_k0_4.json`,
   `validate --n 3` on `benchmarks/proportional_pair_k0_3.json`,
-  `rank --family k0_3_quadrics --n 3` with `--m-cap 4` (a cap at the start
-  order, a usage error) and with `--m-start 1 --m-cap 2` (no
-  stabilization), and `crosscheck` on `k0_3_quadrics` and on
+  `rank --family k0_3_quadrics --n 3 --m-cap 4` (a cap at the start order,
+  a usage error), and `crosscheck` on `k0_3_quadrics` and on
   `k0_4_exp --n 3`.  The fixtures are passed by their path relative to the
   checkout, which every report echoes under `config.input`.
 
@@ -103,14 +103,14 @@ def jobs() -> list[list[str]]:
         ["rank", "--family", "k0_3_quadrics", "--n", "3", "--m-cap", "4"],
         [
             "rank",
-            "--family",
-            "k0_3_quadrics",
+            "--input",
+            NON_HEXAGONAL,
             "--n",
-            "3",
-            "--m-start",
-            "1",
-            "--m-cap",
             "2",
+            "--m-start",
+            "2",
+            "--m-cap",
+            "3",
         ],
         ["crosscheck", "--family", "k0_3_quadrics"],
         ["crosscheck", "--family", "k0_4_exp", "--n", "3"],

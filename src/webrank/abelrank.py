@@ -13,8 +13,7 @@ Both scalar modes build the system in one loop on packed monomial codes
 its generating integral at the projected point, on the codes of that
 integral's k variables; its powers are taken by MonomialCodes.powers, and
 each power becomes a sparse row, the {column: value} dict of its nonzeros,
-through a code-to-column map built once per (n, order, source); the rows go
-to the rank kernels in that format (linalg.exact_rank, linalg.float_rank).
+through a code-to-column map built once per (n, order, source).
 In exact mode the offset comes from tpoly.integer_offset as integer
 numerators over one denominator L_i in lowest terms, so L_i is the lcm of
 the offset's coefficient denominators and row (i, m) is L_i^m times the
@@ -25,54 +24,60 @@ the offset once as ints at a binary unit set by its largest degree-1
 coefficient and takes its powers on those ints, shifting each product back
 (truncated toward zero), so row (i, m) is a linalg.FixedRow, ints with the
 row's own power-of-two unit, and linalg.float_rank aligns the rows to one
-matrix unit before it eliminates.  An exact row (i, m) is the m-th power of
-an integer offset, so it carries at least the m-th power of that offset's
-content (the gcd of its numerators); the exact kernel divides each row by
-its content before eliminating, and a row once more when it becomes a
-pivot, and like the L_i^m that scaling keeps the rank and the pivot
-columns.
+matrix unit before it eliminates.
 
 Columns are the multi-indices of degree 1..M in two blocks, those of degree
 < M first and those of degree M last; within each block the keys with the
 most nonzero exponents come first, by degree within one support size.  Row
 (i, m) is a power of entry i's offset, so its nonzeros lie on monomials in
 the variables of that entry (WebEntry.source): the rows of entries on few
-variables vanish on the leading, wide-support columns of a block, the
-system is close to block-triangular in this order, and fraction-free
-elimination clears it top-down with far less fill-in than in degree order.
-Orders above the first two are eliminated in this row layout: transposed,
-the order-8 system of benchmarks/k0_5_wb_extension.json at n=5 takes
-longer (0.42-0.44 s against 0.28 s, best of 5 in each of two processes).
+variables vanish on the leading, wide-support columns of a block, and the
+system is close to block-triangular in this order.  Exact elimination
+runs on the transpose, where these columns are the rows, and the order
+still pays: in plain degree order the estimate of
+benchmarks/k0_5_wb_extension.json at n=5 through orders 6, 7 and 8 takes
+0.40-0.44 s against 0.37-0.41 s (best of 5 in each of two processes).
 
-rank_estimate ranks its first two orders, M = m_start and top = M + 1,
-with one exact elimination of the transposed order-top system
-(_monomial_rows): one row per monomial, a dict over the unknowns (i, m),
-numbered in entry order with the powers descending within an entry.
-rank(A) = rank(A^T), so the order-top dim is size * top less its rank.
-With the degree-top block last, the first rows are the monomials of
-degree <= M.  Such a row is zero on every unknown (i, top), as a power
-top of an offset has no term of lower degree, and restricted to the other
-unknowns it is a row of the transposed order-M system (a power truncated
-at top and restricted to degrees <= M is the power truncated at M, the
-scales L_i^m alike), so these rows have exactly the order-M rank.
-linalg.exact_rank takes them as its leading rows: at a column where one of
-them leads it pivots on one of them, so they are only ever reduced by
-pivots of their own kind, and the pivots they take count their rank, which
-gives the order-M dim.  A row of the transposed system is one monomial
-over the unknowns that reach it, and on one perfbench round the merged
-systems need about half the row updates they need in the row layout
-(exact_corroborate 6,926 against 14,103, catalog_exact 8,999 against
-20,302).  Orders above top are built afresh.  Float mode ranks each order
-with its own complete-pivoting elimination: it builds the order-top rows
-once per precision and slices the order-M system out of them through a
-column remap by key, cached per (n, built order, order), so the slice is
-the matrix a fresh build gives (the rows keep their units).  A permutation
-of the columns cannot change a rank, and complete pivoting picks the same
-pivots in any column order except at exact ties of magnitude.
+Exact mode grows one echelon per point (_exact_dims, linalg.exact_extend)
+on the transposed system (_monomial_rows): one row per monomial, a dict
+over the unknowns (i, m), numbered in entry order with the powers
+descending within an entry and room for every power up to m_cap, so (i, m)
+is column i * m_cap + m_cap - m at every order.  rank(A) = rank(A^T), so
+the order-M dim is size * M less the rank.  The orders nest by rows: a
+monomial row of degree D is zero on every unknown (i, m) with m > D, as an
+m-th power of an offset has no term of lower degree, and its other entries
+do not depend on the order the system is truncated at.  So the transposed
+order-M system is the order-(M - 1) one plus its degree-M monomial rows,
+and an echelon of the lower order extended by those rows is one of the
+higher.  rank_estimate builds the order-(m_start + 1) rows once, extends
+an empty echelon by their monomial rows of degree <= m_start, which gives
+the order-m_start dim, then by those of degree m_start + 1.  Only while
+the dims have not stabilized does it build each higher order M afresh and
+extend the echelon by the degree-M monomial rows alone.
+
+The scales need care there.  Unknown (i, m) carries L_i^m, and for rational
+integrals L_i, the lcm of the coefficient denominators up to the build's
+order, grows with that order: the order-M build's L_i is r_i times the
+first build's.  A column scale keeps the rank only if every row carries it,
+so the degree-M batch is multiplied by one factor F = lcm_i r_i^M and its
+column (i, m) divided by r_i^m: each of its rows is then F times the row at
+the first build's scales, and row scaling keeps the rank.  The kernel
+divides each row by its content before it eliminates, which takes most of
+F out again.
+
+Float mode ranks each order with its own complete-pivoting elimination
+(_float_dims): it builds the order-(m_start + 1) rows once per precision
+and slices the order-m_start system out of them through a column remap by
+key, cached per (n, built order, order), so the slice is the matrix a
+fresh build gives (the rows keep their units); higher orders are built
+afresh.  A permutation of the columns cannot change a rank, and complete
+pivoting picks the same pivots in any column order except at exact ties of
+magnitude.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import linalg
@@ -145,7 +150,7 @@ def _source_columns(n: int, order: int, source: tuple[int, ...]):
     return codes, column
 
 
-def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
+def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode, scales=None):
     """Rows of the transposed jet system: one row per unknown (entry, power).
 
     The row for (i, m) holds the Taylor coefficients of (u_i - u_i(p))^m on
@@ -161,7 +166,7 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
     is the mpf series tpoly.taylor gives at the mode's precision and its
     powers are taken in fixed point (tpoly.fixed_powers, which states the
     error model), so each row is a linalg.FixedRow carrying the unit of its
-    power.
+    power.  Given a list `scales`, exact mode appends each entry's L_i to it.
     """
     rows = []
     for entry in W.entries:
@@ -169,12 +174,14 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode):
         at = [point[s - 1] for s in entry.source]
         try:
             if mode.is_exact:
-                offset, _ = integer_offset(entry.generator, at, codes)
+                offset, den = integer_offset(entry.generator, at, codes)
             else:
                 expansion = taylor(entry.generator, at, codes, mode)
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
         if mode.is_exact:
+            if scales is not None:
+                scales.append(den)
             for power in codes.powers(offset, order):
                 rows.append({column[code]: value for code, value in power.items()})
         else:
@@ -219,11 +226,12 @@ def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
     return sliced
 
 
-def _monomial_rows(rows: list, top: int, ncols: int) -> list[dict[int, int]]:
-    """The transpose of an order-`top` relation system: one row per column
-    (monomial), a {column: value} dict over the unknowns (i, m), which are
-    numbered in entry order with the powers descending within an entry, so
-    (i, m) is column i * top + top - m.
+def _monomial_rows(rows: list, order: int, m_cap: int, ncols: int) -> list[dict]:
+    """The transpose of an order-`order` relation system: one row per
+    column (monomial), a {column: value} dict over the unknowns (i, m),
+    numbered in entry order with the powers descending within an entry and
+    room for the powers up to m_cap, so (i, m) is column i * m_cap + m_cap -
+    m whatever the order.
 
     `rows` is emptied as it is read, so the row layout is released while
     the transpose is built and never lives beside it.
@@ -231,72 +239,67 @@ def _monomial_rows(rows: list, top: int, ncols: int) -> list[dict[int, int]]:
     monomials: list[dict[int, int]] = [{} for _ in range(ncols)]
     while rows:
         row = rows.pop()
-        i, below = divmod(len(rows), top)  # unknown (i, below + 1)
-        unknown = i * top + top - 1 - below
+        i, below = divmod(len(rows), order)  # unknown (i, below + 1)
+        unknown = i * m_cap + m_cap - 1 - below
         for j, v in row.items():
             monomials[j][unknown] = v
     return monomials
 
 
-def _first_two_dims(W: AssembledWeb, rows: list, m_start: int) -> dict[int, int]:
-    """Exact kernel dimensions at orders m_start and top = m_start + 1 from
-    one elimination of the transposed order-top system (see the module
-    docstring); `rows`, the order-top rows, is emptied (_monomial_rows).
+def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
+    """Yield (order, kernel dimension, mode) for orders m_start..m_cap from
+    one echelon of the transposed relation system, grown a degree at a time
+    (see the module docstring); stop pulling once the estimate is decided.
 
-    The monomial rows of degree <= m_start lead (linalg.exact_rank's
-    leading rows): they are the transposed order-m_start system, so the
-    pivots they take count its rank.
+    The order-(m_start + 1) rows are built first, their monomial rows of
+    degree <= m_start give order m_start and those of degree m_start + 1
+    the next.  Each higher order M is built afresh and extends the echelon
+    by its degree-M monomial rows only; a batch whose offsets' L_i have
+    grown since the first build is brought back to the first build's column
+    scales L_i^m.
+    """
+    echelon: dict = {}
+    unknowns = W.size * m_cap
+    scales = None  # each offset's L_i at the first build
+    for built in range(m_start + 1, m_cap + 1):
+        fresh: list[int] = []
+        rows = _expansion_rows(W, point, built, mode, fresh)
+        columns = _relation_columns(W.n, built)
+        monomials = _monomial_rows(rows, built, m_cap, len(columns))
+        below = len(_relation_columns(W.n, built - 1))  # the degree < built keys
+        batch = monomials[below:]
+        if scales is None:
+            scales = fresh
+            linalg.exact_extend(echelon, monomials[:below], unknowns)
+            yield m_start, W.size * m_start - len(echelon), mode
+        elif fresh != scales:
+            # unknown (i, m) carries (r_i L_i)^m: one factor for the batch,
+            # divisible by r_i^m for every m <= built, takes it to L_i^m
+            ratios = [new // old for new, old in zip(fresh, scales)]
+            factor = math.lcm(*(r**built for r in ratios))
+            times = [
+                factor // ratios[u // m_cap] ** min(m_cap - u % m_cap, built)
+                for u in range(unknowns)
+            ]
+            for row in batch:
+                for u in row:
+                    row[u] *= times[u]
+        linalg.exact_extend(echelon, batch, unknowns)
+        yield built, W.size * built - len(echelon), mode
+
+
+def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
+    """Yield (order, kernel dimension, mode used) for orders m_start..m_cap,
+    each order ranked by its own float elimination through linalg.ranks,
+    which escalates the precision from `mode` on marginal pivots; raises
+    EstimateInconclusive when they persist.
+
+    The order-(m_start + 1) rows are built once per precision and the
+    order-m_start rows sliced out of them (_leading_rows); higher orders
+    are built afresh.
     """
     top = m_start + 1
-    ncols = len(_relation_columns(W.n, top))
-    monomials = _monomial_rows(rows, top, ncols)
-    prefix = len(_relation_columns(W.n, m_start))
-    rank, _, low = linalg.exact_rank(monomials, W.size * top, leading=prefix)
-    return {m_start: W.size * m_start - low, top: W.size * top - rank}
-
-
-def _kernel_dim(W: AssembledWeb, order: int, mode: Mode, system):
-    """Kernel dimension at one truncation order; returns (dim, mode used).
-
-    system(order, mode) returns the order-`order` relation rows built in
-    `mode`.
-    """
-    ncols = len(_relation_columns(W.n, order))
-    outcome = linalg.ranks(lambda current: [(system(order, current), ncols)], mode)
-    if outcome is None:
-        raise EstimateInconclusive(
-            f"marginal pivots persist at order {order} up to "
-            f"{ESCALATION_LIMIT}-bit precision"
-        )
-    [(rank, _)], used = outcome
-    return W.size * order - rank, used
-
-
-def rank_estimate(
-    W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode
-) -> RankEstimate:
-    """Kernel dimensions for orders m_start..m_cap until two agree.
-
-    The stabilized dimension is reported as the web's rank at this point; if
-    the cap is reached without stabilization the estimate is inconclusive
-    (value None) and the dims trace is still returned for audit.
-    Stabilizing takes two orders, so m_cap must exceed m_start.
-
-    In exact mode the dims at m_start and top = m_start + 1 both come from
-    one elimination of the order-top rows (_first_two_dims).  In float mode
-    each order has its own elimination; the order-top rows are built once
-    per precision and the order-m_start rows sliced out of them
-    (_leading_rows).  Higher orders are built afresh in both modes.
-    """
-    if m_start < 1 or m_cap <= m_start:
-        raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")
-    top = m_start + 1
-    known = {}  # exact mode: (dim, mode used) at the first two orders
-    if mode.is_exact:
-        rows = _expansion_rows(W, point, top, mode)  # emptied by the call
-        for order, dim in _first_two_dims(W, rows, m_start).items():
-            known[order] = dim, mode
-    tops = {}  # float mode: the order-top rows per precision
+    tops = {}  # the order-top rows per precision
 
     def system(order: int, current: Mode):
         if order == m_start:
@@ -307,27 +310,48 @@ def rank_estimate(
             return tops.pop(current)
         return _expansion_rows(W, point, order, current)
 
-    dims: dict[int, int] = {}
-    previous = None
-    method = mode.label()
     for order in range(m_start, m_cap + 1):
-        try:
-            dim, used = known.get(order) or _kernel_dim(W, order, mode, system)
-        except EstimateInconclusive as err:
-            return RankEstimate(
-                dims=dims,
-                stabilized_at=None,
-                value=None,
-                method=method,
-                note=str(err),
+        ncols = len(_relation_columns(W.n, order))
+        outcome = linalg.ranks(lambda current: [(system(order, current), ncols)], mode)
+        if outcome is None:
+            raise EstimateInconclusive(
+                f"marginal pivots persist at order {order} up to "
+                f"{ESCALATION_LIMIT}-bit precision"
             )
-        method = used.label()
-        dims[order] = dim
-        if previous is not None and previous == dim:
-            return RankEstimate(
-                dims=dims, stabilized_at=order - 1, value=dim, method=method
-            )
-        previous = dim
+        [(rank, _)], used = outcome
+        yield order, W.size * order - rank, used
+
+
+def rank_estimate(
+    W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode
+) -> RankEstimate:
+    """Kernel dimensions for orders m_start..m_cap until two agree.
+
+    The stabilized dimension is reported as the web's rank at this point; if
+    the cap is reached without stabilization the estimate is inconclusive
+    (value None) and the dims trace is still returned for audit.
+    Stabilizing takes two orders, so m_cap must exceed m_start.  Exact mode
+    grows one echelon per point (_exact_dims), float mode ranks each order
+    on its own (_float_dims); either builds an order only when the orders
+    below it have not stabilized.
+    """
+    if m_start < 1 or m_cap <= m_start:
+        raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")
+    dims_of = _exact_dims if mode.is_exact else _float_dims
+    dims: dict[int, int] = {}
+    method = mode.label()
+    try:
+        for order, dim, used in dims_of(W, point, m_start, m_cap, mode):
+            method = used.label()
+            dims[order] = dim
+            if dims.get(order - 1) == dim:
+                return RankEstimate(
+                    dims=dims, stabilized_at=order - 1, value=dim, method=method
+                )
+    except EstimateInconclusive as err:
+        return RankEstimate(
+            dims=dims, stabilized_at=None, value=None, method=method, note=str(err)
+        )
     return RankEstimate(
         dims=dims,
         stabilized_at=None,

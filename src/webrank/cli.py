@@ -248,7 +248,7 @@ def _cmd_rank(args) -> int:
     n = args.n[0]
     mode = _checked_mode(E, args.precision)
     m_start = args.m_start if args.m_start is not None else E.k0 + 1
-    _require_at_least("--m-start", [m_start], 1)
+    _require_at_least("--m-start (below k0 it cannot certify)", [m_start], E.k0)
     if args.m_cap is not None:
         m_cap, option = args.m_cap, "--m-cap"
     else:

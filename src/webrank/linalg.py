@@ -1,6 +1,7 @@
 """Exact and floating rank and determinant, and the elimination kernels.
 
-exact_rank is sparse fraction-free big-int elimination, exact_det the
+exact_extend is sparse fraction-free big-int elimination that grows one
+echelon batch by batch, exact_rank its one-batch case, exact_det the
 fraction-free Bareiss determinant of a square int matrix, and float_rank
 sparse complete-pivoting elimination on fixed-point integers
 (rank_fixed_rows: one reciprocal of the pivot per updated row, so an entry
@@ -17,18 +18,18 @@ per row, plus the column count.  The relation rows
 and square blocks are converted by sparse_rows where they are ranked.
 Exact rank takes int rows, as the relation rows and the jet matrices of
 int gradients are built (the kernel divides each row by its content before
-it eliminates, and a row once more when it becomes a pivot, since row
-scaling keeps the rank); with leading=k it prefers its first k rows as
-pivots and counts the pivots they take, from which
-abelrank._first_two_dims reads the lower of its two orders.  exact_det
-takes the int rows of an exact square block as jets.square_block builds
-them, and its caller divides the determinant by the block's column
-scales.  Float rank takes FixedRows, int rows that each carry their own
-power-of-two unit, as the float relation rows, jet matrices and square
-blocks are built; _fixed_point_rows aligns them to one matrix unit for the
-kernel.  ranks is the front end the pipeline ranks through in both modes;
-in float mode it passes the one precision a matrix is built and ranked at,
-and escalates it.
+it eliminates, and a pivot once more when it first reduces another row,
+since row scaling keeps the rank).  abelrank ranks its exact relation
+systems through exact_extend, one echelon per sampled point, extended by
+the monomial rows of each new truncation order.  exact_det takes the int
+rows of an exact square block as jets.square_block builds them, and its
+caller divides the determinant by the block's column scales.  Float rank
+takes FixedRows, int rows that each carry their own power-of-two unit, as
+the float relation rows, jet matrices and square blocks are built;
+_fixed_point_rows aligns them to one matrix unit for the kernel.  ranks is
+the front end the jet matrices and the float relation systems are ranked
+through; in float mode it passes the one precision a matrix is built and
+ranked at, and escalates it.
 """
 
 from __future__ import annotations
@@ -55,65 +56,48 @@ def sparse_rows(rows: Sequence[Sequence], unit: int | None = None):
     return sparse, len(rows[0]) if rows else 0
 
 
-def exact_rank(
-    rows: Sequence[dict[int, int]], ncols: int, leading: int | None = None
-) -> tuple:
-    """Exact rank of a sparse integer matrix by fraction-free elimination.
+def exact_extend(echelon: dict, rows: Sequence[dict[int, int]], ncols: int) -> int:
+    """Reduce sparse integer rows against an exact echelon and add the
+    pivots they take; returns the number of pivots added.
+
+    echelon maps each pivot column to its pivot: the pivot row as a
+    {column: value} dict, or (p, tail) once the row has been made
+    primitive, p its entry at the column and tail the [(column, value)] of
+    its other nonzeros, all divided by the row's content.  Start from {}
+    and extend it batch by batch: after each call len(echelon) is the rank
+    of every row given so far, and its keys are their pivot columns.
 
     Each row is a {column: value} dict of its nonzeros, in any key order,
     and ncols the number of columns.  The kernel first divides every row by
     its content (the gcd of its entries) into dicts of its own, so the input
     rows are left unchanged.  Row scaling keeps the rank and the pivot
-    columns, and the untransposed relation rows gain most from it: row
-    (i, m) is the m-th power of one integer offset and carries at least the
-    m-th power of that offset's content.
+    columns; this pass also takes out most of the common factor abelrank
+    multiplies a later order's batch of relation rows by.
 
     Columns are processed left to right.  The rows whose leading column is
-    the current one are reduced against a pivot row by r = q*r - f*pivot,
-    where q and f are the leading entries of the pivot row and of r divided
-    by their gcd (the sign put on f, so q > 0): an update touches the pivot
-    row's nonzeros and, when q != 1, rescales r.  The pivot row is the
+    the current one are reduced against its pivot by r = q*r - f*pivot,
+    where q and f are the leading entries of the pivot and of r divided by
+    their gcd (the sign put on f, so q > 0): an update touches the pivot's
+    nonzeros and, when q != 1, rescales r.  A column with a stored pivot
+    reduces every such row against it.  Otherwise the pivot is the
     candidate with the least len(row) * bit length of its leading entry
     (ties: least leading entry), which keeps fill-in and multipliers small
-    (Markowitz's rule); a column with a single candidate takes it without a
-    choice or an update.
+    (Markowitz's rule); a column with a single candidate takes it without
+    a choice or an update.
 
-    With leading=k, the first k rows (and what they reduce to) are the
-    preferred candidates: at a column where one of them leads, the pivot is
-    chosen among them by the same rule, and another row only where none of
-    them leads.  So those rows are only ever reduced by pivots taken from
-    their own kind, and the pivots they take count their rank.
-    abelrank._first_two_dims ranks the transposed order-(M + 1) relation
-    system this way, with the monomial rows of degree <= M leading, and
-    reads the order-M rank off their pivots.  On the 8 such systems of one
-    round of perfbench's exact_corroborate workload this makes 6,926 row
-    updates (14,103 on the untransposed systems), rescales 58,583 entries
-    (136,484), subtracts 102,704 pivot entries (131,844) and scans 147,547
-    entries for new leading columns (524,048); on the 58 of catalog_exact,
-    8,999 updates (20,302).  Fewer updates have q = 1 (66% against 81%)
-    and entries grow larger (789 bits at most against 340), but the work
-    that remains is less.
-
-    After the first pass a row's content is taken once more, when the row
-    becomes the pivot of a column with other rows to reduce: its leading
-    entry and its tail are divided by it, the tail into a list of its own.
-    So every pivot is primitive when its entries multiply into other rows,
-    which bounds the entry growth.  A row that is not yet a pivot carries
-    only the product of its own rescale factors q and whatever content the
-    subtractions leave, and a row that reduces to zero never pays for a
-    gcd: 735 passes over 16,284 entries on the 8 merged exact_corroborate
-    systems above (925 over 16,761 untransposed).
-
-    Returns (rank, pivot positions) as [(0, c0), (1, c1), ...], and with
-    leading given (rank, pivot positions, number of pivots taken by the
-    leading rows).  The pivot columns c0 < c1 < ... are the columns not in
-    the span of the columns before them, so they depend only on the matrix,
-    not on the choice of pivot rows or on the row scales.
+    After the first pass a row's content is taken once more, when it first
+    has to reduce another row: a pivot with no other row at its column is
+    stored as its row dict, and made primitive (p, tail) only when a row of
+    this or a later batch first reaches its column.  So every pivot is
+    primitive when its entries multiply into other rows, which bounds the
+    entry growth, a pivot that reduces nothing never pays for a gcd, and
+    neither does a row that reduces to zero.  A row that is not yet a pivot
+    carries only the product of its own rescale factors q and whatever
+    content the subtractions leave.
     """
     gcd = math.gcd
-    first: dict[int, list[dict[int, int]]] = {}  # leading rows by lead column
-    rest: dict[int, list[dict[int, int]]] = {}  # the other rows
-    for at, row in enumerate(rows):
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
         content = gcd(*row.values())
         if not content:
             continue
@@ -121,57 +105,61 @@ def exact_rank(
             own = {j: v for j, v in row.items() if v}
         else:
             own = {j: v // content for j, v in row.items() if v}
-        by_lead = first if leading is not None and at < leading else rest
         by_lead.setdefault(min(own), []).append(own)
-    pivots: list[tuple[int, int]] = []
-    taken = 0
+    added = 0
     for col in range(ncols):
-        if not rest and not first:
+        if not by_lead:
             break
-        ours = first.pop(col, None)
-        others = rest.pop(col, None)
-        if ours is None:
-            if others is None:
-                continue
-            candidates = others
-        else:
-            taken += 1
-            candidates = ours
-        pivots.append((len(pivots), col))
-        if len(ours or ()) + len(others or ()) == 1:
+        here = by_lead.pop(col, None)
+        if here is None:
             continue
-        pivot = min(
-            candidates,
-            key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col])),
-        )
-        content = gcd(*pivot.values())
-        p = pivot[col] // content
-        tail = [(j, b // content) for j, b in pivot.items() if j != col]
-        for here, by_lead in ((ours, first), (others, rest)):
-            if here is None:
+        pivot = echelon.get(col)
+        if pivot is None:
+            added += 1
+            if len(here) == 1:
+                echelon[col] = here[0]
                 continue
-            for row in here:
-                if row is pivot:
-                    continue
-                f = row.pop(col)
-                g = gcd(p, f)
-                q = p // g
-                f //= g
-                if q < 0:
-                    q, f = -q, -f
-                if q != 1:
-                    row = {j: v * q for j, v in row.items()}
-                for j, b in tail:
-                    v = row.get(j, 0) - f * b
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                if row:
-                    by_lead.setdefault(min(row), []).append(row)
-    if leading is None:
-        return len(pivots), pivots
-    return len(pivots), pivots, taken
+            pivot = min(
+                here, key=lambda r: (len(r) * abs(r[col]).bit_length(), abs(r[col]))
+            )
+            here = [row for row in here if row is not pivot]
+        if type(pivot) is dict:
+            content = gcd(*pivot.values())
+            tail = [(j, b // content) for j, b in pivot.items() if j != col]
+            pivot = echelon[col] = (pivot[col] // content, tail)
+        p, tail = pivot
+        for row in here:
+            f = row.pop(col)
+            g = gcd(p, f)
+            q = p // g
+            f //= g
+            if q < 0:
+                q, f = -q, -f
+            if q != 1:
+                row = {j: v * q for j, v in row.items()}
+            for j, b in tail:
+                v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                by_lead.setdefault(min(row), []).append(row)
+    return added
+
+
+def exact_rank(rows: Sequence[dict[int, int]], ncols: int) -> tuple:
+    """Exact rank of a sparse integer matrix: exact_extend of an empty
+    echelon by all its rows.
+
+    Returns (rank, pivot positions) as [(0, c0), (1, c1), ...].  The pivot
+    columns c0 < c1 < ... are the columns not in the span of the columns
+    before them, so they depend only on the matrix, not on the choice of
+    pivot rows or on the row scales.
+    """
+    echelon: dict = {}
+    rank = exact_extend(echelon, rows, ncols)
+    return rank, list(enumerate(sorted(echelon)))
 
 
 def exact_det(rows: Sequence[Sequence[int]]) -> int:

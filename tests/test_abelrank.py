@@ -27,12 +27,12 @@ from webrank.combin import (
     support_dims,
 )
 from webrank.expr import EvalError, parse
-from webrank.jets import degree_multi_indices
+from webrank.jets import degree_multi_indices, jet_matrix_from_gradients
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
-from webrank.web import assemble, balanced_set_from_json
+from webrank.web import assemble, balanced_set_from_json, web_gradients
 
 from helpers import (
     dense_rows,
@@ -398,7 +398,7 @@ def test_support_order_keeps_the_rank(system):
 
 
 # --------------------------------------------------------------------------
-# the first two orders from one exact elimination
+# every order from one growing exact elimination
 
 def separate_dims(W, point, orders):
     """Oracle: the kernel dimension at each order from its own fresh build
@@ -411,13 +411,24 @@ def separate_dims(W, point, orders):
     return dims
 
 
+def grown_dims(W, point, m_start, m_cap, mode=EXACT):
+    """The dims rank_estimate reads at every order m_start..m_cap, pulled
+    past any stabilization: one growing echelon in exact mode, one float
+    elimination per order otherwise."""
+    dims_of = abelrank._exact_dims if mode.is_exact else abelrank._float_dims
+    return {order: dim for order, dim, _ in dims_of(W, point, m_start, m_cap, mode)}
+
+
 @settings(max_examples=40, deadline=None)
 @given(sampled_relation_systems(), st.integers(min_value=0, max_value=2))
 def test_one_elimination_gives_the_first_two_dims(system, lower):
+    # and the two orders it grows to after them
     W, point, order = system
     m_start = order - lower
     estimate = rank_estimate(W, point, m_start, m_start + 1, EXACT)
-    assert estimate.dims == separate_dims(W, point, (m_start, m_start + 1))
+    dims = grown_dims(W, point, m_start, m_start + 3)
+    assert dims == separate_dims(W, point, dims)
+    assert estimate.dims == {m: dims[m] for m in (m_start, m_start + 1)}
 
 
 EXACT_FAMILIES = [
@@ -427,15 +438,17 @@ EXACT_FAMILIES = [
 
 @pytest.mark.parametrize("name", EXACT_FAMILIES)
 def test_one_elimination_gives_the_first_two_dims_per_family(name):
-    # at order 1 and at the pipeline's start order k0 + 1, at every n that
-    # verify-family ranks
+    # grown from order 1 and from the pipeline's start order k0 + 1 to
+    # k0 + 2, at every n that verify-family ranks: the growth from order 1
+    # meets every offset denominator that grows with the order
     E, _ = get_family(name)
     for n in range(2, E.k0 + 2):
         W = assemble(E, n)
         point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+        separate = separate_dims(W, point, range(1, E.k0 + 3))
         for m_start in (1, E.k0 + 1):
-            estimate = rank_estimate(W, point, m_start, m_start + 1, EXACT)
-            assert estimate.dims == separate_dims(W, point, (m_start, m_start + 1))
+            dims = grown_dims(W, point, m_start, E.k0 + 2)
+            assert dims == {m: separate[m] for m in range(m_start, E.k0 + 3)}
 
 
 NON_HEXAGONAL = (
@@ -460,26 +473,84 @@ K0_5_WB_EXTENSION = NON_HEXAGONAL.parent / "k0_5_wb_extension.json"
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_one_elimination_on_the_k0_5_wb_extension(n):
-    # the fixture with the largest merged system at n=5, here at order 1
-    # and at the pipeline's start order k0 + 1
+    # the fixture with the largest exact systems at n=5, grown from order 1
+    # and from the pipeline's start order k0 + 1 to order 8
     E = balanced_set_from_json(json.loads(K0_5_WB_EXTENSION.read_text()))
     W = assemble(E, n)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    separate = separate_dims(W, point, range(1, 9))
     for m_start in (1, E.k0 + 1):
-        estimate = rank_estimate(W, point, m_start, m_start + 1, EXACT)
-        assert estimate.dims == separate_dims(W, point, (m_start, m_start + 1))
+        dims = grown_dims(W, point, m_start, 8)
+        assert dims == {m: separate[m] for m in range(m_start, 9)}
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_one_elimination_without_stabilization(seed):
-    # `rank --family k0_3_quadrics --n 3 --m-start 1 --m-cap 2`
-    W = assemble(quadrics(), 3)
-    check = check_rank(W, GenericPointSampler(seed=seed), 1, 2, EXACT, 11)
+    # `rank --input benchmarks/nonhexagonal_k0_2.json --n 2 --m-start 2
+    # --m-cap 3`, the report matrix's estimate that runs out of orders
+    E = balanced_set_from_json(json.loads(NON_HEXAGONAL.read_text()))
+    W = assemble(E, 2)
+    check = check_rank(W, GenericPointSampler(seed=seed), 2, 3, EXACT, 1)
     assert check.verdict == INCONCLUSIVE
     estimate = check.estimate
     assert estimate.value is None
-    assert estimate.note == "no stabilization up to order 2"
-    assert estimate.dims == separate_dims(W, check.point, (1, 2))
+    assert estimate.note == "no stabilization up to order 3"
+    assert estimate.dims == {2: 1, 3: 0}
+    assert estimate.dims == separate_dims(W, check.point, (2, 3))
+
+
+def linearization_bounds(W, point, top, mode):
+    """sum over D <= M of (d - rank_D) for M = 1..top, rank_D the rank of
+    the degree-D jet matrix of the gradients at point: the dims of the
+    parallel web of those gradients, which bound the relation dims."""
+    gradients, unit = web_gradients(W, point, mode)
+    bounds, total = {}, 0
+    for degree, matrix in enumerate(
+        jet_matrix_from_gradients(W.n, top, gradients), start=1
+    ):
+        if mode.is_exact:
+            rank, _ = linalg.exact_rank(*linalg.sparse_rows(matrix))
+        else:
+            rows, ncols = linalg.sparse_rows(matrix, degree * unit)
+            rank, info = linalg.float_rank(rows, ncols, mode.precision)
+            assert not info["marginal"]
+        total += W.size - rank
+        bounds[degree] = total
+    return bounds
+
+
+def linearization_cases():
+    """(label, web definition, n, mode): the exact catalog families at
+    n = 2..k0, the k0=5 fixture at n = 2..4 and the non-hexagonal web, in
+    exact mode, and k0_4_exp at n = 2 and 3 in float mode."""
+    cases = [
+        (name, get_family(name)[0], n, EXACT)
+        for name in EXACT_FAMILIES
+        for n in range(2, get_family(name)[0].k0 + 1)
+    ]
+    fixture = balanced_set_from_json(json.loads(K0_5_WB_EXTENSION.read_text()))
+    cases += [("k0_5_wb_extension", fixture, n, EXACT) for n in (2, 3, 4)]
+    web = balanced_set_from_json(json.loads(NON_HEXAGONAL.read_text()))
+    cases.append(("nonhexagonal_k0_2", web, 2, EXACT))
+    exp = get_family("k0_4_exp")[0]
+    cases += [("k0_4_exp", exp, n, Mode.floating(128)) for n in (2, 3)]
+    return [pytest.param(E, n, mode, id=f"{label}-{n}") for label, E, n, mode in cases]
+
+
+@pytest.mark.parametrize("E,n,mode", linearization_cases())
+def test_dims_meet_the_linearization_bound_up_to_k0(E, n, mode):
+    # the transposed system is block lower-triangular by degree, with the
+    # degree-D jet matrix as its block on the power-D unknowns: its dims at
+    # order M are at most the sum of the blocks' kernels, and equal to it
+    # for M <= k0, where those blocks have full row rank at an ordinary
+    # point.  Grown from order 1 through k0 + 2
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    top = E.k0 + 2
+    dims = grown_dims(W, point, 1, top, mode)
+    bounds = linearization_bounds(W, point, top, mode)
+    assert all(dims[m] <= bounds[m] for m in range(1, top + 1))
+    assert all(dims[m] == bounds[m] for m in range(1, E.k0 + 1))
 
 
 @pytest.mark.parametrize("precision", [32, 64, 128])

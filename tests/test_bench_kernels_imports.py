@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from webrank.web import load_balanced_set
+from webrank.abelrank import _expansion_rows, generic_point_for_web, rank_estimate
+from webrank.catalog import get_family
+from webrank.ordinary import GenericPointSampler
+from webrank.scalars import EXACT
+from webrank.web import assemble, load_balanced_set
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
@@ -45,8 +49,18 @@ def test_fixture_it_reads_loads(bench):
     assert load_balanced_set(str(bench.K0_5_WB_EXTENSION)).k0 == 5
 
 
-def test_k0_5_first_two_orders_bench_runs(bench):
-    # the merged orders-6/7 system of the fixture at n=5, timed once
-    label, info, results = bench.bench_k0_5_first_two(1)
-    assert info == "882x791, n=5, order 7, dims {6: 329, 7: 324}"
-    assert set(results) == {"rank"}
+def test_k0_5_growth_bench_runs(bench):
+    # the fixture's estimate at n=5 grown through orders 6, 7 and 8, once
+    label, info, results = bench.bench_k0_5_growth(1)
+    assert info == "n=5, dims {6: 329, 7: 324, 8: 324}"
+    assert set(results) == {"grow"}
+
+
+def test_two_batch_dims_match_the_pipeline(bench):
+    # the bench's two exact_extend calls give rank_estimate's first two dims
+    E, _ = get_family("k0_3_sym_prod")
+    W = assemble(E, 3)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    rows = _expansion_rows(W, point, 5, EXACT)
+    dims = bench._two_batch_dims(W, rows, 4, 8)
+    assert dims == rank_estimate(W, point, 4, 5, EXACT).dims

@@ -280,6 +280,7 @@ def test_family_with_input_is_usage_error(capsys, tmp_path, command):
 
 
 RANK_QUADRICS = ["rank", "--family", "k0_3_quadrics"]
+FIXTURES = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 @pytest.mark.parametrize(
@@ -300,8 +301,15 @@ RANK_QUADRICS = ["rank", "--family", "k0_3_quadrics"]
         ["validate", "--family", "k0_3_quadrics", "--n", "2", "--n", "3"],
         ["check-ordinary", "--family", "k0_3_quadrics", "--n", "3"],
         # a rank estimate stabilizes on two orders
-        RANK_QUADRICS + ["--n", "3", "--m-start", "2", "--m-cap", "2"],
+        RANK_QUADRICS + ["--n", "3", "--m-start", "3", "--m-cap", "3"],
         ["verify-family", "--family", "k0_3_quadrics", "--m-cap", "4"],
+        # a start order below k0 cannot certify: below it, every ordinary
+        # web has the same dims, and these two webs are not of maximal rank
+        ["rank", "--input", str(FIXTURES / "k0_5_wb_extension.json")]
+        + ["--n", "4", "--m-start", "4"],
+        ["rank", "--input", str(FIXTURES / "nonhexagonal_k0_2.json")]
+        + ["--n", "2", "--m-start", "1"],
+        RANK_QUADRICS + ["--n", "3", "--m-start", "1", "--m-cap", "2"],
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv):

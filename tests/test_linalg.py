@@ -235,23 +235,24 @@ def test_exact_rank_with_content_in_its_pivots_matches_naive_oracle(rows):
 
 @settings(max_examples=100, deadline=None)
 @given(prime_product_matrices())
-# at column 0 the later row [1, 0, 0] has the best Markowitz key; were it
-# the pivot, the first two rows would reduce to multiples of [0, 1, 1] and
-# take one pivot for their rank 2
+# at column 0 the later row [1, 0, 0] has the best Markowitz key: in one
+# batch it is the pivot there, and the first two rows reduce to multiples of
+# [0, 1, 1]; split after them, it has to reduce to zero against their pivots
 @example([[3, 1, 1], [3, -1, -1], [1, 0, 0]])
-def test_exact_rank_counts_the_pivots_of_its_leading_rows(rows):
-    # the first k rows pivot before any other row at their column, so the
-    # pivots they take count their own rank, for every split k
+def test_exact_extend_adds_the_pivots_of_each_batch(rows):
+    # for every split k, the first k rows add the pivots of their own rank,
+    # the rest reach the rank and pivot columns of all rows through the
+    # stored pivots, and the input dicts are left unchanged
     rank, columns = naive_rank(rows)
     sparse, ncols = linalg.sparse_rows(rows)
     before = [dict(row) for row in sparse]
     for k in range(len(rows) + 1):
         leading_rank = naive_rank(rows[:k])[0] if k else 0
-        assert linalg.exact_rank(sparse, ncols, leading=k) == (
-            rank,
-            list(enumerate(columns)),
-            leading_rank,
-        )
+        echelon = {}
+        assert linalg.exact_extend(echelon, sparse[:k], ncols) == leading_rank
+        assert linalg.exact_extend(echelon, sparse[k:], ncols) == rank - leading_rank
+        assert len(echelon) == rank
+        assert sorted(echelon) == columns
     assert sparse == before
 
 
