@@ -5,26 +5,27 @@ Each bench builds one of the largest systems the pipeline produces and
 times the current code on it, layer by layer:
 
 * the exact relation systems of k0_4_pereira_pirio_affine and k0_4_WB_sum
-  in dimension 5 at order 6 (420x461, the systems `verify-family
-  --corroborate` spends its time on): the row build on the integer Taylor
-  kernel (`abelrank._expansion_rows`), then the elimination that gives the
-  kernel dimensions at orders 5 and 6 as `abelrank._exact_dims` makes it:
-  the transposition to one row per monomial (`abelrank._monomial_rows`)
-  and two `linalg.exact_extend` calls on one echelon, the monomial rows of
-  degree <= 5 first and those of degree 6 after them;
-* the k0_4_exp relation systems in dimension 4 at orders 5 and 6 (175x125
-  and 210x209) at 32, 64 and 128 bits: the fixed-point row build of the
-  order-6 system, then the float ranks of both orders, the order-5 rows
-  sliced out of the order-6 ones as the pipeline does (`linalg.float_rank`).
-  It checks each rank and marginal flag against the dense mpf kernel on
-  rows built in mpf, a check the tests leave out at this size (the mpf
-  kernel takes seconds per system);
+  in dimension 5 at order 6 (461 monomial rows on 420 unknowns, the
+  systems `verify-family --corroborate` spends its time on): the build of
+  its monomial rows on the integer Taylor kernel (`abelrank._relation_rows`),
+  then the elimination that gives the kernel dimensions at orders 5 and 6
+  as `abelrank._exact_dims` makes it: two `linalg.exact_extend` calls on
+  one echelon, the monomial rows of degree <= 5 first and those of degree
+  6 after them;
+* the k0_4_exp relation systems in dimension 4 at orders 5 and 6 (125 and
+  209 monomial rows on 175 and 210 unknowns) at 32, 64 and 128 bits: the
+  fixed-point build of the order-6 monomial rows, then the float ranks of
+  both orders, order 5 on the leading rows of that build as the pipeline
+  ranks it (`linalg.float_rank`).  It checks each rank and marginal flag
+  against the dense mpf kernel on the system of each order built
+  separately in mpf, one row per unknown, a check the tests leave out at
+  this size (the mpf kernel takes seconds per system);
 * the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
   dimension 5, the fixture with the largest exact systems: its rank
   estimate grown through orders 6, 7 and 8, the orders `rank --n 5` ranks
   at each point (`abelrank.rank_estimate` with m_start 6 and m_cap 8: the
-  order-7 rows, 882x791, give orders 6 and 7, then the degree-8 monomial
-  rows of a fresh order-8 build, 1008x1286, extend the same echelon; row
+  order-7 build, 791 monomial rows, gives orders 6 and 7, then a build of
+  the 495 monomial rows of degree 8 alone extends the same echelon; row
   builds included);
 * the jet matrices of orders 1..4 of the assembled k0_4_WB_sum web in
   dimension 5 (70 entries), built on its int gradients
@@ -52,10 +53,8 @@ import mpmath
 
 from webrank import linalg
 from webrank.abelrank import (
-    _expansion_rows,
-    _leading_rows,
-    _monomial_rows,
     _relation_columns,
+    _relation_rows,
     _source_columns,
     generic_point_for_web,
     rank_estimate,
@@ -82,17 +81,14 @@ def _time(fn, repeat: int) -> float:
 
 def _two_batch_dims(W, rows, m_start: int, m_cap: int) -> dict[int, int]:
     """The dims at orders m_start and m_start + 1 from the order-(m_start +
-    1) rows (left unchanged), through the transposition and the two
-    exact_extend calls abelrank._exact_dims makes on them."""
-    top = m_start + 1
-    ncols = len(_relation_columns(W.n, top))
-    monomials = _monomial_rows(list(rows), top, m_cap, ncols)
+    1) monomial rows with room for m_cap powers (left unchanged), through
+    the two exact_extend calls abelrank._exact_dims makes on them."""
     below = len(_relation_columns(W.n, m_start))
     echelon = {}
-    linalg.exact_extend(echelon, monomials[:below], W.size * m_cap)
+    linalg.exact_extend(echelon, rows[:below], W.size * m_cap)
     low = W.size * m_start - len(echelon)
-    linalg.exact_extend(echelon, monomials[below:], W.size * m_cap)
-    return {m_start: low, top: W.size * top - len(echelon)}
+    linalg.exact_extend(echelon, rows[below:], W.size * m_cap)
+    return {m_start: low, m_start + 1: W.size * (m_start + 1) - len(echelon)}
 
 
 def bench_exact(name: str, repeat: int):
@@ -101,14 +97,20 @@ def bench_exact(name: str, repeat: int):
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
     m_start, m_cap = E.k0 + 1, E.k0 + 5  # verify-family's orders
     top = m_start + 1
-    rows = _expansion_rows(W, point, top, EXACT)
+
+    def build():
+        return _relation_rows(W, point, top, EXACT, m_cap)[0]
+
+    rows = build()
     results = {
-        "rows": _time(lambda: _expansion_rows(W, point, top, EXACT), repeat),
+        "rows": _time(build, repeat),
         "rank": _time(lambda: _two_batch_dims(W, rows, m_start, m_cap), repeat),
     }
-    ncols = len(_relation_columns(W.n, top))
     dims = _two_batch_dims(W, rows, m_start, m_cap)
-    info = f"{len(rows)}x{ncols}, n={W.n}, order {top}, dims {dims}"
+    info = (
+        f"{len(rows)} monomial rows on {W.size * top} unknowns, n={W.n}, "
+        f"order {top}, dims {dims}"
+    )
     label = f"exact relation system, {name} (int rows, two batches of one echelon)"
     return label, info, results
 
@@ -131,8 +133,8 @@ def bench_k0_5_growth(repeat: int):
 
 
 def _mpf_rows(W, point, order: int, mode):
-    """The float system built in mpf: each entry's mpf offset and its powers
-    taken in mpf, as sparse rows."""
+    """The float system built in mpf, one row per unknown: each entry's mpf
+    offset and its powers taken in mpf, as sparse rows."""
     rows = []
     with mode.workprec():
         for entry in W.entries:
@@ -162,36 +164,33 @@ def bench_float(precision: int, repeat: int):
     mode = Mode.floating(precision)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
     top = E.k0 + 2
-    rows = _expansion_rows(W, point, top, mode)
-    systems = {}
-    for order in (top - 1, top):
-        ncols = len(_relation_columns(W.n, order))
-        systems[order] = _leading_rows(rows, W, top, order), ncols
+
+    def build():
+        return _relation_rows(W, point, top, mode, top)
+
+    rows, units = build()
+    below = len(_relation_columns(W.n, top - 1))
+    systems = {top - 1: rows[:below], top: rows}
 
     def rank():
-        return [
-            linalg.float_rank(system, ncols, precision)
-            for system, ncols in systems.values()
-        ]
+        return [linalg.float_rank(rows, units, precision) for rows in systems.values()]
 
-    results = {
-        "rows": _time(lambda: _expansion_rows(W, point, top, mode), repeat),
-        "rank": _time(rank, repeat),
-    }
+    results = {"rows": _time(build, repeat), "rank": _time(rank, repeat)}
     shapes = []
-    for (order, (system, ncols)), (got, info) in zip(systems.items(), rank()):
+    for (order, system), (got, info) in zip(systems.items(), rank()):
         marginal = info["marginal"]
+        ncols = len(_relation_columns(W.n, order))
         expected = _mpf_oracle(_mpf_rows(W, point, order, mode), ncols, precision)
         if (got, marginal) != expected:
             raise AssertionError(
                 f"order {order}, {precision} bits: fixed point gives "
                 f"{(got, marginal)}, the mpf oracle {expected}"
             )
-        shape = f"{len(system)}x{ncols} rank {got}"
+        shape = f"{len(system)} monomial rows rank {got}"
         shapes.append(shape + " marginal" if marginal else shape)
     label = (
         f"float relation systems, k0_4_exp n=4 ({precision}-bit fixed point, "
-        f"orders {top - 1} and {top}; ranks match the mpf oracle)"
+        f"orders {top - 1} and {top} from one build; ranks match the mpf oracle)"
     )
     return label, ", ".join(shapes), results
 

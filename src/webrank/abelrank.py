@@ -8,52 +8,52 @@ M the coefficients of an order-M relation jet form the kernel of a linear
 map, and the kernel dimension as a function of M stabilizes at the rank of
 the web (reported as an order-M certificate, never as a proof).
 
-Both scalar modes build the system in one loop on packed monomial codes
-(tpoly.MonomialCodes): each entry's offset u_i - u_i(p) is the series of
-its generating integral at the projected point, on the codes of that
-integral's k variables; its powers are taken by MonomialCodes.powers, and
-each power becomes a sparse row, the {column: value} dict of its nonzeros,
-through a code-to-column map built once per (n, order, source).
-In exact mode the offset comes from tpoly.integer_offset as integer
-numerators over one denominator L_i in lowest terms, so L_i is the lcm of
-the offset's coefficient denominators and row (i, m) is L_i^m times the
-rational row, which keeps every rank.  In float mode the offset is the mpf
-expansion tpoly.taylor without its constant term, built at the precision it
-is ranked at (linalg.ranks); mpmath stops there.  tpoly.fixed_powers holds
-the offset once as ints at a binary unit set by its largest degree-1
-coefficient and takes its powers on those ints, shifting each product back
-(truncated toward zero), so row (i, m) is a linalg.FixedRow, ints with the
-row's own power-of-two unit, and linalg.float_rank aligns the rows to one
-matrix unit before it eliminates.
+Both scalar modes build the system in one layout, one row per monomial
+(_relation_rows).  Each entry's offset u_i - u_i(p) is the series of its
+generating integral at the projected point, on packed monomial codes
+(tpoly.MonomialCodes) of that integral's k variables; its powers are taken
+by MonomialCodes.powers, and the coefficient of each monomial in the m-th
+power goes straight into that monomial's row, a {unknown: value} dict of
+its nonzeros, through a code-to-row map built once per (n, order, source).
+Unknown (i, m) is numbered in entry order with the powers descending within
+an entry and room for every power up to m_cap, so it is column
+i * m_cap + m_cap - m at every order.  rank(A) = rank(A^T) for the map A
+from the unknowns to the monomials, so the order-M dim is size * M less the
+rank of these rows.  In exact mode the offset comes from
+tpoly.integer_offset as integer numerators over one denominator L_i in
+lowest terms, so L_i is the lcm of the offset's coefficient denominators
+and unknown (i, m) carries L_i^m, a column scale that keeps every rank.  In
+float mode the offset is the mpf expansion tpoly.taylor without its
+constant term, built at the precision it is ranked at (linalg.ranks);
+mpmath stops there.  tpoly.fixed_powers holds the offset once as ints at a
+binary unit set by its largest degree-1 coefficient and takes its powers
+on those ints, shifting each product back (truncated toward zero), so
+unknown (i, m) has its own power-of-two unit, and linalg.float_rank aligns
+the columns to one matrix unit before it eliminates.
 
-Columns are the multi-indices of degree 1..M in two blocks, those of degree
-< M first and those of degree M last; within each block the keys with the
-most nonzero exponents come first, by degree within one support size.  Row
-(i, m) is a power of entry i's offset, so its nonzeros lie on monomials in
-the variables of that entry (WebEntry.source): the rows of entries on few
-variables vanish on the leading, wide-support columns of a block, and the
-system is close to block-triangular in this order.  Exact elimination
-runs on the transpose, where these columns are the rows, and the order
-still pays: in plain degree order the estimate of
-benchmarks/k0_5_wb_extension.json at n=5 through orders 6, 7 and 8 takes
-0.40-0.44 s against 0.37-0.41 s (best of 5 in each of two processes).
+Monomials are the multi-indices of degree 1..M in two blocks, those of
+degree < M first and those of degree M last; within each block the keys
+with the most nonzero exponents come first, by degree within one support
+size.  Unknown (i, m) is a power of entry i's offset, so its nonzeros lie
+on monomials in the variables of that entry (WebEntry.source): the entries
+on few variables vanish on the leading, wide-support rows of a block, and
+the system is close to block-triangular in this order.  In plain degree
+order the estimate of benchmarks/k0_5_wb_extension.json at n=5 through
+orders 6, 7 and 8 takes 0.40-0.44 s against 0.37-0.41 s (best of 5 in
+each of two processes).
 
-Exact mode grows one echelon per point (_exact_dims, linalg.exact_extend)
-on the transposed system (_monomial_rows): one row per monomial, a dict
-over the unknowns (i, m), numbered in entry order with the powers
-descending within an entry and room for every power up to m_cap, so (i, m)
-is column i * m_cap + m_cap - m at every order.  rank(A) = rank(A^T), so
-the order-M dim is size * M less the rank.  The orders nest by rows: a
-monomial row of degree D is zero on every unknown (i, m) with m > D, as an
-m-th power of an offset has no term of lower degree, and its other entries
-do not depend on the order the system is truncated at.  So the transposed
-order-M system is the order-(M - 1) one plus its degree-M monomial rows,
-and an echelon of the lower order extended by those rows is one of the
-higher.  rank_estimate builds the order-(m_start + 1) rows once, extends
-an empty echelon by their monomial rows of degree <= m_start, which gives
-the order-m_start dim, then by those of degree m_start + 1.  Only while
-the dims have not stabilized does it build each higher order M afresh and
-extend the echelon by the degree-M monomial rows alone.
+The orders nest by rows: a monomial row of degree D is zero on every
+unknown (i, m) with m > D, as an m-th power of an offset has no term of
+lower degree, and its other entries do not depend on the order the system
+is truncated at.  So the order-M system is the order-(M - 1) one plus its
+degree-M monomial rows, and the first rows of the order-(M + 1) build, its
+degree <= M block, are the order-M system.  rank_estimate builds the
+order-(m_start + 1) rows once and takes the order-m_start system as their
+leading rows.  Exact mode grows one echelon per point (_exact_dims,
+linalg.exact_extend): it extends an empty echelon by the leading rows,
+which gives the order-m_start dim, then by the rows of degree m_start + 1.
+Only while the dims have not stabilized does it build each higher order M,
+its degree-M monomial rows alone, and extend the echelon by them.
 
 The scales need care there.  Unknown (i, m) carries L_i^m, and for rational
 integrals L_i, the lcm of the coefficient denominators up to the build's
@@ -66,12 +66,14 @@ divides each row by its content before it eliminates, which takes most of
 F out again.
 
 Float mode ranks each order with its own complete-pivoting elimination
-(_float_dims): it builds the order-(m_start + 1) rows once per precision
-and slices the order-m_start system out of them through a column remap by
-key, cached per (n, built order, order), so the slice is the matrix a
-fresh build gives (the rows keep their units); higher orders are built
-afresh.  A permutation of the columns cannot change a rank, and complete
-pivoting picks the same pivots in any column order except at exact ties of
+(_float_dims): it builds the order-(m_start + 1) rows once per precision,
+ranks their leading rows as order m_start and all of them as order
+m_start + 1, and builds higher orders afresh.  The leading rows keep the
+units of the order-(m_start + 1) build, which tpoly.fixed_powers sets from
+the degree-1 terms alone, so they equal a fresh order-m_start build int for
+int and unit for unit, up to the order of the rows and the empty columns of
+the powers m_start + 1.  Neither changes a rank, and complete pivoting picks
+the same pivots in any row or column order except at exact ties of
 magnitude.
 """
 
@@ -125,9 +127,9 @@ class RankEstimate:
 
 @lru_cache(maxsize=64)
 def _relation_columns(n: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """Column keys of the relation system: multi-indices of degree < order,
-    then those of degree order, each block largest support first and by
-    degree within one support size."""
+    """Monomial keys of the relation system, one row each: multi-indices of
+    degree < order, then those of degree order, each block largest support
+    first and by degree within one support size."""
     keys: list[tuple[int, ...]] = []
     for h in range(1, order + 1):
         keys.extend(degree_multi_indices(n, h))
@@ -137,40 +139,46 @@ def _relation_columns(n: int, order: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=512)
 def _source_columns(n: int, order: int, source: tuple[int, ...]):
-    """(codes, column) for an entry on the coordinates `source`: the packing
+    """(codes, row_of) for an entry on the coordinates `source`: the packing
     of the monomials of degree <= order in its len(source) variables, and
-    the map from each such code to the column of the key that puts its
-    exponents at the source positions."""
+    the map from each such code to the index in _relation_columns of the
+    key that puts its exponents at the source positions."""
     codes = MonomialCodes(len(source), order)
-    column = {}
+    row_of = {}
     for j, key in enumerate(_relation_columns(n, order)):
         exponents = [key[s - 1] for s in source]
         if sum(exponents) == sum(key):
-            column[codes.encode(exponents)] = j
-    return codes, column
+            row_of[codes.encode(exponents)] = j
+    return codes, row_of
 
 
-def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode, scales=None):
-    """Rows of the transposed jet system: one row per unknown (entry, power).
+def _relation_rows(
+    W: AssembledWeb, point, order: int, mode: Mode, m_cap: int, first: int = 0
+):
+    """The order-`order` relation system, one row per monomial, from the
+    `first`-th monomial on: (rows, scales).
 
-    The row for (i, m) holds the Taylor coefficients of (u_i - u_i(p))^m on
-    the multi-indices of degree 1..order, as a {column: value} dict of its
-    nonzeros (columns as in _relation_columns; there are
-    len(_relation_columns(n, order)) of them); the kernel dimension of the
-    relation map is (#unknowns - rank of these rows).
+    The row of a monomial (a key of _relation_columns, in that order)
+    holds, as an {unknown: value} dict of its nonzeros, its coefficient in
+    each power (u_i - u_i(p))^m, m <= order, at the unknown (i, m), column
+    i * m_cap + m_cap - m; the kernel dimension of the relation map is
+    W.size * order less the rank of these rows.
 
-    In exact mode the offset u_i - u_i(p) comes from tpoly.integer_offset as
-    integer numerators over the lcm L_i of its coefficient denominators, and
-    its powers are taken on those numerators, so row (i, m) is L_i^m times
-    the rational row; row scaling keeps the rank.  In float mode the offset
-    is the mpf series tpoly.taylor gives at the mode's precision and its
-    powers are taken in fixed point (tpoly.fixed_powers, which states the
-    error model), so each row is a linalg.FixedRow carrying the unit of its
-    power.  Given a list `scales`, exact mode appends each entry's L_i to it.
+    In exact mode the offset u_i - u_i(p) comes from tpoly.integer_offset
+    as integer numerators over the lcm L_i of its coefficient denominators,
+    and its powers are taken on those numerators, so unknown (i, m) carries
+    L_i^m, a column scale that keeps the rank; scales is the list of the
+    L_i.  In float mode the offset is the mpf series tpoly.taylor gives at
+    the mode's precision and its powers are taken in fixed point
+    (tpoly.fixed_powers, which states the error model); scales is the
+    power-of-two unit of each unknown, as linalg.float_rank takes them.
     """
-    rows = []
-    for entry in W.entries:
-        codes, column = _source_columns(W.n, order, entry.source)
+    rows: list[dict[int, int]] = [
+        {} for _ in range(len(_relation_columns(W.n, order)) - first)
+    ]
+    scales = [] if mode.is_exact else [0] * (W.size * m_cap)
+    for i, entry in enumerate(W.entries):
+        codes, row_of = _source_columns(W.n, order, entry.source)
         at = [point[s - 1] for s in entry.source]
         try:
             if mode.is_exact:
@@ -180,110 +188,59 @@ def _expansion_rows(W: AssembledWeb, point, order: int, mode: Mode, scales=None)
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
         if mode.is_exact:
-            if scales is not None:
-                scales.append(den)
-            for power in codes.powers(offset, order):
-                rows.append({column[code]: value for code, value in power.items()})
+            scales.append(den)
+            powers = codes.powers(offset, order)
         else:
-            for power, unit in fixed_powers(expansion, codes, mode.precision):
-                row = {column[code]: value for code, value in power.items()}
-                rows.append(linalg.FixedRow(row, unit))
-    return rows
-
-
-@lru_cache(maxsize=64)
-def _leading_columns(n: int, built: int, order: int) -> dict[int, int]:
-    """Map from each column of degree <= order of the order-`built` system
-    to the column of the same key in the order-`order` system."""
-    column = {key: k for k, key in enumerate(_relation_columns(n, order))}
-    return {
-        j: column[key]
-        for j, key in enumerate(_relation_columns(n, built))
-        if sum(key) <= order
-    }
-
-
-def _leading_rows(rows: list, W: AssembledWeb, built: int, order: int) -> list:
-    """The order-`order` system inside rows built at order `built` >= order.
-
-    A power truncated at `built` and then restricted to degrees <= order
-    equals the power truncated at `order`, so keeping each entry's first
-    `order` power rows and moving each column of degree <= order to its
-    key's column in the order-`order` system gives the matrix a fresh build
-    gives (in exact mode up to the row scales, which cannot change the
-    rank).  Float rows keep their units, which tpoly.fixed_powers sets from
-    the degree-1 terms alone, so there the slice equals a fresh build int
-    for int and unit for unit.
-    """
-    remap = _leading_columns(W.n, built, order)
-    sliced = []
-    for i in range(W.size):
-        for row in rows[i * built : i * built + order]:
-            kept = {remap[j]: v for j, v in row.items() if j in remap}
-            if isinstance(row, linalg.FixedRow):
-                kept = linalg.FixedRow(kept, row.unit)
-            sliced.append(kept)
-    return sliced
-
-
-def _monomial_rows(rows: list, order: int, m_cap: int, ncols: int) -> list[dict]:
-    """The transpose of an order-`order` relation system: one row per
-    column (monomial), a {column: value} dict over the unknowns (i, m),
-    numbered in entry order with the powers descending within an entry and
-    room for the powers up to m_cap, so (i, m) is column i * m_cap + m_cap -
-    m whatever the order.
-
-    `rows` is emptied as it is read, so the row layout is released while
-    the transpose is built and never lives beside it.
-    """
-    monomials: list[dict[int, int]] = [{} for _ in range(ncols)]
-    while rows:
-        row = rows.pop()
-        i, below = divmod(len(rows), order)  # unknown (i, below + 1)
-        unknown = i * m_cap + m_cap - 1 - below
-        for j, v in row.items():
-            monomials[j][unknown] = v
-    return monomials
+            powers = fixed_powers(expansion, codes, mode.precision)
+            for m, (_, unit) in enumerate(powers, 1):
+                scales[(i + 1) * m_cap - m] = unit
+            powers = [power for power, _ in powers]
+        for m, power in enumerate(powers, 1):
+            unknown = (i + 1) * m_cap - m
+            for code, value in power.items():
+                j = row_of[code] - first
+                if j >= 0:
+                    rows[j][unknown] = value
+    return rows, scales
 
 
 def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     """Yield (order, kernel dimension, mode) for orders m_start..m_cap from
-    one echelon of the transposed relation system, grown a degree at a time
-    (see the module docstring); stop pulling once the estimate is decided.
+    one echelon of the relation system, grown a degree at a time (see the
+    module docstring); stop pulling once the estimate is decided.
 
     The order-(m_start + 1) rows are built first, their monomial rows of
     degree <= m_start give order m_start and those of degree m_start + 1
-    the next.  Each higher order M is built afresh and extends the echelon
-    by its degree-M monomial rows only; a batch whose offsets' L_i have
-    grown since the first build is brought back to the first build's column
+    the next.  Each higher order M builds its degree-M monomial rows only
+    and extends the echelon by them; a batch whose offsets' L_i have grown
+    since the first build is brought back to the first build's column
     scales L_i^m.
     """
     echelon: dict = {}
     unknowns = W.size * m_cap
     scales = None  # each offset's L_i at the first build
     for built in range(m_start + 1, m_cap + 1):
-        fresh: list[int] = []
-        rows = _expansion_rows(W, point, built, mode, fresh)
-        columns = _relation_columns(W.n, built)
-        monomials = _monomial_rows(rows, built, m_cap, len(columns))
         below = len(_relation_columns(W.n, built - 1))  # the degree < built keys
-        batch = monomials[below:]
         if scales is None:
-            scales = fresh
-            linalg.exact_extend(echelon, monomials[:below], unknowns)
+            rows, scales = _relation_rows(W, point, built, mode, m_cap)
+            linalg.exact_extend(echelon, rows[:below], unknowns)
             yield m_start, W.size * m_start - len(echelon), mode
-        elif fresh != scales:
-            # unknown (i, m) carries (r_i L_i)^m: one factor for the batch,
-            # divisible by r_i^m for every m <= built, takes it to L_i^m
-            ratios = [new // old for new, old in zip(fresh, scales)]
-            factor = math.lcm(*(r**built for r in ratios))
-            times = [
-                factor // ratios[u // m_cap] ** min(m_cap - u % m_cap, built)
-                for u in range(unknowns)
-            ]
-            for row in batch:
-                for u in row:
-                    row[u] *= times[u]
+            batch = rows[below:]
+        else:
+            batch, fresh = _relation_rows(W, point, built, mode, m_cap, below)
+            if fresh != scales:
+                # unknown (i, m) carries (r_i L_i)^m: one factor for the
+                # batch, divisible by r_i^m for every m <= built, takes it
+                # to L_i^m
+                ratios = [new // old for new, old in zip(fresh, scales)]
+                factor = math.lcm(*(r**built for r in ratios))
+                times = [
+                    factor // ratios[u // m_cap] ** min(m_cap - u % m_cap, built)
+                    for u in range(unknowns)
+                ]
+                for row in batch:
+                    for u in row:
+                        row[u] *= times[u]
         linalg.exact_extend(echelon, batch, unknowns)
         yield built, W.size * built - len(echelon), mode
 
@@ -294,25 +251,26 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     which escalates the precision from `mode` on marginal pivots; raises
     EstimateInconclusive when they persist.
 
-    The order-(m_start + 1) rows are built once per precision and the
-    order-m_start rows sliced out of them (_leading_rows); higher orders
-    are built afresh.
+    The order-(m_start + 1) rows are built once per precision: their
+    monomial rows of degree <= m_start are the order-m_start system, and
+    all of them the next.  Higher orders are built afresh.
     """
     top = m_start + 1
-    tops = {}  # the order-top rows per precision
+    below = len(_relation_columns(W.n, m_start))
+    tops = {}  # the order-top rows and units per precision
 
     def system(order: int, current: Mode):
-        if order == m_start:
-            if current not in tops:
-                tops[current] = _expansion_rows(W, point, top, current)
-            return _leading_rows(tops[current], W, top, m_start)
-        if order == top and current in tops:
+        if order > top:
+            return _relation_rows(W, point, order, current, order)
+        if current not in tops:
+            tops[current] = _relation_rows(W, point, top, current, top)
+        if order == top:
             return tops.pop(current)
-        return _expansion_rows(W, point, order, current)
+        rows, units = tops[current]
+        return rows[:below], units
 
     for order in range(m_start, m_cap + 1):
-        ncols = len(_relation_columns(W.n, order))
-        outcome = linalg.ranks(lambda current: [(system(order, current), ncols)], mode)
+        outcome = linalg.ranks(lambda current: [system(order, current)], mode)
         if outcome is None:
             raise EstimateInconclusive(
                 f"marginal pivots persist at order {order} up to "

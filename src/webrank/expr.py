@@ -279,7 +279,8 @@ def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:
 
 def relabel(e: Expr, positions: Sequence[int]) -> Expr:
     """Send the j-th formal variable to Variable(positions[j-1]); for
-    WebEntry.integral and is_quasi_symmetric, which only the tests run."""
+    is_quasi_symmetric and the tests' pulled-back integrals, which no CLI
+    job builds."""
     return substitute(e, {j + 1: Variable(p) for j, p in enumerate(positions)})
 
 

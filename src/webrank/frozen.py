@@ -5,7 +5,7 @@ from __future__ import annotations
 
 class Frozen:
     """An immutable record whose fields are the names in its class's own
-    __slots__ ("__dict__" aside), in order.
+    __slots__, in order.
 
     The constructor takes every field, by position or by name.  Equality
     compares the field tuples of two instances of one class, and the hash
@@ -18,8 +18,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        slots = cls.__dict__.get("__slots__", ())
-        cls._fields = tuple(name for name in slots if name != "__dict__")
+        cls._fields = tuple(cls.__dict__.get("__slots__", ()))
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
     def __init__(self, *values, **named) -> None:

@@ -19,7 +19,7 @@ times the rational jet coefficient: the integer matrix is the rational one
 times an invertible diagonal matrix on the right and has the same rank.
 Float gradients are ints at one unit u, so the degree-h entries are the
 exact products of the mpf gradients, ints at the unit h*u, and reach
-linalg.float_rank as FixedRows at that unit.  square_block is the
+linalg.float_rank with that unit for every column.  square_block is the
 full-support tail of one generating web's degree-k0 jet matrix; in exact
 mode it stays ints and comes with its column scales s_c^k0, by which the
 report divides its determinant (ordinary._block_outcomes), since reports
@@ -168,9 +168,9 @@ def square_block(T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode):
     (int rows, column scales): column c of the rational block is column c
     of the int rows divided by scales[c], the k0-th power of its gradient's
     denominator, so the rational block's determinant is that of the int
-    rows over the product of the scales.  Float mode returns FixedRows
-    holding the exact products of the mpf gradients, as linalg.float_rank
-    takes them.
+    rows over the product of the scales.  Float mode returns (sparse int
+    rows, column units): the exact products of the mpf gradients, one unit
+    for every column, as linalg.float_rank takes them.
     """
     k = T_k.k
     expected = monomial_count(k, k0 - k)
@@ -193,4 +193,4 @@ def square_block(T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode):
         return rows, [den**k0 for _, den in gradients]
     values, unit = common_unit(gradients)
     rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]
-    return sparse_rows(rows, k0 * unit)[0]
+    return sparse_rows(rows, k0 * unit)

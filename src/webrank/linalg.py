@@ -13,23 +13,23 @@ the one report that prints them, the float square blocks
 (ordinary._block_outcomes).
 
 Both rank functions take sparse rows, one {column: value} dict of nonzeros
-per row, plus the column count.  The relation rows
-(abelrank._expansion_rows) are built in that format; the dense jet matrices
-and square blocks are converted by sparse_rows where they are ranked.
-Exact rank takes int rows, as the relation rows and the jet matrices of
-int gradients are built (the kernel divides each row by its content before
-it eliminates, and a pivot once more when it first reduces another row,
-since row scaling keeps the rank).  abelrank ranks its exact relation
-systems through exact_extend, one echelon per sampled point, extended by
-the monomial rows of each new truncation order.  exact_det takes the int
-rows of an exact square block as jets.square_block builds them, and its
-caller divides the determinant by the block's column scales.  Float rank
-takes FixedRows, int rows that each carry their own power-of-two unit, as
-the float relation rows, jet matrices and square blocks are built;
-_fixed_point_rows aligns them to one matrix unit for the kernel.  ranks is
-the front end the jet matrices and the float relation systems are ranked
-through; in float mode it passes the one precision a matrix is built and
-ranked at, and escalates it.
+per row: exact rank with the column count, float rank with one power-of-two
+unit per column (column j's ints stand for multiples of 2^units[j]), whose
+number is the column count.  The relation systems (abelrank._relation_rows,
+one row per monomial) are built in that format; the dense jet matrices and
+square blocks are converted by sparse_rows where they are ranked, with one
+unit for all their columns in float mode, and _fixed_point_rows aligns a
+float matrix to one unit for the kernel.  Exact rank takes int rows, as the
+relation rows and the jet matrices of int gradients are built (the kernel
+divides each row by its content before it eliminates, and a pivot once more
+when it first reduces another row, since row scaling keeps the rank).
+abelrank ranks its exact relation systems through exact_extend, one echelon
+per sampled point, extended by the monomial rows of each new truncation
+order.  exact_det takes the int rows of an exact square block as
+jets.square_block builds them, and its caller divides the determinant by
+the block's column scales.  ranks is the front end the jet matrices and the
+float relation systems are ranked through; in float mode it passes the one
+precision a matrix is built and ranked at, and escalates it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .scalars import ESCALATION_LIMIT, Mode, shifted
+from .scalars import ESCALATION_LIMIT, Mode
 
 # Not read by the package: perfbench/run.py records it on every run, so the
 # name stays until that benchmark stops reading it.
@@ -48,12 +48,12 @@ FIXED_GUARD_BITS = 64  # bits kept below the precision in fixed-point float rank
 
 def sparse_rows(rows: Sequence[Sequence], unit: int | None = None):
     """A dense matrix as the rank functions take it: ([{column: value} of
-    each row's nonzeros, ...], number of columns).  With a unit, the rows
-    are FixedRows of int entries at that unit, as float_rank takes them."""
+    each row's nonzeros, ...], number of columns).  With a unit, the int
+    entries stand for multiples of 2^unit and the second item is the
+    column units float_rank takes, that unit for every column."""
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    if unit is not None:
-        sparse = [FixedRow(row, unit) for row in sparse]
-    return sparse, len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if rows else 0
+    return sparse, ncols if unit is None else [unit] * ncols
 
 
 def exact_extend(echelon: dict, rows: Sequence[dict[int, int]], ncols: int) -> int:
@@ -194,38 +194,14 @@ def exact_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-class FixedRow(dict):
-    """A sparse float row in fixed point: {column: int}, each int standing
-    for int * 2^unit.  Rows compare equal when their entries and units do."""
+def _fixed_point_rows(
+    rows: Sequence[dict[int, int]], units: Sequence[int], precision: int
+):
+    """Int rows whose column j stands for multiples of 2^units[j], as
+    sparse integer rows times one power of two: ([{column: int}, ...],
+    exponent).
 
-    __slots__ = ("unit",)
-
-    def __init__(self, entries, unit: int):
-        super().__init__(entries)
-        self.unit = unit
-
-    def __eq__(self, other):
-        """Units count, so the tests' row comparisons see a wrong unit."""
-        return (
-            isinstance(other, FixedRow)
-            and self.unit == other.unit
-            and dict.__eq__(self, other)
-        )
-
-    def __ne__(self, other):
-        """Needed: dict's own != ignores the unit."""
-        return not self == other
-
-    def __repr__(self):
-        """Shows the unit in the tests' failure messages."""
-        return f"FixedRow({dict.__repr__(self)}, unit={self.unit})"
-
-
-def _fixed_point_rows(rows: Sequence[FixedRow], precision: int):
-    """FixedRows, each with its own unit, as sparse integer rows times one
-    power of two: ([{column: int}, ...], exponent).
-
-    Every row is aligned to the matrix unit
+    Every entry is aligned to the matrix unit
     2^(top - precision - FIXED_GUARD_BITS), top the binary exponent just
     above the largest entry: the largest entry keeps precision +
     FIXED_GUARD_BITS bits and smaller ones lose their bits below the unit
@@ -236,13 +212,23 @@ def _fixed_point_rows(rows: Sequence[FixedRow], precision: int):
     far below the 2^-(precision/2) threshold.
     """
     top = max(
-        (row.unit + max(map(abs, row.values())).bit_length() for row in rows if row),
+        (units[j] + abs(v).bit_length() for row in rows for j, v in row.items()),
         default=None,
     )
     if top is None:
         return [{} for _ in rows], 0
     unit = top - precision - FIXED_GUARD_BITS
-    return [shifted(row, row.unit - unit) for row in rows], unit
+    shifts = [u - unit for u in units]
+    fixed = []
+    for row in rows:
+        out = {}
+        for j, v in row.items():
+            s = shifts[j]
+            v = v << s if s >= 0 else v >> -s if v > 0 else -(-v >> -s)
+            if v:
+                out[j] = v
+        fixed.append(out)
+    return fixed, unit
 
 
 def _row_max(row: dict[int, int]) -> tuple[int, int | None]:
@@ -381,9 +367,11 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
 
 
 def float_rank(
-    rows: Sequence[dict], ncols: int, precision: int
+    rows: Sequence[dict[int, int]], units: Sequence[int], precision: int
 ) -> tuple[int, dict]:
-    """Numerical rank of a matrix of FixedRows at the given mantissa precision.
+    """Numerical rank at the given mantissa precision of a matrix of sparse
+    int rows whose column j stands for multiples of 2^units[j] (one unit
+    per column, so len(units) columns).
 
     The pivot threshold is 2^(-precision/2) times the largest pivot, and the
     result is marginal when a decision falls within 2^4 of the threshold on
@@ -394,9 +382,9 @@ def float_rank(
     ints in info["unit"], with info["precision"]; float_certificate formats
     them for the one report that prints them.
     """
-    fixed, unit = _fixed_point_rows(rows, precision)
+    fixed, unit = _fixed_point_rows(rows, units, precision)
     rank, pivot_mags, max_discarded, marginal = rank_fixed_rows(
-        fixed, ncols, precision // 2, FLOAT_GAP
+        fixed, len(units), precision // 2, FLOAT_GAP
     )
     return rank, {
         "marginal": marginal,
@@ -431,8 +419,9 @@ def float_certificate(info: dict) -> dict:
 def ranks(build, mode: Mode):
     """Ranks of the matrices build(mode) yields, in the mode's arithmetic.
 
-    Each matrix is a (sparse rows, number of columns) pair, as exact_rank
-    and float_rank take it.  Returns ([(rank, info), ...], mode used), info
+    Each matrix is a pair of sparse rows and their columns, as exact_rank
+    and float_rank take it: the number of columns in exact mode, one unit
+    per column in float mode.  Returns ([(rank, info), ...], mode used), info
     being exact_rank's pivot positions or float_rank's info dict, or None
     when float decisions are still marginal at ESCALATION_LIMIT bits.
 
@@ -447,8 +436,8 @@ def ranks(build, mode: Mode):
         return [exact_rank(rows, ncols) for rows, ncols in build(mode)], mode
     while True:
         results = []
-        for rows, ncols in build(mode):
-            rank, info = float_rank(rows, ncols, mode.precision)
+        for rows, units in build(mode):
+            rank, info = float_rank(rows, units, mode.precision)
             if info["marginal"]:
                 break
             results.append((rank, info))

@@ -120,7 +120,7 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
                 outcome = det != 0, {"point": coords, "det": str(det)}
             else:
                 ranks = linalg.ranks(
-                    lambda m: [(square_block(web, k0, point, m), size)], mode
+                    lambda m: [square_block(web, k0, point, m)], mode
                 )
                 if ranks is None:
                     continue
@@ -144,8 +144,8 @@ def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode):
     them, built on web_gradients' int gradients.
 
     Exact mode ranks them as they are: they are column-scaled and have the
-    ranks of the rational ones.  Float mode ranks the degree-h matrix as
-    FixedRows at h times the gradients' unit.
+    ranks of the rational ones.  Float mode ranks the degree-h matrix at
+    h times the gradients' unit in every column.
     """
     gradients, unit = web_gradients(W, point, mode)
     matrices = jet_matrix_from_gradients(W.n, k0, gradients)

@@ -22,7 +22,6 @@ import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
 
 from .combin import binom, monomial_count
 from .expr import (
@@ -94,17 +93,9 @@ def balanced_set(k0: int, webs_integrals: Sequence[Sequence[Expr]]) -> BalancedS
 class WebEntry(Frozen):
     """One assembled first integral with its (k, a, b) label: the generating
     integral `generator` pulled back along the projection onto the
-    coordinates `source` (a tuple of 1-based indices).  The instance
-    __dict__ holds the cached `integral`."""
+    coordinates `source` (a tuple of 1-based indices)."""
 
-    __slots__ = ("label", "generator", "source", "__dict__")
-
-    @cached_property
-    def integral(self) -> Expr:
-        """The pullback as a tree (the generator's j-th variable becomes
-        x_source[j-1]), built on first use, by the tests and benchmarks
-        only: the pipeline expands the generator instead."""
-        return relabel(self.generator, self.source)
+    __slots__ = ("label", "generator", "source")
 
 
 class AssembledWeb(Frozen):

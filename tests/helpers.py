@@ -18,6 +18,7 @@ from webrank.expr import (
     int_power,
     product_of,
     rational,
+    relabel,
     sum_of,
 )
 from webrank.jets import degree_multi_indices, jet_coefficient
@@ -31,11 +32,17 @@ from webrank.web import (
 )
 
 
+def pullback(entry: WebEntry) -> Expr:
+    """The entry's integral as a tree on the ambient variables: its
+    generator with the j-th variable sent to x_source[j-1]."""
+    return relabel(entry.generator, entry.source)
+
+
 def rational_gradients(W: AssembledWeb, point) -> list[list[Fraction]]:
     """Oracle: each entry's gradient at point by symbolic differentiation of
     its pulled-back tree, evaluated on Fractions."""
     return [
-        [evaluate(diff(entry.integral, j), point, EXACT) for j in range(1, W.n + 1)]
+        [evaluate(diff(pullback(entry), j), point, EXACT) for j in range(1, W.n + 1)]
         for entry in W.entries
     ]
 
@@ -111,36 +118,46 @@ def oracle_float_rank(rows, precision):
     return rank, marginal
 
 
-def fixed_row(row: dict, precision: int) -> linalg.FixedRow:
-    """A sparse row of mpf (or int) entries as float_rank takes it: each
+def fixed_columns(rows: list[dict], ncols: int, precision: int):
+    """Sparse rows of mpf (or int) entries as float_rank takes them: each
     entry rounded to `precision` bits, then held exactly as ints over the
-    lowest binary exponent of the row's nonzero entries."""
-    parts = {}
+    lowest binary exponent of its column's nonzero entries.  Returns (int
+    rows, one unit per column, 0 for a column without nonzeros)."""
+    parts = []
+    units = [None] * ncols
     with mpmath.workprec(precision):
-        for j, v in row.items():
-            sign, man, exp, bc = mpmath.mpf(v)._mpf_
-            if not man:
-                if bc:
-                    raise ValueError("fixed point needs finite values")
-                continue
-            parts[j] = (-man if sign else man, exp)
-    unit = min((exp for _, exp in parts.values()), default=0)
-    return linalg.FixedRow(
-        {j: man << (exp - unit) for j, (man, exp) in parts.items()}, unit
-    )
+        for row in rows:
+            part = {}
+            for j, v in row.items():
+                sign, man, exp, bc = mpmath.mpf(v)._mpf_
+                if not man:
+                    if bc:
+                        raise ValueError("fixed point needs finite values")
+                    continue
+                part[j] = (-man if sign else man, exp)
+                if units[j] is None or exp < units[j]:
+                    units[j] = exp
+            parts.append(part)
+    units = [0 if u is None else u for u in units]
+    fixed = [
+        {j: man << (exp - units[j]) for j, (man, exp) in part.items()}
+        for part in parts
+    ]
+    return fixed, units
 
 
-def fixed_rows(rows, precision: int) -> tuple[list[linalg.FixedRow], int]:
+def fixed_rows(rows, precision: int) -> tuple[list[dict], list[int]]:
     """A dense matrix of mpf (or int) entries as float_rank takes it:
-    (FixedRows by fixed_row, number of columns)."""
+    fixed_columns of its nonzeros."""
     sparse, ncols = linalg.sparse_rows(rows)
-    return [fixed_row(row, precision) for row in sparse], ncols
+    return fixed_columns(sparse, ncols, precision)
 
 
 def mpf_relation_rows(W: AssembledWeb, point, order: int, mode) -> list[dict]:
-    """Oracle: the float relation rows as they were built on mpf, before
-    the fixed-point powers: each entry's mpf offset and its powers taken in
-    mpf at the mode's precision, as sparse rows in the relation columns."""
+    """Oracle: the float relation system as it was built on mpf, in the row
+    layout, before the fixed-point powers and the rows per monomial: each
+    entry's mpf offset and its powers taken in mpf at the mode's precision,
+    one sparse row per unknown (entry, power), in the relation columns."""
     rows = []
     with mode.workprec():
         for entry in W.entries:
@@ -155,7 +172,7 @@ def mpf_relation_rows(W: AssembledWeb, point, order: int, mode) -> list[dict]:
 
 def mpf_fixed_point_rows(rows: list[dict], precision: int):
     """Oracle: sparse mpf rows converted to fixed point in one pass, as
-    linalg._fixed_point_rows did before rows carried their own units.
+    linalg._fixed_point_rows did before its entries carried their own units.
 
     Entries are rounded to `precision` bits, then all are scaled by the same
     power of two so that the largest has precision + FIXED_GUARD_BITS bits;

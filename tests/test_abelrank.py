@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from webrank import abelrank, linalg
 from webrank.abelrank import (
-    _expansion_rows,
-    _leading_columns,
-    _leading_rows,
     _relation_columns,
+    _relation_rows,
     _source_columns,
     check_rank,
     generic_point_for_web,
@@ -39,6 +37,7 @@ from helpers import (
     inflate_first_rank_estimate,
     mpf_relation_rows,
     oracle_float_rank,
+    pullback,
     rational_rank,
     reparametrize_entry,
     single_integral_web,
@@ -178,7 +177,7 @@ def fraction_rows(W, point, order):
     rows = []
     lcms = []
     for entry in W.entries:
-        expansion = taylor(entry.integral, point, codes, EXACT)
+        expansion = taylor(pullback(entry), point, codes, EXACT)
         offset = {code: v for code, v in expansion.items() if code}
         lcms.append(math.lcm(*(v.denominator for v in offset.values())))
         for power in codes.powers(offset, order):
@@ -200,18 +199,19 @@ def offset_scales(W, point, order):
 
 
 def assert_scaled_fraction_rows(W, point, order):
-    """Row (i, m) is L_i^m times the Fraction row, L_i the offset's lcm;
-    returns both systems."""
-    rows = _expansion_rows(W, point, order, EXACT)
-    scales = offset_scales(W, point, order)
+    """The monomial rows hold the Fraction rows transposed, unknown (i, m)
+    times L_i^m, L_i the offset's lcm; returns both systems."""
+    rows, scales = _relation_rows(W, point, order, EXACT, order)
     reference, lcms = fraction_rows(W, point, order)
-    assert scales == lcms
-    ncols = len(_relation_columns(W.n, order))
-    assert all(0 <= j < ncols for row in rows for j in row)
-    assert all(type(v) is int for row in rows for v in row.values())
-    for u, (row, ref) in enumerate(zip(dense_rows(rows, ncols), reference)):
-        factor = scales[u // order] ** (u % order + 1)
-        assert row == [v * factor for v in ref]
+    assert scales == lcms == offset_scales(W, point, order)
+    assert len(rows) == len(_relation_columns(W.n, order))
+    assert all(0 <= u < W.size * order for row in rows for u in row)
+    assert all(type(v) is int and v for row in rows for v in row.values())
+    for j, row in enumerate(rows):
+        for u in range(W.size * order):
+            i, m = divmod(u, order)  # unknown (i, order - m)
+            expected = reference[i * order + order - m - 1][j]
+            assert row.get(u, 0) == expected * scales[i] ** (order - m)
     return rows, reference
 
 
@@ -234,8 +234,7 @@ def sampled_relation_systems(draw):
 def test_integer_rows_are_scaled_fraction_rows(system):
     W, point, order = system
     rows, reference = assert_scaled_fraction_rows(W, point, order)
-    ncols = len(_relation_columns(W.n, order))
-    assert linalg.exact_rank(rows, ncols)[0] == rational_rank(reference)
+    assert linalg.exact_rank(rows, W.size * order)[0] == rational_rank(reference)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -256,18 +255,29 @@ def test_order_6_relation_systems_at_n5_have_rank_420_less_maximal_rank(name):
     E, _ = get_family(name)
     W = assemble(E, 5)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
-    rows = _expansion_rows(W, point, E.k0 + 2, EXACT)
-    ncols = len(_relation_columns(5, E.k0 + 2))
-    assert (len(rows), ncols) == (420, 461)
-    assert all(0 <= j < ncols for row in rows for j in row)
+    order = E.k0 + 2
+    rows, _ = _relation_rows(W, point, order, EXACT, order)
+    unknowns = W.size * order
+    assert (len(rows), unknowns) == (461, 420)
+    assert all(0 <= u < unknowns for row in rows for u in row)
     assert calibrated_max_rank(5, E.k0) == 155
-    assert linalg.exact_rank(rows, ncols)[0] == 420 - 155 == 265
+    assert linalg.exact_rank(rows, unknowns)[0] == 420 - 155 == 265
 
 
 def test_expansion_pole_names_the_entry():
     W = assemble(get_family("k0_3_harmonic_sum")[0], 2)
     with pytest.raises(EvalError, match=r"entry \(2, 1, 2\)"):
-        _expansion_rows(W, (Fraction(0), Fraction(1)), 3, EXACT)
+        _relation_rows(W, (Fraction(0), Fraction(1)), 3, EXACT, 3)
+
+
+def rows_by_key(W, rows, built, order):
+    """The rows of an order-`built` build on the keys of degree <= order,
+    by key; for built = order + 1 they are its leading rows."""
+    keys = _relation_columns(W.n, built)
+    by_key = {key: row for key, row in zip(keys, rows) if sum(key) <= order}
+    if built == order + 1:
+        assert list(by_key) == list(keys[: len(by_key)])
+    return by_key
 
 
 @settings(max_examples=50, deadline=None)
@@ -275,48 +285,60 @@ def test_expansion_pole_names_the_entry():
 def test_sliced_rows_equal_a_fresh_build(system, extra):
     W, point, order = system
     built = order + extra
-    rows = _expansion_rows(W, point, built, EXACT)
-    fresh = _expansion_rows(W, point, order, EXACT)
-    built_scales = offset_scales(W, point, built)
-    fresh_scales = offset_scales(W, point, order)
-    sliced = _leading_rows(rows, W, built, order)
-    ncols = len(_relation_columns(W.n, order))
+    m_cap = built + 1  # room for one power more than either build has
+    rows, built_scales = _relation_rows(W, point, built, EXACT, m_cap)
+    fresh, fresh_scales = _relation_rows(W, point, order, EXACT, m_cap)
+    assert built_scales == offset_scales(W, point, built)
+    assert fresh_scales == offset_scales(W, point, order)
 
     def rational(rows, scales):
-        return [
-            [Fraction(v, scales[u // order] ** (u % order + 1)) for v in row]
-            for u, row in enumerate(dense_rows(rows, ncols))
-        ]
+        return {
+            key: {
+                u: Fraction(v, scales[u // m_cap] ** (m_cap - u % m_cap))
+                for u, v in row.items()
+            }
+            for key, row in rows.items()
+        }
 
     # denominators can grow with degree, so the lcm of a longer expansion may
-    # be larger: compare entries with each build's row scale undone
-    assert all(0 <= j < ncols for row in sliced for j in row)
-    assert rational(sliced, built_scales) == rational(fresh, fresh_scales)
+    # be larger: compare entries with each build's column scale undone
+    sliced = rows_by_key(W, rows, built, order)
+    expected = rows_by_key(W, fresh, order, order)
+    assert rational(sliced, built_scales) == rational(expected, fresh_scales)
     if built_scales == fresh_scales:
-        assert sliced == fresh
+        assert sliced == expected
+    # and a build from a later monomial on is the tail of the full one
+    first = len(_relation_columns(W.n, built - 1))
+    tail = _relation_rows(W, point, built, EXACT, m_cap, first)
+    assert tail == (rows[first:], built_scales)
 
 
 # --------------------------------------------------------------------------
 # rows from the generating integrals against the pulled-back trees
 
 def full_point_rows(W, point, order, mode):
-    """Reference: the relation rows from each pulled-back tree
-    WebEntry.integral, expanded at the full point on n-variable codes; in
-    float mode the expansion's offset goes through the fixed-point powers."""
-    column = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
+    """Reference: the relation system from each pulled-back tree, expanded
+    at the full point on n-variable codes, as (rows, scales) like
+    _relation_rows with m_cap = order; in float mode the expansion's offset
+    goes through the fixed-point powers."""
+    row_of = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
     codes = MonomialCodes(W.n, order)
-    rows, scales = [], []
-    for entry in W.entries:
+    rows = [{} for _ in row_of]
+    scales = [] if mode.is_exact else [None] * (W.size * order)
+    for i, entry in enumerate(W.entries):
         if mode.is_exact:
-            offset, scale = integer_offset(entry.integral, point, codes)
+            offset, scale = integer_offset(pullback(entry), point, codes)
+            scales.append(scale)
             powers = [(power, None) for power in codes.powers(offset, order)]
         else:
-            expansion = taylor(entry.integral, point, codes, mode)
-            powers, scale = fixed_powers(expansion, codes, mode.precision), 1
-        scales.append(scale)
-        for power, unit in powers:
-            row = {column[codes.decode(c)]: v for c, v in power.items()}
-            rows.append(row if unit is None else linalg.FixedRow(row, unit))
+            expansion = taylor(pullback(entry), point, codes, mode)
+            powers = fixed_powers(expansion, codes, mode.precision)
+        for m, (power, unit) in enumerate(powers, 1):
+            u = i * order + order - m
+            if unit is not None:
+                scales[u] = unit
+            for c, v in power.items():
+                rows[row_of[codes.decode(c)]][u] = v
     return rows, scales
 
 
@@ -344,11 +366,12 @@ def test_generator_rows_equal_pulled_back_rows(name, n, modes):
     point = generic_point_for_web(W, GenericPointSampler(seed=1), E.default_mode())
     order = E.k0 + 2
     for mode in modes:
-        rows = _expansion_rows(W, point, order, mode)
+        rows, scales = _relation_rows(W, point, order, mode, order)
         reference, reference_scales = full_point_rows(W, point, order, mode)
         if mode.is_exact:
             assert offset_scales(W, point, order) == reference_scales
-        assert rows == reference  # ints, or fixed-point ints and units
+        assert rows == reference
+        assert scales == reference_scales  # the L_i, or the unknowns' units
 
 
 # --------------------------------------------------------------------------
@@ -370,30 +393,26 @@ def test_relation_keys_are_degree_keys_by_descending_support():
                 assert sizes == sorted(sizes, reverse=True)
 
 
-def test_lower_order_keys_keep_their_order():
+def test_lower_order_keys_lead_the_next_order():
+    # so the order-M system is the leading rows of the order-(M + 1) build
     for n in range(1, 6):
         for order in range(1, 6):
             keys = _relation_columns(n, order)
-            for built in (order, order + 1, order + 2):
-                remap = _leading_columns(n, built, order)
-                built_keys = _relation_columns(n, built)
-                assert sorted(remap.values()) == list(range(len(keys)))
-                for j, k in remap.items():
-                    assert built_keys[j] == keys[k]
+            leading = _relation_columns(n, order + 1)[: len(keys)]
+            assert sorted(leading) == sorted(keys)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sampled_relation_systems())
 def test_support_order_keeps_the_rank(system):
     W, point, order = system
-    rows = _expansion_rows(W, point, order, EXACT)
-    column = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
-    by_degree = [column[key] for key in degree_ordered_keys(W.n, order)]
-    dense = dense_rows(rows, len(column))
-    degree_rows = [[row[j] for j in by_degree] for row in dense]
+    rows, _ = _relation_rows(W, point, order, EXACT, order)
+    row_of = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
+    degree_rows = [rows[row_of[key]] for key in degree_ordered_keys(W.n, order)]
+    unknowns = W.size * order
     assert (
-        linalg.exact_rank(*linalg.sparse_rows(degree_rows))[0]
-        == linalg.exact_rank(rows, len(column))[0]
+        linalg.exact_rank(degree_rows, unknowns)[0]
+        == linalg.exact_rank(rows, unknowns)[0]
     )
 
 
@@ -405,8 +424,8 @@ def separate_dims(W, point, orders):
     and its own elimination."""
     dims = {}
     for order in orders:
-        rows = _expansion_rows(W, point, order, EXACT)
-        rank, _ = linalg.exact_rank(rows, len(_relation_columns(W.n, order)))
+        rows, _ = _relation_rows(W, point, order, EXACT, order)
+        rank, _ = linalg.exact_rank(rows, W.size * order)
         dims[order] = W.size * order - rank
     return dims
 
@@ -449,6 +468,27 @@ def test_one_elimination_gives_the_first_two_dims_per_family(name):
         for m_start in (1, E.k0 + 1):
             dims = grown_dims(W, point, m_start, E.k0 + 2)
             assert dims == {m: separate[m] for m in range(m_start, E.k0 + 3)}
+
+
+@pytest.mark.parametrize("precision", [32, 128])
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_dims_equal_fresh_builds(n, precision):
+    # the first order ranked on the leading rows of the second's build, the
+    # higher ones built afresh, against a fresh build of each order, at
+    # the pipeline's start order and from order 1
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, n)
+    mode = Mode.floating(precision)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    separate = {}
+    for order in range(1, E.k0 + 4):
+        [(rank, _)], _ = linalg.ranks(
+            lambda m: [_relation_rows(W, point, order, m, order)], mode
+        )
+        separate[order] = W.size * order - rank
+    for m_start in (1, E.k0 + 1):
+        dims = grown_dims(W, point, m_start, E.k0 + 3, mode)
+        assert dims == {m: separate[m] for m in range(m_start, E.k0 + 4)}
 
 
 NON_HEXAGONAL = (
@@ -511,8 +551,8 @@ def linearization_bounds(W, point, top, mode):
         if mode.is_exact:
             rank, _ = linalg.exact_rank(*linalg.sparse_rows(matrix))
         else:
-            rows, ncols = linalg.sparse_rows(matrix, degree * unit)
-            rank, info = linalg.float_rank(rows, ncols, mode.precision)
+            rows, units = linalg.sparse_rows(matrix, degree * unit)
+            rank, info = linalg.float_rank(rows, units, mode.precision)
             assert not info["marginal"]
         total += W.size - rank
         bounds[degree] = total
@@ -553,37 +593,57 @@ def test_dims_meet_the_linearization_bound_up_to_k0(E, n, mode):
     assert all(dims[m] == bounds[m] for m in range(1, E.k0 + 1))
 
 
-@pytest.mark.parametrize("precision", [32, 64, 128])
-@pytest.mark.parametrize("n", [2, 3])
-def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
-    # the k0_4_exp systems verify-family ranks at its first two orders, in
-    # the relation column order (at 32 bits the n = 3 order-6 system is
-    # marginal): the fixed-point rows it ranks, the order-5 ones sliced out
-    # of the order-6 ones, against the mpf oracle on mpf systems built
-    # separately for each order.  The n = 4 systems (175x125 and 210x209)
-    # take the dense mpf oracle about 9 s per precision, so they are left
-    # out here; benchmarks/bench_kernels.py checks both at 32, 64 and 128 bits
-    E, _ = get_family("k0_4_exp")
+def assert_float_ranks_match_mpf_oracle(E, n, precision):
+    """The fixed-point systems rank_estimate ranks at its first two orders,
+    the order k0 + 1 one the leading rows of the order k0 + 2 build,
+    against the mpf oracle on mpf systems built separately for each order
+    in the row layout, one row per unknown."""
     W = assemble(E, n)
     mode = Mode.floating(precision)
     top = E.k0 + 2
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    top_rows = _expansion_rows(W, point, top, mode)
-    systems = {top - 1: _leading_rows(top_rows, W, top, top - 1), top: top_rows}
-    for order, rows in systems.items():
+    rows, units = _relation_rows(W, point, top, mode, top)
+    below = len(_relation_columns(n, top - 1))
+    for order, system in ((top - 1, rows[:below]), (top, rows)):
+        rank, info = linalg.float_rank(system, units, precision)
         ncols = len(_relation_columns(n, order))
-        rank, info = linalg.float_rank(rows, ncols, precision)
         oracle_rows = mpf_relation_rows(W, point, order, mode)
         expected = oracle_float_rank(dense_rows(oracle_rows, ncols), precision)
         assert (rank, info["marginal"]) == expected
 
 
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
+    # the k0_4_exp systems verify-family ranks (at 32 bits the n = 3
+    # order-6 system is marginal).  The n = 4 systems (125 and 209 monomial
+    # rows) take the dense mpf oracle about 9 s per precision, so they are
+    # left out here; benchmarks/bench_kernels.py checks both at 32, 64 and
+    # 128 bits
+    assert_float_ranks_match_mpf_oracle(get_family("k0_4_exp")[0], n, precision)
+
+
+LOG_DOMAIN = NON_HEXAGONAL.parent / "log_domain_k0_2.json"
+
+
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_rank_of_log_relation_systems_matches_mpf_oracle(n, precision):
+    E = balanced_set_from_json(json.loads(LOG_DOMAIN.read_text()))
+    assert_float_ranks_match_mpf_oracle(E, n, precision)
+
+
 def assert_sliced_float_rows_equal_a_fresh_build(W, point, order, built, mode):
-    rows = _expansion_rows(W, point, built, mode)
-    fresh = _expansion_rows(W, point, order, mode)
-    assert all(type(row) is linalg.FixedRow for row in rows + fresh)
-    # FixedRow equality compares the units as well as the ints
-    assert _leading_rows(rows, W, built, order) == fresh
+    # int for int and unit for unit, monomial by monomial; both builds
+    # number the unknowns with room for `built` powers
+    rows, units = _relation_rows(W, point, built, mode, built)
+    fresh, fresh_units = _relation_rows(W, point, order, mode, built)
+    assert all(type(v) is int for row in rows + fresh for v in row.values())
+    assert rows_by_key(W, rows, built, order) == rows_by_key(W, fresh, order, order)
+    powers = [built - u % built for u in range(W.size * built)]
+    assert [u for u, m in zip(units, powers) if m <= order] == [
+        u for u, m in zip(fresh_units, powers) if m <= order
+    ]
 
 
 @pytest.mark.parametrize("precision", [32, 64, 128])

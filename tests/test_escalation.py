@@ -30,7 +30,7 @@ def always_marginal(monkeypatch):
     returns the list of precisions it was called at."""
     precisions = []
 
-    def marginal(rows, ncols, precision):
+    def marginal(rows, units, precision):
         precisions.append(precision)
         return 0, {"marginal": True, "certificate": {}}
 

@@ -33,6 +33,7 @@ from helpers import (
     cofactor_det,
     integer_rows,
     oracle_float_rank,
+    pullback,
     rational_jet_matrix,
     rational_rank,
     reparametrize_entry,
@@ -202,7 +203,7 @@ def test_column_scaling_under_reparametrization():
     point = GenericPointSampler(seed=7).point(3)
     index = 4
     reparametrized = reparametrize_entry(W, index)
-    u_value = evaluate(W.entries[index].integral, point)
+    u_value = evaluate(pullback(W.entries[index]), point)
     scale = 3 * u_value**2 + 1
     for h in (1, 2, 3):
         original = rational_jet_matrix(W, h, point)
@@ -359,18 +360,19 @@ def defined_points(integrals, n, mode, count, seed=0):
 @pytest.mark.parametrize("precision", [32, 64, 128])
 @pytest.mark.parametrize("name", sorted(FLOAT_SETS))
 def test_float_jet_matrices_on_ints_rank_as_mpf_jet_coefficients(name, precision):
-    # the direct check's matrices, degree-h rows of the int gradients as
-    # FixedRows, against the mpf kernel on the jet_coefficient matrix of
-    # the mpf partials at the same precision
+    # the direct check's matrices, degree-h rows of the int gradients at h
+    # times the gradients' unit in every column, against the mpf kernel on
+    # the jet_coefficient matrix of the mpf partials at the same precision
     E = FLOAT_SETS[name]()
     mode = Mode.floating(precision)
     for n in range(2, 6):
         W = assemble(E, n)
-        integrals = [entry.integral for entry in W.entries]
+        integrals = [pullback(entry) for entry in W.entries]
         for point, oracle in defined_points(integrals, n, mode, 2):
             systems = _jet_systems(W, point, E.k0, mode)
-            for h, (rows, ncols) in enumerate(systems, 1):
-                rank, info = float_rank(rows, ncols, precision)
+            for h, (rows, units) in enumerate(systems, 1):
+                assert units == [units[0]] * W.size
+                rank, info = float_rank(rows, units, precision)
                 expected = mpf_jet_matrix(oracle, degree_multi_indices(n, h), mode)
                 assert_ranked_as_the_oracle(
                     rank, info, expected, precision, (n, point, h)
@@ -386,7 +388,8 @@ def test_float_square_blocks_on_ints_rank_as_mpf_jet_coefficients(name, precisio
     mode = Mode.floating(precision)
     for web in E.webs:
         for point, oracle in defined_points(web.integrals, web.k, mode, 4):
-            block = square_block(web, E.k0, point, mode)
-            rank, info = float_rank(block, len(web.integrals), precision)
+            block, units = square_block(web, E.k0, point, mode)
+            assert units == [units[0]] * len(web.integrals)
+            rank, info = float_rank(block, units, precision)
             expected = mpf_jet_matrix(oracle, positive_vectors(web.k, E.k0), mode)
             assert_ranked_as_the_oracle(rank, info, expected, precision, (web.k, point))

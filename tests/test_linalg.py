@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     cofactor_det,
     dense_rank_fixed_rows,
-    fixed_row,
+    fixed_columns,
     fixed_rows,
     integer_rows,
     mpf_fixed_point_rows,
@@ -285,10 +285,10 @@ def test_exact_rank_of_dicts_in_any_key_order_matches_dense(rows, data):
 def test_float_rank_of_dicts_in_any_key_order_matches_dense(data):
     precision = data.draw(precisions)
     rows = to_mpf_rows(data.draw(low_rank_products()), precision)
-    sparse = [fixed_row(row, precision) for row in shuffled_dicts(data.draw, rows)]
-    before = [dict(row) for row in sparse]
     ncols = len(rows[0])
-    assert linalg.float_rank(sparse, ncols, precision) == linalg.float_rank(
+    sparse, units = fixed_columns(shuffled_dicts(data.draw, rows), ncols, precision)
+    before = [dict(row) for row in sparse]
+    assert linalg.float_rank(sparse, units, precision) == linalg.float_rank(
         *fixed_rows(rows, precision), precision
     )
     assert [list(row.items()) for row in sparse] == [
@@ -664,7 +664,7 @@ def mpf_matrices_with_underflow(draw, precision):
 )
 def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
     rows, precision = case
-    fixed, unit = linalg._fixed_point_rows(fixed_rows(rows, precision)[0], precision)
+    fixed, unit = linalg._fixed_point_rows(*fixed_rows(rows, precision), precision)
     with mpmath.workprec(precision):
         dense = [[int(mpmath.ldexp(mpmath.mpf(v), -unit)) for v in row] for row in rows]
     assert fixed == sparse_rows(dense)
@@ -678,7 +678,7 @@ def test_fixed_point_rows_and_sparse_rank_match_dense_conversion(case):
 def test_fixed_point_rows_drop_entries_below_the_unit():
     with mpmath.workprec(128):
         rows = [[mpmath.mpf(1), mpmath.ldexp(1, -300)], [mpmath.mpf(0), mpmath.mpf(-1)]]
-    assert linalg._fixed_point_rows(fixed_rows(rows, 128)[0], 128) == (
+    assert linalg._fixed_point_rows(*fixed_rows(rows, 128), 128) == (
         [{0: 2**191}, {1: -(2**191)}],
         -191,
     )
@@ -712,15 +712,19 @@ def wide_mpf_rows(draw, precision):
     return rows
 
 
+def column_count(rows: list[dict]) -> int:
+    return max((j + 1 for row in rows for j in row), default=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(precisions.flatmap(lambda p: st.tuples(wide_mpf_rows(p), st.just(p))))
 def test_converted_mpf_rows_align_as_the_one_pass_conversion(case):
-    # the tests' fixed_row then the aligner give the ints and unit of the
-    # one-pass conversion _fixed_point_rows made before rows carried their
-    # own units
+    # the tests' fixed_columns then the aligner give the ints and unit of
+    # the one-pass conversion _fixed_point_rows made before its entries
+    # carried their own units
     rows, precision = case
-    fixed = [fixed_row(row, precision) for row in rows]
-    assert linalg._fixed_point_rows(fixed, precision) == mpf_fixed_point_rows(
+    fixed, units = fixed_columns(rows, column_count(rows), precision)
+    assert linalg._fixed_point_rows(fixed, units, precision) == mpf_fixed_point_rows(
         rows, precision
     )
 
@@ -729,19 +733,20 @@ def test_converted_mpf_rows_align_as_the_one_pass_conversion(case):
 @given(precisions.flatmap(lambda p: st.tuples(wide_mpf_rows(p), st.just(p))))
 def test_fixed_row_holds_the_rounded_entries_exactly(case):
     rows, precision = case
-    for row in rows:
-        fixed = fixed_row(row, precision)
+    fixed, units = fixed_columns(rows, column_count(rows), precision)
+    for row, ints in zip(rows, fixed):
         with mpmath.workprec(precision):
             rounded = {j: mpmath.mpf(v) for j, v in row.items() if v}
         assert {j: v for j, v in rounded.items() if v} == {
-            j: mpmath.ldexp(v, fixed.unit) for j, v in fixed.items()
+            j: mpmath.ldexp(v, units[j]) for j, v in ints.items()
         }
-        assert all(type(v) is int and v for v in fixed.values())
+        assert all(type(v) is int and v for v in ints.values())
 
 
 @st.composite
 def fixed_row_matrices(draw):
-    """FixedRows with ints of up to 300 bits at units far apart."""
+    """Int rows with ints of up to 300 bits on six columns, at column units
+    far apart."""
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
         entries = draw(
@@ -751,15 +756,17 @@ def fixed_row_matrices(draw):
                 max_size=6,
             )
         )
-        rows.append(linalg.FixedRow(entries, draw(st.integers(-600, 300))))
-    return rows
+        rows.append(entries)
+    units = draw(st.lists(st.integers(-600, 300), min_size=6, max_size=6))
+    return rows, units
 
 
 @settings(max_examples=200, deadline=None)
 @given(fixed_row_matrices(), precisions)
-def test_fixed_rows_are_aligned_to_the_matrix_unit(rows, precision):
-    fixed, unit = linalg._fixed_point_rows(rows, precision)
-    tops = [r.unit + max(map(abs, r.values())).bit_length() for r in rows if r]
+def test_fixed_rows_are_aligned_to_the_matrix_unit(matrix, precision):
+    rows, units = matrix
+    fixed, unit = linalg._fixed_point_rows(rows, units, precision)
+    tops = [units[j] + abs(v).bit_length() for r in rows for j, v in r.items()]
     if not tops:
         assert (fixed, unit) == ([{} for _ in rows], 0)
         return
@@ -767,17 +774,11 @@ def test_fixed_rows_are_aligned_to_the_matrix_unit(rows, precision):
     for row, aligned in zip(rows, fixed):
         expected = {}
         for j, v in row.items():
-            exact = Fraction(v) * Fraction(2) ** (row.unit - unit)
+            exact = Fraction(v) * Fraction(2) ** (units[j] - unit)
             truncated = math.trunc(exact)  # toward zero
             if truncated:
                 expected[j] = truncated
         assert aligned == expected
-
-
-def test_fixed_rows_compare_their_units():
-    assert linalg.FixedRow({0: 3}, -2) == linalg.FixedRow({0: 3}, -2)
-    assert linalg.FixedRow({0: 3}, -2) != linalg.FixedRow({0: 3}, -1)
-    assert linalg.FixedRow({0: 3}, 0) != {0: 3}
 
 
 def test_integer_rows_clears_denominators():
