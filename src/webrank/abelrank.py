@@ -75,6 +75,23 @@ int and unit for unit, up to the order of the rows and the empty columns of
 the powers m_start + 1.  Neither changes a rank, and complete pivoting picks
 the same pivots in any row or column order except at exact ties of
 magnitude.
+
+The system is block lower-triangular by degree: on the power-D unknowns the
+degree-D monomial rows hold the degree-D jet matrix J_D of the entries'
+gradients (times a multinomial coefficient per row), and every row of
+lower degree is zero there.  So the order-M dim is at most
+sum_{D <= M} (d - rank J_D), and the degree-(M + 1) rows add at least
+rank J_(M + 1) pivots to the order-M rank.  For a calibrated web,
+d = monomial_count(n, k0), at a point where the d x d matrix J_k0 is
+invertible, J_D has full row rank for D <= k0 and rank d for D >= k0
+(ordinary.top_jet_rank).  Then for M >= k0 the bound is
+combin.max_rank_bound(n, d) = pi, and the dim at order M + 1 is at most
+the dim at order M.  Hence, for m_start >= k0, an order-(m_start + 1) dim
+of pi makes the order-m_start dim pi as well.  _float_dims ranks order
+m_start + 1 first, then J_k0 when that order reads pi, and ranks order
+m_start only when either fails (or the first ranking is marginal).  Exact
+mode has no use for this: its order-m_start dim is the first batch of the
+echelon that order m_start + 1 extends.
 """
 
 from __future__ import annotations
@@ -83,9 +100,17 @@ import math
 from functools import lru_cache
 
 from . import linalg
-from .combin import calibrated_max_rank, exact_support_dims, support_dims
+from .combin import (
+    calibrated_max_rank,
+    calibration_order,
+    exact_support_dims,
+    max_rank_bound,
+    monomial_count,
+    support_dims,
+)
 from .expr import EvalError
 from .jets import degree_multi_indices
+from .ordinary import top_jet_rank
 from .report import (
     INCONCLUSIVE,
     VerificationReport,
@@ -254,6 +279,18 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     The order-(m_start + 1) rows are built once per precision: their
     monomial rows of degree <= m_start are the order-m_start system, and
     all of them the next.  Higher orders are built afresh.
+
+    For a calibrated web with m_start >= k0 the order-(m_start + 1) system
+    is ranked first, at `mode` alone.  If its dim is the bound
+    pi = max_rank_bound(n, d) and J_k0 is invertible at the point
+    (ordinary.top_jet_rank, which escalates from `mode`), both orders yield
+    pi in `mode` and the order-m_start system is never ranked (see the
+    module docstring).  If its dim is another value, or J_k0 is singular
+    or stays marginal, order m_start is ranked from `mode` as for any
+    other web, and order m_start + 1 keeps its rank.  If its pivots are
+    marginal at `mode`, the two orders are ranked in turn from the next
+    precision (from `mode` at ESCALATION_LIMIT), so an estimate whose
+    pivots stay marginal climbs one ladder of precisions, not two.
     """
     top = m_start + 1
     below = len(_relation_columns(W.n, m_start))
@@ -269,15 +306,39 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
         rows, units = tops[current]
         return rows[:below], units
 
-    for order in range(m_start, m_cap + 1):
-        outcome = linalg.ranks(lambda current: [system(order, current)], mode)
+    def ranked(order: int, start: Mode):
+        outcome = linalg.ranks(lambda current: [system(order, current)], start)
         if outcome is None:
             raise EstimateInconclusive(
                 f"marginal pivots persist at order {order} up to "
                 f"{ESCALATION_LIMIT}-bit precision"
             )
         [(rank, _)], used = outcome
-        yield order, W.size * order - rank, used
+        return order, W.size * order - rank, used
+
+    k0 = calibration_order(W.n, W.size) if W.size >= W.n >= 2 else None
+    if k0 is None or m_start < k0 or monomial_count(W.n, k0) != W.size:
+        orders = range(m_start, m_cap + 1)  # no calibrated web or m_start < k0
+    else:
+        rows, units = tops[mode] = _relation_rows(W, point, top, mode, top)
+        rank, info = linalg.float_rank(rows, units, mode.precision)
+        if info["marginal"]:
+            start = mode.escalate() if mode.precision < ESCALATION_LIMIT else mode
+            yield ranked(m_start, start)
+            yield ranked(top, start)
+        else:
+            dim = W.size * top - rank
+            jets = dim == max_rank_bound(W.n, W.size) and top_jet_rank(
+                W, point, k0, mode
+            )
+            if jets and jets[0] == W.size:  # J_k0 invertible, not marginal
+                yield m_start, dim, mode
+            else:
+                yield ranked(m_start, mode)
+            yield top, dim, mode
+        orders = range(top + 1, m_cap + 1)
+    for order in orders:
+        yield ranked(order, mode)
 
 
 def rank_estimate(
@@ -290,8 +351,11 @@ def rank_estimate(
     (value None) and the dims trace is still returned for audit.
     Stabilizing takes two orders, so m_cap must exceed m_start.  Exact mode
     grows one echelon per point (_exact_dims), float mode ranks each order
-    on its own (_float_dims); either builds an order only when the orders
-    below it have not stabilized.
+    on its own (_float_dims), except that for a calibrated web with
+    m_start >= k0, an order-(m_start + 1) dim at the bound with J_k0
+    invertible gives the order-m_start dim without ranking it (see the
+    module docstring).  Either builds an order only when the orders below
+    it have not stabilized.
     """
     if m_start < 1 or m_cap <= m_start:
         raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")

@@ -16,14 +16,16 @@ Walther, Evaluating Derivatives, 2008).  Its coefficients are Fractions in
 exact mode and mpf at the mode's precision in float mode.  An
 integer_taylor series holds int numerators over one positive denominator,
 kept in lowest terms after every operation, so it needs no Fraction
-arithmetic.  In float mode mpmath ends with the series: mpf_ints holds
-mpf coefficients exactly as ints over one power of two, fixed_powers takes
-the powers of an mpf offset on ints in fixed point, and series_gradient
-returns a float gradient as ints.  Expanding a generating integral at its
-projected point gives everything the certificates need there: the relation
-rows (to the truncation order), and the gradient and the domain check
-(series_gradient, the order-1 expansion, which raises wherever the
-integral is undefined).
+arithmetic; it divides by a series one degree at a time (_int_divide),
+where taylor multiplies by the inverse series, whose float rounding the
+float reports keep.  In float mode mpmath ends with the series: mpf_ints
+holds mpf coefficients exactly as ints over one power of two, fixed_powers
+takes the powers of an mpf offset on ints in fixed point, and
+series_gradient returns a float gradient as ints.  Expanding a generating
+integral at its projected point gives everything the certificates need
+there: the relation rows (to the truncation order), and the gradient and
+the domain check (series_gradient, the order-1 expansion, which raises
+wherever the integral is undefined).
 """
 
 from __future__ import annotations
@@ -367,20 +369,17 @@ def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes):
             terms, den = _lowest_terms(codes.mul(terms, f_terms), den * f_den)
         return terms, den
     if isinstance(e, Quotient):
-        num_terms, num_den = _int_taylor(e.numerator, point, codes)
-        inv_terms, inv_den = _int_inverse(
-            *_int_taylor(e.denominator, point, codes), codes
+        return _int_divide(
+            *_int_taylor(e.numerator, point, codes),
+            *_int_taylor(e.denominator, point, codes),
+            codes,
         )
-        return _lowest_terms(codes.mul(num_terms, inv_terms), num_den * inv_den)
     if isinstance(e, Neg):
         terms, den = _int_taylor(e.child, point, codes)
         return {code: -v for code, v in terms.items()}, den
     if isinstance(e, IntPower):
         terms, den = _int_taylor(e.base, point, codes)
-        exponent = e.exponent
-        if exponent < 0:
-            terms, den = _int_inverse(terms, den, codes)
-            exponent = -exponent
+        exponent = abs(e.exponent)
         result, result_den = {0: 1}, 1
         while exponent:
             if exponent & 1:
@@ -390,34 +389,53 @@ def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes):
             exponent >>= 1
             if exponent:
                 terms, den = _lowest_terms(codes.mul(terms, terms), den * den)
+        if e.exponent < 0:
+            return _int_divide({0: 1}, 1, result, result_den, codes)
         return result, result_den
     if isinstance(e, (Exp, Log)):
         raise EvalError("exact mode cannot expand exp/log nodes")
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _int_inverse(terms: dict[int, int], den: int, codes: MonomialCodes):
-    """1/((a0 + T)/den) = den * sum_m (-T)^m a0^(cap-m) / a0^(cap+1)."""
+def _int_divide(
+    num: dict[int, int],
+    num_den: int,
+    terms: dict[int, int],
+    den: int,
+    codes: MonomialCodes,
+) -> tuple[dict[int, int], int]:
+    """(num / num_den) / (terms / den), truncated at the cap, in lowest terms.
+
+    With a0 the constant term of `terms` and T_j, N_D the homogeneous parts
+    of its tail and of num, the quotient of num by terms has the degree-D
+    part q_D / a0^(D+1), where
+    q_D = a0^D N_D - sum_{j>=1} a0^(j-1) T_j q_(D-j) (series division,
+    one degree at a time, on ints).  Each q_D is multiplied by the tail
+    once, and the result is den * sum_D a0^(cap-D) q_D over
+    num_den * a0^(cap+1).
+    """
     a0 = terms.get(0, 0)
     if a0 == 0:
         raise EvalError("expansion point is singular (zero constant term)")
     cap = codes.cap
-    negated_tail = {code: -v for code, v in terms.items() if code}
-    total = {0: a0**cap}
-    power = {0: 1}
-    for m in range(1, cap + 1):
-        power = codes.mul(power, negated_tail)
-        if not power:
-            break
-        weight = a0 ** (cap - m)
-        for code, v in power.items():
-            total[code] = total.get(code, 0) + v * weight
-    out_den = a0 ** (cap + 1)
+    step = codes.base**codes.n  # a code of degree D lies in [D*step, (D+1)*step)
+    tail = {code: v * a0 ** (code // step - 1) for code, v in terms.items() if code}
+    pending: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+    for code, v in num.items():
+        pending[code // step][code] = v * a0 ** (code // step)
+    out_den = num_den * a0 ** (cap + 1)
     if out_den < 0:  # a0 < 0 with cap + 1 odd: carry the sign into the numerators
         out_den, den = -out_den, -den
-    return _lowest_terms(
-        {code: v * den for code, v in total.items() if v}, out_den
-    )
+    out: dict[int, int] = {}
+    for degree, q in enumerate(pending):
+        q = {code: v for code, v in q.items() if v}
+        for code, v in codes.mul(tail, q).items():
+            later = pending[code // step]
+            later[code] = later.get(code, 0) - v
+        weight = den * a0 ** (cap - degree)
+        for code, v in q.items():
+            out[code] = v * weight
+    return _lowest_terms(out, out_den)
 
 
 # ---------------------------------------------------------------------------

@@ -433,7 +433,8 @@ def separate_dims(W, point, orders):
 def grown_dims(W, point, m_start, m_cap, mode=EXACT):
     """The dims rank_estimate reads at every order m_start..m_cap, pulled
     past any stabilization: one growing echelon in exact mode, one float
-    elimination per order otherwise."""
+    elimination per order otherwise (none for m_start when J_k0 and order
+    m_start + 1 decide it)."""
     dims_of = abelrank._exact_dims if mode.is_exact else abelrank._float_dims
     return {order: dim for order, dim, _ in dims_of(W, point, m_start, m_cap, mode)}
 
@@ -593,6 +594,159 @@ def test_dims_meet_the_linearization_bound_up_to_k0(E, n, mode):
     assert all(dims[m] == bounds[m] for m in range(1, E.k0 + 1))
 
 
+# --------------------------------------------------------------------------
+# the float estimate's first two orders from J_k0 and order m_start + 1
+
+LOG_DOMAIN = NON_HEXAGONAL.parent / "log_domain_k0_2.json"
+DEPENDENT_GRADIENTS = NON_HEXAGONAL.parent / "dependent_gradients_k0_4.json"
+DEPENDENT_GRADIENTS_FLOAT = NON_HEXAGONAL.parent / "dependent_gradients_float_k0_4.json"
+
+
+def web_definition(path):
+    return balanced_set_from_json(json.loads(path.read_text()))
+
+
+def fresh_dims(W, point, orders, mode):
+    """Oracle: the kernel dimension of each order from its own build,
+    ranked alone (separate_dims in exact mode, linalg.ranks from `mode` in
+    float mode)."""
+    if mode.is_exact:
+        return separate_dims(W, point, orders)
+    dims = {}
+    for order in orders:
+        [(rank, _)], _ = linalg.ranks(
+            lambda m: [_relation_rows(W, point, order, m, order)], mode
+        )
+        dims[order] = W.size * order - rank
+    return dims
+
+
+def relation_dims_cases():
+    """(label, web definition, n, mode): every catalog family at n = 2..k0
+    in its own mode, k0_4_exp also at 32 and 64 bits, and the log,
+    dependent-gradients, non-hexagonal and k0=5 (n <= 4) fixtures."""
+    cases = []
+    for name in family_names():
+        E = get_family(name)[0]
+        cases += [(name, E, n, E.default_mode()) for n in range(2, E.k0 + 1)]
+    exp = get_family("k0_4_exp")[0]
+    cases += [
+        (f"k0_4_exp-{bits}", exp, n, Mode.floating(bits))
+        for bits in (32, 64)
+        for n in (2, 3, 4)
+    ]
+    fixtures = [
+        LOG_DOMAIN,
+        DEPENDENT_GRADIENTS,
+        DEPENDENT_GRADIENTS_FLOAT,
+        NON_HEXAGONAL,
+        K0_5_WB_EXTENSION,
+    ]
+    for path in fixtures:
+        E = web_definition(path)
+        cases += [
+            (path.stem, E, n, E.default_mode()) for n in range(2, min(E.k0, 4) + 1)
+        ]
+    return [pytest.param(E, n, mode, id=f"{label}-{n}") for label, E, n, mode in cases]
+
+
+@pytest.mark.parametrize("E,n,mode", relation_dims_cases())
+def test_rank_estimate_dims_equal_each_order_ranked_alone(E, n, mode):
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
+    assert estimate.value is not None
+    assert estimate.dims == fresh_dims(W, point, estimate.dims, mode)
+
+
+def float_rank_spy(monkeypatch):
+    """Record (rows, precision) of every float_rank call and every
+    top_jet_rank answer abelrank reads."""
+    calls = {"float_rank": [], "top_jet_rank": []}
+    float_rank = linalg.float_rank
+    top_jet_rank = abelrank.top_jet_rank
+
+    def spy_rank(rows, units, precision):
+        calls["float_rank"].append((len(rows), precision))
+        return float_rank(rows, units, precision)
+
+    def spy_top(*args):
+        outcome = top_jet_rank(*args)
+        calls["top_jet_rank"].append(None if outcome is None else outcome[0])
+        return outcome
+
+    monkeypatch.setattr(linalg, "float_rank", spy_rank)
+    monkeypatch.setattr(abelrank, "top_jet_rank", spy_top)
+    return calls
+
+
+def estimate_with_spy(monkeypatch, E, n, mode, seed=0):
+    """rank_estimate from k0 + 1 at a sampled point, with its calls, the
+    number of order-(k0 + 1) rows and the estimate."""
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=seed), mode)
+    calls = float_rank_spy(monkeypatch)
+    estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
+    monkeypatch.undo()
+    assert estimate.dims == fresh_dims(W, point, estimate.dims, mode)
+    return calls, len(_relation_columns(n, E.k0 + 1)), estimate
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_invertible_top_jet_matrix_skips_the_start_order(monkeypatch, n):
+    # order k0 + 2 reads the bound and J_k0 is invertible: order k0 + 1
+    # takes the bound without being ranked
+    E, _ = get_family("k0_4_exp")
+    mode = E.default_mode()
+    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
+    d = assemble(E, n).size
+    assert calls["top_jet_rank"] == [d]
+    assert start_rows not in [rows for rows, _ in calls["float_rank"]]
+    bound = max_rank_bound(n, d)
+    assert estimate.dims == {E.k0 + 1: bound, E.k0 + 2: bound}
+    assert estimate.method == "float128"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_singular_top_jet_matrix_ranks_the_start_order(monkeypatch, n):
+    # the float dependent-gradients fixture: order k0 + 2 reads the bound,
+    # but J_4 is singular, so order k0 + 1 is ranked on its own
+    E = web_definition(DEPENDENT_GRADIENTS_FLOAT)
+    mode = E.default_mode()
+    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
+    d = assemble(E, n).size
+    assert estimate.dims[E.k0 + 2] == max_rank_bound(n, d)
+    assert len(calls["top_jet_rank"]) == 1 and calls["top_jet_rank"][0] < d
+    assert (start_rows, 128) in calls["float_rank"]
+
+
+def test_dims_off_the_bound_rank_the_start_order(monkeypatch):
+    # the non-hexagonal web in float mode: order k0 + 2 reads 0, not the
+    # bound 1, so J_k0 is not ranked and order k0 + 1 is
+    E = web_definition(NON_HEXAGONAL)
+    mode = Mode.floating(128)
+    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, 2, mode)
+    assert estimate.dims == {3: 0, 4: 0}
+    assert calls["top_jet_rank"] == []
+    assert [rows for rows, _ in calls["float_rank"]] == [
+        len(_relation_columns(2, 4)),
+        start_rows,
+    ]
+
+
+def test_marginal_start_ranks_both_orders_a_precision_up(monkeypatch):
+    # k0_4_exp at n = 3 and 32 bits: the order-6 system is marginal at 32
+    # bits, so orders 5 and 6 are ranked in turn from 64 bits, and J_4 is
+    # never ranked
+    E, _ = get_family("k0_4_exp")
+    mode = Mode.floating(32)
+    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, 3, mode)
+    top_rows = len(_relation_columns(3, E.k0 + 2))
+    assert calls["float_rank"] == [(top_rows, 32), (start_rows, 64), (top_rows, 64)]
+    assert calls["top_jet_rank"] == []
+    assert estimate.dims == {5: 26, 6: 26} and estimate.method == "float64"
+
+
 def assert_float_ranks_match_mpf_oracle(E, n, precision):
     """The fixed-point systems rank_estimate ranks at its first two orders,
     the order k0 + 1 one the leading rows of the order k0 + 2 build,
@@ -621,9 +775,6 @@ def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
     # left out here; benchmarks/bench_kernels.py checks both at 32, 64 and
     # 128 bits
     assert_float_ranks_match_mpf_oracle(get_family("k0_4_exp")[0], n, precision)
-
-
-LOG_DOMAIN = NON_HEXAGONAL.parent / "log_domain_k0_2.json"
 
 
 @pytest.mark.parametrize("precision", [32, 64, 128])

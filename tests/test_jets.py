@@ -18,6 +18,7 @@ from webrank.jets import (
     square_block,
     support,
 )
+from webrank import linalg, ordinary
 from webrank.linalg import (
     exact_det,
     exact_rank,
@@ -303,6 +304,118 @@ def test_exact_ranks_at_point_match_rational_jet_matrices(family):
     ranks, _ = _ranks_at_point(W, point, EXACT, E.k0)
     for h in range(1, E.k0 + 1):
         assert ranks[h] == rational_rank(rational_jet_matrix(W, h, point))
+
+
+# --------------------------------------------------------------------------
+# one invertible J_k0 decides the ranks of every other order
+
+@st.composite
+def calibrated_gradients(draw):
+    """(n, k0, gradients): monomial_count(n, k0) random int gradients, so
+    that J_k0 is square."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    k0 = draw(st.integers(min_value=1, max_value=5 - n))
+    entry = st.integers(min_value=-3, max_value=3)
+    gradients = draw(
+        st.lists(
+            st.lists(entry, min_size=n, max_size=n),
+            min_size=monomial_count(n, k0),
+            max_size=monomial_count(n, k0),
+        )
+    )
+    return n, k0, gradients
+
+
+@settings(max_examples=100, deadline=None)
+@given(calibrated_gradients())
+def test_an_invertible_top_jet_matrix_gives_every_rank(case):
+    # full row rank below k0, full column rank above it
+    n, k0, gradients = case
+    d = len(gradients)
+    matrices = jet_matrix_from_gradients(n, k0 + 2, gradients)
+    ranks = [exact_rank(*sparse_rows(matrix))[0] for matrix in matrices]
+    if ranks[k0 - 1] == d:
+        assert ranks[: k0 - 1] == [monomial_count(n, h) for h in range(1, k0)]
+        assert ranks[k0:] == [d, d]
+
+
+def jet_ranks_one_by_one(W, point, k0, mode):
+    """Oracle: ({h: rank}, mode used) with every jet matrix of order 1..k0
+    ranked, all at one precision."""
+    outcome = linalg.ranks(lambda m: _jet_systems(W, point, k0, m), mode)
+    if outcome is None:
+        return None
+    results, used = outcome
+    return {h: rank for h, (rank, _) in enumerate(results, 1)}, used
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_ranks_at_point_equal_every_jet_matrix_ranked(family):
+    E, _ = get_family(family)
+    mode = E.default_mode()
+    for n in range(2, E.k0 + 2):
+        W = assemble(E, n)
+        for point in list(GenericPointSampler(seed=1).points(n))[:2]:
+            try:
+                expected = jet_ranks_one_by_one(W, point, E.k0, mode)
+            except EvalError:
+                continue
+            assert _ranks_at_point(W, point, mode, E.k0) == expected, (n, point)
+
+
+@pytest.mark.parametrize("precision", [32, 128])
+def test_singular_top_jet_matrix_ranks_the_lower_orders(monkeypatch, precision):
+    # the float dependent-gradients fixture at n = 4: J_4 has rank 31 of
+    # 35, so the lower orders are ranked, each once, on the gradients J_4
+    # was ranked on
+    E = load_balanced_set(BENCHMARKS / "dependent_gradients_float_k0_4.json")
+    W = assemble(E, 4)
+    mode = Mode.floating(precision)
+    point = next(iter(GenericPointSampler(seed=0).points(4)))
+    shapes = []
+    original = linalg.float_rank
+
+    def spy(rows, units, bits):
+        shapes.append((len(rows), bits))
+        return original(rows, units, bits)
+
+    gradients = []
+    web_gradients = ordinary.web_gradients
+    monkeypatch.setattr(linalg, "float_rank", spy)
+    monkeypatch.setattr(
+        ordinary,
+        "web_gradients",
+        lambda *args: gradients.append(args[2]) or web_gradients(*args),
+    )
+    ranks, used = _ranks_at_point(W, point, mode, E.k0)
+    monkeypatch.undo()
+    assert gradients == [Mode.floating(bits) for rows, bits in shapes[:-3]]
+    assert ranks[E.k0] == 31
+    assert (ranks, used) == jet_ranks_one_by_one(W, point, E.k0, mode)
+    # J_4's ladder of precisions (32 bits escalate once), then the lower
+    # orders at the precision it ended at
+    bits = used.precision
+    assert shapes[-3:] == [(4, bits), (10, bits), (20, bits)]
+    assert [rows for rows, _ in shapes[:-3]] == [35] * (len(shapes) - 3)
+    assert shapes[-4] == (35, bits)
+
+
+def test_invertible_top_jet_matrix_is_the_only_one_ranked(monkeypatch):
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, 3)
+    mode = E.default_mode()
+    point = next(iter(GenericPointSampler(seed=0).points(3)))
+    calls = []
+    original = linalg.float_rank
+
+    def spy(rows, units, bits):
+        calls.append(len(rows))
+        return original(rows, units, bits)
+
+    monkeypatch.setattr(linalg, "float_rank", spy)
+    ranks, used = _ranks_at_point(W, point, mode, E.k0)
+    assert calls == [15]
+    assert ranks == {1: 3, 2: 6, 3: 10, 4: 15} and used == mode
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webrank.catalog import family_names, get_family
 from webrank.expr import (
@@ -22,6 +24,7 @@ from webrank.jets import degree_multi_indices
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import (
     MonomialCodes,
+    _int_divide,
     _zero_test_points,
     fixed_powers,
     integer_taylor,
@@ -370,6 +373,58 @@ def test_integer_taylor_negative_powers_and_nested_quotients(text, arity, point)
     tree = parse(text, arity)
     for cap in range(0, 6):
         assert_integer_taylor_matches(tree, point, cap)
+
+
+@st.composite
+def rational_series_quotients(draw):
+    """(codes, numerator, denominator): two series of Fraction coefficients
+    on MonomialCodes(n, cap) by monomial key, the denominator's constant
+    term nonzero."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    cap = draw(st.integers(min_value=0, max_value=5))
+    keys = keys_up_to(n, cap)
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    numerator = draw(st.dictionaries(st.sampled_from(keys), coefficient, max_size=8))
+    denominator = draw(st.dictionaries(st.sampled_from(keys), coefficient, max_size=8))
+    denominator[(0,) * n] = draw(coefficient.filter(bool))
+    return MonomialCodes(n, cap), numerator, denominator
+
+
+def fraction_quotient(numerator, denominator, keys):
+    """Oracle: Q with Q * denominator = numerator up to the cap, solved on
+    Fraction coefficients monomial by monomial in degree order."""
+    n = len(keys[0])
+    a0 = denominator[(0,) * n]
+    quotient = {}
+    for key in keys:
+        value = numerator.get(key, Fraction(0))
+        for factor, a in denominator.items():
+            rest = tuple(x - y for x, y in zip(key, factor))
+            if any(factor) and min(rest) >= 0:
+                value -= a * quotient[rest]
+        quotient[key] = value / a0
+    return {key: v for key, v in quotient.items() if v}
+
+
+def integer_series(codes, series):
+    """Fraction series by key as integer_taylor holds them: (numerators by
+    code, common denominator)."""
+    den = math.lcm(*(v.denominator for v in series.values()))
+    return {codes.encode(key): int(v * den) for key, v in series.items() if v}, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_series_quotients())
+def test_series_division_matches_fraction_division(case):
+    codes, numerator, denominator = case
+    terms, den = _int_divide(
+        *integer_series(codes, numerator), *integer_series(codes, denominator), codes
+    )
+    assert den > 0
+    assert math.gcd(den, *terms.values()) == 1
+    assert all(type(v) is int and v for v in terms.values())
+    keys = keys_up_to(codes.n, codes.cap)
+    assert decoded(codes, terms, den) == fraction_quotient(numerator, denominator, keys)
 
 
 def test_integer_taylor_pole_raises():
