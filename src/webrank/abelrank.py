@@ -61,9 +61,10 @@ order, grows with that order: the order-M build's L_i is r_i times the
 first build's.  A column scale keeps the rank only if every row carries it,
 so the degree-M batch is multiplied by one factor F = lcm_i r_i^M and its
 column (i, m) divided by r_i^m: each of its rows is then F times the row at
-the first build's scales, and row scaling keeps the rank.  The kernel
-divides each row by its content before it eliminates, which takes most of
-F out again.
+the first build's scales, and row scaling keeps the rank.  _exact_dims
+divides each row of such a batch by its content right after the rescale,
+which takes most of F out again; the kernel takes no content of its input
+rows, only of a pivot when it first reduces another row.
 
 Float mode ranks each order with its own complete-pivoting elimination
 (_float_dims): it builds the order-(m_start + 1) rows once per precision,
@@ -118,11 +119,18 @@ from .report import (
     confirm,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
-from .tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
+from .tpoly import (
+    MonomialCodes,
+    fixed_powers,
+    float_gradient,
+    integer_offset,
+    taylor,
+)
 from .web import (
     AssembledWeb,
     BalancedSet,
     assemble,
+    entry_gradients,
     proportional_pairs,
     sampled_gradients,
 )
@@ -178,7 +186,13 @@ def _source_columns(n: int, order: int, source: tuple[int, ...]):
 
 
 def _relation_rows(
-    W: AssembledWeb, point, order: int, mode: Mode, m_cap: int, first: int = 0
+    W: AssembledWeb,
+    point,
+    order: int,
+    mode: Mode,
+    m_cap: int,
+    first: int = 0,
+    partials: list | None = None,
 ):
     """The order-`order` relation system, one row per monomial, from the
     `first`-th monomial on: (rows, scales).
@@ -197,6 +211,9 @@ def _relation_rows(
     the mode's precision and its powers are taken in fixed point
     (tpoly.fixed_powers, which states the error model); scales is the
     power-of-two unit of each unknown, as linalg.float_rank takes them.
+    A float build appends each entry's gradient in its source variables,
+    read off the degree-1 terms of its series (tpoly.float_gradient), to
+    the list `partials` when one is given.
     """
     rows: list[dict[int, int]] = [
         {} for _ in range(len(_relation_columns(W.n, order)) - first)
@@ -216,6 +233,8 @@ def _relation_rows(
             scales.append(den)
             powers = codes.powers(offset, order)
         else:
+            if partials is not None:
+                partials.append(float_gradient(expansion, codes))
             powers = fixed_powers(expansion, codes, mode.precision)
             for m, (_, unit) in enumerate(powers, 1):
                 scales[(i + 1) * m_cap - m] = unit
@@ -239,7 +258,8 @@ def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     the next.  Each higher order M builds its degree-M monomial rows only
     and extends the echelon by them; a batch whose offsets' L_i have grown
     since the first build is brought back to the first build's column
-    scales L_i^m.
+    scales L_i^m, and each of its rows divided by its content, which
+    takes out most of the factor F that brought it there.
     """
     echelon: dict = {}
     unknowns = W.size * m_cap
@@ -266,6 +286,10 @@ def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
                 for row in batch:
                     for u in row:
                         row[u] *= times[u]
+                    content = math.gcd(*row.values())
+                    if content > 1:
+                        for u in row:
+                            row[u] //= content
         linalg.exact_extend(echelon, batch, unknowns)
         yield built, W.size * built - len(echelon), mode
 
@@ -285,9 +309,12 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     pi = max_rank_bound(n, d) and J_k0 is invertible at the point
     (ordinary.top_jet_rank, which escalates from `mode`), both orders yield
     pi in `mode` and the order-m_start system is never ranked (see the
-    module docstring).  If its dim is another value, or J_k0 is singular
-    or stays marginal, order m_start is ranked from `mode` as for any
-    other web, and order m_start + 1 keeps its rank.  If its pivots are
+    module docstring).  At `mode` top_jet_rank takes the gradients the
+    order-(m_start + 1) build read off the degree-1 terms of its series,
+    which equal web_gradients' bit for bit (tpoly.float_gradient), so no
+    gradient is expanded twice.  If its dim is another value, or J_k0 is
+    singular or stays marginal, order m_start is ranked from `mode` as for
+    any other web, and order m_start + 1 keeps its rank.  If its pivots are
     marginal at `mode`, the two orders are ranked in turn from the next
     precision (from `mode` at ESCALATION_LIMIT), so an estimate whose
     pivots stay marginal climbs one ladder of precisions, not two.
@@ -320,7 +347,10 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     if k0 is None or m_start < k0 or monomial_count(W.n, k0) != W.size:
         orders = range(m_start, m_cap + 1)  # no calibrated web or m_start < k0
     else:
-        rows, units = tops[mode] = _relation_rows(W, point, top, mode, top)
+        partials: list = []
+        rows, units = tops[mode] = _relation_rows(
+            W, point, top, mode, top, partials=partials
+        )
         rank, info = linalg.float_rank(rows, units, mode.precision)
         if info["marginal"]:
             start = mode.escalate() if mode.precision < ESCALATION_LIMIT else mode
@@ -329,7 +359,7 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
         else:
             dim = W.size * top - rank
             jets = dim == max_rank_bound(W.n, W.size) and top_jet_rank(
-                W, point, k0, mode
+                W, point, k0, mode, entry_gradients(W, partials, mode)
             )
             if jets and jets[0] == W.size:  # J_k0 invertible, not marginal
                 yield m_start, dim, mode

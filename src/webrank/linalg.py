@@ -20,9 +20,11 @@ one row per monomial) are built in that format; the dense jet matrices and
 square blocks are converted by sparse_rows where they are ranked, with one
 unit for all their columns in float mode, and _fixed_point_rows aligns a
 float matrix to one unit for the kernel.  Exact rank takes int rows, as the
-relation rows and the jet matrices of int gradients are built (the kernel
-divides each row by its content before it eliminates, and a pivot once more
-when it first reduces another row, since row scaling keeps the rank).
+relation rows and the jet matrices of int gradients are built.  The kernel
+takes no content of its input rows: it divides a pivot by its content when
+the pivot first reduces another row, since row scaling keeps the rank, and
+abelrank divides a rescaled batch of relation rows by their contents where
+it creates them.
 abelrank ranks its exact relation systems through exact_extend, one echelon
 per sampled point, extended by the monomial rows of each new truncation
 order.  exact_det takes the int rows of an exact square block as
@@ -68,11 +70,13 @@ def exact_extend(echelon: dict, rows: Sequence[dict[int, int]], ncols: int) -> i
     of every row given so far, and its keys are their pivot columns.
 
     Each row is a {column: value} dict of its nonzeros, in any key order,
-    and ncols the number of columns.  The kernel first divides every row by
-    its content (the gcd of its entries) into dicts of its own, so the input
-    rows are left unchanged.  Row scaling keeps the rank and the pivot
-    columns; this pass also takes out most of the common factor abelrank
-    multiplies a later order's batch of relation rows by.
+    and ncols the number of columns.  The kernel first copies every row,
+    without its zero entries, into a dict of its own, so the input rows are
+    left unchanged; it does not divide them by their contents (the gcd of
+    their entries).  Row scaling keeps the rank and the pivot columns, and
+    the content that matters is taken where it arises: a caller that
+    multiplies a batch by a common factor divides its rows by their
+    contents (abelrank._exact_dims), and a pivot is made primitive below.
 
     Columns are processed left to right.  The rows whose leading column is
     the current one are reduced against its pivot by r = q*r - f*pivot,
@@ -85,27 +89,22 @@ def exact_extend(echelon: dict, rows: Sequence[dict[int, int]], ncols: int) -> i
     (Markowitz's rule); a column with a single candidate takes it without
     a choice or an update.
 
-    After the first pass a row's content is taken once more, when it first
-    has to reduce another row: a pivot with no other row at its column is
-    stored as its row dict, and made primitive (p, tail) only when a row of
-    this or a later batch first reaches its column.  So every pivot is
-    primitive when its entries multiply into other rows, which bounds the
-    entry growth, a pivot that reduces nothing never pays for a gcd, and
-    neither does a row that reduces to zero.  A row that is not yet a pivot
-    carries only the product of its own rescale factors q and whatever
-    content the subtractions leave.
+    A row's content is taken once, when it first has to reduce another
+    row: a pivot with no other row at its column is stored as its row dict,
+    and made primitive (p, tail) only when a row of this or a later batch
+    first reaches its column.  So every pivot is primitive when its entries
+    multiply into other rows, which bounds the entry growth, a pivot that
+    reduces nothing never pays for a gcd, and neither does a row that
+    reduces to zero.  A row that is not yet a pivot carries its input
+    content, the product of its own rescale factors q and whatever content
+    the subtractions leave.
     """
     gcd = math.gcd
     by_lead: dict[int, list[dict[int, int]]] = {}
     for row in rows:
-        content = gcd(*row.values())
-        if not content:
-            continue
-        if content == 1:
-            own = {j: v for j, v in row.items() if v}
-        else:
-            own = {j: v // content for j, v in row.items() if v}
-        by_lead.setdefault(min(own), []).append(own)
+        own = {j: v for j, v in row.items() if v}
+        if own:
+            by_lead.setdefault(min(own), []).append(own)
     added = 0
     for col in range(ncols):
         if not by_lead:

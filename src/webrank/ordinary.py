@@ -141,24 +141,29 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
 # ---------------------------------------------------------------------------
 # the direct check
 
-def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode):
+def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode, gradients=None):
     """The jet matrices of order 1..k0 at one point, as linalg.ranks takes
-    them, built on web_gradients' int gradients.
+    them, built on web_gradients' int gradients, or on `gradients`, the
+    (gradients, unit) web_gradients gives at the mode, when they are passed.
 
     Exact mode ranks them as they are: they are column-scaled and have the
     ranks of the rational ones.  Float mode ranks the degree-h matrix at
     h times the gradients' unit in every column.
     """
-    gradients, unit = web_gradients(W, point, mode)
+    if gradients is None:
+        gradients = web_gradients(W, point, mode)
+    gradients, unit = gradients
     matrices = jet_matrix_from_gradients(W.n, k0, gradients)
     for h, matrix in enumerate(matrices, 1):
         yield linalg.sparse_rows(matrix, None if unit is None else h * unit)
 
 
-def top_jet_rank(W: AssembledWeb, point, k0: int, mode: Mode):
+def top_jet_rank(W: AssembledWeb, point, k0: int, mode: Mode, gradients=None):
     """The rank of the degree-k0 jet matrix J_k0 at one point through
     linalg.ranks: (rank, mode used, the _jet_systems of order 1..k0 at
-    that mode), or None when its float pivots stay marginal.
+    that mode), or None when its float pivots stay marginal.  gradients,
+    when given, is what web_gradients returns at `mode`, and the build at
+    `mode` takes it; an escalated build expands the gradients afresh.
 
     When J_k0 has full row rank, monomial_count(n, k0), every J_h with
     h <= k0 has full row rank: x_j times a left-kernel vector of J_(h-1)
@@ -175,7 +180,8 @@ def top_jet_rank(W: AssembledWeb, point, k0: int, mode: Mode):
     built = {}
 
     def build(current: Mode):
-        built[current] = list(_jet_systems(W, point, k0, current))
+        given = gradients if current == mode else None
+        built[current] = list(_jet_systems(W, point, k0, current, given))
         yield built[current][-1]
 
     outcome = linalg.ranks(build, mode)

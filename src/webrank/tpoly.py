@@ -92,9 +92,16 @@ class MonomialCodes:
         return tuple(key)
 
     def mul(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        """Product of two series dicts, truncated at the cap."""
+        """Product of two series dicts, truncated at the cap: _times with
+        b's items sorted by code."""
+        return self._times(a, sorted(b.items()))
+
+    def _times(self, a: dict[int, int], inner: list) -> dict[int, int]:
+        """Product of a series dict and a series given as its items in
+        ascending code order, truncated at the cap.  The codes come out in
+        the order a's terms first reach them; the dict is rebuilt without
+        its zero values only when some product cancelled to zero."""
         limit = self.limit
-        inner = sorted(b.items())
         out: dict[int, int] = {}
         get = out.get
         for code_a, value_a in a.items():
@@ -104,20 +111,25 @@ class MonomialCodes:
                     break  # codes ascend, so every later product is over the cap
                 code = code_a + code_b
                 out[code] = get(code, 0) + value_a * value_b
-        return {code: value for code, value in out.items() if value}
+        if 0 in out.values():
+            return {code: value for code, value in out.items() if value}
+        return out
 
     def powers(
         self, a: dict[int, int], m_max: int, shift: int = 0
     ) -> list[dict[int, int]]:
-        """[a^1, ..., a^m_max], each truncated at the cap.
+        """[a^1, ..., a^m_max], each truncated at the cap: the m-th is the
+        (m-1)-th times a, as mul takes it, with a's items sorted once for
+        all m.
 
         With shift > 0, a holds ints in fixed point and each product is
         shifted right by shift bits, truncating toward zero: if a stands for
         a * 2^u, the m-th entry stands for itself times 2^(m*u + (m-1)*shift).
         """
+        inner = sorted(a.items())
         out = [a]
         for _ in range(1, m_max):
-            power = self.mul(out[-1], a)
+            power = self._times(out[-1], inner)
             out.append(shifted(power, -shift) if shift else power)
         return out
 
@@ -465,10 +477,19 @@ def series_gradient(
     if mode.is_exact:
         terms, den = integer_offset(e, point, codes)
         return [terms.get(unit, 0) for unit in codes.units], den
+    return float_gradient(taylor(e, point, codes, mode), codes)
+
+
+def float_gradient(expansion: dict, codes: MonomialCodes) -> tuple[list[int], int]:
+    """The degree-1 terms of an mpf expansion on codes as (values, unit),
+    held exactly by mpf_ints.  They do not depend on codes.cap: a degree-1
+    coefficient is built from terms of degree <= 1 only, in the same
+    operations at every cap, so the float taylor at any cap >= 1 gives
+    series_gradient's gradient bit for bit."""
     import mpmath
 
-    terms, zero = taylor(e, point, codes, mode), mpmath.mpf(0)
-    return mpf_ints([terms.get(unit, zero) for unit in codes.units])
+    zero = mpmath.mpf(0)
+    return mpf_ints([expansion.get(unit, zero) for unit in codes.units])
 
 
 def common_unit(gradients: Sequence[tuple[list[int], int]]):
@@ -478,16 +499,17 @@ def common_unit(gradients: Sequence[tuple[list[int], int]]):
     return [[v << (u - unit) for v in g] for g, u in gradients], unit
 
 
-def _zero_test_points(n: int) -> list[tuple[Fraction, ...]]:
+def _zero_test_points(n: int):
     """vars_used's 8 seeded points, coordinates in [-3, 3] with
-    denominators up to 64."""
+    denominators up to 64, drawn one at a time from one seeded stream: a
+    caller that stops at the first point pays for that point only."""
     rng = random.Random(0x7EB5)
-
-    def coordinate():
-        den = rng.randint(1, 64)
-        return Fraction(rng.randint(-3 * den, 3 * den), den)
-
-    return [tuple(coordinate() for _ in range(n)) for _ in range(8)]
+    for _ in range(8):
+        point = []
+        for _ in range(n):
+            den = rng.randint(1, 64)
+            point.append(Fraction(rng.randint(-3 * den, 3 * den), den))
+        yield tuple(point)
 
 
 def vars_used(e: Expr) -> set[int]:

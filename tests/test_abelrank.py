@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from webrank import abelrank, linalg
+from webrank import abelrank, linalg, ordinary
 from webrank.abelrank import (
     _relation_columns,
     _relation_rows,
@@ -30,7 +30,12 @@ from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
-from webrank.web import assemble, balanced_set_from_json, web_gradients
+from webrank.web import (
+    assemble,
+    balanced_set_from_json,
+    entry_gradients,
+    web_gradients,
+)
 
 from helpers import (
     dense_rows,
@@ -471,6 +476,46 @@ def test_one_elimination_gives_the_first_two_dims_per_family(name):
             assert dims == {m: separate[m] for m in range(m_start, E.k0 + 3)}
 
 
+@pytest.mark.parametrize(
+    "name,n",
+    [
+        ("k0_4_pereira_pirio_affine", 3),
+        ("k0_4_pereira_pirio_affine", 4),
+        ("k0_3_moebius_sum", 3),
+        ("k0_3_harmonic_inv", 2),
+    ],
+)
+def test_rescaled_batches_reach_the_kernel_primitive(monkeypatch, name, n):
+    # on the rational families every order above m_start + 1 rescales its
+    # batch to the first build's column scales; the kernel takes no content
+    # of its input rows, so _exact_dims hands it each such row divided by
+    # its content, and the dims up to m_cap are those of fresh builds
+    E, _ = get_family(name)
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    m_cap = E.k0 + 5
+    separate = separate_dims(W, point, range(1, m_cap + 1))
+    exact_extend = linalg.exact_extend
+    for m_start in (1, E.k0 + 1):
+        batches = []
+
+        def spy(echelon, rows, ncols):
+            batches.append([math.gcd(*row.values()) for row in rows if row])
+            return exact_extend(echelon, rows, ncols)
+
+        monkeypatch.setattr(linalg, "exact_extend", spy)
+        dims = grown_dims(W, point, m_start, m_cap)
+        monkeypatch.undo()
+        assert dims == {m: separate[m] for m in range(m_start, m_cap + 1)}
+        # the order-m_start rows, those of degree m_start + 1, then one
+        # batch per higher order, rescaled since the first build
+        _, first = _relation_rows(W, point, m_start + 1, EXACT, m_cap)
+        assert len(batches) == m_cap - m_start + 1
+        for order, contents in zip(range(m_start + 2, m_cap + 1), batches[2:]):
+            assert _relation_rows(W, point, order, EXACT, m_cap)[1] != first
+            assert contents and set(contents) == {1}, order
+
+
 @pytest.mark.parametrize("precision", [32, 128])
 @pytest.mark.parametrize("n", [2, 3])
 def test_float_dims_equal_fresh_builds(n, precision):
@@ -745,6 +790,53 @@ def test_marginal_start_ranks_both_orders_a_precision_up(monkeypatch):
     assert calls["float_rank"] == [(top_rows, 32), (start_rows, 64), (top_rows, 64)]
     assert calls["top_jet_rank"] == []
     assert estimate.dims == {5: 26, 6: 26} and estimate.method == "float64"
+
+
+@pytest.mark.parametrize("precision", [32, 64, 128])
+@pytest.mark.parametrize(
+    "path,n",
+    [
+        (None, 2),
+        (None, 3),
+        (None, 4),
+        (LOG_DOMAIN, 2),
+        (DEPENDENT_GRADIENTS_FLOAT, 3),
+        (DEPENDENT_GRADIENTS_FLOAT, 4),
+    ],
+    ids=lambda v: v.stem if isinstance(v, Path) else v,
+)
+def test_gradients_of_the_float_build_are_web_gradients(path, n, precision):
+    # the degree-1 terms of each entry's series, at the caps the estimate
+    # builds and above, give web_gradients' ints and unit bit for bit
+    E = get_family("k0_4_exp")[0] if path is None else web_definition(path)
+    W = assemble(E, n)
+    mode = Mode.floating(precision)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    expected = web_gradients(W, point, mode)
+    for order in (E.k0 + 1, E.k0 + 2, E.k0 + 5):
+        partials = []
+        _relation_rows(W, point, order, mode, order, partials=partials)
+        assert entry_gradients(W, partials, mode) == expected
+
+
+def test_the_float_estimate_expands_no_gradients_of_its_own(monkeypatch):
+    # k0_4_exp at n = 3: J_4 is ranked on the gradients the order-6 build
+    # read off its series, and web_gradients is never called
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, 3)
+    mode = E.default_mode()
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return web_gradients(*args)
+
+    monkeypatch.setattr(ordinary, "web_gradients", spy)
+    estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
+    assert calls == []
+    bound = max_rank_bound(3, W.size)
+    assert estimate.dims == {E.k0 + 1: bound, E.k0 + 2: bound}
 
 
 def assert_float_ranks_match_mpf_oracle(E, n, precision):

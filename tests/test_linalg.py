@@ -176,9 +176,9 @@ def row_contents(draw, count):
 )
 @example(([[6, 4], [9, 6]], [2**40 * 3**20, -(5**30)]))
 def test_rank_int_rows_ignores_large_row_contents(case):
-    # the kernel removes each row's content before it eliminates: rows with
-    # large contents, like the powers of one offset in the relation rows,
-    # give the rank and pivot columns of the unscaled rows and of the oracle
+    # rows with large contents, like the powers of one offset in the
+    # relation rows, give the rank and pivot columns of the unscaled rows
+    # and of the oracle
     rows, contents = case
     scaled = [[c * v for v in row] for c, row in zip(contents, rows)]
     rank, columns = naive_rank(rows)
@@ -253,6 +253,39 @@ def test_exact_extend_adds_the_pivots_of_each_batch(rows):
         assert linalg.exact_extend(echelon, sparse[k:], ncols) == rank - leading_rank
         assert len(echelon) == rank
         assert sorted(echelon) == columns
+    assert sparse == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prime_product_matrices().flatmap(
+        lambda rows: st.tuples(
+            st.just(rows),
+            row_contents(len(rows)),
+            st.lists(st.integers(min_value=0, max_value=len(rows)), max_size=3),
+        )
+    )
+)
+@example(([[6, 4], [9, 6], [1, 0]], [2**40 * 3**20, -(5**30), 7**9], [1]))
+def test_exact_extend_in_batches_of_rows_with_large_contents(case):
+    # the kernel takes no content of its input rows: rows scaled by large
+    # per-row factors, extended batch by batch through drawn cuts, reach
+    # the rank and pivot columns of the unscaled rows after every batch,
+    # and exact_rank of all of them those of the oracle
+    rows, contents, cuts = case
+    scaled = [[c * v for v in row] for c, row in zip(contents, rows)]
+    sparse, ncols = linalg.sparse_rows(scaled)
+    before = [dict(row) for row in sparse]
+    rank, columns = naive_rank(rows)
+    assert linalg.exact_rank(sparse, ncols) == (rank, list(enumerate(columns)))
+    echelon = {}
+    bounds = [0, *sorted(cuts), len(rows)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        added = linalg.exact_extend(echelon, sparse[lo:hi], ncols)
+        leading_rank, leading_columns = naive_rank(rows[:hi])
+        assert added == leading_rank - naive_rank(rows[:lo])[0]
+        assert sorted(echelon) == leading_columns
+    assert sorted(echelon) == columns
     assert sparse == before
 
 

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webrank.catalog import family_names, get_family
@@ -21,7 +22,7 @@ from webrank.expr import (
     to_text,
 )
 from webrank.jets import degree_multi_indices
-from webrank.scalars import EXACT, Mode
+from webrank.scalars import EXACT, Mode, shifted
 from webrank.tpoly import (
     MonomialCodes,
     _int_divide,
@@ -158,6 +159,72 @@ def test_powers_match_iterated_mul():
     assert powers[0] == poly
     assert powers[1] == codes.mul(poly, poly)
     assert powers[2] == codes.mul(codes.mul(poly, poly), poly)
+
+
+def schoolbook_product(codes, a, b):
+    """Oracle: a * b truncated at the cap by exponent tuples, term by term
+    over a's terms and b's terms in ascending code order, each code where
+    it is first reached, and the codes whose sums cancel left out."""
+    out = {}
+    for code_a, value_a in a.items():
+        key_a = codes.decode(code_a)
+        for code_b, value_b in sorted(b.items()):
+            key = [x + y for x, y in zip(key_a, codes.decode(code_b))]
+            if sum(key) <= codes.cap:
+                code = codes.encode(key)
+                out[code] = out.get(code, 0) + value_a * value_b
+    return {code: value for code, value in out.items() if value}
+
+
+@st.composite
+def int_series(draw):
+    """(codes, a): an int series of a few terms on MonomialCodes(n, cap),
+    coefficients in -3..3 so that products often cancel."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    codes = MonomialCodes(n, draw(st.integers(min_value=2, max_value=6)))
+    keys = draw(
+        st.lists(
+            st.sampled_from(keys_up_to(n, codes.cap)), max_size=6, unique=True
+        )
+    )
+    coefficient = st.integers(min_value=-3, max_value=3).filter(bool)
+    return codes, {codes.encode(key): draw(coefficient) for key in keys}
+
+
+# x + 2x^2 - 2x^3: its square's x^4 coefficient 2*(-2) + 2^2 cancels
+CANCELLING = (MonomialCodes(1, 4), {6: 1, 12: 2, 18: -2})
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_series(), st.integers(min_value=1, max_value=5), st.sampled_from([0, 2]))
+@example(CANCELLING, 3, 0)
+def test_powers_equal_repeated_products_with_cancelled_terms_left_out(
+    case, m_max, shift
+):
+    # the multiplier's items sorted once for all powers, the output rebuilt
+    # only when a product cancelled: the same values in the same key order
+    # as one schoolbook product per power, no zero value kept
+    codes, a = case
+    expected = [a]
+    for _ in range(1, m_max):
+        product = schoolbook_product(codes, expected[-1], a)
+        expected.append(shifted(product, -shift) if shift else product)
+    powers = codes.powers(a, m_max, shift)
+    assert [list(p.items()) for p in powers] == [list(p.items()) for p in expected]
+    assert all(0 not in power.values() for power in powers)
+    for prev, power in zip(powers, powers[1:]):
+        product = codes.mul(prev, a)
+        assert list(product.items()) == list(
+            schoolbook_product(codes, prev, a).items()
+        )
+        if not shift:
+            assert list(power.items()) == list(product.items())
+
+
+def test_a_cancelled_product_term_is_left_out():
+    codes, a = CANCELLING
+    square = codes.powers(a, 2)[1]
+    assert {codes.decode(c): v for c, v in square.items()} == {(2,): 1, (3,): 4}
 
 
 def test_compose_series_requires_zero_constant():
@@ -472,6 +539,22 @@ def diff_vars_used(e):
         if not values or nonzero:
             used.add(j)
     return used
+
+
+def test_zero_test_points_are_drawn_lazily_from_one_seeded_stream():
+    # the same 8 points as drawing them all at once from Random(0x7EB5),
+    # coordinate by coordinate, in the same order
+    rng = random.Random(0x7EB5)
+    expected = []
+    for _ in range(8):
+        point = []
+        for _ in range(3):
+            den = rng.randint(1, 64)
+            point.append(Fraction(rng.randint(-3 * den, 3 * den), den))
+        expected.append(tuple(point))
+    points = _zero_test_points(3)
+    assert next(points) == expected[0]
+    assert [expected[0], *points] == expected
 
 
 def catalog_texts():
