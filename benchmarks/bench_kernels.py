@@ -14,12 +14,12 @@ times the current code on it, layer by layer:
   6 after them;
 * the k0_4_exp relation systems in dimension 4 at orders 5 and 6 (125 and
   209 monomial rows on 175 and 210 unknowns) at 32, 64 and 128 bits: the
-  fixed-point build of the order-6 monomial rows, then the float ranks of
-  both orders, order 5 on the leading rows of that build as the pipeline
-  ranks it (`linalg.float_rank`).  It checks each rank and marginal flag
-  against the dense mpf kernel on the system of each order built
-  separately in mpf, one row per unknown, a check the tests leave out at
-  this size (the mpf kernel takes seconds per system);
+  fixed-point builds of the monomial rows of both orders, each order built
+  on its own as `abelrank._float_dims` builds it, then their float ranks
+  (`linalg.float_rank`).  It checks each rank and marginal flag against
+  the dense mpf kernel on the system of each order built separately in
+  mpf, one row per unknown, a check the tests leave out at this size (the
+  mpf kernel takes seconds per system);
 * the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
   dimension 5, the fixture with the largest exact systems: its rank
   estimate grown through orders 6, 7 and 8, the orders `rank --n 5` ranks
@@ -163,21 +163,24 @@ def bench_float(precision: int, repeat: int):
     W = assemble(E, 4)
     mode = Mode.floating(precision)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    top = E.k0 + 2
+    orders = (E.k0 + 1, E.k0 + 2)
 
     def build():
-        return _relation_rows(W, point, top, mode, top)
+        return {
+            order: _relation_rows(W, point, order, mode, order) for order in orders
+        }
 
-    rows, units = build()
-    below = len(_relation_columns(W.n, top - 1))
-    systems = {top - 1: rows[:below], top: rows}
+    systems = build()
 
     def rank():
-        return [linalg.float_rank(rows, units, precision) for rows in systems.values()]
+        return [
+            linalg.float_rank(rows, units, precision)
+            for rows, units in systems.values()
+        ]
 
     results = {"rows": _time(build, repeat), "rank": _time(rank, repeat)}
     shapes = []
-    for (order, system), (got, info) in zip(systems.items(), rank()):
+    for (order, (rows, _)), (got, info) in zip(systems.items(), rank()):
         marginal = info["marginal"]
         ncols = len(_relation_columns(W.n, order))
         expected = _mpf_oracle(_mpf_rows(W, point, order, mode), ncols, precision)
@@ -186,11 +189,12 @@ def bench_float(precision: int, repeat: int):
                 f"order {order}, {precision} bits: fixed point gives "
                 f"{(got, marginal)}, the mpf oracle {expected}"
             )
-        shape = f"{len(system)} monomial rows rank {got}"
+        shape = f"{len(rows)} monomial rows rank {got}"
         shapes.append(shape + " marginal" if marginal else shape)
     label = (
         f"float relation systems, k0_4_exp n=4 ({precision}-bit fixed point, "
-        f"orders {top - 1} and {top} from one build; ranks match the mpf oracle)"
+        f"orders {orders[0]} and {orders[1]}, each from its own build; ranks "
+        "match the mpf oracle)"
     )
     return label, ", ".join(shapes), results
 

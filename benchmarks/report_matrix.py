@@ -4,7 +4,7 @@
     python3 benchmarks/report_matrix.py OUTDIR
     python3 benchmarks/report_matrix.py --digests FILE
 
-Runs 90 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
+Runs 92 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
 importing `webrank` from the `src/` directory of the checkout this script
 sits in, with that checkout as the working directory:
 
@@ -12,13 +12,16 @@ sits in, with that checkout as the working directory:
 * `verify-family --corroborate` for the 13 exp/log-free families at seeds 0
   and 7, and for `k0_4_exp` at seed 0;
 * `rank --family k0_4_exp --n 3 --precision 32`, which escalates once;
-* at seeds 0 and 3, ten jobs whose verdict is `false` or `inconclusive`
-  or that are refused: `rank --n 2`, `rank --n 2 --m-start 2 --m-cap 3`
-  (no stabilization: dims 1, then 0) and `verify-family` on the
+* at seeds 0 and 3, eleven jobs whose verdict is `false` or
+  `inconclusive` or that are refused: `rank --n 2`, `rank --n 2 --m-start 2
+  --m-cap 3` (no stabilization: dims 1, then 0) and `verify-family` on the
   non-hexagonal web `benchmarks/nonhexagonal_k0_2.json`,
   `check-ordinary --direct --n 4` and `crosscheck --n 4` on
   `benchmarks/dependent_gradients_k0_4.json`, `check-ordinary --direct
-  --n 4` on its float twin `benchmarks/dependent_gradients_float_k0_4.json`,
+  --n 4` and `verify-family` on its float twin
+  `benchmarks/dependent_gradients_float_k0_4.json` (at n = 3 and 4 the
+  order-6 dim reads the bound while J_4 is singular, so the float estimate
+  ranks order 5 as well),
   `validate --n 3` on `benchmarks/proportional_pair_k0_3.json`,
   `rank --family k0_3_quadrics --n 3 --m-cap 4` (a cap at the start order,
   a usage error), and `crosscheck` on `k0_3_quadrics` and on
@@ -99,6 +102,7 @@ def jobs() -> list[list[str]]:
             "--n",
             "4",
         ],
+        ["verify-family", "--input", DEPENDENT_GRADIENTS_FLOAT],
         ["validate", "--input", PROPORTIONAL_PAIR, "--n", "3"],
         ["rank", "--family", "k0_3_quadrics", "--n", "3", "--m-cap", "4"],
         [

@@ -47,13 +47,13 @@ unknown (i, m) with m > D, as an m-th power of an offset has no term of
 lower degree, and its other entries do not depend on the order the system
 is truncated at.  So the order-M system is the order-(M - 1) one plus its
 degree-M monomial rows, and the first rows of the order-(M + 1) build, its
-degree <= M block, are the order-M system.  rank_estimate builds the
-order-(m_start + 1) rows once and takes the order-m_start system as their
-leading rows.  Exact mode grows one echelon per point (_exact_dims,
-linalg.exact_extend): it extends an empty echelon by the leading rows,
-which gives the order-m_start dim, then by the rows of degree m_start + 1.
-Only while the dims have not stabilized does it build each higher order M,
-its degree-M monomial rows alone, and extend the echelon by them.
+degree <= M block, are the order-M system.  Exact mode grows one echelon
+per point (_exact_dims, linalg.exact_extend): it builds the
+order-(m_start + 1) rows once, extends an empty echelon by their leading
+rows, which gives the order-m_start dim, then by the rows of degree
+m_start + 1.  Only while the dims have not stabilized does it build each
+higher order M, its degree-M monomial rows alone, and extend the echelon
+by them.
 
 The scales need care there.  Unknown (i, m) carries L_i^m, and for rational
 integrals L_i, the lcm of the coefficient denominators up to the build's
@@ -66,16 +66,8 @@ divides each row of such a batch by its content right after the rescale,
 which takes most of F out again; the kernel takes no content of its input
 rows, only of a pivot when it first reduces another row.
 
-Float mode ranks each order with its own complete-pivoting elimination
-(_float_dims): it builds the order-(m_start + 1) rows once per precision,
-ranks their leading rows as order m_start and all of them as order
-m_start + 1, and builds higher orders afresh.  The leading rows keep the
-units of the order-(m_start + 1) build, which tpoly.fixed_powers sets from
-the degree-1 terms alone, so they equal a fresh order-m_start build int for
-int and unit for unit, up to the order of the rows and the empty columns of
-the powers m_start + 1.  Neither changes a rank, and complete pivoting picks
-the same pivots in any row or column order except at exact ties of
-magnitude.
+Float mode builds and ranks each order on its own (_float_dims), on the
+precision ladder of linalg.ranks.
 
 The system is block lower-triangular by degree: on the power-D unknowns the
 degree-D monomial rows hold the degree-D jet matrix J_D of the entries'
@@ -85,14 +77,14 @@ sum_{D <= M} (d - rank J_D), and the degree-(M + 1) rows add at least
 rank J_(M + 1) pivots to the order-M rank.  For a calibrated web,
 d = monomial_count(n, k0), at a point where the d x d matrix J_k0 is
 invertible, J_D has full row rank for D <= k0 and rank d for D >= k0
-(ordinary.top_jet_rank).  Then for M >= k0 the bound is
+(ordinary.jet_ranks_at_point).  Then for M >= k0 the bound is
 combin.max_rank_bound(n, d) = pi, and the dim at order M + 1 is at most
 the dim at order M.  Hence, for m_start >= k0, an order-(m_start + 1) dim
 of pi makes the order-m_start dim pi as well.  _float_dims ranks order
-m_start + 1 first, then J_k0 when that order reads pi, and ranks order
-m_start only when either fails (or the first ranking is marginal).  Exact
-mode has no use for this: its order-m_start dim is the first batch of the
-echelon that order m_start + 1 extends.
+m_start + 1 first and, when it reads pi, J_k0 from the precision that
+order was decided at; it builds and ranks order m_start only when either
+fails.  Exact mode has no use for this: its order-m_start dim is the first
+batch of the echelon that order m_start + 1 extends.
 """
 
 from __future__ import annotations
@@ -111,7 +103,7 @@ from .combin import (
 )
 from .expr import EvalError
 from .jets import degree_multi_indices
-from .ordinary import top_jet_rank
+from .ordinary import jet_ranks_at_point
 from .report import (
     INCONCLUSIVE,
     VerificationReport,
@@ -119,18 +111,11 @@ from .report import (
     confirm,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
-from .tpoly import (
-    MonomialCodes,
-    fixed_powers,
-    float_gradient,
-    integer_offset,
-    taylor,
-)
+from .tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
     assemble,
-    entry_gradients,
     proportional_pairs,
     sampled_gradients,
 )
@@ -192,7 +177,6 @@ def _relation_rows(
     mode: Mode,
     m_cap: int,
     first: int = 0,
-    partials: list | None = None,
 ):
     """The order-`order` relation system, one row per monomial, from the
     `first`-th monomial on: (rows, scales).
@@ -211,9 +195,6 @@ def _relation_rows(
     the mode's precision and its powers are taken in fixed point
     (tpoly.fixed_powers, which states the error model); scales is the
     power-of-two unit of each unknown, as linalg.float_rank takes them.
-    A float build appends each entry's gradient in its source variables,
-    read off the degree-1 terms of its series (tpoly.float_gradient), to
-    the list `partials` when one is given.
     """
     rows: list[dict[int, int]] = [
         {} for _ in range(len(_relation_columns(W.n, order)) - first)
@@ -233,8 +214,6 @@ def _relation_rows(
             scales.append(den)
             powers = codes.powers(offset, order)
         else:
-            if partials is not None:
-                partials.append(float_gradient(expansion, codes))
             powers = fixed_powers(expansion, codes, mode.precision)
             for m, (_, unit) in enumerate(powers, 1):
                 scales[(i + 1) * m_cap - m] = unit
@@ -296,45 +275,23 @@ def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
 
 def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     """Yield (order, kernel dimension, mode used) for orders m_start..m_cap,
-    each order ranked by its own float elimination through linalg.ranks,
-    which escalates the precision from `mode` on marginal pivots; raises
+    each order built and ranked on its own through linalg.ranks, which
+    escalates the precision from `mode` on marginal pivots; raises
     EstimateInconclusive when they persist.
 
-    The order-(m_start + 1) rows are built once per precision: their
-    monomial rows of degree <= m_start are the order-m_start system, and
-    all of them the next.  Higher orders are built afresh.
-
     For a calibrated web with m_start >= k0 the order-(m_start + 1) system
-    is ranked first, at `mode` alone.  If its dim is the bound
-    pi = max_rank_bound(n, d) and J_k0 is invertible at the point
-    (ordinary.top_jet_rank, which escalates from `mode`), both orders yield
-    pi in `mode` and the order-m_start system is never ranked (see the
-    module docstring).  At `mode` top_jet_rank takes the gradients the
-    order-(m_start + 1) build read off the degree-1 terms of its series,
-    which equal web_gradients' bit for bit (tpoly.float_gradient), so no
-    gradient is expanded twice.  If its dim is another value, or J_k0 is
-    singular or stays marginal, order m_start is ranked from `mode` as for
-    any other web, and order m_start + 1 keeps its rank.  If its pivots are
-    marginal at `mode`, the two orders are ranked in turn from the next
-    precision (from `mode` at ESCALATION_LIMIT), so an estimate whose
-    pivots stay marginal climbs one ladder of precisions, not two.
+    is ranked first.  If its dim is the bound pi = max_rank_bound(n, d) and
+    J_k0, ranked from the precision that order was decided at
+    (ordinary.jet_ranks_at_point), is invertible, both orders yield pi at
+    that precision and the order-m_start system is never built (see the
+    module docstring).  Otherwise order m_start is ranked from that
+    precision on, and order m_start + 1 keeps its rank.
     """
-    top = m_start + 1
-    below = len(_relation_columns(W.n, m_start))
-    tops = {}  # the order-top rows and units per precision
-
-    def system(order: int, current: Mode):
-        if order > top:
-            return _relation_rows(W, point, order, current, order)
-        if current not in tops:
-            tops[current] = _relation_rows(W, point, top, current, top)
-        if order == top:
-            return tops.pop(current)
-        rows, units = tops[current]
-        return rows[:below], units
 
     def ranked(order: int, start: Mode):
-        outcome = linalg.ranks(lambda current: [system(order, current)], start)
+        outcome = linalg.ranks(
+            lambda current: [_relation_rows(W, point, order, current, order)], start
+        )
         if outcome is None:
             raise EstimateInconclusive(
                 f"marginal pivots persist at order {order} up to "
@@ -347,26 +304,17 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     if k0 is None or m_start < k0 or monomial_count(W.n, k0) != W.size:
         orders = range(m_start, m_cap + 1)  # no calibrated web or m_start < k0
     else:
-        partials: list = []
-        rows, units = tops[mode] = _relation_rows(
-            W, point, top, mode, top, partials=partials
+        top = ranked(m_start + 1, mode)
+        _, dim, used = top
+        jets = dim == max_rank_bound(W.n, W.size) and jet_ranks_at_point(
+            W, point, used, k0
         )
-        rank, info = linalg.float_rank(rows, units, mode.precision)
-        if info["marginal"]:
-            start = mode.escalate() if mode.precision < ESCALATION_LIMIT else mode
-            yield ranked(m_start, start)
-            yield ranked(top, start)
+        if jets and jets[0][k0] == W.size:  # J_k0 invertible, not marginal
+            yield m_start, dim, used
         else:
-            dim = W.size * top - rank
-            jets = dim == max_rank_bound(W.n, W.size) and top_jet_rank(
-                W, point, k0, mode, entry_gradients(W, partials, mode)
-            )
-            if jets and jets[0] == W.size:  # J_k0 invertible, not marginal
-                yield m_start, dim, mode
-            else:
-                yield ranked(m_start, mode)
-            yield top, dim, mode
-        orders = range(top + 1, m_cap + 1)
+            yield ranked(m_start, used)
+        yield top
+        orders = range(m_start + 2, m_cap + 1)
     for order in orders:
         yield ranked(order, mode)
 
@@ -380,12 +328,12 @@ def rank_estimate(
     the cap is reached without stabilization the estimate is inconclusive
     (value None) and the dims trace is still returned for audit.
     Stabilizing takes two orders, so m_cap must exceed m_start.  Exact mode
-    grows one echelon per point (_exact_dims), float mode ranks each order
-    on its own (_float_dims), except that for a calibrated web with
-    m_start >= k0, an order-(m_start + 1) dim at the bound with J_k0
-    invertible gives the order-m_start dim without ranking it (see the
-    module docstring).  Either builds an order only when the orders below
-    it have not stabilized.
+    grows one echelon per point (_exact_dims), float mode builds and ranks
+    each order on its own (_float_dims), except that for a calibrated web
+    with m_start >= k0 it ranks order m_start + 1 first, and a dim at the
+    bound with J_k0 invertible gives the order-m_start dim without building
+    it (see the module docstring).  Either builds a higher order only when
+    the orders below it have not stabilized.
     """
     if m_start < 1 or m_cap <= m_start:
         raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")

@@ -36,9 +36,9 @@ class Frozen:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
-        """Field-tuple equality within one class.  No CLI job compares two
-        records (a dict finds a Mode key by identity first); the tests
-        compare parsed trees and balanced sets."""
+        """Field-tuple equality within one class.  No CLI job compares or
+        hashes two records; the tests compare parsed trees, balanced sets
+        and modes."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

@@ -8,7 +8,8 @@ are ordinary:
 * the direct check: in a given dimension, every jet matrix of order <= k0 of
   the assembled web reaches the maximal rank min(size, monomial_count(n, h)),
   which an order-k0 jet matrix of full row rank decides for all of them
-  (top_jet_rank).
+  (jet_ranks_at_point, which the float rank estimate also asks whether
+  that matrix is invertible).
 
 Verdicts are point certificates under report.confirm: a "true" is witnessed
 at an explicit sampled point, and a rank that degenerates on a thin set must
@@ -141,82 +142,54 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
 # ---------------------------------------------------------------------------
 # the direct check
 
-def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode, gradients=None):
+def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode):
     """The jet matrices of order 1..k0 at one point, as linalg.ranks takes
-    them, built on web_gradients' int gradients, or on `gradients`, the
-    (gradients, unit) web_gradients gives at the mode, when they are passed.
+    them, built on web_gradients' int gradients.
 
     Exact mode ranks them as they are: they are column-scaled and have the
     ranks of the rational ones.  Float mode ranks the degree-h matrix at
     h times the gradients' unit in every column.
     """
-    if gradients is None:
-        gradients = web_gradients(W, point, mode)
-    gradients, unit = gradients
+    gradients, unit = web_gradients(W, point, mode)
     matrices = jet_matrix_from_gradients(W.n, k0, gradients)
     for h, matrix in enumerate(matrices, 1):
         yield linalg.sparse_rows(matrix, None if unit is None else h * unit)
 
 
-def top_jet_rank(W: AssembledWeb, point, k0: int, mode: Mode, gradients=None):
-    """The rank of the degree-k0 jet matrix J_k0 at one point through
-    linalg.ranks: (rank, mode used, the _jet_systems of order 1..k0 at
-    that mode), or None when its float pivots stay marginal.  gradients,
-    when given, is what web_gradients returns at `mode`, and the build at
-    `mode` takes it; an escalated build expands the gradients afresh.
+def jet_ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
+    """({h: rank}, mode used) for the jet matrices J_1..J_k0 at one point,
+    or None when float pivots stay marginal.
 
-    When J_k0 has full row rank, monomial_count(n, k0), every J_h with
-    h <= k0 has full row rank: x_j times a left-kernel vector of J_(h-1)
-    (a polynomial of degree h - 1 vanishing at every gradient) is one of
-    J_h.  When J_k0 has full column rank W.size, so has every J_h with
-    h >= k0, by induction on h: a relation sum_i c_i l_i^h = 0 among the
-    h-th powers of the gradients' linear forms l_i differentiates in x_j
-    to sum_i c_i g_ij l_i^(h-1) = 0, so c_i g_ij = 0 for every j, and no
+    J_k0 is ranked first, through linalg.ranks from `mode`.  When it has
+    full row rank, monomial_count(n, k0), every J_h with h <= k0 has full
+    row rank: x_j times a left-kernel vector of J_(h-1) (a polynomial of
+    degree h - 1 vanishing at every gradient) is one of J_h.  So the ranks
+    are min(size, monomial_count(n, h)) in J_k0's mode and no other matrix
+    is ranked.  Otherwise the orders below k0 are built and ranked afresh
+    through linalg.ranks from J_k0's mode on, and J_k0 keeps its rank; the
+    mode used is the higher of the two.
+
+    When J_k0 has full column rank W.size, so has every J_h with h >= k0,
+    by induction on h: a relation sum_i c_i l_i^h = 0 among the h-th
+    powers of the gradients' linear forms l_i differentiates in x_j to
+    sum_i c_i g_ij l_i^(h-1) = 0, so c_i g_ij = 0 for every j, and no
     gradient vanishes.  A calibrated web, W.size = monomial_count(n, k0),
-    has both at once when J_k0 is invertible; the direct check
-    (_ranks_at_point) and the float rank estimate (abelrank._float_dims)
-    read the lower and the higher orders off that one rank.
+    has both at once when J_k0 is invertible, that is when ranks[k0] is
+    W.size; the direct check reads the lower orders off that one rank, and
+    the float rank estimate (abelrank._float_dims) the higher ones.
     """
-    built = {}
-
-    def build(current: Mode):
-        given = gradients if current == mode else None
-        built[current] = list(_jet_systems(W, point, k0, current, given))
-        yield built[current][-1]
-
-    outcome = linalg.ranks(build, mode)
+    outcome = linalg.ranks(
+        lambda current: list(_jet_systems(W, point, k0, current))[-1:], mode
+    )
     if outcome is None:
         return None
     [(rank, _)], used = outcome
-    return rank, used, built[used]
-
-
-def _ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
-    """({h: rank}, mode used) for the jet matrices of order 1..k0 at one
-    point, or None when float pivots stay marginal.
-
-    J_k0 is ranked first (top_jet_rank).  At full row rank every lower
-    order has full row rank too, so the ranks are
-    min(size, monomial_count(n, h)) in J_k0's mode and no other matrix is
-    ranked.  Otherwise the orders below k0 are ranked through linalg.ranks
-    from J_k0's mode on, on the matrices built there as long as it does not
-    escalate, and J_k0 keeps its rank; the mode used is the higher of the
-    two.
-    """
-    top = top_jet_rank(W, point, k0, mode)
-    if top is None:
-        return None
-    rank, used, systems = top
     if rank == monomial_count(W.n, k0):
         ranks = {h: min(W.size, monomial_count(W.n, h)) for h in range(1, k0 + 1)}
         return ranks, used
-
-    def lower(current: Mode):
-        if current == used:
-            return systems[:-1]
-        return list(_jet_systems(W, point, k0, current))[:-1]
-
-    outcome = linalg.ranks(lower, used)
+    outcome = linalg.ranks(
+        lambda current: list(_jet_systems(W, point, k0, current))[:-1], used
+    )
     if outcome is None:
         return None
     results, used = outcome
@@ -238,7 +211,7 @@ def check_ordinary_at(
     report.confirm over the sampled points, except that a "false" with every
     order at its rank at some point (never all at one point) is
     "inconclusive": no single order is shown deficient.  At each point
-    _ranks_at_point ranks J_k0 first: at full row rank the lower orders
+    jet_ranks_at_point ranks J_k0 first: at full row rank the lower orders
     have theirs too and are not ranked, otherwise they are ranked in J_k0's
     mode or above.
     """
@@ -255,7 +228,7 @@ def check_ordinary_at(
     def outcomes():
         for point in sampler.points(n):
             try:
-                outcome = _ranks_at_point(W, point, mode, k0)
+                outcome = jet_ranks_at_point(W, point, mode, k0)
             except EvalError:
                 continue
             if outcome is None:

@@ -471,25 +471,18 @@ def series_gradient(
     over one power of two (mpf_ints), so values * 2^unit is the gradient
     as mpmath computes it.  The expansion computes e itself, so a pole of e
     or a log outside its domain raises EvalError even where the partials
-    are defined.
+    are defined.  It is the one place a gradient is expanded: web_gradients
+    calls it once per entry, and no relation build reads a gradient off its
+    own, higher-order expansion.
     """
     codes = _linear_codes(len(point))
     if mode.is_exact:
         terms, den = integer_offset(e, point, codes)
         return [terms.get(unit, 0) for unit in codes.units], den
-    return float_gradient(taylor(e, point, codes, mode), codes)
-
-
-def float_gradient(expansion: dict, codes: MonomialCodes) -> tuple[list[int], int]:
-    """The degree-1 terms of an mpf expansion on codes as (values, unit),
-    held exactly by mpf_ints.  They do not depend on codes.cap: a degree-1
-    coefficient is built from terms of degree <= 1 only, in the same
-    operations at every cap, so the float taylor at any cap >= 1 gives
-    series_gradient's gradient bit for bit."""
     import mpmath
 
-    zero = mpmath.mpf(0)
-    return mpf_ints([expansion.get(unit, zero) for unit in codes.units])
+    terms, zero = taylor(e, point, codes, mode), mpmath.mpf(0)
+    return mpf_ints([terms.get(unit, zero) for unit in codes.units])
 
 
 def common_unit(gradients: Sequence[tuple[list[int], int]]):

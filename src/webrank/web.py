@@ -306,27 +306,17 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
     unit is None.  Float gradients are the series' mpf values held exactly
     at one unit for all entries: gradient * 2^unit is the mpf gradient.
     """
-    partials = []
+    out = []
     for entry in W.entries:
+        source = entry.source
         try:
-            partials.append(
-                series_gradient(
-                    entry.generator, [point[s - 1] for s in entry.source], mode
-                )
+            values, scale = series_gradient(
+                entry.generator, [point[s - 1] for s in source], mode
             )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
-    return entry_gradients(W, partials, mode)
-
-
-def entry_gradients(W: AssembledWeb, partials, mode: Mode):
-    """web_gradients' (gradients, unit) from each entry's partials in its
-    source variables, (values, den) or (values, unit) as
-    tpoly.series_gradient returns them."""
-    out = []
-    for entry, (values, scale) in zip(W.entries, partials):
         gradient = [0] * W.n
-        for s, value in zip(entry.source, values):
+        for s, value in zip(source, values):
             gradient[s - 1] = value
         out.append((gradient, scale))
     if mode.is_exact:

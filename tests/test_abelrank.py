@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from webrank import abelrank, linalg, ordinary
+from webrank import abelrank, linalg
 from webrank.abelrank import (
     _relation_columns,
     _relation_rows,
@@ -30,12 +30,7 @@ from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
-from webrank.web import (
-    assemble,
-    balanced_set_from_json,
-    entry_gradients,
-    web_gradients,
-)
+from webrank.web import assemble, balanced_set_from_json, web_gradients
 
 from helpers import (
     dense_rows,
@@ -519,8 +514,7 @@ def test_rescaled_batches_reach_the_kernel_primitive(monkeypatch, name, n):
 @pytest.mark.parametrize("precision", [32, 128])
 @pytest.mark.parametrize("n", [2, 3])
 def test_float_dims_equal_fresh_builds(n, precision):
-    # the first order ranked on the leading rows of the second's build, the
-    # higher ones built afresh, against a fresh build of each order, at
+    # the estimate's dims against each order built and ranked alone, at
     # the pipeline's start order and from order 1
     E, _ = get_family("k0_4_exp")
     W = assemble(E, n)
@@ -705,23 +699,24 @@ def test_rank_estimate_dims_equal_each_order_ranked_alone(E, n, mode):
 
 
 def float_rank_spy(monkeypatch):
-    """Record (rows, precision) of every float_rank call and every
-    top_jet_rank answer abelrank reads."""
-    calls = {"float_rank": [], "top_jet_rank": []}
+    """Record (rows, precision) of every float_rank call and the rank of
+    J_k0 in every jet_ranks_at_point answer abelrank reads."""
+    calls = {"float_rank": [], "jet_ranks_at_point": []}
     float_rank = linalg.float_rank
-    top_jet_rank = abelrank.top_jet_rank
+    jet_ranks_at_point = abelrank.jet_ranks_at_point
 
     def spy_rank(rows, units, precision):
         calls["float_rank"].append((len(rows), precision))
         return float_rank(rows, units, precision)
 
-    def spy_top(*args):
-        outcome = top_jet_rank(*args)
-        calls["top_jet_rank"].append(None if outcome is None else outcome[0])
+    def spy_jets(W, point, mode, k0):
+        outcome = jet_ranks_at_point(W, point, mode, k0)
+        rank = None if outcome is None else outcome[0][k0]
+        calls["jet_ranks_at_point"].append(rank)
         return outcome
 
     monkeypatch.setattr(linalg, "float_rank", spy_rank)
-    monkeypatch.setattr(abelrank, "top_jet_rank", spy_top)
+    monkeypatch.setattr(abelrank, "jet_ranks_at_point", spy_jets)
     return calls
 
 
@@ -745,7 +740,7 @@ def test_invertible_top_jet_matrix_skips_the_start_order(monkeypatch, n):
     mode = E.default_mode()
     calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
     d = assemble(E, n).size
-    assert calls["top_jet_rank"] == [d]
+    assert calls["jet_ranks_at_point"] == [d]
     assert start_rows not in [rows for rows, _ in calls["float_rank"]]
     bound = max_rank_bound(n, d)
     assert estimate.dims == {E.k0 + 1: bound, E.k0 + 2: bound}
@@ -761,7 +756,7 @@ def test_singular_top_jet_matrix_ranks_the_start_order(monkeypatch, n):
     calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
     d = assemble(E, n).size
     assert estimate.dims[E.k0 + 2] == max_rank_bound(n, d)
-    assert len(calls["top_jet_rank"]) == 1 and calls["top_jet_rank"][0] < d
+    assert len(calls["jet_ranks_at_point"]) == 1 and calls["jet_ranks_at_point"][0] < d
     assert (start_rows, 128) in calls["float_rank"]
 
 
@@ -772,7 +767,7 @@ def test_dims_off_the_bound_rank_the_start_order(monkeypatch):
     mode = Mode.floating(128)
     calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, 2, mode)
     assert estimate.dims == {3: 0, 4: 0}
-    assert calls["top_jet_rank"] == []
+    assert calls["jet_ranks_at_point"] == []
     assert [rows for rows, _ in calls["float_rank"]] == [
         len(_relation_columns(2, 4)),
         start_rows,
@@ -781,14 +776,15 @@ def test_dims_off_the_bound_rank_the_start_order(monkeypatch):
 
 def test_marginal_start_ranks_both_orders_a_precision_up(monkeypatch):
     # k0_4_exp at n = 3 and 32 bits: the order-6 system is marginal at 32
-    # bits, so orders 5 and 6 are ranked in turn from 64 bits, and J_4 is
-    # never ranked
+    # bits and reads the bound at 64, where J_4 is invertible, so order 5
+    # takes the bound at 64 bits without being ranked
     E, _ = get_family("k0_4_exp")
     mode = Mode.floating(32)
-    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, 3, mode)
+    calls, _, estimate = estimate_with_spy(monkeypatch, E, 3, mode)
     top_rows = len(_relation_columns(3, E.k0 + 2))
-    assert calls["float_rank"] == [(top_rows, 32), (start_rows, 64), (top_rows, 64)]
-    assert calls["top_jet_rank"] == []
+    d = assemble(E, 3).size
+    assert calls["float_rank"] == [(top_rows, 32), (top_rows, 64), (d, 64)]
+    assert calls["jet_ranks_at_point"] == [d]
     assert estimate.dims == {5: 26, 6: 26} and estimate.method == "float64"
 
 
@@ -806,52 +802,36 @@ def test_marginal_start_ranks_both_orders_a_precision_up(monkeypatch):
     ids=lambda v: v.stem if isinstance(v, Path) else v,
 )
 def test_gradients_of_the_float_build_are_web_gradients(path, n, precision):
-    # the degree-1 terms of each entry's series, at the caps the estimate
-    # builds and above, give web_gradients' ints and unit bit for bit
+    # the J_k0 check ranks the web the relation build ranks: the rows of the
+    # degree-1 monomials at the unknowns (i, 1), at the caps the estimate
+    # builds and above, times their units, are web_gradients' values exactly
     E = get_family("k0_4_exp")[0] if path is None else web_definition(path)
     W = assemble(E, n)
     mode = Mode.floating(precision)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    expected = web_gradients(W, point, mode)
+    gradients, unit = web_gradients(W, point, mode)
+    expected = [[Fraction(v) * Fraction(2) ** unit for v in g] for g in gradients]
     for order in (E.k0 + 1, E.k0 + 2, E.k0 + 5):
-        partials = []
-        _relation_rows(W, point, order, mode, order, partials=partials)
-        assert entry_gradients(W, partials, mode) == expected
-
-
-def test_the_float_estimate_expands_no_gradients_of_its_own(monkeypatch):
-    # k0_4_exp at n = 3: J_4 is ranked on the gradients the order-6 build
-    # read off its series, and web_gradients is never called
-    E, _ = get_family("k0_4_exp")
-    W = assemble(E, 3)
-    mode = E.default_mode()
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return web_gradients(*args)
-
-    monkeypatch.setattr(ordinary, "web_gradients", spy)
-    estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
-    assert calls == []
-    bound = max_rank_bound(3, W.size)
-    assert estimate.dims == {E.k0 + 1: bound, E.k0 + 2: bound}
+        rows, units = _relation_rows(W, point, order, mode, order)
+        row_of = {key: j for j, key in enumerate(_relation_columns(n, order))}
+        linear = [row_of[key] for key in degree_multi_indices(n, 1)]
+        firsts = [(i + 1) * order - 1 for i in range(W.size)]  # unknowns (i, 1)
+        assert [
+            [Fraction(rows[j].get(u, 0)) * Fraction(2) ** units[u] for j in linear]
+            for u in firsts
+        ] == expected
 
 
 def assert_float_ranks_match_mpf_oracle(E, n, precision):
     """The fixed-point systems rank_estimate ranks at its first two orders,
-    the order k0 + 1 one the leading rows of the order k0 + 2 build,
-    against the mpf oracle on mpf systems built separately for each order
-    in the row layout, one row per unknown."""
+    each built on its own, against the mpf oracle on mpf systems built in
+    the row layout, one row per unknown."""
     W = assemble(E, n)
     mode = Mode.floating(precision)
-    top = E.k0 + 2
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    rows, units = _relation_rows(W, point, top, mode, top)
-    below = len(_relation_columns(n, top - 1))
-    for order, system in ((top - 1, rows[:below]), (top, rows)):
-        rank, info = linalg.float_rank(system, units, precision)
+    for order in (E.k0 + 1, E.k0 + 2):
+        rows, units = _relation_rows(W, point, order, mode, order)
+        rank, info = linalg.float_rank(rows, units, precision)
         ncols = len(_relation_columns(n, order))
         oracle_rows = mpf_relation_rows(W, point, order, mode)
         expected = oracle_float_rank(dense_rows(oracle_rows, ncols), precision)

@@ -225,12 +225,12 @@ def test_criterion_7_invariance_suite():
         estimate = rank_estimate(permuted, point, E.k0 + 1, E.k0 + 5, EXACT)
         assert estimate.value == expected, f"{name} permuted"
     permuted_quadrics = permute_ambient(assemble(quadrics, 3), [2, 3, 1])
-    from webrank.ordinary import _ranks_at_point
+    from webrank.ordinary import jet_ranks_at_point
 
     point = generic_point_for_web(
         permuted_quadrics, GenericPointSampler(seed=0), EXACT
     )
-    ranks, _ = _ranks_at_point(permuted_quadrics, point, EXACT, 3)
+    ranks, _ = jet_ranks_at_point(permuted_quadrics, point, EXACT, 3)
     assert ranks == {1: 3, 2: 6, 3: 10}
 
     elapsed = time.perf_counter() - start

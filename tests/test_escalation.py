@@ -56,7 +56,7 @@ def test_rank_estimate_gives_up_past_the_limit(always_marginal):
     assert estimate.value is None
     assert estimate.dims == {}
     assert estimate.note == (
-        f"marginal pivots persist at order {E.k0 + 1} up to 512-bit precision"
+        f"marginal pivots persist at order {E.k0 + 2} up to 512-bit precision"
     )
     assert always_marginal == ESCALATED
 

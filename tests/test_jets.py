@@ -18,7 +18,7 @@ from webrank.jets import (
     square_block,
     support,
 )
-from webrank import linalg, ordinary
+from webrank import linalg
 from webrank.linalg import (
     exact_det,
     exact_rank,
@@ -26,7 +26,7 @@ from webrank.linalg import (
     float_rank,
     sparse_rows,
 )
-from webrank.ordinary import GenericPointSampler, _jet_systems, _ranks_at_point
+from webrank.ordinary import GenericPointSampler, _jet_systems, jet_ranks_at_point
 from webrank.scalars import EXACT, Mode
 from webrank.web import GeneratingWeb, assemble, load_balanced_set
 
@@ -253,7 +253,7 @@ def test_jet_matrix_reports_offending_entry():
     E, _ = get_family("k0_3_harmonic_sum")
     W = assemble(E, 2)
     with pytest.raises(EvalError) as err:
-        _ranks_at_point(W, (Fraction(0), Fraction(1)), EXACT, E.k0)
+        jet_ranks_at_point(W, (Fraction(0), Fraction(1)), EXACT, E.k0)
     assert "entry" in str(err.value)
 
 
@@ -301,7 +301,7 @@ def test_exact_ranks_at_point_match_rational_jet_matrices(family):
     E, _ = get_family(family)
     W = assemble(E, 3)
     point = GenericPointSampler(seed=5).point(3)
-    ranks, _ = _ranks_at_point(W, point, EXACT, E.k0)
+    ranks, _ = jet_ranks_at_point(W, point, EXACT, E.k0)
     for h in range(1, E.k0 + 1):
         assert ranks[h] == rational_rank(rational_jet_matrix(W, h, point))
 
@@ -360,14 +360,14 @@ def test_ranks_at_point_equal_every_jet_matrix_ranked(family):
                 expected = jet_ranks_one_by_one(W, point, E.k0, mode)
             except EvalError:
                 continue
-            assert _ranks_at_point(W, point, mode, E.k0) == expected, (n, point)
+            assert jet_ranks_at_point(W, point, mode, E.k0) == expected, (n, point)
 
 
 @pytest.mark.parametrize("precision", [32, 128])
 def test_singular_top_jet_matrix_ranks_the_lower_orders(monkeypatch, precision):
     # the float dependent-gradients fixture at n = 4: J_4 has rank 31 of
-    # 35, so the lower orders are ranked, each once, on the gradients J_4
-    # was ranked on
+    # 35, so the lower orders are ranked, each once, at the precision J_4
+    # ended at
     E = load_balanced_set(BENCHMARKS / "dependent_gradients_float_k0_4.json")
     W = assemble(E, 4)
     mode = Mode.floating(precision)
@@ -379,17 +379,9 @@ def test_singular_top_jet_matrix_ranks_the_lower_orders(monkeypatch, precision):
         shapes.append((len(rows), bits))
         return original(rows, units, bits)
 
-    gradients = []
-    web_gradients = ordinary.web_gradients
     monkeypatch.setattr(linalg, "float_rank", spy)
-    monkeypatch.setattr(
-        ordinary,
-        "web_gradients",
-        lambda *args: gradients.append(args[2]) or web_gradients(*args),
-    )
-    ranks, used = _ranks_at_point(W, point, mode, E.k0)
+    ranks, used = jet_ranks_at_point(W, point, mode, E.k0)
     monkeypatch.undo()
-    assert gradients == [Mode.floating(bits) for rows, bits in shapes[:-3]]
     assert ranks[E.k0] == 31
     assert (ranks, used) == jet_ranks_one_by_one(W, point, E.k0, mode)
     # J_4's ladder of precisions (32 bits escalate once), then the lower
@@ -413,7 +405,7 @@ def test_invertible_top_jet_matrix_is_the_only_one_ranked(monkeypatch):
         return original(rows, units, bits)
 
     monkeypatch.setattr(linalg, "float_rank", spy)
-    ranks, used = _ranks_at_point(W, point, mode, E.k0)
+    ranks, used = jet_ranks_at_point(W, point, mode, E.k0)
     assert calls == [15]
     assert ranks == {1: 3, 2: 6, 3: 10, 4: 15} and used == mode
 

@@ -119,8 +119,10 @@ def rational_dependent_gradient_family():
 )
 def test_float_ranks_at_point_equal_exact_ranks(E, n, point):
     W = assemble(E, n)
-    exact, _ = ordinary._ranks_at_point(W, point, EXACT, E.k0)
-    floated, used = ordinary._ranks_at_point(W, point, Mode.floating(128), E.k0)
+    exact, _ = ordinary.jet_ranks_at_point(W, point, EXACT, E.k0)
+    floated, used = ordinary.jet_ranks_at_point(
+        W, point, Mode.floating(128), E.k0
+    )
     assert floated == exact
     assert used == Mode.floating(128)
 
@@ -180,7 +182,7 @@ def test_direct_check_dependent_gradients_false():
 
 
 def scripted_ranks(monkeypatch, script):
-    """Make _ranks_at_point answer the rank dicts of `script` in turn."""
+    """Make jet_ranks_at_point answer the rank dicts of `script` in turn."""
     answers = iter(script)
     calls = []
 
@@ -188,7 +190,7 @@ def scripted_ranks(monkeypatch, script):
         calls.append(point)
         return next(answers), mode
 
-    monkeypatch.setattr(ordinary, "_ranks_at_point", fake)
+    monkeypatch.setattr(ordinary, "jet_ranks_at_point", fake)
     return calls
 
 

@@ -1,4 +1,4 @@
-"""The 90 report-matrix jobs print what benchmarks/report_matrix_digests.json
+"""The 92 report-matrix jobs print what benchmarks/report_matrix_digests.json
 records, byte for byte.
 
 Each job runs in-process, as `benchmarks/report_matrix.py` runs it.  On a
@@ -29,7 +29,7 @@ def matrix():
 def test_recorded_digests_cover_every_job(matrix):
     recorded = json.loads(matrix.DIGESTS.read_text())["jobs"]
     names = [matrix.file_name(job) for job in matrix.jobs()]
-    assert len(set(names)) == len(names) == 90
+    assert len(set(names)) == len(names) == 92
     assert sorted(recorded) == sorted(names)
 
 

@@ -558,41 +558,48 @@ def test_zero_test_points_are_drawn_lazily_from_one_seeded_stream():
 
 
 def catalog_texts():
-    """(text, arity) of every catalog integral, once each."""
+    """("catalog", text, arity) of every catalog integral, once each."""
     seen = {}
     for name in family_names():
         E, _ = get_family(name)
         for web in E.webs:
             for u in web.integrals:
-                seen.setdefault((to_text(u), web.k), None)
+                seen.setdefault(("catalog", to_text(u), web.k), None)
     return list(seen)
 
 
 def fixture_integrals():
-    """(text, arity) of every integral in the benchmarks/ web definitions."""
+    """(fixture name, text, arity) of every integral in the benchmarks/ web
+    definitions."""
     out = []
     for path in sorted(BENCHMARKS.glob("*.json")):
         payload = json.loads(path.read_text())
         if "webs" in payload:
             for k, texts in enumerate(payload["webs"], start=1):
-                out.extend((text, k) for text in texts)
+                out.extend((path.stem, text, k) for text in texts)
     return out
 
 
 VARS_USED_CASES = [
     *catalog_texts(),
     *fixture_integrals(),
-    ("x1+x2-x2", 2),
-    ("x2", 2),
-    ("exp(x1)+x2", 2),
-    ("log(x1)*x2 + x3^2 - x3*x3", 3),
-    ("1/(x1-x2) + x2/(x1-x2)", 2),
-    ("exp(x1+log(x2))", 2),
+    ("edge", "x1+x2-x2", 2),
+    ("edge", "x2", 2),
+    ("edge", "exp(x1)+x2", 2),
+    ("edge", "log(x1)*x2 + x3^2 - x3*x3", 3),
+    ("edge", "1/(x1-x2) + x2/(x1-x2)", 2),
+    ("edge", "exp(x1+log(x2))", 2),
 ]
 
 
+# each case is named by its source and text, so a new fixture under
+# benchmarks/ adds ids without renaming any
 @pytest.mark.parametrize(
-    "text,arity", VARS_USED_CASES, ids=[t for t, _ in VARS_USED_CASES]
+    "text,arity",
+    [
+        pytest.param(text, arity, id=f"{source}:{text}")
+        for source, text, arity in VARS_USED_CASES
+    ],
 )
 def test_vars_used_matches_the_symbolic_partials(text, arity):
     e = parse(text, arity)
