@@ -20,6 +20,11 @@ times the current code on it, layer by layer:
   the dense mpf kernel on the system of each order built separately in
   mpf, one row per unknown, a check the tests leave out at this size (the
   mpf kernel takes seconds per system);
+* the same web's order-6 system in modular mode, the mode verify-family
+  ranks it in: the build of its monomial rows mod q = 2^61 - 1 at
+  t = e^(1/L) (`abelrank._relation_rows`), its rank by `linalg.modular_extend`
+  and, beside it, the 128-bit float kernel (`linalg.float_rank`) on the
+  fixed-point build at the same point; it checks that the two ranks agree;
 * the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
   dimension 5, the fixture with the largest exact systems: its rank
   estimate grown through orders 6, 7 and 8, the orders `rank --n 5` ranks
@@ -199,6 +204,41 @@ def bench_float(precision: int, repeat: int):
     return label, ", ".join(shapes), results
 
 
+def bench_modular(repeat: int):
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, 4)
+    mode = Mode.modular()
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    order = E.k0 + 2
+
+    def build():
+        return _relation_rows(W, point, order, mode, order)[0]
+
+    rows = build()
+    fixed, units = _relation_rows(W, point, order, Mode.floating(128), order)
+
+    def rank():
+        return linalg.modular_extend({}, rows, W.size * order)
+
+    def float_rank():
+        return linalg.float_rank(fixed, units, 128)[0]
+
+    results = {
+        "rows": _time(build, repeat),
+        "rank": _time(rank, repeat),
+        "float": _time(float_rank, repeat),
+    }
+    if rank() != float_rank():
+        raise AssertionError(
+            f"order {order}: rank {rank()} mod q, {float_rank()} at 128 bits"
+        )
+    label = (
+        f"modular relation system, k0_4_exp n=4 (order {order} mod 2^61-1 at "
+        "t=e^(1/L); rank equal to the 128-bit float kernel's)"
+    )
+    return label, f"{len(rows)} monomial rows rank {rank()}", results
+
+
 def bench_jets(repeat: int):
     E, _ = get_family("k0_4_WB_sum")
     W = assemble(E, 5)
@@ -231,6 +271,7 @@ def main() -> None:
         functools.partial(bench_exact, "k0_4_WB_sum"),
         bench_k0_5_growth,
         *(functools.partial(bench_float, precision) for precision in (32, 64, 128)),
+        bench_modular,
         bench_jets,
     )
     for bench in benches:

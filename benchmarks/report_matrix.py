@@ -4,14 +4,15 @@
     python3 benchmarks/report_matrix.py OUTDIR
     python3 benchmarks/report_matrix.py --digests FILE
 
-Runs 92 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
+Runs 96 jobs in-process through `webrank.cli.main([... "--format", "json"])`,
 importing `webrank` from the `src/` directory of the checkout this script
 sits in, with that checkout as the working directory:
 
 * `verify-family` for all 14 catalog families at seeds 0, 1 and 7;
 * `verify-family --corroborate` for the 13 exp/log-free families at seeds 0
   and 7, and for `k0_4_exp` at seed 0;
-* `rank --family k0_4_exp --n 3 --precision 32`, which escalates once;
+* `rank --family k0_4_exp --n 3 --precision 32`, a modular job whose
+  `--precision` is validated and would only set a float fallback;
 * at seeds 0 and 3, eleven jobs whose verdict is `false` or
   `inconclusive` or that are refused: `rank --n 2`, `rank --n 2 --m-start 2
   --m-cap 3` (no stabilization: dims 1, then 0) and `verify-family` on the
@@ -20,13 +21,16 @@ sits in, with that checkout as the working directory:
   `benchmarks/dependent_gradients_k0_4.json`, `check-ordinary --direct
   --n 4` and `verify-family` on its float twin
   `benchmarks/dependent_gradients_float_k0_4.json` (at n = 3 and 4 the
-  order-6 dim reads the bound while J_4 is singular, so the float estimate
-  ranks order 5 as well),
+  order-6 dim reads the bound while J_4 is singular; it runs mod q),
   `validate --n 3` on `benchmarks/proportional_pair_k0_3.json`,
   `rank --family k0_3_quadrics --n 3 --m-cap 4` (a cap at the start order,
   a usage error), and `crosscheck` on `k0_3_quadrics` and on
-  `k0_4_exp --n 3`.  The fixtures are passed by their path relative to the
-  checkout, which every report echoes under `config.input`.
+  `k0_4_exp --n 3`;
+* at seeds 0 and 3, `rank --n 2` and `verify-family` on the log web
+  `benchmarks/log_domain_k0_2.json`, which stays in float mode.
+
+The fixtures are passed by their path relative to the checkout, which every
+report echoes under `config.input`.
 
 Each job's file holds `exit <code>` on its first line and the job's standard
 output after it.  Reports are byte-identical for identical argv and seed, so
@@ -70,6 +74,7 @@ NON_HEXAGONAL = "benchmarks/nonhexagonal_k0_2.json"
 DEPENDENT_GRADIENTS = "benchmarks/dependent_gradients_k0_4.json"
 DEPENDENT_GRADIENTS_FLOAT = "benchmarks/dependent_gradients_float_k0_4.json"
 PROPORTIONAL_PAIR = "benchmarks/proportional_pair_k0_3.json"
+LOG_DOMAIN = "benchmarks/log_domain_k0_2.json"
 
 
 def jobs() -> list[list[str]]:
@@ -120,6 +125,11 @@ def jobs() -> list[list[str]]:
         ["crosscheck", "--family", "k0_4_exp", "--n", "3"],
     ]
     out += [[*job, "--seed", str(seed)] for seed in (0, 3) for job in negative]
+    floating = [
+        ["rank", "--input", LOG_DOMAIN, "--n", "2"],
+        ["verify-family", "--input", LOG_DOMAIN],
+    ]
+    out += [[*job, "--seed", str(seed)] for seed in (0, 3) for job in floating]
     return out
 
 

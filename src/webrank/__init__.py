@@ -2,10 +2,11 @@
 
 A balanced set of generating webs assembles, by pullback along coordinate
 projections, into one calibrated web per ambient dimension.  This package
-certifies (at explicit sampled points, in exact rational or extended-float
-arithmetic) that the assembled webs are ordinary and that their spaces of
-abelian relations reach the maximal dimension, and exposes the whole
-pipeline through the `webrank` command line.
+certifies (at explicit sampled points, in exact rational arithmetic, mod a
+prime for exp webs, or in extended floats) that the assembled webs are
+ordinary and that their spaces of abelian relations reach the maximal
+dimension, and exposes the whole pipeline through the `webrank` command
+line.
 """
 
 from .abelrank import RankEstimate, rank_estimate, verify_max_rank

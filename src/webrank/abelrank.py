@@ -29,7 +29,9 @@ mpmath stops there.  tpoly.fixed_powers holds the offset once as ints at a
 binary unit set by its largest degree-1 coefficient and takes its powers
 on those ints, shifting each product back (truncated toward zero), so
 unknown (i, m) has its own power-of-two unit, and linalg.float_rank aligns
-the columns to one matrix unit before it eliminates.
+the columns to one matrix unit before it eliminates.  In modular mode
+(scalars) the offset is tpoly.integer_offset's residues mod q at the
+point's one t0, so every L_i is 1, and linalg.modular_extend ranks it.
 
 Monomials are the multi-indices of degree 1..M in two blocks, those of
 degree < M first and those of degree M last; within each block the keys
@@ -66,8 +68,13 @@ divides each row of such a batch by its content right after the rescale,
 which takes most of F out again; the kernel takes no content of its input
 rows, only of a pivot when it first reduces another row.
 
+Modular mode grows one echelon the same way, mod q, with no rescale.
 Float mode builds and ranks each order on its own (_float_dims), on the
 precision ladder of linalg.ranks.
+
+A dim mod q is an upper bound on the true dim at that order, equal to it
+but with probability at most deg/(q - 1) (scalars); a J_k0 of full rank
+mod q is invertible at the point outright.
 
 The system is block lower-triangular by degree: on the power-D unknowns the
 degree-D monomial rows hold the degree-D jet matrix J_D of the entries'
@@ -110,8 +117,8 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, Mode
-from .tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
+from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, MODULUS, Mode
+from .tpoly import MonomialCodes, fixed_powers, integer_offset, modulus_at, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
@@ -191,28 +198,36 @@ def _relation_rows(
     as integer numerators over the lcm L_i of its coefficient denominators,
     and its powers are taken on those numerators, so unknown (i, m) carries
     L_i^m, a column scale that keeps the rank; scales is the list of the
-    L_i.  In float mode the offset is the mpf series tpoly.taylor gives at
-    the mode's precision and its powers are taken in fixed point
-    (tpoly.fixed_powers, which states the error model); scales is the
-    power-of-two unit of each unknown, as linalg.float_rank takes them.
+    L_i.  In modular mode the offsets and powers are residues mod q at the
+    point's one modulus (tpoly.modulus_at), and every L_i is 1.  In float
+    mode the offset is the mpf series tpoly.taylor gives at the mode's
+    precision and its powers are taken in fixed point (tpoly.fixed_powers,
+    which states the error model); scales is the power-of-two unit of each
+    unknown, as linalg.float_rank takes them.
     """
     rows: list[dict[int, int]] = [
         {} for _ in range(len(_relation_columns(W.n, order)) - first)
     ]
-    scales = [] if mode.is_exact else [0] * (W.size * m_cap)
-    for i, entry in enumerate(W.entries):
+    scales = [0] * (W.size * m_cap) if mode.is_float else []
+    at = [[point[s - 1] for s in entry.source] for entry in W.entries]
+    modulus = None
+    if mode.is_modular:
+        modulus = modulus_at(zip([e.generator for e in W.entries], at), point)
+    q = MODULUS if modulus else 0
+    for i, (entry, projected) in enumerate(zip(W.entries, at)):
         codes, row_of = _source_columns(W.n, order, entry.source)
-        at = [point[s - 1] for s in entry.source]
         try:
-            if mode.is_exact:
-                offset, den = integer_offset(entry.generator, at, codes)
+            if mode.is_float:
+                expansion = taylor(entry.generator, projected, codes, mode)
             else:
-                expansion = taylor(entry.generator, at, codes, mode)
+                offset, den = integer_offset(
+                    entry.generator, projected, codes, modulus
+                )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
-        if mode.is_exact:
+        if not mode.is_float:
             scales.append(den)
-            powers = codes.powers(offset, order)
+            powers = codes.powers(offset, order, modulus=q)
         else:
             powers = fixed_powers(expansion, codes, mode.precision)
             for m, (_, unit) in enumerate(powers, 1):
@@ -230,7 +245,8 @@ def _relation_rows(
 def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     """Yield (order, kernel dimension, mode) for orders m_start..m_cap from
     one echelon of the relation system, grown a degree at a time (see the
-    module docstring); stop pulling once the estimate is decided.
+    module docstring), in exact or modular mode; stop pulling once the
+    estimate is decided.
 
     The order-(m_start + 1) rows are built first, their monomial rows of
     degree <= m_start give order m_start and those of degree m_start + 1
@@ -240,6 +256,7 @@ def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     scales L_i^m, and each of its rows divided by its content, which
     takes out most of the factor F that brought it there.
     """
+    extend = linalg.exact_extend if mode.is_exact else linalg.modular_extend
     echelon: dict = {}
     unknowns = W.size * m_cap
     scales = None  # each offset's L_i at the first build
@@ -247,7 +264,7 @@ def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
         below = len(_relation_columns(W.n, built - 1))  # the degree < built keys
         if scales is None:
             rows, scales = _relation_rows(W, point, built, mode, m_cap)
-            linalg.exact_extend(echelon, rows[:below], unknowns)
+            extend(echelon, rows[:below], unknowns)
             yield m_start, W.size * m_start - len(echelon), mode
             batch = rows[below:]
         else:
@@ -269,7 +286,7 @@ def _exact_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
                     if content > 1:
                         for u in row:
                             row[u] //= content
-        linalg.exact_extend(echelon, batch, unknowns)
+        extend(echelon, batch, unknowns)
         yield built, W.size * built - len(echelon), mode
 
 
@@ -327,17 +344,18 @@ def rank_estimate(
     The stabilized dimension is reported as the web's rank at this point; if
     the cap is reached without stabilization the estimate is inconclusive
     (value None) and the dims trace is still returned for audit.
-    Stabilizing takes two orders, so m_cap must exceed m_start.  Exact mode
-    grows one echelon per point (_exact_dims), float mode builds and ranks
-    each order on its own (_float_dims), except that for a calibrated web
-    with m_start >= k0 it ranks order m_start + 1 first, and a dim at the
-    bound with J_k0 invertible gives the order-m_start dim without building
-    it (see the module docstring).  Either builds a higher order only when
-    the orders below it have not stabilized.
+    Stabilizing takes two orders, so m_cap must exceed m_start.  Exact and
+    modular mode grow one echelon per point (_exact_dims), float mode builds
+    and ranks each order on its own (_float_dims), except that for a
+    calibrated web with m_start >= k0 it ranks order m_start + 1 first, and
+    a dim at the bound with J_k0 invertible gives the order-m_start dim
+    without building it (see the module docstring).  Either builds a higher
+    order only when the orders below it have not stabilized.  In modular
+    mode a ModulusError reaches the caller (check_rank falls back).
     """
     if m_start < 1 or m_cap <= m_start:
         raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")
-    dims_of = _exact_dims if mode.is_exact else _float_dims
+    dims_of = _float_dims if mode.is_float else _exact_dims
     dims: dict[int, int] = {}
     method = mode.label()
     try:
@@ -422,11 +440,14 @@ def check_rank(
     the point, so their rank can drop, and the estimate rise, on a thin set
     only.  Two departures: an estimate that does not stabilize stops the
     check as "inconclusive", and when the search runs dry after mismatches
-    the last mismatch's note says so.
+    the last mismatch's note says so.  A modular check that meets a
+    ModulusError runs again in float mode on the same points
+    (GenericPointSampler.with_fallback).
     """
     last = [None, None]  # point and estimate of the last point estimated
 
-    def outcomes():
+    def outcomes(mode):
+        last[:] = None, None
         while (point := generic_point_for_web(W, sampler, mode)) is not None:
             estimate = rank_estimate(W, point, m_start, m_cap, mode)
             last[:] = point, estimate
@@ -438,7 +459,9 @@ def check_rank(
                 "dims_trace": dict(sorted(estimate.dims.items())),
             }
 
-    verdict, mismatches, _ = confirm(outcomes())
+    (verdict, mismatches, _), _ = sampler.with_fallback(
+        lambda current: confirm(outcomes(current)), mode
+    )
     point, estimate = last
     if verdict == INCONCLUSIVE and mismatches and estimate.value is not None:
         estimate = RankEstimate(

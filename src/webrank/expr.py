@@ -233,6 +233,35 @@ def has_transcendental(e: Expr) -> bool:
     return False
 
 
+def exp_arguments(e: Expr) -> list[Expr] | None:
+    """The arguments of e's exp nodes, in tree order, when every exp/log
+    node of e is an exp of an exp/log-free argument, the trees modular
+    mode expands (an empty list for an exp/log-free tree); None otherwise."""
+    if isinstance(e, Exp):
+        return None if has_transcendental(e.child) else [e.child]
+    if isinstance(e, Sum):
+        parts = e.terms
+    elif isinstance(e, Product):
+        parts = e.factors
+    elif isinstance(e, Quotient):
+        parts = (e.numerator, e.denominator)
+    elif isinstance(e, Neg):
+        parts = (e.child,)
+    elif isinstance(e, IntPower):
+        parts = (e.base,)
+    elif isinstance(e, Log):
+        return None
+    else:
+        return []
+    out: list[Expr] = []
+    for part in parts:
+        found = exp_arguments(part)
+        if found is None:
+            return None
+        out += found
+    return out
+
+
 def largest_power(e: Expr) -> int:
     """The largest product of |exponents| along a chain of nested powers,
     1 for a tree without powers: (x1^3)^4 gives 12.  The Taylor series of

@@ -17,13 +17,16 @@ gradient is the int numerators of its order-1 series, the gradient times
 that series' denominator s_c, so the degree-h entry of column c is s_c^h
 times the rational jet coefficient: the integer matrix is the rational one
 times an invertible diagonal matrix on the right and has the same rank.
+Modular gradients are residues mod q, so the entries are ints whose
+residues are the jet coefficients mod q; the modular kernel reduces them.
 Float gradients are ints at one unit u, so the degree-h entries are the
 exact products of the mpf gradients, ints at the unit h*u, and reach
 linalg.float_rank with that unit for every column.  square_block is the
 full-support tail of one generating web's degree-k0 jet matrix; in exact
 mode it stays ints and comes with its column scales s_c^k0, by which the
 report divides its determinant (ordinary._block_outcomes), since reports
-print the determinants of the rational blocks.
+print the determinants of the rational blocks; in modular mode it is ranked
+mod q, every integral's exp nodes mapped through the point's one t0.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .combin import monomial_count
 from .expr import EvalError
 from .linalg import sparse_rows
 from .scalars import Mode
-from .tpoly import common_unit, series_gradient
+from .tpoly import common_unit, modulus_at, series_gradient
 from .web import GeneratingWeb, multi_indices
 
 
@@ -168,9 +171,11 @@ def square_block(T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode):
     (int rows, column scales): column c of the rational block is column c
     of the int rows divided by scales[c], the k0-th power of its gradient's
     denominator, so the rational block's determinant is that of the int
-    rows over the product of the scales.  Float mode returns (sparse int
-    rows, column units): the exact products of the mpf gradients, one unit
-    for every column, as linalg.float_rank takes them.
+    rows over the product of the scales.  Modular mode returns (sparse int
+    rows, column count), the products of the residue gradients, which
+    linalg.ranks ranks mod q.  Float mode returns (sparse int rows, column
+    units): the exact products of the mpf gradients, one unit for every
+    column, as linalg.float_rank takes them.
     """
     k = T_k.k
     expected = monomial_count(k, k0 - k)
@@ -181,15 +186,20 @@ def square_block(T_k: GeneratingWeb, k0: int, point: Sequence, mode: Mode):
         )
     if len(positive_vectors(k, k0)) != expected:
         raise AssertionError("row enumeration disagrees with the cardinality count")
+    modulus = None
+    if mode.is_modular:
+        modulus = modulus_at([(u, point) for u in T_k.integrals], point)
     gradients = []
     for b, integral in enumerate(T_k.integrals, start=1):
         try:
-            gradients.append(series_gradient(integral, point, mode))
+            gradients.append(series_gradient(integral, point, mode, modulus))
         except EvalError as err:
             raise EvalError(f"integral (k={k}, b={b}): {err}") from None
-    if mode.is_exact:
+    if not mode.is_float:
         values = [g for g, _ in gradients]
         rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]
+        if mode.is_modular:
+            return sparse_rows(rows)
         return rows, [den**k0 for _, den in gradients]
     values, unit = common_unit(gradients)
     rows = jet_matrix_from_gradients(k, k0, values)[-1][-expected:]

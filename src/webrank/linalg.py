@@ -1,9 +1,11 @@
-"""Exact and floating rank and determinant, and the elimination kernels.
+"""Exact, modular and floating rank and determinant, and the elimination
+kernels.
 
 exact_extend is sparse fraction-free big-int elimination that grows one
-echelon batch by batch, exact_rank its one-batch case, exact_det the
-fraction-free Bareiss determinant of a square int matrix, and float_rank
-sparse complete-pivoting elimination on fixed-point integers
+echelon batch by batch, exact_rank its one-batch case, modular_extend the
+same echelon mod q (scalars), exact_det the fraction-free Bareiss
+determinant of a square int matrix, and float_rank sparse
+complete-pivoting elimination on fixed-point integers
 (rank_fixed_rows: one reciprocal of the pivot per updated row, so an entry
 update is a multiplication and a shift, and each row's largest magnitude
 kept as the rows change); rank_float_rows, the mpf elimination float_rank
@@ -32,6 +34,11 @@ jets.square_block builds them, and its caller divides the determinant by
 the block's column scales.  ranks is the front end the jet matrices and the
 float relation systems are ranked through; in float mode it passes the one
 precision a matrix is built and ranked at, and escalates it.
+
+An exact rank is the rank, a float rank an estimate judged by a gap
+threshold, and a rank mod q a lower bound on the rank at the true point
+(scalars): full rank mod q is a certificate, and a kernel dimension read
+off a modular rank an upper bound.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .scalars import ESCALATION_LIMIT, Mode
+from .scalars import ESCALATION_LIMIT, MODULUS, Mode
 
 # Not read by the package: perfbench/run.py records it on every run, so the
 # name stays until that benchmark stops reading it.
@@ -138,6 +145,55 @@ def exact_extend(echelon: dict, rows: Sequence[dict[int, int]], ncols: int) -> i
                 row = {j: v * q for j, v in row.items()}
             for j, b in tail:
                 v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                by_lead.setdefault(min(row), []).append(row)
+    return added
+
+
+def modular_extend(
+    echelon: dict, rows: Sequence[dict[int, int]], ncols: int, q: int = MODULUS
+) -> int:
+    """exact_extend's contract mod the prime q: after each call
+    len(echelon) is the rank mod q of every row given so far and its keys
+    their pivot columns; each value is the pivot's [(column, value)] right
+    of its column, scaled so that the pivot entry is 1.
+
+    The input rows, any ints, are copied reduced mod q and left unchanged.
+    Columns are processed left to right; a column with no stored pivot takes
+    the candidate with the fewest nonzeros (the first such), which keeps
+    fill-in small, and every other row leading there loses f times it.
+    """
+    by_lead: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        own = {}
+        for j, v in row.items():
+            v %= q
+            if v:
+                own[j] = v
+        if own:
+            by_lead.setdefault(min(own), []).append(own)
+    added = 0
+    for col in range(ncols):
+        if not by_lead:
+            break
+        here = by_lead.pop(col, None)
+        if here is None:
+            continue
+        tail = echelon.get(col)
+        if tail is None:
+            added += 1
+            pivot = min(here, key=len)
+            here = [row for row in here if row is not pivot]
+            inverse = pow(pivot.pop(col), -1, q)
+            tail = echelon[col] = [(j, v * inverse % q) for j, v in pivot.items()]
+        for row in here:
+            f = row.pop(col)
+            for j, b in tail:
+                v = (row.get(j, 0) - f * b) % q
                 if v:
                     row[j] = v
                 else:
@@ -419,20 +475,28 @@ def ranks(build, mode: Mode):
     """Ranks of the matrices build(mode) yields, in the mode's arithmetic.
 
     Each matrix is a pair of sparse rows and their columns, as exact_rank
-    and float_rank take it: the number of columns in exact mode, one unit
-    per column in float mode.  Returns ([(rank, info), ...], mode used), info
-    being exact_rank's pivot positions or float_rank's info dict, or None
-    when float decisions are still marginal at ESCALATION_LIMIT bits.
+    and float_rank take it: the number of columns in exact and modular
+    mode, one unit per column in float mode.  Returns ([(rank, info), ...],
+    mode used), info being exact_rank's pivot positions, the pivot columns
+    mod q or float_rank's info dict, or None when float decisions are still
+    marginal at ESCALATION_LIMIT bits.
 
-    In exact mode build runs once and each matrix goes to exact_rank.  In
-    float mode build(mode) expands its series at mode.precision (tpoly sets
-    that precision; everything after the series is exact ints), and each
-    matrix is ranked at that precision; at the first matrix with a marginal
-    pivot decision the precision is doubled (Mode.escalate) and build is
-    called again.
+    In exact mode build runs once and each matrix goes to exact_rank, in
+    modular mode once to modular_extend (a rank mod q is never marginal, so
+    nothing escalates).  In float mode build(mode) expands its series at
+    mode.precision (tpoly sets that precision; everything after the series
+    is exact ints), and each matrix is ranked at that precision; at the
+    first matrix with a marginal pivot decision the precision is doubled
+    (Mode.escalate) and build is called again.
     """
     if mode.is_exact:
         return [exact_rank(rows, ncols) for rows, ncols in build(mode)], mode
+    if mode.is_modular:
+        results = []
+        for rows, ncols in build(mode):
+            echelon: dict = {}
+            results.append((modular_extend(echelon, rows, ncols), sorted(echelon)))
+        return results, mode
     while True:
         results = []
         for rows, units in build(mode):

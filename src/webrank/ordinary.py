@@ -13,7 +13,8 @@ are ordinary:
 
 Verdicts are point certificates under report.confirm: a "true" is witnessed
 at an explicit sampled point, and a rank that degenerates on a thin set must
-repeat before it is "false".
+repeat before it is "false".  A full rank mod q is a full rank at the
+point (scalars), so a modular "true" is a certificate too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import DEFAULT_PRECISION, Mode
+from .scalars import DEFAULT_PRECISION, Mode, ModulusError
 from .web import AssembledWeb, BalancedSet, assemble, web_gradients
 
 
@@ -67,6 +68,19 @@ class GenericPointSampler:
         for _ in range(self.MAX_RETRIES):
             yield self.point(n)
 
+    def with_fallback(self, check, mode: Mode):
+        """(check(mode), mode); if a modular check meets a ModulusError,
+        (check(float mode), float mode) from the same sampler state."""
+        if not mode.is_modular:
+            return check(mode), mode
+        state = self._rng.getstate()
+        try:
+            return check(mode), mode
+        except ModulusError:
+            self._rng.setstate(state)
+            mode = Mode.floating(mode.precision)
+            return check(mode), mode
+
     def spawn(self, salt: int) -> "GenericPointSampler":
         """Independent sampler with a seed derived deterministically from ours."""
         return GenericPointSampler(seed=self.seed * 1_000_003 + salt + 1)
@@ -89,8 +103,11 @@ def check_finite_criterion(
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)
         size = monomial_count(k, E.k0 - k)
-        verdict, singular, witness = confirm(
-            _block_outcomes(web, E.k0, size, sampler.points(k), mode)
+        (verdict, singular, witness), _ = sampler.with_fallback(
+            lambda current: confirm(
+                _block_outcomes(web, E.k0, size, sampler.points(k), current)
+            ),
+            mode,
         )
         record: dict = {"k": k, "size": size}
         if singular:
@@ -109,7 +126,9 @@ def check_finite_criterion(
 
 
 def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
-    """(invertible, witness) of the square generating block at each point.
+    """(invertible, witness) of the square generating block at each point:
+    its determinant in exact mode, else its rank (and, in float mode, its
+    precision and pivot certificate).
 
     Points where an integral is undefined are skipped, and so are, in float
     mode, points whose pivots stay marginal at every precision.
@@ -128,12 +147,11 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
                 if ranks is None:
                     continue
                 [(rank, info)], used = ranks
-                outcome = rank == size, {
-                    "point": coords,
-                    "rank": rank,
-                    "precision": used.precision,
-                    **linalg.float_certificate(info),
-                }
+                witness = {"point": coords, "rank": rank}
+                if used.is_float:
+                    witness["precision"] = used.precision
+                    witness.update(linalg.float_certificate(info))
+                outcome = rank == size, witness
         except EvalError:
             continue
         yield outcome
@@ -147,8 +165,9 @@ def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode):
     them, built on web_gradients' int gradients.
 
     Exact mode ranks them as they are: they are column-scaled and have the
-    ranks of the rational ones.  Float mode ranks the degree-h matrix at
-    h times the gradients' unit in every column.
+    ranks of the rational ones.  Modular mode ranks them mod q.  Float mode
+    ranks the degree-h matrix at h times the gradients' unit in every
+    column.
     """
     gradients, unit = web_gradients(W, point, mode)
     matrices = jet_matrix_from_gradients(W.n, k0, gradients)
@@ -225,7 +244,7 @@ def check_ordinary_at(
     mode = E.default_mode(precision)
     expected = {h: min(d, monomial_count(n, h)) for h in range(1, k0 + 1)}
 
-    def outcomes():
+    def outcomes(mode):
         for point in sampler.points(n):
             try:
                 outcome = jet_ranks_at_point(W, point, mode, k0)
@@ -241,7 +260,9 @@ def check_ordinary_at(
             }
             yield ranks == expected, record
 
-    verdict, point_records, certifying = confirm(outcomes())
+    (verdict, point_records, certifying), mode = sampler.with_fallback(
+        lambda current: confirm(outcomes(current)), mode
+    )
     if verdict == TRUE:
         point_records.append(certifying)
     else:

@@ -1,14 +1,23 @@
 """Scalar models shared by the whole toolkit.
 
-Two models: exact rationals (fractions.Fraction over Python big ints) and
-arbitrary-precision binary floats (mpmath, configurable mantissa).  Exact is
-the default wherever the inputs are free of exp/log.  Only float mode loads
-mpmath: the package imports it inside the functions of the float path, so
-an exact run never does.  Float mode leaves mpf
-after the Taylor series (tpoly): its gradients, jet matrices, square
-blocks, relation rows, rank kernel and proportionality minors run on ints
-in fixed point, an int v standing for v * 2^unit (shifted moves such ints
-to another unit).
+Exact: rationals, as ints over one denominator, for exp/log-free inputs.
+Modular: F_q, q = MODULUS = 2^61 - 1, for inputs whose only exp/log nodes
+are exp of exp/log-free arguments.  At a rational point every exp constant
+is e^r = t^(rL), t = e^(1/L), L the lcm of the denominators of the exp
+arguments' values there; t is transcendental (Hermite-Lindemann), so every
+matrix the checks rank has entries in Q[t, 1/t].  Mapping t to a t0 in F_q
+drawn per point (tpoly.modulus_at) is a ring map: a rank mod q is a lower
+bound on the rank at the true point, equal to it unless t0 is a root of a
+nonzero minor, with probability at most deg/(q - 1) (Schwartz 1980; Zippel
+1979).  So full ranks, nonzero minors and non-proportional gradients mod q
+are point certificates, and a kernel dimension mod q is an upper bound.  A
+denominator divisible by q raises ModulusError, and the check that met it
+runs again in float mode (GenericPointSampler.with_fallback).  Float:
+mpmath binary floats of a configurable mantissa, for every other exp/log
+input; only float mode loads mpmath.  Float mode leaves mpf after the
+Taylor series (tpoly): its gradients, jet matrices, square blocks, relation
+rows, rank kernel and proportionality minors run on ints in fixed point, an
+int v standing for v * 2^unit (shifted moves such ints to another unit).
 """
 
 from __future__ import annotations
@@ -19,11 +28,18 @@ from .frozen import Frozen
 
 DEFAULT_PRECISION = 128
 ESCALATION_LIMIT = 512  # highest precision a marginal float rank escalates to
+MODULUS = 2**61 - 1  # the prime q of modular mode
+
+
+class ModulusError(ArithmeticError):
+    """A denominator divisible by q, or a divisor that vanishes mod q but
+    perhaps not over Q(t): the check falls back to float mode."""
 
 
 class Mode(Frozen):
-    """Scalar model selector: kind is "exact" (precision 0) or "float"
-    (precision: mantissa bits)."""
+    """Scalar model selector: kind is "exact" (precision 0), "modular"
+    (precision: the mantissa bits of the float mode it falls back to) or
+    "float" (precision: mantissa bits)."""
 
     __slots__ = ("kind", "precision")
 
@@ -37,24 +53,41 @@ class Mode(Frozen):
             raise ValueError(f"float precision too small: {precision}")
         return Mode("float", precision)
 
+    @staticmethod
+    def modular(precision: int = DEFAULT_PRECISION) -> "Mode":
+        """Modular mode; precision is validated as Mode.floating validates
+        it, since a check that meets a ModulusError runs at it."""
+        return Mode("modular", Mode.floating(precision).precision)
+
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
+    @property
+    def is_modular(self) -> bool:
+        return self.kind == "modular"
+
+    @property
+    def is_float(self) -> bool:
+        return self.kind == "float"
+
     def label(self) -> str:
+        if self.is_modular:
+            return "exact mod 2^61-1 at t=e^(1/L)"
         return "exact" if self.is_exact else f"float{self.precision}"
 
     def workprec(self):
         """mpmath context manager for this mode's precision (float mode only)."""
-        if self.is_exact:
+        if not self.is_float:
             raise ValueError("workprec is only meaningful in float mode")
         import mpmath
 
         return mpmath.workprec(self.precision)
 
     def escalate(self) -> "Mode":
-        """Next precision level for marginal-pivot retries (doubles the mantissa)."""
-        if self.is_exact:
+        """Next precision level for marginal-pivot retries (doubles the
+        mantissa); exact and modular ranks are never marginal."""
+        if not self.is_float:
             return self
         return Mode.floating(self.precision * 2)
 

@@ -18,9 +18,13 @@ integer_taylor series holds int numerators over one positive denominator,
 kept in lowest terms after every operation, so it needs no Fraction
 arithmetic; it divides by a series one degree at a time (_int_divide),
 where taylor multiplies by the inverse series, whose float rounding the
-float reports keep.  In float mode mpmath ends with the series: mpf_ints
-holds mpf coefficients exactly as ints over one power of two, fixed_powers
-takes the powers of an mpf offset on ints in fixed point, and
+float reports keep.  Given a Modulus, the same walk runs mod q for modular
+mode (scalars): residues over 1, an exp node t0^(rL) times the exp series, r
+its argument's exact value.  Each residue is the image of the exact
+coefficient, an element of Q[t, 1/t], under t -> t0, so nothing is rounded;
+only the ranks taken on them bound (linalg).  In float mode mpmath ends with the series:
+mpf_ints holds mpf coefficients exactly as ints over one power of two,
+fixed_powers takes the powers of an mpf offset on ints in fixed point, and
 series_gradient returns a float gradient as ints.  Expanding a generating
 integral at its projected point gives everything the certificates need
 there: the relation rows (to the truncation order), and the gradient and
@@ -49,10 +53,12 @@ from .expr import (
     RationalConst,
     Sum,
     Variable,
+    exp_arguments,
     has_transcendental,
     variables,
 )
-from .scalars import EXACT, Mode, shifted, to_mpf
+from .frozen import Frozen
+from .scalars import EXACT, MODULUS, Mode, ModulusError, shifted, to_mpf
 
 
 class MonomialCodes:
@@ -116,7 +122,7 @@ class MonomialCodes:
         return out
 
     def powers(
-        self, a: dict[int, int], m_max: int, shift: int = 0
+        self, a: dict[int, int], m_max: int, shift: int = 0, modulus: int = 0
     ) -> list[dict[int, int]]:
         """[a^1, ..., a^m_max], each truncated at the cap: the m-th is the
         (m-1)-th times a, as mul takes it, with a's items sorted once for
@@ -125,12 +131,17 @@ class MonomialCodes:
         With shift > 0, a holds ints in fixed point and each product is
         shifted right by shift bits, truncating toward zero: if a stands for
         a * 2^u, the m-th entry stands for itself times 2^(m*u + (m-1)*shift).
+        With a modulus, each product is reduced mod it, its zeros left out.
         """
         inner = sorted(a.items())
         out = [a]
         for _ in range(1, m_max):
             power = self._times(out[-1], inner)
-            out.append(shifted(power, -shift) if shift else power)
+            if shift:
+                power = shifted(power, -shift)
+            elif modulus:
+                power = _residues(power, modulus)
+            out.append(power)
         return out
 
     def compose(self, tail: dict, series: Sequence) -> dict:
@@ -143,6 +154,16 @@ class MonomialCodes:
             if coeff != 0:
                 _add_into(total, {code: v * coeff for code, v in power.items()})
         return total
+
+
+def _residues(terms: dict[int, int], q: int) -> dict[int, int]:
+    """The values of terms mod q, the zero residues left out."""
+    out = {}
+    for code, v in terms.items():
+        v %= q
+        if v:
+            out[code] = v
+    return out
 
 
 def _add_into(total: dict, terms: dict) -> None:
@@ -313,8 +334,61 @@ def fixed_powers(
     ]
 
 
+class Modulus(Frozen):
+    """Modular mode at one point (modulus_at): t0, the image in F_q of
+    t = e^(1/L), q = MODULUS."""
+
+    __slots__ = ("t0", "L")
+
+    def exp(self, numerator: int, den: int) -> int:
+        """e^(numerator/den) = t^(numerator*L/den) at t = t0."""
+        common = math.gcd(numerator, den)
+        numerator, den = numerator // common, den // common
+        if self.L % den:
+            raise ValueError(f"exp argument over {den} is not a multiple of 1/{self.L}")
+        return _power(self.t0, numerator * (self.L // den) % (MODULUS - 1), MODULUS)
+
+
+# a point's entries share their exp constants, each a 61-bit exponentiation
+_power = lru_cache(maxsize=1024)(pow)
+
+
+@lru_cache(maxsize=None)
+def _inverse_factorials(cap: int) -> tuple[int, ...]:
+    """1/m! mod q for m = 0..cap, the exp series' coefficients."""
+    out = [1]
+    for m in range(1, cap + 1):
+        out.append(out[-1] * pow(m, -1, MODULUS) % MODULUS)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _constant_codes(n: int) -> MonomialCodes:
+    return MonomialCodes(n, 0)
+
+
+def modulus_at(expansions, point: Sequence) -> Modulus:
+    """The Modulus shared by the (integral, projected point) pairs
+    expanded at one point: L the lcm of the denominators of their exp
+    arguments' values, t0 from a random.Random seeded with the point's
+    text, so it draws nothing from the sampler and a point gets one t0 in
+    every check.  A pole of an exp argument raises EvalError."""
+    L = 1
+    found: dict[int, list] = {}  # by id: the entries of a web share integrals
+    for e, at in expansions:
+        arguments = found.get(id(e))
+        if arguments is None:
+            arguments = found[id(e)] = exp_arguments(e)
+        if arguments is None:
+            raise EvalError("modular mode expands exp of exp/log-free arguments only")
+        for argument in arguments:
+            L = math.lcm(L, _int_taylor(argument, at, _constant_codes(len(at)))[1])
+    t0 = random.Random(",".join(map(str, point))).randrange(2, MODULUS - 1)
+    return Modulus(t0, L)
+
+
 def integer_taylor(
-    e: Expr, point: Sequence, codes: MonomialCodes
+    e: Expr, point: Sequence, codes: MonomialCodes, modulus: Modulus | None = None
 ) -> tuple[dict[int, int], int]:
     """Exact Taylor expansion of e at point, truncated at codes.cap.
 
@@ -322,31 +396,55 @@ def integer_taylor(
     numerators[c] / den, with den > 0 and gcd(den, *numerators) == 1.  It
     equals taylor(e, point, codes) term for term; exp/log nodes and poles
     at the point raise EvalError as there.
+
+    With a modulus: residues mod q over den = 1, exp nodes included.  A
+    denominator divisible by q raises ModulusError, as does a divisor
+    zero mod q, unless it is exp-free and zero exactly (a pole: EvalError).
     """
     if len(point) != codes.n:
         raise ValueError(f"point of length {len(point)} for {codes.n} variables")
-    return _int_taylor(e, point, codes)
+    return _int_taylor(e, point, codes, modulus)
 
 
 def integer_offset(
-    e: Expr, point: Sequence, codes: MonomialCodes
+    e: Expr, point: Sequence, codes: MonomialCodes, modulus: Modulus | None = None
 ) -> tuple[dict[int, int], int]:
     """integer_taylor of e - e(point): the expansion without its constant
     term, again in lowest terms, so den is the lcm of the denominators of
     the offset's coefficients and the numerators are those coefficients
-    times den."""
-    terms, den = integer_taylor(e, point, codes)
+    times den (residues over 1 with a modulus)."""
+    terms, den = integer_taylor(e, point, codes, modulus)
     return _lowest_terms({code: v for code, v in terms.items() if code}, den)
 
 
-def _lowest_terms(terms: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+def _lowest_terms(
+    terms: dict[int, int], den: int, modulus: Modulus | None = None
+) -> tuple[dict[int, int], int]:
+    """terms over den in lowest terms; with a modulus, residues over 1."""
+    if modulus is not None:
+        if den % MODULUS == 0:
+            raise ModulusError(f"a denominator divisible by q = {MODULUS}")
+        if den != 1:
+            inverse = pow(den, -1, MODULUS)
+            terms = {code: v * inverse for code, v in terms.items()}
+        return _residues(terms, MODULUS), 1
     common = math.gcd(den, *terms.values())
     if common == 1:
         return terms, den
     return {code: v // common for code, v in terms.items()}, den // common
 
 
-def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes):
+def _vanishing_divisor(e: Expr, point: tuple) -> None:
+    """Raise for a divisor e zero mod q: EvalError at a pole of an exp-free
+    e, else ModulusError, so that float mode decides."""
+    if not has_transcendental(e):
+        if not _int_taylor(e, point, _constant_codes(len(point)))[0]:
+            raise EvalError("expansion point is singular (zero constant term)")
+    raise ModulusError("a divisor vanishes mod q")
+
+
+def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes, modulus=None):
+    """integer_taylor's walk; see there for the modulus."""
     if isinstance(e, Variable):
         if e.index > codes.n:
             raise EvalError(
@@ -357,15 +455,20 @@ def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes):
         terms = {0: value.numerator} if value else {}
         if codes.cap >= 1:
             terms[codes.units[e.index - 1]] = value.denominator
+        if modulus is not None:
+            return _lowest_terms(terms, value.denominator, modulus)
         return terms, value.denominator
     if isinstance(e, RationalConst):
         value = e.value
-        return ({0: value.numerator} if value else {}), value.denominator
+        terms = {0: value.numerator} if value else {}
+        if modulus is not None:
+            return _lowest_terms(terms, value.denominator, modulus)
+        return terms, value.denominator
     if isinstance(e, Sum):
         terms: dict[int, int] = {}
         den = 1
         for term in e.terms:
-            t_terms, t_den = _int_taylor(term, point, codes)
+            t_terms, t_den = _int_taylor(term, point, codes, modulus)
             common = math.lcm(den, t_den)
             mine, theirs = common // den, common // t_den
             if mine != 1:
@@ -373,37 +476,52 @@ def _int_taylor(e: Expr, point: tuple, codes: MonomialCodes):
             for code, v in t_terms.items():
                 terms[code] = terms.get(code, 0) + v * theirs
             den = common
-        return _lowest_terms({code: v for code, v in terms.items() if v}, den)
+        return _lowest_terms({code: v for code, v in terms.items() if v}, den, modulus)
     if isinstance(e, Product):
-        terms, den = _int_taylor(e.factors[0], point, codes)
+        terms, den = _int_taylor(e.factors[0], point, codes, modulus)
         for factor in e.factors[1:]:
-            f_terms, f_den = _int_taylor(factor, point, codes)
-            terms, den = _lowest_terms(codes.mul(terms, f_terms), den * f_den)
+            f_terms, f_den = _int_taylor(factor, point, codes, modulus)
+            terms, den = _lowest_terms(
+                codes.mul(terms, f_terms), den * f_den, modulus
+            )
         return terms, den
     if isinstance(e, Quotient):
-        return _int_divide(
-            *_int_taylor(e.numerator, point, codes),
-            *_int_taylor(e.denominator, point, codes),
-            codes,
-        )
+        numerator = _int_taylor(e.numerator, point, codes, modulus)
+        divisor = _int_taylor(e.denominator, point, codes, modulus)
+        if modulus is not None and 0 not in divisor[0]:
+            _vanishing_divisor(e.denominator, point)
+        return _int_divide(*numerator, *divisor, codes, modulus)
     if isinstance(e, Neg):
-        terms, den = _int_taylor(e.child, point, codes)
+        terms, den = _int_taylor(e.child, point, codes, modulus)
+        if modulus is not None:
+            return {code: MODULUS - v for code, v in terms.items()}, den
         return {code: -v for code, v in terms.items()}, den
     if isinstance(e, IntPower):
-        terms, den = _int_taylor(e.base, point, codes)
+        terms, den = _int_taylor(e.base, point, codes, modulus)
         exponent = abs(e.exponent)
         result, result_den = {0: 1}, 1
         while exponent:
             if exponent & 1:
                 result, result_den = _lowest_terms(
-                    codes.mul(result, terms), result_den * den
+                    codes.mul(result, terms), result_den * den, modulus
                 )
             exponent >>= 1
             if exponent:
-                terms, den = _lowest_terms(codes.mul(terms, terms), den * den)
+                terms, den = _lowest_terms(codes.mul(terms, terms), den * den, modulus)
         if e.exponent < 0:
-            return _int_divide({0: 1}, 1, result, result_den, codes)
+            if modulus is not None and 0 not in result:
+                _vanishing_divisor(e.base, point)
+            return _int_divide({0: 1}, 1, result, result_den, codes, modulus)
         return result, result_den
+    if isinstance(e, Exp) and modulus is not None:
+        # e^(r + tail) = t0^(rL) * sum_m tail^m / m!
+        child, den = _int_taylor(e.child, point, codes)
+        constant = modulus.exp(child.get(0, 0), den)
+        series = [constant * f % MODULUS for f in _inverse_factorials(codes.cap)]
+        tail, _ = _lowest_terms(
+            {code: v for code, v in child.items() if code}, den, modulus
+        )
+        return _lowest_terms(codes.compose(tail, series), 1, modulus)
     if isinstance(e, (Exp, Log)):
         raise EvalError("exact mode cannot expand exp/log nodes")
     raise TypeError(f"not an expression node: {e!r}")
@@ -415,8 +533,10 @@ def _int_divide(
     terms: dict[int, int],
     den: int,
     codes: MonomialCodes,
+    modulus: Modulus | None = None,
 ) -> tuple[dict[int, int], int]:
-    """(num / num_den) / (terms / den), truncated at the cap, in lowest terms.
+    """(num / num_den) / (terms / den), truncated at the cap, in lowest terms
+    (residues over 1 with a modulus; the caller checks a0 mod q).
 
     With a0 the constant term of `terms` and T_j, N_D the homogeneous parts
     of its tail and of num, the quotient of num by terms has the degree-D
@@ -447,7 +567,7 @@ def _int_divide(
         weight = den * a0 ** (cap - degree)
         for code, v in q.items():
             out[code] = v * weight
-    return _lowest_terms(out, out_den)
+    return _lowest_terms(out, out_den, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +579,15 @@ def _linear_codes(n: int) -> MonomialCodes:
 
 
 def series_gradient(
-    e: Expr, point: Sequence, mode: Mode = EXACT
+    e: Expr, point: Sequence, mode: Mode = EXACT, modulus: Modulus | None = None
 ) -> tuple[list[int], int]:
     """The gradient of e at point as ints, read off the degree-1 terms of
-    the order-1 Taylor series: (values, den) in exact mode, (values, unit)
-    in float mode.
+    the order-1 Taylor series: (values, den) in exact and modular mode,
+    (values, unit) in float mode.
 
     Exact mode: integer_offset's numerators over the lcm den of the
-    partials' denominators, so values / den is the gradient.  Float mode:
+    partials' denominators, so values / den is the gradient.  Modular mode
+    (given the point's modulus): residues mod q over den = 1.  Float mode:
     taylor's mpf coefficients at the mode's precision held exactly as ints
     over one power of two (mpf_ints), so values * 2^unit is the gradient
     as mpmath computes it.  The expansion computes e itself, so a pole of e
@@ -476,8 +597,8 @@ def series_gradient(
     own, higher-order expansion.
     """
     codes = _linear_codes(len(point))
-    if mode.is_exact:
-        terms, den = integer_offset(e, point, codes)
+    if not mode.is_float:
+        terms, den = integer_offset(e, point, codes, modulus)
         return [terms.get(unit, 0) for unit in codes.units], den
     import mpmath
 

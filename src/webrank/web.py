@@ -8,10 +8,11 @@ monomial_count(n, k0).
 
 An entry's gradient is its generating integral's, read off the order-1
 Taylor series at the projected point (tpoly.series_gradient), which also
-checks the domain.  Gradients are ints in both modes.  Exact gradients are
+checks the domain.  Gradients are ints in every mode.  Exact gradients are
 the series' numerators, a positive multiple of the gradient that neither
-the proportionality screen nor the jet ranks can see; float gradients are
-the series' mpf values held exactly at one power-of-two unit for the whole
+the proportionality screen nor the jet ranks can see; modular gradients
+are residues mod q at the point's one t0; float gradients are the
+series' mpf values held exactly at one power-of-two unit for the whole
 web, so the jet matrices built from them are exact products.
 """
 
@@ -28,6 +29,7 @@ from .expr import (
     EvalError,
     Expr,
     MAX_POWER,
+    exp_arguments,
     has_transcendental,
     largest_power,
     max_var_index,
@@ -45,8 +47,8 @@ from .report import (
     confirm,
 )
 from .frozen import Frozen
-from .scalars import DEFAULT_PRECISION, EXACT, Mode, zero_tolerance
-from .tpoly import common_unit, series_gradient, vars_used
+from .scalars import DEFAULT_PRECISION, EXACT, MODULUS, Mode, zero_tolerance
+from .tpoly import common_unit, modulus_at, series_gradient, vars_used
 
 
 class GeneratingWeb(Frozen):
@@ -69,12 +71,16 @@ class BalancedSet(Frozen):
     def all_integrals(self) -> list[Expr]:
         return [u for web in self.webs for u in web.integrals]
 
-    def is_rational(self) -> bool:
-        return not any(has_transcendental(u) for u in self.all_integrals())
-
     def default_mode(self, precision: int = DEFAULT_PRECISION) -> Mode:
-        """Exact when every integral is exp/log-free, else extended floats."""
-        return EXACT if self.is_rational() else Mode.floating(precision)
+        """Exact when every integral is exp/log-free; modular when the only
+        exp/log nodes are exp of exp/log-free arguments; else extended
+        floats.  precision is the float mode's, or its fallback's."""
+        integrals = self.all_integrals()
+        if not any(map(has_transcendental, integrals)):
+            return EXACT
+        if all(exp_arguments(u) is not None for u in integrals):
+            return Mode.modular(precision)
+        return Mode.floating(precision)
 
 
 def balanced_set(k0: int, webs_integrals: Sequence[Sequence[Expr]]) -> BalancedSet:
@@ -196,14 +202,17 @@ def proportional_pairs(
     exact integers (_float_proportional_pairs).  In exact mode two nonzero
     gradients are proportional iff they have the same _direction, so
     grouping by it finds every pair in O(d*n); a zero gradient is
-    proportional to every other one.
+    proportional to every other one.  Modular mode groups residue
+    gradients by _residue_direction; an empty list mod q certifies that no
+    pair is proportional at the point.
     """
-    if not mode.is_exact:
+    if mode.is_float:
         return _float_proportional_pairs(gradients, mode)
+    direction = _direction if mode.is_exact else _residue_direction
     zeros = []
     groups: dict[tuple, list[int]] = {}
     for i, g in enumerate(gradients):
-        key = _direction(g)
+        key = direction(g)
         if key is None:
             zeros.append(i)
         else:
@@ -295,6 +304,16 @@ def _direction(g) -> tuple[int, ...] | None:
     return tuple(v // common for v in g) if common else None
 
 
+def _residue_direction(g) -> tuple[int, ...] | None:
+    """The residue vector on the line of g mod q whose first nonzero
+    component is 1; None when g is zero mod q."""
+    first = next((v for v in g if v % MODULUS), None)
+    if first is None:
+        return None
+    inverse = pow(first, -1, MODULUS)
+    return tuple(v * inverse % MODULUS for v in g)
+
+
 def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
     """(gradients, unit): the gradient of every entry at point, as int
     vectors; EvalError is tagged with the entry's label.
@@ -303,23 +322,27 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
     partial at the point's `source` coordinates (tpoly.series_gradient),
     and its partial in any other variable is zero.  Exact gradients are the
     series' int numerators, each a positive multiple of the gradient, and
-    unit is None.  Float gradients are the series' mpf values held exactly
-    at one unit for all entries: gradient * 2^unit is the mpf gradient.
+    unit is None.  Modular gradients are residues mod q, unit None.  Float
+    gradients are the series' mpf values held exactly at one unit for all
+    entries: gradient * 2^unit is the mpf gradient.
     """
+    at = [[point[s - 1] for s in entry.source] for entry in W.entries]
+    modulus = None
+    if mode.is_modular:
+        modulus = modulus_at(zip([e.generator for e in W.entries], at), point)
     out = []
-    for entry in W.entries:
-        source = entry.source
+    for entry, projected in zip(W.entries, at):
         try:
             values, scale = series_gradient(
-                entry.generator, [point[s - 1] for s in source], mode
+                entry.generator, projected, mode, modulus
             )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
         gradient = [0] * W.n
-        for s, value in zip(source, values):
+        for s, value in zip(entry.source, values):
             gradient[s - 1] = value
         out.append((gradient, scale))
-    if mode.is_exact:
+    if not mode.is_float:
         return [gradient for gradient, _ in out], None
     return common_unit(out)
 
@@ -385,7 +408,11 @@ def validate_balanced(
             verdicts.append(TRUE if ok else FALSE)
 
     if combine_verdicts(verdicts) == TRUE:
-        verdicts.append(_web_condition(E, n_check, sampler, mode, checks))
+        verdict, mode = sampler.with_fallback(
+            lambda current: _web_condition(E, n_check, sampler, current, checks),
+            mode,
+        )
+        verdicts.append(verdict)
     else:
         checks.append(
             {
@@ -464,7 +491,13 @@ def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:
             )
             for integral in web.integrals:
                 permuted = relabel(integral, positions)
-                if not _foliation_present(permuted, web, k, trials, sampler, mode):
+                present, _ = sampler.with_fallback(
+                    lambda current: _foliation_present(
+                        permuted, web, k, trials, sampler, current
+                    ),
+                    mode,
+                )
+                if not present:
                     invariant = False
                     break
             if not invariant:
@@ -480,7 +513,12 @@ def _foliation_present(candidate, web, k, trials, sampler, mode) -> bool:
     def samples():
         for point in sampler.points(k):
             try:
-                gradients = [series_gradient(u, point, mode)[0] for u in integrals]
+                modulus = None
+                if mode.is_modular:
+                    modulus = modulus_at([(u, point) for u in integrals], point)
+                gradients = [
+                    series_gradient(u, point, mode, modulus)[0] for u in integrals
+                ]
             except EvalError:
                 continue
             yield set(proportional_pairs(gradients, mode))

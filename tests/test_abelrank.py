@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from webrank import abelrank, linalg
@@ -28,7 +28,7 @@ from webrank.expr import EvalError, parse
 from webrank.jets import degree_multi_indices, jet_matrix_from_gradients
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
-from webrank.scalars import EXACT, Mode
+from webrank.scalars import EXACT, MODULUS, Mode
 from webrank.tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
 from webrank.web import assemble, balanced_set_from_json, web_gradients
 
@@ -280,16 +280,40 @@ def rows_by_key(W, rows, built, order):
     return by_key
 
 
+def exp_relation_system(n):
+    """(web, generic point, order k0 + 1) of k0_4_exp at n, as
+    sampled_relation_systems draws them, for the modular slicing case."""
+    E, _ = get_family("k0_4_exp")
+    W = assemble(E, n)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), Mode.modular())
+    return W, point, E.k0 + 1
+
+
 @settings(max_examples=50, deadline=None)
-@given(sampled_relation_systems(), st.integers(min_value=1, max_value=2))
-def test_sliced_rows_equal_a_fresh_build(system, extra):
+@given(
+    sampled_relation_systems(),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from([EXACT, Mode.modular()]),
+)
+@example(exp_relation_system(2), 1, Mode.modular())
+@example(exp_relation_system(3), 1, Mode.modular())
+@example(exp_relation_system(4), 1, Mode.modular())
+def test_sliced_rows_equal_a_fresh_build(system, extra, mode):
+    # _exact_dims slices the leading rows of one build in exact and modular
+    # mode; float mode builds every order on its own
     W, point, order = system
     built = order + extra
     m_cap = built + 1  # room for one power more than either build has
-    rows, built_scales = _relation_rows(W, point, built, EXACT, m_cap)
-    fresh, fresh_scales = _relation_rows(W, point, order, EXACT, m_cap)
-    assert built_scales == offset_scales(W, point, built)
-    assert fresh_scales == offset_scales(W, point, order)
+    rows, built_scales = _relation_rows(W, point, built, mode, m_cap)
+    fresh, fresh_scales = _relation_rows(W, point, order, mode, m_cap)
+    assert all(type(v) is int and v for row in rows + fresh for v in row.values())
+    if mode.is_exact:
+        assert built_scales == offset_scales(W, point, built)
+        assert fresh_scales == offset_scales(W, point, order)
+    else:
+        # residues below q, no column scales
+        assert built_scales == fresh_scales == [1] * W.size
+        assert all(0 < v < MODULUS for row in rows for v in row.values())
 
     def rational(rows, scales):
         return {
@@ -309,7 +333,7 @@ def test_sliced_rows_equal_a_fresh_build(system, extra):
         assert sliced == expected
     # and a build from a later monomial on is the tail of the full one
     first = len(_relation_columns(W.n, built - 1))
-    tail = _relation_rows(W, point, built, EXACT, m_cap, first)
+    tail = _relation_rows(W, point, built, mode, m_cap, first)
     assert tail == (rows[first:], built_scales)
 
 
@@ -349,7 +373,7 @@ def catalog_relation_systems():
     for name in family_names():
         E, _ = get_family(name)
         modes = [Mode.floating(128)]
-        if E.is_rational():
+        if E.default_mode().is_exact:
             modes.insert(0, EXACT)
         out.extend((name, n, modes) for n in range(2, E.k0 + 2))
     return out
@@ -419,23 +443,26 @@ def test_support_order_keeps_the_rank(system):
 # --------------------------------------------------------------------------
 # every order from one growing exact elimination
 
-def separate_dims(W, point, orders):
+def separate_dims(W, point, orders, mode=EXACT):
     """Oracle: the kernel dimension at each order from its own fresh build
-    and its own elimination."""
+    and its own elimination, exact or mod q."""
     dims = {}
     for order in orders:
-        rows, _ = _relation_rows(W, point, order, EXACT, order)
-        rank, _ = linalg.exact_rank(rows, W.size * order)
+        rows, _ = _relation_rows(W, point, order, mode, order)
+        if mode.is_exact:
+            rank, _ = linalg.exact_rank(rows, W.size * order)
+        else:
+            rank = linalg.modular_extend({}, rows, W.size * order)
         dims[order] = W.size * order - rank
     return dims
 
 
 def grown_dims(W, point, m_start, m_cap, mode=EXACT):
     """The dims rank_estimate reads at every order m_start..m_cap, pulled
-    past any stabilization: one growing echelon in exact mode, one float
-    elimination per order otherwise (none for m_start when J_k0 and order
-    m_start + 1 decide it)."""
-    dims_of = abelrank._exact_dims if mode.is_exact else abelrank._float_dims
+    past any stabilization: one growing echelon in exact and modular mode,
+    one float elimination per order otherwise (none for m_start when J_k0
+    and order m_start + 1 decide it)."""
+    dims_of = abelrank._float_dims if mode.is_float else abelrank._exact_dims
     return {order: dim for order, dim, _ in dims_of(W, point, m_start, m_cap, mode)}
 
 
@@ -647,10 +674,10 @@ def web_definition(path):
 
 def fresh_dims(W, point, orders, mode):
     """Oracle: the kernel dimension of each order from its own build,
-    ranked alone (separate_dims in exact mode, linalg.ranks from `mode` in
-    float mode)."""
-    if mode.is_exact:
-        return separate_dims(W, point, orders)
+    ranked alone (separate_dims in exact and modular mode, linalg.ranks
+    from `mode` in float mode)."""
+    if not mode.is_float:
+        return separate_dims(W, point, orders, mode)
     dims = {}
     for order in orders:
         [(rank, _)], _ = linalg.ranks(
@@ -662,7 +689,7 @@ def fresh_dims(W, point, orders, mode):
 
 def relation_dims_cases():
     """(label, web definition, n, mode): every catalog family at n = 2..k0
-    in its own mode, k0_4_exp also at 32 and 64 bits, and the log,
+    in its own mode, k0_4_exp also at 32, 64 and 128 bits, and the log,
     dependent-gradients, non-hexagonal and k0=5 (n <= 4) fixtures."""
     cases = []
     for name in family_names():
@@ -671,7 +698,7 @@ def relation_dims_cases():
     exp = get_family("k0_4_exp")[0]
     cases += [
         (f"k0_4_exp-{bits}", exp, n, Mode.floating(bits))
-        for bits in (32, 64)
+        for bits in (32, 64, 128)
         for n in (2, 3, 4)
     ]
     fixtures = [
@@ -737,7 +764,7 @@ def test_invertible_top_jet_matrix_skips_the_start_order(monkeypatch, n):
     # order k0 + 2 reads the bound and J_k0 is invertible: order k0 + 1
     # takes the bound without being ranked
     E, _ = get_family("k0_4_exp")
-    mode = E.default_mode()
+    mode = Mode.floating(128)
     calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
     d = assemble(E, n).size
     assert calls["jet_ranks_at_point"] == [d]
@@ -752,7 +779,7 @@ def test_singular_top_jet_matrix_ranks_the_start_order(monkeypatch, n):
     # the float dependent-gradients fixture: order k0 + 2 reads the bound,
     # but J_4 is singular, so order k0 + 1 is ranked on its own
     E = web_definition(DEPENDENT_GRADIENTS_FLOAT)
-    mode = E.default_mode()
+    mode = Mode.floating(128)
     calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
     d = assemble(E, n).size
     assert estimate.dims[E.k0 + 2] == max_rank_bound(n, d)
@@ -854,42 +881,6 @@ def test_float_rank_of_exp_relation_systems_matches_mpf_oracle(n, precision):
 def test_float_rank_of_log_relation_systems_matches_mpf_oracle(n, precision):
     E = balanced_set_from_json(json.loads(LOG_DOMAIN.read_text()))
     assert_float_ranks_match_mpf_oracle(E, n, precision)
-
-
-def assert_sliced_float_rows_equal_a_fresh_build(W, point, order, built, mode):
-    # int for int and unit for unit, monomial by monomial; both builds
-    # number the unknowns with room for `built` powers
-    rows, units = _relation_rows(W, point, built, mode, built)
-    fresh, fresh_units = _relation_rows(W, point, order, mode, built)
-    assert all(type(v) is int for row in rows + fresh for v in row.values())
-    assert rows_by_key(W, rows, built, order) == rows_by_key(W, fresh, order, order)
-    powers = [built - u % built for u in range(W.size * built)]
-    assert [u for u, m in zip(units, powers) if m <= order] == [
-        u for u, m in zip(fresh_units, powers) if m <= order
-    ]
-
-
-@pytest.mark.parametrize("precision", [32, 64, 128])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_sliced_float_rows_of_exp_systems_equal_a_fresh_build(n, precision):
-    E, _ = get_family("k0_4_exp")
-    W = assemble(E, n)
-    mode = Mode.floating(precision)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
-    top = E.k0 + 2
-    assert_sliced_float_rows_equal_a_fresh_build(W, point, top - 1, top, mode)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    sampled_relation_systems(),
-    st.integers(min_value=1, max_value=2),
-    st.sampled_from([32, 64, 128]),
-)
-def test_sliced_float_rows_equal_a_fresh_build(system, extra, precision):
-    W, point, order = system
-    mode = Mode.floating(precision)
-    assert_sliced_float_rows_equal_a_fresh_build(W, point, order, order + extra, mode)
 
 
 # --------------------------------------------------------------------------

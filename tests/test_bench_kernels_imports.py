@@ -56,6 +56,14 @@ def test_k0_5_growth_bench_runs(bench):
     assert set(results) == {"grow"}
 
 
+def test_modular_bench_runs(bench):
+    # the exp family's order-6 system at n=4: modular_extend and the float
+    # kernel agree on its rank, once
+    label, info, results = bench.bench_modular(1)
+    assert info == "209 monomial rows rank 139"
+    assert set(results) == {"rows", "rank", "float"}
+
+
 def test_two_batch_dims_match_the_pipeline(bench):
     # the bench's two exact_extend calls give rank_estimate's first two dims
     E, _ = get_family("k0_3_sym_prod")

@@ -386,8 +386,14 @@ def test_exact_jobs_never_load_mpmath(argv):
 
 
 def test_float_jobs_load_mpmath():
-    argv = ["rank", "--family", "k0_4_exp", "--n", "2", "--format", "json"]
+    argv = ["rank", "--input", str(LOG_DOMAIN), "--n", "2", "--format", "json"]
     assert mpmath_probe(*argv) == (0, True)
+
+
+def test_modular_rank_jobs_never_load_mpmath():
+    # the exp family's rank estimate runs mod q from series to kernel
+    argv = ["rank", "--family", "k0_4_exp", "--n", "2", "--format", "json"]
+    assert mpmath_probe(*argv) == (0, False)
 
 
 # --------------------------------------------------------------------------
@@ -485,12 +491,13 @@ def test_float_dependent_gradients_are_not_ordinary(capsys, seed):
 
 
 def test_verify_family_precision_reaches_every_stage(capsys):
-    # the balanced-set check ran at the default 128 bits whatever --precision said
+    # the balanced-set check ran at the default 128 bits whatever --precision
+    # said; the log web stays in float mode
     code, out, _ = run_cli(
         capsys,
         "verify-family",
-        "--family",
-        "k0_4_exp",
+        "--input",
+        str(LOG_DOMAIN),
         "--precision",
         "256",
         "--format",

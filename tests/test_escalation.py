@@ -3,6 +3,9 @@
 A float rank whose pivot decisions are marginal is retried at twice the
 precision, up to ESCALATION_LIMIT bits; past it the rank estimate, the
 finite criterion and the direct check all answer without a float verdict.
+The exp family runs mod q by default, so the library calls here pass float
+mode explicitly, and the checks that pick their own mode run on LOG_WEB, a
+log web that stays in float mode.
 """
 
 import json
@@ -19,7 +22,19 @@ from webrank.ordinary import (
     check_ordinary_at,
 )
 from webrank.report import INCONCLUSIVE
-from webrank.web import assemble
+from webrank.scalars import Mode
+from webrank.web import assemble, balanced_set_from_json
+
+# k0_4_exp with each exp(xj) replaced by log(xj^2+1)
+LOG_WEB = {
+    "k0": 4,
+    "webs": [
+        ["x1"],
+        ["x1+x2", "x1-x2", "log(x1^2+1)+log(x2^2+1)"],
+        ["x1+x2+x3", "x1+x2-x3", "log(x1^2+1)+log(x2^2+1)+log(x3^2+1)"],
+        ["x1+x2+x3+x4"],
+    ],
+}
 
 ESCALATED = [128, 256, 512]
 
@@ -38,18 +53,21 @@ def always_marginal(monkeypatch):
     return precisions
 
 
-def test_rank_at_32_bits_escalates_once(capsys):
-    argv = ["rank", "--family", "k0_4_exp", "--n", "3", "--precision", "32"]
+def test_rank_at_32_bits_escalates_once(capsys, tmp_path):
+    # the log web is not of maximal rank: 22 of 26 at every point
+    path = tmp_path / "log_web.json"
+    path.write_text(json.dumps(LOG_WEB))
+    argv = ["rank", "--input", str(path), "--n", "3", "--precision", "32"]
     code = main(argv + ["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 0
+    assert code == 1
     assert payload["method"] == "float64"
-    assert payload["value"] == 26
+    assert payload["value"] == 22
 
 
 def test_rank_estimate_gives_up_past_the_limit(always_marginal):
     E, _ = get_family("k0_4_exp")
-    mode = E.default_mode()
+    mode = Mode.floating()
     W = assemble(E, 2)
     point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
     estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
@@ -62,7 +80,7 @@ def test_rank_estimate_gives_up_past_the_limit(always_marginal):
 
 
 def test_finite_criterion_inconclusive_when_always_marginal(always_marginal):
-    E, _ = get_family("k0_4_exp")
+    E = balanced_set_from_json(LOG_WEB)
     report = check_finite_criterion(E, GenericPointSampler(seed=0))
     assert report.verdict == INCONCLUSIVE
     assert [check["verdict"] for check in report.checks] == [INCONCLUSIVE] * E.k0
@@ -72,7 +90,7 @@ def test_finite_criterion_inconclusive_when_always_marginal(always_marginal):
 
 
 def test_direct_check_inconclusive_when_always_marginal(always_marginal):
-    E, _ = get_family("k0_4_exp")
+    E = balanced_set_from_json(LOG_WEB)
     report = check_ordinary_at(E, 2, GenericPointSampler(seed=0))
     assert report.verdict == INCONCLUSIVE
     assert report.witnesses["points"] == []

@@ -17,7 +17,7 @@ from helpers import (
     oracle_float_rank,
 )
 from webrank import linalg
-from webrank.scalars import Mode
+from webrank.scalars import MODULUS, Mode
 
 
 def naive_rank(rows):
@@ -406,6 +406,74 @@ def test_ranks_in_exact_mode_build_once_and_rank_exactly():
     assert built == [Mode.exact()] and used == Mode.exact()
     assert ranks == [linalg.exact_rank(*linalg.sparse_rows(b)) for b in blocks]
     assert [rank for rank, _ in ranks] == [2, 1]
+
+
+def test_ranks_in_modular_mode_build_once_and_rank_mod_q():
+    # 2^61 against 1 is a plain pivot mod q too; [[q + 1, 1], [1, 1]] has
+    # rank 1 mod q, 2 over Q
+    blocks = [[[2**61, 0], [0, 1]], [[MODULUS + 1, 1], [1, 1]]]
+    built = []
+
+    def build(mode):
+        built.append(mode)
+        return map(linalg.sparse_rows, blocks)
+
+    ranks, used = linalg.ranks(build, Mode.modular())
+    assert built == [Mode.modular()] and used == Mode.modular()
+    assert ranks == [(2, [0, 1]), (1, [0])]
+
+
+def naive_rank_mod(rows, q):
+    """Oracle: plain row reduction over F_q.  Returns (rank, pivot columns
+    of the echelon form, left to right)."""
+    work = [[v % q for v in row] for row in rows]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    columns = []
+    for col in range(n):
+        rank = len(columns)
+        pivot = next((i for i in range(rank, m) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inverse = pow(work[rank][col], -1, q)
+        for i in range(rank + 1, m):
+            factor = work[i][col] * inverse % q
+            if factor:
+                work[i] = [(a - factor * b) % q for a, b in zip(work[i], work[rank])]
+        columns.append(col)
+    return len(columns), columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_product_matrices(), st.sampled_from([2, 3, 5, 7, MODULUS]))
+# over Q rank 2; mod 2, 3 and 5 the second row is a multiple of the first
+@example([[2, 3], [6, 5]], 2)
+@example([[1, 2], [3, 6 + 5]], 5)
+def test_modular_extend_adds_the_pivots_of_each_batch_mod_q(rows, q):
+    # exact_extend's contract over F_q: for every split k, the first k rows
+    # add the pivots of their own rank mod q, the rest reach the rank and
+    # pivot columns of all rows, and the input dicts are left unchanged
+    rank, columns = naive_rank_mod(rows, q)
+    sparse, ncols = linalg.sparse_rows(rows)
+    before = [dict(row) for row in sparse]
+    for k in range(len(rows) + 1):
+        leading_rank = naive_rank_mod(rows[:k], q)[0] if k else 0
+        echelon = {}
+        assert linalg.modular_extend(echelon, sparse[:k], ncols, q) == leading_rank
+        added = linalg.modular_extend(echelon, sparse[k:], ncols, q)
+        assert added == rank - leading_rank
+        assert sorted(echelon) == columns
+        # each stored pivot: its row scaled to 1 at its column, entries right
+        # of it, reduced mod q
+        assert all(
+            j > col and 0 < v < q for col, tail in echelon.items() for j, v in tail
+        )
+    assert sparse == before
+    if q == MODULUS and math.prod(max(1, sum(v * v for v in row)) for row in rows) < q * q:
+        # Hadamard's bound: every minor is below q in magnitude, so the rank
+        # mod q is the rank over Q
+        assert rank == naive_rank(rows)[0]
 
 
 precisions = st.sampled_from([32, 64, 128, 256])

@@ -142,7 +142,9 @@ def test_finite_criterion_exp_family():
     E, _ = get_family("k0_4_exp")
     report = check_finite_criterion(E, GenericPointSampler(seed=0))
     assert report.verdict == TRUE
-    assert report.witnesses["mode"] == "float128"
+    assert report.witnesses["mode"] == "exact mod 2^61-1 at t=e^(1/L)"
+    # a block of full rank mod q, no float certificate
+    assert [set(c["witness"]) for c in report.checks] == [{"point", "rank"}] * E.k0
 
 
 def test_finite_criterion_dependent_gradients_false():

@@ -52,7 +52,6 @@ NEVER_ENTERED = {
     "expr._eval": TEST_ORACLE + " (direct evaluation)",
     "expr.diff": TEST_ORACLE + " (symbolic partials)",
     "expr.evaluate": TEST_ORACLE + " (direct evaluation)",
-    "expr.log_of": SAFETY + " (log nodes, which only input files hold)",
     "expr.relabel": ACCEPTANCE + " (quasi-symmetry) and the tests' pullbacks",
     "frozen.Frozen.__eq__": VALUE,
     "frozen.Frozen.__hash__": VALUE,
@@ -63,9 +62,12 @@ NEVER_ENTERED = {
     "jets.quadruple": TEST_ORACLE + " (row order of degree_multi_indices)",
     "jets.support": TEST_ORACLE + " (through quadruple)",
     "linalg.rank_float_rows": TEST_ORACLE + " (the mpf float kernel)",
+    "scalars.Mode.escalate": SAFETY
+    + " (a marginal float rank; tests/test_escalation.py plants one)",
     "scalars.scalar_to_str": SAFETY + " (a scalar reaching report.jsonable)",
     "scalars.zero_tolerance": SAFETY + " (the mpf minor test's rounding band)",
     "tpoly.MonomialCodes.decode": TEST_ORACLE + " (codes back to exponents)",
+    "tpoly._vanishing_divisor": SAFETY + " (a divisor that vanishes mod q)",
     "tpoly.taylor.<locals>.inverse": SAFETY + " (a float quotient series)",
     "web._foliation_present": ACCEPTANCE + " (quasi-symmetry)",
     "web._foliation_present.<locals>.samples": ACCEPTANCE + " (quasi-symmetry)",

@@ -13,7 +13,7 @@ from webrank.expr import EvalError, diff, evaluate, has_transcendental, parse, t
 from webrank.ordinary import GenericPointSampler
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE, TRUE
 from webrank.scalars import EXACT, Mode
-from webrank.tpoly import series_gradient
+from webrank.tpoly import MonomialCodes, integer_taylor, modulus_at, series_gradient
 from webrank import web as web_module
 from webrank.web import (
     _direction,
@@ -536,23 +536,48 @@ FIVE_POINT = (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 4), Fraction(-2, 3),
 
 
 def catalog_webs():
-    """(assembled web, mode) for every family at n = 2..k0+1."""
+    """(assembled web, mode) for every family at n = 2..k0+1, in its own
+    mode, and the exp family in float mode as well."""
     out = []
     for name in family_names():
         E, _ = get_family(name)
-        out.extend((assemble(E, n), E.default_mode()) for n in range(2, E.k0 + 2))
+        modes = [E.default_mode()]
+        if modes[0].is_modular:
+            modes.append(Mode.floating(128))
+        out.extend((assemble(E, n), mode) for n in range(2, E.k0 + 2) for mode in modes)
     return out
+
+
+def modular_partials(W, point):
+    """Oracle: each pulled-back entry's symbolic partials, expanded to order
+    0 at the full point mod q through the point's modulus."""
+    modulus = modulus_at(
+        [(e.generator, [point[s - 1] for s in e.source]) for e in W.entries], point
+    )
+    codes = MonomialCodes(W.n, 0)
+    return [
+        [
+            integer_taylor(diff(pullback(entry), j), point, codes, modulus)[0].get(0, 0)
+            for j in range(1, W.n + 1)
+        ]
+        for entry in W.entries
+    ]
 
 
 def test_web_gradients_match_differentiating_the_assembled_entries():
     for W, mode in catalog_webs():
         point = FIVE_POINT[: W.n]
+        gradients, unit = web_gradients(W, point, mode)
+        assert all(type(v) is int for g in gradients for v in g)
+        if mode.is_modular:
+            # the residues of the partials, through one t0 for all entries
+            assert unit is None
+            assert gradients == modular_partials(W, point)
+            continue
         oracle = [
             [evaluate(diff(pullback(entry), j), point, mode) for j in range(1, W.n + 1)]
             for entry in W.entries
         ]
-        gradients, unit = web_gradients(W, point, mode)
-        assert all(type(v) is int for g in gradients for v in g)
         if mode.is_exact:
             # each gradient times the lcm of its denominators, unit None
             assert unit is None
