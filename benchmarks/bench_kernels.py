@@ -45,12 +45,18 @@ whatever reference implementations serve as their oracles.
 Run after `pip install -e .`:
 
     python benchmarks/bench_kernels.py [--repeat N]
+
+Each layer prints the best and the median of its N timed runs (default 3)
+in one process.  A best-of hides the slow spells of a shared host, so
+compare medians, over several runs of the script alternating with the
+code it is compared against.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import statistics
 import time
 from pathlib import Path
 
@@ -74,14 +80,14 @@ from webrank.web import assemble, load_balanced_set, proportional_pairs, web_gra
 K0_5_WB_EXTENSION = Path(__file__).resolve().parent / "k0_5_wb_extension.json"
 
 
-def _time(fn, repeat: int) -> float:
-    best = None
+def _time(fn, repeat: int) -> tuple[float, float]:
+    """The best and the median of repeat timed runs of fn, in seconds."""
+    times = []
     for _ in range(repeat):
         start = time.perf_counter()
         fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+        times.append(time.perf_counter() - start)
+    return min(times), statistics.median(times)
 
 
 def _two_batch_dims(W, rows, m_start: int, m_cap: int) -> dict[int, int]:
@@ -277,8 +283,11 @@ def main() -> None:
     for bench in benches:
         label, info, results = bench(args.repeat)
         print(f"\n{label}  [{info}]")
-        for layer, seconds in results.items():
-            print(f"  {layer:6s} {seconds * 1000:9.1f} ms")
+        for layer, (best, median) in results.items():
+            print(
+                f"  {layer:6s} {best * 1000:9.1f} ms best "
+                f"{median * 1000:9.1f} ms median"
+            )
 
 
 if __name__ == "__main__":

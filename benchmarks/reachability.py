@@ -4,7 +4,7 @@
     python3 benchmarks/reachability.py
 
 Sets a sys.settrace call hook before `webrank` is imported, then runs the
-92 jobs of `benchmarks/report_matrix.py` (in-process, `--format json`, from
+96 jobs of `benchmarks/report_matrix.py` (in-process, `--format json`, from
 the checkout's root, as that script runs them) plus `counts` and `catalog`
 through `webrank.cli.main`.  Every function and method defined in
 `src/webrank` whose code the hook never saw is printed as

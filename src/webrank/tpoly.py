@@ -58,7 +58,15 @@ from .expr import (
     variables,
 )
 from .frozen import Frozen
-from .scalars import EXACT, MODULUS, Mode, ModulusError, shifted, to_mpf
+from .scalars import (
+    DEFAULT_PRECISION,
+    EXACT,
+    MODULUS,
+    Mode,
+    ModulusError,
+    shifted,
+    to_mpf,
+)
 
 
 class MonomialCodes:
@@ -626,30 +634,56 @@ def _zero_test_points(n: int):
         yield tuple(point)
 
 
+def mode_for(integrals: Sequence[Expr], precision: int = DEFAULT_PRECISION) -> Mode:
+    """The scalar model of a set of integrals: exact when every one is
+    exp/log-free; modular when their only exp/log nodes are exp of
+    exp/log-free arguments; else extended floats.  precision is the float
+    mode's, or its fallback's."""
+    if not any(map(has_transcendental, integrals)):
+        return EXACT
+    if all(exp_arguments(u) is not None for u in integrals):
+        return Mode.modular(precision)
+    return Mode.floating(precision)
+
+
 def vars_used(e: Expr) -> set[int]:
     """Indices j whose partial derivative is not identically zero: nonzero
-    (above 2^-64, at 128 bits, for exp/log trees) at one of the
-    _zero_test_points where e expands; all variables of e if it expands at
-    none of them."""
+    at one of the _zero_test_points where e expands; all variables of e if
+    it expands at none of them.  The test runs in mode_for([e]): exactly
+    for an exp/log-free e; mod q for exp of exp/log-free arguments, where a
+    nonzero residue proves the partial nonzero and a point that raises
+    ModulusError takes the float test; for every other exp/log tree, above
+    2^-64 at 128 bits, the one test that loads mpmath."""
     present = variables(e)
-    mode = Mode.floating() if has_transcendental(e) else EXACT
+    mode = mode_for([e])
     used: set[int] = set()
     expanded = False
     for point in _zero_test_points(max(present, default=0)):
         try:
-            values, scale = series_gradient(e, point, mode)
+            used |= _nonzero_partials(e, point, mode)
         except EvalError:
             continue
         expanded = True
-        if mode.is_exact:
-            used.update(j for j, v in enumerate(values, 1) if v)
-        else:
-            # |v| * 2^scale > 2^-(p//2), as |v| * 2^shift > 1 on ints
-            shift = scale + mode.precision // 2
-            one = 1 << max(-shift, 0)
-            used.update(
-                j for j, v in enumerate(values, 1) if abs(v) << max(shift, 0) > one
-            )
         if used == present:
             break
     return used if expanded else present
+
+
+def _nonzero_partials(e: Expr, point: tuple, mode: Mode) -> set[int]:
+    """vars_used's test at one point: the j whose partial of e is nonzero
+    there, in mode (float at its precision where a modular one raises
+    ModulusError)."""
+    if mode.is_modular:
+        try:
+            values, _ = series_gradient(e, point, mode, modulus_at([(e, point)], point))
+        except ModulusError:
+            mode = Mode.floating(mode.precision)
+        else:
+            return {j for j, v in enumerate(values, 1) if v}
+    values, scale = series_gradient(e, point, mode)
+    if mode.is_exact:
+        return {j for j, v in enumerate(values, 1) if v}
+    # |v| * 2^scale > 2^-(p//2), as |v| * 2^shift > 1 on ints
+    shift = scale + mode.precision // 2
+    one = 1 << max(-shift, 0)
+    return {j for j, v in enumerate(values, 1) if abs(v) << max(shift, 0) > one}

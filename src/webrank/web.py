@@ -29,8 +29,6 @@ from .expr import (
     EvalError,
     Expr,
     MAX_POWER,
-    exp_arguments,
-    has_transcendental,
     largest_power,
     max_var_index,
     parse,
@@ -47,8 +45,8 @@ from .report import (
     confirm,
 )
 from .frozen import Frozen
-from .scalars import DEFAULT_PRECISION, EXACT, MODULUS, Mode, zero_tolerance
-from .tpoly import common_unit, modulus_at, series_gradient, vars_used
+from .scalars import DEFAULT_PRECISION, MODULUS, Mode, zero_tolerance
+from .tpoly import common_unit, mode_for, modulus_at, series_gradient, vars_used
 
 
 class GeneratingWeb(Frozen):
@@ -72,15 +70,8 @@ class BalancedSet(Frozen):
         return [u for web in self.webs for u in web.integrals]
 
     def default_mode(self, precision: int = DEFAULT_PRECISION) -> Mode:
-        """Exact when every integral is exp/log-free; modular when the only
-        exp/log nodes are exp of exp/log-free arguments; else extended
-        floats.  precision is the float mode's, or its fallback's."""
-        integrals = self.all_integrals()
-        if not any(map(has_transcendental, integrals)):
-            return EXACT
-        if all(exp_arguments(u) is not None for u in integrals):
-            return Mode.modular(precision)
-        return Mode.floating(precision)
+        """tpoly.mode_for of every integral: exact, modular or float."""
+        return mode_for(self.all_integrals(), precision)
 
 
 def balanced_set(k0: int, webs_integrals: Sequence[Sequence[Expr]]) -> BalancedSet:

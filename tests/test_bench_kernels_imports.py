@@ -64,6 +64,12 @@ def test_modular_bench_runs(bench):
     assert set(results) == {"rows", "rank", "float"}
 
 
+def test_timings_give_the_best_and_the_median(bench, monkeypatch):
+    ticks = iter([0.0, 0.5, 1.0, 1.1, 2.0, 2.3])  # runs of 0.5, 0.1, 0.3 s
+    monkeypatch.setattr(bench.time, "perf_counter", lambda: next(ticks))
+    assert bench._time(lambda: None, 3) == pytest.approx((0.1, 0.3))
+
+
 def test_two_batch_dims_match_the_pipeline(bench):
     # the bench's two exact_extend calls give rank_estimate's first two dims
     E, _ = get_family("k0_3_sym_prod")

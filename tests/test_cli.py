@@ -390,10 +390,19 @@ def test_float_jobs_load_mpmath():
     assert mpmath_probe(*argv) == (0, True)
 
 
-def test_modular_rank_jobs_never_load_mpmath():
-    # the exp family's rank estimate runs mod q from series to kernel
-    argv = ["rank", "--family", "k0_4_exp", "--n", "2", "--format", "json"]
-    assert mpmath_probe(*argv) == (0, False)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--family", "k0_4_exp", "--n", "2"],
+        ["verify-family", "--family", "k0_4_exp"],
+        ["validate", "--family", "k0_4_exp"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_modular_jobs_never_load_mpmath(argv):
+    # the exp family runs mod q from series to kernel, and so does the
+    # check that each of its integrals uses all its variables
+    assert mpmath_probe(*argv, "--format", "json") == (0, False)
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from webrank import tpoly
 from webrank.catalog import family_names, get_family
 from webrank.expr import (
     EvalError,
@@ -20,16 +21,21 @@ from webrank.expr import (
     max_var_index,
     parse,
     to_text,
+    variables,
 )
 from webrank.jets import degree_multi_indices
-from webrank.scalars import EXACT, Mode, shifted
+from webrank.scalars import EXACT, Mode, ModulusError, shifted
 from webrank.tpoly import (
     MonomialCodes,
     _int_divide,
+    _nonzero_partials,
     _zero_test_points,
     fixed_powers,
     integer_taylor,
+    mode_for,
+    modulus_at,
     mpf_ints,
+    series_gradient,
     taylor,
     vars_used,
 )
@@ -589,6 +595,9 @@ VARS_USED_CASES = [
     ("edge", "log(x1)*x2 + x3^2 - x3*x3", 3),
     ("edge", "1/(x1-x2) + x2/(x1-x2)", 2),
     ("edge", "exp(x1+log(x2))", 2),
+    ("edge", "exp(x1+x2-x2)*x3", 3),
+    ("edge", "exp(x1-x1)*x2", 2),
+    ("edge", "x2*exp(x1)/exp(x1)", 2),
 ]
 
 
@@ -604,3 +613,78 @@ VARS_USED_CASES = [
 def test_vars_used_matches_the_symbolic_partials(text, arity):
     e = parse(text, arity)
     assert vars_used(e) == diff_vars_used(e)
+
+
+def float_vars_used(e):
+    """vars_used with every point tested in 128-bit float, the test it
+    ran on every exp/log tree before the modular one."""
+    present = variables(e)
+    used, expanded = set(), False
+    for point in _zero_test_points(max(present)):
+        try:
+            used |= _nonzero_partials(e, point, Mode.floating())
+        except EvalError:
+            continue
+        expanded = True
+    return used if expanded else present
+
+
+MODULAR_CASES = [
+    (source, text, arity)
+    for source, text, arity in VARS_USED_CASES
+    if mode_for([parse(text, arity)]).is_modular
+]
+
+
+def test_the_modular_cases_cover_the_exp_family_and_the_float_fixture():
+    sources = {(source, text) for source, text, _ in MODULAR_CASES}
+    E, _ = get_family("k0_4_exp")
+    exp_integrals = {to_text(u) for u in E.all_integrals() if has_transcendental(u)}
+    assert {("catalog", text) for text in exp_integrals} <= sources
+    assert {source for source, _ in sources} == {
+        "catalog",
+        "dependent_gradients_float_k0_4",
+        "edge",
+    }
+
+
+@pytest.mark.parametrize(
+    "text,arity",
+    [
+        pytest.param(text, arity, id=f"{source}:{text}")
+        for source, text, arity in MODULAR_CASES
+    ],
+)
+def test_modular_vars_used_equals_the_float_test(text, arity, monkeypatch):
+    e = parse(text, arity)
+    expected = float_vars_used(e)
+    modes = []
+
+    def spy(e, point, mode=EXACT, modulus=None):
+        modes.append(mode.kind)
+        return series_gradient(e, point, mode, modulus)
+
+    monkeypatch.setattr(tpoly, "series_gradient", spy)
+    assert vars_used(e) == expected
+    assert modes and set(modes) == {"modular"}
+
+
+def test_a_modulus_error_at_a_test_point_takes_the_float_test(monkeypatch):
+    e = parse("exp(x1+x2-x2)*x3", 3)
+    first = next(_zero_test_points(3))
+    modes = []
+
+    def planted(expansions, point):
+        if point == first:
+            raise ModulusError("planted")
+        return modulus_at(expansions, point)
+
+    def spy(e, point, mode=EXACT, modulus=None):
+        modes.append((point == first, mode.label()))
+        return series_gradient(e, point, mode, modulus)
+
+    monkeypatch.setattr(tpoly, "modulus_at", planted)
+    monkeypatch.setattr(tpoly, "series_gradient", spy)
+    assert vars_used(e) == {1, 3}
+    assert modes[0] == (True, "float128")
+    assert all(label == Mode.modular().label() for _, label in modes[1:])
