@@ -14,8 +14,9 @@ times the current code on it, layer by layer:
   6 after them;
 * the k0_4_exp relation systems in dimension 4 at orders 5 and 6 (125 and
   209 monomial rows on 175 and 210 unknowns) at 32, 64 and 128 bits: the
-  fixed-point builds of the monomial rows of both orders, each order built
-  on its own as `abelrank._float_dims` builds it, then their float ranks
+  builds of the monomial rows of both orders, each offset's powers taken
+  in mpf and held exactly as ints, each order built on its own as
+  `abelrank._float_dims` builds it, then their float ranks
   (`linalg.float_rank`).  It checks each rank and marginal flag against
   the dense mpf kernel on the system of each order built separately in
   mpf, one row per unknown, a check the tests leave out at this size (the
@@ -24,7 +25,8 @@ times the current code on it, layer by layer:
   ranks it in: the build of its monomial rows mod q = 2^61 - 1 at
   t = e^(1/L) (`abelrank._relation_rows`), its rank by `linalg.modular_extend`
   and, beside it, the 128-bit float kernel (`linalg.float_rank`) on the
-  fixed-point build at the same point; it checks that the two ranks agree;
+  128-bit float build at the same point; it checks that the two ranks
+  agree;
 * the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
   dimension 5, the fixture with the largest exact systems: its rank
   estimate grown through orders 6, 7 and 8, the orders `rank --n 5` ranks
@@ -197,15 +199,15 @@ def bench_float(precision: int, repeat: int):
         expected = _mpf_oracle(_mpf_rows(W, point, order, mode), ncols, precision)
         if (got, marginal) != expected:
             raise AssertionError(
-                f"order {order}, {precision} bits: fixed point gives "
+                f"order {order}, {precision} bits: float_rank gives "
                 f"{(got, marginal)}, the mpf oracle {expected}"
             )
         shape = f"{len(rows)} monomial rows rank {got}"
         shapes.append(shape + " marginal" if marginal else shape)
     label = (
-        f"float relation systems, k0_4_exp n=4 ({precision}-bit fixed point, "
-        f"orders {orders[0]} and {orders[1]}, each from its own build; ranks "
-        "match the mpf oracle)"
+        f"float relation systems, k0_4_exp n=4 ({precision}-bit mpf powers as "
+        f"ints, orders {orders[0]} and {orders[1]}, each from its own build; "
+        "ranks match the mpf oracle)"
     )
     return label, ", ".join(shapes), results
 
@@ -221,13 +223,13 @@ def bench_modular(repeat: int):
         return _relation_rows(W, point, order, mode, order)[0]
 
     rows = build()
-    fixed, units = _relation_rows(W, point, order, Mode.floating(128), order)
+    floats, units = _relation_rows(W, point, order, Mode.floating(128), order)
 
     def rank():
         return linalg.modular_extend({}, rows, W.size * order)
 
     def float_rank():
-        return linalg.float_rank(fixed, units, 128)[0]
+        return linalg.float_rank(floats, units, 128)[0]
 
     results = {
         "rows": _time(build, repeat),

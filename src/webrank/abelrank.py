@@ -24,11 +24,10 @@ tpoly.integer_offset as integer numerators over one denominator L_i in
 lowest terms, so L_i is the lcm of the offset's coefficient denominators
 and unknown (i, m) carries L_i^m, a column scale that keeps every rank.  In
 float mode the offset is the mpf expansion tpoly.taylor without its
-constant term, built at the precision it is ranked at (linalg.ranks);
-mpmath stops there.  tpoly.fixed_powers holds the offset once as ints at a
-binary unit set by its largest degree-1 coefficient and takes its powers
-on those ints, shifting each product back (truncated toward zero), so
-unknown (i, m) has its own power-of-two unit, and linalg.float_rank aligns
+constant term, built at the precision it is ranked at (linalg.ranks), and
+its powers are taken by MonomialCodes.powers in mpf at that precision.
+Each power is then held exactly as ints over its own power-of-two unit
+(tpoly.mpf_ints), the unit of unknown (i, m), and linalg.float_rank aligns
 the columns to one matrix unit before it eliminates.  In modular mode
 (scalars) the offset is tpoly.integer_offset's residues mod q at the
 point's one t0, so every L_i is 1, and linalg.modular_extend ranks it.
@@ -70,7 +69,9 @@ rows, only of a pivot when it first reduces another row.
 
 Modular mode grows one echelon the same way, mod q, with no rescale.
 Float mode builds and ranks each order on its own (_float_dims), on the
-precision ladder of linalg.ranks.
+precision ladder of linalg.ranks: order m_start + 1 first, then order
+m_start from the precision that order was decided at, so a start order
+whose next order escalated is ranked at the higher precision as well.
 
 A dim mod q is an upper bound on the true dim at that order, equal to it
 but with probability at most deg/(q - 1) (scalars); a J_k0 of full rank
@@ -86,12 +87,7 @@ d = monomial_count(n, k0), at a point where the d x d matrix J_k0 is
 invertible, J_D has full row rank for D <= k0 and rank d for D >= k0
 (ordinary.jet_ranks_at_point).  Then for M >= k0 the bound is
 combin.max_rank_bound(n, d) = pi, and the dim at order M + 1 is at most
-the dim at order M.  Hence, for m_start >= k0, an order-(m_start + 1) dim
-of pi makes the order-m_start dim pi as well.  _float_dims ranks order
-m_start + 1 first and, when it reads pi, J_k0 from the precision that
-order was decided at; it builds and ranks order m_start only when either
-fails.  Exact mode has no use for this: its order-m_start dim is the first
-batch of the echelon that order m_start + 1 extends.
+the dim at order M.
 """
 
 from __future__ import annotations
@@ -100,17 +96,9 @@ import math
 from functools import lru_cache
 
 from . import linalg
-from .combin import (
-    calibrated_max_rank,
-    calibration_order,
-    exact_support_dims,
-    max_rank_bound,
-    monomial_count,
-    support_dims,
-)
+from .combin import calibrated_max_rank, exact_support_dims, support_dims
 from .expr import EvalError
 from .jets import degree_multi_indices
-from .ordinary import jet_ranks_at_point
 from .report import (
     INCONCLUSIVE,
     VerificationReport,
@@ -118,7 +106,7 @@ from .report import (
     confirm,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, MODULUS, Mode
-from .tpoly import MonomialCodes, fixed_powers, integer_offset, modulus_at, taylor
+from .tpoly import MonomialCodes, integer_offset, modulus_at, mpf_ints, taylor
 from .web import (
     AssembledWeb,
     BalancedSet,
@@ -201,9 +189,9 @@ def _relation_rows(
     L_i.  In modular mode the offsets and powers are residues mod q at the
     point's one modulus (tpoly.modulus_at), and every L_i is 1.  In float
     mode the offset is the mpf series tpoly.taylor gives at the mode's
-    precision and its powers are taken in fixed point (tpoly.fixed_powers,
-    which states the error model); scales is the power-of-two unit of each
-    unknown, as linalg.float_rank takes them.
+    precision, its powers are taken in mpf at that precision, and each
+    power is held exactly as ints (tpoly.mpf_ints); scales is the
+    power-of-two unit of each unknown, as linalg.float_rank takes them.
     """
     rows: list[dict[int, int]] = [
         {} for _ in range(len(_relation_columns(W.n, order)) - first)
@@ -225,14 +213,16 @@ def _relation_rows(
                 )
         except EvalError as err:
             raise EvalError(f"entry {entry.label}: {err}") from None
-        if not mode.is_float:
+        if mode.is_float:
+            with mode.workprec():
+                offset = {code: v for code, v in expansion.items() if code}
+                powers = codes.powers(offset, order)
+            for m, power in enumerate(powers, 1):
+                ints, scales[(i + 1) * m_cap - m] = mpf_ints(power.values())
+                powers[m - 1] = dict(zip(power, ints))
+        else:
             scales.append(den)
             powers = codes.powers(offset, order, modulus=q)
-        else:
-            powers = fixed_powers(expansion, codes, mode.precision)
-            for m, (_, unit) in enumerate(powers, 1):
-                scales[(i + 1) * m_cap - m] = unit
-            powers = [power for power, _ in powers]
         for m, power in enumerate(powers, 1):
             unknown = (i + 1) * m_cap - m
             for code, value in power.items():
@@ -296,13 +286,9 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
     escalates the precision from `mode` on marginal pivots; raises
     EstimateInconclusive when they persist.
 
-    For a calibrated web with m_start >= k0 the order-(m_start + 1) system
-    is ranked first.  If its dim is the bound pi = max_rank_bound(n, d) and
-    J_k0, ranked from the precision that order was decided at
-    (ordinary.jet_ranks_at_point), is invertible, both orders yield pi at
-    that precision and the order-m_start system is never built (see the
-    module docstring).  Otherwise order m_start is ranked from that
-    precision on, and order m_start + 1 keeps its rank.
+    The order-(m_start + 1) system is ranked first, then order m_start
+    from the precision that order was decided at; both are yielded in
+    order, and every later order is ranked from `mode`.
     """
 
     def ranked(order: int, start: Mode):
@@ -317,22 +303,10 @@ def _float_dims(W: AssembledWeb, point, m_start: int, m_cap: int, mode: Mode):
         [(rank, _)], used = outcome
         return order, W.size * order - rank, used
 
-    k0 = calibration_order(W.n, W.size) if W.size >= W.n >= 2 else None
-    if k0 is None or m_start < k0 or monomial_count(W.n, k0) != W.size:
-        orders = range(m_start, m_cap + 1)  # no calibrated web or m_start < k0
-    else:
-        top = ranked(m_start + 1, mode)
-        _, dim, used = top
-        jets = dim == max_rank_bound(W.n, W.size) and jet_ranks_at_point(
-            W, point, used, k0
-        )
-        if jets and jets[0][k0] == W.size:  # J_k0 invertible, not marginal
-            yield m_start, dim, used
-        else:
-            yield ranked(m_start, used)
-        yield top
-        orders = range(m_start + 2, m_cap + 1)
-    for order in orders:
+    top = ranked(m_start + 1, mode)
+    yield ranked(m_start, top[2])
+    yield top
+    for order in range(m_start + 2, m_cap + 1):
         yield ranked(order, mode)
 
 
@@ -346,12 +320,10 @@ def rank_estimate(
     (value None) and the dims trace is still returned for audit.
     Stabilizing takes two orders, so m_cap must exceed m_start.  Exact and
     modular mode grow one echelon per point (_exact_dims), float mode builds
-    and ranks each order on its own (_float_dims), except that for a
-    calibrated web with m_start >= k0 it ranks order m_start + 1 first, and
-    a dim at the bound with J_k0 invertible gives the order-m_start dim
-    without building it (see the module docstring).  Either builds a higher
-    order only when the orders below it have not stabilized.  In modular
-    mode a ModulusError reaches the caller (check_rank falls back).
+    and ranks each order on its own (_float_dims), order m_start + 1 before
+    order m_start.  Either builds a higher order only when the orders below
+    it have not stabilized.  In modular mode a ModulusError reaches the
+    caller (check_rank falls back).
     """
     if m_start < 1 or m_cap <= m_start:
         raise ValueError(f"need 1 <= m_start < m_cap, got {m_start}..{m_cap}")

@@ -70,6 +70,20 @@ def _load_set(args) -> tuple[BalancedSet, str, catalog.FamilySpec | None]:
         raise _InputError(f"bad web definition {path}: {err}", EX_DATAERR) from None
 
 
+def _require_counts(E: BalancedSet, name: str) -> None:
+    """Refuse a set whose arity-k web does not carry monomial_count(k, k0 -
+    k) integrals before any check assembles it; validate reports the counts
+    as its cardinality check instead."""
+    for web in E.webs:
+        expected = monomial_count(web.k, E.k0 - web.k)
+        if len(web.integrals) != expected:
+            raise _InputError(
+                f"bad web definition {name}: the arity-{web.k} web has "
+                f"{len(web.integrals)} integrals, expected {expected}",
+                EX_DATAERR,
+            )
+
+
 def _require_at_least(option: str, values, low: int) -> None:
     """Reject out-of-range option values before any computation."""
     for value in values or ():
@@ -204,6 +218,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_ordinary(args) -> int:
     E, name, _ = _load_set(args)
+    _require_counts(E, name)
     if args.n and not args.direct:
         raise _InputError("--n needs --direct", EX_USAGE)
     _require_at_least("--n", args.n, 2)
@@ -241,6 +256,7 @@ def _cmd_check_ordinary(args) -> int:
 
 def _cmd_rank(args) -> int:
     E, name, _ = _load_set(args)
+    _require_counts(E, name)
     if not args.n:
         raise _InputError("rank requires --n", EX_USAGE)
     _single("--n", args.n)
@@ -290,6 +306,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_verify_family(args) -> int:
     E, name, spec = _load_set(args)
+    _require_counts(E, name)
     if args.m_cap is not None:
         _require_at_least("--m-cap", [args.m_cap], E.k0 + 2)
     _checked_mode(E, args.precision)
@@ -372,6 +389,7 @@ def _cmd_verify_family(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     E, name, _ = _load_set(args)
+    _require_counts(E, name)
     _require_at_least("--n", args.n, 2)
     _checked_mode(E, args.precision)
     n_list = args.n if args.n else [E.k0, E.k0 + 1]

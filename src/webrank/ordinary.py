@@ -8,8 +8,7 @@ are ordinary:
 * the direct check: in a given dimension, every jet matrix of order <= k0 of
   the assembled web reaches the maximal rank min(size, monomial_count(n, h)),
   which an order-k0 jet matrix of full row rank decides for all of them
-  (jet_ranks_at_point, which the float rank estimate also asks whether
-  that matrix is invertible).
+  (jet_ranks_at_point).
 
 Verdicts are point certificates under report.confirm: a "true" is witnessed
 at an explicit sampled point, and a rank that degenerates on a thin set must
@@ -195,7 +194,8 @@ def jet_ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     gradient vanishes.  A calibrated web, W.size = monomial_count(n, k0),
     has both at once when J_k0 is invertible, that is when ranks[k0] is
     W.size; the direct check reads the lower orders off that one rank, and
-    the float rank estimate (abelrank._float_dims) the higher ones.
+    the bound on the relation dims in abelrank's module docstring rests on
+    the higher ones.
     """
     outcome = linalg.ranks(
         lambda current: list(_jet_systems(W, point, k0, current))[-1:], mode

@@ -14,10 +14,12 @@ are point certificates, and a kernel dimension mod q is an upper bound.  A
 denominator divisible by q raises ModulusError, and the check that met it
 runs again in float mode (GenericPointSampler.with_fallback).  Float:
 mpmath binary floats of a configurable mantissa, for every other exp/log
-input; only float mode loads mpmath.  Float mode leaves mpf after the
-Taylor series (tpoly): its gradients, jet matrices, square blocks, relation
-rows, rank kernel and proportionality minors run on ints in fixed point, an
-int v standing for v * 2^unit (shifted moves such ints to another unit).
+input; only float mode loads mpmath.  Float mode computes its Taylor
+series, relation powers and proportionality minors in mpf at the mode's
+precision, and holds its gradients, jet matrices, square blocks and
+relation rows exactly as ints over a power-of-two unit (tpoly.mpf_ints),
+an int v standing for v * 2^unit, which the fixed-point rank kernel
+(linalg.float_rank) eliminates.
 """
 
 from __future__ import annotations
@@ -104,9 +106,8 @@ def to_mpf(value: Fraction | int):
 
 def zero_tolerance(mode: Mode):
     """2^(-precision/2): float magnitudes at or below it, relative to their
-    scale, count as zero.  Only the mpf minor test uses it: the oracle
-    gradients_proportional, and proportional_pairs inside its rounding
-    band, which no CLI job has met."""
+    scale, count as zero; the mpf minor test (web.gradients_proportional)
+    uses it."""
     import mpmath
 
     return mpmath.ldexp(1, -(mode.precision // 2))
@@ -123,17 +124,3 @@ def scalar_to_str(value) -> str:
     import mpmath
 
     return mpmath.nstr(value, 24)
-
-
-def shifted(values: dict, bits: int) -> dict:
-    """{key: int} times 2^bits; for bits < 0 each value is truncated toward
-    zero, and the values that become zero are left out."""
-    if bits >= 0:
-        return {key: v << bits for key, v in values.items()}
-    bits = -bits
-    out = {}
-    for key, v in values.items():
-        v = v >> bits if v > 0 else -(-v >> bits)
-        if v:
-            out[key] = v
-    return out

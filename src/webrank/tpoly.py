@@ -22,14 +22,14 @@ float reports keep.  Given a Modulus, the same walk runs mod q for modular
 mode (scalars): residues over 1, an exp node t0^(rL) times the exp series, r
 its argument's exact value.  Each residue is the image of the exact
 coefficient, an element of Q[t, 1/t], under t -> t0, so nothing is rounded;
-only the ranks taken on them bound (linalg).  In float mode mpmath ends with the series:
-mpf_ints holds mpf coefficients exactly as ints over one power of two,
-fixed_powers takes the powers of an mpf offset on ints in fixed point, and
-series_gradient returns a float gradient as ints.  Expanding a generating
-integral at its projected point gives everything the certificates need
-there: the relation rows (to the truncation order), and the gradient and
-the domain check (series_gradient, the order-1 expansion, which raises
-wherever the integral is undefined).
+only the ranks taken on them bound (linalg).  In float mode mpf_ints holds
+mpf values (series coefficients, the powers of an offset) exactly as ints
+over one power of two, and series_gradient returns a float gradient as
+ints.  Expanding a generating integral at its projected point gives
+everything the certificates need there: the relation rows (to the
+truncation order), and the gradient and the domain check
+(series_gradient, the order-1 expansion, which raises wherever the
+integral is undefined).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .scalars import (
     MODULUS,
     Mode,
     ModulusError,
-    shifted,
     to_mpf,
 )
 
@@ -130,24 +129,18 @@ class MonomialCodes:
         return out
 
     def powers(
-        self, a: dict[int, int], m_max: int, shift: int = 0, modulus: int = 0
+        self, a: dict[int, int], m_max: int, modulus: int = 0
     ) -> list[dict[int, int]]:
         """[a^1, ..., a^m_max], each truncated at the cap: the m-th is the
         (m-1)-th times a, as mul takes it, with a's items sorted once for
-        all m.
-
-        With shift > 0, a holds ints in fixed point and each product is
-        shifted right by shift bits, truncating toward zero: if a stands for
-        a * 2^u, the m-th entry stands for itself times 2^(m*u + (m-1)*shift).
-        With a modulus, each product is reduced mod it, its zeros left out.
+        all m.  With a modulus, each product is reduced mod it, its zeros
+        left out.
         """
         inner = sorted(a.items())
         out = [a]
         for _ in range(1, m_max):
             power = self._times(out[-1], inner)
-            if shift:
-                power = shifted(power, -shift)
-            elif modulus:
+            if modulus:
                 power = _residues(power, modulus)
             out.append(power)
         return out
@@ -292,54 +285,6 @@ def mpf_ints(values) -> tuple[list[int], int]:
         parts.append((-man if sign else man, exp))
     unit = min((exp for man, exp in parts if man), default=0)
     return [man << (exp - unit) if man else 0 for man, exp in parts], unit
-
-
-SERIES_GUARD_BITS = 96  # bits kept below the precision in fixed-point powers
-
-
-def fixed_powers(
-    expansion: dict, codes: MonomialCodes, precision: int
-) -> list[tuple[dict[int, int], int]]:
-    """The powers 1..codes.cap of an mpf expansion's offset (the expansion
-    without its constant term) in fixed point: [(ints, unit), ...], the m-th
-    power equal to ints * 2^unit up to truncation.
-
-    Let t be the binary exponent just above the offset's largest degree-1
-    coefficient (above its largest coefficient when it has no degree-1
-    terms) and s = precision + SERIES_GUARD_BITS.  The offset is held once
-    as ints at the unit 2^(t - s), truncated toward zero, and its powers are
-    taken by MonomialCodes.powers with shift s, so the m-th power sits at
-    the unit 2^(m*t - s).  The units depend on the degree-1 terms only, so
-    the powers truncated at a lower cap are the restrictions of these, int
-    for int.
-
-    Error model.  Every truncation errs by less than one unit, and a
-    product carries the errors of its factors forward scaled by the other
-    factor's coefficients over 2^s, as a floating-point product carries
-    relative errors.  The largest degree-1 coefficient has s bits, so the
-    m-th power errs by a few units times m and the number of terms
-    multiplied, scaled by how far the offset's largest coefficient exceeds
-    that degree-1 one.  The power has an entry at least that large: its
-    coefficient of x_j^m is g_j^m, g the degree-1 terms, which lies s - m
-    bits above the unit.  With 96 guard bits the errors stay far below both
-    the 2^-precision rounding of every coefficient in an mpf build and the
-    unit 2^-(precision+64) of the largest entry that linalg.float_rank
-    aligns the rows to.
-    """
-    terms = [(code, v) for code, v in expansion.items() if code]
-    ints, low = mpf_ints(v for _, v in terms)
-    offset = {code: v for (code, _), v in zip(terms, ints) if v}
-    linear = [abs(offset.get(unit, 0)) for unit in codes.units]
-    largest = max(linear, default=0) or max(map(abs, offset.values()), default=0)
-    if not largest:
-        return [({}, 0) for _ in range(codes.cap)]
-    shift = precision + SERIES_GUARD_BITS
-    top = low + largest.bit_length()
-    offset = shifted(offset, low - (top - shift))
-    return [
-        (power, m * top - shift)
-        for m, power in enumerate(codes.powers(offset, codes.cap, shift), 1)
-    ]
 
 
 class Modulus(Frozen):

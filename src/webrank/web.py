@@ -13,11 +13,13 @@ the series' numerators, a positive multiple of the gradient that neither
 the proportionality screen nor the jet ranks can see; modular gradients
 are residues mod q at the point's one t0; float gradients are the
 series' mpf values held exactly at one power-of-two unit for the whole
-web, so the jet matrices built from them are exact products.
+web, so the jet matrices built from them are exact products, and the
+proportionality screen turns them back into those mpf values exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -144,42 +146,19 @@ def gradients_proportional(g1, g2, mode: Mode) -> bool:
 
     In float mode a minor vanishes when it is at most 2^(-precision/2) times
     the product of the two gradients' largest components, computed at the
-    mode's precision on mpf gradients.  No CLI job calls it; it stays as
-    the oracle of proportional_pairs in the tests.
+    mode's precision on mpf gradients; float proportional_pairs runs it on
+    every pair.
     """
     n = len(g1)
-    if mode.is_exact:
+    with contextlib.nullcontext() if mode.is_exact else mode.workprec():
+        bound = 0
+        if not mode.is_exact:
+            bound = max(map(abs, g1)) * max(map(abs, g2)) * zero_tolerance(mode)
         return all(
-            g1[i] * g2[j] - g1[j] * g2[i] == 0
+            abs(g1[i] * g2[j] - g1[j] * g2[i]) <= bound
             for i in range(n)
             for j in range(i + 1, n)
         )
-    with mode.workprec():
-        tol = zero_tolerance(mode)
-        return _minors_vanish(g1, _largest(g1), g2, _largest(g2), tol)
-
-
-def _largest(g):
-    """max |g_j|, the scale _minors_vanish compares minors against."""
-    return max(map(abs, g))
-
-
-def _minors_vanish(g1, top1, g2, top2, tol) -> bool:
-    """Float minor test of gradients_proportional, given each gradient's
-    largest |component| and the tolerance; runs at the caller's precision.
-    _float_proportional_pairs falls back on it inside its rounding band,
-    which no CLI job has met.
-    """
-    bound = top1 * top2
-    if not bound:
-        return True
-    bound *= tol
-    n = len(g1)
-    return all(
-        abs(g1[i] * g2[j] - g1[j] * g2[i]) <= bound
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
 
 
 def proportional_pairs(
@@ -188,17 +167,27 @@ def proportional_pairs(
     """All index pairs (i, j), i < j, of proportional gradients, in order.
 
     The gradients are int vectors (web_gradients, series_gradient); exact
-    mode also takes rationals.  Float mode decides each pair as
-    gradients_proportional does on the mpf values the ints stand for, on
-    exact integers (_float_proportional_pairs).  In exact mode two nonzero
-    gradients are proportional iff they have the same _direction, so
-    grouping by it finds every pair in O(d*n); a zero gradient is
-    proportional to every other one.  Modular mode groups residue
-    gradients by _residue_direction; an empty list mod q certifies that no
-    pair is proportional at the point.
+    mode also takes rationals.  Float mode runs gradients_proportional on
+    every pair of the mpf values the ints stand for: each int has at most
+    the mode's precision in significant bits, so it converts to mpf
+    exactly, and a gradient's power-of-two unit scales its minors and the
+    bound alike, so the ints themselves stand in for those values.  In
+    exact mode two nonzero gradients are proportional iff they have the
+    same _direction, so grouping by it finds every pair in O(d*n); a zero
+    gradient is proportional to every other one.  Modular mode groups
+    residue gradients by _residue_direction; an empty list mod q certifies
+    that no pair is proportional at the point.
     """
     if mode.is_float:
-        return _float_proportional_pairs(gradients, mode)
+        import mpmath
+
+        with mode.workprec():
+            floats = [list(map(mpmath.mpf, g)) for g in gradients]
+        return [
+            (i, j)
+            for i, j in itertools.combinations(range(len(floats)), 2)
+            if gradients_proportional(floats[i], floats[j], mode)
+        ]
     direction = _direction if mode.is_exact else _residue_direction
     zeros = []
     groups: dict[tuple, list[int]] = {}
@@ -216,72 +205,6 @@ def proportional_pairs(
     for z in zeros:
         pairs.update((min(z, i), max(z, i)) for i in range(len(gradients)) if i != z)
     return sorted(pairs)
-
-
-def _float_proportional_pairs(gradients, mode: Mode) -> list[tuple[int, int]]:
-    """proportional_pairs of float gradients given as ints, each standing
-    for the int times a power of two of its own, so for mpf values with at
-    most p bits of mantissa, p the mode's precision: the pairs the mpf
-    minor test (_minors_vanish at precision p) accepts on those values,
-    decided on ints.
-
-    A power of two on either gradient scales its minors and the bound alike,
-    in the ints and in the rounded mpf arithmetic, so neither test sees the
-    units.  With T = top_i * top_j, the product of the two gradients'
-    largest |components|, the mpf test accepts a pair when every minor d
-    satisfies |round(d)| <= round(T) * 2^-(p//2), and the exact test asks
-    |d| <= b with b = T * 2^-(p//2).  On the ints both are integer
-    comparisons.
-
-    Proof that the pairs are identical.  Rounding to nearest at p bits, the
-    mpf minor rounds its two products, of magnitude at most T, by at most
-    2^-p * T each, and their difference by at most 2^-p * (2 + 2^(1-p)) * T,
-    so it differs from d by less than 2^(3-p) * T; round(T) differs from T
-    by at most 2^-p * T, and 2^-(p//2) is exact.  Hence, if
-    ||d| - b| > 2^(8-p) * T, both tests decide that minor the same way.
-    Every minor is decided exactly unless one lies within that band, and
-    then the pair is decided by the mpf test itself, on the ints as mpf
-    (exact, as each has at most p significant bits); so each pair gets the
-    mpf test's answer.  A zero gradient (T = 0) is proportional to every
-    other one in both tests.  Outside the band a pair costs int products
-    only, and the first minor above the bound ends it.
-    """
-    import mpmath
-
-    precision = mode.precision
-    tops = [max(map(abs, g), default=0) for g in gradients]
-    n = len(gradients[0]) if gradients else 0
-    minors = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    pairs = []
-    for i, (gi, top_i) in enumerate(zip(gradients, tops)):
-        for j in range(i + 1, len(gradients)):
-            gj = gradients[j]
-            both = top_i * tops[j]
-            if not both:
-                pairs.append((i, j))
-                continue
-            # minors scaled by 2^p against the bound T * 2^(p - p//2), with
-            # the band 2^8 * T around it
-            bound = both << (precision - precision // 2)
-            band = both << 8
-            low, high = bound - band, bound + band
-            vanish = True
-            for a, b in minors:
-                d = abs(gi[a] * gj[b] - gi[b] * gj[a]) << precision
-                if d < low:
-                    continue
-                vanish = False if d > high else None
-                break
-            if vanish is None:
-                with mode.workprec():
-                    g1 = list(map(mpmath.mpf, gi))
-                    g2 = list(map(mpmath.mpf, gj))
-                    vanish = _minors_vanish(
-                        g1, _largest(g1), g2, _largest(g2), zero_tolerance(mode)
-                    )
-            if vanish:
-                pairs.append((i, j))
-    return pairs
 
 
 def _direction(g) -> tuple[int, ...] | None:

@@ -154,10 +154,10 @@ def fixed_rows(rows, precision: int) -> tuple[list[dict], list[int]]:
 
 
 def mpf_relation_rows(W: AssembledWeb, point, order: int, mode) -> list[dict]:
-    """Oracle: the float relation system as it was built on mpf, in the row
-    layout, before the fixed-point powers and the rows per monomial: each
-    entry's mpf offset and its powers taken in mpf at the mode's precision,
-    one sparse row per unknown (entry, power), in the relation columns."""
+    """Oracle: the float relation system on mpf in the row layout, before
+    the rows per monomial: each entry's mpf offset and its powers taken in
+    mpf at the mode's precision, one sparse row per unknown (entry, power),
+    in the relation columns."""
     rows = []
     with mode.workprec():
         for entry in W.entries:

@@ -29,7 +29,7 @@ from webrank.jets import degree_multi_indices, jet_matrix_from_gradients
 from webrank.ordinary import GenericPointSampler
 from webrank.report import INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, MODULUS, Mode
-from webrank.tpoly import MonomialCodes, fixed_powers, integer_offset, taylor
+from webrank.tpoly import MonomialCodes, integer_offset, mpf_ints, taylor
 from webrank.web import assemble, balanced_set_from_json, web_gradients
 
 from helpers import (
@@ -343,8 +343,8 @@ def test_sliced_rows_equal_a_fresh_build(system, extra, mode):
 def full_point_rows(W, point, order, mode):
     """Reference: the relation system from each pulled-back tree, expanded
     at the full point on n-variable codes, as (rows, scales) like
-    _relation_rows with m_cap = order; in float mode the expansion's offset
-    goes through the fixed-point powers."""
+    _relation_rows with m_cap = order; in float mode the powers of the
+    expansion's offset are taken in mpf and each held as ints (mpf_ints)."""
     row_of = {key: j for j, key in enumerate(_relation_columns(W.n, order))}
     codes = MonomialCodes(W.n, order)
     rows = [{} for _ in row_of]
@@ -356,7 +356,12 @@ def full_point_rows(W, point, order, mode):
             powers = [(power, None) for power in codes.powers(offset, order)]
         else:
             expansion = taylor(pullback(entry), point, codes, mode)
-            powers = fixed_powers(expansion, codes, mode.precision)
+            with mode.workprec():
+                offset = {c: v for c, v in expansion.items() if c}
+                powers = codes.powers(offset, order)
+            for m, power in enumerate(powers):
+                ints, unit = mpf_ints(power.values())
+                powers[m] = dict(zip(power, ints)), unit
         for m, (power, unit) in enumerate(powers, 1):
             u = i * order + order - m
             if unit is not None:
@@ -460,8 +465,7 @@ def separate_dims(W, point, orders, mode=EXACT):
 def grown_dims(W, point, m_start, m_cap, mode=EXACT):
     """The dims rank_estimate reads at every order m_start..m_cap, pulled
     past any stabilization: one growing echelon in exact and modular mode,
-    one float elimination per order otherwise (none for m_start when J_k0
-    and order m_start + 1 decide it)."""
+    one float elimination per order otherwise."""
     dims_of = abelrank._float_dims if mode.is_float else abelrank._exact_dims
     return {order: dim for order, dim, _ in dims_of(W, point, m_start, m_cap, mode)}
 
@@ -661,7 +665,7 @@ def test_dims_meet_the_linearization_bound_up_to_k0(E, n, mode):
 
 
 # --------------------------------------------------------------------------
-# the float estimate's first two orders from J_k0 and order m_start + 1
+# the float estimate: its order sequence, and its rows against the mpf build
 
 LOG_DOMAIN = NON_HEXAGONAL.parent / "log_domain_k0_2.json"
 DEPENDENT_GRADIENTS = NON_HEXAGONAL.parent / "dependent_gradients_k0_4.json"
@@ -726,92 +730,67 @@ def test_rank_estimate_dims_equal_each_order_ranked_alone(E, n, mode):
 
 
 def float_rank_spy(monkeypatch):
-    """Record (rows, precision) of every float_rank call and the rank of
-    J_k0 in every jet_ranks_at_point answer abelrank reads."""
-    calls = {"float_rank": [], "jet_ranks_at_point": []}
+    """Record (rows, precision) of every float_rank call."""
+    calls = []
     float_rank = linalg.float_rank
-    jet_ranks_at_point = abelrank.jet_ranks_at_point
 
-    def spy_rank(rows, units, precision):
-        calls["float_rank"].append((len(rows), precision))
+    def spy(rows, units, precision):
+        calls.append((len(rows), precision))
         return float_rank(rows, units, precision)
 
-    def spy_jets(W, point, mode, k0):
-        outcome = jet_ranks_at_point(W, point, mode, k0)
-        rank = None if outcome is None else outcome[0][k0]
-        calls["jet_ranks_at_point"].append(rank)
-        return outcome
-
-    monkeypatch.setattr(linalg, "float_rank", spy_rank)
-    monkeypatch.setattr(abelrank, "jet_ranks_at_point", spy_jets)
+    monkeypatch.setattr(linalg, "float_rank", spy)
     return calls
 
 
 def estimate_with_spy(monkeypatch, E, n, mode, seed=0):
-    """rank_estimate from k0 + 1 at a sampled point, with its calls, the
-    number of order-(k0 + 1) rows and the estimate."""
+    """rank_estimate from k0 + 1 at a sampled point: its float_rank calls,
+    the numbers of order-(k0 + 2) and order-(k0 + 1) rows, and the
+    estimate."""
     W = assemble(E, n)
     point = generic_point_for_web(W, GenericPointSampler(seed=seed), mode)
     calls = float_rank_spy(monkeypatch)
     estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
     monkeypatch.undo()
     assert estimate.dims == fresh_dims(W, point, estimate.dims, mode)
-    return calls, len(_relation_columns(n, E.k0 + 1)), estimate
+    rows = [len(_relation_columns(n, order)) for order in (E.k0 + 2, E.k0 + 1)]
+    return calls, rows, estimate
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_invertible_top_jet_matrix_skips_the_start_order(monkeypatch, n):
-    # order k0 + 2 reads the bound and J_k0 is invertible: order k0 + 1
-    # takes the bound without being ranked
-    E, _ = get_family("k0_4_exp")
+@pytest.mark.parametrize(
+    "path,n,dims",
+    [
+        (None, 2, "bound"),
+        (None, 3, "bound"),
+        (None, 4, "bound"),
+        (DEPENDENT_GRADIENTS_FLOAT, 3, "bound"),
+        (DEPENDENT_GRADIENTS_FLOAT, 4, "bound"),
+        (NON_HEXAGONAL, 2, "zero"),
+    ],
+    ids=lambda v: v.stem if isinstance(v, Path) else None,
+)
+def test_float_estimate_ranks_the_next_order_then_the_start_order(
+    monkeypatch, path, n, dims
+):
+    # order k0 + 2 first, then order k0 + 1 from the precision that
+    # decided it: 128 bits for both here, where the dims stabilize at the
+    # bound pi (k0_4_exp; the dependent-gradients fixture, whose J_4 is
+    # singular) or at 0 (the non-hexagonal web, below its bound 1)
+    E = get_family("k0_4_exp")[0] if path is None else web_definition(path)
     mode = Mode.floating(128)
-    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
-    d = assemble(E, n).size
-    assert calls["jet_ranks_at_point"] == [d]
-    assert start_rows not in [rows for rows, _ in calls["float_rank"]]
-    bound = max_rank_bound(n, d)
-    assert estimate.dims == {E.k0 + 1: bound, E.k0 + 2: bound}
+    calls, rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
+    value = max_rank_bound(n, assemble(E, n).size) if dims == "bound" else 0
+    assert calls == [(rows[0], 128), (rows[1], 128)]
+    assert estimate.dims == {E.k0 + 1: value, E.k0 + 2: value}
     assert estimate.method == "float128"
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_singular_top_jet_matrix_ranks_the_start_order(monkeypatch, n):
-    # the float dependent-gradients fixture: order k0 + 2 reads the bound,
-    # but J_4 is singular, so order k0 + 1 is ranked on its own
-    E = web_definition(DEPENDENT_GRADIENTS_FLOAT)
-    mode = Mode.floating(128)
-    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, n, mode)
-    d = assemble(E, n).size
-    assert estimate.dims[E.k0 + 2] == max_rank_bound(n, d)
-    assert len(calls["jet_ranks_at_point"]) == 1 and calls["jet_ranks_at_point"][0] < d
-    assert (start_rows, 128) in calls["float_rank"]
-
-
-def test_dims_off_the_bound_rank_the_start_order(monkeypatch):
-    # the non-hexagonal web in float mode: order k0 + 2 reads 0, not the
-    # bound 1, so J_k0 is not ranked and order k0 + 1 is
-    E = web_definition(NON_HEXAGONAL)
-    mode = Mode.floating(128)
-    calls, start_rows, estimate = estimate_with_spy(monkeypatch, E, 2, mode)
-    assert estimate.dims == {3: 0, 4: 0}
-    assert calls["jet_ranks_at_point"] == []
-    assert [rows for rows, _ in calls["float_rank"]] == [
-        len(_relation_columns(2, 4)),
-        start_rows,
-    ]
-
-
-def test_marginal_start_ranks_both_orders_a_precision_up(monkeypatch):
+def test_marginal_next_order_ranks_the_start_order_a_precision_up(monkeypatch):
     # k0_4_exp at n = 3 and 32 bits: the order-6 system is marginal at 32
-    # bits and reads the bound at 64, where J_4 is invertible, so order 5
-    # takes the bound at 64 bits without being ranked
+    # bits and read at 64, and order 5 is ranked from 64 bits on
     E, _ = get_family("k0_4_exp")
     mode = Mode.floating(32)
-    calls, _, estimate = estimate_with_spy(monkeypatch, E, 3, mode)
-    top_rows = len(_relation_columns(3, E.k0 + 2))
-    d = assemble(E, 3).size
-    assert calls["float_rank"] == [(top_rows, 32), (top_rows, 64), (d, 64)]
-    assert calls["jet_ranks_at_point"] == [d]
+    calls, rows, estimate = estimate_with_spy(monkeypatch, E, 3, mode)
+    assert calls == [(rows[0], 32), (rows[0], 64), (rows[1], 64)]
     assert estimate.dims == {5: 26, 6: 26} and estimate.method == "float64"
 
 
@@ -829,7 +808,7 @@ def test_marginal_start_ranks_both_orders_a_precision_up(monkeypatch):
     ids=lambda v: v.stem if isinstance(v, Path) else v,
 )
 def test_gradients_of_the_float_build_are_web_gradients(path, n, precision):
-    # the J_k0 check ranks the web the relation build ranks: the rows of the
+    # the jet checks rank the web the relation build ranks: the rows of the
     # degree-1 monomials at the unknowns (i, 1), at the caps the estimate
     # builds and above, times their units, are web_gradients' values exactly
     E = get_family("k0_4_exp")[0] if path is None else web_definition(path)
@@ -849,8 +828,39 @@ def test_gradients_of_the_float_build_are_web_gradients(path, n, precision):
         ] == expected
 
 
+def mpf_value(v) -> Fraction:
+    sign, man, exp, _ = v._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("precision", [32, 128])
+@pytest.mark.parametrize(
+    "path,n",
+    [(None, 2), (None, 3), (LOG_DOMAIN, 2), (LOG_DOMAIN, 3)],
+    ids=lambda v: v.stem if isinstance(v, Path) else v,
+)
+def test_float_relation_rows_are_the_mpf_powers_exactly(path, n, precision):
+    # the monomial rows, times their units, hold the entries of the mpf
+    # build in the row layout (one row per unknown) transposed, with no
+    # bit lost between the mpf powers and the ints the kernel takes
+    E = get_family("k0_4_exp")[0] if path is None else web_definition(path)
+    W = assemble(E, n)
+    mode = Mode.floating(precision)
+    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    order = E.k0 + 2
+    rows, units = _relation_rows(W, point, order, mode, order)
+    expected = [{} for _ in rows]
+    for k, row in enumerate(mpf_relation_rows(W, point, order, mode)):
+        i, m = divmod(k, order)  # unknown (i, m + 1)
+        for j, v in row.items():
+            expected[j][(i + 1) * order - m - 1] = mpf_value(v)
+    assert [
+        {u: v * Fraction(2) ** units[u] for u, v in row.items()} for row in rows
+    ] == expected
+
+
 def assert_float_ranks_match_mpf_oracle(E, n, precision):
-    """The fixed-point systems rank_estimate ranks at its first two orders,
+    """The int systems rank_estimate ranks at its first two orders,
     each built on its own, against the mpf oracle on mpf systems built in
     the row layout, one row per unknown."""
     W = assemble(E, n)

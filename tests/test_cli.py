@@ -255,6 +255,38 @@ def test_malformed_webs_exit_code(capsys, tmp_path, webs):
     assert "list of integral strings" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-family"],
+        ["check-ordinary"],
+        ["check-ordinary", "--direct"],
+        ["crosscheck"],
+        ["rank", "--n", "2"],
+    ],
+    ids=" ".join,
+)
+def test_wrong_integral_count_exit_code(capsys, tmp_path, argv):
+    # two integrals where arity 1 takes monomial_count(1, 1) = 1: refused
+    # before any check assembles the web
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1", "x1^3"], ["x1+x2"]]}))
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 65
+    assert out == "" and "Traceback" not in err
+    assert "the arity-1 web has 2 integrals, expected 1" in err
+
+
+def test_validate_reports_a_wrong_integral_count(capsys, tmp_path):
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps({"k0": 2, "webs": [["x1", "x1^3"], ["x1+x2"]]}))
+    code, out, _ = run_cli(capsys, "validate", "--input", str(path), "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["report"]["checks"]
+    (check,) = [c for c in checks if c["check"] == "cardinality" and c["k"] == 1]
+    assert (check["expected"], check["actual"], check["verdict"]) == (1, 2, "false")
+
+
 def test_unreadable_input_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--input", str(tmp_path))
     assert code == 66

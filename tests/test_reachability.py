@@ -67,15 +67,11 @@ NEVER_ENTERED = {
     "scalars.Mode.escalate": SAFETY
     + " (a marginal float rank; tests/test_escalation.py plants one)",
     "scalars.scalar_to_str": SAFETY + " (a scalar reaching report.jsonable)",
-    "scalars.zero_tolerance": SAFETY + " (the mpf minor test's rounding band)",
     "tpoly.MonomialCodes.decode": TEST_ORACLE + " (codes back to exponents)",
     "tpoly._vanishing_divisor": SAFETY + " (a divisor that vanishes mod q)",
     "tpoly.taylor.<locals>.inverse": SAFETY + " (a float quotient series)",
     "web._foliation_present": ACCEPTANCE + " (quasi-symmetry)",
     "web._foliation_present.<locals>.samples": ACCEPTANCE + " (quasi-symmetry)",
-    "web._largest": SAFETY + " (the mpf minor test's rounding band)",
-    "web._minors_vanish": SAFETY + " (the mpf minor test's rounding band)",
-    "web.gradients_proportional": TEST_ORACLE + " (proportionality screen)",
     "web.is_quasi_symmetric": ACCEPTANCE + " (quasi-symmetry)",
 }
 

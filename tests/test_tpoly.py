@@ -24,13 +24,12 @@ from webrank.expr import (
     variables,
 )
 from webrank.jets import degree_multi_indices
-from webrank.scalars import EXACT, Mode, ModulusError, shifted
+from webrank.scalars import EXACT, Mode, ModulusError
 from webrank.tpoly import (
     MonomialCodes,
     _int_divide,
     _nonzero_partials,
     _zero_test_points,
-    fixed_powers,
     integer_taylor,
     mode_for,
     modulus_at,
@@ -202,20 +201,17 @@ CANCELLING = (MonomialCodes(1, 4), {6: 1, 12: 2, 18: -2})
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_series(), st.integers(min_value=1, max_value=5), st.sampled_from([0, 2]))
-@example(CANCELLING, 3, 0)
-def test_powers_equal_repeated_products_with_cancelled_terms_left_out(
-    case, m_max, shift
-):
+@given(int_series(), st.integers(min_value=1, max_value=5))
+@example(CANCELLING, 3)
+def test_powers_equal_repeated_products_with_cancelled_terms_left_out(case, m_max):
     # the multiplier's items sorted once for all powers, the output rebuilt
     # only when a product cancelled: the same values in the same key order
     # as one schoolbook product per power, no zero value kept
     codes, a = case
     expected = [a]
     for _ in range(1, m_max):
-        product = schoolbook_product(codes, expected[-1], a)
-        expected.append(shifted(product, -shift) if shift else product)
-    powers = codes.powers(a, m_max, shift)
+        expected.append(schoolbook_product(codes, expected[-1], a))
+    powers = codes.powers(a, m_max)
     assert [list(p.items()) for p in powers] == [list(p.items()) for p in expected]
     assert all(0 not in power.values() for power in powers)
     for prev, power in zip(powers, powers[1:]):
@@ -223,8 +219,7 @@ def test_powers_equal_repeated_products_with_cancelled_terms_left_out(
         assert list(product.items()) == list(
             schoolbook_product(codes, prev, a).items()
         )
-        if not shift:
-            assert list(power.items()) == list(product.items())
+        assert list(power.items()) == list(product.items())
 
 
 def test_a_cancelled_product_term_is_left_out():
@@ -379,25 +374,37 @@ def test_float_exp_and_log_trees_against_diff_oracle(text, point):
 
 @pytest.mark.parametrize("bits", [32, 64, 128])
 @pytest.mark.parametrize("text,point", FLOAT_TREES, ids=[t for t, _ in FLOAT_TREES])
-def test_fixed_powers_are_the_exact_powers_of_the_mpf_offset(text, point, bits):
-    # each fixed-point power against the Fraction power of the same mpf
-    # offset: its error is far below the 2^-bits rounding of an mpf build
+def test_float_powers_are_the_powers_of_the_mpf_offset_up_to_rounding(
+    text, point, bits
+):
+    # the powers the float relation build takes, in mpf at the mode's
+    # precision, against the Fraction powers of the same mpf offset: each
+    # value has at most `bits` significant bits, and each product of the
+    # m-th power rounds a sum of at most len(offset) terms, so its error
+    # stays within (m - 1) (len(offset) + 1) 2^(1 - bits) of the same
+    # coefficient of the power of |offset|
     mode = Mode.floating(bits)
     codes = MonomialCodes(len(point), 4)
     expansion = taylor(parse(text, len(point)), point, codes, mode)
-    offset = {}
-    for code, v in expansion.items():
-        if code:
-            sign, man, exp, _ = v._mpf_
-            offset[code] = (-man if sign else man) * Fraction(2) ** exp
-    exact = codes.powers(offset, codes.cap)
-    fixed = fixed_powers(expansion, codes, bits)
-    for m, ((ints, unit), power) in enumerate(zip(fixed, exact), 1):
-        largest = max(map(abs, power.values()))
-        scale = Fraction(2) ** unit
-        error = max(abs(ints.get(c, 0) * scale - v) for c, v in power.items())
-        assert set(ints) <= set(power)
-        assert error <= largest * Fraction(2) ** -(bits + 32), m
+    with mode.workprec():
+        offset = {code: v for code, v in expansion.items() if code}
+        powers = codes.powers(offset, codes.cap)
+    exact_offset = {}
+    for code, v in offset.items():
+        ints, unit = mpf_ints([v])
+        exact_offset[code] = ints[0] * Fraction(2) ** unit
+    exact = codes.powers(exact_offset, codes.cap)
+    bound = codes.powers({c: abs(v) for c, v in exact_offset.items()}, codes.cap)
+    slack = (len(offset) + 1) * Fraction(2) ** (1 - bits)
+    for m, (power, expected, size) in enumerate(zip(powers, exact, bound), 1):
+        assert set(power) <= set(expected), m
+        ints, unit = mpf_ints(power.values())
+        for code, value in zip(power, ints):
+            assert abs(value).bit_length() - (value & -value).bit_length() < bits
+        values = dict(zip(power, (v * Fraction(2) ** unit for v in ints)))
+        for code, v in expected.items():
+            error = abs(values.get(code, 0) - v)
+            assert error <= (m - 1) * slack * size[code], (m, code)
 
 
 def test_mpf_ints_hold_the_values_exactly_over_their_lowest_exponent():
