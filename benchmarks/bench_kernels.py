@@ -17,16 +17,18 @@ times the current code on it, layer by layer:
   builds of the monomial rows of both orders, each offset's powers taken
   in mpf and held exactly as ints, each order built on its own as
   `abelrank._float_dims` builds it, then their float ranks
-  (`linalg.float_rank`).  It checks each rank and marginal flag against
+  (`linalg.float_rank`: fixed-point complete pivoting on the nonzeros,
+  every active row rescanned for its largest magnitude at each step, as
+  the dense kernels do).  It checks each rank and marginal flag against
   the dense mpf kernel on the system of each order built separately in
   mpf, one row per unknown, a check the tests leave out at this size (the
   mpf kernel takes seconds per system);
 * the same web's order-6 system in modular mode, the mode verify-family
   ranks it in: the build of its monomial rows mod q = 2^61 - 1 at
   t = e^(1/L) (`abelrank._relation_rows`), its rank by `linalg.modular_extend`
-  and, beside it, the 128-bit float kernel (`linalg.float_rank`) on the
-  128-bit float build at the same point; it checks that the two ranks
-  agree;
+  and, beside it, the 128-bit float kernel (`linalg.float_rank`, rows
+  rescanned at each step) on the 128-bit float build at the same point;
+  it checks that the two ranks agree;
 * the naive k0=5 WB extension (`benchmarks/k0_5_wb_extension.json`) in
   dimension 5, the fixture with the largest exact systems: its rank
   estimate grown through orders 6, 7 and 8, the orders `rank --n 5` ranks
@@ -207,7 +209,8 @@ def bench_float(precision: int, repeat: int):
     label = (
         f"float relation systems, k0_4_exp n=4 ({precision}-bit mpf powers as "
         f"ints, orders {orders[0]} and {orders[1]}, each from its own build; "
-        "ranks match the mpf oracle)"
+        "fixed-point complete pivoting, rows rescanned per pivot; ranks match "
+        "the mpf oracle)"
     )
     return label, ", ".join(shapes), results
 
@@ -242,7 +245,8 @@ def bench_modular(repeat: int):
         )
     label = (
         f"modular relation system, k0_4_exp n=4 (order {order} mod 2^61-1 at "
-        "t=e^(1/L); rank equal to the 128-bit float kernel's)"
+        "t=e^(1/L); rank equal to the 128-bit float kernel's, rows rescanned "
+        "per pivot)"
     )
     return label, f"{len(rows)} monomial rows rank {rank()}", results
 

@@ -192,23 +192,31 @@ def log_of(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # structural queries
 
+def _children(e: Expr) -> tuple:
+    """The subtrees of a node, in tree order: () for a variable or a
+    constant, the operands of a sum, product or quotient, the base of a
+    power (its exponent is an int, not a node), the argument of a negation,
+    exp or log.  Raises TypeError for anything that is not a node."""
+    if isinstance(e, (Variable, RationalConst)):
+        return ()
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Quotient):
+        return (e.numerator, e.denominator)
+    if isinstance(e, IntPower):
+        return (e.base,)
+    if isinstance(e, (Neg, Exp, Log)):
+        return (e.child,)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def variables(e: Expr) -> set[int]:
     """Indices of the variables syntactically present in the tree."""
     if isinstance(e, Variable):
         return {e.index}
-    if isinstance(e, RationalConst):
-        return set()
-    if isinstance(e, Sum):
-        return set().union(*map(variables, e.terms))
-    if isinstance(e, Product):
-        return set().union(*map(variables, e.factors))
-    if isinstance(e, Quotient):
-        return variables(e.numerator) | variables(e.denominator)
-    if isinstance(e, (Neg, Exp, Log)):
-        return variables(e.child)
-    if isinstance(e, IntPower):
-        return variables(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    return set().union(*map(variables, _children(e)))
 
 
 def max_var_index(e: Expr) -> int:
@@ -218,19 +226,7 @@ def max_var_index(e: Expr) -> int:
 
 def has_transcendental(e: Expr) -> bool:
     """True if the tree contains an exp or log node."""
-    if isinstance(e, (Exp, Log)):
-        return True
-    if isinstance(e, Sum):
-        return any(has_transcendental(t) for t in e.terms)
-    if isinstance(e, Product):
-        return any(has_transcendental(f) for f in e.factors)
-    if isinstance(e, Quotient):
-        return has_transcendental(e.numerator) or has_transcendental(e.denominator)
-    if isinstance(e, Neg):
-        return has_transcendental(e.child)
-    if isinstance(e, IntPower):
-        return has_transcendental(e.base)
-    return False
+    return isinstance(e, (Exp, Log)) or any(map(has_transcendental, _children(e)))
 
 
 def exp_arguments(e: Expr) -> list[Expr] | None:
@@ -239,22 +235,10 @@ def exp_arguments(e: Expr) -> list[Expr] | None:
     mode expands (an empty list for an exp/log-free tree); None otherwise."""
     if isinstance(e, Exp):
         return None if has_transcendental(e.child) else [e.child]
-    if isinstance(e, Sum):
-        parts = e.terms
-    elif isinstance(e, Product):
-        parts = e.factors
-    elif isinstance(e, Quotient):
-        parts = (e.numerator, e.denominator)
-    elif isinstance(e, Neg):
-        parts = (e.child,)
-    elif isinstance(e, IntPower):
-        parts = (e.base,)
-    elif isinstance(e, Log):
+    if isinstance(e, Log):
         return None
-    else:
-        return []
     out: list[Expr] = []
-    for part in parts:
+    for part in _children(e):
         found = exp_arguments(part)
         if found is None:
             return None
@@ -266,19 +250,18 @@ def largest_power(e: Expr) -> int:
     """The largest product of |exponents| along a chain of nested powers,
     1 for a tree without powers: (x1^3)^4 gives 12.  The Taylor series of
     e raises values to powers of that order, so this bounds its cost."""
-    if isinstance(e, (Variable, RationalConst)):
-        return 1
-    if isinstance(e, Sum):
-        return max(map(largest_power, e.terms))
-    if isinstance(e, Product):
-        return max(map(largest_power, e.factors))
-    if isinstance(e, Quotient):
-        return max(largest_power(e.numerator), largest_power(e.denominator))
-    if isinstance(e, (Neg, Exp, Log)):
-        return largest_power(e.child)
     if isinstance(e, IntPower):
         return abs(e.exponent) * largest_power(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    return max(map(largest_power, _children(e)), default=1)
+
+
+def constants(e: Expr) -> list[Fraction]:
+    """The values of e's constant nodes, in tree order; a power's exponent
+    is an int of its node, not a constant.  A 0 may be among them, since
+    exp(0) is not folded."""
+    if isinstance(e, RationalConst):
+        return [e.value]
+    return [c for part in _children(e) for c in constants(part)]
 
 
 def substitute(e: Expr, mapping: dict[int, Expr]) -> Expr:

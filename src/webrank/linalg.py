@@ -7,12 +7,11 @@ same echelon mod q (scalars), exact_det the fraction-free Bareiss
 determinant of a square int matrix, and float_rank sparse
 complete-pivoting elimination on fixed-point integers
 (rank_fixed_rows: one reciprocal of the pivot per updated row, so an entry
-update is a multiplication and a shift, and each row's largest magnitude
-kept as the rows change); rank_float_rows, the mpf elimination float_rank
-replaced, stays as the tests' oracle.  float_rank returns its pivot
-magnitudes as ints with their unit, and float_certificate formats them for
-the one report that prints them, the float square blocks
-(ordinary._block_outcomes).
+update is a multiplication and a shift); rank_float_rows, the mpf
+elimination float_rank replaced, stays as the tests' oracle.  float_rank
+returns its pivot magnitudes as ints with their unit, and
+float_certificate formats them for the one report that prints them, the
+float square blocks (ordinary._block_outcomes).
 
 Both rank functions take sparse rows, one {column: value} dict of nonzeros
 per row: exact rank with the column count, float rank with one power-of-two
@@ -286,20 +285,6 @@ def _fixed_point_rows(
     return fixed, unit
 
 
-def _row_max(row: dict[int, int]) -> tuple[int, int | None]:
-    """(largest magnitude, a column holding it) of a sparse int row; (0,
-    None) for an empty row."""
-    if not row:
-        return 0, None
-    values = row.values()
-    hi = max(values)
-    lo = min(values)
-    top = hi if hi >= -lo else lo
-    for j, v in row.items():
-        if v == top:
-            return abs(top), j
-
-
 def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int):
     """Numerical rank of a sparse fixed-point matrix by complete pivoting.
 
@@ -314,15 +299,11 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
 
     Only nonzeros are stored and updated: a step updates the rows with a
     nonzero in the pivot column, at the pivot row's nonzeros.  The pivot is
-    the largest magnitude, ties broken as dense complete pivoting breaks them
-    (first maximum in row-major order, in the order left by its row and
-    column swaps): each row and column keeps its position in that order, and
-    each step makes the dense kernel's two swaps on the positions.  Each row
-    keeps its largest magnitude and a column holding it.  An update that
-    leaves that column alone (it is neither the pivot column nor among the
-    pivot row's nonzeros) takes the larger of the old maximum and the updated
-    entries; only a row whose maximum was touched is rescanned.  Either way
-    the value is the one a full rescan gives, so the pivots are the same.
+    the largest magnitude, found by rescanning every active row at each
+    step, ties broken as dense complete pivoting breaks them (first maximum
+    in row-major order, in the order left by its row and column swaps): each
+    row and column keeps its position in that order, and each step makes the
+    dense kernel's two swaps on the positions.
 
     Error model.  With s the bit length of the pivot magnitude, an updated
     row takes one reciprocal c = floor(f * 2^s / p) and each entry becomes
@@ -344,17 +325,11 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
     row_at = list(range(m))  # row index at each position
     col_at = list(range(ncols))  # column at each position
     col_pos = list(range(ncols))  # position of each column
-    row_max: list[int] = []  # largest magnitude of each row
-    max_col: list[int | None] = []  # a column holding it
-    for r in rows:
-        mag, at = _row_max(r)
-        row_max.append(mag)
-        max_col.append(at)
     pivot_mags: list[int] = []
     threshold = None
     max_discarded = None
     for k in range(limit):
-        active = [row_max[i] for i in row_at[k:]]
+        active = [max(map(abs, rows[i].values()), default=0) for i in row_at[k:]]
         best = max(active)
         if best == 0:
             break
@@ -384,34 +359,12 @@ def rank_fixed_rows(rows: list[dict[int, int]], ncols: int, shift: int, gap: int
             if not f:
                 continue
             c = (f << s) // p
-            at = max_col[i]
-            if at == pc or at in pivot_row:
-                for j, b in tail:
-                    v = r.get(j, 0) - ((c * b) >> s)
-                    if v:
-                        r[j] = v
-                    else:
-                        r.pop(j, None)
-                row_max[i], max_col[i] = _row_max(r)
-                continue
-            # the maximum at `at` stays: compare the updated entries with it
-            hi = row_max[i]
-            lo = -hi
-            hi_at = lo_at = at
             for j, b in tail:
                 v = r.get(j, 0) - ((c * b) >> s)
                 if v:
                     r[j] = v
-                    if v > hi:
-                        hi, hi_at = v, j
-                    elif v < lo:
-                        lo, lo_at = v, j
                 else:
                     r.pop(j, None)
-            if hi >= -lo:
-                row_max[i], max_col[i] = hi, hi_at
-            else:
-                row_max[i], max_col[i] = -lo, lo_at
     marginal = False
     if threshold is not None:
         if pivot_mags and min(pivot_mags) < gap * threshold:

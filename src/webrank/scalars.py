@@ -9,8 +9,12 @@ matrix the checks rank has entries in Q[t, 1/t].  Mapping t to a t0 in F_q
 drawn per point (tpoly.modulus_at) is a ring map: a rank mod q is a lower
 bound on the rank at the true point, equal to it unless t0 is a root of a
 nonzero minor, with probability at most deg/(q - 1) (Schwartz 1980; Zippel
-1979).  So full ranks, nonzero minors and non-proportional gradients mod q
-are point certificates, and a kernel dimension mod q is an upper bound.  A
+1979).  The bound needs the minor to stay nonzero mod q as a polynomial in
+t, its coefficients not all divisible by q: tpoly.mode_for keeps a set
+with a nonzero constant whose numerator q divides out of modular mode, but
+constants that only combine to a multiple of q are not caught.  So full
+ranks, nonzero minors and non-proportional gradients mod q are point
+certificates, and a kernel dimension mod q is an upper bound.  A
 denominator divisible by q raises ModulusError, and the check that met it
 runs again in float mode (GenericPointSampler.with_fallback).  Float:
 mpmath binary floats of a configurable mantissa, for every other exp/log

@@ -53,6 +53,7 @@ from .expr import (
     RationalConst,
     Sum,
     Variable,
+    constants,
     exp_arguments,
     has_transcendental,
     variables,
@@ -582,11 +583,15 @@ def _zero_test_points(n: int):
 def mode_for(integrals: Sequence[Expr], precision: int = DEFAULT_PRECISION) -> Mode:
     """The scalar model of a set of integrals: exact when every one is
     exp/log-free; modular when their only exp/log nodes are exp of
-    exp/log-free arguments; else extended floats.  precision is the float
-    mode's, or its fallback's."""
+    exp/log-free arguments and no nonzero constant of theirs is 0 mod q,
+    its numerator divisible by q (the probability bound of scalars needs
+    coefficients that do not vanish mod q); else extended floats.
+    precision is the float mode's, or its fallback's."""
     if not any(map(has_transcendental, integrals)):
         return EXACT
-    if all(exp_arguments(u) is not None for u in integrals):
+    if all(exp_arguments(u) is not None for u in integrals) and not any(
+        c and c.numerator % MODULUS == 0 for u in integrals for c in constants(u)
+    ):
         return Mode.modular(precision)
     return Mode.floating(precision)
 

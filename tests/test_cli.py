@@ -499,6 +499,28 @@ def test_verify_family_non_hexagonal_control(capsys, tmp_path):
     assert len(record["mismatch_points"]) == CONFIRMATIONS_FOR_FALSE
 
 
+def test_constant_zero_mod_q_is_ranked_in_float_mode(capsys, tmp_path):
+    # the coefficient of x2, (2^61 - 1)/2^61, is 0 mod q: mod q the arity-2
+    # integral read as free of x2, and the web as neither balanced nor
+    # ordinary
+    web = {
+        "k0": 2,
+        "webs": [
+            ["exp(x1)"],
+            ["x1 + 2305843009213693951/2305843009213693952*x2 + exp(x1)"],
+        ],
+    }
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(web))
+    code, out, _ = run_cli(
+        capsys, "verify-family", "--input", str(path), "--format", "json"
+    )
+    payload = json.loads(out)
+    assert code == 0
+    assert set(payload["verdicts"].values()) == {"true"}
+    assert payload["balanced_valid"]["witnesses"]["mode"] == "float128"
+
+
 FLOAT_DEPENDENT_GRADIENTS = (
     Path(__file__).resolve().parent.parent
     / "benchmarks"

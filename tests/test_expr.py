@@ -10,26 +10,34 @@ from webrank.catalog import family_names, get_family
 from webrank.expr import (
     EvalError,
     Exp,
+    IntPower,
     Log,
     Neg,
     ParseError,
     Product,
     Quotient,
+    RationalConst,
     Sum,
     Variable,
+    constants,
     diff,
     evaluate,
+    exp_arguments,
+    exp_of,
     has_transcendental,
     int_power,
     largest_power,
+    log_of,
     max_var_index,
     neg,
     parse,
     product_of,
+    quotient,
     rational,
     relabel,
     sum_of,
     to_text,
+    variables,
 )
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import vars_used
@@ -356,3 +364,86 @@ exprs = st.recursive(_leaves, _combine, max_leaves=12)
 @given(exprs)
 def test_random_tree_roundtrip(tree):
     assert parse(to_text(tree), 3) == tree
+
+
+# --------------------------------------------------------------------------
+# structural queries on random trees
+
+def _safe_quotient(numerator, denominator):
+    try:
+        return quotient(numerator, denominator)
+    except ZeroDivisionError:
+        return numerator
+
+
+def _combine_all(children):
+    """_combine's nodes plus quotients, exp and log, so that every node kind
+    appears."""
+    return st.one_of(
+        _combine(children),
+        st.tuples(children, children).map(lambda ab: _safe_quotient(*ab)),
+        children.map(exp_of),
+        children.map(log_of),
+    )
+
+
+all_node_exprs = st.recursive(_leaves, _combine_all, max_leaves=12)
+
+
+def _reference_queries(e):
+    """(variables, has_transcendental, exp_arguments, largest_power,
+    constants) of e, each node kind spelt out on its own."""
+    if isinstance(e, Variable):
+        return {e.index}, False, [], 1, []
+    if isinstance(e, RationalConst):
+        return set(), False, [], 1, [e.value]
+    if isinstance(e, Exp):
+        found, transcendental, _, power, consts = _reference_queries(e.child)
+        return found, True, None if transcendental else [e.child], power, consts
+    if isinstance(e, Log):
+        found, _, _, power, consts = _reference_queries(e.child)
+        return found, True, None, power, consts
+    if isinstance(e, Neg):
+        return _reference_queries(e.child)
+    if isinstance(e, IntPower):
+        found, transcendental, args, power, consts = _reference_queries(e.base)
+        return found, transcendental, args, abs(e.exponent) * power, consts
+    if isinstance(e, Sum):
+        parts = e.terms
+    elif isinstance(e, Product):
+        parts = e.factors
+    elif isinstance(e, Quotient):
+        parts = (e.numerator, e.denominator)
+    else:
+        raise AssertionError(f"unexpected node {e!r}")
+    results = [_reference_queries(part) for part in parts]
+    args: list | None = []
+    for _, _, found_args, _, _ in results:
+        args = None if args is None or found_args is None else args + found_args
+    return (
+        set().union(*(r[0] for r in results)),
+        any(r[1] for r in results),
+        args,
+        max(r[3] for r in results),
+        [c for r in results for c in r[4]],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(all_node_exprs)
+def test_structural_queries_match_a_node_by_node_walk(tree):
+    assert (
+        variables(tree),
+        has_transcendental(tree),
+        exp_arguments(tree),
+        largest_power(tree),
+        constants(tree),
+    ) == _reference_queries(tree)
+
+
+@pytest.mark.parametrize(
+    "query", [variables, has_transcendental, exp_arguments, largest_power, constants]
+)
+def test_structural_queries_refuse_a_non_node(query):
+    with pytest.raises(TypeError):
+        query("x1")

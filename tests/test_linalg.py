@@ -672,9 +672,10 @@ def wide_int_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(wide_int_matrices(), st.sampled_from([16, 32, 64]))
 # row 1's largest entry, 2^150 in column 2, is outside the pivot row's
-# nonzeros: its maximum is kept, not rescanned
+# nonzeros: the update leaves it, and it is the second pivot
 @example(([[2**160, 2**100, 0], [2**140, 3**60, 2**150]], 3), 64)
-# row 1's largest entry, in column 1, is updated: the row is rescanned
+# row 1's largest entry, 2^151 in column 1, is updated: the second pivot is
+# what the update leaves there, 2^151 - 2^80
 @example(([[2**160, 2**100, 0], [2**140, 2**151, 2**150]], 3), 64)
 def test_sparse_fixed_rank_matches_dense_oracle_on_wide_entries(case, shift):
     rows, n = case
@@ -717,15 +718,14 @@ def one_update(draw):
 @example((-5, 5, -5, 5), False)
 @example((-5, 5, -5, 5), True)
 @example((2**400, -(2**400), 2**400 - 1, 5 - 2**400), True)
-def test_one_reciprocal_update_errs_by_less_than_two_units(case, rescan):
+def test_one_reciprocal_update_errs_by_less_than_two_units(case, touch_column_2):
     # [[p, b, e], [f, a, |p|]]: p is the first pivot (ties go to row 0).  Row
     # 1's largest magnitude, |p|, sits in column 2, which the update leaves
-    # alone when e = 0 (the row keeps its maximum, unless a tie recorded it
-    # in column 0 or 1) and changes when e = 1 (the row is rescanned).  The
-    # update leaves a' in row 1, and column 2 (|p| - f/p, within 2 units)
-    # beats |a'| < |p| - 2 for the second pivot, so a' stays with its sign.
+    # alone when e = 0 and changes when e = 1.  The update leaves a' in row
+    # 1, and column 2 (|p| - f/p, within 2 units) beats |a'| < |p| - 2 for
+    # the second pivot, so a' stays with its sign.
     p, b, f, a = case
-    pivot_row = {0: p, 1: b, 2: 1} if rescan else {0: p, 1: b}
+    pivot_row = {0: p, 1: b, 2: 1} if touch_column_2 else {0: p, 1: b}
     rows = [pivot_row, {0: f, 1: a, 2: abs(p)}]
     rank, pivots, _, _ = linalg.rank_fixed_rows(rows, 3, 1000, linalg.FLOAT_GAP)
     assert rank == 2 and pivots[0] == abs(p)

@@ -76,6 +76,11 @@ Q_WEB = {"k0": 2, "webs": [[f"exp(x1)*{MODULUS + 1}/{MODULUS}"], ["x1+x2"]]}
         ([["log(x1)"], ["x1+x2"]], "float"),
         ([["exp(exp(x1))"], ["x1+x2"]], "float"),
         ([["x1"], ["exp(x1)+log(x2)"]], "float"),
+        # a constant that is 0 mod q leaves the class; 2^61 = 2 mod q and a
+        # zero constant do not
+        ([["exp(x1)"], [f"x1 + {MODULUS}/{MODULUS + 1}*x2 + exp(x1)"]], "float"),
+        ([["exp(x1)"], ["x1 + 2^61*x2"]], "modular"),
+        ([["exp(0)*x1"], ["x1+x2"]], "modular"),
     ],
 )
 def test_default_mode_is_modular_for_exp_of_exp_log_free_arguments(webs, kind):
