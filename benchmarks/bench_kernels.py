@@ -75,8 +75,9 @@ from webrank.abelrank import (
     rank_estimate,
 )
 from webrank.catalog import get_family
+from webrank.combin import calibration_order
 from webrank.jets import jet_matrix_from_gradients
-from webrank.ordinary import GenericPointSampler
+from webrank.ordinary import PointSearch
 from webrank.scalars import EXACT, Mode
 from webrank.tpoly import taylor
 from webrank.web import assemble, load_balanced_set, proportional_pairs, web_gradients
@@ -94,6 +95,13 @@ def _time(fn, repeat: int) -> tuple[float, float]:
     return min(times), statistics.median(times)
 
 
+def _rank_point(W, mode):
+    """The point `rank --seed 0` estimates W's rank at first: the first
+    point of its dimension's search with J_k0 invertible."""
+    search = PointSearch(W, calibration_order(W.n, W.size), 0, mode)
+    return generic_point_for_web(search.points()).point
+
+
 def _two_batch_dims(W, rows, m_start: int, m_cap: int) -> dict[int, int]:
     """The dims at orders m_start and m_start + 1 from the order-(m_start +
     1) monomial rows with room for m_cap powers (left unchanged), through
@@ -109,7 +117,7 @@ def _two_batch_dims(W, rows, m_start: int, m_cap: int) -> dict[int, int]:
 def bench_exact(name: str, repeat: int):
     E, _ = get_family(name)
     W = assemble(E, 5)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    point = _rank_point(W, EXACT)
     m_start, m_cap = E.k0 + 1, E.k0 + 5  # verify-family's orders
     top = m_start + 1
 
@@ -133,7 +141,7 @@ def bench_exact(name: str, repeat: int):
 def bench_k0_5_growth(repeat: int):
     E = load_balanced_set(str(K0_5_WB_EXTENSION))
     W = assemble(E, 5)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    point = _rank_point(W, EXACT)
     m_start, m_cap = E.k0 + 1, E.k0 + 3
 
     def grow():
@@ -177,7 +185,7 @@ def bench_float(precision: int, repeat: int):
     E, _ = get_family("k0_4_exp")
     W = assemble(E, 4)
     mode = Mode.floating(precision)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    point = _rank_point(W, mode)
     orders = (E.k0 + 1, E.k0 + 2)
 
     def build():
@@ -219,7 +227,7 @@ def bench_modular(repeat: int):
     E, _ = get_family("k0_4_exp")
     W = assemble(E, 4)
     mode = Mode.modular()
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    point = _rank_point(W, mode)
     order = E.k0 + 2
 
     def build():
@@ -254,7 +262,7 @@ def bench_modular(repeat: int):
 def bench_jets(repeat: int):
     E, _ = get_family("k0_4_WB_sum")
     W = assemble(E, 5)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    point = _rank_point(W, EXACT)
     gradients = web_gradients(W, point, EXACT)[0]
 
     def jets():

@@ -87,7 +87,8 @@ d = monomial_count(n, k0), at a point where the d x d matrix J_k0 is
 invertible, J_D has full row rank for D <= k0 and rank d for D >= k0
 (ordinary.jet_ranks_at_point).  Then for M >= k0 the bound is
 combin.max_rank_bound(n, d) = pi, and the dim at order M + 1 is at most
-the dim at order M.
+the dim at order M.  check_rank estimates only at such points, the points
+of the dimension's search (ordinary.PointSearch) the direct check reads.
 """
 
 from __future__ import annotations
@@ -103,17 +104,10 @@ from .report import (
     INCONCLUSIVE,
     VerificationReport,
     combine_verdicts,
-    confirm,
 )
 from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, MODULUS, Mode
 from .tpoly import MonomialCodes, integer_offset, modulus_at, mpf_ints, taylor
-from .web import (
-    AssembledWeb,
-    BalancedSet,
-    assemble,
-    proportional_pairs,
-    sampled_gradients,
-)
+from .web import AssembledWeb, BalancedSet
 
 
 class EstimateInconclusive(Exception):
@@ -354,38 +348,38 @@ def rank_estimate(
 # ---------------------------------------------------------------------------
 # the finite verification pipeline
 
-def generic_point_for_web(W: AssembledWeb, sampler, mode: Mode):
-    """A sampled point where all entries are defined (sampled_gradients
-    skips the others) and differentials are pairwise non-proportional;
-    None when sampling is exhausted."""
-    for point, gradients in sampled_gradients(W, sampler, mode):
-        if not proportional_pairs(gradients, mode):
-            return point
-    return None
+def generic_point_for_web(points):
+    """The next of a dimension's expanded points (ordinary.PointSearch) at
+    which J_k0 is invertible and no two gradients are proportional; None
+    when the search is exhausted."""
+    return next((p for p in points if p.ordinary and not p.pairs), None)
 
 
 class RankCheck:
-    """A rank estimate at sampled generic points against an expected value.
+    """A rank estimate at sampled ordinary points against an expected value.
 
-    point and estimate belong to the deciding point (the last one estimated;
-    None when no generic point was found); mismatches records every point
-    whose stabilized value differed from the expected one.
+    point, jet_rank (its J_k0 rank) and estimate belong to the deciding
+    point (the last one estimated; None when no ordinary point was found);
+    mismatches records every point whose stabilized value differed from
+    the expected one.
     """
 
     def __init__(
         self,
         verdict: str,
         point: tuple | None,
+        jet_rank: int | None,
         estimate: RankEstimate | None,
         mismatches: list[dict],
     ) -> None:
         self.verdict = verdict
         self.point = point
+        self.jet_rank = jet_rank
         self.estimate = estimate
         self.mismatches = mismatches
 
     def record(self) -> dict:
-        """The report keys of a check that found a generic point (rank
+        """The report keys of a check that found an ordinary point (rank
         --format json and each verify_max_rank dimension print them)."""
         estimate = self.estimate
         record = {
@@ -394,6 +388,7 @@ class RankCheck:
             "stabilized_at": estimate.stabilized_at,
             "method": estimate.method,
             "point": [str(c) for c in self.point],
+            "jet_rank_k0": self.jet_rank,
             "note": estimate.note,
             "verdict": self.verdict,
         }
@@ -403,48 +398,60 @@ class RankCheck:
 
 
 def check_rank(
-    W: AssembledWeb, sampler, m_start: int, m_cap: int, mode: Mode, expected: int
+    E: BalancedSet,
+    n: int,
+    sampler,
+    m_start: int,
+    m_cap: int,
+    mode: Mode,
+    expected: int,
 ) -> RankCheck:
-    """Compare the rank estimate of W at a sampled generic point with `expected`.
+    """Compare the rank estimate of E's assembled web in dimension n at a
+    sampled ordinary point with `expected`.
 
-    The verdict follows report.confirm over generic points, each found by
-    its own generic_point_for_web search.  The relation rows are rational in
-    the point, so their rank can drop, and the estimate rise, on a thin set
-    only.  Two departures: an estimate that does not stabilize stops the
-    check as "inconclusive", and when the search runs dry after mismatches
-    the last mismatch's note says so.  A modular check that meets a
-    ModulusError runs again in float mode on the same points
-    (GenericPointSampler.with_fallback).
+    The points are those of the dimension's search
+    (GenericPointSampler.search), which the web condition and the direct
+    check read as well; the estimate is made only at points whose J_k0 is
+    invertible and whose gradients are pairwise non-proportional
+    (generic_point_for_web), where the dims are at most pi (the module
+    docstring).  The verdict follows report.confirm over those points.
+    The relation rows are rational in the point, so their rank can drop,
+    and the estimate rise, on a thin set only.  Two departures: an
+    estimate that does not stabilize stops the check as "inconclusive",
+    and when the search runs dry after mismatches the last mismatch's note
+    says so.  A modular check that meets a ModulusError runs again on the
+    search turned to float mode (PointSearch.confirm).
     """
-    last = [None, None]  # point and estimate of the last point estimated
+    search = sampler.search(E, n, mode)
+    W, k0 = search.W, E.k0
+    last = [None, None, None]  # point, J_k0 rank and estimate of the last one
 
-    def outcomes(mode):
-        last[:] = None, None
-        while (point := generic_point_for_web(W, sampler, mode)) is not None:
-            estimate = rank_estimate(W, point, m_start, m_cap, mode)
-            last[:] = point, estimate
+    def outcomes(points):
+        last[:] = None, None, None
+        while (expanded := generic_point_for_web(points)) is not None:
+            estimate = rank_estimate(W, expanded.point, m_start, m_cap, search.mode)
+            last[:] = expanded.point, expanded.ranks[k0], estimate
             if estimate.value is None:
                 return  # not stabilized: stop as inconclusive
             yield estimate.value == expected, {
-                "point": [str(c) for c in point],
+                "point": [str(c) for c in expanded.point],
+                "jet_rank_k0": expanded.ranks[k0],
                 "value": estimate.value,
                 "dims_trace": dict(sorted(estimate.dims.items())),
             }
 
-    (verdict, mismatches, _), _ = sampler.with_fallback(
-        lambda current: confirm(outcomes(current)), mode
-    )
-    point, estimate = last
+    (verdict, mismatches, _), _ = search.confirm(outcomes)
+    point, jet_rank, estimate = last
     if verdict == INCONCLUSIVE and mismatches and estimate.value is not None:
         estimate = RankEstimate(
             estimate.dims,
             estimate.stabilized_at,
             estimate.value,
             estimate.method,
-            note=f"no generic point found after {len(mismatches)} "
+            note=f"no ordinary point found after {len(mismatches)} "
             "mismatching points",
         )
-    return RankCheck(verdict, point, estimate, mismatches)
+    return RankCheck(verdict, point, jet_rank, estimate, mismatches)
 
 
 def verify_max_rank(
@@ -457,10 +464,13 @@ def verify_max_rank(
     """Rank estimates for n = 2..k0 against the calibrated maximal rank.
 
     When every estimate matches, the assembled webs have maximal rank in
-    every dimension (granted ordinariness, certified separately), and the
-    empirical exact-support table is reported next to the counting table.
-    Each dimension's verdict is check_rank's (report.confirm over generic
-    points); its mismatching points are listed under "mismatch_points".
+    every dimension: each estimate is read at a point where J_k0 is
+    invertible, the point the direct check certifies in that dimension
+    when it reads the same search, and the empirical exact-support table is
+    reported next to the counting table.  Each dimension's verdict is
+    check_rank's (report.confirm over ordinary points); a dimension with
+    no ordinary point is "inconclusive", and mismatching points are listed
+    under "mismatch_points".
     With corroborate=True the check is repeated at n = k0 + 1 as an
     independent desk-scale corroboration.
     """
@@ -474,7 +484,7 @@ def verify_max_rank(
     estimates_low: dict[int, RankEstimate] = {}
     for n in n_values:
         expected = calibrated_max_rank(n, k0)
-        check = check_rank(assemble(E, n), sampler, m_start, cap, mode, expected)
+        check = check_rank(E, n, sampler, m_start, cap, mode, expected)
         estimate = check.estimate
         if estimate is None:
             per_n.append(
@@ -482,7 +492,7 @@ def verify_max_rank(
                     "n": n,
                     "expected": expected,
                     "verdict": INCONCLUSIVE,
-                    "reason": "no generic point found",
+                    "reason": "no ordinary point found",
                 }
             )
             verdicts.append(INCONCLUSIVE)

@@ -30,7 +30,7 @@ from .ordinary import (
 )
 from .report import INCONCLUSIVE, TRUE, combine_verdicts, exit_code, jsonable
 from .scalars import DEFAULT_PRECISION, Mode
-from .web import BalancedSet, assemble, load_balanced_set, validate_balanced
+from .web import BalancedSet, load_balanced_set, validate_balanced
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -272,7 +272,7 @@ def _cmd_rank(args) -> int:
     _require_at_least(option, [m_cap], m_start + 1)
     expected = calibrated_max_rank(n, E.k0)
     sampler = GenericPointSampler(seed=args.seed)
-    check = check_rank(assemble(E, n), sampler, m_start, m_cap, mode, expected)
+    check = check_rank(E, n, sampler, m_start, m_cap, mode, expected)
     payload = {
         "config": _config(args, "rank", n=[n], m_start=m_start, m_cap=m_cap),
         "family": name,
@@ -287,10 +287,11 @@ def _cmd_rank(args) -> int:
             dims_trace={},
             method=mode.label(),
             point=None,
-            note="no generic point found",
+            jet_rank_k0=None,
+            note="no ordinary point found",
             verdict=INCONCLUSIVE,
         )
-        line = f"rank {name} n={n}: inconclusive (no generic point)"
+        line = f"rank {name} n={n}: inconclusive (no ordinary point)"
         _emit(payload, args.format, [line])
         return exit_code(INCONCLUSIVE)
     verdict = check.verdict

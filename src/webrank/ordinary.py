@@ -1,4 +1,5 @@
-"""Rank engines and ordinariness certifiers.
+"""Rank engines, the point search of each dimension, and ordinariness
+certifiers.
 
 Two independent routes decide whether the assembled webs of a balanced set
 are ordinary:
@@ -9,6 +10,15 @@ are ordinary:
   the assembled web reaches the maximal rank min(size, monomial_count(n, h)),
   which an order-k0 jet matrix of full row rank decides for all of them
   (jet_ranks_at_point).
+
+Each dimension n has one point search (GenericPointSampler.search), drawn
+from a stream of its own, seeded by the run's seed and n alone.  Each of its
+points is expanded once (expand_point): one web_gradients pass, the jet
+ranks on those gradients and, where they do not prove it, the
+proportionality screen.  The web condition (web.validate_balanced), the
+direct check and the rank estimate (abelrank.check_rank) all read these
+expanded points, so the estimate is read at a point whose J_k0 the direct
+check certified invertible.  The finite criterion draws its own points.
 
 Verdicts are point certificates under report.confirm: a "true" is witnessed
 at an explicit sampled point, and a rank that degenerates on a thin set must
@@ -35,14 +45,23 @@ from .report import (
     confirm,
 )
 from .scalars import DEFAULT_PRECISION, Mode, ModulusError
-from .web import AssembledWeb, BalancedSet, assemble, web_gradients
+from .web import (
+    AssembledWeb,
+    BalancedSet,
+    assemble,
+    proportional_pairs,
+    web_gradients,
+)
 
 
 class GenericPointSampler:
     """Seeded source of rational sample points.
 
     Components are rationals in [LOW, HIGH] with denominators up to
-    MAX_DENOMINATOR; identical seeds give identical point sequences.
+    MAX_DENOMINATOR; identical seeds give identical point sequences.  The
+    finite criterion and the quasi-symmetry test draw from the sampler
+    itself; the web condition, the direct check and the rank check read
+    the point search of their dimension (search).
     """
 
     LOW = -3
@@ -53,6 +72,7 @@ class GenericPointSampler:
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
+        self._searches: dict = {}
 
     def point(self, n: int) -> tuple[Fraction, ...]:
         coords = []
@@ -83,6 +103,118 @@ class GenericPointSampler:
     def spawn(self, salt: int) -> "GenericPointSampler":
         """Independent sampler with a seed derived deterministically from ours."""
         return GenericPointSampler(seed=self.seed * 1_000_003 + salt + 1)
+
+    def search(self, E: BalancedSet, n: int, mode: Mode) -> "PointSearch":
+        """The point search of E's assembled web in dimension n, from our
+        seed: a later call with the same set, n and mode returns the same
+        search, with the points it has expanded."""
+        key = n, mode.kind, mode.precision
+        cached = self._searches.get(key)
+        if cached is None or cached[0] is not E:
+            search = PointSearch(assemble(E, n), E.k0, self.seed, mode)
+            cached = self._searches[key] = E, search
+        return cached[1]
+
+
+class ExpandedPoint:
+    """One point of a dimension's search, expanded once (expand_point).
+
+    ranks is {h: rank of J_h} for h = 1..k0 and mode the mode they were
+    decided in (jet_ranks_at_point), both None where float pivots stay
+    marginal; ordinary says that J_k0 is invertible.  pairs lists the
+    index pairs of proportional gradients and zero says whether a gradient
+    vanishes.  Where an entry is undefined, ranks and pairs are None.
+    """
+
+    __slots__ = ("point", "ranks", "mode", "ordinary", "pairs", "zero")
+
+    def __init__(self, point, ranks, mode, ordinary, pairs, zero) -> None:
+        self.point = point
+        self.ranks = ranks
+        self.mode = mode
+        self.ordinary = ordinary
+        self.pairs = pairs
+        self.zero = zero
+
+
+def expand_point(W: AssembledWeb, point, mode: Mode, k0: int) -> ExpandedPoint:
+    """W's gradients at point (one web_gradients pass), the jet ranks on
+    them (jet_ranks_at_point) and the proportional pairs.
+
+    In exact and modular mode an invertible J_k0 proves that no two
+    gradients are proportional, since proportional l_i, l_j give dependent
+    columns l_i^k0, l_j^k0, and that none vanishes; proportional_pairs runs
+    only where J_k0 is singular.  Float mode runs it at every point, as its
+    J_k0 rank is an estimate, not a proof.  A ModulusError reaches the
+    caller.
+    """
+    try:
+        gradients = web_gradients(W, point, mode)
+        outcome = jet_ranks_at_point(W, point, mode, k0, gradients)
+    except EvalError:
+        return ExpandedPoint(point, None, None, False, None, False)
+    ranks, used = outcome or (None, None)
+    ordinary = ranks is not None and ranks[k0] == W.size
+    values, _ = gradients
+    if ordinary and not mode.is_float:
+        return ExpandedPoint(point, ranks, used, True, [], False)
+    pairs = proportional_pairs(values, mode)
+    zero = any(not any(g) for g in values)
+    return ExpandedPoint(point, ranks, used, ordinary, pairs, zero)
+
+
+class PointSearch:
+    """The one point search of an assembled web's dimension.
+
+    At most GenericPointSampler.MAX_RETRIES points, drawn lazily and each
+    expanded once, on first pull, in the search's mode (expand_point).
+    Every check reads the same expanded points from the first one on
+    (points, confirm).  They come from a stream seeded by the string
+    "<seed>/<n>", so neither the order of the checks nor the points other
+    dimensions use can move them, and no spawn() stream, whose seeds are
+    ints, is one of them.
+    """
+
+    def __init__(self, W: AssembledWeb, k0: int, seed: int, mode: Mode) -> None:
+        self.W = W
+        self.k0 = k0
+        self.mode = mode
+        self._seed = f"{seed}/{W.n}"
+        self._restart()
+
+    def _restart(self) -> None:
+        self._draws = GenericPointSampler(self._seed).points(self.W.n)
+        self._expanded: list[ExpandedPoint] = []
+
+    def points(self):
+        """Yield the expanded points in stream order, expanding each new
+        point as it is pulled; nothing is drawn past the last one pulled."""
+        i = 0
+        while True:
+            if i == len(self._expanded):
+                point = next(self._draws, None)
+                if point is None:
+                    return
+                self._expanded.append(expand_point(self.W, point, self.mode, self.k0))
+            yield self._expanded[i]
+            i += 1
+
+    def confirm(self, outcomes):
+        """(report.confirm(outcomes(self.points())), mode read).
+
+        A modular check that meets a ModulusError, in an expansion or in
+        the check itself, turns the whole search to float mode: the stream
+        is drawn again from its start and expanded at the same precision,
+        and the check runs again on it.  Later checks read the float points.
+        """
+        try:
+            return confirm(outcomes(self.points())), self.mode
+        except ModulusError:
+            if not self.mode.is_modular:
+                raise
+            self.mode = Mode.floating(self.mode.precision)
+            self._restart()
+            return confirm(outcomes(self.points())), self.mode
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +291,23 @@ def _block_outcomes(web, k0: int, size: int, points, mode: Mode):
 # ---------------------------------------------------------------------------
 # the direct check
 
-def _jet_systems(W: AssembledWeb, point, k0: int, mode: Mode):
-    """The jet matrices of order 1..k0 at one point, as linalg.ranks takes
-    them, built on web_gradients' int gradients.
-
-    Exact mode ranks them as they are: they are column-scaled and have the
-    ranks of the rational ones.  Modular mode ranks them mod q.  Float mode
-    ranks the degree-h matrix at h times the gradients' unit in every
-    column.
-    """
-    gradients, unit = web_gradients(W, point, mode)
-    matrices = jet_matrix_from_gradients(W.n, k0, gradients)
-    for h, matrix in enumerate(matrices, 1):
-        yield linalg.sparse_rows(matrix, None if unit is None else h * unit)
-
-
-def jet_ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
+def jet_ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int, gradients):
     """({h: rank}, mode used) for the jet matrices J_1..J_k0 at one point,
     or None when float pivots stay marginal.
+
+    gradients is web_gradients(W, point, mode); the jet matrices are built
+    from it once.  Exact mode ranks them as they are: they are
+    column-scaled and have the ranks of the rational ones.  Modular mode
+    ranks them mod q.  Float mode ranks the degree-h matrix at h times the
+    gradients' unit in every column, and a precision it escalates to builds
+    them again from the gradients at that precision.
 
     J_k0 is ranked first, through linalg.ranks from `mode`.  When it has
     full row rank, monomial_count(n, k0), every J_h with h <= k0 has full
     row rank: x_j times a left-kernel vector of J_(h-1) (a polynomial of
     degree h - 1 vanishing at every gradient) is one of J_h.  So the ranks
     are min(size, monomial_count(n, h)) in J_k0's mode and no other matrix
-    is ranked.  Otherwise the orders below k0 are built and ranked afresh
+    is converted or ranked.  Otherwise the orders below k0 are ranked
     through linalg.ranks from J_k0's mode on, and J_k0 keeps its rank; the
     mode used is the higher of the two.
 
@@ -197,18 +321,28 @@ def jet_ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int):
     the bound on the relation dims in abelrank's module docstring rests on
     the higher ones.
     """
-    outcome = linalg.ranks(
-        lambda current: list(_jet_systems(W, point, k0, current))[-1:], mode
-    )
+    built = [None]  # (mode, jet matrices, unit) of the last build
+
+    def systems(current: Mode, orders):
+        if built[0] is None or built[0][0] is not current:
+            values, unit = (
+                gradients if current is mode else web_gradients(W, point, current)
+            )
+            built[0] = current, jet_matrix_from_gradients(W.n, k0, values), unit
+        _, matrices, unit = built[0]
+        return [
+            linalg.sparse_rows(matrices[h - 1], None if unit is None else h * unit)
+            for h in orders
+        ]
+
+    outcome = linalg.ranks(lambda current: systems(current, [k0]), mode)
     if outcome is None:
         return None
     [(rank, _)], used = outcome
     if rank == monomial_count(W.n, k0):
         ranks = {h: min(W.size, monomial_count(W.n, h)) for h in range(1, k0 + 1)}
         return ranks, used
-    outcome = linalg.ranks(
-        lambda current: list(_jet_systems(W, point, k0, current))[:-1], used
-    )
+    outcome = linalg.ranks(lambda current: systems(current, range(1, k0)), used)
     if outcome is None:
         return None
     results, used = outcome
@@ -229,40 +363,32 @@ def check_ordinary_at(
     min(size, monomial_count(n, h)) at a sampled point; the verdict follows
     report.confirm over the sampled points, except that a "false" with every
     order at its rank at some point (never all at one point) is
-    "inconclusive": no single order is shown deficient.  At each point
-    jet_ranks_at_point ranks J_k0 first: at full row rank the lower orders
-    have theirs too and are not ranked, otherwise they are ranked in J_k0's
-    mode or above.
+    "inconclusive": no single order is shown deficient.  It reads the
+    jet ranks of the dimension's point search (GenericPointSampler.search),
+    skipping points where an entry is undefined or float pivots stay
+    marginal.
     """
     if n < 2:
         raise ValueError(f"direct check needs n >= 2, got {n}")
-    W = assemble(E, n)
-    d = W.size
+    search = sampler.search(E, n, E.default_mode(precision))
+    d = search.W.size
     k0 = E.k0
     if calibration_order(n, d) != k0:
         raise AssertionError("assembled web size is not calibrated to k0")
-    mode = E.default_mode(precision)
     expected = {h: min(d, monomial_count(n, h)) for h in range(1, k0 + 1)}
 
-    def outcomes(mode):
-        for point in sampler.points(n):
-            try:
-                outcome = jet_ranks_at_point(W, point, mode, k0)
-            except EvalError:
+    def outcomes(points):
+        for expanded in points:
+            if expanded.ranks is None:
                 continue
-            if outcome is None:
-                continue
-            ranks, used_mode = outcome
             record = {
-                "point": [str(c) for c in point],
-                "ranks": ranks,
-                "mode": used_mode.label(),
+                "point": [str(c) for c in expanded.point],
+                "ranks": expanded.ranks,
+                "mode": expanded.mode.label(),
             }
-            yield ranks == expected, record
+            yield expanded.ranks == expected, record
 
-    (verdict, point_records, certifying), mode = sampler.with_fallback(
-        lambda current: confirm(outcomes(current)), mode
-    )
+    (verdict, point_records, certifying), mode = search.confirm(outcomes)
     if verdict == TRUE:
         point_records.append(certifying)
     else:

@@ -30,8 +30,8 @@ def confirm(outcomes) -> tuple[str, list, object]:
     run out first; it is reported, never promoted.  `failing` lists the
     witnesses of the failing pairs and `deciding` is the witness of the pair
     that decided (None when inconclusive).  No pair is pulled after the
-    deciding one: samplers are shared across checks, so one extra draw would
-    move every later point.
+    deciding one: each point is drawn and expanded on first pull, and the
+    finite criterion's draws share one sampler across its arities.
     """
     failing = []
     for passed, witness in outcomes:

@@ -16,7 +16,7 @@ constants that only combine to a multiple of q are not caught.  So full
 ranks, nonzero minors and non-proportional gradients mod q are point
 certificates, and a kernel dimension mod q is an upper bound.  A
 denominator divisible by q raises ModulusError, and the check that met it
-runs again in float mode (GenericPointSampler.with_fallback).  Float:
+runs again in float mode (with_fallback, PointSearch.confirm).  Float:
 mpmath binary floats of a configurable mantissa, for every other exp/log
 input; only float mode loads mpmath.  Float mode computes its Taylor
 series, relation powers and proportionality minors in mpf at the mode's

@@ -44,7 +44,6 @@ from .report import (
     TRUE,
     VerificationReport,
     combine_verdicts,
-    confirm,
 )
 from .frozen import Frozen
 from .scalars import DEFAULT_PRECISION, MODULUS, Mode, zero_tolerance
@@ -261,20 +260,6 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
     return common_unit(out)
 
 
-def sampled_gradients(W: AssembledWeb, sampler, mode: Mode):
-    """Yield (point, gradients) for each point of sampler.points(W.n) where
-    every entry is defined and no gradient vanishes; the gradients are
-    web_gradients' int vectors."""
-    for point in sampler.points(W.n):
-        try:
-            gradients, _ = web_gradients(W, point, mode)
-        except EvalError:
-            continue
-        if any(not any(g) for g in gradients):
-            continue
-        yield point, gradients
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -285,9 +270,14 @@ def validate_balanced(
 
     (a) each generating web carries monomial_count(k, k0-k) integrals;
     (b) every integral explicitly uses all of its k variables;
-    (c) at a sampled generic point of n_check-space, the differentials of all
-        assembled entries are pairwise non-proportional (in float mode at
-        `precision` bits).
+    (c) at a sampled point of n_check-space where every entry is defined
+        and no gradient vanishes, the differentials of all assembled entries
+        are pairwise non-proportional (in float mode at `precision` bits).
+
+    (c) reads the points of n_check's search (ordinary.PointSearch, through
+    sampler.search) under report.confirm.  Every point with proportional
+    pairs is kept under "proportional_points", and "point" /
+    "proportional_pairs" describe the deciding point.
     """
     checks: list[dict] = []
     verdicts: list[str] = []
@@ -321,22 +311,39 @@ def validate_balanced(
             )
             verdicts.append(TRUE if ok else FALSE)
 
+    record: dict = {"check": "web_condition", "n": n_check}
     if combine_verdicts(verdicts) == TRUE:
-        verdict, mode = sampler.with_fallback(
-            lambda current: _web_condition(E, n_check, sampler, current, checks),
-            mode,
-        )
-        verdicts.append(verdict)
+        search = sampler.search(E, n_check, mode)
+        W = search.W
+
+        def outcomes(points):
+            for expanded in points:
+                if expanded.pairs is None or expanded.zero:
+                    continue
+                failures = [
+                    [list(W.entries[i].label), list(W.entries[j].label)]
+                    for i, j in expanded.pairs
+                ]
+                yield not failures, {
+                    "point": [str(c) for c in expanded.point],
+                    "proportional_pairs": failures,
+                }
+
+        (verdict, failing, deciding), mode = search.confirm(outcomes)
+        if deciding is None:
+            record["reason"] = (
+                f"no generic point found in {sampler.MAX_RETRIES} attempts"
+            )
+        else:
+            record.update(deciding)
+        if failing:
+            record["proportional_points"] = failing
     else:
-        checks.append(
-            {
-                "check": "web_condition",
-                "n": n_check,
-                "verdict": INCONCLUSIVE,
-                "reason": "structural checks failed",
-            }
-        )
-        verdicts.append(INCONCLUSIVE)
+        verdict = INCONCLUSIVE
+        record["reason"] = "structural checks failed"
+    record["verdict"] = verdict
+    checks.append(record)
+    verdicts.append(verdict)
 
     return VerificationReport(
         name="validate_balanced",
@@ -344,39 +351,6 @@ def validate_balanced(
         checks=checks,
         witnesses={"n_check": n_check, "seed": sampler.seed, "mode": mode.label()},
     )
-
-
-def _web_condition(E, n_check, sampler, mode, checks) -> str:
-    """Pairwise non-proportional differentials at a sampled point of n_check-space.
-
-    The verdict follows report.confirm over the sampled points.  Every point
-    with proportional pairs is kept in the record under "proportional_points",
-    and "point" / "proportional_pairs" describe the deciding point.
-    """
-    W = assemble(E, n_check)
-
-    def outcomes():
-        for point, gradients in sampled_gradients(W, sampler, mode):
-            failures = [
-                [list(W.entries[i].label), list(W.entries[j].label)]
-                for i, j in proportional_pairs(gradients, mode)
-            ]
-            yield not failures, {
-                "point": [str(c) for c in point],
-                "proportional_pairs": failures,
-            }
-
-    verdict, failing, deciding = confirm(outcomes())
-    record: dict = {"check": "web_condition", "n": n_check}
-    if deciding is None:
-        record["reason"] = f"no generic point found in {sampler.MAX_RETRIES} attempts"
-    else:
-        record.update(deciding)
-    if failing:
-        record["proportional_points"] = failing
-    record["verdict"] = verdict
-    checks.append(record)
-    return verdict
 
 
 def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 
 from webrank import abelrank, linalg
+from webrank.combin import calibration_order
 from webrank.expr import (
     Expr,
     Variable,
@@ -21,7 +22,12 @@ from webrank.expr import (
     relabel,
     sum_of,
 )
-from webrank.jets import degree_multi_indices, jet_coefficient
+from webrank.jets import (
+    degree_multi_indices,
+    jet_coefficient,
+    jet_matrix_from_gradients,
+)
+from webrank.ordinary import PointSearch, jet_ranks_at_point
 from webrank.scalars import EXACT
 from webrank.tpoly import taylor
 from webrank.web import (
@@ -29,6 +35,7 @@ from webrank.web import (
     BalancedSet,
     GeneratingWeb,
     WebEntry,
+    web_gradients,
 )
 
 
@@ -374,3 +381,40 @@ def inflate_first_rank_estimate(monkeypatch) -> list:
 
     monkeypatch.setattr(abelrank, "rank_estimate", patched)
     return points
+
+
+def generic_point(W: AssembledWeb, seed: int, mode):
+    """The point the rank check of W would estimate at first with this
+    seed: the first of its dimension's search (ordinary.PointSearch) with
+    J_k0 invertible and no proportional pair; None when there is none."""
+    search = PointSearch(W, calibration_order(W.n, W.size), seed, mode)
+    expanded = abelrank.generic_point_for_web(search.points())
+    return None if expanded is None else expanded.point
+
+
+def web_point(W: AssembledWeb, seed: int, mode):
+    """The point at which W's web condition is certified with this seed:
+    the first of its dimension's search where every entry is defined and
+    no gradient vanishes or is proportional to another; J_k0 may be
+    singular there."""
+    search = PointSearch(W, calibration_order(W.n, W.size), seed, mode)
+    for expanded in search.points():
+        if expanded.pairs == [] and not expanded.zero:
+            return expanded.point
+    return None
+
+
+def jet_ranks(W: AssembledWeb, point, mode, k0: int):
+    """jet_ranks_at_point on the gradients web_gradients takes at point."""
+    return jet_ranks_at_point(W, point, mode, k0, web_gradients(W, point, mode))
+
+
+def jet_systems(W: AssembledWeb, point, k0: int, mode):
+    """Oracle: the sparse jet matrices J_1..J_k0 at one point, as
+    linalg.ranks takes them, every order built from web_gradients."""
+    gradients, unit = web_gradients(W, point, mode)
+    matrices = jet_matrix_from_gradients(W.n, k0, gradients)
+    return [
+        linalg.sparse_rows(matrix, None if unit is None else h * unit)
+        for h, matrix in enumerate(matrices, 1)
+    ]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from webrank.abelrank import generic_point_for_web, rank_estimate, verify_max_rank
+from webrank.abelrank import rank_estimate, verify_max_rank
 from webrank.catalog import family_names, get_family
 from webrank.combin import (
     calibrated_max_rank,
@@ -31,7 +31,13 @@ from webrank.report import FALSE, TRUE
 from webrank.scalars import EXACT, Mode
 from webrank.web import assemble, balanced_set
 
-from helpers import perturb_family, permute_ambient, reparametrize_entry
+from helpers import (
+    generic_point,
+    jet_ranks,
+    perturb_family,
+    permute_ambient,
+    reparametrize_entry,
+)
 from test_abelrank import homogeneous_kernel_dim
 
 ALL_FAMILIES = family_names()
@@ -195,20 +201,20 @@ def test_criterion_7_invariance_suite():
     W5 = assemble(exp_family, 2)
     values = set()
     for seed in (0, 1):
-        point = generic_point_for_web(W5, GenericPointSampler(seed=seed), exp_mode)
+        point = generic_point(W5, seed, exp_mode)
         values.add(rank_estimate(W5, point, 5, 9, exp_mode).value)
     assert values == {6}
 
     # (b) reparametrization u -> u^3 + u of single integrals
     W3 = assemble(quadrics, 3)
-    point = generic_point_for_web(W3, GenericPointSampler(seed=0), EXACT)
+    point = generic_point(W3, 0, EXACT)
     for index in (0, 3, 9):
         changed = reparametrize_entry(W3, index)
         estimate = rank_estimate(changed, point, 4, 8, EXACT)
         assert estimate.value == 11, f"reparametrized entry {index}"
     wb, _ = get_family("k0_4_WB_sum")
     Wwb = assemble(wb, 3)
-    point = generic_point_for_web(Wwb, GenericPointSampler(seed=0), EXACT)
+    point = generic_point(Wwb, 0, EXACT)
     estimate = rank_estimate(reparametrize_entry(Wwb, 5), point, 5, 9, EXACT)
     assert estimate.value == 26
 
@@ -221,16 +227,12 @@ def test_criterion_7_invariance_suite():
         W = assemble(E, n)
         positions = list(range(2, n + 1)) + [1]
         permuted = permute_ambient(W, positions)
-        point = generic_point_for_web(permuted, GenericPointSampler(seed=0), EXACT)
+        point = generic_point(permuted, 0, EXACT)
         estimate = rank_estimate(permuted, point, E.k0 + 1, E.k0 + 5, EXACT)
         assert estimate.value == expected, f"{name} permuted"
     permuted_quadrics = permute_ambient(assemble(quadrics, 3), [2, 3, 1])
-    from webrank.ordinary import jet_ranks_at_point
-
-    point = generic_point_for_web(
-        permuted_quadrics, GenericPointSampler(seed=0), EXACT
-    )
-    ranks, _ = jet_ranks_at_point(permuted_quadrics, point, EXACT, 3)
+    point = generic_point(permuted_quadrics, 0, EXACT)
+    ranks, _ = jet_ranks(permuted_quadrics, point, EXACT, 3)
     assert ranks == {1: 3, 2: 6, 3: 10}
 
     elapsed = time.perf_counter() - start

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from webrank.abelrank import _relation_rows, generic_point_for_web, rank_estimate
+from webrank.abelrank import _relation_rows, rank_estimate
 from webrank.catalog import get_family
-from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT
 from webrank.web import assemble, load_balanced_set
+
+from helpers import generic_point
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
@@ -74,7 +75,7 @@ def test_two_batch_dims_match_the_pipeline(bench):
     # the bench's two exact_extend calls give rank_estimate's first two dims
     E, _ = get_family("k0_3_sym_prod")
     W = assemble(E, 3)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), EXACT)
+    point = generic_point(W, 0, EXACT)
     rows, _ = _relation_rows(W, point, 5, EXACT, 8)
     dims = bench._two_batch_dims(W, rows, 4, 8)
     assert dims == rank_estimate(W, point, 4, 5, EXACT).dims

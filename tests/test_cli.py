@@ -579,9 +579,9 @@ LOG_DOMAIN = (
 
 
 def test_direct_check_skips_points_outside_the_log_domain(capsys):
-    # the partial 1/x2 of log(x2) is defined at x2 < 0 and the direct check
-    # once certified at (5/39, -27/46); the integral's own expansion rejects
-    # that point, so the certificate moves to the next sampled one
+    # the partial 1/x2 of log(x2) is defined at x2 < 0; the integral's own
+    # expansion rejects such a point.  The seed-5 search of n = 2 draws two
+    # of them, (11/8, -8/3) and (37/19, -98/45), before the certifying one
     code, out, _ = run_cli(
         capsys,
         "check-ordinary",
@@ -591,7 +591,7 @@ def test_direct_check_skips_points_outside_the_log_domain(capsys):
         "--n",
         "2",
         "--seed",
-        "0",
+        "5",
         "--format",
         "json",
     )
@@ -599,7 +599,7 @@ def test_direct_check_skips_points_outside_the_log_domain(capsys):
     (direct,) = json.loads(out)["ordinary"]["direct"]
     assert direct["verdict"] == "true"
     witnesses = direct["witnesses"]
-    assert witnesses["certifying_point"]["point"] == ["20/9", "20/31"]
+    assert witnesses["certifying_point"]["point"] == ["31/46", "69/52"]
     for record in witnesses["points"]:
         assert all(Fraction(c) > 0 for c in record["point"])
 
@@ -631,6 +631,22 @@ def test_k0_5_wb_extension_rank_is_pinned(capsys):
     assert payload["verdict"] == FALSE
 
 
+@pytest.mark.parametrize("family", ["k0_3_quadrics", "k0_4_WB_sum", "k0_4_exp"])
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_rank_verify_family_and_direct_check_share_a_point(capsys, family, seed):
+    # one point search per dimension: rank --n 3 estimates at the point
+    # verify-family estimates at in n = 3, which the direct check certifies
+    common = ["--family", family, "--seed", seed, "--format", "json"]
+    _, out, _ = run_cli(capsys, "rank", "--n", "3", *common)
+    rank_point = json.loads(out)["point"]
+    _, out, _ = run_cli(capsys, "verify-family", *common)
+    (record,) = [r for r in json.loads(out)["rank"]["per_n"] if r["n"] == 3]
+    _, out, _ = run_cli(capsys, "check-ordinary", "--direct", "--n", "3", *common)
+    (direct,) = json.loads(out)["ordinary"]["direct"]
+    certifying = direct["witnesses"]["certifying_point"]["point"]
+    assert rank_point == record["point"] == certifying
+
+
 def test_rank_point_inside_the_log_domain_is_unchanged(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -640,12 +656,13 @@ def test_rank_point_inside_the_log_domain_is_unchanged(capsys):
         "--n",
         "2",
         "--seed",
-        "0",
+        "5",
         "--format",
         "json",
     )
     assert code == 0
-    assert json.loads(out)["point"] == ["2/7", "5/39"]
+    # the direct check's certifying point at the same seed
+    assert json.loads(out)["point"] == ["31/46", "69/52"]
 
 
 PARSER_SEQUENCE = [

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from webrank import linalg
-from webrank.abelrank import generic_point_for_web, rank_estimate
+from webrank.abelrank import rank_estimate
 from webrank.catalog import get_family
 from webrank.cli import main
 from webrank.ordinary import (
@@ -24,6 +24,8 @@ from webrank.ordinary import (
 from webrank.report import INCONCLUSIVE
 from webrank.scalars import Mode
 from webrank.web import assemble, balanced_set_from_json
+
+from helpers import web_point
 
 # k0_4_exp with each exp(xj) replaced by log(xj^2+1)
 LOG_WEB = {
@@ -54,10 +56,12 @@ def always_marginal(monkeypatch):
 
 
 def test_rank_at_32_bits_escalates_once(capsys, tmp_path):
-    # the log web is not of maximal rank: 22 of 26 at every point
+    # the log web is not of maximal rank: 22 of 26 at every point; at the
+    # seed-1 point its order-6 system is marginal at 32 bits
     path = tmp_path / "log_web.json"
     path.write_text(json.dumps(LOG_WEB))
     argv = ["rank", "--input", str(path), "--n", "3", "--precision", "32"]
+    argv += ["--seed", "1"]
     code = main(argv + ["--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -69,7 +73,8 @@ def test_rank_estimate_gives_up_past_the_limit(always_marginal):
     E, _ = get_family("k0_4_exp")
     mode = Mode.floating()
     W = assemble(E, 2)
-    point = generic_point_for_web(W, GenericPointSampler(seed=0), mode)
+    point = web_point(W, 0, mode)
+    always_marginal.clear()  # the search's own jet ranks
     estimate = rank_estimate(W, point, E.k0 + 1, E.k0 + 5, mode)
     assert estimate.value is None
     assert estimate.dims == {}

@@ -26,13 +26,15 @@ from webrank.linalg import (
     float_rank,
     sparse_rows,
 )
-from webrank.ordinary import GenericPointSampler, _jet_systems, jet_ranks_at_point
+from webrank.ordinary import GenericPointSampler
 from webrank.scalars import EXACT, Mode
 from webrank.web import GeneratingWeb, assemble, load_balanced_set
 
 from helpers import (
     cofactor_det,
     integer_rows,
+    jet_ranks,
+    jet_systems,
     oracle_float_rank,
     pullback,
     rational_jet_matrix,
@@ -253,7 +255,7 @@ def test_jet_matrix_reports_offending_entry():
     E, _ = get_family("k0_3_harmonic_sum")
     W = assemble(E, 2)
     with pytest.raises(EvalError) as err:
-        jet_ranks_at_point(W, (Fraction(0), Fraction(1)), EXACT, E.k0)
+        jet_ranks(W, (Fraction(0), Fraction(1)), EXACT, E.k0)
     assert "entry" in str(err.value)
 
 
@@ -301,7 +303,7 @@ def test_exact_ranks_at_point_match_rational_jet_matrices(family):
     E, _ = get_family(family)
     W = assemble(E, 3)
     point = GenericPointSampler(seed=5).point(3)
-    ranks, _ = jet_ranks_at_point(W, point, EXACT, E.k0)
+    ranks, _ = jet_ranks(W, point, EXACT, E.k0)
     for h in range(1, E.k0 + 1):
         assert ranks[h] == rational_rank(rational_jet_matrix(W, h, point))
 
@@ -342,7 +344,7 @@ def test_an_invertible_top_jet_matrix_gives_every_rank(case):
 def jet_ranks_one_by_one(W, point, k0, mode):
     """Oracle: ({h: rank}, mode used) with every jet matrix of order 1..k0
     ranked, all at one precision."""
-    outcome = linalg.ranks(lambda m: _jet_systems(W, point, k0, m), mode)
+    outcome = linalg.ranks(lambda m: jet_systems(W, point, k0, m), mode)
     if outcome is None:
         return None
     results, used = outcome
@@ -364,7 +366,7 @@ def test_ranks_at_point_equal_every_jet_matrix_ranked(family):
                     expected = jet_ranks_one_by_one(W, point, E.k0, mode)
                 except EvalError:
                     continue
-                outcome = jet_ranks_at_point(W, point, mode, E.k0)
+                outcome = jet_ranks(W, point, mode, E.k0)
                 assert outcome == expected, (n, point)
 
 
@@ -385,7 +387,7 @@ def test_singular_top_jet_matrix_ranks_the_lower_orders(monkeypatch, precision):
         return original(rows, units, bits)
 
     monkeypatch.setattr(linalg, "float_rank", spy)
-    ranks, used = jet_ranks_at_point(W, point, mode, E.k0)
+    ranks, used = jet_ranks(W, point, mode, E.k0)
     monkeypatch.undo()
     assert ranks[E.k0] == 31
     assert (ranks, used) == jet_ranks_one_by_one(W, point, E.k0, mode)
@@ -410,7 +412,7 @@ def test_invertible_top_jet_matrix_is_the_only_one_ranked(monkeypatch):
         return original(rows, units, bits)
 
     monkeypatch.setattr(linalg, "float_rank", spy)
-    ranks, used = jet_ranks_at_point(W, point, mode, E.k0)
+    ranks, used = jet_ranks(W, point, mode, E.k0)
     assert calls == [15]
     assert ranks == {1: 3, 2: 6, 3: 10, 4: 15} and used == mode
 
@@ -479,7 +481,7 @@ def test_float_jet_matrices_on_ints_rank_as_mpf_jet_coefficients(name, precision
         W = assemble(E, n)
         integrals = [pullback(entry) for entry in W.entries]
         for point, oracle in defined_points(integrals, n, mode, 2):
-            systems = _jet_systems(W, point, E.k0, mode)
+            systems = jet_systems(W, point, E.k0, mode)
             for h, (rows, units) in enumerate(systems, 1):
                 assert units == [units[0]] * W.size
                 rank, info = float_rank(rows, units, precision)

@@ -1,12 +1,16 @@
 import inspect
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from webrank import ordinary
+from webrank import ordinary, web
 from webrank.catalog import get_family
+from webrank.cli import main
 from webrank.expr import parse
 from webrank.ordinary import (
+    CROSSCHECK_ROUNDS,
     GenericPointSampler,
     check_finite_criterion,
     check_ordinary_at,
@@ -14,9 +18,15 @@ from webrank.ordinary import (
 )
 from webrank.report import FALSE, INCONCLUSIVE, TRUE
 from webrank.scalars import EXACT, Mode
-from webrank.web import assemble, balanced_set, balanced_set_from_json
+from webrank.web import (
+    BalancedSet,
+    assemble,
+    balanced_set,
+    balanced_set_from_json,
+    validate_balanced,
+)
 
-from helpers import reparametrize_generating
+from helpers import jet_ranks, reparametrize_generating
 
 
 def dependent_gradient_family():
@@ -78,6 +88,73 @@ def test_sampler_spawn_is_deterministic_and_distinct():
 
 
 # --------------------------------------------------------------------------
+# the point search of a dimension
+
+@pytest.mark.parametrize("family", ["k0_4_WB_sum", "k0_4_pereira_pirio_affine"])
+def test_each_point_of_a_corroborated_run_is_expanded_once(
+    monkeypatch, capsys, family
+):
+    # the web condition, the direct check and the rank estimate of each
+    # dimension read one web_gradients pass per sampled point, and here
+    # all three are decided at the same point
+    expansions = Counter()
+    original = web.web_gradients
+
+    def counted(W, point, mode):
+        expansions[W.n, tuple(point)] += 1
+        return original(W, point, mode)
+
+    monkeypatch.setattr(ordinary, "web_gradients", counted)
+    monkeypatch.setattr(web, "web_gradients", counted)
+    argv = ["verify-family", "--family", family, "--seed", "0", "--corroborate"]
+    code = main([*argv, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert {n for n, _ in expansions} == {2, 3, 4, 5}
+    assert set(expansions.values()) == {1}
+    certifying = {
+        direct["witnesses"]["n"]: direct["witnesses"]["certifying_point"]["point"]
+        for direct in report["ordinary"]["direct"]
+    }
+    assert {r["n"]: r["point"] for r in report["rank"]["per_n"]} == certifying
+    assert report["balanced_valid"]["checks"][-1]["point"] == certifying[5]
+
+
+def test_a_dimensions_points_do_not_depend_on_the_checks_before_it():
+    E, _ = get_family("k0_4_WB_sum")
+    alone = check_ordinary_at(E, 3, GenericPointSampler(seed=4))
+    sampler = GenericPointSampler(seed=4)
+    validate_balanced(E, 5, sampler)
+    check_finite_criterion(E, sampler)
+    check_ordinary_at(E, 2, sampler)
+    after = check_ordinary_at(E, 3, sampler)
+    assert after.to_jsonable() == alone.to_jsonable()
+
+
+def test_a_dimensions_search_is_shared_by_the_checks_of_one_sampler():
+    E, _ = get_family("k0_3_quadrics")
+    sampler = GenericPointSampler(seed=0)
+    search = sampler.search(E, 3, EXACT)
+    assert sampler.search(E, 3, EXACT) is search
+    assert sampler.search(E, 3, Mode.floating(64)) is not search
+    # another set, if an equal one
+    assert sampler.search(BalancedSet(E.k0, E.webs), 3, EXACT) is not search
+    assert GenericPointSampler(seed=0).search(E, 3, EXACT) is not search
+
+
+def test_dimension_streams_are_not_the_samplers_own_or_the_rounds():
+    # a dimension's stream is seeded by a string, the sampler and
+    # crosscheck's spawned rounds by ints
+    E, _ = get_family("k0_3_quadrics")
+    for seed in range(3):
+        base = GenericPointSampler(seed=seed)
+        drawn = [expanded.point for expanded in base.search(E, 3, EXACT).points()]
+        rounds = [base.spawn(r) for r in range(CROSSCHECK_ROUNDS)]
+        for other in [GenericPointSampler(seed=seed), *rounds]:
+            assert list(other.points(3))[:4] != drawn[:4]
+
+
+# --------------------------------------------------------------------------
 # float jet ranks against exact ones
 
 def rational_dependent_gradient_family():
@@ -119,8 +196,8 @@ def rational_dependent_gradient_family():
 )
 def test_float_ranks_at_point_equal_exact_ranks(E, n, point):
     W = assemble(E, n)
-    exact, _ = ordinary.jet_ranks_at_point(W, point, EXACT, E.k0)
-    floated, used = ordinary.jet_ranks_at_point(
+    exact, _ = jet_ranks(W, point, EXACT, E.k0)
+    floated, used = jet_ranks(
         W, point, Mode.floating(128), E.k0
     )
     assert floated == exact
@@ -188,7 +265,7 @@ def scripted_ranks(monkeypatch, script):
     answers = iter(script)
     calls = []
 
-    def fake(W, point, mode, k0):
+    def fake(W, point, mode, k0, gradients):
         calls.append(point)
         return next(answers), mode
 

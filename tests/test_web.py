@@ -124,15 +124,18 @@ def test_web_condition_false_needs_four_proportional_points():
 
 
 def test_web_condition_samples_past_a_thin_set_point():
-    # seed 1 first samples x1 = 1, where the Moebius ratio's gradients are
-    # proportional; the next sampled point certifies the web condition.
+    # seed 7 first samples x3 = x4, where the two symmetric arity-2
+    # integrals on (x3, x4), x3*x4 and the Moebius ratio, have proportional
+    # gradients; the next sampled point certifies the web condition.
     E, _ = get_family("k0_3_moebius_sum")
-    report = validate_balanced(E, 4, GenericPointSampler(seed=1))
+    report = validate_balanced(E, 4, GenericPointSampler(seed=7))
     assert report.verdict == TRUE
     (record,) = [c for c in report.checks if c["check"] == "web_condition"]
     assert record["verdict"] == TRUE
     assert record["proportional_pairs"] == []
-    assert record["proportional_points"][0]["point"][0] == "1"
+    (thin,) = record["proportional_points"]
+    assert thin["point"][2] == thin["point"][3]
+    assert thin["proportional_pairs"] == [[[2, 6, 1], [2, 6, 2]]]
 
 
 def test_validate_balanced_detects_missing_variable():
