@@ -105,7 +105,7 @@ from .report import (
     VerificationReport,
     combine_verdicts,
 )
-from .scalars import DEFAULT_PRECISION, ESCALATION_LIMIT, MODULUS, Mode
+from .scalars import ESCALATION_LIMIT, MODULUS, Mode
 from .tpoly import MonomialCodes, integer_offset, modulus_at, mpf_ints, taylor
 from .web import AssembledWeb, BalancedSet
 
@@ -457,11 +457,12 @@ def check_rank(
 def verify_max_rank(
     E: BalancedSet,
     sampler,
+    mode: Mode,
     m_cap: int | None = None,
     corroborate: bool = False,
-    precision: int = DEFAULT_PRECISION,
 ) -> VerificationReport:
-    """Rank estimates for n = 2..k0 against the calibrated maximal rank.
+    """Rank estimates for n = 2..k0 against the calibrated maximal rank, in
+    E's mode.
 
     When every estimate matches, the assembled webs have maximal rank in
     every dimension: each estimate is read at a point where J_k0 is
@@ -475,7 +476,6 @@ def verify_max_rank(
     independent desk-scale corroboration.
     """
     k0 = E.k0
-    mode = E.default_mode(precision)
     m_start = k0 + 1
     cap = m_cap if m_cap is not None else k0 + 5
     n_values = list(range(2, k0 + 1)) + ([k0 + 1] if corroborate else [])

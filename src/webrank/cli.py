@@ -205,7 +205,8 @@ def _cmd_validate(args) -> int:
     _single("--n", args.n)
     _require_at_least("--n", args.n, 1)
     n_check = args.n[0] if args.n else E.k0
-    report = validate_balanced(E, n_check, GenericPointSampler(seed=args.seed))
+    sampler = GenericPointSampler(seed=args.seed)
+    report = validate_balanced(E, n_check, sampler, E.default_mode())
     report.config = _config(args, "validate", n=[n_check])
     payload = {"family": name, "report": report}
     lines = [f"validate {name}: {report.verdict}"]
@@ -222,13 +223,13 @@ def _cmd_check_ordinary(args) -> int:
     if args.n and not args.direct:
         raise _InputError("--n needs --direct", EX_USAGE)
     _require_at_least("--n", args.n, 2)
-    _checked_mode(E, args.precision)
+    mode = _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
-    criterion = check_finite_criterion(E, sampler, args.precision)
+    criterion = check_finite_criterion(E, sampler, mode)
     directs = []
     if args.direct:
         dims = args.n if args.n else [E.k0]
-        directs = [check_ordinary_at(E, n, sampler, args.precision) for n in dims]
+        directs = [check_ordinary_at(E, n, sampler, mode) for n in dims]
     verdict = combine_verdicts(
         [criterion.verdict] + [d.verdict for d in directs]
     )
@@ -310,21 +311,14 @@ def _cmd_verify_family(args) -> int:
     _require_counts(E, name)
     if args.m_cap is not None:
         _require_at_least("--m-cap", [args.m_cap], E.k0 + 2)
-    _checked_mode(E, args.precision)
+    mode = _checked_mode(E, args.precision)
     sampler = GenericPointSampler(seed=args.seed)
-    n_check = E.k0 + 1
-    balanced = validate_balanced(E, n_check, sampler, args.precision)
-    criterion = check_finite_criterion(E, sampler, args.precision)
+    balanced = validate_balanced(E, E.k0 + 1, sampler, mode)
+    criterion = check_finite_criterion(E, sampler, mode)
     direct_dims = sorted(set([2, 3, E.k0, E.k0 + 1]))
-    directs = [
-        (n, check_ordinary_at(E, n, sampler, args.precision)) for n in direct_dims
-    ]
+    directs = [(n, check_ordinary_at(E, n, sampler, mode)) for n in direct_dims]
     rank_report = verify_max_rank(
-        E,
-        sampler,
-        m_cap=args.m_cap,
-        corroborate=args.corroborate,
-        precision=args.precision,
+        E, sampler, mode, m_cap=args.m_cap, corroborate=args.corroborate
     )
     ordinary_verdict = combine_verdicts(
         [criterion.verdict] + [r.verdict for _, r in directs]
@@ -392,11 +386,9 @@ def _cmd_crosscheck(args) -> int:
     E, name, _ = _load_set(args)
     _require_counts(E, name)
     _require_at_least("--n", args.n, 2)
-    _checked_mode(E, args.precision)
+    mode = _checked_mode(E, args.precision)
     n_list = args.n if args.n else [E.k0, E.k0 + 1]
-    report = crosscheck_ordinary(
-        E, n_list, GenericPointSampler(seed=args.seed), args.precision
-    )
+    report = crosscheck_ordinary(E, n_list, GenericPointSampler(seed=args.seed), mode)
     report.config = _config(args, "crosscheck", n=n_list)
     payload = {"family": name, "report": report}
     lines = [f"crosscheck {name} at n={n_list}: {report.verdict}"]

@@ -44,7 +44,7 @@ from .report import (
     combine_verdicts,
     confirm,
 )
-from .scalars import DEFAULT_PRECISION, Mode, ModulusError
+from .scalars import Mode, with_float_fallback
 from .web import (
     AssembledWeb,
     BalancedSet,
@@ -60,8 +60,10 @@ class GenericPointSampler:
     Components are rationals in [LOW, HIGH] with denominators up to
     MAX_DENOMINATOR; identical seeds give identical point sequences.  The
     finite criterion and the quasi-symmetry test draw from the sampler
-    itself; the web condition, the direct check and the rank check read
-    the point search of their dimension (search).
+    itself, and a modular one of them that falls back to float mode
+    (scalars.with_float_fallback) draws the same points again (rewinder);
+    the web condition, the direct check and the rank check read the point
+    search of their dimension (search).
     """
 
     LOW = -3
@@ -87,18 +89,10 @@ class GenericPointSampler:
         for _ in range(self.MAX_RETRIES):
             yield self.point(n)
 
-    def with_fallback(self, check, mode: Mode):
-        """(check(mode), mode); if a modular check meets a ModulusError,
-        (check(float mode), float mode) from the same sampler state."""
-        if not mode.is_modular:
-            return check(mode), mode
+    def rewinder(self):
+        """A callable that puts the sampler back in its present state."""
         state = self._rng.getstate()
-        try:
-            return check(mode), mode
-        except ModulusError:
-            self._rng.setstate(state)
-            mode = Mode.floating(mode.precision)
-            return check(mode), mode
+        return lambda: self._rng.setstate(state)
 
     def spawn(self, salt: int) -> "GenericPointSampler":
         """Independent sampler with a seed derived deterministically from ours."""
@@ -203,42 +197,43 @@ class PointSearch:
         """(report.confirm(outcomes(self.points())), mode read).
 
         A modular check that meets a ModulusError, in an expansion or in
-        the check itself, turns the whole search to float mode: the stream
-        is drawn again from its start and expanded at the same precision,
-        and the check runs again on it.  Later checks read the float points.
+        the check itself, turns the whole search to float mode
+        (scalars.with_float_fallback): the stream is drawn again from its
+        start and expanded at the same precision, and the check runs again
+        on it.  Later checks read the float points.
         """
-        try:
-            return confirm(outcomes(self.points())), self.mode
-        except ModulusError:
-            if not self.mode.is_modular:
-                raise
-            self.mode = Mode.floating(self.mode.precision)
-            self._restart()
-            return confirm(outcomes(self.points())), self.mode
+
+        def run(mode: Mode):
+            self.mode = mode
+            return confirm(outcomes(self.points())), mode
+
+        return with_float_fallback(run, self.mode, self._restart)
 
 
 # ---------------------------------------------------------------------------
 # the finite criterion
 
 def check_finite_criterion(
-    E: BalancedSet, sampler: GenericPointSampler, precision: int = DEFAULT_PRECISION
+    E: BalancedSet, sampler: GenericPointSampler, mode: Mode
 ) -> VerificationReport:
-    """Invertibility of the square generating block for every arity 1..k0.
+    """Invertibility of the square generating block for every arity 1..k0,
+    in E's mode.
 
     Certifying all k0 blocks certifies that every assembled web of E, in
-    every dimension, is ordinary.
+    every dimension, is ordinary.  A modular block check that meets a
+    ModulusError runs again in float mode from the same sampler state.
     """
-    mode = E.default_mode(precision)
     checks = []
     verdicts = []
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)
         size = monomial_count(k, E.k0 - k)
-        (verdict, singular, witness), _ = sampler.with_fallback(
+        verdict, singular, witness = with_float_fallback(
             lambda current: confirm(
                 _block_outcomes(web, E.k0, size, sampler.points(k), current)
             ),
             mode,
+            sampler.rewinder(),
         )
         record: dict = {"k": k, "size": size}
         if singular:
@@ -352,12 +347,10 @@ def jet_ranks_at_point(W: AssembledWeb, point, mode: Mode, k0: int, gradients):
 
 
 def check_ordinary_at(
-    E: BalancedSet,
-    n: int,
-    sampler: GenericPointSampler,
-    precision: int = DEFAULT_PRECISION,
+    E: BalancedSet, n: int, sampler: GenericPointSampler, mode: Mode
 ) -> VerificationReport:
-    """Direct ordinariness check of the assembled web in dimension n.
+    """Direct ordinariness check of the assembled web in dimension n, in
+    E's mode.
 
     Every jet matrix of order h <= k0 must reach rank
     min(size, monomial_count(n, h)) at a sampled point; the verdict follows
@@ -370,7 +363,7 @@ def check_ordinary_at(
     """
     if n < 2:
         raise ValueError(f"direct check needs n >= 2, got {n}")
-    search = sampler.search(E, n, E.default_mode(precision))
+    search = sampler.search(E, n, mode)
     d = search.W.size
     k0 = E.k0
     if calibration_order(n, d) != k0:
@@ -432,10 +425,7 @@ CROSSCHECK_ROUNDS = 3
 
 
 def crosscheck_ordinary(
-    E: BalancedSet,
-    n_list: list[int],
-    sampler: GenericPointSampler,
-    precision: int = DEFAULT_PRECISION,
+    E: BalancedSet, n_list: list[int], sampler: GenericPointSampler, mode: Mode
 ) -> VerificationReport:
     """Agreement of the finite criterion with the direct check at each n.
 
@@ -446,8 +436,8 @@ def crosscheck_ordinary(
     attempts = []
     for round_index in range(CROSSCHECK_ROUNDS):
         sub = sampler.spawn(round_index)
-        criterion = check_finite_criterion(E, sub, precision)
-        directs = [(n, check_ordinary_at(E, n, sub, precision)) for n in n_list]
+        criterion = check_finite_criterion(E, sub, mode)
+        directs = [(n, check_ordinary_at(E, n, sub, mode)) for n in n_list]
         attempt = {
             "round": round_index,
             "seed": sub.seed,

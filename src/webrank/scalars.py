@@ -16,7 +16,7 @@ constants that only combine to a multiple of q are not caught.  So full
 ranks, nonzero minors and non-proportional gradients mod q are point
 certificates, and a kernel dimension mod q is an upper bound.  A
 denominator divisible by q raises ModulusError, and the check that met it
-runs again in float mode (with_fallback, PointSearch.confirm).  Float:
+runs again in float mode at the same precision (with_float_fallback).  Float:
 mpmath binary floats of a configurable mantissa, for every other exp/log
 input; only float mode loads mpmath.  Float mode computes its Taylor
 series, relation powers and proportionality minors in mpf at the mode's
@@ -99,6 +99,20 @@ class Mode(Frozen):
 
 
 EXACT = Mode.exact()
+
+
+def with_float_fallback(check, mode: Mode, reset=None):
+    """check(mode); where mode is modular and the check meets a
+    ModulusError, reset() (when given: it undoes what the modular run
+    drew or built) and check again in float mode at mode's precision."""
+    try:
+        return check(mode)
+    except ModulusError:
+        if not mode.is_modular:
+            raise
+        if reset is not None:
+            reset()
+        return check(Mode.floating(mode.precision))
 
 
 def to_mpf(value: Fraction | int):

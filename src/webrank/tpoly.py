@@ -66,6 +66,7 @@ from .scalars import (
     Mode,
     ModulusError,
     to_mpf,
+    with_float_fallback,
 )
 
 
@@ -623,17 +624,15 @@ def _nonzero_partials(e: Expr, point: tuple, mode: Mode) -> set[int]:
     """vars_used's test at one point: the j whose partial of e is nonzero
     there, in mode (float at its precision where a modular one raises
     ModulusError)."""
-    if mode.is_modular:
-        try:
-            values, _ = series_gradient(e, point, mode, modulus_at([(e, point)], point))
-        except ModulusError:
-            mode = Mode.floating(mode.precision)
-        else:
+
+    def partials(current: Mode) -> set[int]:
+        modulus = modulus_at([(e, point)], point) if current.is_modular else None
+        values, scale = series_gradient(e, point, current, modulus)
+        if not current.is_float:
             return {j for j, v in enumerate(values, 1) if v}
-    values, scale = series_gradient(e, point, mode)
-    if mode.is_exact:
-        return {j for j, v in enumerate(values, 1) if v}
-    # |v| * 2^scale > 2^-(p//2), as |v| * 2^shift > 1 on ints
-    shift = scale + mode.precision // 2
-    one = 1 << max(-shift, 0)
-    return {j for j, v in enumerate(values, 1) if abs(v) << max(shift, 0) > one}
+        # |v| * 2^scale > 2^-(p//2), as |v| * 2^shift > 1 on ints
+        shift = scale + current.precision // 2
+        one = 1 << max(-shift, 0)
+        return {j for j, v in enumerate(values, 1) if abs(v) << max(shift, 0) > one}
+
+    return with_float_fallback(partials, mode)

@@ -46,7 +46,13 @@ from .report import (
     combine_verdicts,
 )
 from .frozen import Frozen
-from .scalars import DEFAULT_PRECISION, MODULUS, Mode, zero_tolerance
+from .scalars import (
+    DEFAULT_PRECISION,
+    MODULUS,
+    Mode,
+    with_float_fallback,
+    zero_tolerance,
+)
 from .tpoly import common_unit, mode_for, modulus_at, series_gradient, vars_used
 
 
@@ -264,7 +270,7 @@ def web_gradients(W: AssembledWeb, point: Sequence, mode: Mode):
 # validation
 
 def validate_balanced(
-    E: BalancedSet, n_check: int, sampler, precision: int = DEFAULT_PRECISION
+    E: BalancedSet, n_check: int, sampler, mode: Mode
 ) -> VerificationReport:
     """Check the balanced-set definition and the web condition at one dimension.
 
@@ -272,7 +278,7 @@ def validate_balanced(
     (b) every integral explicitly uses all of its k variables;
     (c) at a sampled point of n_check-space where every entry is defined
         and no gradient vanishes, the differentials of all assembled entries
-        are pairwise non-proportional (in float mode at `precision` bits).
+        are pairwise non-proportional, in E's mode `mode`.
 
     (c) reads the points of n_check's search (ordinary.PointSearch, through
     sampler.search) under report.confirm.  Every point with proportional
@@ -281,7 +287,6 @@ def validate_balanced(
     """
     checks: list[dict] = []
     verdicts: list[str] = []
-    mode = E.default_mode(precision)
 
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)
@@ -353,18 +358,20 @@ def validate_balanced(
     )
 
 
-def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:
+def is_quasi_symmetric(
+    E: BalancedSet, trials: int, sampler, mode: Mode
+) -> dict[int, bool]:
     """Per-arity verdicts: is each generating web invariant under permutations?
 
     For every adjacent transposition, each permuted integral must define a
     foliation already present in the web, tested by gradient proportionality
-    at `trials` sampled points.  Heuristic: a sampled "yes" is a
-    probably-yes.  No CLI command reports it; it stays because
-    quasi-symmetry is one of the paper's acceptance checks, which the tests
-    run on every catalog family.
+    at `trials` sampled points in E's mode `mode`; a modular test that meets
+    a ModulusError runs again in float mode from the same sampler state.
+    Heuristic: a sampled "yes" is a probably-yes.  No CLI command reports
+    it; it stays because quasi-symmetry is one of the paper's acceptance
+    checks, which the tests run on every catalog family.
     """
     out: dict[int, bool] = {}
-    mode = E.default_mode()
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)
         if k == 1:
@@ -379,11 +386,12 @@ def is_quasi_symmetric(E: BalancedSet, trials: int, sampler) -> dict[int, bool]:
             )
             for integral in web.integrals:
                 permuted = relabel(integral, positions)
-                present, _ = sampler.with_fallback(
+                present = with_float_fallback(
                     lambda current: _foliation_present(
                         permuted, web, k, trials, sampler, current
                     ),
                     mode,
+                    sampler.rewinder(),
                 )
                 if not present:
                     invariant = False

@@ -495,7 +495,7 @@ def test_every_estimate_is_read_at_an_ordinary_point_within_the_bound(name):
     # where no relation dim exceeds the bound pi (the module docstring)
     E, _ = get_family(name)
     for seed in range(5):
-        report = verify_max_rank(E, GenericPointSampler(seed=seed))
+        report = verify_max_rank(E, GenericPointSampler(seed=seed), E.default_mode())
         for record in report.checks:
             n = record["n"]
             for estimated in [record, *record.get("mismatch_points", [])]:
@@ -930,14 +930,16 @@ def test_support_decomposition_quadrics():
 
 
 def test_support_decomposition_matches_counting_table():
-    report = verify_max_rank(quadrics(), GenericPointSampler(seed=0))
+    E = quadrics()
+    report = verify_max_rank(E, GenericPointSampler(seed=0), E.default_mode())
     assert report.witnesses["N_table_empirical"] == exact_support_dims(3, 3).N_values
     assert report.witnesses["N_table_match"] is True
 
 
 def test_verify_max_rank_quadrics_with_corroboration():
+    E = quadrics()
     report = verify_max_rank(
-        quadrics(), GenericPointSampler(seed=0), corroborate=True
+        E, GenericPointSampler(seed=0), E.default_mode(), corroborate=True
     )
     assert report.verdict == TRUE
     values = {c["n"]: c["value"] for c in report.checks}
@@ -947,7 +949,8 @@ def test_verify_max_rank_quadrics_with_corroboration():
 
 
 def test_verify_max_rank_exposes_dims_trace():
-    report = verify_max_rank(quadrics(), GenericPointSampler(seed=0))
+    E = quadrics()
+    report = verify_max_rank(E, GenericPointSampler(seed=0), E.default_mode())
     for check in report.checks:
         assert "dims_trace" in check
         assert check["stabilized_at"] is not None
@@ -956,7 +959,8 @@ def test_verify_max_rank_exposes_dims_trace():
 
 def test_one_mismatching_point_is_not_false(monkeypatch):
     estimated = inflate_first_rank_estimate(monkeypatch)
-    report = verify_max_rank(quadrics(), GenericPointSampler(seed=0))
+    E = quadrics()
+    report = verify_max_rank(E, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
     first = report.checks[0]
     assert first["n"] == 2 and first["verdict"] == TRUE and first["value"] == 3

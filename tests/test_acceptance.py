@@ -97,13 +97,13 @@ def test_criterion_3_ordinariness_per_family(name):
     start = time.perf_counter()
     E, _ = get_family(name)
     sampler = GenericPointSampler(seed=0)
-    criterion = check_finite_criterion(E, sampler)
+    criterion = check_finite_criterion(E, sampler, E.default_mode())
     assert criterion.verdict == TRUE, f"{name}: finite criterion {criterion.verdict}"
     assert criterion.witnesses["mode"] in ("exact", MODULAR)
     for check in criterion.checks:
         assert "precision" not in check["witness"], f"{name}: fell back to float"
     for n in sorted({2, 3, E.k0, E.k0 + 1}):
-        direct = check_ordinary_at(E, n, sampler)
+        direct = check_ordinary_at(E, n, sampler, E.default_mode())
         assert direct.verdict == TRUE, f"{name}: direct check failed at n={n}"
         assert direct.witnesses["certifying_point"]["mode"] in ("exact", MODULAR)
     elapsed = time.perf_counter() - start
@@ -116,7 +116,7 @@ def test_criterion_4_equivalence_catalog_and_perturbations():
     for name in ALL_FAMILIES:
         E, _ = get_family(name)
         report = crosscheck_ordinary(
-            E, [E.k0, E.k0 + 1], GenericPointSampler(seed=0)
+            E, [E.k0, E.k0 + 1], GenericPointSampler(seed=0), E.default_mode()
         )
         assert report.verdict == TRUE, f"{name}: {report.verdict}"
     for i in range(20):
@@ -124,12 +124,16 @@ def test_criterion_4_equivalence_catalog_and_perturbations():
         E, _ = get_family(base)
         perturbed = perturb_family(E, seed=1000 + i)
         report = crosscheck_ordinary(
-            perturbed, [E.k0, E.k0 + 1], GenericPointSampler(seed=i)
+            perturbed,
+            [E.k0, E.k0 + 1],
+            GenericPointSampler(seed=i),
+            perturbed.default_mode(),
         )
         assert report.verdict == TRUE, f"perturbation {i} of {base}: {report.verdict}"
     bad = counterexample_family()
-    criterion = check_finite_criterion(bad, GenericPointSampler(seed=0))
-    direct = check_ordinary_at(bad, 4, GenericPointSampler(seed=0))
+    mode = bad.default_mode()
+    criterion = check_finite_criterion(bad, GenericPointSampler(seed=0), mode)
+    direct = check_ordinary_at(bad, 4, GenericPointSampler(seed=0), mode)
     assert criterion.verdict == FALSE and direct.verdict == FALSE
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"criterion 4 took {elapsed:.1f}s (limit 5min)"
@@ -143,7 +147,7 @@ def _rank_report(name):
     if name not in _RANK_REPORTS:
         E, _ = get_family(name)
         _RANK_REPORTS[name] = verify_max_rank(
-            E, GenericPointSampler(seed=0), corroborate=(E.k0 == 3)
+            E, GenericPointSampler(seed=0), E.default_mode(), corroborate=(E.k0 == 3)
         )
     return _RANK_REPORTS[name]
 
@@ -188,13 +192,17 @@ def test_criterion_7_invariance_suite():
     for name in ALL_FAMILIES:
         E, _ = get_family(name)
         verdicts = {
-            check_finite_criterion(E, GenericPointSampler(seed=seed)).verdict
+            check_finite_criterion(
+                E, GenericPointSampler(seed=seed), E.default_mode()
+            ).verdict
             for seed in (0, 1)
         }
         assert verdicts == {TRUE}, f"{name}: seed-dependent verdict"
     quadrics, _ = get_family("k0_3_quadrics")
     for seed in (0, 1):
-        report = verify_max_rank(quadrics, GenericPointSampler(seed=seed))
+        report = verify_max_rank(
+            quadrics, GenericPointSampler(seed=seed), quadrics.default_mode()
+        )
         assert report.verdict == TRUE
     exp_family, _ = get_family("k0_4_exp")
     exp_mode = exp_family.default_mode()

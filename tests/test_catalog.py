@@ -56,14 +56,14 @@ def test_expected_flags_are_positive(name):
 def test_validates_at_k0_and_above(name):
     E, _ = get_family(name)
     for n in (E.k0, E.k0 + 1):
-        report = validate_balanced(E, n, GenericPointSampler(seed=0))
+        report = validate_balanced(E, n, GenericPointSampler(seed=0), E.default_mode())
         assert report.verdict == TRUE, f"{name} failed validation at n={n}"
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_catalog_families_quasi_symmetric(name):
     E, _ = get_family(name)
-    verdicts = is_quasi_symmetric(E, 3, GenericPointSampler(seed=0))
+    verdicts = is_quasi_symmetric(E, 3, GenericPointSampler(seed=0), E.default_mode())
     if name == "k0_4_exp":
         # x1+x2-x3 maps to x1+x3-x2 under a transposition: a genuinely
         # different foliation, so this family is not quasi-symmetric at k=3

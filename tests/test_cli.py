@@ -12,6 +12,7 @@ from webrank import cli
 from webrank.cli import main
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE
 from webrank.catalog import get_family
+from webrank.web import BalancedSet
 
 from helpers import inflate_first_rank_estimate
 
@@ -691,3 +692,29 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
     config = json.loads(reused[3][1])["config"]
     assert config["seed"] == 0 and config["corroborate"] is False
     assert not reused[5][1].startswith("{")  # --format is text again
+
+
+MODE_COMMANDS = [
+    ["validate"],
+    ["check-ordinary", "--direct"],
+    ["rank", "--n", "2"],
+    ["verify-family", "--corroborate"],
+    ["crosscheck"],
+]
+
+
+@pytest.mark.parametrize("family", ["k0_3_quadrics", "k0_4_exp"])
+@pytest.mark.parametrize("command", MODE_COMMANDS, ids=lambda argv: argv[0])
+def test_each_command_decides_the_mode_once(capsys, monkeypatch, family, command):
+    # the checks take the caller's mode: one derivation per command
+    calls = []
+    derive = BalancedSet.default_mode
+
+    def counted(E, *args):
+        calls.append(args)
+        return derive(E, *args)
+
+    monkeypatch.setattr(BalancedSet, "default_mode", counted)
+    code, _, _ = run_cli(capsys, *command, "--family", family)
+    assert code == 0
+    assert len(calls) == 1

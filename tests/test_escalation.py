@@ -86,7 +86,7 @@ def test_rank_estimate_gives_up_past_the_limit(always_marginal):
 
 def test_finite_criterion_inconclusive_when_always_marginal(always_marginal):
     E = balanced_set_from_json(LOG_WEB)
-    report = check_finite_criterion(E, GenericPointSampler(seed=0))
+    report = check_finite_criterion(E, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == INCONCLUSIVE
     assert [check["verdict"] for check in report.checks] == [INCONCLUSIVE] * E.k0
     assert always_marginal and always_marginal == ESCALATED * (
@@ -96,7 +96,7 @@ def test_finite_criterion_inconclusive_when_always_marginal(always_marginal):
 
 def test_direct_check_inconclusive_when_always_marginal(always_marginal):
     E = balanced_set_from_json(LOG_WEB)
-    report = check_ordinary_at(E, 2, GenericPointSampler(seed=0))
+    report = check_ordinary_at(E, 2, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == INCONCLUSIVE
     assert report.witnesses["points"] == []
     assert always_marginal and always_marginal == ESCALATED * (

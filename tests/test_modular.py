@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from webrank import linalg
+from webrank import linalg, web
 from webrank.abelrank import (
     _exact_dims,
     _relation_columns,
@@ -37,6 +37,7 @@ from webrank.tpoly import MonomialCodes, integer_taylor, modulus_at
 from webrank.web import (
     assemble,
     balanced_set_from_json,
+    is_quasi_symmetric,
     proportional_pairs,
     validate_balanced,
     web_gradients,
@@ -256,7 +257,8 @@ def test_the_singular_square_block_never_reads_full_rank_mod_q(seed):
         assert rank < len(web.integrals)
         ranked += 1
     assert ranked
-    criterion = check_finite_criterion(E, GenericPointSampler(seed=seed))
+    sampler = GenericPointSampler(seed=seed)
+    criterion = check_finite_criterion(E, sampler, E.default_mode())
     assert [c["verdict"] for c in criterion.checks] == [TRUE, TRUE, FALSE, TRUE]
 
 
@@ -280,14 +282,14 @@ def test_non_proportional_residue_gradients_are_no_pairs():
 def test_a_denominator_divisible_by_q_falls_back_to_float():
     E = balanced_set_from_json(Q_WEB)
     assert E.default_mode() == MODULAR
-    balanced = validate_balanced(E, 3, GenericPointSampler(seed=0))
+    balanced = validate_balanced(E, 3, GenericPointSampler(seed=0), MODULAR)
     assert balanced.verdict == TRUE
     assert balanced.witnesses["mode"] == "float128"
-    criterion = check_finite_criterion(E, GenericPointSampler(seed=0))
+    criterion = check_finite_criterion(E, GenericPointSampler(seed=0), MODULAR)
     assert criterion.verdict == TRUE
     # the arity-1 block falls back, the exp-free arity-2 block does not
     assert [c["witness"].get("precision") for c in criterion.checks] == [128, None]
-    direct = check_ordinary_at(E, 2, GenericPointSampler(seed=0))
+    direct = check_ordinary_at(E, 2, GenericPointSampler(seed=0), MODULAR)
     assert direct.verdict == TRUE and direct.witnesses["mode"] == "float128"
     # on the points a float check takes, and leaving the sampler where it
     # leaves it
@@ -296,6 +298,34 @@ def test_a_denominator_divisible_by_q_falls_back_to_float():
     floating = check_rank(E, 2, samplers[1], 3, 7, FLOAT128, 1)
     assert fallback.record() == floating.record()
     assert fallback.estimate.method == "float128"
+    assert samplers[0].point(2) == samplers[1].point(2)
+
+
+# Q_WEB's constant in the arity-2 web, the first the quasi-symmetry test
+# samples: symmetric under x1 <-> x2, and not
+@pytest.mark.parametrize(
+    "integral,verdict",
+    [
+        (f"exp(x1+x2)*{MODULUS + 1}/{MODULUS}", True),
+        (f"exp(x1+2*x2)*{MODULUS + 1}/{MODULUS}", False),
+    ],
+)
+def test_the_quasi_symmetry_test_falls_back_to_float(monkeypatch, integral, verdict):
+    E = balanced_set_from_json({"k0": 2, "webs": [["x1"], [integral]]})
+    assert E.default_mode() == MODULAR
+    fallbacks = []
+    run = web.with_float_fallback
+
+    def counted(check, mode, reset):
+        return run(check, mode, lambda: (fallbacks.append(mode), reset()))
+
+    monkeypatch.setattr(web, "with_float_fallback", counted)
+    samplers = GenericPointSampler(seed=0), GenericPointSampler(seed=0)
+    fallback = is_quasi_symmetric(E, 4, samplers[0], MODULAR)
+    assert fallbacks == [MODULAR]
+    # the verdicts of a float call, and the sampler where it leaves it
+    assert fallback == is_quasi_symmetric(E, 4, samplers[1], FLOAT128)
+    assert fallback == {1: True, 2: verdict}
     assert samplers[0].point(2) == samplers[1].point(2)
 
 
@@ -315,6 +345,6 @@ def test_modular_gradients_certify_the_web_condition():
     # a listed pair mod q is a pair at the point with high probability, an
     # empty list is a certificate: the exp family's web condition holds
     E = EXP_WEBS["k0_4_exp"]
-    report = validate_balanced(E, 5, GenericPointSampler(seed=0))
+    report = validate_balanced(E, 5, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
     assert report.witnesses["mode"] == MODULAR.label()

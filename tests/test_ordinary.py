@@ -122,12 +122,13 @@ def test_each_point_of_a_corroborated_run_is_expanded_once(
 
 def test_a_dimensions_points_do_not_depend_on_the_checks_before_it():
     E, _ = get_family("k0_4_WB_sum")
-    alone = check_ordinary_at(E, 3, GenericPointSampler(seed=4))
+    mode = E.default_mode()
+    alone = check_ordinary_at(E, 3, GenericPointSampler(seed=4), mode)
     sampler = GenericPointSampler(seed=4)
-    validate_balanced(E, 5, sampler)
-    check_finite_criterion(E, sampler)
-    check_ordinary_at(E, 2, sampler)
-    after = check_ordinary_at(E, 3, sampler)
+    validate_balanced(E, 5, sampler, mode)
+    check_finite_criterion(E, sampler, mode)
+    check_ordinary_at(E, 2, sampler, mode)
+    after = check_ordinary_at(E, 3, sampler, mode)
     assert after.to_jsonable() == alone.to_jsonable()
 
 
@@ -209,7 +210,7 @@ def test_float_ranks_at_point_equal_exact_ranks(E, n, point):
 
 def test_finite_criterion_quadrics():
     E, _ = get_family("k0_3_quadrics")
-    report = check_finite_criterion(E, GenericPointSampler(seed=0))
+    report = check_finite_criterion(E, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
     assert [c["verdict"] for c in report.checks] == [TRUE, TRUE, TRUE]
     assert report.checks[1]["witness"]["det"] is not None
@@ -217,7 +218,7 @@ def test_finite_criterion_quadrics():
 
 def test_finite_criterion_exp_family():
     E, _ = get_family("k0_4_exp")
-    report = check_finite_criterion(E, GenericPointSampler(seed=0))
+    report = check_finite_criterion(E, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
     assert report.witnesses["mode"] == "exact mod 2^61-1 at t=e^(1/L)"
     # a block of full rank mod q, no float certificate
@@ -225,9 +226,8 @@ def test_finite_criterion_exp_family():
 
 
 def test_finite_criterion_dependent_gradients_false():
-    report = check_finite_criterion(
-        dependent_gradient_family(), GenericPointSampler(seed=0)
-    )
+    E = dependent_gradient_family()
+    report = check_finite_criterion(E, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == FALSE
     by_k = {c["k"]: c["verdict"] for c in report.checks}
     assert by_k[3] == FALSE
@@ -245,15 +245,14 @@ def test_finite_criterion_dependent_gradients_false():
 )
 def test_direct_check_quadrics(n, expected):
     E, _ = get_family("k0_3_quadrics")
-    report = check_ordinary_at(E, n, GenericPointSampler(seed=0))
+    report = check_ordinary_at(E, n, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
     assert report.witnesses["certifying_point"]["ranks"] == expected
 
 
 def test_direct_check_dependent_gradients_false():
-    report = check_ordinary_at(
-        dependent_gradient_family(), 4, GenericPointSampler(seed=0)
-    )
+    E = dependent_gradient_family()
+    report = check_ordinary_at(E, 4, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == FALSE
     deficient = [c for c in report.checks if c["verdict"] == FALSE]
     assert [c["h"] for c in deficient] == [4]
@@ -286,7 +285,7 @@ def test_direct_check_never_all_orders_at_one_point_is_inconclusive(monkeypatch)
     ]
     calls = scripted_ranks(monkeypatch, script)
     E, _ = get_family("k0_3_quadrics")
-    report = check_ordinary_at(E, 3, GenericPointSampler(seed=0))
+    report = check_ordinary_at(E, 3, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == INCONCLUSIVE
     assert len(calls) == 4  # decided at the fourth failing point
     assert [c["best_rank"] for c in report.checks] == [3, 6, 10]
@@ -299,7 +298,7 @@ def test_direct_check_scripted_deficient_order_is_false(monkeypatch):
     script = [{1: 3, 2: 6, 3: 9}, {1: 3, 2: 5, 3: 9}] * 3
     calls = scripted_ranks(monkeypatch, script)
     E, _ = get_family("k0_3_quadrics")
-    report = check_ordinary_at(E, 3, GenericPointSampler(seed=0))
+    report = check_ordinary_at(E, 3, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == FALSE
     assert len(calls) == 4
     assert [c["verdict"] for c in report.checks] == [TRUE, TRUE, FALSE]
@@ -308,7 +307,7 @@ def test_direct_check_scripted_deficient_order_is_false(monkeypatch):
 def test_direct_check_rejects_small_dimension():
     E, _ = get_family("k0_3_quadrics")
     with pytest.raises(ValueError):
-        check_ordinary_at(E, 1, GenericPointSampler(seed=0))
+        check_ordinary_at(E, 1, GenericPointSampler(seed=0), E.default_mode())
 
 
 # --------------------------------------------------------------------------
@@ -316,14 +315,14 @@ def test_direct_check_rejects_small_dimension():
 
 def test_crosscheck_quadrics():
     E, _ = get_family("k0_3_quadrics")
-    report = crosscheck_ordinary(E, [2, 3, 4], GenericPointSampler(seed=0))
+    sampler = GenericPointSampler(seed=0)
+    report = crosscheck_ordinary(E, [2, 3, 4], sampler, E.default_mode())
     assert report.verdict == TRUE
 
 
 def test_crosscheck_counterexample_agrees_on_false():
-    report = crosscheck_ordinary(
-        dependent_gradient_family(), [4], GenericPointSampler(seed=0)
-    )
+    E = dependent_gradient_family()
+    report = crosscheck_ordinary(E, [4], GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
     assert report.checks[0]["finite_criterion"] == FALSE
     assert report.checks[0]["direct"][4] == FALSE
@@ -331,7 +330,8 @@ def test_crosscheck_counterexample_agrees_on_false():
 
 def test_crosscheck_exp_family():
     E, _ = get_family("k0_4_exp")
-    report = crosscheck_ordinary(E, [2, 3], GenericPointSampler(seed=0))
+    sampler = GenericPointSampler(seed=0)
+    report = crosscheck_ordinary(E, [2, 3], sampler, E.default_mode())
     assert report.verdict == TRUE
 
 
@@ -341,14 +341,16 @@ def test_crosscheck_exp_family():
 def test_verdicts_invariant_under_seed_change():
     E, _ = get_family("k0_3_quadrics")
     for seed in (0, 1):
-        assert check_finite_criterion(E, GenericPointSampler(seed=seed)).verdict == TRUE
-        assert (
-            check_ordinary_at(E, 3, GenericPointSampler(seed=seed)).verdict == TRUE
-        )
+        sampler = GenericPointSampler(seed=seed)
+        assert check_finite_criterion(E, sampler, E.default_mode()).verdict == TRUE
+        sampler = GenericPointSampler(seed=seed)
+        assert check_ordinary_at(E, 3, sampler, E.default_mode()).verdict == TRUE
     bad = dependent_gradient_family()
     for seed in (0, 1):
         assert (
-            check_finite_criterion(bad, GenericPointSampler(seed=seed)).verdict
+            check_finite_criterion(
+                bad, GenericPointSampler(seed=seed), bad.default_mode()
+            ).verdict
             == FALSE
         )
 
@@ -357,5 +359,7 @@ def test_finite_criterion_invariant_under_reparametrization():
     E, _ = get_family("k0_3_quadrics")
     for k, b in [(2, 0), (2, 1), (3, 0)]:
         changed = reparametrize_generating(E, k, b)
-        report = check_finite_criterion(changed, GenericPointSampler(seed=0))
+        report = check_finite_criterion(
+            changed, GenericPointSampler(seed=0), changed.default_mode()
+        )
         assert report.verdict == TRUE

@@ -87,7 +87,8 @@ def test_assemble_count_matches_support_split_up_to_k0_5():
 
 
 def test_validate_balanced_good_family():
-    report = validate_balanced(quadrics(), 3, GenericPointSampler(seed=0))
+    E = quadrics()
+    report = validate_balanced(E, 3, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == TRUE
 
 
@@ -100,7 +101,7 @@ def test_validate_balanced_detects_proportional_pair():
             [parse("x1+x2+x3", 3)],
         ],
     )
-    report = validate_balanced(E, 3, GenericPointSampler(seed=0))
+    report = validate_balanced(E, 3, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == FALSE
     web_checks = [c for c in report.checks if c["check"] == "web_condition"]
     assert web_checks and web_checks[0]["proportional_pairs"]
@@ -115,7 +116,7 @@ def test_web_condition_false_needs_four_proportional_points():
             [parse("x1+x2+x3", 3)],
         ],
     )
-    report = validate_balanced(E, 3, GenericPointSampler(seed=0))
+    report = validate_balanced(E, 3, GenericPointSampler(seed=0), E.default_mode())
     (record,) = [c for c in report.checks if c["check"] == "web_condition"]
     assert record["verdict"] == FALSE
     assert len(record["proportional_points"]) == CONFIRMATIONS_FOR_FALSE
@@ -128,7 +129,7 @@ def test_web_condition_samples_past_a_thin_set_point():
     # integrals on (x3, x4), x3*x4 and the Moebius ratio, have proportional
     # gradients; the next sampled point certifies the web condition.
     E, _ = get_family("k0_3_moebius_sum")
-    report = validate_balanced(E, 4, GenericPointSampler(seed=7))
+    report = validate_balanced(E, 4, GenericPointSampler(seed=7), E.default_mode())
     assert report.verdict == TRUE
     (record,) = [c for c in report.checks if c["check"] == "web_condition"]
     assert record["verdict"] == TRUE
@@ -140,7 +141,7 @@ def test_web_condition_samples_past_a_thin_set_point():
 
 def test_validate_balanced_detects_missing_variable():
     E = balanced_set(2, [[parse("x1", 1)], [parse("x1", 2)]])
-    report = validate_balanced(E, 2, GenericPointSampler(seed=0))
+    report = validate_balanced(E, 2, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == FALSE
     bad = [
         c
@@ -159,7 +160,7 @@ def test_validate_balanced_detects_wrong_cardinality():
             [parse("x1+x2+x3", 3)],
         ],
     )
-    report = validate_balanced(E, 3, GenericPointSampler(seed=0))
+    report = validate_balanced(E, 3, GenericPointSampler(seed=0), E.default_mode())
     assert report.verdict == FALSE
 
 
@@ -172,7 +173,7 @@ def test_quasi_symmetric_pairs():
             [parse("x1+x2+x3", 3)],
         ],
     )
-    assert is_quasi_symmetric(E, 4, GenericPointSampler(seed=0)) == {
+    assert is_quasi_symmetric(E, 4, GenericPointSampler(seed=0), E.default_mode()) == {
         1: True,
         2: True,
         3: True,
@@ -188,7 +189,7 @@ def test_not_quasi_symmetric():
             [parse("x1+x2+x3", 3)],
         ],
     )
-    verdicts = is_quasi_symmetric(E, 4, GenericPointSampler(seed=0))
+    verdicts = is_quasi_symmetric(E, 4, GenericPointSampler(seed=0), E.default_mode())
     assert verdicts[1] is True
     assert verdicts[2] is False
 
@@ -220,7 +221,8 @@ def test_cross_ratio_family_translates_fail_validation():
     family = cross_ratio_family(parse("x1+x2+x3", 3), [0, 1])
     texts = [to_text(u) for u in family.webs[1].integrals]
     assert texts == ["x1 + x2", "x1 + x2 + 1"]
-    report = validate_balanced(family, 2, GenericPointSampler(seed=0))
+    sampler = GenericPointSampler(seed=0)
+    report = validate_balanced(family, 2, sampler, family.default_mode())
     assert report.verdict == FALSE
 
 
