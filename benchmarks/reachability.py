@@ -10,7 +10,9 @@ through `webrank.cli.main`.  Every function and method defined in
 `src/webrank` whose code the hook never saw is printed as
 `module.qualname  path:line`; lambdas and comprehensions are left out.  The
 last line counts them.  The traced run takes a few times the matrix's own
-time.
+time.  With the hook set, `verify-family --corroborate` ranks its
+corroborating dimension in this process, not in a forked child
+(`abelrank._fork_usable`), so the hook sees every function it enters.
 """
 
 from __future__ import annotations

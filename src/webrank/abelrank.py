@@ -89,11 +89,24 @@ invertible, J_D has full row rank for D <= k0 and rank d for D >= k0
 combin.max_rank_bound(n, d) = pi, and the dim at order M + 1 is at most
 the dim at order M.  check_rank estimates only at such points, the points
 of the dimension's search (ordinary.PointSearch) the direct check reads.
+
+verify_max_rank(corroborate=True) ranks the corroborating dimension
+n = k0 + 1, its largest check, in a forked child while it ranks n = 2..k0,
+where os.fork and a second CPU exist (_fork_usable, _Forked).  The child
+starts after the web condition and the direct check have expanded that
+dimension's points, from the state the serial loop would reach it in, and
+sends its RankCheck, or the exception it raised, back through a pipe.  The
+report and the exit code are the same on either path; the wall time falls,
+the CPU time does not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import sys
+import threading
 from functools import lru_cache
 
 from . import linalg
@@ -144,6 +157,12 @@ def _relation_columns(n: int, order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(keys)
 
 
+@lru_cache(maxsize=64)
+def _relation_index(n: int, order: int) -> dict[tuple[int, ...], int]:
+    """{key: its index in _relation_columns(n, order)}."""
+    return {key: j for j, key in enumerate(_relation_columns(n, order))}
+
+
 @lru_cache(maxsize=512)
 def _source_columns(n: int, order: int, source: tuple[int, ...]):
     """(codes, row_of) for an entry on the coordinates `source`: the packing
@@ -151,11 +170,14 @@ def _source_columns(n: int, order: int, source: tuple[int, ...]):
     the map from each such code to the index in _relation_columns of the
     key that puts its exponents at the source positions."""
     codes = MonomialCodes(len(source), order)
+    index = _relation_index(n, order)
     row_of = {}
-    for j, key in enumerate(_relation_columns(n, order)):
-        exponents = [key[s - 1] for s in source]
-        if sum(exponents) == sum(key):
-            row_of[codes.encode(exponents)] = j
+    key = [0] * n
+    for h in range(1, order + 1):
+        for exponents in degree_multi_indices(len(source), h):
+            for s, exponent in zip(source, exponents):
+                key[s - 1] = exponent
+            row_of[codes.encode(exponents)] = index[tuple(key)]
     return codes, row_of
 
 
@@ -454,6 +476,93 @@ def check_rank(
     return RankCheck(verdict, point, jet_rank, estimate, mismatches)
 
 
+def _fork_usable() -> bool:
+    """Whether a check may run in a forked child (_Forked): os.fork exists,
+    more than one CPU is usable, no other thread runs (a fork copies only
+    the calling one) and no trace or profile function is set (a tracer in
+    this process would not see the child's work).  Tests patch it to
+    choose the path."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no sched_getaffinity on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+class _Forked:
+    """call() started in a forked child, where _fork_usable(), while the
+    caller works on; a context manager.
+
+    result() returns what call() returned or raises what it raised, sent
+    pickled through a pipe.  It runs call() itself where no child runs:
+    in-process, when the fork fails, and when the child left without a
+    result (its outcome did not pickle, or it was killed).  The child
+    always leaves by os._exit.  Leaving the with block kills a child whose
+    result was not collected, as when the caller's own work raised, and
+    reaps it.
+    """
+
+    def __init__(self, call) -> None:
+        self.call = call
+        self.pid = None
+        if not _fork_usable():
+            return
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if self.pid == 0:
+            try:
+                import pickle
+
+                os.close(read)
+                try:
+                    outcome = True, call()
+                except Exception as err:
+                    outcome = False, err
+                with os.fdopen(write, "wb") as pipe:
+                    pickle.dump(outcome, pipe)
+            finally:
+                os._exit(0)
+        os.close(write)
+        self.pipe = os.fdopen(read, "rb")
+
+    def result(self):
+        if self.pid is None:
+            return self.call()
+        import pickle
+
+        with self.pipe:
+            sent = self.pipe.read()
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            returned, value = pickle.loads(sent)
+        except Exception:  # no result, or one that does not unpickle
+            return self.call()
+        if returned:
+            return value
+        raise value
+
+    def __enter__(self) -> "_Forked":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            self.pipe.close()
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def verify_max_rank(
     E: BalancedSet,
     sampler,
@@ -473,18 +582,33 @@ def verify_max_rank(
     no ordinary point is "inconclusive", and mismatching points are listed
     under "mismatch_points".
     With corroborate=True the check is repeated at n = k0 + 1 as an
-    independent desk-scale corroboration.
+    independent desk-scale corroboration.  Where os.fork and a second CPU
+    exist (_fork_usable), that check runs in a forked child while n =
+    2..k0 are ranked here (_Forked): its points come from a stream of its
+    own that the checks below it do not read or advance
+    (ordinary.PointSearch), so the child starts from the state the serial
+    loop would reach it in.  The report, and any exception, are the same
+    either way; the wall time falls, the CPU time does not.
     """
     k0 = E.k0
     m_start = k0 + 1
     cap = m_cap if m_cap is not None else k0 + 5
-    n_values = list(range(2, k0 + 1)) + ([k0 + 1] if corroborate else [])
+
+    def check_at(n: int) -> RankCheck:
+        expected = calibrated_max_rank(n, k0)
+        return check_rank(E, n, sampler, m_start, cap, mode, expected)
+
+    with (
+        _Forked(lambda: check_at(k0 + 1)) if corroborate else contextlib.nullcontext()
+    ) as corroboration:
+        checks = {n: check_at(n) for n in range(2, k0 + 1)}
+        if corroborate:
+            checks[k0 + 1] = corroboration.result()
     per_n = []
     verdicts = []
     estimates_low: dict[int, RankEstimate] = {}
-    for n in n_values:
+    for n, check in checks.items():
         expected = calibrated_max_rank(n, k0)
-        check = check_rank(E, n, sampler, m_start, cap, mode, expected)
         estimate = check.estimate
         if estimate is None:
             per_n.append(

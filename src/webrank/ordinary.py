@@ -221,21 +221,26 @@ def check_finite_criterion(
 
     Certifying all k0 blocks certifies that every assembled web of E, in
     every dimension, is ordinary.  A modular block check that meets a
-    ModulusError runs again in float mode from the same sampler state.
+    ModulusError runs again in float mode from the same sampler state, and
+    its record names the mode that decided it under "mode"; the witnesses'
+    "mode" is the one the checks were given.
     """
     checks = []
     verdicts = []
     for k in range(1, E.k0 + 1):
         web = E.generating_web(k)
         size = monomial_count(k, E.k0 - k)
-        verdict, singular, witness = with_float_fallback(
-            lambda current: confirm(
-                _block_outcomes(web, E.k0, size, sampler.points(k), current)
+        (verdict, singular, witness), used = with_float_fallback(
+            lambda current: (
+                confirm(_block_outcomes(web, E.k0, size, sampler.points(k), current)),
+                current,
             ),
             mode,
             sampler.rewinder(),
         )
         record: dict = {"k": k, "size": size}
+        if used.kind != mode.kind:
+            record["mode"] = used.label()
         if singular:
             record["singular_witnesses"] = singular
         if verdict == TRUE:

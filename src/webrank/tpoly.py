@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import random
 from collections.abc import Sequence
 from fractions import Fraction
@@ -92,10 +93,8 @@ class MonomialCodes:
         self.units = tuple(top + self.base**j for j in range(n))
 
     def encode(self, key: Sequence[int]) -> int:
-        code = sum(key) * self.base**self.n
-        for j, exponent in enumerate(key):
-            code += exponent * self.base**j
-        return code
+        """The code of x^key: the sum of key[j] codes of x_(j+1), units[j]."""
+        return sum(map(operator.mul, key, self.units))
 
     def decode(self, code: int) -> tuple[int, ...]:
         """The exponents of a code; the pipeline only encodes, the tests

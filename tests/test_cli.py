@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from webrank import cli
+from webrank import abelrank, cli
 from webrank.cli import main
 from webrank.report import CONFIRMATIONS_FOR_FALSE, FALSE
 from webrank.catalog import get_family
@@ -706,7 +706,9 @@ MODE_COMMANDS = [
 @pytest.mark.parametrize("family", ["k0_3_quadrics", "k0_4_exp"])
 @pytest.mark.parametrize("command", MODE_COMMANDS, ids=lambda argv: argv[0])
 def test_each_command_decides_the_mode_once(capsys, monkeypatch, family, command):
-    # the checks take the caller's mode: one derivation per command
+    # the checks take the caller's mode: one derivation per command, counted
+    # in-process, where the spy sees the corroborating rank check
+    monkeypatch.setattr(abelrank, "_fork_usable", lambda: False)
     calls = []
     derive = BalancedSet.default_mode
 

@@ -341,6 +341,21 @@ def test_the_cli_falls_back_on_a_denominator_divisible_by_q(capsys, tmp_path):
     }
 
 
+def test_a_finite_criterion_block_names_the_mode_that_decided_it(capsys, tmp_path):
+    # the arity-1 block falls back to float and says so beside its float
+    # witness; the exp-free arity-2 block is decided mod q, in the mode
+    # the witnesses name
+    path = tmp_path / "q_web.json"
+    path.write_text(json.dumps(Q_WEB))
+    code = main(["check-ordinary", "--input", str(path), "--format", "json"])
+    criterion = json.loads(capsys.readouterr().out)["ordinary"]["condition_iv"]
+    assert code == 0
+    assert criterion["witnesses"]["mode"] == MODULAR.label()
+    first, second = criterion["checks"]
+    assert first["mode"] == "float128" and first["witness"]["precision"] == 128
+    assert "mode" not in second and "precision" not in second["witness"]
+
+
 def test_modular_gradients_certify_the_web_condition():
     # a listed pair mod q is a pair at the point with high probability, an
     # empty list is a certificate: the exp family's web condition holds

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from webrank import ordinary, web
+from webrank import abelrank, ordinary, web
 from webrank.catalog import get_family
 from webrank.cli import main
 from webrank.expr import parse
@@ -96,7 +96,9 @@ def test_each_point_of_a_corroborated_run_is_expanded_once(
 ):
     # the web condition, the direct check and the rank estimate of each
     # dimension read one web_gradients pass per sampled point, and here
-    # all three are decided at the same point
+    # all three are decided at the same point; in-process, where the spy
+    # sees the n=5 rank check
+    monkeypatch.setattr(abelrank, "_fork_usable", lambda: False)
     expansions = Counter()
     original = web.web_gradients
 
